@@ -7,11 +7,19 @@ variable ``DUSTCOCYCLE_BACKEND`` (``auto`` | ``numba`` | ``numpy``; default
 :func:`use_backend`, which is what the benchmark and the backend-parity tests
 do.
 
-Per-element arithmetic is written as the same expression tree in both
-variants, so kernel values agree to the last ulp between backends (bitwise
-for real-valued data); the leaf reduction differs (compensated scalar loop vs
-numpy row sums).  Either way a leaf sum depends only on its own <= 4096
-values, which is what makes results bit-identical across worker counts.
+The digit maps and the scalar kernel are written as the same expression tree
+in both variants, so their values agree to the last ulp between backends
+(bitwise for real-valued data).  The numpy matrix kernel is laid out
+differently from the numba loop: it works through the squares in blocks of
+:data:`MATRIX_BLOCK`, copies each distinct input once per block into an
+(N, N, block) component layout and accumulates the trace with one ufunc call
+per component product.  It agrees with the batched-matmul formula to 1e-13
+(rtol and atol, tested at N = 2 and 3; the parity test against the numba
+variant uses the same tolerance), not to the last ulp.  Its values depend
+only on each square's own inputs, never on the block or task boundaries.  The
+leaf reduction differs too (compensated scalar loop vs numpy row sums).
+Either way a leaf sum depends only on its own <= 4096 values, which is what
+makes results bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -22,6 +30,11 @@ import warnings
 import numpy as np
 
 _ENV_FLAG = "DUSTCOCYCLE_BACKEND"
+
+# Squares per block of the numpy matrix kernel, the size of one cocycle.LEAF
+# leaf.  It bounds the block's component copies and differences to about 5 MB
+# at N = 2, where whole-task copies would take tens of MB per worker.
+MATRIX_BLOCK = 4096
 
 try:
     from numba import njit
@@ -97,18 +110,48 @@ def scalar_kernel_np(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
 def matrix_kernel_np(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
     """Per-square trace kernel for (B, N, N) matrix vertex values.
 
-    Products keep the written order f(i) g_{j,k} h_{l,m}; the scalar result is
-    the trace over the matrix factor.
+    The result is 0.5 * (Tr f0 b1 + Tr f2 b2 - Tr f1 b3 - Tr f3 b4) with
+    b1 = (g1-g0)(h2-h1) - (g3-g0)(h2-h3) and b2..b4 its rotations, evaluated
+    component-wise on blocks of :data:`MATRIX_BLOCK` squares.  Each distinct
+    input array is copied once per block into (N, N, block) layout, so a
+    pairing (f, g and h the same projection) makes four copies, not twelve.
+    The twelve per-term vertex differences are four of g and four of h, or
+    their exact negations.
     """
-    b1 = (g1 - g0) @ (h2 - h1) - (g3 - g0) @ (h2 - h3)
-    b2 = (g3 - g2) @ (h0 - h3) - (g1 - g2) @ (h0 - h1)
-    b3 = (g0 - g1) @ (h3 - h0) - (g2 - g1) @ (h3 - h2)
-    b4 = (g2 - g3) @ (h1 - h2) - (g0 - g3) @ (h1 - h0)
-    t = np.einsum("bij,bji->b", f0, b1)
-    t += np.einsum("bij,bji->b", f2, b2)
-    t -= np.einsum("bij,bji->b", f1, b3)
-    t -= np.einsum("bij,bji->b", f3, b4)
-    return 0.5 * t
+    inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
+    distinct = {id(x): x for x in inputs}
+    m, nn = f0.shape[:2]
+    out = np.empty(m, dtype=np.complex128)
+    for lo in range(0, m, MATRIX_BLOCK):
+        hi = min(m, lo + MATRIX_BLOCK)
+        soa = {
+            key: np.ascontiguousarray(x[lo:hi].transpose(1, 2, 0))
+            for key, x in distinct.items()
+        }
+        F0, F1, F2, F3, G0, G1, G2, G3, H0, H1, H2, H3 = (soa[id(x)] for x in inputs)
+        g10, g30, g32, g12 = G1 - G0, G3 - G0, G3 - G2, G1 - G2
+        h21, h23, h03, h01 = H2 - H1, H2 - H3, H0 - H3, H0 - H1
+        # (accumulate, F, X, Y, X', Y'): the term F (X Y - X' Y') of b1..b4
+        terms = (
+            (np.add, F0, g10, h21, g30, h23),
+            (np.add, F2, g32, h03, g12, h01),
+            (np.subtract, F1, g10, h03, g12, h23),
+            (np.subtract, F3, g32, h21, g30, h01),
+        )
+        acc = np.zeros(hi - lo, dtype=np.complex128)
+        s = np.empty_like(acc)
+        prod = np.empty_like(acc)
+        for accumulate, F, X, Y, X2, Y2 in terms:
+            for i in range(nn):
+                for j in range(nn):
+                    s.fill(0.0)
+                    for k in range(nn):
+                        s += np.multiply(X[j, k], Y[k, i], out=prod)
+                        s -= np.multiply(X2[j, k], Y2[k, i], out=prod)
+                    s *= F[i, j]
+                    accumulate(acc, s, out=acc)
+        out[lo:hi] = 0.5 * acc
+    return out
 
 
 def leaf_sums_np(vals, leaf):

@@ -1,7 +1,8 @@
 """Command-line front end: experiments in, CSV/JSON reports out.
 
 Exit status: 0 success, 1 a numerical check failed, 2 usage error (unknown
-names, malformed ranges, budget exceeded without the override flag).
+names, malformed ranges, budget exceeded without the override flag, a worker
+count below 1 in ``--workers`` or ``DUSTCOCYCLE_WORKERS``).
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
 def build_id() -> str:
+    """``__version__`` plus the short commit of the checkout holding this
+    package (never of the caller's cwd); plain ``__version__`` elsewhere."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=_PACKAGE_DIR,
         )
         if rev.returncode == 0:
             return f"{__version__}+g{rev.stdout.strip()}"
@@ -256,8 +262,6 @@ def _cmd_lipschitz(args) -> int:
 
 def _cmd_pairing(args) -> int:
     preset = get_preset(args.preset)
-    from .cocycle import pullback_projection
-
     field = bott_projection(args.degree)
     p = pullback_projection(field)
     oracle_val = chern_pairing_oracle(field, args.grid)
@@ -270,7 +274,7 @@ def _cmd_pairing(args) -> int:
                 preset=preset.name, n=n, squares=preset.nmaps**n, phi=val,
                 target=oracle_val, abs_err=abs(val - oracle_val),
                 wall_ms=(perf_counter() - t0) * 1e3,
-                workers=args.workers or default_workers(),
+                workers=args.workers,
             )
         )
     write_rows(rows, args, {"degree": args.degree, "grid": args.grid},
@@ -378,6 +382,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        # resolve the effective count once, so reports record what ran
+        if args.workers is None:
+            args.workers = default_workers()
+        elif args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return _HANDLERS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

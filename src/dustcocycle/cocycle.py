@@ -42,10 +42,16 @@ class BudgetError(ValueError):
 
 
 def default_workers() -> int:
+    """Worker count from ``DUSTCOCYCLE_WORKERS``, else the CPU count.
+
+    A set value must be a positive integer; anything else raises ValueError.
+    """
     env = os.environ.get(_WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"{_WORKERS_ENV}={env!r} is not a positive integer")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------

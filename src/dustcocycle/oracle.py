@@ -313,13 +313,18 @@ class ProjectionField:
         n, _, _ = self.unit_field(u, v)
         return self._pack(*n)
 
-    def partials(self, u, v):
-        """(e_u, e_v) as (..., 2, 2) arrays; derivatives of a projection, so
-        the diagonal identity part drops out."""
-        _, nu, nv = self.unit_field(u, v)
+    def with_partials(self, u, v):
+        """(e, e_u, e_v) as (..., 2, 2) arrays from one unit-field evaluation;
+        e_u and e_v are derivatives of a projection, so the diagonal identity
+        part drops out."""
+        n, nu, nv = self.unit_field(u, v)
         eu = self._pack(*nu) - 0.5 * np.eye(2)
         ev = self._pack(*nv) - 0.5 * np.eye(2)
-        return eu, ev
+        return self._pack(*n), eu, ev
+
+    def partials(self, u, v):
+        """(e_u, e_v) as (..., 2, 2) arrays."""
+        return self.with_partials(u, v)[1:]
 
 
 def bott_projection(degree: int) -> ProjectionField:
@@ -350,8 +355,7 @@ def chern_pairing_oracle(field: ProjectionField, m: int, row_block: int = 64) ->
     for lo in range(0, m, row_block):
         hi = min(m, lo + row_block)
         u, v = np.meshgrid(pts[lo:hi], pts, indexing="ij")
-        e = field(u, v)
-        eu, ev = field.partials(u, v)
+        e, eu, ev = field.with_partials(u, v)
         comm = eu @ ev - ev @ eu
         acc += np.einsum("...ij,...ji->...", e, comm).sum()
     return complex(acc / (m * m) / (1j * math.pi))

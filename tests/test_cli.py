@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import shutil
+import subprocess
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,7 +16,8 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from dustcocycle.cli import CSV_COLUMNS, main
+from dustcocycle import __version__, cli
+from dustcocycle.cli import CSV_COLUMNS, build_id, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,6 +115,64 @@ class TestPairing:
         row = list(csv.DictReader(io.StringIO(out)))[0]
         assert float(row["target_re"]) == pytest.approx(2.0, abs=1e-3)
         assert float(row["phi_re"]) == pytest.approx(2.0, abs=0.05)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", [
+        ("phi", "--functions", "const-xy", "--n", "2"),
+        ("pairing", "--n", "2", "--grid", "64"),
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_flag_rejected(self, command, workers):
+        code, out = run_cli(*command, "--workers", workers, "--format", "json")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+    def test_bad_env_rejected(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("DUSTCOCYCLE_WORKERS", value)
+        code, out = run_cli("phi", "--functions", "const-xy", "--n", "2")
+        assert code == 2 and out == ""
+        assert "DUSTCOCYCLE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("phi", "--functions", "const-xy", "--n", "2"),
+        ("pairing", "--n", "2", "--grid", "64"),
+    ])
+    def test_json_records_effective_count(self, monkeypatch, command):
+        monkeypatch.setenv("DUSTCOCYCLE_WORKERS", "3")
+        code, out = run_cli(*command, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["meta"]["workers"] == 3
+        assert payload["records"][0]["workers"] == 3
+
+    def test_json_default_count_is_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("DUSTCOCYCLE_WORKERS", raising=False)
+        code, out = run_cli("phi", "--functions", "const-xy", "--n", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["workers"] == (os.cpu_count() or 1)
+
+
+class TestBuildId:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+    def test_ignores_callers_checkout(self, tmp_path, monkeypatch):
+        # run from inside another git repository: its commit must not leak in
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+               "-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "other"], check=True)
+        other = subprocess.run(
+            git + ["rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        expected = build_id()
+        monkeypatch.chdir(tmp_path)
+        got = build_id()
+        assert got == expected and other not in got
+        assert got.startswith(__version__)
+
+    def test_version_outside_a_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_PACKAGE_DIR", tmp_path)
+        assert build_id() == __version__
 
 
 class TestPointCommands:

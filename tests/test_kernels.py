@@ -1,11 +1,12 @@
-"""Backend parity and leaf-summation determinism of the hot kernels."""
+"""Backend parity, the numpy matrix kernel against the matmul formula, and
+leaf-summation determinism of the hot kernels."""
 
 import numpy as np
 import pytest
 
 from dustcocycle import _kernels as K
 
-pytestmark = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
+needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
 
 
 @pytest.fixture
@@ -18,6 +19,7 @@ def random_complex(rng, shape):
 
 
 class TestDigitKernelParity:
+    @needs_numba
     def test_corner_numerators(self, rng):
         offx = np.array([0, 0, 2, 2], dtype=np.int64)
         offy = np.array([0, 2, 0, 2], dtype=np.int64)
@@ -26,6 +28,7 @@ class TestDigitKernelParity:
         b = K.corner_numerators_np(words, 9, offx, offy)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @needs_numba
     def test_image_bits(self, rng):
         words = rng.integers(0, 4**9, size=5000).astype(np.int64)
         a = K._dust_image_bits_jit(words, 9)
@@ -40,6 +43,44 @@ class TestDigitKernelParity:
         assert (mx[1], my[1]) == (0, 0)
 
 
+def matmul_reference(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
+    """The batched matmul/einsum form of the matrix kernel."""
+    b1 = (g1 - g0) @ (h2 - h1) - (g3 - g0) @ (h2 - h3)
+    b2 = (g3 - g2) @ (h0 - h3) - (g1 - g2) @ (h0 - h1)
+    b3 = (g0 - g1) @ (h3 - h0) - (g2 - g1) @ (h3 - h2)
+    b4 = (g2 - g3) @ (h1 - h2) - (g0 - g3) @ (h1 - h0)
+    t = np.einsum("bij,bji->b", f0, b1)
+    t += np.einsum("bij,bji->b", f2, b2)
+    t -= np.einsum("bij,bji->b", f1, b3)
+    t -= np.einsum("bij,bji->b", f3, b4)
+    return 0.5 * t
+
+
+class TestMatrixKernelNumpy:
+    # B is never a multiple of the block, so every run has a short last block
+    @pytest.mark.parametrize("nn, size", [(2, 2 * K.MATRIX_BLOCK + 123), (3, K.MATRIX_BLOCK + 57)])
+    def test_matches_matmul_reference(self, rng, nn, size):
+        args = [random_complex(rng, (size, nn, nn)) for _ in range(12)]
+        got = K.matrix_kernel_np(*args)
+        assert got.shape == (size,)
+        assert np.allclose(got, matmul_reference(*args), rtol=1e-13, atol=1e-13)
+
+    def test_shared_inputs_match_matmul_reference(self, rng):
+        # a pairing passes the same four arrays as f, g and h
+        p = [random_complex(rng, (K.MATRIX_BLOCK + 321, 2, 2)) for _ in range(4)]
+        got = K.matrix_kernel_np(*p, *p, *p)
+        assert np.allclose(got, matmul_reference(*p, *p, *p), rtol=1e-13, atol=1e-13)
+
+    def test_values_independent_of_chunking(self, rng):
+        size = 3 * K.MATRIX_BLOCK + 500
+        args = [random_complex(rng, (size, 2, 2)) for _ in range(12)]
+        whole = K.matrix_kernel_np(*args)
+        lo, hi = 1234, size - 77  # neither end on a block boundary
+        part = K.matrix_kernel_np(*(x[lo:hi] for x in args))
+        assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
+
+
+@needs_numba
 class TestTraceKernelParity:
     def test_scalar_complex_values_close(self, rng):
         # complex multiply rounds differently between the two code paths
@@ -69,6 +110,7 @@ class TestTraceKernelParity:
 
 
 class TestLeafSums:
+    @needs_numba
     def test_variants_agree(self, rng):
         vals = random_complex(rng, 4096 * 7 + 123)
         a = K._leaf_sums_jit(vals, np.int64(4096))
@@ -84,6 +126,7 @@ class TestLeafSums:
         )
         assert np.array_equal(whole.view(np.float64), split.view(np.float64))
 
+    @needs_numba
     def test_numba_leaves_independent_of_chunking(self, rng):
         vals = random_complex(rng, 4096 * 8)
         whole = K._leaf_sums_jit(vals, np.int64(4096))
@@ -95,6 +138,7 @@ class TestLeafSums:
         )
         assert np.array_equal(whole.view(np.float64), split.view(np.float64))
 
+    @needs_numba
     def test_compensation_beats_naive_on_adversarial_input(self):
         vals = np.tile([1e16, 1.0, -1e16, -1.0], 1024).astype(np.complex128)
         exact = 0.0
@@ -103,6 +147,7 @@ class TestLeafSums:
 
 
 class TestBackendSwitch:
+    @needs_numba
     def test_use_backend_rebinds(self):
         try:
             K.use_backend("numpy")
