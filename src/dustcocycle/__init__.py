@@ -10,7 +10,6 @@ functional with smooth matrix projections.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, use_backend
 from .cantor import cantor_dyadic, cantor_level, dust_image, image_cell
 from .cocycle import (
     Observable,
@@ -46,7 +45,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "BACKEND",
     "CANTOR_DUST",
     "FULL_SUBDIVISION_3",
     "Observable",
@@ -78,7 +76,6 @@ __all__ = [
     "resolve_functions",
     "similarity_dimension",
     "subdivision_cells",
-    "use_backend",
     "vertices",
     "wedge_quadrature",
 ]

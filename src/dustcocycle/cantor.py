@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import CANTOR_DUST, DyadicCell, SquareGeom, TriadicPoint, vertices
+from .geometry import DyadicCell, SquareGeom, TriadicPoint, vertices
 
 
 class DigitMapError(RuntimeError):
@@ -146,16 +146,3 @@ def image_cell(sq: SquareGeom) -> DyadicCell:
                 f"({iu.k},{iv.k})/2^{n}, expected ({ei},{ej})/2^{n}"
             )
     return cell
-
-
-def is_dust_square(sq: SquareGeom) -> bool:
-    """True when the square arises from the dust preset (digits in {0, 2})."""
-    for q in (sq.kx, sq.ky):
-        for _ in range(sq.level):
-            if q % 3 == 1:
-                return False
-            q //= 3
-    return True
-
-
-DUST_PRESET_NAME = CANTOR_DUST.name

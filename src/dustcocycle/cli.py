@@ -25,13 +25,13 @@ from .cocycle import (
     BudgetError,
     CocycleReport,
     convergence_table,
-    default_workers,
     estimate_lipschitz,
     lipschitz_bound,
     pairing_n,
     phi_n,
     pullback_projection,
     resolve_functions,
+    resolve_workers,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
 from .geometry import PRESETS, enumerate_squares, get_preset, similarity_dimension
@@ -221,10 +221,6 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    return _cmd_phi(args)
-
-
 LIPSCHITZ_COLUMNS = ("n", "squares", "abs_phi", "bound", "within_bound", "ms")
 
 
@@ -369,7 +365,7 @@ def _cmd_selftest(args) -> int:
 
 _HANDLERS = {
     "phi": _cmd_phi,
-    "converge": _cmd_converge,
+    "converge": _cmd_phi,
     "lipschitz": _cmd_lipschitz,
     "pairing": _cmd_pairing,
     "cantor": _cmd_cantor,
@@ -383,10 +379,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         # resolve the effective count once, so reports record what ran
-        if args.workers is None:
-            args.workers = default_workers()
-        elif args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        args.workers = resolve_workers(args.workers)
         return _HANDLERS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -41,11 +41,17 @@ class BudgetError(ValueError):
     """A run would enumerate more squares than the configured budget."""
 
 
-def default_workers() -> int:
-    """Worker count from ``DUSTCOCYCLE_WORKERS``, else the CPU count.
+def resolve_workers(workers: int | None) -> int:
+    """The effective worker count: ``workers`` itself, or for None the value
+    of ``DUSTCOCYCLE_WORKERS``, else the CPU count.
 
-    A set value must be a positive integer; anything else raises ValueError.
+    A count below 1, or a set environment value that is not a positive
+    integer, raises ValueError.
     """
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        return workers
     env = os.environ.get(_WORKERS_ENV)
     if not env:
         return os.cpu_count() or 1
@@ -291,7 +297,7 @@ def phi_n(
     kind, mode = _check_triple(f, g, h)
     total = preset.nmaps**n
     _budget_check(total, kind, allow_large)
-    workers = workers if workers is not None else default_workers()
+    workers = resolve_workers(workers)
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
@@ -322,7 +328,7 @@ def phi_subdivision(
         raise ValueError("level must be >= 0")
     total = 4**n
     _budget_check(total, "scalar", allow_large)
-    workers = workers if workers is not None else default_workers()
+    workers = resolve_workers(workers)
     obs = tuple(
         Observable(getattr(t, "name", "fn"), "pullback", "scalar",
                    t.fn if isinstance(t, TorusFunction) else t)
@@ -386,7 +392,7 @@ class CocycleReport:
     hochschild: Optional[float] = None
     wall_ms: float = 0.0
     workers: int = 1
-    backend: str = field(default_factory=lambda: K.BACKEND)
+    backend: str = K.BACKEND
 
     def as_dict(self):
         return {
@@ -416,10 +422,9 @@ def convergence_table(
     target: complex | None = None,
     workers: int | None = None,
     allow_large: bool = False,
-    residuals: bool = False,
 ) -> list[CocycleReport]:
     """One report per level: value, error against the target, error ratios."""
-    workers = workers if workers is not None else default_workers()
+    workers = resolve_workers(workers)
     rows = []
     prev_err = None
     for n in ns:
@@ -440,10 +445,6 @@ def convergence_table(
             if prev_err not in (None, 0.0):
                 row.err_ratio = row.abs_err / prev_err
             prev_err = row.abs_err
-        if residuals:
-            row.cyclicity = cyclicity_residual(
-                preset, n, f, g, h, workers=workers, allow_large=allow_large
-            )
         rows.append(row)
     return rows
 

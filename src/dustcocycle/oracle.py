@@ -215,28 +215,8 @@ SMOOTH_PRESETS = {
     ),
 }
 
-_CATALOGUE_VALIDATED = False
-
-
-def _validate_catalogue():
-    """Cross-check every tabulated target against quadrature, once."""
-    global _CATALOGUE_VALIDATED
-    if _CATALOGUE_VALIDATED:
-        return
-    for preset in SMOOTH_PRESETS.values():
-        if preset.target is None:
-            continue
-        q = wedge_quadrature(preset.f, preset.g, preset.h, 512)
-        if abs(q - preset.target) > 1e-8:
-            raise RuntimeError(
-                f"catalogue entry {preset.name!r}: tabulated {preset.target} "
-                f"but quadrature gives {q}"
-            )
-    _CATALOGUE_VALIDATED = True
-
 
 def get_smooth_preset(name: str) -> SmoothPreset:
-    _validate_catalogue()
     key = name.strip().lower()
     if key not in SMOOTH_PRESETS:
         raise KeyError(f"unknown smooth preset {name!r}; choose from {sorted(SMOOTH_PRESETS)}")

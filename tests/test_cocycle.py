@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
     BudgetError,
     Observable,
@@ -135,30 +134,10 @@ class TestSubdivisionIdentity:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["numba", "numpy"])
-    def test_bit_identical_across_workers(self, backend):
-        if backend == "numba" and not K.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        try:
-            K.use_backend(backend)
-            f, g, h, _, _ = resolve_functions("bott-flux")
-            vals = {w: phi_n(DUST, 7, f, g, h, workers=w) for w in (1, 2, 8)}
-            assert vals[1] == vals[2] == vals[8]
-        finally:
-            K.use_backend("auto")
-
-    def test_backends_agree(self):
-        if not K.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        f, g, h, _, _ = resolve_functions("mixed-mode")
-        try:
-            K.use_backend("numba")
-            a = phi_n(DUST, 6, f, g, h, workers=2)
-            K.use_backend("numpy")
-            b = phi_n(DUST, 6, f, g, h, workers=2)
-        finally:
-            K.use_backend("auto")
-        assert a == pytest.approx(b, rel=1e-12)
+    def test_bit_identical_across_workers(self):
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        vals = {w: phi_n(DUST, 7, f, g, h, workers=w) for w in (1, 2, 8)}
+        assert vals[1] == vals[2] == vals[8]
 
 
 class TestTrilinearity:
@@ -282,6 +261,18 @@ class TestBudgetsAndValidation:
         d = direct_scalar(lambda u, v: np.asarray(u, dtype=np.float64), "x")
         with pytest.raises(ValueError, match="mode"):
             phi_n(DUST, 2, f, g, d, workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, workers):
+        f, g, h, _, _ = resolve_functions("const-xy")
+        sp = get_smooth_preset("bott-flux")
+        p = pullback_projection(bott_projection(1))
+        with pytest.raises(ValueError, match="workers"):
+            phi_n(DUST, 2, f, g, h, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            phi_subdivision(2, sp.f, sp.g, sp.h, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            pairing_n(DUST, 2, p, workers=workers)
 
     def test_observable_product_requires_matching_mode(self):
         f, *_ = resolve_functions("bott-flux")
