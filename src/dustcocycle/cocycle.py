@@ -1,16 +1,26 @@
 """The combinatorial integration engine.
 
 ``phi_n`` streams the level-n squares of an IFS preset in word order,
-evaluates a function triple at the four vertices of each square (directly at
-the triadic coordinates, or through the staircase image on the torus),
-applies the per-square trace kernel and reduces the 4**n terms through a
-fixed-shape pairwise tree over 4096-word leaves.  The tree shape depends only
-on the term count, never on the worker count, so results are bit-identical
-however the work is spread.
+evaluates a function triple at the four vertices of each square, applies the
+per-square trace kernel and reduces the 4**n terms through a fixed-shape
+pairwise tree over 4096-word leaves.  The tree shape depends only on the term
+count, never on the worker count, so results are bit-identical however the
+work is spread.
+
+Each parallel task covers 65536 consecutive words.  In pullback mode the
+staircase image of the dust squares is the Z-order (Morton) walk of the
+2**n x 2**n torus cells, so a task's squares are one aligned 256 x 256 tile
+(for n <= 8, the whole grid).  The engine evaluates each observable once on
+the vertex lattice of the task's bounding box, 257 x 257 points for such a
+tile, and gathers every square's four corners from it: each torus vertex is
+evaluated once per tile, not once for each of the four squares it bounds.
+Direct mode evaluates at the triadic vertices of each square instead; on the
+dust those squares share no vertices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
-dyadic subdivision; in pullback mode the two sums are termwise equal because
-dust squares biject onto cells with order-preserving corners.
+dyadic subdivision, in row-major order, through the same lattice gather; in
+pullback mode the two sums are termwise equal because dust squares biject
+onto cells with order-preserving corners.
 """
 
 from __future__ import annotations
@@ -171,19 +181,50 @@ def _direct_coords(words, n, offx, offy):
     return kx / den, (kx + 1) / den, ky / den, (ky + 1) / den
 
 
-def _cell_coords(cells, n):
-    """Dyadic coordinates of plain subdivision cells, row-major indexing.
+def _vertex_lattice(source, n, w_lo, w_hi):
+    """Torus vertex lattice of words or cells [w_lo, w_hi) and corner indices.
 
-    No wraparound here: far-edge vertices evaluate at coordinate value 1, so
-    plain (non-periodized) coordinate functions keep their Riemann sums; for
-    1-periodic functions the distinction is a few-ulp boundary effect.
+    Returns flat coordinate arrays (u, v) of the vertex lattice that spans the
+    bounding box of the words' image cells, row-major with row length w, and
+    the flat lattice indices of the corners v0..v3 of every square in word
+    order.  Coordinates are the same floats as the per-square corners: pullback
+    columns and rows wrap with ``& mask`` (the periodic torus), subdivision
+    cells keep their far edge at coordinate value 1, so plain (non-periodized)
+    coordinate functions keep their Riemann sums.
     """
+    idx = np.arange(w_lo, w_hi, dtype=np.int64)
     side = np.int64(1) << n
     mask = side - 1
-    i = cells & mask
-    j = cells >> n
+    if source[0] == "pullback":
+        mx, my = K.dust_image_bits(idx, n)
+    else:
+        mx, my = idx & mask, idx >> n
+    x0, y0 = mx.min(), my.min()
+    w = int(mx.max() - x0) + 2
+    cols = x0 + np.arange(w, dtype=np.int64)
+    rows = y0 + np.arange(int(my.max() - y0) + 2, dtype=np.int64)
+    if source[0] == "pullback":
+        cols &= mask
+        rows &= mask
     inv = 1.0 / float(side)
-    return i * inv, (i + 1) * inv, j * inv, (j + 1) * inv
+    u = np.tile(cols * inv, rows.size)
+    v = np.repeat(rows * inv, w)
+    c = (my - y0) * w + (mx - x0)
+    return u, v, c + np.array([0, 1, w + 1, w])[:, None]
+
+
+def _gather_corners(vals, corners):
+    """The corner values v0..v3 of every square, from lattice values ``vals``.
+
+    Scalar corners come from one (4, B) gather.  Matrix corners are gathered
+    one at a time, so that no per-task array outgrows one (B, N, N) corner:
+    with a single 16 MB (4, B, 2, 2) block per task, glibc's malloc kept that
+    much freed heap per thread and the pairing benchmark's peak RSS rose by
+    a third.
+    """
+    if vals.ndim == 1:
+        return list(vals[corners])
+    return [vals[c] for c in corners]
 
 
 def _corner_points(c0, c1, d0, d1):
@@ -213,21 +254,19 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
 
 def _leaf_sums_for_range(source, n, w_lo, w_hi, observables):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi)."""
-    idx = np.arange(w_lo, w_hi, dtype=np.int64)
-    if source[0] == "pullback":
-        coords = _pullback_coords(idx, n)
-    elif source[0] == "direct":
-        _, offx, offy = source
-        coords = _direct_coords(idx, n, offx, offy)
-    else:
-        coords = _cell_coords(idx, n)
-    pts = _corner_points(*coords)
-
     cache = {}
-    for obs in observables:
-        key = id(obs)
-        if key not in cache:
-            cache[key] = [obs.evaluate(u, v) for (u, v) in pts]
+    if source[0] == "direct":
+        _, offx, offy = source
+        idx = np.arange(w_lo, w_hi, dtype=np.int64)
+        pts = _corner_points(*_direct_coords(idx, n, offx, offy))
+        for obs in observables:
+            if id(obs) not in cache:
+                cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
+    else:
+        u, v, corners = _vertex_lattice(source, n, w_lo, w_hi)
+        for obs in observables:
+            if id(obs) not in cache:
+                cache[id(obs)] = _gather_corners(obs.evaluate(u, v), corners)
     fv, gv, hv = (cache[id(o)] for o in observables)
 
     kernel = K.scalar_kernel if observables[0].kind == "scalar" else K.matrix_kernel
@@ -251,7 +290,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
         for t in tasks:
             run(t)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             list(pool.map(run, tasks))
     return _pairwise_reduce(leafsums)
 
@@ -265,6 +304,15 @@ def _check_triple(f, g, h):
     if len(modes) != 1:
         raise ValueError("observable triple must share evaluation mode")
     return kinds.pop(), modes.pop()
+
+
+def _word_count(nmaps, n):
+    """nmaps**n, the number of level-n words; ValueError when the word indices
+    would overflow int64."""
+    total = nmaps**n
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"{nmaps}**{n} level-{n} words overflow 64-bit word indices")
+    return total
 
 
 def _budget_check(total, kind, allow_large):
@@ -295,7 +343,7 @@ def phi_n(
     if n < 0:
         raise ValueError("level must be >= 0")
     kind, mode = _check_triple(f, g, h)
-    total = preset.nmaps**n
+    total = _word_count(preset.nmaps, n)
     _budget_check(total, kind, allow_large)
     workers = resolve_workers(workers)
     if mode == "pullback":
@@ -326,7 +374,7 @@ def phi_subdivision(
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    total = 4**n
+    total = _word_count(4, n)
     _budget_check(total, "scalar", allow_large)
     workers = resolve_workers(workers)
     obs = tuple(
@@ -463,7 +511,7 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
-    total = preset.nmaps**n
+    total = _word_count(preset.nmaps, n)
     offx, offy = preset.offset_arrays()
     edge = 3.0**-n
     sup = 0.0

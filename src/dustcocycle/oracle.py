@@ -251,7 +251,8 @@ class ProjectionField:
     winding: int
     mass: float
 
-    def _field(self, u, v):
+    def _values(self, u, v):
+        """The angles (a, b) and the unnormalised field h at (u, v)."""
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         a = TWO_PI * self.winding * u
@@ -259,6 +260,10 @@ class ProjectionField:
         h1 = np.sin(b) * np.ones_like(a)
         h2 = np.sin(a) * np.ones_like(b)
         h3 = self.mass - np.cos(a) - np.cos(b)
+        return a, b, (h1, h2, h3)
+
+    def _field(self, u, v):
+        a, b, (h1, h2, h3) = self._values(u, v)
         h1u = np.zeros_like(h1)
         h1v = TWO_PI * np.cos(b) * np.ones_like(a)
         h2u = TWO_PI * self.winding * np.cos(a) * np.ones_like(b)
@@ -267,11 +272,16 @@ class ProjectionField:
         h3v = TWO_PI * np.sin(b) * np.ones_like(a)
         return (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v)
 
+    @staticmethod
+    def _normalise(h):
+        """The unit vector h / |h| and the norm |h|."""
+        norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
+        return tuple(c / norm for c in h), norm
+
     def unit_field(self, u, v):
         """The unit sphere map and its partials, each a 3-tuple of arrays."""
         h, hu, hv = self._field(u, v)
-        norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
-        n = tuple(c / norm for c in h)
+        n, norm = self._normalise(h)
         out = []
         for dh in (hu, hv):
             radial = (n[0] * dh[0] + n[1] * dh[1] + n[2] * dh[2])
@@ -290,7 +300,8 @@ class ProjectionField:
         return e
 
     def __call__(self, u, v):
-        n, _, _ = self.unit_field(u, v)
+        """e(u, v) alone: the field's partials are never computed."""
+        n, _ = self._normalise(self._values(u, v)[2])
         return self._pack(*n)
 
     def with_partials(self, u, v):

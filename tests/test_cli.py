@@ -212,6 +212,15 @@ class TestExitCodes:
         code, _ = run_cli("phi", "--functions", "const-xy", "--n", "13")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["phi", "lipschitz"])
+    def test_word_index_overflow_under_override(self, command, capsys):
+        code, _ = run_cli(
+            command, "--preset", "full-subdivision-3", "--functions", "const-xy",
+            "--n", "20", "--override-budget",
+        )
+        assert code == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_bad_range(self):
         code, _ = run_cli("converge", "--functions", "const-xy", "--n", "5..3")
         assert code == 2

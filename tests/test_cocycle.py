@@ -281,6 +281,50 @@ class TestBudgetsAndValidation:
             _ = f * d
 
 
+class TestWordIndexOverflow:
+    """9**20 words overflow int64 word indices; the check runs before any
+    task list is built, so these calls return at once."""
+
+    def test_phi_n_rejects_overflowing_level(self):
+        f, g, h, _, _ = resolve_functions("const-xy")
+        with pytest.raises(ValueError, match="overflow"):
+            phi_n(FULL, 20, f, g, h, workers=1, allow_large=True)
+
+    def test_subdivision_rejects_overflowing_level(self):
+        sp = get_smooth_preset("bott-flux")
+        with pytest.raises(ValueError, match="overflow"):
+            phi_subdivision(32, sp.f, sp.g, sp.h, workers=1, allow_large=True)
+
+    def test_lipschitz_rejects_overflowing_level(self):
+        f, _, _, _, _ = resolve_functions("const-xy")
+        with pytest.raises(ValueError, match="overflow"):
+            estimate_lipschitz(FULL, 20, f)
+
+    def test_last_fitting_level_passes_the_check(self):
+        from dustcocycle.cocycle import _word_count
+
+        assert _word_count(9, 19) == 9**19
+        assert _word_count(4, 31) == 4**31
+
+
+class TestThreadPool:
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        from dustcocycle import cocycle
+
+        sizes = []
+
+        class Recording(cocycle.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(cocycle, "ThreadPoolExecutor", Recording)
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        want = phi_n(DUST, 9, f, g, h, workers=1)
+        assert phi_n(DUST, 9, f, g, h, workers=8) == want
+        assert sizes == [4]
+
+
 class TestConvergenceTable:
     def test_reports_carry_errors_and_ratios(self):
         f, g, h, target, _ = resolve_functions("const-xy")

@@ -109,6 +109,13 @@ class TestProjectionField:
         assert np.allclose(ev, fd_v, atol=1e-8)
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
+    def test_call_equals_with_partials_exactly(self, d):
+        field = bott_projection(d)
+        rng = np.random.default_rng(d + 11)
+        u, v = rng.uniform(-1.0, 2.0, (2, 1000))
+        np.testing.assert_array_equal(field(u, v), field.with_partials(u, v)[0])
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_chern_value_on_even_lattice(self, d):
         val = chern_pairing_oracle(bott_projection(d), 256)
         assert abs(val - 2 * d) < 1e-3
