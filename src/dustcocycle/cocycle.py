@@ -12,21 +12,32 @@ staircase image of the dust squares is the Z-order (Morton) walk of the
 2**n x 2**n torus cells, so a task's squares are one aligned 256 x 256 tile
 (for n <= 8, the whole grid).  The engine evaluates each observable once on
 the vertex lattice of the task's bounding box, 257 x 257 points for such a
-tile, and gathers every square's four corners from it: each torus vertex is
-evaluated once per tile, not once for each of the four squares it bounds.
-Direct mode evaluates at the triadic vertices of each square instead; on the
-dust those squares share no vertices.
+tile, and hands the trace kernel the four shifted views ``a[:-1, :-1]``,
+``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of those values: the corners
+v0..v3 of every cell, with no gather.  The kernel's per-cell values are then
+put into word order with one ``np.take``; the table-driven digit map gives
+each word's cell.  Direct mode evaluates at the triadic vertices of each
+square instead, as four 1-D corner arrays; on the dust those squares share
+no vertices.
+
+Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
+one sum and runs all its tasks in it: the lattice coordinates, digit maps,
+kernel temporaries and reordered values reuse its buffers, and nothing of it
+outlives the call.  A task still allocates its word indices and the
+observables' own values.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
-dyadic subdivision, in row-major order, through the same lattice gather; in
-pullback mode the two sums are termwise equal because dust squares biject
-onto cells with order-preserving corners.
+dyadic subdivision, in row-major order, on the same lattice views; its tasks
+are whole rows, already in cell order, so they need no reorder.  In pullback
+mode the two sums are termwise equal because dust squares biject onto cells
+with order-preserving corners.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -174,57 +185,60 @@ def _pullback_coords(words, n):
     )
 
 
-def _direct_coords(words, n, offx, offy):
-    """Triadic vertex coordinates (x0, x1, y0, y1) as floats."""
-    kx, ky = K.corner_numerators(words, n, offx, offy)
+def _direct_coords(words, n, offx, offy, ws):
+    """Triadic vertex coordinates (x0, x1, y0, y1) as floats, held in ``ws``."""
+    kx, ky = K.corner_numerators(words, n, offx, offy, out=ws)
     den = float(3**n)
-    return kx / den, (kx + 1) / den, ky / den, (ky + 1) / den
+    coords = []
+    for axis, k in (("x", kx), ("y", ky)):
+        near = np.divide(k, den, out=ws.take(f"coords.{axis}0", k.shape, np.float64))
+        k += 1
+        far = np.divide(k, den, out=ws.take(f"coords.{axis}1", k.shape, np.float64))
+        coords += [near, far]
+    return coords
 
 
-def _vertex_lattice(source, n, w_lo, w_hi):
-    """Torus vertex lattice of words or cells [w_lo, w_hi) and corner indices.
+def _vertex_lattice(source, n, w_lo, w_hi, ws):
+    """Vertex lattice of the image cells of words or cells [w_lo, w_hi).
 
-    Returns flat coordinate arrays (u, v) of the vertex lattice that spans the
-    bounding box of the words' image cells, row-major with row length w, and
-    the flat lattice indices of the corners v0..v3 of every square in word
-    order.  Coordinates are the same floats as the per-square corners: pullback
-    columns and rows wrap with ``& mask`` (the periodic torus), subdivision
-    cells keep their far edge at coordinate value 1, so plain (non-periodized)
-    coordinate functions keep their Riemann sums.
+    Returns coordinate arrays (u, v) of shape (H, W), held in ``ws``, of the
+    vertex lattice that spans the bounding box of the cells (H - 1 rows of
+    W - 1 cells), and where each square's cell sits in that box, in word
+    order: flat row-major indices for pullback words (Morton order), a slice
+    for subdivision cells (already row-major).  Coordinates are the same
+    floats as the per-square corners: pullback columns and rows wrap with
+    ``& mask`` (the periodic torus), subdivision cells keep their far edge at
+    coordinate value 1, so plain (non-periodized) coordinate functions keep
+    their Riemann sums.
     """
-    idx = np.arange(w_lo, w_hi, dtype=np.int64)
-    side = np.int64(1) << n
+    side = 1 << n
     mask = side - 1
     if source[0] == "pullback":
-        mx, my = K.dust_image_bits(idx, n)
+        mx, my = K.dust_image_bits(np.arange(w_lo, w_hi, dtype=np.int64), n, out=ws)
+        x0, y0 = int(mx.min()), int(my.min())
+        cols, rows = int(mx.max()) - x0 + 1, int(my.max()) - y0 + 1
+        my -= y0
+        my *= cols
+        my += mx
+        my -= x0
+        order = my
     else:
-        mx, my = idx & mask, idx >> n
-    x0, y0 = mx.min(), my.min()
-    w = int(mx.max() - x0) + 2
-    cols = x0 + np.arange(w, dtype=np.int64)
-    rows = y0 + np.arange(int(my.max() - y0) + 2, dtype=np.int64)
+        y0, y1 = w_lo >> n, (w_hi - 1) >> n
+        x0, cols = (w_lo & mask, w_hi - w_lo) if y0 == y1 else (0, side)
+        rows = y1 - y0 + 1
+        start = (w_lo & mask) - x0
+        order = slice(start, start + w_hi - w_lo)
+    x = x0 + np.arange(cols + 1, dtype=np.int64)
+    y = y0 + np.arange(rows + 1, dtype=np.int64)
     if source[0] == "pullback":
-        cols &= mask
-        rows &= mask
+        x &= mask
+        y &= mask
     inv = 1.0 / float(side)
-    u = np.tile(cols * inv, rows.size)
-    v = np.repeat(rows * inv, w)
-    c = (my - y0) * w + (mx - x0)
-    return u, v, c + np.array([0, 1, w + 1, w])[:, None]
-
-
-def _gather_corners(vals, corners):
-    """The corner values v0..v3 of every square, from lattice values ``vals``.
-
-    Scalar corners come from one (4, B) gather.  Matrix corners are gathered
-    one at a time, so that no per-task array outgrows one (B, N, N) corner:
-    with a single 16 MB (4, B, 2, 2) block per task, glibc's malloc kept that
-    much freed heap per thread and the pairing benchmark's peak RSS rose by
-    a third.
-    """
-    if vals.ndim == 1:
-        return list(vals[corners])
-    return [vals[c] for c in corners]
+    u = ws.take("lattice.u", (rows + 1, cols + 1), np.float64)
+    v = ws.take("lattice.v", (rows + 1, cols + 1), np.float64)
+    u[...] = x * inv
+    v[...] = (y * inv)[:, None]
+    return u, v, order
 
 
 def _corner_points(c0, c1, d0, d1):
@@ -252,26 +266,39 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _leaf_sums_for_range(source, n, w_lo, w_hi, observables):
-    """Leaf sums of the kernel over word/cell indices [w_lo, w_hi)."""
+def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
+    """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
+
+    ``ws`` is the calling thread's :class:`_kernels.Workspace` (default: a
+    fresh one); the returned leaf sums never live in it.
+    """
+    ws = K.Workspace() if ws is None else ws
     cache = {}
     if source[0] == "direct":
         _, offx, offy = source
         idx = np.arange(w_lo, w_hi, dtype=np.int64)
-        pts = _corner_points(*_direct_coords(idx, n, offx, offy))
+        pts = _corner_points(*_direct_coords(idx, n, offx, offy, ws))
         for obs in observables:
             if id(obs) not in cache:
                 cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
     else:
-        u, v, corners = _vertex_lattice(source, n, w_lo, w_hi)
+        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
         for obs in observables:
             if id(obs) not in cache:
-                cache[id(obs)] = _gather_corners(obs.evaluate(u, v), corners)
+                a = obs.evaluate(u.reshape(-1), v.reshape(-1))
+                a = a.reshape(u.shape + a.shape[1:])
+                cache[id(obs)] = [a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]]
     fv, gv, hv = (cache[id(o)] for o in observables)
 
     kernel = K.scalar_kernel if observables[0].kind == "scalar" else K.matrix_kernel
-    vals = kernel(*fv, *gv, *hv)
-    return K.leaf_sums(np.ascontiguousarray(vals), LEAF)
+    vals = kernel(*fv, *gv, *hv, out=ws)
+    if source[0] != "direct":
+        cells = vals.reshape(-1)
+        if isinstance(order, slice):
+            vals = cells[order]
+        else:
+            vals = np.take(cells, order, out=ws.take("reordered", order.shape))
+    return K.leaf_sums(vals, LEAF)
 
 
 def _sum_kernel(source, n, total, f, g, h, workers):
@@ -280,10 +307,14 @@ def _sum_kernel(source, n, total, f, g, h, workers):
     leafsums = np.empty(nleaves, dtype=np.complex128)
     span = TASK_LEAVES * LEAF
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
+    local = threading.local()  # one workspace per thread, dropped on return
 
     def run(task):
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = K.Workspace()
         lo, hi = task
-        out = _leaf_sums_for_range(source, n, lo, hi, observables)
+        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws)
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -517,10 +548,11 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     sup = 0.0
     lip = 0.0
     span = TASK_LEAVES * LEAF
+    ws = K.Workspace()
     for lo in range(0, total, span):
         hi = min(total, lo + span)
         idx = np.arange(lo, hi, dtype=np.int64)
-        x0, x1, y0, y1 = _direct_coords(idx, n, offx, offy)
+        x0, x1, y0, y1 = _direct_coords(idx, n, offx, offy, ws)
         vals = [obs.evaluate(u, v) for (u, v) in _corner_points(x0, x1, y0, y1)]
         sup = max(sup, max(np.abs(v).max() for v in vals))
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):

@@ -22,6 +22,10 @@ from dustcocycle.cli import CSV_COLUMNS, build_id, main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def load_schema(name):
+    return json.loads((REPO_ROOT / "schemas" / f"{name}.schema.json").read_text())
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -105,6 +109,22 @@ class TestLipschitz:
         code, _ = run_cli("lipschitz", "--functions", "bott-flux", "--n", "1..2")
         assert code == 2
 
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    @pytest.mark.parametrize("preset, functions", [
+        ("cantor-dust", "linear-xy"), ("sierpinski-carpet", "sine-xy"),
+    ])
+    def test_json_validates_against_shipped_schema(self, tmp_path, preset, functions):
+        p = tmp_path / "lipschitz.json"
+        code, _ = run_cli(
+            "lipschitz", "--preset", preset, "--functions", functions, "--n", "0..3",
+            "--format", "json", "--workers", "2", "--out", str(p),
+        )
+        assert code == 0
+        payload = json.loads(p.read_text())
+        jsonschema.validate(payload, load_schema("lipschitz"))
+        assert payload["meta"]["functions"] == functions
+        assert [r["n"] for r in payload["records"]] == [0, 1, 2, 3]
+
 
 class TestPairing:
     def test_small_run_reports_oracle(self):
@@ -185,6 +205,16 @@ class TestPointCommands:
         code, out = run_cli("cantor", "--p", "2", "--n", "2", "--format", "json")
         payload = json.loads(out)
         assert payload == {"p": 2, "n": 2, "fraction": "1/4", "value": 0.25}
+
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    @pytest.mark.parametrize("p, n", [(0, 0), (1, 0), (1, 1), (2, 2), (9, 2), (40, 4)])
+    def test_cantor_json_validates_against_shipped_schema(self, p, n):
+        code, out = run_cli("cantor", "--p", str(p), "--n", str(n), "--format", "json")
+        assert code == 0
+        schema = load_schema("cantor")
+        jsonschema.validate(json.loads(out), schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**json.loads(out), "value": 1.5}, schema)
 
     def test_dimension(self):
         code, out = run_cli("dimension", "--preset", "cantor-dust")

@@ -1,5 +1,6 @@
-"""Digit-map semantics, the matrix kernel against the matmul formula, and
-leaf-summation determinism of the hot kernels."""
+"""Digit-map semantics and the digit tables against the digit-by-digit loop,
+the matrix kernel against the matmul formula, and leaf-summation determinism
+of the hot kernels."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import LEAF
+from dustcocycle.geometry import IfsPreset, get_preset
 
 
 @pytest.fixture
@@ -76,3 +78,87 @@ class TestLeafSums:
         whole = K.leaf_sums(vals, LEAF)
         split = np.concatenate([K.leaf_sums(vals[a:b], LEAF) for a, b in zip(edges, edges[1:])])
         assert np.array_equal(whole.view(np.float64), split.view(np.float64))
+
+
+def reference_corner_numerators(words, n, offx, offy):
+    """The digit-by-digit loop: one divmod, lookup and shift-and-add per digit."""
+    nmaps = np.int64(len(offx))
+    w = words.astype(np.int64, copy=True)
+    kx = np.zeros(w.shape, dtype=np.int64)
+    ky = np.zeros(w.shape, dtype=np.int64)
+    pow3 = np.int64(1)
+    for _ in range(n):
+        d = w % nmaps
+        w //= nmaps
+        kx += offx[d] * pow3
+        ky += offy[d] * pow3
+        pow3 *= 3
+    return kx, ky
+
+
+def reference_image_bits(words, n):
+    """The digit-by-digit Morton de-interleave of dust words."""
+    w = words.astype(np.int64, copy=True)
+    mx = np.zeros(w.shape, dtype=np.int64)
+    my = np.zeros(w.shape, dtype=np.int64)
+    bit = np.int64(1)
+    for _ in range(n):
+        s = w & 3
+        w >>= 2
+        mx += (s >> 1) * bit
+        my += (s & 1) * bit
+        bit <<= 1
+    return mx, my
+
+
+# the shipped presets, plus one whose symbol 0 has nonzero offsets, so the
+# zero digits above a word's last chunk would show if they were looked up
+_DIGIT_PRESETS = [get_preset(name) for name in ("cantor-dust", "sierpinski-carpet",
+                                                "full-subdivision-3")]
+_DIGIT_PRESETS.append(IfsPreset("shifted-3", ((2, 1), (0, 0), (1, 2))))
+
+
+@st.composite
+def _words(draw, nmaps, max_n):
+    """(n, words): n up to int64 word indices, words always holding the
+    first and the last of the nmaps**n words."""
+    n = draw(st.integers(0, max_n))
+    last = nmaps**n - 1
+    words = draw(st.lists(st.integers(0, last), max_size=40))
+    return n, np.array([0, *words, last], dtype=np.int64)
+
+
+class TestDigitTables:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_corner_numerators_match_digit_loop(self, data):
+        preset = data.draw(st.sampled_from(_DIGIT_PRESETS), label="preset")
+        max_n = int(62 / np.log2(preset.nmaps))  # nmaps**n < 2**63
+        n, words = data.draw(_words(preset.nmaps, max_n), label="n, words")
+        offx, offy = preset.offset_arrays()
+        want = reference_corner_numerators(words, n, offx, offy)
+        ws = K.Workspace()
+        K.corner_numerators(np.arange(70000, dtype=np.int64) % preset.nmaps, 1, offx, offy, out=ws)
+        for got in (K.corner_numerators(words, n, offx, offy),
+                    K.corner_numerators(words, n, offx, offy, out=ws)):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_words(4, 31))
+    def test_image_bits_match_digit_loop(self, case):
+        n, words = case
+        want = reference_image_bits(words, n)
+        ws = K.Workspace()
+        K.dust_image_bits(np.arange(70000, dtype=np.int64), 9, out=ws)
+        for got in (K.dust_image_bits(words, n), K.dust_image_bits(words, n, out=ws)):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("preset", _DIGIT_PRESETS, ids=lambda p: p.name)
+    def test_every_word_of_a_level(self, preset):
+        # one full chunk of k digits (nmaps**k <= 2**16) and one digit above it
+        n = 1 + max(k for k in range(1, 17) if preset.nmaps**k <= 1 << 16)
+        words = np.arange(preset.nmaps**n, dtype=np.int64)
+        offx, offy = preset.offset_arrays()
+        got = K.corner_numerators(words, n, offx, offy)
+        want = reference_corner_numerators(words, n, offx, offy)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
