@@ -26,6 +26,7 @@ from .cocycle import (
     CocycleReport,
     convergence_table,
     estimate_lipschitz,
+    link_error_ratios,
     lipschitz_bound,
     pairing_n,
     phi_n,
@@ -38,7 +39,6 @@ from .geometry import PRESETS, enumerate_squares, get_preset, similarity_dimensi
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
-    closed_form_target,
     get_smooth_preset,
     wedge_quadrature,
 )
@@ -101,6 +101,11 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _emit_object(obj: dict, text: str, args) -> None:
+    """Emit a one-object result: ``obj`` as JSON, else the plain ``text``."""
+    _emit(json.dumps(obj) + "\n" if args.format == "json" else text, args)
+
+
 def _emit_table(columns, dicts, args, extra_meta=None) -> None:
     """Emit a table of records in the selected format to --out or stdout."""
     if args.format == "csv":
@@ -142,12 +147,16 @@ def _parse_n_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def _add_common(p):
+def _add_run_flags(p):
     p.add_argument("--workers", type=int, default=None, help="thread count (env DUSTCOCYCLE_WORKERS)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--override-budget", action="store_true", help="allow runs beyond the square budget")
     p.add_argument("--no-timing", action="store_true", help="zero the ms column for byte-reproducible output")
+
+
+def _add_common(p):
+    _add_run_flags(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -198,8 +207,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=512)
     _add_common(p)
 
+    # a text report only: --format and --out are refused, not ignored
     p = sub.add_parser("selftest", help="constants and invariant suite")
-    _add_common(p)
+    _add_run_flags(p)
 
     return ap
 
@@ -273,6 +283,7 @@ def _cmd_pairing(args) -> int:
                 workers=args.workers,
             )
         )
+    link_error_ratios(rows)
     write_rows(rows, args, {"degree": args.degree, "grid": args.grid},
                timing=not args.no_timing)
     return 0
@@ -281,31 +292,39 @@ def _cmd_pairing(args) -> int:
 def _cmd_cantor(args) -> int:
     val = cantor_dyadic(args.p, args.n)
     frac = val.as_fraction()
-    if args.format == "json":
-        text = json.dumps(
-            {"p": args.p, "n": args.n, "fraction": str(frac), "value": frac.numerator / frac.denominator}
-        ) + "\n"
-    else:
-        text = f"{frac} {frac.numerator / frac.denominator}\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
-    else:
-        sys.stdout.write(text)
+    value = frac.numerator / frac.denominator
+    _emit_object(
+        {"p": args.p, "n": args.n, "fraction": str(frac), "value": value},
+        f"{frac} {value}\n", args,
+    )
     return 0
 
 
 def _cmd_dimension(args) -> int:
     preset = get_preset(args.preset)
     d = similarity_dimension(preset)
-    print(f"{d:.9f}")
+    _emit_object({"preset": preset.name, "dimension": d}, f"{d:.9f}\n", args)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     preset = get_smooth_preset(args.functions)
     q = wedge_quadrature(preset.f, preset.g, preset.h, args.grid)
-    print(f"quadrature {q.real:.12g}{q.imag:+.12g}j")
-    print(f"closed-form {closed_form_target(args.functions).real:.12g}")
+    target = None if preset.target is None else complex(preset.target)
+    text = f"quadrature {q.real:.12g}{q.imag:+.12g}j\n" + (
+        "closed-form none\n" if target is None else f"closed-form {target.real:.12g}\n"
+    )
+    _emit_object(
+        {
+            "functions": preset.name,
+            "grid": args.grid,
+            "quadrature_re": q.real,
+            "quadrature_im": q.imag,
+            "closed_form_re": None if target is None else target.real,
+            "closed_form_im": None if target is None else target.imag,
+        },
+        text, args,
+    )
     return 0
 
 

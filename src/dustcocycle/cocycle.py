@@ -505,7 +505,6 @@ def convergence_table(
     """One report per level: value, error against the target, error ratios."""
     workers = resolve_workers(workers)
     rows = []
-    prev_err = None
     for n in ns:
         t0 = perf_counter()
         val = phi_n(preset, n, f, g, h, workers=workers, allow_large=allow_large)
@@ -521,11 +520,17 @@ def convergence_table(
         if target is not None:
             row.target = complex(target)
             row.abs_err = abs(val - target)
-            if prev_err not in (None, 0.0):
-                row.err_ratio = row.abs_err / prev_err
-            prev_err = row.abs_err
         rows.append(row)
+    link_error_ratios(rows)
     return rows
+
+
+def link_error_ratios(rows: Sequence[CocycleReport]) -> None:
+    """Set each row's ``err_ratio`` to its ``abs_err`` over the previous
+    row's; left unset where either error is missing or the previous is 0."""
+    for prev, row in zip(rows, rows[1:]):
+        if row.abs_err is not None and prev.abs_err not in (None, 0.0):
+            row.err_ratio = row.abs_err / prev.abs_err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ module touches squares, words or digit maps.
 
 Orientation convention: the u-partial comes before the v-partial everywhere,
 matching the vertex cycle v0 -> v1 -> v2 of the square kernel.
+
+The Chern oracle is the degree integral of a projection's unit field.  For
+``e = (I + n . sigma) / 2`` the Pauli identities give
+``Tr(e [e_u, e_v]) = (i / 2) n . (n_u x n_v)``, and for ``n = h / |h|``
+``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``; so the pairing integral
+``(1 / pi i) * integral Tr(e [e_u, e_v])`` is
+``(1 / 2 pi) * integral h . (h_u x h_v) / |h|^3`` and no matrix is formed.
 """
 
 from __future__ import annotations
@@ -242,8 +249,9 @@ MAX_WINDING = 3
 class ProjectionField:
     """A rank-1 smooth projection e(u, v) in M_2(C) built from a unit field.
 
-    ``e = (I + n . sigma) / 2`` where ``n`` is a smooth map into the unit
-    sphere whose winding number is ``degree``.
+    ``e = (I + n . sigma) / 2`` where ``n = h / |h|`` for a smooth field
+    ``h`` that never vanishes; the sphere map ``n`` has winding number
+    ``degree``.
     """
 
     name: str
@@ -263,30 +271,13 @@ class ProjectionField:
         return a, b, (h1, h2, h3)
 
     def _field(self, u, v):
-        a, b, (h1, h2, h3) = self._values(u, v)
-        h1u = np.zeros_like(h1)
-        h1v = TWO_PI * np.cos(b) * np.ones_like(a)
-        h2u = TWO_PI * self.winding * np.cos(a) * np.ones_like(b)
-        h2v = np.zeros_like(h2)
-        h3u = TWO_PI * self.winding * np.sin(a) * np.ones_like(b)
-        h3v = TWO_PI * np.sin(b) * np.ones_like(a)
-        return (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v)
-
-    @staticmethod
-    def _normalise(h):
-        """The unit vector h / |h| and the norm |h|."""
-        norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
-        return tuple(c / norm for c in h), norm
-
-    def unit_field(self, u, v):
-        """The unit sphere map and its partials, each a 3-tuple of arrays."""
-        h, hu, hv = self._field(u, v)
-        n, norm = self._normalise(h)
-        out = []
-        for dh in (hu, hv):
-            radial = (n[0] * dh[0] + n[1] * dh[1] + n[2] * dh[2])
-            out.append(tuple((dh[i] - n[i] * radial) / norm for i in range(3)))
-        return n, out[0], out[1]
+        """h and its analytic partials h_u, h_v, each a 3-tuple that
+        broadcasts (identically zero components are the scalar 0.0)."""
+        a, b, h = self._values(u, v)
+        k = TWO_PI * self.winding
+        hu = (0.0, k * np.cos(a), k * np.sin(a))
+        hv = (TWO_PI * np.cos(b), 0.0, TWO_PI * np.sin(b))
+        return h, hu, hv
 
     @staticmethod
     def _pack(n1, n2, n3):
@@ -301,21 +292,9 @@ class ProjectionField:
 
     def __call__(self, u, v):
         """e(u, v) alone: the field's partials are never computed."""
-        n, _ = self._normalise(self._values(u, v)[2])
-        return self._pack(*n)
-
-    def with_partials(self, u, v):
-        """(e, e_u, e_v) as (..., 2, 2) arrays from one unit-field evaluation;
-        e_u and e_v are derivatives of a projection, so the diagonal identity
-        part drops out."""
-        n, nu, nv = self.unit_field(u, v)
-        eu = self._pack(*nu) - 0.5 * np.eye(2)
-        ev = self._pack(*nv) - 0.5 * np.eye(2)
-        return self._pack(*n), eu, ev
-
-    def partials(self, u, v):
-        """(e_u, e_v) as (..., 2, 2) arrays."""
-        return self.with_partials(u, v)[1:]
+        h = self._values(u, v)[2]
+        norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
+        return self._pack(*(c / norm for c in h))
 
 
 def bott_projection(degree: int) -> ProjectionField:
@@ -335,18 +314,30 @@ def bott_projection(degree: int) -> ProjectionField:
 
 
 def chern_pairing_oracle(field: ProjectionField, m: int, row_block: int = 64) -> complex:
-    """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u)).
+    """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u)),
+    evaluated as the degree integral of the field.
 
-    Evaluated in row blocks to bound memory at large grids.
+    For ``e = (I + n . sigma) / 2`` the Pauli algebra gives
+    ``Tr(e [e_u, e_v]) = (i / 2) n . (n_u x n_v)``, and for ``n = h / |h|``
+    ``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``.  The value is therefore
+    ``(1 / 2 pi) * mean(h . (h_u x h_v) / |h|^3)``, twice the Chern number,
+    computed from the unnormalised field and its analytic partials with no
+    matrix and no complex array.  Rows are taken ``row_block`` at a time, u
+    as a column and v as a row, so the transcendentals run on 1-D axes.
     """
     if m < 64:
         raise ValueError("grid size must be >= 64")
     pts = (np.arange(m) + 0.5) / m
-    acc = 0.0 + 0.0j
+    acc = 0.0
     for lo in range(0, m, row_block):
-        hi = min(m, lo + row_block)
-        u, v = np.meshgrid(pts[lo:hi], pts, indexing="ij")
-        e, eu, ev = field.with_partials(u, v)
-        comm = eu @ ev - ev @ eu
-        acc += np.einsum("...ij,...ji->...", e, comm).sum()
-    return complex(acc / (m * m) / (1j * math.pi))
+        (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v) = field._field(
+            pts[lo:lo + row_block, None], pts[None, :]
+        )
+        triple = (
+            h1 * (h2u * h3v - h3u * h2v)
+            + h2 * (h3u * h1v - h1u * h3v)
+            + h3 * (h1u * h2v - h2u * h1v)
+        )
+        norm2 = h1 * h1 + h2 * h2 + h3 * h3
+        acc += (triple / (norm2 * np.sqrt(norm2))).sum()
+    return complex(acc / (m * m) / TWO_PI)

@@ -18,6 +18,7 @@ except ImportError:  # pragma: no cover
 
 from dustcocycle import __version__, cli
 from dustcocycle.cli import CSV_COLUMNS, build_id, main
+from dustcocycle.oracle import SMOOTH_PRESETS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,6 +137,19 @@ class TestPairing:
         assert float(row["target_re"]) == pytest.approx(2.0, abs=1e-3)
         assert float(row["phi_re"]) == pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    def test_json_error_ratios_link_rows(self):
+        code, out = run_cli(
+            "pairing", "--n", "4..6", "--grid", "64", "--format", "json", "--workers", "2",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("report"))
+        records = payload["records"]
+        assert records[0]["err_ratio"] is None
+        for prev, cur in zip(records, records[1:]):
+            assert cur["err_ratio"] == cur["abs_err"] / prev["abs_err"]
+
 
 class TestWorkers:
     @pytest.mark.parametrize("command", [
@@ -221,12 +235,49 @@ class TestPointCommands:
         assert code == 0
         assert out.strip() == "1.261859507"
 
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    @pytest.mark.parametrize("preset", ["cantor-dust", "sierpinski-carpet", "full-subdivision-3"])
+    def test_dimension_json_to_out_validates_against_shipped_schema(self, tmp_path, preset):
+        p = tmp_path / "dimension.json"
+        code, out = run_cli("dimension", "--preset", preset, "--format", "json", "--out", str(p))
+        assert code == 0 and out == ""
+        payload = json.loads(p.read_text())
+        jsonschema.validate(payload, load_schema("dimension"))
+        assert payload["preset"] == preset
+        _, text = run_cli("dimension", "--preset", preset)
+        assert text == f"{payload['dimension']:.9f}\n"
+
     def test_oracle_quadrature(self):
         code, out = run_cli("oracle", "--functions", "bott-flux", "--grid", "128")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("quadrature 19.739208802")
         assert lines[1].startswith("closed-form 19.739208802")
+
+    def test_oracle_without_closed_form(self):
+        code, out = run_cli("oracle", "--functions", "bump-mix", "--grid", "64")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("quadrature ")
+        assert lines[1] == "closed-form none"
+
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    @pytest.mark.parametrize("functions", ["bott-flux", "stokes-null", "bump-mix"])
+    def test_oracle_json_to_out_validates_against_shipped_schema(self, tmp_path, functions):
+        p = tmp_path / "oracle.json"
+        code, out = run_cli(
+            "oracle", "--functions", functions, "--grid", "64", "--format", "json", "--out", str(p),
+        )
+        assert code == 0 and out == ""
+        payload = json.loads(p.read_text())
+        jsonschema.validate(payload, load_schema("oracle"))
+        assert payload["functions"] == functions and payload["grid"] == 64
+        target = SMOOTH_PRESETS[functions].target
+        if target is None:
+            assert payload["closed_form_re"] is None and payload["closed_form_im"] is None
+        else:
+            assert payload["closed_form_re"] == complex(target).real
+            assert payload["quadrature_re"] == pytest.approx(payload["closed_form_re"], abs=1e-8)
 
 
 class TestExitCodes:
@@ -263,3 +314,12 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 0
         assert "selftest passed" in out
+
+    @pytest.mark.parametrize("flag", [("--format", "json"), ("--out", "selftest.json")])
+    def test_selftest_refuses_output_flags(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("selftest", *flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "selftest.json").exists()

@@ -184,6 +184,14 @@ class TestResiduals:
         )
         assert hochschild_residual(DUST, 4, f, one, g, h, workers=1) == 0.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unit_front_factor_telescopes_at_every_level(self, n, workers):
+        # with f = 1 each cell contributes an exact difference of g dh around
+        # its boundary; on the closed torus the sum cancels to rounding
+        f, g, h, _, _ = resolve_functions("stokes-null")
+        assert abs(phi_n(DUST, n, f, g, h, workers=workers)) <= 1e-13
+
     def test_identical_arguments_cyclic_exactly(self):
         f, _, _, _, _ = resolve_functions("bott-flux")
         assert cyclicity_residual(DUST, 4, f, f, f, workers=1) == 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dustcocycle.oracle import (
+    MAX_WINDING,
     SMOOTH_PRESETS,
     TorusFunction,
     bott_projection,
@@ -14,6 +15,44 @@ from dustcocycle.oracle import (
     get_smooth_preset,
     wedge_quadrature,
 )
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def pauli_pack(n):
+    """(I + n . sigma) / 2 stacked as (..., 2, 2) for a 3-tuple of arrays n."""
+    n = np.stack(np.broadcast_arrays(*n), axis=-1)
+    return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", n, PAULI))
+
+
+def unit_field_partials(field, u, v):
+    """The unit field n = h / |h| and its partials n_u, n_v, each a 3-tuple,
+    from d(h / |h|) = (dh - n (n . dh)) / |h|."""
+    h, hu, hv = (np.broadcast_arrays(*x, u, v)[:3] for x in field._field(u, v))
+    norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
+    n = tuple(c / norm for c in h)
+    out = []
+    for dh in (hu, hv):
+        radial = n[0] * dh[0] + n[1] * dh[1] + n[2] * dh[2]
+        out.append(tuple((dh[i] - n[i] * radial) / norm for i in range(3)))
+    return n, out[0], out[1]
+
+
+def reference_projection_partials(field, u, v):
+    """(e, e_u, e_v) as (..., 2, 2) arrays; the identity part of e drops out
+    of the derivatives."""
+    n, nu, nv = unit_field_partials(field, u, v)
+    return pauli_pack(n), pauli_pack(nu) - 0.5 * np.eye(2), pauli_pack(nv) - 0.5 * np.eye(2)
+
+
+def reference_chern_commutator(field, m):
+    """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u))
+    with the 2x2 matrices formed explicitly."""
+    pts = (np.arange(m) + 0.5) / m
+    u, v = np.meshgrid(pts, pts, indexing="ij")
+    e, eu, ev = reference_projection_partials(field, u, v)
+    comm = eu @ ev - ev @ eu
+    return complex(np.einsum("...ij,...ji->...", e, comm).mean() / (1j * math.pi))
 
 
 class TestWedgeQuadrature:
@@ -101,7 +140,7 @@ class TestProjectionField:
         field = bott_projection(1)
         u = np.array([0.13, 0.57, 0.81])
         v = np.array([0.29, 0.33, 0.91])
-        eu, ev = field.partials(u, v)
+        _, eu, ev = reference_projection_partials(field, u, v)
         h = 1e-6
         fd_u = (field(u + h, v) - field(u - h, v)) / (2 * h)
         fd_v = (field(u, v + h) - field(u, v - h)) / (2 * h)
@@ -113,13 +152,21 @@ class TestProjectionField:
         field = bott_projection(d)
         rng = np.random.default_rng(d + 11)
         u, v = rng.uniform(-1.0, 2.0, (2, 1000))
-        np.testing.assert_array_equal(field(u, v), field.with_partials(u, v)[0])
+        np.testing.assert_array_equal(field(u, v), reference_projection_partials(field, u, v)[0])
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_chern_value_on_even_lattice(self, d):
         val = chern_pairing_oracle(bott_projection(d), 256)
         assert abs(val - 2 * d) < 1e-3
         assert abs(val.imag) < 1e-12
+
+    @pytest.mark.parametrize("m", [64, 128, 256])
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    def test_degree_integral_matches_commutator_reference(self, d, m):
+        field = bott_projection(d)
+        val = chern_pairing_oracle(field, m)
+        assert abs(val - reference_chern_commutator(field, m)) <= 1e-12
+        assert val.imag == 0.0
 
     def test_additivity_ratio(self):
         base = chern_pairing_oracle(bott_projection(1), 256)
