@@ -12,19 +12,33 @@ digit-by-digit loop, which the tests keep as the reference.
 
 Both trace kernels run one body, :func:`_trace`.  It takes its inputs with any
 leading shape -- (B,) corner arrays, or (H-1, W-1) shifted views of a vertex
-lattice, with no corner gather -- works through them in blocks of
-:data:`MATRIX_BLOCK` squares along axis 0, and writes its temporaries and its
-result into a :class:`Workspace` passed as ``out=``.  The matrix kernel copies
-each distinct input once per block into an (N, N, block) component layout;
-the scalar kernel reads its inputs in place.  Every product names its
-operands and its ``out=`` buffer: on arrays of 256 KB and more, numpy's
-temporary elision swaps the operands of a product with a temporary, and a
-complex product (fused multiply-add) is not bitwise commutative.  So a
-square's value depends only on its own inputs, never on the block, task or
-array layout it arrives in.  The matrix kernel agrees with the
-batched-matmul formula to 1e-13 (rtol and atol, tested at N = 2 and 3), not
-to the last ulp.  A leaf sum depends only on its own <= 4096 values, which
-is what makes results bit-identical across worker counts.
+lattice, with no corner gather -- works through them in blocks along axis 0,
+and writes its temporaries and its result into a :class:`Workspace` passed as
+``out=``.  The matrix kernel copies each distinct input once per block into
+an (N, N, block) component layout; the scalar kernel reads its inputs in
+place.  Every product names its operands and its ``out=`` buffer: on arrays
+of 256 KB and more, numpy's temporary elision swaps the operands of a product
+with a temporary, and a complex product (fused multiply-add) is not bitwise
+commutative.  So a square's value depends only on its own inputs, never on
+the block, task or array layout it arrives in.  The matrix kernel agrees with
+the batched-matmul formula to 1e-13 (rtol and atol, tested at N = 2 and 3),
+not to the last ulp.
+
+Dtypes: the temporaries, and the matrix kernel's block copies, take the dtype
+``np.result_type`` of the twelve inputs, so real vertex values (every preset
+triple) run as float64, at half the bytes and a quarter of the multiplies of
+complex ones.  The result is always complex128; the last step of each block
+casts into it.  For real inputs its real part is bitwise that of the same
+inputs cast to complex (up to the sign of an exact zero), because a complex
+product or difference of values with zero imaginary parts rounds its real
+part exactly as the real operation does.  Leaf sums therefore still add
+complex values, which matters: numpy groups the pairwise sums of a real and
+of a complex array differently, so a float64 leaf sum would change the last
+bits.  A leaf sum depends only on its own <= 4096 values, which is what
+makes results bit-identical across worker counts.
+
+Block sizes, :data:`SCALAR_BLOCK` and :data:`MATRIX_BLOCK`, are set apart
+because the two kernels meet different limits; see their comments.
 """
 
 from __future__ import annotations
@@ -34,12 +48,21 @@ from functools import lru_cache
 
 import numpy as np
 
-# Squares per block of the trace kernels, the size of one cocycle.LEAF leaf.
-# A block's scalar temporaries (0.7 MB) stay in a core's L2 cache, and its
-# matrix temporaries are 3 MB at N = 2 (four block copies, eight
+# Squares per block of the scalar kernel: 64 rows of a 256 x 256 pullback
+# tile.  Its float64 temporaries (eight differences, three accumulators) are
+# 1.4 MB.  Each block makes about 40 ufunc calls, and the Python between them
+# holds the GIL, so the block size sets how well two workers overlap.  On a
+# 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and 0.32 s
+# on two with 4096-square blocks, 0.19 s and 0.15 s with 16384.  65536-square
+# blocks gained little more (0.13 s on two workers) but raised the peak RSS
+# of the lipschitz-direct benchmark by 7% and of pullback-converge by 14%.
+SCALAR_BLOCK = 16384
+
+# Squares per block of the matrix kernel, the size of one cocycle.LEAF leaf.
+# Its complex temporaries are 3 MB at N = 2 (four block copies, eight
 # differences).  8192-square blocks made two workers up to 10% faster on
-# pullback sums (fewer ufunc calls holding the GIL) but raised the peak RSS
-# of the direct and pairing benchmarks by 5-20%.
+# pullback sums but raised the peak RSS of the direct and pairing benchmarks
+# by 5-20%.
 MATRIX_BLOCK = 4096
 
 # Entries in one digit table: chunks of k digits with nmaps**k <= 2**16.
@@ -57,8 +80,8 @@ class Workspace:
     size is what bounds memory: peak RSS follows the largest block a worker
     holds (with one 16 MB corner block per task, the pairing benchmark's peak
     RSS rose by a third), which is why the kernels work in blocks of
-    :data:`MATRIX_BLOCK` squares and nothing larger than one task's values is
-    sized here.
+    :data:`SCALAR_BLOCK` or :data:`MATRIX_BLOCK` squares and nothing larger
+    than one task's values is sized here.
     """
 
     def __init__(self):
@@ -169,6 +192,18 @@ def dust_image_bits(words, n, *, out=None):
     return _digit_map(words, n, _MORTON_TABLES, 2, out)
 
 
+def dust_tile_order(level):
+    """Where the image cell of each ``level``-digit dust word sits in the
+    2**level x 2**level grid, as a flat row-major index, in word order: the
+    Morton walk of the grid, for ``level`` <= 8.
+
+    The integers are :func:`dust_image_bits` of every such word, read
+    straight from the digit table it looks them up in; no scratch is used.
+    """
+    tx, ty = _MORTON_TABLES[level]
+    return (ty << level) + tx
+
+
 # ---------------------------------------------------------------------------
 # trace kernels
 # ---------------------------------------------------------------------------
@@ -178,13 +213,15 @@ def scalar_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
     """Per-square trace kernel for scalar vertex values.
 
     Index i is the vertex number: v0 corner, v1 right, v2 opposite, v3 up.
-    The inputs share one shape, that of the result.  ``out`` is the
-    :class:`Workspace` that holds the result and the temporaries (the result
-    is overwritten by the next kernel call on it); by default a fresh one.
+    The inputs, real or complex, share one shape, that of the complex128
+    result.  ``out`` is the :class:`Workspace` that holds the result and the
+    temporaries (the result is overwritten by the next kernel call on it); by
+    default a fresh one.
     """
     inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
     ws = Workspace() if out is None else out
-    return _trace(f0.shape, 1, lambda lo, hi: [x[lo:hi][None, None] for x in inputs], ws)
+    return _trace(f0.shape, 1, np.result_type(*inputs), SCALAR_BLOCK,
+                  lambda lo, hi: [x[lo:hi][None, None] for x in inputs], ws)
 
 
 def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
@@ -199,31 +236,33 @@ def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
     """
     inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
     lead, nn = f0.shape[:-2], f0.shape[-1]
+    dtype = np.result_type(*inputs)
     ws = Workspace() if out is None else out
 
     def components(lo, hi):
         copies = {}
         for x in inputs:
             if id(x) not in copies:
-                buf = ws.take(f"kernel.in{len(copies)}", (nn, nn, hi - lo) + lead[1:])
+                buf = ws.take(f"kernel.in{len(copies)}", (nn, nn, hi - lo) + lead[1:], dtype)
                 np.copyto(buf, np.moveaxis(x[lo:hi], (-2, -1), (0, 1)))
                 copies[id(x)] = buf
         return [copies[id(x)] for x in inputs]
 
-    return _trace(lead, nn, components, ws)
+    return _trace(lead, nn, dtype, MATRIX_BLOCK, components, ws)
 
 
-def _trace(lead, nn, components, ws):
+def _trace(lead, nn, dtype, block_squares, components, ws):
     """The body of both trace kernels, block by block along axis 0.
 
     ``components(lo, hi)`` gives the twelve inputs of rows [lo, hi) with the
-    (N, N) component axes in front.
+    (N, N) component axes in front; the temporaries are of ``dtype``, the
+    result is complex128.
     """
     result = ws.take("kernel.result", lead)
-    rows = max(1, MATRIX_BLOCK // math.prod(lead[1:]))
+    rows = max(1, block_squares // math.prod(lead[1:]))
 
     def diff(name, a, b):
-        return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape))
+        return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
 
     for lo in range(0, lead[0], rows):
         hi = min(lead[0], lo + rows)
@@ -242,9 +281,9 @@ def _trace(lead, nn, components, ws):
             (np.subtract, F1, g10, h03, g12, h23),
             (np.subtract, F3, g32, h21, g30, h01),
         )
-        acc = ws.take("kernel.acc", block)
-        s = ws.take("kernel.s", block)
-        prod = ws.take("kernel.prod", block)
+        acc = ws.take("kernel.acc", block, dtype)
+        s = ws.take("kernel.s", block, dtype)
+        prod = ws.take("kernel.prod", block, dtype)
         first = True
         for accumulate, F, X, Y, X2, Y2 in terms:
             for i in range(nn):
@@ -259,6 +298,7 @@ def _trace(lead, nn, components, ws):
                     if not first:
                         accumulate(acc, s, out=acc)
                     first = False
+        # the cast of a real block into the complex result
         np.multiply(0.5, acc, out=result[lo:hi])
     return result
 

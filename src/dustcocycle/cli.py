@@ -147,16 +147,18 @@ def _parse_n_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
+def _add_output_flags(p):
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
 def _add_run_flags(p):
+    """The flags of the commands that run the engine; elsewhere argparse
+    refuses them."""
     p.add_argument("--workers", type=int, default=None, help="thread count (env DUSTCOCYCLE_WORKERS)")
     p.add_argument("--override-budget", action="store_true", help="allow runs beyond the square budget")
     p.add_argument("--no-timing", action="store_true", help="zero the ms column for byte-reproducible output")
-
-
-def _add_common(p):
-    _add_run_flags(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    _add_output_flags(p)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -172,44 +174,43 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="level, e.g. 8")
     p.add_argument("--mode", choices=("pullback", "direct"), default=None,
                    help="must match the triple's mode when given")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("converge", help="convergence table over a level range")
     p.add_argument("--preset", default="cantor-dust")
     p.add_argument("--functions", default="bott-flux")
     p.add_argument("--n", required=True, help="level range, e.g. 4..10")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("lipschitz", help="decay table and bound check for direct triples")
     p.add_argument("--preset", default="cantor-dust")
     p.add_argument("--functions", default="const-xy")
     p.add_argument("--n", required=True, help="level range, e.g. 1..8")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("pairing", help="projection pairing vs the quadrature oracle")
     p.add_argument("--preset", default="cantor-dust")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--n", required=True, help="level or range, e.g. 6..10")
     p.add_argument("--grid", type=int, default=1024, help="oracle grid size")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("cantor", help="staircase value at a triadic point p/3^n")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("dimension", help="similarity dimension of a preset")
     p.add_argument("--preset", default="cantor-dust")
-    _add_common(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("oracle", help="torus quadrature of a smooth triple")
     p.add_argument("--functions", default="bott-flux")
     p.add_argument("--grid", type=int, default=512)
-    _add_common(p)
+    _add_output_flags(p)
 
-    # a text report only: --format and --out are refused, not ignored
-    p = sub.add_parser("selftest", help="constants and invariant suite")
-    _add_run_flags(p)
+    # a text report only, at fixed worker counts: it takes no flags
+    sub.add_parser("selftest", help="constants and invariant suite")
 
     return ap
 
@@ -397,8 +398,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        # resolve the effective count once, so reports record what ran
-        args.workers = resolve_workers(args.workers)
+        if "workers" in vars(args):
+            # resolve the effective count once, so reports record what ran
+            args.workers = resolve_workers(args.workers)
         return _HANDLERS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,27 +10,35 @@ work is spread.
 Each parallel task covers 65536 consecutive words.  In pullback mode the
 staircase image of the dust squares is the Z-order (Morton) walk of the
 2**n x 2**n torus cells, so a task's squares are one aligned 256 x 256 tile
-(for n <= 8, the whole grid).  The engine evaluates each observable once on
-the vertex lattice of the task's bounding box, 257 x 257 points for such a
-tile, and hands the trace kernel the four shifted views ``a[:-1, :-1]``,
-``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of those values: the corners
-v0..v3 of every cell, with no gather.  The kernel's per-cell values are then
-put into word order with one ``np.take``; the table-driven digit map gives
-each word's cell.  Direct mode evaluates at the triadic vertices of each
-square instead, as four 1-D corner arrays; on the dust those squares share
-no vertices.
+(for n <= 8, the whole grid).  The vertex lattice of a task's bounding box is
+a tensor product: the engine builds it as a (1, W) row of u and an (H, 1)
+column of v, 257 of each for such a tile, and each observable broadcasts its
+rule over the two, so a product rule such as cos 2 pi u * cos 2 pi v calls its
+transcendentals H + W times, not H * W.  The trace kernel reads the four
+shifted views ``a[:-1, :-1]``, ``a[:-1, 1:]``, ``a[1:, 1:]`` and
+``a[1:, :-1]`` of each observable's (H, W) values: the corners v0..v3 of
+every cell, with no gather.  Real rules stay float64 up to the kernel's
+complex result.  The per-cell values are then put into word order with one
+``np.take``.  Every full pullback task (n >= 8) walks its tile in the same
+Morton order, so a pullback sum builds that permutation once, from the
+digit table of the 8-digit words, and places each task's tile from the digit
+map of its first word alone; smaller sums map every word.
+Direct mode evaluates at the triadic vertices of each square instead, as
+four 1-D corner arrays; on the dust those squares share no vertices.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
-one sum and runs all its tasks in it: the lattice coordinates, digit maps,
-kernel temporaries and reordered values reuse its buffers, and nothing of it
-outlives the call.  A task still allocates its word indices and the
-observables' own values.
+one sum and runs all its tasks in it: the digit maps, kernel temporaries and
+reordered values reuse its buffers, and nothing of it outlives the call.  The
+lattice coordinates are not among them: a row and a column are too small to
+need it.  A task still allocates its observables' own values and, off the
+full-tile path, its word indices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
 dyadic subdivision, in row-major order, on the same lattice views; its tasks
-are whole rows, already in cell order, so they need no reorder.  In pullback
-mode the two sums are termwise equal because dust squares biject onto cells
-with order-preserving corners.
+are whole rows, already in cell order, so they need no reorder, and it never
+uses the Morton permutation: the pullback = subdivision check compares two
+independently ordered sums.  In pullback mode the two sums are termwise equal
+because dust squares biject onto cells with order-preserving corners.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ from .oracle import ProjectionField, TorusFunction
 
 LEAF = 4096
 TASK_LEAVES = 16  # 65536 words per parallel task, always whole leaves
+# A full pullback task, 4**8 words, is the Morton walk of one 2**8 x 2**8 tile.
+_TILE_LEVEL = 8
 
 MAX_SQUARES_SCALAR = 4**12
 MAX_SQUARES_MATRIX = 4**10
@@ -90,10 +100,14 @@ def resolve_workers(workers: int | None) -> int:
 class Observable:
     """A function on the dust, evaluated square-vertex-wise by the engine.
 
-    ``rule(u, v)`` takes coordinate arrays and returns a complex array, of
-    shape (B,) for scalar kind or (B, N, N) for matrix kind.  ``mode`` decides
-    what the engine feeds it: the vertex's own triadic coordinates (direct) or
-    the dyadic staircase image on the torus (pullback).
+    ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
+    broadcast against each other: 1-D corner arrays of one shape, or a (1, W)
+    row of u and an (H, 1) column of v on a vertex lattice.  It returns a
+    real or complex array that broadcasts to their common shape, followed
+    for matrix kind by (N, N) with N = ``dim``; a rule that depends on u only
+    may return the (1, W) row.  ``mode`` decides what the engine feeds it:
+    the vertex's own triadic coordinates (direct) or the dyadic staircase
+    image on the torus (pullback).
     """
 
     name: str
@@ -110,10 +124,23 @@ class Observable:
             raise ValueError(f"bad kind {self.kind!r}")
 
     def evaluate(self, u, v):
+        """The rule's values at (u, v), broadcast to the full (read-only)
+        shape: float64 when the rule's result is real, else complex128.
+
+        A result that does not broadcast to that shape raises ValueError.
+        """
         out = np.asarray(self.rule(u, v))
-        if self.kind == "scalar":
-            return out.astype(np.complex128, copy=False).reshape(u.shape)
-        return out.astype(np.complex128, copy=False).reshape(u.shape + (self.dim, self.dim))
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        if self.kind == "matrix":
+            shape += (self.dim, self.dim)
+        out = out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
+        try:
+            return np.broadcast_to(out, shape)
+        except ValueError:
+            raise ValueError(
+                f"observable {self.name!r}: rule returned shape {out.shape}, "
+                f"which does not broadcast to {shape}"
+            ) from None
 
     def __mul__(self, other):
         if not isinstance(other, Observable):
@@ -198,14 +225,17 @@ def _direct_coords(words, n, offx, offy, ws):
     return coords
 
 
-def _vertex_lattice(source, n, w_lo, w_hi, ws):
+def _vertex_lattice(source, n, w_lo, w_hi, ws, tile_order=None):
     """Vertex lattice of the image cells of words or cells [w_lo, w_hi).
 
-    Returns coordinate arrays (u, v) of shape (H, W), held in ``ws``, of the
-    vertex lattice that spans the bounding box of the cells (H - 1 rows of
-    W - 1 cells), and where each square's cell sits in that box, in word
-    order: flat row-major indices for pullback words (Morton order), a slice
-    for subdivision cells (already row-major).  Coordinates are the same
+    Returns the lattice that spans the bounding box of the cells (H - 1 rows
+    of W - 1 cells) as a (1, W) row of u and an (H, 1) column of v, and where
+    each square's cell sits in that box, in word order: flat row-major
+    indices for pullback words (Morton order), a slice for subdivision cells
+    (already row-major).  ``tile_order`` is the in-tile Morton order,
+    ``K.dust_tile_order(_TILE_LEVEL)``; given, [w_lo, w_hi) must be one full
+    aligned pullback task, whose squares are the tile of its first word's
+    image cell, and only that word is digit-mapped.  Coordinates are the same
     floats as the per-square corners: pullback columns and rows wrap with
     ``& mask`` (the periodic torus), subdivision cells keep their far edge at
     coordinate value 1, so plain (non-periodized) coordinate functions keep
@@ -213,7 +243,14 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
     """
     side = 1 << n
     mask = side - 1
-    if source[0] == "pullback":
+    if tile_order is not None:
+        if source[0] != "pullback" or w_lo % tile_order.size or w_hi - w_lo != tile_order.size:
+            raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned pullback task")
+        mx, my = K.dust_image_bits(np.array([w_lo], dtype=np.int64), n, out=ws)
+        x0, y0 = int(mx[0]), int(my[0])
+        cols = rows = 1 << _TILE_LEVEL
+        order = tile_order
+    elif source[0] == "pullback":
         mx, my = K.dust_image_bits(np.arange(w_lo, w_hi, dtype=np.int64), n, out=ws)
         x0, y0 = int(mx.min()), int(my.min())
         cols, rows = int(mx.max()) - x0 + 1, int(my.max()) - y0 + 1
@@ -234,11 +271,7 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
         x &= mask
         y &= mask
     inv = 1.0 / float(side)
-    u = ws.take("lattice.u", (rows + 1, cols + 1), np.float64)
-    v = ws.take("lattice.v", (rows + 1, cols + 1), np.float64)
-    u[...] = x * inv
-    v[...] = (y * inv)[:, None]
-    return u, v, order
+    return (x * inv)[None, :], (y * inv)[:, None], order
 
 
 def _corner_points(c0, c1, d0, d1):
@@ -266,11 +299,12 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
+def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None, tile_order=None):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
 
     ``ws`` is the calling thread's :class:`_kernels.Workspace` (default: a
-    fresh one); the returned leaf sums never live in it.
+    fresh one); the returned leaf sums never live in it.  ``tile_order`` as
+    for :func:`_vertex_lattice`.
     """
     ws = K.Workspace() if ws is None else ws
     cache = {}
@@ -282,11 +316,10 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
             if id(obs) not in cache:
                 cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
     else:
-        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
+        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws, tile_order)
         for obs in observables:
             if id(obs) not in cache:
-                a = obs.evaluate(u.reshape(-1), v.reshape(-1))
-                a = a.reshape(u.shape + a.shape[1:])
+                a = obs.evaluate(u, v)
                 cache[id(obs)] = [a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]]
     fv, gv, hv = (cache[id(o)] for o in observables)
 
@@ -307,6 +340,9 @@ def _sum_kernel(source, n, total, f, g, h, workers):
     leafsums = np.empty(nleaves, dtype=np.complex128)
     span = TASK_LEAVES * LEAF
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
+    # every task is a full tile from n = 8 on; the permutation dies with the call
+    pullback_tiles = source[0] == "pullback" and n >= _TILE_LEVEL
+    tile_order = K.dust_tile_order(_TILE_LEVEL) if pullback_tiles else None
     local = threading.local()  # one workspace per thread, dropped on return
 
     def run(task):
@@ -314,7 +350,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
         if ws is None:
             ws = local.ws = K.Workspace()
         lo, hi = task
-        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws)
+        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws, tile_order)
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -467,8 +503,6 @@ class CocycleReport:
     target: Optional[complex] = None
     abs_err: Optional[float] = None
     err_ratio: Optional[float] = None
-    cyclicity: Optional[float] = None
-    hochschild: Optional[float] = None
     wall_ms: float = 0.0
     workers: int = 1
     backend: str = K.BACKEND
@@ -484,8 +518,6 @@ class CocycleReport:
             "target_im": None if self.target is None else self.target.imag,
             "abs_err": self.abs_err,
             "err_ratio": self.err_ratio,
-            "cyclicity": self.cyclicity,
-            "hochschild": self.hochschild,
             "ms": self.wall_ms,
             "workers": self.workers,
             "backend": self.backend,

@@ -187,6 +187,43 @@ class TestWorkers:
         assert json.loads(out)["meta"]["workers"] == (os.cpu_count() or 1)
 
 
+class TestRunFlagsOnlyWhereUsed:
+    """--workers, --override-budget and --no-timing exist only on the commands
+    that run the engine; elsewhere argparse refuses them with exit 2."""
+
+    @pytest.mark.parametrize("command", [
+        ("cantor", "--p", "1", "--n", "1"),
+        ("dimension",),
+        ("oracle", "--grid", "64"),
+        ("selftest",),
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("flag", [("--workers", "2"), ("--override-budget",), ("--no-timing",)],
+                             ids=lambda f: f[0])
+    def test_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, *flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("cantor", "--p", "1", "--n", "1"), ("dimension",)])
+    def test_bad_worker_env_is_ignored_where_no_engine_runs(self, monkeypatch, command):
+        monkeypatch.setenv("DUSTCOCYCLE_WORKERS", "0")
+        code, out = run_cli(*command)
+        assert code == 0 and out
+
+
+class TestReportRecords:
+    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+    def test_phi_json_has_no_unfilled_residual_fields(self):
+        code, out = run_cli("phi", "--functions", "bott-flux", "--n", "3", "--format", "json",
+                            "--workers", "1")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("report"))
+        (record,) = payload["records"]
+        assert "cyclicity" not in record and "hochschild" not in record
+
+
 class TestBuildId:
     @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
     def test_ignores_callers_checkout(self, tmp_path, monkeypatch):

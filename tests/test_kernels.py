@@ -153,6 +153,11 @@ class TestDigitTables:
         for got in (K.dust_image_bits(words, n), K.dust_image_bits(words, n, out=ws)):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("level", [0, 1, 5, 8])
+    def test_tile_order_matches_digit_loop(self, level):
+        mx, my = reference_image_bits(np.arange(4**level, dtype=np.int64), level)
+        assert np.array_equal(K.dust_tile_order(level), my * (1 << level) + mx)
+
     @pytest.mark.parametrize("preset", _DIGIT_PRESETS, ids=lambda p: p.name)
     def test_every_word_of_a_level(self, preset):
         # one full chunk of k digits (nmaps**k <= 2**16) and one digit above it

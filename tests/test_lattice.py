@@ -1,7 +1,8 @@
 """Per-tile vertex-lattice evaluation against the four-corner reference.
 
 The engine evaluates pullback and subdivision observables once per vertex of
-each task's lattice and gathers the four corners of every square from it.
+each task's lattice, handed to the rule as a row of u and a column of v, and
+reads the four corners of every square from it.
 The reference below is the per-square path it replaced: float corner
 coordinates of each square, four ``evaluate`` calls per observable, then the
 same kernel and leaf sums.  The two must agree bit for bit.
@@ -112,21 +113,121 @@ class TestLatticeMatchesReference:
             [(1, 0, 1.0, 0.5)], [(0, 1, 0.3, -1.0), (2, -1, 0.7, 0.2)], [(1, 1, -0.4, 0.9)],
         ))
         span = TASK_LEAVES * LEAF
+        # pullback tasks also through the shared Morton order, placed by their first word
+        orders = [None, K.dust_tile_order(8)] if source[0] == "pullback" else [None]
         for w_lo in range(0, 4**n, span):
-            got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
             want = reference_leaf_sums(source, n, w_lo, w_lo + span, obs)
-            np.testing.assert_array_equal(got, want)
+            for order in orders:
+                got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs, tile_order=order)
+                np.testing.assert_array_equal(got, want)
+
+    def test_tile_order_needs_one_full_aligned_task(self):
+        obs = (_scalar([(1, 0, 1.0, 0.5)]),) * 3
+        span = TASK_LEAVES * LEAF
+        for source, lo, hi in ((("pullback",), 1, span + 1), (("pullback",), 0, LEAF),
+                               (("cells",), 0, span)):
+            with pytest.raises(ValueError, match="full aligned"):
+                _leaf_sums_for_range(source, 9, lo, hi, obs, tile_order=K.dust_tile_order(8))
 
 
 class TestVertexCount:
     def test_each_vertex_once_per_tile(self):
-        """n=9 is four aligned 256 x 256 Morton tiles of 257 x 257 vertices."""
-        sizes = []
+        """n=9 is four aligned 256 x 256 Morton tiles of 257 x 257 vertices,
+        handed to the rule as a row of 257 u and a column of 257 v."""
+        shapes = []
 
         def rule(u, v):
-            sizes.append(u.size)
+            shapes.append((u.shape, v.shape))
             return np.cos(TWO_PI * u) * np.sin(TWO_PI * v)
 
         f = Observable("counted", "pullback", "scalar", rule)
         phi_n(DUST, 9, f, f, f, workers=1)
-        assert sizes == [257 * 257] * 4
+        assert shapes == [((1, 257), (257, 1))] * 4
+
+
+# a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
+def _real_trig(terms):
+    def fn(u, v):
+        out = 0.0
+        for a, b, c, s in terms:
+            out = out + c * np.cos(TWO_PI * a * u) * np.cos(TWO_PI * b * v)
+            out = out + s * np.sin(TWO_PI * (a * u + b * v))
+        return out
+
+    return fn
+
+
+def _as_complex(fn):
+    return lambda u, v: np.asarray(fn(u, v)).astype(np.complex128)
+
+
+_DIRECT = {name: get_preset(name) for name in ("cantor-dust", "sierpinski-carpet")}
+
+
+@st.composite
+def _real_cases(draw):
+    mode = draw(st.sampled_from(["pullback", "cells", "direct"]))
+    if mode == "direct":
+        preset = _DIRECT[draw(st.sampled_from(sorted(_DIRECT)))]
+        source = ("direct", *preset.offset_arrays())
+        nmaps = preset.nmaps
+    else:
+        source, nmaps = (mode,), 4
+    n = draw(st.integers(0, 9))
+    total = nmaps**n
+    span = TASK_LEAVES * LEAF
+    if draw(st.booleans()):  # one aligned task, as the engine makes them
+        w_lo = span * draw(st.integers(0, (total - 1) // span))
+        w_hi = min(total, w_lo + span)
+    else:
+        w_lo = draw(st.integers(0, total - 1))
+        w_hi = w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
+    rules = [_real_trig(draw(_terms)) for _ in range(3)]
+    return source, n, w_lo, w_hi, rules
+
+
+class TestRealValuesStayReal:
+    """Real rules run float64 temporaries; their leaf sums must equal those of
+    the same rules cast to complex, which run the complex path throughout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_real_cases())
+    def test_leaf_sums_equal_complex_cast(self, case):
+        source, n, w_lo, w_hi, rules = case
+        mode = "direct" if source[0] == "direct" else "pullback"
+        real = tuple(Observable("re", mode, "scalar", r) for r in rules)
+        cplx = tuple(Observable("c", mode, "scalar", _as_complex(r)) for r in rules)
+        assert real[0].evaluate(np.zeros(3), np.zeros(3)).dtype == np.float64
+        tile = source[0] == "pullback" and n >= 8 and w_hi - w_lo == TASK_LEAVES * LEAF
+        got = _leaf_sums_for_range(source, n, w_lo, w_hi, real,
+                                   tile_order=K.dust_tile_order(8) if tile else None)
+        want = _leaf_sums_for_range(source, n, w_lo, w_hi, cplx)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, want)
+
+
+class TestObservableContract:
+    def test_u_only_rule_row_is_broadcast(self):
+        f = Observable("u-only", "pullback", "scalar", lambda u, v: np.sin(TWO_PI * u))
+        u, v = np.linspace(0, 1, 7)[None, :], np.linspace(0, 1, 5)[:, None]
+        got = f.evaluate(u, v)
+        assert got.shape == (5, 7) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.broadcast_to(np.sin(TWO_PI * u), (5, 7)))
+        full = Observable("u-full", "pullback", "scalar",
+                          lambda u, v: np.sin(TWO_PI * u) * np.ones_like(v))
+        g = Observable("y", "pullback", "scalar", lambda u, v: np.cos(TWO_PI * v))
+        for n in (3, 9):
+            assert phi_n(DUST, n, f, g, f, workers=2) == phi_n(DUST, n, full, g, full, workers=1)
+
+    def test_flattened_result_raises(self):
+        flat = Observable("flat", "pullback", "scalar",
+                          lambda u, v: (np.cos(TWO_PI * u) * np.cos(TWO_PI * v)).ravel())
+        with pytest.raises(ValueError, match="does not broadcast"):
+            flat.evaluate(np.zeros((1, 7)), np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            phi_n(DUST, 3, flat, flat, flat, workers=1)
+
+    def test_matrix_result_of_the_wrong_size_raises(self):
+        p = Observable("3x3", "pullback", "matrix", lambda u, v: np.zeros(np.shape(u) + (3, 3)), dim=2)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            p.evaluate(np.zeros(4), np.zeros(4))

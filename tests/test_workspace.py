@@ -1,10 +1,13 @@
-"""Trace kernels on vertex-lattice views, and the per-worker workspace.
+"""Trace kernels on vertex-lattice views, real inputs, and the per-worker
+workspace.
 
 The engine hands the kernels shifted views of each task's vertex lattice, not
-gathered corner arrays, and every worker thread reuses one workspace for the
-temporaries of all its tasks.  Neither may change a value: views must give
-what contiguous copies give, bit for bit, and a task's leaf sums must not
-depend on what its thread's workspace held before.
+gathered corner arrays, real values as float64, and every worker thread
+reuses one workspace for the temporaries of all its tasks.  None of these may
+change a value: views must give what contiguous copies give, real inputs the
+real part of the same values cast to complex, bit for bit, and a task's leaf
+sums must not depend on what its thread's workspace held before.  The kernel
+is also checked to be linear in each of f, g and h.
 """
 
 import gc
@@ -12,6 +15,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
@@ -38,10 +43,10 @@ def corner_views(a):
     return [a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]]
 
 
-def lattice_shape(cols):
+def lattice_shape(cols, block):
     """(H, W) of a lattice with ``cols`` cells per row whose row count leaves
-    a short last kernel block."""
-    rows_per_block = K.MATRIX_BLOCK // cols
+    a short last kernel block of ``block`` squares."""
+    rows_per_block = block // cols
     return 2 * rows_per_block + rows_per_block // 3 + 1, cols + 1
 
 
@@ -52,7 +57,7 @@ def assert_bits_equal(a, b):
 
 class TestLatticeViews:
     def test_scalar_kernel_views_equal_contiguous_copies(self, rng):
-        h, w = lattice_shape(90)
+        h, w = lattice_shape(90, K.SCALAR_BLOCK)
         views = [c for _ in range(3) for c in corner_views(random_complex(rng, (h, w)))]
         got = K.scalar_kernel(*views)
         want = K.scalar_kernel(*(np.ascontiguousarray(v).ravel() for v in views))
@@ -61,7 +66,7 @@ class TestLatticeViews:
 
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "f=g=h"])
     def test_matrix_kernel_views_equal_contiguous_copies(self, rng, shared):
-        h, w = lattice_shape(70)
+        h, w = lattice_shape(70, K.MATRIX_BLOCK)
         lattices = [random_complex(rng, (h, w, 2, 2)) for _ in range(1 if shared else 3)]
         views = [c for a in lattices * (3 if shared else 1) for c in corner_views(a)]
         got = K.matrix_kernel(*views)
@@ -80,6 +85,71 @@ class TestLatticeViews:
         kernel(*big, out=ws)
         got = kernel(*small, out=ws).copy()
         assert_bits_equal(got, kernel(*small))
+
+
+def _kernel_inputs(rng, kind, shape, nn, tail):
+    """Twelve float64 kernel inputs: 1-D corner arrays, or corner views of
+    three (f, g and h) lattices."""
+    if shape == "corners":
+        return [rng.standard_normal((nn,) + tail) for _ in range(12)]
+    h, w = lattice_shape(nn, K.SCALAR_BLOCK if kind == "scalar" else K.MATRIX_BLOCK)
+    return [c for _ in range(3) for c in corner_views(rng.standard_normal((h, w) + tail))]
+
+
+_KERNELS = {"scalar": (K.scalar_kernel, ()), "matrix": (K.matrix_kernel, (2, 2))}
+
+
+@st.composite
+def _kernel_cases(draw):
+    kind = draw(st.sampled_from(sorted(_KERNELS)))
+    shape = draw(st.sampled_from(["corners", "lattice"]))
+    block = K.SCALAR_BLOCK if kind == "scalar" else K.MATRIX_BLOCK
+    # corners: a square count up to two and a bit blocks; lattice: cells per row
+    nn = draw(st.integers(1, 2 * block + 99) if shape == "corners" else st.integers(3, 300))
+    return kind, shape, nn, draw(st.integers(0, 2**32 - 1))
+
+
+class TestRealKernels:
+    """Float64 inputs run float64 temporaries into the complex result."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_kernel_cases())
+    def test_real_part_bitwise_equal_to_complex_inputs(self, case):
+        kind, shape, nn, seed = case
+        kernel, tail = _KERNELS[kind]
+        real = _kernel_inputs(np.random.default_rng(seed), kind, shape, nn, tail)
+        ws = K.Workspace()
+        got = kernel(*real, out=ws)
+        want = kernel(*(x.astype(np.complex128) for x in real))
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.real.view(np.uint64), want.real.view(np.uint64))
+        assert not got.imag.view(np.uint64).any()  # +0.0 everywhere
+        # every temporary (and block copy) of a real call is real
+        kinds = {name: dtype for name, dtype in ws._buffers if name.startswith("kernel.")}
+        assert kinds.pop("kernel.result") == np.complex128
+        assert set(kinds.values()) == {np.dtype(np.float64)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_kernel_cases(), slot=st.sampled_from([0, 4, 8]), real=st.booleans(),
+           a=st.complex_numbers(max_magnitude=3.0), b=st.complex_numbers(max_magnitude=3.0))
+    def test_linear_in_each_of_f_g_h(self, case, slot, real, a, b):
+        """K(.., a x + b y, ..) = a K(.., x, ..) + b K(.., y, ..), with x and y
+        the four vertex values of f (slot 0), g (4) or h (8)."""
+        kind, shape, nn, seed = case
+        kernel, tail = _KERNELS[kind]
+        rng = np.random.default_rng(seed)
+        args = _kernel_inputs(rng, kind, shape, nn, tail)
+        if not real:
+            args = [x + 1j * y for x, y in zip(args, _kernel_inputs(rng, kind, shape, nn, tail))]
+        other = [x[::-1] for x in args[slot:slot + 4]]  # a second, different quadruple
+
+        def with_slot(vals):
+            return kernel(*args[:slot], *vals, *args[slot + 4:]).copy()
+
+        kx, ky = with_slot(args[slot:slot + 4]), with_slot(other)
+        got = with_slot([a * x + b * y for x, y in zip(args[slot:slot + 4], other)])
+        scale = np.max(abs(a) * np.abs(kx) + abs(b) * np.abs(ky), initial=1.0)
+        np.testing.assert_allclose(got, a * kx + b * ky, rtol=1e-12, atol=1e-12 * scale)
 
 
 def _trig(a, b):
