@@ -77,7 +77,7 @@ def build_id() -> str:
         )
         if rev.returncode == 0:
             return f"{__version__}+g{rev.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return __version__
 

@@ -9,20 +9,21 @@ work is spread.
 
 Each parallel task covers 65536 consecutive words.  In pullback mode the
 staircase image of the dust squares is the Z-order (Morton) walk of the
-2**n x 2**n torus cells, so a task's squares are one aligned 256 x 256 tile
-(for n <= 8, the whole grid).  The vertex lattice of a task's bounding box is
-a tensor product: the engine builds it as a (1, W) row of u and an (H, 1)
-column of v, 257 of each for such a tile, and each observable broadcasts its
-rule over the two, so a product rule such as cos 2 pi u * cos 2 pi v calls its
-transcendentals H + W times, not H * W.  The trace kernel reads the four
-shifted views ``a[:-1, :-1]``, ``a[:-1, 1:]``, ``a[1:, 1:]`` and
-``a[1:, :-1]`` of each observable's (H, W) values: the corners v0..v3 of
-every cell, with no gather.  Real rules stay float64 up to the kernel's
-complex result.  The per-cell values are then put into word order with one
-``np.take``.  Every full pullback task (n >= 8) walks its tile in the same
-Morton order, so a pullback sum builds that permutation once, from the
-digit table of the 8-digit words, and places each task's tile from the digit
-map of its first word alone; smaller sums map every word.
+2**n x 2**n torus cells, so a task's squares are one aligned 2**m x 2**m
+tile, m = min(n, 8) (for n <= 8, the whole grid).  The vertex lattice of a
+task's bounding box is a tensor product: the engine builds it as a (1, W)
+row of u and an (H, 1) column of v, 257 of each for a 256 x 256 tile, and
+each observable broadcasts its rule over the two, so a product rule such as
+cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
+The trace kernel reads the four shifted views ``a[:-1, :-1]``,
+``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of each observable's
+(H, W) values: the corners v0..v3 of every cell, with no gather.  Real rules
+stay float64 up to the kernel's complex result.  The per-cell values are
+then put into word order with one ``np.take``.  Every pullback task, at
+every level, walks its tile in the same Morton order, so a pullback sum
+builds that permutation once, from the digit table of the m-digit words,
+carries it in its source, and places each task's tile from the digit map of
+its first word alone.
 Direct mode evaluates at the triadic vertices of each square instead, as
 four 1-D corner arrays; on the dust those squares share no vertices.
 
@@ -30,8 +31,8 @@ Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the digit maps, kernel temporaries and
 reordered values reuse its buffers, and nothing of it outlives the call.  The
 lattice coordinates are not among them: a row and a column are too small to
-need it.  A task still allocates its observables' own values and, off the
-full-tile path, its word indices.
+need it.  A task still allocates its observables' own values and, in direct
+mode, its word indices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
 dyadic subdivision, in row-major order, on the same lattice views; its tasks
@@ -59,8 +60,11 @@ from .oracle import ProjectionField, TorusFunction
 
 LEAF = 4096
 TASK_LEAVES = 16  # 65536 words per parallel task, always whole leaves
-# A full pullback task, 4**8 words, is the Morton walk of one 2**8 x 2**8 tile.
+# A pullback task, 4**min(n, 8) words, is the Morton walk of one aligned
+# 2**min(n, 8) x 2**min(n, 8) tile.
 _TILE_LEVEL = 8
+_PROJECTION_LEVEL = 6
+_PROJECTION_TOL = 1e-10
 
 MAX_SQUARES_SCALAR = 4**12
 MAX_SQUARES_MATRIX = 4**10
@@ -176,40 +180,27 @@ def pullback_projection(field: ProjectionField, name: str | None = None) -> Obse
     )
 
 
-def validate_projection(obs: Observable, n: int, samples: int = 512, tol: float = 1e-10):
-    """Spot-check e^2 = e and e = e* at sampled level-n vertex images."""
+def validate_projection(obs: Observable, n: int):
+    """Check e^2 = e and e = e* at every level-m pullback vertex image,
+    m = min(n, 6): the 2**m x 2**m torus grid (i, j) / 2**m, evaluated as a
+    (1, 2**m) row of u and a (2**m, 1) column of v."""
     if obs.kind != "matrix":
         raise ValueError("projection check needs a matrix observable")
-    total = 4**n
-    words = np.unique(np.linspace(0, total - 1, num=min(samples, total), dtype=np.int64))
-    u0, u1, v0, v1 = _pullback_coords(words, n)
-    e = obs.evaluate(np.concatenate([u0, u1]), np.concatenate([v0, v1]))
+    m = min(n, _PROJECTION_LEVEL)
+    grid = np.arange(1 << m) / float(1 << m)
+    e = obs.evaluate(grid[None, :], grid[:, None])
     herm = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max()
     idem = np.abs(e @ e - e).max()
-    if herm > tol or idem > tol:
+    if herm > _PROJECTION_TOL or idem > _PROJECTION_TOL:
         raise ValueError(
-            f"observable {obs.name!r} is not a projection at sampled vertices "
-            f"(|e-e*|={herm:.2e}, |e^2-e|={idem:.2e}, tol={tol:.0e})"
+            f"observable {obs.name!r} is not a projection at level-{m} vertices "
+            f"(|e-e*|={herm:.2e}, |e^2-e|={idem:.2e}, tol={_PROJECTION_TOL:.0e})"
         )
 
 
 # ---------------------------------------------------------------------------
 # vertex coordinates
 # ---------------------------------------------------------------------------
-
-
-def _pullback_coords(words, n):
-    """Exact dyadic torus coordinates of the image cell corners (u0, u1, v0, v1)."""
-    mx, my = K.dust_image_bits(words, n)
-    side = np.int64(1) << n
-    mask = side - 1
-    inv = 1.0 / float(side)
-    return (
-        mx * inv,
-        ((mx + 1) & mask) * inv,
-        my * inv,
-        ((my + 1) & mask) * inv,
-    )
 
 
 def _direct_coords(words, n, offx, offy, ws):
@@ -225,40 +216,32 @@ def _direct_coords(words, n, offx, offy, ws):
     return coords
 
 
-def _vertex_lattice(source, n, w_lo, w_hi, ws, tile_order=None):
+def _vertex_lattice(source, n, w_lo, w_hi, ws):
     """Vertex lattice of the image cells of words or cells [w_lo, w_hi).
 
     Returns the lattice that spans the bounding box of the cells (H - 1 rows
     of W - 1 cells) as a (1, W) row of u and an (H, 1) column of v, and where
     each square's cell sits in that box, in word order: flat row-major
     indices for pullback words (Morton order), a slice for subdivision cells
-    (already row-major).  ``tile_order`` is the in-tile Morton order,
-    ``K.dust_tile_order(_TILE_LEVEL)``; given, [w_lo, w_hi) must be one full
-    aligned pullback task, whose squares are the tile of its first word's
-    image cell, and only that word is digit-mapped.  Coordinates are the same
-    floats as the per-square corners: pullback columns and rows wrap with
-    ``& mask`` (the periodic torus), subdivision cells keep their far edge at
-    coordinate value 1, so plain (non-periodized) coordinate functions keep
-    their Riemann sums.
+    (already row-major).  Every pullback task, at every level, is one aligned
+    tile of 4**m words, m = min(n, 8), whose squares are the tile of its
+    first word's image cell: the source ``("pullback", order)`` carries the
+    in-tile Morton order, ``K.dust_tile_order(m)``, and only the first word
+    is digit-mapped; any other pullback range raises ValueError.
+    Coordinates are the same floats as the per-square corners: pullback
+    columns and rows wrap with ``& mask`` (the periodic torus), subdivision
+    cells keep their far edge at coordinate value 1, so plain
+    (non-periodized) coordinate functions keep their Riemann sums.
     """
     side = 1 << n
     mask = side - 1
-    if tile_order is not None:
-        if source[0] != "pullback" or w_lo % tile_order.size or w_hi - w_lo != tile_order.size:
+    if source[0] == "pullback":
+        order = source[1]
+        cols = rows = 1 << min(n, _TILE_LEVEL)
+        if order.size != cols * rows or w_lo % order.size or w_hi - w_lo != order.size:
             raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned pullback task")
         mx, my = K.dust_image_bits(np.array([w_lo], dtype=np.int64), n, out=ws)
         x0, y0 = int(mx[0]), int(my[0])
-        cols = rows = 1 << _TILE_LEVEL
-        order = tile_order
-    elif source[0] == "pullback":
-        mx, my = K.dust_image_bits(np.arange(w_lo, w_hi, dtype=np.int64), n, out=ws)
-        x0, y0 = int(mx.min()), int(my.min())
-        cols, rows = int(mx.max()) - x0 + 1, int(my.max()) - y0 + 1
-        my -= y0
-        my *= cols
-        my += mx
-        my -= x0
-        order = my
     else:
         y0, y1 = w_lo >> n, (w_hi - 1) >> n
         x0, cols = (w_lo & mask, w_hi - w_lo) if y0 == y1 else (0, side)
@@ -299,12 +282,13 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None, tile_order=None):
+def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
 
-    ``ws`` is the calling thread's :class:`_kernels.Workspace` (default: a
-    fresh one); the returned leaf sums never live in it.  ``tile_order`` as
-    for :func:`_vertex_lattice`.
+    ``source`` is ``("direct", offx, offy)``, ``("pullback", order)`` or
+    ``("cells",)``, as for :func:`_vertex_lattice`.  ``ws`` is the calling
+    thread's :class:`_kernels.Workspace` (default: a fresh one); the
+    returned leaf sums never live in it.
     """
     ws = K.Workspace() if ws is None else ws
     cache = {}
@@ -316,7 +300,7 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None, tile_order
             if id(obs) not in cache:
                 cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
     else:
-        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws, tile_order)
+        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
         for obs in observables:
             if id(obs) not in cache:
                 a = obs.evaluate(u, v)
@@ -340,9 +324,6 @@ def _sum_kernel(source, n, total, f, g, h, workers):
     leafsums = np.empty(nleaves, dtype=np.complex128)
     span = TASK_LEAVES * LEAF
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
-    # every task is a full tile from n = 8 on; the permutation dies with the call
-    pullback_tiles = source[0] == "pullback" and n >= _TILE_LEVEL
-    tile_order = K.dust_tile_order(_TILE_LEVEL) if pullback_tiles else None
     local = threading.local()  # one workspace per thread, dropped on return
 
     def run(task):
@@ -350,7 +331,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
         if ws is None:
             ws = local.ws = K.Workspace()
         lo, hi = task
-        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws, tile_order)
+        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws)
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -416,7 +397,8 @@ def phi_n(
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
-        source = ("pullback",)
+        # one Morton order for every task of the sum; it dies with the call
+        source = ("pullback", K.dust_tile_order(min(n, _TILE_LEVEL)))
     else:
         offx, offy = preset.offset_arrays()
         source = ("direct", offx, offy)
@@ -458,14 +440,12 @@ def pairing_n(
     p: Observable,
     workers: int | None = None,
     allow_large: bool = False,
-    check: bool = True,
 ) -> complex:
     """Finite-level pairing of the cocycle with a matrix projection:
-    phi_n(p, p, p) / (2 pi i)."""
+    phi_n(p, p, p) / (2 pi i), after :func:`validate_projection`."""
     if p.kind != "matrix" or p.mode != "pullback":
         raise ValueError("pairing needs a pullback-mode matrix projection")
-    if check:
-        validate_projection(p, min(n, 6))
+    validate_projection(p, n)
     val = phi_n(preset, n, p, p, p, workers=workers, allow_large=allow_large)
     return val / (2j * math.pi)
 

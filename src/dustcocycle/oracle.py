@@ -313,7 +313,10 @@ def bott_projection(degree: int) -> ProjectionField:
     return ProjectionField(f"bott-{degree}", degree, degree, 1.0)
 
 
-def chern_pairing_oracle(field: ProjectionField, m: int, row_block: int = 64) -> complex:
+_ORACLE_ROWS = 64
+
+
+def chern_pairing_oracle(field: ProjectionField, m: int) -> complex:
     """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u)),
     evaluated as the degree integral of the field.
 
@@ -322,16 +325,16 @@ def chern_pairing_oracle(field: ProjectionField, m: int, row_block: int = 64) ->
     ``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``.  The value is therefore
     ``(1 / 2 pi) * mean(h . (h_u x h_v) / |h|^3)``, twice the Chern number,
     computed from the unnormalised field and its analytic partials with no
-    matrix and no complex array.  Rows are taken ``row_block`` at a time, u
-    as a column and v as a row, so the transcendentals run on 1-D axes.
+    matrix and no complex array.  Rows are taken ``_ORACLE_ROWS`` at a time,
+    u as a column and v as a row, so the transcendentals run on 1-D axes.
     """
     if m < 64:
         raise ValueError("grid size must be >= 64")
     pts = (np.arange(m) + 0.5) / m
     acc = 0.0
-    for lo in range(0, m, row_block):
+    for lo in range(0, m, _ORACLE_ROWS):
         (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v) = field._field(
-            pts[lo:lo + row_block, None], pts[None, :]
+            pts[lo:lo + _ORACLE_ROWS, None], pts[None, :]
         )
         triple = (
             h1 * (h2u * h3v - h3u * h2v)

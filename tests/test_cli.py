@@ -245,6 +245,13 @@ class TestBuildId:
         monkeypatch.setattr(cli, "_PACKAGE_DIR", tmp_path)
         assert build_id() == __version__
 
+    def test_version_when_git_hangs(self, monkeypatch):
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", hang)
+        assert build_id() == __version__
+
 
 class TestPointCommands:
     def test_cantor_prints_fraction_and_float(self):

@@ -232,6 +232,25 @@ class TestPairing:
         with pytest.raises(ValueError, match="not a projection"):
             validate_projection(p, 4)
 
+    def test_one_broken_grid_vertex_rejected(self):
+        """A Bott field broken only at (u, v) = (0, 1/64), a level-6 vertex
+        image that a sparse sample of words misses, is caught at every n >= 6."""
+        bott = bott_projection(1)
+
+        def rule(u, v):
+            hit = (np.asarray(u) == 0.0) & (np.asarray(v) == 1.0 / 64)
+            e = np.broadcast_to(bott(u, v), hit.shape + (2, 2)).copy()
+            e[hit] = np.diag([0.4, 0.2])
+            return e
+
+        p = Observable("bott-1-broken", "pullback", "matrix", rule, dim=2)
+        for n in (6, 9):
+            with pytest.raises(ValueError, match="not a projection at level-6"):
+                validate_projection(p, n)
+        with pytest.raises(ValueError, match="not a projection"):
+            pairing_n(DUST, 6, p, workers=1)
+        validate_projection(p, 5)  # (0, 1/64) is no level-5 vertex image
+
     def test_degree_one_converges_to_even_integer(self):
         p = pullback_projection(bott_projection(1))
         val = pairing_n(DUST, 8, p, workers=2)

@@ -2,10 +2,12 @@
 
 The engine evaluates pullback and subdivision observables once per vertex of
 each task's lattice, handed to the rule as a row of u and a column of v, and
-reads the four corners of every square from it.
+reads the four corners of every square from it.  A pullback task is always
+one aligned Morton tile, placed from its first word's digit map.
 The reference below is the per-square path it replaced: float corner
-coordinates of each square, four ``evaluate`` calls per observable, then the
-same kernel and leaf sums.  The two must agree bit for bit.
+coordinates of each square from every word's digit map, four ``evaluate``
+calls per observable, then the same kernel and leaf sums.  The two must agree
+bit for bit.
 """
 
 import math
@@ -24,6 +26,15 @@ DUST = get_preset("cantor-dust")
 TWO_PI = 2.0 * math.pi
 
 
+def _pullback_coords(words, n):
+    """Exact dyadic torus coordinates of the image cell corners (u0, u1, v0, v1)."""
+    mx, my = K.dust_image_bits(words, n)
+    side = np.int64(1) << n
+    mask = side - 1
+    inv = 1.0 / float(side)
+    return mx * inv, ((mx + 1) & mask) * inv, my * inv, ((my + 1) & mask) * inv
+
+
 def _cell_coords(cells, n):
     """Row-major subdivision cell corners; the far edge stays at 1."""
     side = np.int64(1) << n
@@ -37,13 +48,29 @@ def reference_leaf_sums(source, n, w_lo, w_hi, observables):
     """Leaf sums over [w_lo, w_hi) with every square's corners evaluated apart."""
     idx = np.arange(w_lo, w_hi, dtype=np.int64)
     if source[0] == "pullback":
-        c0, c1, d0, d1 = cocycle._pullback_coords(idx, n)
+        c0, c1, d0, d1 = _pullback_coords(idx, n)
     else:
         c0, c1, d0, d1 = _cell_coords(idx, n)
     pts = ((c0, d0), (c1, d0), (c1, d1), (c0, d1))
     fv, gv, hv = ([o.evaluate(u, v) for (u, v) in pts] for o in observables)
     kernel = K.scalar_kernel if observables[0].kind == "scalar" else K.matrix_kernel
     return K.leaf_sums(np.ascontiguousarray(kernel(*fv, *gv, *hv)), LEAF)
+
+
+def _pullback(n):
+    """The pullback source of a level-n sum, as ``phi_n`` builds it."""
+    return ("pullback", K.dust_tile_order(min(n, cocycle._TILE_LEVEL)))
+
+
+def _draw_range(draw, source, n, total):
+    """A pullback range is one whole aligned tile at a random task index; a
+    subdivision or direct range is any nonempty range of up to 3 leaves."""
+    if source[0] == "pullback":
+        tile = source[1].size
+        w_lo = tile * draw(st.integers(0, total // tile - 1))
+        return w_lo, w_lo + tile
+    w_lo = draw(st.integers(0, total - 1))
+    return w_lo, w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
 
 
 # a trig polynomial: terms (a, b, c, s) -> c cos 2pi(au+bv) + i s sin 2pi(au+bv)
@@ -81,11 +108,9 @@ def _matrix(entries):
 @st.composite
 def _cases(draw):
     kind = draw(st.sampled_from(["scalar", "matrix"]))
-    source = (draw(st.sampled_from(["pullback", "cells"])),)
     n = draw(st.integers(0, 9))
-    total = 4**n
-    w_lo = draw(st.integers(0, total - 1))
-    w_hi = w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
+    source = _pullback(n) if draw(st.booleans()) else ("cells",)
+    w_lo, w_hi = _draw_range(draw, source, n, 4**n)
     make = _scalar if kind == "scalar" else _matrix
     size = 1 if kind == "scalar" else 4
     f, g, h = (make(draw(st.lists(_terms, min_size=size, max_size=size)))
@@ -112,22 +137,22 @@ class TestLatticeMatchesReference:
         obs = tuple(_scalar(t) for t in (
             [(1, 0, 1.0, 0.5)], [(0, 1, 0.3, -1.0), (2, -1, 0.7, 0.2)], [(1, 1, -0.4, 0.9)],
         ))
+        source = _pullback(n) if source[0] == "pullback" else source
         span = TASK_LEAVES * LEAF
-        # pullback tasks also through the shared Morton order, placed by their first word
-        orders = [None, K.dust_tile_order(8)] if source[0] == "pullback" else [None]
         for w_lo in range(0, 4**n, span):
+            got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
             want = reference_leaf_sums(source, n, w_lo, w_lo + span, obs)
-            for order in orders:
-                got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs, tile_order=order)
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, want)
 
     def test_tile_order_needs_one_full_aligned_task(self):
         obs = (_scalar([(1, 0, 1.0, 0.5)]),) * 3
         span = TASK_LEAVES * LEAF
-        for source, lo, hi in ((("pullback",), 1, span + 1), (("pullback",), 0, LEAF),
-                               (("cells",), 0, span)):
+        for n, lo, hi in ((9, 1, span + 1), (9, 0, LEAF), (9, span, 3 * span), (5, 0, 1023),
+                          (5, 1, 1025), (0, 0, 0)):
             with pytest.raises(ValueError, match="full aligned"):
-                _leaf_sums_for_range(source, 9, lo, hi, obs, tile_order=K.dust_tile_order(8))
+                _leaf_sums_for_range(_pullback(n), n, lo, hi, obs)
+        with pytest.raises(ValueError, match="full aligned"):  # an order of the wrong level
+            _leaf_sums_for_range(_pullback(5), 9, 0, 1024, obs)
 
 
 class TestVertexCount:
@@ -143,6 +168,21 @@ class TestVertexCount:
         f = Observable("counted", "pullback", "scalar", rule)
         phi_n(DUST, 9, f, f, f, workers=1)
         assert shapes == [((1, 257), (257, 1))] * 4
+
+    @pytest.mark.parametrize("n, words", [(0, 1), (5, 1), (8, 1), (9, 4)])
+    def test_one_digit_mapped_word_per_tile(self, monkeypatch, n, words):
+        """Only each tile's first word is digit-mapped, at every level."""
+        mapped = []
+        digit_map = K.dust_image_bits
+
+        def counting(w, level, **kw):
+            mapped.append(np.size(w))
+            return digit_map(w, level, **kw)
+
+        monkeypatch.setattr(K, "dust_image_bits", counting)
+        f = Observable("trig", "pullback", "scalar", lambda u, v: np.cos(TWO_PI * (u - v)))
+        phi_n(DUST, n, f, f, f, workers=2)
+        assert mapped == [1] * words
 
 
 # a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
@@ -167,21 +207,21 @@ _DIRECT = {name: get_preset(name) for name in ("cantor-dust", "sierpinski-carpet
 @st.composite
 def _real_cases(draw):
     mode = draw(st.sampled_from(["pullback", "cells", "direct"]))
+    n = draw(st.integers(0, 9))
     if mode == "direct":
         preset = _DIRECT[draw(st.sampled_from(sorted(_DIRECT)))]
         source = ("direct", *preset.offset_arrays())
         nmaps = preset.nmaps
     else:
-        source, nmaps = (mode,), 4
-    n = draw(st.integers(0, 9))
+        source = _pullback(n) if mode == "pullback" else ("cells",)
+        nmaps = 4
     total = nmaps**n
     span = TASK_LEAVES * LEAF
     if draw(st.booleans()):  # one aligned task, as the engine makes them
         w_lo = span * draw(st.integers(0, (total - 1) // span))
         w_hi = min(total, w_lo + span)
     else:
-        w_lo = draw(st.integers(0, total - 1))
-        w_hi = w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
+        w_lo, w_hi = _draw_range(draw, source, n, total)
     rules = [_real_trig(draw(_terms)) for _ in range(3)]
     return source, n, w_lo, w_hi, rules
 
@@ -198,9 +238,7 @@ class TestRealValuesStayReal:
         real = tuple(Observable("re", mode, "scalar", r) for r in rules)
         cplx = tuple(Observable("c", mode, "scalar", _as_complex(r)) for r in rules)
         assert real[0].evaluate(np.zeros(3), np.zeros(3)).dtype == np.float64
-        tile = source[0] == "pullback" and n >= 8 and w_hi - w_lo == TASK_LEAVES * LEAF
-        got = _leaf_sums_for_range(source, n, w_lo, w_hi, real,
-                                   tile_order=K.dust_tile_order(8) if tile else None)
+        got = _leaf_sums_for_range(source, n, w_lo, w_hi, real)
         want = _leaf_sums_for_range(source, n, w_lo, w_hi, cplx)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, want)

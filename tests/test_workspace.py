@@ -172,7 +172,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     def test_task_leaf_sums_independent_of_workspace_history(self, kind):
         span = TASK_LEAVES * LEAF
-        task_a = (("pullback",), 9, span, 2 * span, _observables(kind))
+        task_a = (("pullback", K.dust_tile_order(8)), 9, span, 2 * span, _observables(kind))
         task_b = (("cells",), 5, 0, 4**5, _observables("scalar"))  # other n, shape and kind
         ws = K.Workspace()
         first = _leaf_sums_for_range(*task_a, ws)
