@@ -10,35 +10,45 @@ image map's base-4 -> binary table (k = 8) is built at import; the triadic
 tables are built once per preset's offsets.  The integers are those of the
 digit-by-digit loop, which the tests keep as the reference.
 
-Both trace kernels run one body, :func:`_trace`.  It takes its inputs with any
-leading shape -- (B,) corner arrays, or (H-1, W-1) shifted views of a vertex
-lattice, with no corner gather -- works through them in blocks along axis 0,
-and writes its temporaries and its result into a :class:`Workspace` passed as
-``out=``.  The matrix kernel copies each distinct input once per block into
-an (N, N, block) component layout; the scalar kernel reads its inputs in
-place.  Every product names its operands and its ``out=`` buffer: on arrays
-of 256 KB and more, numpy's temporary elision swaps the operands of a product
-with a temporary, and a complex product (fused multiply-add) is not bitwise
-commutative.  So a square's value depends only on its own inputs, never on
-the block, task or array layout it arrives in.  The matrix kernel agrees with
-the batched-matmul formula to 1e-13 (rtol and atol, tested at N = 2 and 3),
-not to the last ulp.
+The engine's vertex values are of two kinds.  Scalar values are real or
+complex.  Matrix values are 2 x 2 Hermitian with unit trace, the form of the
+rank-1 projections and Bott fields the pairing is defined on:
+e = (I + n . sigma) / 2 with a real Bloch vector n, not necessarily of unit
+length.  The engine converts them to n before the kernel runs, so the matrix
+kernel is real 3-vector arithmetic on float64: for differences
+X = x . sigma / 2 and Y = y . sigma / 2 of such values,
+Tr(e X Y) = (x . y + i n . cross(x, y)) / 4.
+General N x N values, non-Hermitian triples and products of matrix values
+are not in the engine; :func:`dustcocycle.fredholm.kernel_trace` keeps the
+general N x N formula as the reference.
 
-Dtypes: the temporaries, and the matrix kernel's block copies, take the dtype
-``np.result_type`` of the twelve inputs, so real vertex values (every preset
-triple) run as float64, at half the bytes and a quarter of the multiplies of
-complex ones.  The result is always complex128; the last step of each block
-casts into it.  For real inputs its real part is bitwise that of the same
-inputs cast to complex (up to the sign of an exact zero), because a complex
-product or difference of values with zero imaginary parts rounds its real
-part exactly as the real operation does.  Leaf sums therefore still add
-complex values, which matters: numpy groups the pairwise sums of a real and
-of a complex array differently, so a float64 leaf sum would change the last
-bits.  A leaf sum depends only on its own <= 4096 values, which is what
-makes results bit-identical across worker counts.
+Both trace kernels take their inputs with any leading shape -- (B,) corner
+arrays, or (H-1, W-1) shifted views of a vertex lattice, with no corner
+gather; the matrix kernel's inputs carry the three Bloch components in front
+-- work through them in blocks of about :data:`BLOCK` squares along the first
+lattice axis, and write their temporaries and their result into a
+:class:`Workspace` passed as ``out=``.  Every product names its operands and
+its ``out=`` buffer: on arrays of 256 KB and more, numpy's temporary elision
+swaps the operands of a product with a temporary, and a complex product
+(fused multiply-add) is not bitwise commutative.  So a square's value
+depends only on its own inputs, never on the block, task or array layout it
+arrives in.  The matrix kernel agrees with the batched complex matmul
+formula to 1e-13 (rtol and atol), not to the last ulp: it changed the
+pairings of the Bott projections (degrees -3..3, n = 0..10) by at most
+1.8e-15 against the complex 2 x 2 kernel it replaced.
 
-Block sizes, :data:`SCALAR_BLOCK` and :data:`MATRIX_BLOCK`, are set apart
-because the two kernels meet different limits; see their comments.
+Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
+the twelve inputs, so real vertex values (every preset triple) run as
+float64, at half the bytes and a quarter of the multiplies of complex ones.
+The result is always complex128; the last step of each block casts into it.
+For real inputs its real part is bitwise that of the same inputs cast to
+complex (up to the sign of an exact zero), because a complex product or
+difference of values with zero imaginary parts rounds its real part exactly
+as the real operation does.  Leaf sums therefore still add complex values,
+which matters: numpy groups the pairwise sums of a real and of a complex
+array differently, so a float64 leaf sum would change the last bits.  A
+leaf sum depends only on its own <= 4096 values, which is what makes results
+bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -48,22 +58,18 @@ from functools import lru_cache
 
 import numpy as np
 
-# Squares per block of the scalar kernel: 64 rows of a 256 x 256 pullback
-# tile.  Its float64 temporaries (eight differences, three accumulators) are
-# 1.4 MB.  Each block makes about 40 ufunc calls, and the Python between them
+# Squares per block of both trace kernels: 64 rows of a 256 x 256 pullback
+# tile.  The scalar kernel's float64 temporaries (eight differences, three
+# accumulators) are 1.4 MB, the matrix kernel's (eight differences of four
+# rows, twelve rows of accumulators and products) 5.8 MB.  Each block makes
+# about 30 (scalar) or 70 (matrix) ufunc calls, and the Python between them
 # holds the GIL, so the block size sets how well two workers overlap.  On a
 # 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and 0.32 s
-# on two with 4096-square blocks, 0.19 s and 0.15 s with 16384.  65536-square
-# blocks gained little more (0.13 s on two workers) but raised the peak RSS
-# of the lipschitz-direct benchmark by 7% and of pullback-converge by 14%.
-SCALAR_BLOCK = 16384
-
-# Squares per block of the matrix kernel, the size of one cocycle.LEAF leaf.
-# Its complex temporaries are 3 MB at N = 2 (four block copies, eight
-# differences).  8192-square blocks made two workers up to 10% faster on
-# pullback sums but raised the peak RSS of the direct and pairing benchmarks
-# by 5-20%.
-MATRIX_BLOCK = 4096
+# on two with 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.
+# 65536-square blocks gained little more (0.13 s on two workers) but raised
+# the peak RSS of the lipschitz-direct benchmark by 7% and of
+# pullback-converge by 14%.
+BLOCK = 16384
 
 # Entries in one digit table: chunks of k digits with nmaps**k <= 2**16.
 _TABLE_ENTRIES = 1 << 16
@@ -80,7 +86,7 @@ class Workspace:
     size is what bounds memory: peak RSS follows the largest block a worker
     holds (with one 16 MB corner block per task, the pairing benchmark's peak
     RSS rose by a third), which is why the kernels work in blocks of
-    :data:`SCALAR_BLOCK` or :data:`MATRIX_BLOCK` squares and nothing larger
+    :data:`BLOCK` squares and nothing larger
     than one task's values is sized here.
     """
 
@@ -209,98 +215,165 @@ def dust_tile_order(level):
 # ---------------------------------------------------------------------------
 
 
+def _blocks(lead):
+    """(lo, hi, block shape) of the kernel blocks of about :data:`BLOCK`
+    squares, whole rows of axis 0 of the leading shape ``lead``."""
+    rows = max(1, BLOCK // math.prod(lead[1:]))
+    for lo in range(0, lead[0], rows):
+        hi = min(lead[0], lo + rows)
+        yield lo, hi, (hi - lo,) + lead[1:]
+
+
+def _terms(f, g, h, diff):
+    """The four terms (accumulate, F, X, Y, X', Y') of the kernel, each
+    F (X Y - X' Y') added or subtracted, from the vertex values f, g, h
+    (each v0..v3) and ``diff(name, a, b)``, which writes a - b.
+
+    The twelve per-term vertex differences are four of g and four of h, or
+    their exact negations.
+    """
+    g10, g30, g32, g12 = (diff("g10", g[1], g[0]), diff("g30", g[3], g[0]),
+                          diff("g32", g[3], g[2]), diff("g12", g[1], g[2]))
+    h21, h23, h03, h01 = (diff("h21", h[2], h[1]), diff("h23", h[2], h[3]),
+                          diff("h03", h[0], h[3]), diff("h01", h[0], h[1]))
+    return (
+        (np.add, f[0], g10, h21, g30, h23),
+        (np.add, f[2], g32, h03, g12, h01),
+        (np.subtract, f[1], g10, h03, g12, h23),
+        (np.subtract, f[3], g32, h21, g30, h01),
+    )
+
+
 def scalar_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
     """Per-square trace kernel for scalar vertex values.
 
     Index i is the vertex number: v0 corner, v1 right, v2 opposite, v3 up.
-    The inputs, real or complex, share one shape, that of the complex128
+    The result is 0.5 * (f0 b1 + f2 b2 - f1 b3 - f3 b4) with
+    b1 = (g1-g0)(h2-h1) - (g3-g0)(h2-h3) and b2..b4 its rotations.  The
+    inputs, real or complex, share one shape, that of the complex128
     result.  ``out`` is the :class:`Workspace` that holds the result and the
     temporaries (the result is overwritten by the next kernel call on it); by
     default a fresh one.
     """
     inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
     ws = Workspace() if out is None else out
-    return _trace(f0.shape, 1, np.result_type(*inputs), SCALAR_BLOCK,
-                  lambda lo, hi: [x[lo:hi][None, None] for x in inputs], ws)
-
-
-def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
-    """Per-square trace kernel for (..., N, N) matrix vertex values.
-
-    The result, of the inputs' leading shape, is
-    0.5 * (Tr f0 b1 + Tr f2 b2 - Tr f1 b3 - Tr f3 b4) with
-    b1 = (g1-g0)(h2-h1) - (g3-g0)(h2-h3) and b2..b4 its rotations.  Each
-    distinct input array is copied once per block into (N, N, block) layout,
-    so a pairing (f, g and h the same projection) makes four copies, not
-    twelve.  ``out`` as for :func:`scalar_kernel`.
-    """
-    inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
-    lead, nn = f0.shape[:-2], f0.shape[-1]
     dtype = np.result_type(*inputs)
-    ws = Workspace() if out is None else out
+    result = ws.take("kernel.result", f0.shape)
+    for lo, hi, block in _blocks(f0.shape):
+        vals = [x[lo:hi] for x in inputs]
 
-    def components(lo, hi):
-        copies = {}
-        for x in inputs:
-            if id(x) not in copies:
-                buf = ws.take(f"kernel.in{len(copies)}", (nn, nn, hi - lo) + lead[1:], dtype)
-                np.copyto(buf, np.moveaxis(x[lo:hi], (-2, -1), (0, 1)))
-                copies[id(x)] = buf
-        return [copies[id(x)] for x in inputs]
+        def diff(name, a, b):
+            return np.subtract(a, b, out=ws.take(f"kernel.{name}", block, dtype))
 
-    return _trace(lead, nn, dtype, MATRIX_BLOCK, components, ws)
-
-
-def _trace(lead, nn, dtype, block_squares, components, ws):
-    """The body of both trace kernels, block by block along axis 0.
-
-    ``components(lo, hi)`` gives the twelve inputs of rows [lo, hi) with the
-    (N, N) component axes in front; the temporaries are of ``dtype``, the
-    result is complex128.
-    """
-    result = ws.take("kernel.result", lead)
-    rows = max(1, block_squares // math.prod(lead[1:]))
-
-    def diff(name, a, b):
-        return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
-
-    for lo in range(0, lead[0], rows):
-        hi = min(lead[0], lo + rows)
-        block = (hi - lo,) + lead[1:]
-        F0, F1, F2, F3, G0, G1, G2, G3, H0, H1, H2, H3 = components(lo, hi)
-        # The twelve per-term vertex differences are four of g and four of h,
-        # or their exact negations.
-        g10, g30, g32, g12 = (diff("g10", G1, G0), diff("g30", G3, G0),
-                              diff("g32", G3, G2), diff("g12", G1, G2))
-        h21, h23, h03, h01 = (diff("h21", H2, H1), diff("h23", H2, H3),
-                              diff("h03", H0, H3), diff("h01", H0, H1))
-        # (accumulate, F, X, Y, X', Y'): the term F (X Y - X' Y') of b1..b4
-        terms = (
-            (np.add, F0, g10, h21, g30, h23),
-            (np.add, F2, g32, h03, g12, h01),
-            (np.subtract, F1, g10, h03, g12, h23),
-            (np.subtract, F3, g32, h21, g30, h01),
-        )
+        terms = _terms(vals[:4], vals[4:8], vals[8:], diff)
         acc = ws.take("kernel.acc", block, dtype)
         s = ws.take("kernel.s", block, dtype)
         prod = ws.take("kernel.prod", block, dtype)
-        first = True
-        for accumulate, F, X, Y, X2, Y2 in terms:
-            for i in range(nn):
-                for j in range(nn):
-                    t = acc if first else s
-                    np.multiply(X[j, 0], Y[0, i], out=t)
-                    t -= np.multiply(X2[j, 0], Y2[0, i], out=prod)
-                    for k in range(1, nn):
-                        t += np.multiply(X[j, k], Y[k, i], out=prod)
-                        t -= np.multiply(X2[j, k], Y2[k, i], out=prod)
-                    t *= F[i, j]
-                    if not first:
-                        accumulate(acc, s, out=acc)
-                    first = False
+        for k, (accumulate, F, X, Y, X2, Y2) in enumerate(terms):
+            t = s if k else acc
+            np.multiply(X, Y, out=t)
+            t -= np.multiply(X2, Y2, out=prod)
+            t *= F
+            if k:
+                accumulate(acc, s, out=acc)
         # the cast of a real block into the complex result
         np.multiply(0.5, acc, out=result[lo:hi])
     return result
+
+
+def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
+    """Per-square trace kernel for 2 x 2 Hermitian unit-trace vertex values,
+    read as their real Bloch vectors.
+
+    Each input is a float64 (3, ...) array: the vertex value
+    e = (I + n . sigma) / 2 with n = (n1, n2, n3) along axis 0.  The result,
+    complex128 of the inputs' trailing shape, is the matrix form of the
+    scalar kernel, 0.5 * (Tr f0 b1 + Tr f2 b2 - Tr f1 b3 - Tr f3 b4).  A
+    difference of two vertex values is X = x . sigma / 2, and the Pauli
+    algebra gives Tr(e X Y) = (x . y + i n . cross(x, y)) / 4, so the result
+    is the sum of (x . y - x' . y' + i F . (cross(x, y) - cross(x', y'))) / 8
+    over the four terms F (X Y - X' Y'), on the same eight vertex
+    differences as the scalar kernel.  By bilinearity the four real parts
+    add up to (g10 - g32) . (h21 - h03) - (g30 - g12) . (h23 - h01), with
+    gij the Bloch vector of g(vi) - g(vj).  ``out`` as for
+    :func:`scalar_kernel`.
+    """
+    inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
+    ws = Workspace() if out is None else out
+    lead = f0.shape[1:]
+    result = ws.take("kernel.result", lead)
+    # (real, imaginary) of the result as a (2,) + lead float64 view
+    parts = np.moveaxis(result.view(np.float64).reshape(lead + (2,)), -1, 0)
+    for lo, hi, block in _blocks(lead):
+        vals = [x[:, lo:hi] for x in inputs]
+
+        def diff(name, a, b):
+            # rows (x2, x3, x1, x2): rows 0:3 and 1:4 are the components
+            # turned by one and by two, so cross(x, y) =
+            # x[0:3] y[1:4] - x[1:4] y[0:3] in the order (c1, c2, c3), and a
+            # dot product may read rows 0:3 of both factors
+            d = ws.take(f"kernel.{name}", (4,) + block, np.float64)
+            np.subtract(a[1:], b[1:], out=d[:2])
+            np.subtract(a[0], b[0], out=d[2])
+            np.copyto(d[3], d[0])
+            return d
+
+        terms = _terms(vals[:4], vals[4:8], vals[8:], diff)
+        acc = ws.take("kernel.acc", (2, 3) + block, np.float64)  # per component
+        re, im = acc
+        t = ws.take("kernel.t", (3,) + block, np.float64)
+        prod = ws.take("kernel.prod", (3,) + block, np.float64)
+        (_, _, g10, h21, g30, h23), (_, _, g32, h03, g12, h01) = terms[:2]
+        np.subtract(g10[:3], g32[:3], out=re)
+        re *= np.subtract(h21[:3], h03[:3], out=prod)
+        np.subtract(g30[:3], g12[:3], out=t)
+        t *= np.subtract(h23[:3], h01[:3], out=prod)
+        re -= t
+        for k, (accumulate, F, X, Y, X2, Y2) in enumerate(terms):
+            s = t if k else im
+            np.multiply(X[0:3], Y[1:4], out=s)
+            s -= np.multiply(X[1:4], Y[0:3], out=prod)
+            s -= np.multiply(X2[0:3], Y2[1:4], out=prod)
+            s += np.multiply(X2[1:4], Y2[0:3], out=prod)
+            s *= F
+            if k:
+                accumulate(im, s, out=im)
+        total = acc[:, 0]  # the sums over the three components
+        total += acc[:, 1]
+        total += acc[:, 2]
+        np.multiply(total, 0.125, out=parts[:, lo:hi])
+    return result
+
+
+def bloch_vectors(e, *, out):
+    """Write the Bloch vectors n of the 2 x 2 values e = (I + n . sigma) / 2
+    into ``out`` and return how far e is from that form.
+
+    ``e`` is a (..., 2, 2) array and ``out`` a float64 (3, ...) array:
+    n1 = 2 Re e10, n2 = 2 Im e10, n3 = Re e00 - Re e11.  The result is
+    (Hermitian defect, trace defect): the largest |real or imaginary part| of
+    an entry of e - e*, and the largest |Re Tr e - 1| (|Im Tr e| is at most
+    the first); NaN if any value is NaN.  The work goes in blocks of rows,
+    small enough for each block of e to stay in cache through all of its
+    passes: e's entries are strided, so a pass over the whole of e would
+    read all of it from memory each time.
+    """
+
+    def spread(x, centre):  # the largest |x - centre|, as two reductions
+        return (x.max() - centre, centre - x.min())
+
+    herm, trace = [], []
+    for lo, hi, _ in _blocks(e.shape[:-2]):
+        b = e[lo:hi]
+        e00, e01, e10, e11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+        n = out[:, lo:hi]
+        np.multiply(e10.real, 2.0, out=n[0])
+        np.multiply(e10.imag, 2.0, out=n[1])
+        np.subtract(e00.real, e11.real, out=n[2])
+        herm += [2.0 * d for d in spread(e00.imag, 0.0) + spread(e11.imag, 0.0)]
+        herm += spread(e01.real - e10.real, 0.0) + spread(e01.imag + e10.imag, 0.0)
+        trace += spread(e00.real + e11.real, 1.0)
+    return float(np.max(herm)), float(np.max(trace))
 
 
 def leaf_sums(vals, leaf):

@@ -329,6 +329,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Pauli matrices sigma_1..3, for the selftest's rank-1 projections
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def _cmd_selftest(args) -> int:
     failures = []
 
@@ -348,6 +352,20 @@ def _cmd_selftest(args) -> int:
     print(f"kernel vs matrix oracle: max |diff| = {worst:.2e}")
     if worst > 1e-12:
         failures.append("kernel oracle mismatch")
+
+    # the engine's Bloch-vector matrix kernel on 200 squares, each vertex of
+    # f, g and h a random rank-1 projection (I + n . sigma) / 2, |n| = 1
+    n = rng.standard_normal((12, 3, 200))
+    n /= np.sqrt((n * n).sum(axis=1, keepdims=True))
+    e = 0.5 * (np.eye(2) + np.einsum("vks,kij->vsij", n, _PAULI))
+    got = K.matrix_kernel(*n)
+    worst = max(
+        abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[i : i + 4, s]) for i in (0, 4, 8))))
+        for s in range(200)
+    )
+    print(f"matrix kernel vs matrix oracle (rank-1 projections): max |diff| = {worst:.2e}")
+    if not worst <= 1e-12:
+        failures.append("matrix kernel oracle mismatch")
 
     bad = 0
     for sq in enumerate_squares(get_preset("cantor-dust"), 4):

@@ -18,12 +18,14 @@ cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
 The trace kernel reads the four shifted views ``a[:-1, :-1]``,
 ``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of each observable's
 (H, W) values: the corners v0..v3 of every cell, with no gather.  Real rules
-stay float64 up to the kernel's complex result.  The per-cell values are
-then put into word order with one ``np.take``.  Every pullback task, at
-every level, walks its tile in the same Morton order, so a pullback sum
-builds that permutation once, from the digit table of the m-digit words,
-carries it in its source, and places each task's tile from the digit map of
-its first word alone.
+stay float64 up to the kernel's complex result.  A matrix observable's
+(H, W, 2, 2) values are first turned into a (3, H, W) float64 array of
+Bloch vectors, once per task, and the kernel reads the same views of it.
+The per-cell values are then put into word order with one ``np.take``.
+Every pullback task, at every level, walks its tile in the same Morton
+order, so a pullback sum builds that permutation once, from the digit table
+of the m-digit words, carries it in its source, and places each task's tile
+from the digit map of its first word alone.
 Direct mode evaluates at the triadic vertices of each square instead, as
 four 1-D corner arrays; on the dust those squares share no vertices.
 
@@ -108,10 +110,21 @@ class Observable:
     broadcast against each other: 1-D corner arrays of one shape, or a (1, W)
     row of u and an (H, 1) column of v on a vertex lattice.  It returns a
     real or complex array that broadcasts to their common shape, followed
-    for matrix kind by (N, N) with N = ``dim``; a rule that depends on u only
-    may return the (1, W) row.  ``mode`` decides what the engine feeds it:
-    the vertex's own triadic coordinates (direct) or the dyadic staircase
-    image on the torus (pullback).
+    for matrix kind by (2, 2); a rule that depends on u only may return the
+    (1, W) row.  ``mode`` decides what the engine feeds it: the vertex's own
+    triadic coordinates (direct) or the dyadic staircase image on the torus
+    (pullback).
+
+    Matrix kind means 2 x 2 Hermitian with unit trace, e = (I + n . sigma) / 2
+    for a real vector n: the rank-1 projections and Bott fields the pairing
+    is defined on.  The engine converts each vertex value to its Bloch vector
+    n once per task and runs a real 3-vector kernel on it; a value that is
+    not Hermitian with trace 1 to within 1e-10 raises ValueError there.
+    ``dim`` must be 2.  Larger matrices, non-Hermitian matrix triples and
+    products of matrix observables (a product of projections is neither
+    Hermitian nor of unit trace) are not supported.  Against the complex
+    2 x 2 kernel this replaced, the pairings of the Bott projections
+    (degrees -3..3, n = 0..10) moved by at most 1.8e-15.
     """
 
     name: str
@@ -126,6 +139,11 @@ class Observable:
             raise ValueError(f"bad mode {self.mode!r}")
         if self.kind not in ("scalar", "matrix"):
             raise ValueError(f"bad kind {self.kind!r}")
+        if self.kind == "matrix" and self.dim != 2:
+            raise ValueError(
+                f"observable {self.name!r}: matrix observables are 2 x 2 "
+                f"(Hermitian, unit trace), got dim={self.dim}"
+            )
 
     def evaluate(self, u, v):
         """The rule's values at (u, v), broadcast to the full (read-only)
@@ -149,15 +167,17 @@ class Observable:
     def __mul__(self, other):
         if not isinstance(other, Observable):
             return NotImplemented
-        if (self.mode, self.kind, self.dim) != (other.mode, other.kind, other.dim):
-            raise ValueError("can only multiply observables of equal mode/kind")
+        if self.kind != "scalar" or other.kind != "scalar":
+            raise ValueError(
+                "only scalar observables multiply: a product of 2 x 2 projections "
+                "is neither Hermitian nor of unit trace"
+            )
+        if self.mode != other.mode:
+            raise ValueError("can only multiply observables of equal mode")
         a, b = self.rule, other.rule
-        if self.kind == "scalar":
-            rule = lambda u, v: np.asarray(a(u, v)) * np.asarray(b(u, v))
-        else:
-            rule = lambda u, v: np.asarray(a(u, v)) @ np.asarray(b(u, v))
         return Observable(
-            f"({self.name})*({other.name})", self.mode, self.kind, rule, self.tag, self.dim
+            f"({self.name})*({other.name})", self.mode, "scalar",
+            lambda u, v: np.asarray(a(u, v)) * np.asarray(b(u, v)), self.tag,
         )
 
 
@@ -282,15 +302,48 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
+def _bloch(obs, e, ws, name):
+    """The Bloch vectors of ``obs``'s (..., 2, 2) vertex values
+    e = (I + n . sigma) / 2, as a (3, ...) float64 array held in buffer
+    ``name`` of ``ws`` (see :func:`_kernels.bloch_vectors`).
+
+    A value that is not Hermitian, or whose trace is not 1, to within
+    ``_PROJECTION_TOL`` (a NaN included) raises ValueError naming ``obs``.
+    """
+    n = ws.take(name, (3,) + e.shape[:-2], np.float64)
+    herm, trace = K.bloch_vectors(e, out=n)
+    if not (herm <= _PROJECTION_TOL and trace <= _PROJECTION_TOL):
+        raise ValueError(
+            f"observable {obs.name!r} is not 2 x 2 Hermitian with unit trace at every "
+            f"vertex (|e-e*|={herm:.2e}, |Tr e-1|={trace:.2e}, tol={_PROJECTION_TOL:.0e})"
+        )
+    return n
+
+
 def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
 
     ``source`` is ``("direct", offx, offy)``, ``("pullback", order)`` or
     ``("cells",)``, as for :func:`_vertex_lattice`.  ``ws`` is the calling
     thread's :class:`_kernels.Workspace` (default: a fresh one); the
-    returned leaf sums never live in it.
+    returned leaf sums never live in it.  Each distinct matrix observable's
+    values are converted to Bloch vectors once, into ``ws``.
     """
     ws = K.Workspace() if ws is None else ws
+    matrix = observables[0].kind == "matrix"
+    # A matrix rule's own values live as long as the task: freed right after
+    # the conversion, a 4 MB array on top of the heap made glibc give its
+    # pages back, and the next task faulted them in again (25k page faults
+    # per 1-worker n = 10 pairing instead of 4k, a fifth of its time).
+    evaluated = []
+
+    def values(obs, u, v, slot):
+        a = obs.evaluate(u, v)
+        if not matrix:
+            return a
+        evaluated.append(a)
+        return _bloch(obs, a, ws, f"bloch.{slot}")
+
     cache = {}
     if source[0] == "direct":
         _, offx, offy = source
@@ -298,16 +351,18 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
         pts = _corner_points(*_direct_coords(idx, n, offx, offy, ws))
         for obs in observables:
             if id(obs) not in cache:
-                cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
+                cache[id(obs)] = [values(obs, u, v, f"{len(cache)}.{i}")
+                                  for i, (u, v) in enumerate(pts)]
     else:
         u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
         for obs in observables:
             if id(obs) not in cache:
-                a = obs.evaluate(u, v)
-                cache[id(obs)] = [a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]]
+                a = values(obs, u, v, len(cache))
+                cache[id(obs)] = [a[..., :-1, :-1], a[..., :-1, 1:],
+                                  a[..., 1:, 1:], a[..., 1:, :-1]]
     fv, gv, hv = (cache[id(o)] for o in observables)
 
-    kernel = K.scalar_kernel if observables[0].kind == "scalar" else K.matrix_kernel
+    kernel = K.matrix_kernel if matrix else K.scalar_kernel
     vals = kernel(*fv, *gv, *hv, out=ws)
     if source[0] != "direct":
         cells = vals.reshape(-1)

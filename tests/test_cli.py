@@ -16,9 +16,12 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+import numpy as np
+
 from dustcocycle import __version__, cli
+from dustcocycle import _kernels as K
 from dustcocycle.cli import CSV_COLUMNS, build_id, main
-from dustcocycle.oracle import SMOOTH_PRESETS
+from dustcocycle.oracle import SMOOTH_PRESETS, ProjectionField
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -358,6 +361,35 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 0
         assert "selftest passed" in out
+
+    def test_selftest_checks_the_matrix_kernel(self, monkeypatch, capsys):
+        code, out = run_cli("selftest")
+        line = next(x for x in out.splitlines() if x.startswith("matrix kernel vs matrix oracle"))
+        assert float(line.rsplit("=", 1)[1]) <= 1e-12
+        kernel = K.matrix_kernel
+        monkeypatch.setattr(K, "matrix_kernel", lambda *a, **kw: np.conj(kernel(*a, **kw)))
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert "FAIL matrix kernel oracle mismatch" in capsys.readouterr().err
+
+    def test_pairing_rejects_values_off_the_bloch_form(self, monkeypatch, capsys):
+        """A Bott field with trace 1.5 at the vertex images whose u is an odd
+        multiple of 1/128 passes the level-6 projection check and is refused
+        at n = 7, when the engine converts the first task's values."""
+
+        class OffGrid(ProjectionField):
+            def __call__(self, u, v):
+                e = super().__call__(u, v)
+                e[np.broadcast_to(np.asarray(u) * 128 % 2 == 1, e.shape[:-2])] *= 1.5
+                return e
+
+        field = OffGrid("bott-off-grid", 1, 1, 1.0)
+        monkeypatch.setattr(cli, "bott_projection", lambda degree: field)
+        code, _ = run_cli("pairing", "--n", "6", "--grid", "64")
+        assert code == 0
+        code, _ = run_cli("pairing", "--n", "7", "--grid", "64")
+        assert code == 2
+        assert "'bott-off-grid' is not 2 x 2 Hermitian with unit trace" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("--format", "json"), ("--out", "selftest.json")])
     def test_selftest_refuses_output_flags(self, flag, tmp_path, monkeypatch, capsys):

@@ -209,6 +209,84 @@ class TestResiduals:
         assert hoch[8] < hoch[4] / 4
 
 
+def broken_off_grid(defect):
+    """bott-1 broken at the vertex images whose u is an odd multiple of
+    1/128 (trace 1.5, e01 moved off conj(e10) by 1e-6, or e11 NaN): none is
+    on the level-6 grid the projection check sees, every level-7 pullback
+    task holds some."""
+    bott = bott_projection(1)
+
+    def rule(u, v):
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        e = np.array(np.broadcast_to(bott(u, v), shape + (2, 2)))
+        hit = np.broadcast_to(np.asarray(u) * 128 % 2 == 1, shape)
+        if defect == "trace":
+            e[hit] *= 1.5
+        elif defect == "nan":
+            e[hit, 1, 1] = np.nan
+        else:
+            e[hit, 0, 1] += 1e-6
+        return e
+
+    return Observable(f"bott-1-{defect}", "pullback", "matrix", rule, dim=2)
+
+
+class TestMatrixKind:
+    """The engine's matrix kind is 2 x 2 Hermitian with unit trace."""
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_only_two_by_two(self, dim):
+        with pytest.raises(ValueError, match="2 x 2"):
+            Observable("p", "pullback", "matrix", bott_projection(1), dim=dim)
+
+    def test_matrix_products_refused(self):
+        p = pullback_projection(bott_projection(1))
+        f, _, _, _, _ = resolve_functions("bott-flux")
+        for a, b in ((p, p), (p, f), (f, p)):
+            with pytest.raises(ValueError, match="only scalar observables multiply"):
+                a * b
+        assert (f * f).kind == "scalar"
+
+    @pytest.mark.parametrize("defect", ["trace", "hermitian", "nan"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_off_grid_defect_rejected_by_the_engine(self, defect, workers):
+        p = broken_off_grid(defect)
+        validate_projection(p, 7)  # the level-6 grid misses every broken vertex
+        assert pairing_n(DUST, 6, p, workers=workers).real == pytest.approx(2.0, abs=0.05)
+        refused = f"'bott-1-{defect}' is not 2 x 2 Hermitian with unit trace"
+        with pytest.raises(ValueError, match=refused):
+            pairing_n(DUST, 7, p, workers=workers)
+        with pytest.raises(ValueError, match="Hermitian with unit trace"):
+            phi_n(DUST, 9, pullback_projection(bott_projection(1)), p, p, workers=workers)
+
+    def test_direct_corner_values_checked(self):
+        bad = Observable("trace-2", "direct", "matrix",
+                         lambda u, v: np.broadcast_to(np.eye(2), np.shape(u) + (2, 2)), dim=2)
+        with pytest.raises(ValueError, match="'trace-2' is not 2 x 2 Hermitian"):
+            phi_n(DUST, 2, bad, bad, bad, workers=1)
+
+    def test_direct_bloch_field_matches_brute_force(self):
+        """A direct-mode field (I + n . sigma) / 2 with n = (sin x, cos y, x y),
+        not of unit length, against the matrix oracle square by square."""
+        def rule(u, v):
+            u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64),
+                                       np.asarray(v, dtype=np.float64))
+            e = np.empty(u.shape + (2, 2), dtype=np.complex128)
+            n1, n2, n3 = np.sin(u), np.cos(v), u * v
+            e[..., 0, 0], e[..., 1, 1] = 0.5 * (1 + n3), 0.5 * (1 - n3)
+            e[..., 0, 1], e[..., 1, 0] = 0.5 * (n1 - 1j * n2), 0.5 * (n1 + 1j * n2)
+            return e
+
+        p = Observable("bloch-xy", "direct", "matrix", rule, dim=2)
+        for n in range(0, 3):
+            got = phi_n(DUST, n, p, p, p, workers=1)
+            want = 0j
+            for sq in enumerate_squares(DUST, n):
+                vals = VertexValues(*(rule(*np.asarray(v.as_floats())) for v in vertices(sq)))
+                want += kernel_trace_oracle(vals, vals, vals)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
 class TestPairing:
     def test_constant_projection_vanishes(self):
         const = np.zeros((2, 2), dtype=np.complex128)

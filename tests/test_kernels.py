@@ -1,6 +1,6 @@
 """Digit-map semantics and the digit tables against the digit-by-digit loop,
-the matrix kernel against the matmul formula, and leaf-summation determinism
-of the hot kernels."""
+the Bloch-vector matrix kernel against the complex matmul formula, and
+leaf-summation determinism of the hot kernels."""
 
 import numpy as np
 import pytest
@@ -30,7 +30,8 @@ class TestDigitKernelParity:
 
 
 def matmul_reference(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
-    """The batched matmul/einsum form of the matrix kernel."""
+    """The batched matmul/einsum form of the matrix kernel, on (B, N, N)
+    complex matrices."""
     b1 = (g1 - g0) @ (h2 - h1) - (g3 - g0) @ (h2 - h3)
     b2 = (g3 - g2) @ (h0 - h3) - (g1 - g2) @ (h0 - h1)
     b3 = (g0 - g1) @ (h3 - h0) - (g2 - g1) @ (h3 - h2)
@@ -42,28 +43,88 @@ def matmul_reference(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
     return 0.5 * t
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def bloch_matrices(n):
+    """(I + n . sigma) / 2 for Bloch vectors n along axis 0, as (B, 2, 2)."""
+    n = np.asarray(n).reshape(3, -1)
+    return 0.5 * (np.eye(2) + np.einsum("kb,kij->bij", n, PAULI))
+
+
+def bloch_reference(*ns):
+    """matmul_reference of the Hermitian unit-trace matrices of Bloch inputs."""
+    return matmul_reference(*(bloch_matrices(n) for n in ns))
+
+
+def corner_views(a):
+    """Corners v0..v3 of every cell of a (3, H, W) Bloch lattice."""
+    return [a[:, :-1, :-1], a[:, :-1, 1:], a[:, 1:, 1:], a[:, 1:, :-1]]
+
+
+@st.composite
+def _bloch_inputs(draw):
+    """Twelve (3, ...) Bloch inputs: corner arrays or lattice views, of
+    distinct or shared (f = g = h) functions, always ending in a short block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = draw(st.sampled_from([1e-3, 1.0, 3.0]), label="scale")
+    nfun = 1 if draw(st.booleans(), label="f=g=h") else 3
+    if draw(st.booleans(), label="lattice"):
+        cols = draw(st.integers(3, 300), label="cells per row")
+        rows = K.BLOCK // cols
+        quads = [corner_views(scale * rng.standard_normal((3, 2 * rows + rows // 3 + 1, cols + 1)))
+                 for _ in range(nfun)]
+    else:
+        size = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK), label="squares")
+        quads = [[scale * rng.standard_normal((3, size)) for _ in range(4)] for _ in range(nfun)]
+    return [x for q in quads * (3 // nfun) for x in q]
+
+
 class TestMatrixKernelNumpy:
-    # B is never a multiple of the block, so every run has a short last block
-    @pytest.mark.parametrize("nn, size", [(2, 2 * K.MATRIX_BLOCK + 123), (3, K.MATRIX_BLOCK + 57)])
-    def test_matches_matmul_reference(self, rng, nn, size):
-        args = [random_complex(rng, (size, nn, nn)) for _ in range(12)]
+    @settings(max_examples=25, deadline=None)
+    @given(_bloch_inputs())
+    def test_matches_matmul_reference(self, args):
         got = K.matrix_kernel(*args)
-        assert got.shape == (size,)
-        assert np.allclose(got, matmul_reference(*args), rtol=1e-13, atol=1e-13)
+        assert got.shape == args[0].shape[1:] and got.dtype == np.complex128
+        assert np.allclose(got.ravel(), bloch_reference(*args), rtol=1e-13, atol=1e-13)
 
     def test_shared_inputs_match_matmul_reference(self, rng):
-        # a pairing passes the same four arrays as f, g and h
-        p = [random_complex(rng, (K.MATRIX_BLOCK + 321, 2, 2)) for _ in range(4)]
+        # a pairing passes the same four arrays as f, g and h; unit Bloch
+        # vectors are rank-1 projections
+        p = [rng.standard_normal((3, K.BLOCK + 321)) for _ in range(4)]
+        p = [x / np.sqrt((x * x).sum(axis=0)) for x in p]
         got = K.matrix_kernel(*p, *p, *p)
-        assert np.allclose(got, matmul_reference(*p, *p, *p), rtol=1e-13, atol=1e-13)
+        assert np.allclose(got, bloch_reference(*p, *p, *p), rtol=1e-13, atol=1e-13)
 
     def test_values_independent_of_chunking(self, rng):
-        size = 3 * K.MATRIX_BLOCK + 500
-        args = [random_complex(rng, (size, 2, 2)) for _ in range(12)]
-        whole = K.matrix_kernel(*args)
+        size = 3 * K.BLOCK + 500
+        args = [rng.standard_normal((3, size)) for _ in range(12)]
+        whole = K.matrix_kernel(*args).copy()
         lo, hi = 1234, size - 77  # neither end on a block boundary
-        part = K.matrix_kernel(*(x[lo:hi] for x in args))
+        part = K.matrix_kernel(*(x[:, lo:hi] for x in args))
         assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
+
+
+class TestBlochVectors:
+    def test_inverts_the_pauli_form(self, rng):
+        n = rng.standard_normal((3, 5, 7))
+        e = bloch_matrices(n).reshape(5, 7, 2, 2)
+        out = np.empty((3, 5, 7))
+        herm, trace = K.bloch_vectors(e, out=out)
+        np.testing.assert_allclose(out, n, rtol=0, atol=1e-15)
+        assert herm <= 1e-15 and trace <= 1e-15
+
+    @pytest.mark.parametrize("entry, delta, defect", [
+        ((0, 1), 1e-6, "herm"), ((1, 0), 1e-6j, "herm"), ((0, 0), 1e-6j, "herm"),
+        ((1, 1), 1e-6, "trace"), ((0, 0), np.nan, "trace"),
+    ])
+    def test_defects_seen_at_any_vertex(self, rng, entry, delta, defect):
+        e = bloch_matrices(rng.standard_normal((3, 2 * K.BLOCK + 5))).copy()
+        e[K.BLOCK + 3][entry] += delta  # in the second block
+        herm, trace = K.bloch_vectors(e, out=np.empty((3, len(e))))
+        got = {"herm": herm, "trace": trace}
+        assert not got[defect] < 1e-7
+        assert got["trace" if defect == "herm" else "herm"] < 1e-12 or np.isnan(delta)
 
 
 class TestLeafSums:

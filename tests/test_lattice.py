@@ -6,8 +6,11 @@ reads the four corners of every square from it.  A pullback task is always
 one aligned Morton tile, placed from its first word's digit map.
 The reference below is the per-square path it replaced: float corner
 coordinates of each square from every word's digit map, four ``evaluate``
-calls per observable, then the same kernel and leaf sums.  The two must agree
-bit for bit.
+calls per observable, then the same scalar kernel and leaf sums, which must
+agree bit for bit.  For 2 x 2 Hermitian unit-trace observables the reference
+runs the complex batched-matmul formula on the evaluated matrices, where the
+engine converts them to Bloch vectors and runs the real 3-vector kernel; the
+two agree to rounding.
 """
 
 import math
@@ -21,6 +24,7 @@ from dustcocycle import _kernels as K
 from dustcocycle import cocycle
 from dustcocycle.cocycle import LEAF, TASK_LEAVES, Observable, _leaf_sums_for_range, phi_n
 from dustcocycle.geometry import get_preset
+from test_kernels import PAULI, matmul_reference
 
 DUST = get_preset("cantor-dust")
 TWO_PI = 2.0 * math.pi
@@ -44,17 +48,40 @@ def _cell_coords(cells, n):
     return i * inv, (i + 1) * inv, j * inv, (j + 1) * inv
 
 
-def reference_leaf_sums(source, n, w_lo, w_hi, observables):
-    """Leaf sums over [w_lo, w_hi) with every square's corners evaluated apart."""
+def _corner_values(source, n, w_lo, w_hi, observables):
+    """Each observable's values at the corners v0..v3 of every square of
+    [w_lo, w_hi), evaluated square by square."""
     idx = np.arange(w_lo, w_hi, dtype=np.int64)
     if source[0] == "pullback":
         c0, c1, d0, d1 = _pullback_coords(idx, n)
     else:
         c0, c1, d0, d1 = _cell_coords(idx, n)
     pts = ((c0, d0), (c1, d0), (c1, d1), (c0, d1))
-    fv, gv, hv = ([o.evaluate(u, v) for (u, v) in pts] for o in observables)
-    kernel = K.scalar_kernel if observables[0].kind == "scalar" else K.matrix_kernel
-    return K.leaf_sums(np.ascontiguousarray(kernel(*fv, *gv, *hv)), LEAF)
+    return [[o.evaluate(u, v) for (u, v) in pts] for o in observables]
+
+
+def rounding_scale(f, g, h):
+    """Per square, the sum over the kernel's eight products F X Y of
+    |F| (|X| |Y| + e (|X| + |Y|)), with |.| the largest entry modulus and e
+    the largest of all the vertex values: the size of the rounding of either
+    kernel form.  The e terms are the rounding of matrix entries such as
+    (1 + n3) / 2, which a difference of nearly equal vertex values keeps."""
+    def m(a):
+        return np.abs(a).max(axis=(-2, -1))
+
+    e = max(np.abs(x).max() for x in (*f, *g, *h))
+    g10, g30, g32, g12 = m(g[1] - g[0]), m(g[3] - g[0]), m(g[3] - g[2]), m(g[1] - g[2])
+    h21, h23, h03, h01 = m(h[2] - h[1]), m(h[2] - h[3]), m(h[0] - h[3]), m(h[0] - h[1])
+    products = ((0, g10, h21), (0, g30, h23), (2, g32, h03), (2, g12, h01),
+                (1, g10, h03), (1, g12, h23), (3, g32, h21), (3, g30, h01))
+    return sum(m(f[k]) * (x * y + e * (x + y)) for k, x, y in products)
+
+
+def reference_leaf_sums(source, n, w_lo, w_hi, observables):
+    """Leaf sums of the scalar kernel over [w_lo, w_hi) with every square's
+    corners evaluated apart."""
+    fv, gv, hv = _corner_values(source, n, w_lo, w_hi, observables)
+    return K.leaf_sums(np.ascontiguousarray(K.scalar_kernel(*fv, *gv, *hv)), LEAF)
 
 
 def _pullback(n):
@@ -96,25 +123,29 @@ def _scalar(terms):
 
 
 def _matrix(entries):
-    fns = [_trig(t) for t in entries]
+    """(I + n . sigma) / 2 for a field n of three real trig polynomials, not
+    of unit length: a Hermitian unit-trace 2 x 2 field."""
+    fns = [_real_trig(t) for t in entries]
 
     def rule(u, v):
-        e = [fn(u, v) for fn in fns]
-        return np.stack([np.stack(e[:2], axis=-1), np.stack(e[2:], axis=-1)], axis=-2)
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        n = np.stack([np.broadcast_to(fn(u, v), shape) for fn in fns])
+        return 0.5 * (np.eye(2) + np.einsum("k...,kij->...ij", n, PAULI))
 
-    return Observable("trig-2x2", "pullback", "matrix", rule, dim=2)
+    return Observable("trig-bloch", "pullback", "matrix", rule, dim=2)
 
 
 @st.composite
-def _cases(draw):
-    kind = draw(st.sampled_from(["scalar", "matrix"]))
+def _cases(draw, matrix=False):
+    """A range of a pullback or subdivision sum and a scalar (or 2 x 2
+    Hermitian unit-trace) triple, of distinct or shared observables."""
     n = draw(st.integers(0, 9))
     source = _pullback(n) if draw(st.booleans()) else ("cells",)
     w_lo, w_hi = _draw_range(draw, source, n, 4**n)
-    make = _scalar if kind == "scalar" else _matrix
-    size = 1 if kind == "scalar" else 4
-    f, g, h = (make(draw(st.lists(_terms, min_size=size, max_size=size)))
-               if size > 1 else make(draw(_terms)) for _ in range(3))
+    if matrix:
+        f, g, h = (_matrix(draw(st.lists(_terms, min_size=3, max_size=3))) for _ in range(3))
+    else:
+        f, g, h = (_scalar(draw(_terms)) for _ in range(3))
     share = draw(st.sampled_from(["distinct", "f=g", "f=g=h"]))
     if share != "distinct":
         g = f
@@ -130,6 +161,18 @@ class TestLatticeMatchesReference:
         got = _leaf_sums_for_range(source, n, w_lo, w_hi, obs)
         want = reference_leaf_sums(source, n, w_lo, w_hi, obs)
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_cases(matrix=True))
+    def test_matrix_leaf_sums_match_matmul_reference(self, case):
+        """Each leaf within 1e-13 of the sum of its squares' rounding scales."""
+        source, n, w_lo, w_hi, obs = case
+        got = _leaf_sums_for_range(source, n, w_lo, w_hi, obs)
+        corners = _corner_values(source, n, w_lo, w_hi, obs)
+        want = K.leaf_sums(matmul_reference(*corners[0], *corners[1], *corners[2]), LEAF)
+        scale = K.leaf_sums(rounding_scale(*corners), LEAF).real
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("source", [("pullback",), ("cells",)])
     @pytest.mark.parametrize("n", [8, 9])

@@ -2,12 +2,14 @@
 workspace.
 
 The engine hands the kernels shifted views of each task's vertex lattice, not
-gathered corner arrays, real values as float64, and every worker thread
-reuses one workspace for the temporaries of all its tasks.  None of these may
-change a value: views must give what contiguous copies give, real inputs the
-real part of the same values cast to complex, bit for bit, and a task's leaf
-sums must not depend on what its thread's workspace held before.  The kernel
-is also checked to be linear in each of f, g and h.
+gathered corner arrays, real values as float64 (the matrix kernel's Bloch
+vectors always), and every worker thread reuses one workspace for the
+temporaries of all its tasks.  None of these may change a value: views must
+give what contiguous copies give, real scalar inputs the real part of the
+same values cast to complex, bit for bit, and a task's leaf sums must not
+depend on what its thread's workspace held before.  The scalar kernel is
+also checked to be linear in each of f, g and h, the matrix kernel linear in
+the Bloch vectors of g and h and affine in those of f.
 """
 
 import gc
@@ -39,8 +41,9 @@ def random_complex(rng, shape):
 
 
 def corner_views(a):
-    """Corners v0..v3 of every cell of lattice ``a``, as shifted views."""
-    return [a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]]
+    """Corners v0..v3 of every cell of lattice ``a`` (scalar (H, W) or
+    Bloch (3, H, W)), as shifted views."""
+    return [a[..., :-1, :-1], a[..., :-1, 1:], a[..., 1:, 1:], a[..., 1:, :-1]]
 
 
 def lattice_shape(cols, block):
@@ -57,7 +60,7 @@ def assert_bits_equal(a, b):
 
 class TestLatticeViews:
     def test_scalar_kernel_views_equal_contiguous_copies(self, rng):
-        h, w = lattice_shape(90, K.SCALAR_BLOCK)
+        h, w = lattice_shape(90, K.BLOCK)
         views = [c for _ in range(3) for c in corner_views(random_complex(rng, (h, w)))]
         got = K.scalar_kernel(*views)
         want = K.scalar_kernel(*(np.ascontiguousarray(v).ravel() for v in views))
@@ -66,46 +69,55 @@ class TestLatticeViews:
 
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "f=g=h"])
     def test_matrix_kernel_views_equal_contiguous_copies(self, rng, shared):
-        h, w = lattice_shape(70, K.MATRIX_BLOCK)
-        lattices = [random_complex(rng, (h, w, 2, 2)) for _ in range(1 if shared else 3)]
+        h, w = lattice_shape(70, K.BLOCK)
+        lattices = [rng.standard_normal((3, h, w)) for _ in range(1 if shared else 3)]
         views = [c for a in lattices * (3 if shared else 1) for c in corner_views(a)]
         got = K.matrix_kernel(*views)
-        copies = [np.ascontiguousarray(v).reshape(-1, 2, 2) for v in views]
-        if shared:  # keep the sharing, which decides how many block copies are made
+        copies = [np.ascontiguousarray(v).reshape(3, -1) for v in views]
+        if shared:  # keep the sharing: f, g and h are the same four arrays
             copies = copies[:4] * 3
         want = K.matrix_kernel(*copies)
         assert got.shape == (h - 1, w - 1)
         assert_bits_equal(got.ravel(), want)
 
-    @pytest.mark.parametrize("kernel, tail", [(K.scalar_kernel, ()), (K.matrix_kernel, (2, 2))])
-    def test_reused_workspace_gives_fresh_values(self, rng, kernel, tail):
+    @pytest.mark.parametrize("kernel", [K.scalar_kernel, K.matrix_kernel])
+    def test_reused_workspace_gives_fresh_values(self, rng, kernel):
         ws = K.Workspace()
-        big = [random_complex(rng, (3 * K.MATRIX_BLOCK + 5,) + tail) for _ in range(12)]
-        small = [random_complex(rng, (40, 33) + tail) for _ in range(12)]
+        big = _vertex_values(rng, kernel, (3 * K.BLOCK + 5,))
+        small = _vertex_values(rng, kernel, (40, 33))
         kernel(*big, out=ws)
         got = kernel(*small, out=ws).copy()
         assert_bits_equal(got, kernel(*small))
 
 
-def _kernel_inputs(rng, kind, shape, nn, tail):
+def _vertex_values(rng, kernel, lead):
+    """Twelve kernel inputs of leading shape ``lead``: complex scalars, or
+    (3,) + lead Bloch vectors."""
+    if kernel is K.matrix_kernel:
+        return [rng.standard_normal((3,) + lead) for _ in range(12)]
+    return [random_complex(rng, lead) for _ in range(12)]
+
+
+def _kernel_inputs(rng, kind, shape, nn):
     """Twelve float64 kernel inputs: 1-D corner arrays, or corner views of
-    three (f, g and h) lattices."""
+    three (f, g and h) lattices; a matrix input has its three Bloch
+    components in front."""
+    head = (3,) if kind == "matrix" else ()
     if shape == "corners":
-        return [rng.standard_normal((nn,) + tail) for _ in range(12)]
-    h, w = lattice_shape(nn, K.SCALAR_BLOCK if kind == "scalar" else K.MATRIX_BLOCK)
-    return [c for _ in range(3) for c in corner_views(rng.standard_normal((h, w) + tail))]
+        return [rng.standard_normal(head + (nn,)) for _ in range(12)]
+    h, w = lattice_shape(nn, K.BLOCK)
+    return [c for _ in range(3) for c in corner_views(rng.standard_normal(head + (h, w)))]
 
 
-_KERNELS = {"scalar": (K.scalar_kernel, ()), "matrix": (K.matrix_kernel, (2, 2))}
+_KERNELS = {"scalar": K.scalar_kernel, "matrix": K.matrix_kernel}
 
 
 @st.composite
-def _kernel_cases(draw):
-    kind = draw(st.sampled_from(sorted(_KERNELS)))
+def _kernel_cases(draw, kinds=tuple(sorted(_KERNELS))):
+    kind = draw(st.sampled_from(kinds))
     shape = draw(st.sampled_from(["corners", "lattice"]))
-    block = K.SCALAR_BLOCK if kind == "scalar" else K.MATRIX_BLOCK
     # corners: a square count up to two and a bit blocks; lattice: cells per row
-    nn = draw(st.integers(1, 2 * block + 99) if shape == "corners" else st.integers(3, 300))
+    nn = draw(st.integers(1, 2 * K.BLOCK + 99) if shape == "corners" else st.integers(3, 300))
     return kind, shape, nn, draw(st.integers(0, 2**32 - 1))
 
 
@@ -113,18 +125,18 @@ class TestRealKernels:
     """Float64 inputs run float64 temporaries into the complex result."""
 
     @settings(max_examples=30, deadline=None)
-    @given(_kernel_cases())
+    @given(_kernel_cases(kinds=("scalar",)))
     def test_real_part_bitwise_equal_to_complex_inputs(self, case):
         kind, shape, nn, seed = case
-        kernel, tail = _KERNELS[kind]
-        real = _kernel_inputs(np.random.default_rng(seed), kind, shape, nn, tail)
+        kernel = _KERNELS[kind]
+        real = _kernel_inputs(np.random.default_rng(seed), kind, shape, nn)
         ws = K.Workspace()
         got = kernel(*real, out=ws)
         want = kernel(*(x.astype(np.complex128) for x in real))
         assert got.dtype == want.dtype == np.complex128
         assert np.array_equal(got.real.view(np.uint64), want.real.view(np.uint64))
         assert not got.imag.view(np.uint64).any()  # +0.0 everywhere
-        # every temporary (and block copy) of a real call is real
+        # every temporary of a real call is real
         kinds = {name: dtype for name, dtype in ws._buffers if name.startswith("kernel.")}
         assert kinds.pop("kernel.result") == np.complex128
         assert set(kinds.values()) == {np.dtype(np.float64)}
@@ -134,14 +146,18 @@ class TestRealKernels:
            a=st.complex_numbers(max_magnitude=3.0), b=st.complex_numbers(max_magnitude=3.0))
     def test_linear_in_each_of_f_g_h(self, case, slot, real, a, b):
         """K(.., a x + b y, ..) = a K(.., x, ..) + b K(.., y, ..), with x and y
-        the four vertex values of f (slot 0), g (4) or h (8)."""
+        the four vertex values of f (slot 0), g (4) or h (8).  Bloch vectors
+        are real, and e = (I + n . sigma) / 2 is affine in n: the matrix
+        kernel takes real a and b, with b = 1 - a in the f slot."""
         kind, shape, nn, seed = case
-        kernel, tail = _KERNELS[kind]
+        kernel = _KERNELS[kind]
         rng = np.random.default_rng(seed)
-        args = _kernel_inputs(rng, kind, shape, nn, tail)
-        if not real:
-            args = [x + 1j * y for x, y in zip(args, _kernel_inputs(rng, kind, shape, nn, tail))]
-        other = [x[::-1] for x in args[slot:slot + 4]]  # a second, different quadruple
+        args = _kernel_inputs(rng, kind, shape, nn)
+        if kind == "matrix":
+            a, b = a.real, (1.0 - a.real if slot == 0 else b.real)
+        elif not real:
+            args = [x + 1j * y for x, y in zip(args, _kernel_inputs(rng, kind, shape, nn))]
+        other = [x[..., ::-1] for x in args[slot:slot + 4]]  # a second, different quadruple
 
         def with_slot(vals):
             return kernel(*args[:slot], *vals, *args[slot + 4:]).copy()
