@@ -13,11 +13,10 @@ digit-by-digit loop, which the tests keep as the reference.
 The engine's vertex values are of two kinds.  Scalar values are real or
 complex.  Matrix values are 2 x 2 Hermitian with unit trace, the form of the
 rank-1 projections and Bott fields the pairing is defined on:
-e = (I + n . sigma) / 2 with a real Bloch vector n, not necessarily of unit
-length.  The engine converts them to n before the kernel runs, so the matrix
-kernel is real 3-vector arithmetic on float64: for differences
-X = x . sigma / 2 and Y = y . sigma / 2 of such values,
-Tr(e X Y) = (x . y + i n . cross(x, y)) / 4.
+e = (I + n . sigma) / 2, given by its real Bloch vector n, not necessarily
+of unit length.  The matrix kernel is real 3-vector arithmetic on n in
+float64: for differences X = x . sigma / 2 and Y = y . sigma / 2 of such
+values, Tr(e X Y) = (x . y + i n . cross(x, y)) / 4.
 General N x N values, non-Hermitian triples and products of matrix values
 are not in the engine; :func:`dustcocycle.fredholm.kernel_trace` keeps the
 general N x N formula as the reference.
@@ -33,9 +32,7 @@ swaps the operands of a product with a temporary, and a complex product
 (fused multiply-add) is not bitwise commutative.  So a square's value
 depends only on its own inputs, never on the block, task or array layout it
 arrives in.  The matrix kernel agrees with the batched complex matmul
-formula to 1e-13 (rtol and atol), not to the last ulp: it changed the
-pairings of the Bott projections (degrees -3..3, n = 0..10) by at most
-1.8e-15 against the complex 2 x 2 kernel it replaced.
+formula to 1e-13 (rtol and atol), not to the last ulp.
 
 Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
 the twelve inputs, so real vertex values (every preset triple) run as
@@ -343,37 +340,6 @@ def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
         total += acc[:, 2]
         np.multiply(total, 0.125, out=parts[:, lo:hi])
     return result
-
-
-def bloch_vectors(e, *, out):
-    """Write the Bloch vectors n of the 2 x 2 values e = (I + n . sigma) / 2
-    into ``out`` and return how far e is from that form.
-
-    ``e`` is a (..., 2, 2) array and ``out`` a float64 (3, ...) array:
-    n1 = 2 Re e10, n2 = 2 Im e10, n3 = Re e00 - Re e11.  The result is
-    (Hermitian defect, trace defect): the largest |real or imaginary part| of
-    an entry of e - e*, and the largest |Re Tr e - 1| (|Im Tr e| is at most
-    the first); NaN if any value is NaN.  The work goes in blocks of rows,
-    small enough for each block of e to stay in cache through all of its
-    passes: e's entries are strided, so a pass over the whole of e would
-    read all of it from memory each time.
-    """
-
-    def spread(x, centre):  # the largest |x - centre|, as two reductions
-        return (x.max() - centre, centre - x.min())
-
-    herm, trace = [], []
-    for lo, hi, _ in _blocks(e.shape[:-2]):
-        b = e[lo:hi]
-        e00, e01, e10, e11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-        n = out[:, lo:hi]
-        np.multiply(e10.real, 2.0, out=n[0])
-        np.multiply(e10.imag, 2.0, out=n[1])
-        np.subtract(e00.real, e11.real, out=n[2])
-        herm += [2.0 * d for d in spread(e00.imag, 0.0) + spread(e11.imag, 0.0)]
-        herm += spread(e01.real - e10.real, 0.0) + spread(e01.imag + e10.imag, 0.0)
-        trace += spread(e00.real + e11.real, 1.0)
-    return float(np.max(herm)), float(np.max(trace))
 
 
 def leaf_sums(vals, leaf):

@@ -107,7 +107,8 @@ def _emit_object(obj: dict, text: str, args) -> None:
 
 
 def _emit_table(columns, dicts, args, extra_meta=None) -> None:
-    """Emit a table of records in the selected format to --out or stdout."""
+    """Emit a table of records in the selected format to --out or stdout;
+    CSV writes ``columns``, JSON every key of each record."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -130,10 +131,7 @@ def write_rows(rows: list[CocycleReport], args, extra_meta=None, timing=True) ->
         if not timing:
             d["ms"] = 0.0
         dicts.append(d)
-    if args.format == "csv":
-        _emit_table(CSV_COLUMNS, dicts, args, extra_meta)
-    else:
-        _emit_table(None, dicts, args, extra_meta)
+    _emit_table(CSV_COLUMNS, dicts, args, extra_meta)
 
 
 def _parse_n_range(spec: str) -> list[int]:

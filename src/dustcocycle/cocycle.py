@@ -18,10 +18,9 @@ cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
 The trace kernel reads the four shifted views ``a[:-1, :-1]``,
 ``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of each observable's
 (H, W) values: the corners v0..v3 of every cell, with no gather.  Real rules
-stay float64 up to the kernel's complex result.  A matrix observable's
-(H, W, 2, 2) values are first turned into a (3, H, W) float64 array of
-Bloch vectors, once per task, and the kernel reads the same views of it.
-The per-cell values are then put into word order with one ``np.take``.
+stay float64 up to the kernel's complex result.  A matrix observable's values
+are its (3, H, W) float64 Bloch vectors, and the kernel reads the same views
+of them.  The per-cell values are then put into word order with one ``np.take``.
 Every pullback task, at every level, walks its tile in the same Morton
 order, so a pullback sum builds that permutation once, from the digit table
 of the m-digit words, carries it in its source, and places each task's tile
@@ -108,23 +107,21 @@ class Observable:
 
     ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
     broadcast against each other: 1-D corner arrays of one shape, or a (1, W)
-    row of u and an (H, 1) column of v on a vertex lattice.  It returns a
-    real or complex array that broadcasts to their common shape, followed
-    for matrix kind by (2, 2); a rule that depends on u only may return the
-    (1, W) row.  ``mode`` decides what the engine feeds it: the vertex's own
-    triadic coordinates (direct) or the dyadic staircase image on the torus
-    (pullback).
+    row of u and an (H, 1) column of v on a vertex lattice.  A scalar rule
+    returns a real or complex array that broadcasts to their common shape; a
+    rule that depends on u only may return the (1, W) row.  ``mode`` decides
+    what the engine feeds it: the vertex's own triadic coordinates (direct)
+    or the dyadic staircase image on the torus (pullback).
 
-    Matrix kind means 2 x 2 Hermitian with unit trace, e = (I + n . sigma) / 2
-    for a real vector n: the rank-1 projections and Bott fields the pairing
-    is defined on.  The engine converts each vertex value to its Bloch vector
-    n once per task and runs a real 3-vector kernel on it; a value that is
-    not Hermitian with trace 1 to within 1e-10 raises ValueError there.
-    ``dim`` must be 2.  Larger matrices, non-Hermitian matrix triples and
-    products of matrix observables (a product of projections is neither
-    Hermitian nor of unit trace) are not supported.  Against the complex
-    2 x 2 kernel this replaced, the pairings of the Bott projections
-    (degrees -3..3, n = 0..10) moved by at most 1.8e-15.
+    Matrix kind is the 2 x 2 Hermitian unit-trace field
+    e = (I + n . sigma) / 2 of a real vector n: the rank-1 projections and
+    Bott fields the pairing is defined on.  Its rule returns n itself, a real
+    array of shape (3, ...) with n1, n2, n3 along axis 0 that broadcasts to
+    (3,) + the common shape; a complex or non-finite result raises
+    ValueError naming the observable.  ``dim`` must be 2.  Larger matrices,
+    non-Hermitian matrix triples and products of matrix observables (a
+    product of projections is neither Hermitian nor of unit trace) are not
+    supported.
     """
 
     name: str
@@ -147,22 +144,34 @@ class Observable:
 
     def evaluate(self, u, v):
         """The rule's values at (u, v), broadcast to the full (read-only)
-        shape: float64 when the rule's result is real, else complex128.
+        shape: float64 when the rule's result is real, else complex128; for
+        matrix kind, the (3, ...) float64 Bloch vectors.
 
-        A result that does not broadcast to that shape raises ValueError.
+        A result that does not broadcast to that shape, and for matrix kind
+        one that is complex or not finite, raises ValueError.
         """
         out = np.asarray(self.rule(u, v))
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if self.kind == "matrix":
-            shape += (self.dim, self.dim)
+            if np.iscomplexobj(out):
+                raise ValueError(
+                    f"observable {self.name!r}: a matrix rule returns real Bloch "
+                    f"vectors (3, ...), got a complex {out.shape} result"
+                )
+            shape = (3,) + shape
         out = out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
-        try:
-            return np.broadcast_to(out, shape)
-        except ValueError:
-            raise ValueError(
-                f"observable {self.name!r}: rule returned shape {out.shape}, "
-                f"which does not broadcast to {shape}"
-            ) from None
+        if self.kind == "matrix" and not np.isfinite(out).all():
+            raise ValueError(f"observable {self.name!r} is not finite at every vertex")
+        # a matrix result of fewer axes would broadcast n along the last one
+        if self.kind != "matrix" or out.ndim == len(shape):
+            try:
+                return np.broadcast_to(out, shape)
+            except ValueError:
+                pass
+        raise ValueError(
+            f"observable {self.name!r}: rule returned shape {out.shape}, "
+            f"which does not broadcast to {shape}"
+        )
 
     def __mul__(self, other):
         if not isinstance(other, Observable):
@@ -201,20 +210,25 @@ def pullback_projection(field: ProjectionField, name: str | None = None) -> Obse
 
 
 def validate_projection(obs: Observable, n: int):
-    """Check e^2 = e and e = e* at every level-m pullback vertex image,
-    m = min(n, 6): the 2**m x 2**m torus grid (i, j) / 2**m, evaluated as a
-    (1, 2**m) row of u and a (2**m, 1) column of v."""
+    """Check e^2 = e at every level-m pullback vertex image, m = min(n, 6):
+    the 2**m x 2**m torus grid (i, j) / 2**m, evaluated as a (1, 2**m) row
+    of u and a (2**m, 1) column of v.  For e = (I + n . sigma) / 2,
+    e^2 - e = (|n|^2 - 1) I / 4, and e = e* holds by construction.
+
+    A negative level raises ValueError before any evaluation.
+    """
     if obs.kind != "matrix":
         raise ValueError("projection check needs a matrix observable")
+    if n < 0:
+        raise ValueError("level must be >= 0")
     m = min(n, _PROJECTION_LEVEL)
     grid = np.arange(1 << m) / float(1 << m)
-    e = obs.evaluate(grid[None, :], grid[:, None])
-    herm = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max()
-    idem = np.abs(e @ e - e).max()
-    if herm > _PROJECTION_TOL or idem > _PROJECTION_TOL:
+    b = obs.evaluate(grid[None, :], grid[:, None])
+    idem = np.abs(b[0] * b[0] + b[1] * b[1] + b[2] * b[2] - 1.0).max() / 4.0
+    if idem > _PROJECTION_TOL:
         raise ValueError(
             f"observable {obs.name!r} is not a projection at level-{m} vertices "
-            f"(|e-e*|={herm:.2e}, |e^2-e|={idem:.2e}, tol={_PROJECTION_TOL:.0e})"
+            f"(|e^2-e|={idem:.2e}, tol={_PROJECTION_TOL:.0e})"
         )
 
 
@@ -302,48 +316,16 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _bloch(obs, e, ws, name):
-    """The Bloch vectors of ``obs``'s (..., 2, 2) vertex values
-    e = (I + n . sigma) / 2, as a (3, ...) float64 array held in buffer
-    ``name`` of ``ws`` (see :func:`_kernels.bloch_vectors`).
-
-    A value that is not Hermitian, or whose trace is not 1, to within
-    ``_PROJECTION_TOL`` (a NaN included) raises ValueError naming ``obs``.
-    """
-    n = ws.take(name, (3,) + e.shape[:-2], np.float64)
-    herm, trace = K.bloch_vectors(e, out=n)
-    if not (herm <= _PROJECTION_TOL and trace <= _PROJECTION_TOL):
-        raise ValueError(
-            f"observable {obs.name!r} is not 2 x 2 Hermitian with unit trace at every "
-            f"vertex (|e-e*|={herm:.2e}, |Tr e-1|={trace:.2e}, tol={_PROJECTION_TOL:.0e})"
-        )
-    return n
-
-
 def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
 
     ``source`` is ``("direct", offx, offy)``, ``("pullback", order)`` or
     ``("cells",)``, as for :func:`_vertex_lattice`.  ``ws`` is the calling
     thread's :class:`_kernels.Workspace` (default: a fresh one); the
-    returned leaf sums never live in it.  Each distinct matrix observable's
-    values are converted to Bloch vectors once, into ``ws``.
+    returned leaf sums never live in it.  Each distinct observable is
+    evaluated once.
     """
     ws = K.Workspace() if ws is None else ws
-    matrix = observables[0].kind == "matrix"
-    # A matrix rule's own values live as long as the task: freed right after
-    # the conversion, a 4 MB array on top of the heap made glibc give its
-    # pages back, and the next task faulted them in again (25k page faults
-    # per 1-worker n = 10 pairing instead of 4k, a fifth of its time).
-    evaluated = []
-
-    def values(obs, u, v, slot):
-        a = obs.evaluate(u, v)
-        if not matrix:
-            return a
-        evaluated.append(a)
-        return _bloch(obs, a, ws, f"bloch.{slot}")
-
     cache = {}
     if source[0] == "direct":
         _, offx, offy = source
@@ -351,18 +333,17 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
         pts = _corner_points(*_direct_coords(idx, n, offx, offy, ws))
         for obs in observables:
             if id(obs) not in cache:
-                cache[id(obs)] = [values(obs, u, v, f"{len(cache)}.{i}")
-                                  for i, (u, v) in enumerate(pts)]
+                cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
     else:
         u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
         for obs in observables:
             if id(obs) not in cache:
-                a = values(obs, u, v, len(cache))
+                a = obs.evaluate(u, v)
                 cache[id(obs)] = [a[..., :-1, :-1], a[..., :-1, 1:],
                                   a[..., 1:, 1:], a[..., 1:, :-1]]
     fv, gv, hv = (cache[id(o)] for o in observables)
 
-    kernel = K.matrix_kernel if matrix else K.scalar_kernel
+    kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     vals = kernel(*fv, *gv, *hv, out=ws)
     if source[0] != "direct":
         cells = vals.reshape(-1)

@@ -251,7 +251,8 @@ class ProjectionField:
 
     ``e = (I + n . sigma) / 2`` where ``n = h / |h|`` for a smooth field
     ``h`` that never vanishes; the sphere map ``n`` has winding number
-    ``degree``.
+    ``degree``.  Calling the field gives ``n``, which is how the engine's
+    matrix observables describe ``e``.
     """
 
     name: str
@@ -279,33 +280,15 @@ class ProjectionField:
         hv = (TWO_PI * np.cos(b), 0.0, TWO_PI * np.sin(b))
         return h, hu, hv
 
-    @staticmethod
-    def _pack(n1, n2, n3):
-        """(I + n . sigma) / 2 stacked as (..., 2, 2).
-
-        Each real and imaginary part is written in place: the values are
-        those of the complex expressions 0.5 * (n1 -+ 1j * n2), up to the
-        sign of an exact zero, without their 1 MB complex temporaries per
-        257 x 257 lattice.  Those temporaries set the peak RSS of the
-        pairing benchmark, and a lattice takes 2.8 ms here against 6.3 ms
-        with them (2-core VM).
-        """
-        shape = np.broadcast(n1, n2, n3).shape
-        e = np.zeros(shape + (2, 2), dtype=np.complex128)
-        re, im = e.real, e.imag
-        np.multiply(0.5, 1.0 + n3, out=re[..., 0, 0])
-        np.multiply(0.5, n1, out=re[..., 0, 1])
-        np.multiply(0.5, n1, out=re[..., 1, 0])
-        np.multiply(-0.5, n2, out=im[..., 0, 1])
-        np.multiply(0.5, n2, out=im[..., 1, 0])
-        np.multiply(0.5, 1.0 - n3, out=re[..., 1, 1])
-        return e
-
     def __call__(self, u, v):
-        """e(u, v) alone: the field's partials are never computed."""
+        """The unit field n = h / |h| at (u, v), the Bloch vector of e, as a
+        (3, ...) float64 array; the field's partials are never computed."""
         h = self._values(u, v)[2]
         norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
-        return self._pack(*(c / norm for c in h))
+        n = np.empty((3,) + norm.shape)
+        for k in range(3):
+            np.divide(h[k], norm, out=n[k, ...])
+        return n
 
 
 def bott_projection(degree: int) -> ProjectionField:

@@ -349,9 +349,13 @@ class TestExitCodes:
         assert code == 2
         assert "overflow" in capsys.readouterr().err
 
-    def test_bad_range(self):
+    def test_bad_range(self, capsys):
         code, _ = run_cli("converge", "--functions", "const-xy", "--n", "5..3")
         assert code == 2
+        # a negative pairing level is refused before the projection check
+        code, _ = run_cli("pairing", "--n", "-1", "--grid", "64")
+        assert code == 2
+        assert "error: level must be >= 0" in capsys.readouterr().err
 
     def test_mode_mismatch(self):
         code, _ = run_cli("phi", "--functions", "const-xy", "--n", "2", "--mode", "pullback")
@@ -373,15 +377,15 @@ class TestExitCodes:
         assert "FAIL matrix kernel oracle mismatch" in capsys.readouterr().err
 
     def test_pairing_rejects_values_off_the_bloch_form(self, monkeypatch, capsys):
-        """A Bott field with trace 1.5 at the vertex images whose u is an odd
+        """A Bott field whose n3 is NaN at the vertex images whose u is an odd
         multiple of 1/128 passes the level-6 projection check and is refused
-        at n = 7, when the engine converts the first task's values."""
+        at n = 7, when the engine evaluates the first task's values."""
 
         class OffGrid(ProjectionField):
             def __call__(self, u, v):
-                e = super().__call__(u, v)
-                e[np.broadcast_to(np.asarray(u) * 128 % 2 == 1, e.shape[:-2])] *= 1.5
-                return e
+                n = super().__call__(u, v)
+                n[2][np.broadcast_to(np.asarray(u) * 128 % 2 == 1, n.shape[1:])] = np.nan
+                return n
 
         field = OffGrid("bott-off-grid", 1, 1, 1.0)
         monkeypatch.setattr(cli, "bott_projection", lambda degree: field)
@@ -389,7 +393,7 @@ class TestExitCodes:
         assert code == 0
         code, _ = run_cli("pairing", "--n", "7", "--grid", "64")
         assert code == 2
-        assert "'bott-off-grid' is not 2 x 2 Hermitian with unit trace" in capsys.readouterr().err
+        assert "'bott-off-grid' is not finite at every vertex" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("--format", "json"), ("--out", "selftest.json")])
     def test_selftest_refuses_output_flags(self, flag, tmp_path, monkeypatch, capsys):

@@ -24,6 +24,7 @@ from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
 from dustcocycle.geometry import enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import dust_image
 from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection, get_smooth_preset
+from test_oracle import pauli_pack
 
 DUST = get_preset("cantor-dust")
 CARPET = get_preset("sierpinski-carpet")
@@ -79,7 +80,8 @@ class TestClosedForms:
             want = 0j
             for sq in enumerate_squares(DUST, n):
                 vals = VertexValues(
-                    *(p.rule(*np.asarray(dust_image(v).as_floats())) for v in vertices(sq))
+                    *(pauli_pack(p.rule(*np.asarray(dust_image(v).as_floats())))
+                      for v in vertices(sq))
                 )
                 want += kernel_trace_oracle(vals, vals, vals)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
@@ -209,26 +211,18 @@ class TestResiduals:
         assert hoch[8] < hoch[4] / 4
 
 
-def broken_off_grid(defect):
-    """bott-1 broken at the vertex images whose u is an odd multiple of
-    1/128 (trace 1.5, e01 moved off conj(e10) by 1e-6, or e11 NaN): none is
-    on the level-6 grid the projection check sees, every level-7 pullback
-    task holds some."""
+def nan_off_grid():
+    """bott-1 with n3 NaN at the vertex images whose u is an odd multiple of
+    1/128: none is on the level-6 grid the projection check sees, every
+    level-7 pullback task holds some."""
     bott = bott_projection(1)
 
     def rule(u, v):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        e = np.array(np.broadcast_to(bott(u, v), shape + (2, 2)))
-        hit = np.broadcast_to(np.asarray(u) * 128 % 2 == 1, shape)
-        if defect == "trace":
-            e[hit] *= 1.5
-        elif defect == "nan":
-            e[hit, 1, 1] = np.nan
-        else:
-            e[hit, 0, 1] += 1e-6
-        return e
+        n = bott(u, v)
+        n[2][np.broadcast_to(np.asarray(u) * 128 % 2 == 1, n.shape[1:])] = np.nan
+        return n
 
-    return Observable(f"bott-1-{defect}", "pullback", "matrix", rule, dim=2)
+    return Observable("bott-1-nan", "pullback", "matrix", rule, dim=2)
 
 
 class TestMatrixKind:
@@ -247,22 +241,26 @@ class TestMatrixKind:
                 a * b
         assert (f * f).kind == "scalar"
 
-    @pytest.mark.parametrize("defect", ["trace", "hermitian", "nan"])
+    @pytest.mark.parametrize("defect", ["nan"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_off_grid_defect_rejected_by_the_engine(self, defect, workers):
-        p = broken_off_grid(defect)
+        p = nan_off_grid()
         validate_projection(p, 7)  # the level-6 grid misses every broken vertex
         assert pairing_n(DUST, 6, p, workers=workers).real == pytest.approx(2.0, abs=0.05)
-        refused = f"'bott-1-{defect}' is not 2 x 2 Hermitian with unit trace"
+        refused = f"'bott-1-{defect}' is not finite at every vertex"
         with pytest.raises(ValueError, match=refused):
             pairing_n(DUST, 7, p, workers=workers)
-        with pytest.raises(ValueError, match="Hermitian with unit trace"):
+        with pytest.raises(ValueError, match=refused):
             phi_n(DUST, 9, pullback_projection(bott_projection(1)), p, p, workers=workers)
 
     def test_direct_corner_values_checked(self):
-        bad = Observable("trace-2", "direct", "matrix",
-                         lambda u, v: np.broadcast_to(np.eye(2), np.shape(u) + (2, 2)), dim=2)
-        with pytest.raises(ValueError, match="'trace-2' is not 2 x 2 Hermitian"):
+        def rule(u, v):
+            n = np.zeros((3,) + np.shape(u))
+            n[2] = np.where(np.asarray(u) > 0.5, np.inf, 1.0)
+            return n
+
+        bad = Observable("inf-right", "direct", "matrix", rule, dim=2)
+        with pytest.raises(ValueError, match="'inf-right' is not finite"):
             phi_n(DUST, 2, bad, bad, bad, workers=1)
 
     def test_direct_bloch_field_matches_brute_force(self):
@@ -271,55 +269,52 @@ class TestMatrixKind:
         def rule(u, v):
             u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64),
                                        np.asarray(v, dtype=np.float64))
-            e = np.empty(u.shape + (2, 2), dtype=np.complex128)
-            n1, n2, n3 = np.sin(u), np.cos(v), u * v
-            e[..., 0, 0], e[..., 1, 1] = 0.5 * (1 + n3), 0.5 * (1 - n3)
-            e[..., 0, 1], e[..., 1, 0] = 0.5 * (n1 - 1j * n2), 0.5 * (n1 + 1j * n2)
-            return e
+            return np.stack([np.sin(u), np.cos(v), u * v])
 
         p = Observable("bloch-xy", "direct", "matrix", rule, dim=2)
         for n in range(0, 3):
             got = phi_n(DUST, n, p, p, p, workers=1)
             want = 0j
             for sq in enumerate_squares(DUST, n):
-                vals = VertexValues(*(rule(*np.asarray(v.as_floats())) for v in vertices(sq)))
+                vals = VertexValues(
+                    *(pauli_pack(rule(*np.asarray(v.as_floats()))) for v in vertices(sq))
+                )
                 want += kernel_trace_oracle(vals, vals, vals)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestPairing:
     def test_constant_projection_vanishes(self):
-        const = np.zeros((2, 2), dtype=np.complex128)
-        const[0, 0] = 1.0
-        p = Observable(
+        p = Observable(  # diag(1, 0): n = (0, 0, 1)
             "diag(1,0)", "pullback", "matrix",
-            lambda u, v: np.broadcast_to(const, np.asarray(u).shape + (2, 2)).copy(),
+            lambda u, v: np.broadcast_to([[[0.0]], [[0.0]], [[1.0]]],
+                                         (3,) + np.broadcast_shapes(np.shape(u), np.shape(v))),
             tag="matrix-projection", dim=2,
         )
         assert pairing_n(DUST, 4, p, workers=1) == 0j
 
     def test_non_projection_rejected(self):
+        """n = (0.2, 0, 0.2) has |n|^2 = 0.08, so e = (I + n . sigma) / 2 has
+        e^2 - e = (|n|^2 - 1) I / 4 = -0.23 I."""
         p = Observable(
             "not-proj", "pullback", "matrix",
-            lambda u, v: np.broadcast_to(
-                np.array([[0.4, 0.0], [0.0, 0.2]], dtype=np.complex128),
-                np.asarray(u).shape + (2, 2),
-            ).copy(),
+            lambda u, v: np.broadcast_to([[[0.2]], [[0.0]], [[0.2]]],
+                                         (3,) + np.broadcast_shapes(np.shape(u), np.shape(v))),
             tag="matrix-projection", dim=2,
         )
-        with pytest.raises(ValueError, match="not a projection"):
+        with pytest.raises(ValueError, match=r"not a projection .*\|e\^2-e\|=2\.30e-01"):
             validate_projection(p, 4)
 
     def test_one_broken_grid_vertex_rejected(self):
-        """A Bott field broken only at (u, v) = (0, 1/64), a level-6 vertex
-        image that a sparse sample of words misses, is caught at every n >= 6."""
+        """A Bott field whose n is scaled to length 0.6 only at
+        (u, v) = (0, 1/64), a level-6 vertex image that a sparse sample of
+        words misses, is caught at every n >= 6."""
         bott = bott_projection(1)
 
         def rule(u, v):
-            hit = (np.asarray(u) == 0.0) & (np.asarray(v) == 1.0 / 64)
-            e = np.broadcast_to(bott(u, v), hit.shape + (2, 2)).copy()
-            e[hit] = np.diag([0.4, 0.2])
-            return e
+            n = bott(u, v)
+            n[:, (np.asarray(u) == 0.0) & (np.asarray(v) == 1.0 / 64)] *= 0.6
+            return n
 
         p = Observable("bott-1-broken", "pullback", "matrix", rule, dim=2)
         for n in (6, 9):

@@ -105,28 +105,6 @@ class TestMatrixKernelNumpy:
         assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
 
 
-class TestBlochVectors:
-    def test_inverts_the_pauli_form(self, rng):
-        n = rng.standard_normal((3, 5, 7))
-        e = bloch_matrices(n).reshape(5, 7, 2, 2)
-        out = np.empty((3, 5, 7))
-        herm, trace = K.bloch_vectors(e, out=out)
-        np.testing.assert_allclose(out, n, rtol=0, atol=1e-15)
-        assert herm <= 1e-15 and trace <= 1e-15
-
-    @pytest.mark.parametrize("entry, delta, defect", [
-        ((0, 1), 1e-6, "herm"), ((1, 0), 1e-6j, "herm"), ((0, 0), 1e-6j, "herm"),
-        ((1, 1), 1e-6, "trace"), ((0, 0), np.nan, "trace"),
-    ])
-    def test_defects_seen_at_any_vertex(self, rng, entry, delta, defect):
-        e = bloch_matrices(rng.standard_normal((3, 2 * K.BLOCK + 5))).copy()
-        e[K.BLOCK + 3][entry] += delta  # in the second block
-        herm, trace = K.bloch_vectors(e, out=np.empty((3, len(e))))
-        got = {"herm": herm, "trace": trace}
-        assert not got[defect] < 1e-7
-        assert got["trace" if defect == "herm" else "herm"] < 1e-12 or np.isnan(delta)
-
-
 class TestLeafSums:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

@@ -7,10 +7,10 @@ one aligned Morton tile, placed from its first word's digit map.
 The reference below is the per-square path it replaced: float corner
 coordinates of each square from every word's digit map, four ``evaluate``
 calls per observable, then the same scalar kernel and leaf sums, which must
-agree bit for bit.  For 2 x 2 Hermitian unit-trace observables the reference
-runs the complex batched-matmul formula on the evaluated matrices, where the
-engine converts them to Bloch vectors and runs the real 3-vector kernel; the
-two agree to rounding.
+agree bit for bit.  For 2 x 2 Hermitian unit-trace observables, whose rules
+return Bloch vectors, the reference forms the matrices and runs the complex
+batched-matmul formula on them, where the engine runs the real 3-vector
+kernel; the two agree to rounding.
 """
 
 import math
@@ -24,7 +24,7 @@ from dustcocycle import _kernels as K
 from dustcocycle import cocycle
 from dustcocycle.cocycle import LEAF, TASK_LEAVES, Observable, _leaf_sums_for_range, phi_n
 from dustcocycle.geometry import get_preset
-from test_kernels import PAULI, matmul_reference
+from test_kernels import bloch_matrices, matmul_reference
 
 DUST = get_preset("cantor-dust")
 TWO_PI = 2.0 * math.pi
@@ -124,13 +124,12 @@ def _scalar(terms):
 
 def _matrix(entries):
     """(I + n . sigma) / 2 for a field n of three real trig polynomials, not
-    of unit length: a Hermitian unit-trace 2 x 2 field."""
+    of unit length: a Hermitian unit-trace 2 x 2 field, given by n."""
     fns = [_real_trig(t) for t in entries]
 
     def rule(u, v):
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        n = np.stack([np.broadcast_to(fn(u, v), shape) for fn in fns])
-        return 0.5 * (np.eye(2) + np.einsum("k...,kij->...ij", n, PAULI))
+        return np.stack([np.broadcast_to(fn(u, v), shape) for fn in fns])
 
     return Observable("trig-bloch", "pullback", "matrix", rule, dim=2)
 
@@ -168,7 +167,8 @@ class TestLatticeMatchesReference:
         """Each leaf within 1e-13 of the sum of its squares' rounding scales."""
         source, n, w_lo, w_hi, obs = case
         got = _leaf_sums_for_range(source, n, w_lo, w_hi, obs)
-        corners = _corner_values(source, n, w_lo, w_hi, obs)
+        corners = [[bloch_matrices(x) for x in c]
+                   for c in _corner_values(source, n, w_lo, w_hi, obs)]
         want = K.leaf_sums(matmul_reference(*corners[0], *corners[1], *corners[2]), LEAF)
         scale = K.leaf_sums(rounding_scale(*corners), LEAF).real
         assert got.shape == want.shape
@@ -309,6 +309,24 @@ class TestObservableContract:
             phi_n(DUST, 3, flat, flat, flat, workers=1)
 
     def test_matrix_result_of_the_wrong_size_raises(self):
-        p = Observable("3x3", "pullback", "matrix", lambda u, v: np.zeros(np.shape(u) + (3, 3)), dim=2)
-        with pytest.raises(ValueError, match="does not broadcast"):
-            p.evaluate(np.zeros(4), np.zeros(4))
+        """A matrix rule returns (3, ...) Bloch vectors: neither (..., 2, 2)
+        matrices nor a (3,) vector that would broadcast along the last axis
+        are accepted."""
+        for name, rule in (("2x2", lambda u, v: np.zeros(np.shape(u) + (2, 2))),
+                           ("3-vector", lambda u, v: np.array([0.0, 0.0, 1.0]))):
+            p = Observable(name, "pullback", "matrix", rule, dim=2)
+            with pytest.raises(ValueError, match=f"'{name}'.*does not broadcast"):
+                p.evaluate(np.zeros(3), np.zeros(3))
+
+    def test_complex_matrix_result_refused(self):
+        """A rule returning complex matrices, the Hermitian form of e itself,
+        is refused by name, on the engine path and in the projection check."""
+        def rule(u, v):
+            shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+            return np.broadcast_to(np.diag([1.0 + 0j, 0.0]), shape + (2, 2))
+
+        p = Observable("complex-e", "pullback", "matrix", rule, dim=2)
+        with pytest.raises(ValueError, match="'complex-e': a matrix rule returns real Bloch"):
+            phi_n(DUST, 3, p, p, p, workers=1)
+        with pytest.raises(ValueError, match="'complex-e': a matrix rule returns real Bloch"):
+            cocycle.validate_projection(p, 3)

@@ -131,28 +131,29 @@ class TestProjectionField:
         field = bott_projection(d)
         pts = (np.arange(256) + 0.5) / 256
         u, v = np.meshgrid(pts, pts, indexing="ij")
-        e = field(u, v)
+        n = field(u, v)
+        assert n.shape == (3, 256, 256) and n.dtype == np.float64
+        assert np.abs((n * n).sum(axis=0) - 1.0).max() < 1e-12
+        e = pauli_pack(n)
         assert np.abs(e @ e - e).max() < 1e-10
-        assert np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max() < 1e-10
-        assert np.abs(np.einsum("...ii->...", e) - 1.0).max() < 1e-12
 
     def test_partials_match_finite_differences(self):
         field = bott_projection(1)
         u = np.array([0.13, 0.57, 0.81])
         v = np.array([0.29, 0.33, 0.91])
-        _, eu, ev = reference_projection_partials(field, u, v)
+        _, nu, nv = unit_field_partials(field, u, v)
         h = 1e-6
         fd_u = (field(u + h, v) - field(u - h, v)) / (2 * h)
         fd_v = (field(u, v + h) - field(u, v - h)) / (2 * h)
-        assert np.allclose(eu, fd_u, atol=1e-8)
-        assert np.allclose(ev, fd_v, atol=1e-8)
+        assert np.allclose(nu, fd_u, atol=1e-8)
+        assert np.allclose(nv, fd_v, atol=1e-8)
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_call_equals_with_partials_exactly(self, d):
         field = bott_projection(d)
         rng = np.random.default_rng(d + 11)
         u, v = rng.uniform(-1.0, 2.0, (2, 1000))
-        np.testing.assert_array_equal(field(u, v), reference_projection_partials(field, u, v)[0])
+        np.testing.assert_array_equal(field(u, v), unit_field_partials(field, u, v)[0])
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_chern_value_on_even_lattice(self, d):
