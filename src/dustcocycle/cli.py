@@ -22,7 +22,6 @@ from . import __version__
 from . import _kernels as K
 from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
-    BudgetError,
     CocycleReport,
     convergence_table,
     estimate_lipschitz,
@@ -35,7 +34,7 @@ from .cocycle import (
     resolve_workers,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
-from .geometry import PRESETS, enumerate_squares, get_preset, similarity_dimension
+from .geometry import PRESETS, BudgetError, enumerate_squares, get_preset, similarity_dimension
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,

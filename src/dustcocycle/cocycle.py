@@ -7,7 +7,7 @@ pairwise tree over 4096-word leaves.  The tree shape depends only on the term
 count, never on the worker count, so results are bit-identical however the
 work is spread.
 
-Each parallel task covers 65536 consecutive words.  In pullback mode the
+Each parallel task covers up to 65536 consecutive words.  In pullback mode the
 staircase image of the dust squares is the Z-order (Morton) walk of the
 2**n x 2**n torus cells, so a task's squares are one aligned 2**m x 2**m
 tile, m = min(n, 8) (for n <= 8, the whole grid).  The vertex lattice of a
@@ -25,15 +25,34 @@ Every pullback task, at every level, walks its tile in the same Morton
 order, so a pullback sum builds that permutation once, from the digit table
 of the m-digit words, carries it in its source, and places each task's tile
 from the digit map of its first word alone.
-Direct mode evaluates at the triadic vertices of each square instead, as
-four 1-D corner arrays; on the dust those squares share no vertices.
+
+Direct mode evaluates at the triadic vertices of each square instead, over
+3**n.  On the dust and the Sierpinski carpet its tasks are lattice tiles
+too: a task is the nmaps**k words of one level-k sub-fractal, k = min(n, 8)
+on the dust (4**8 words, 16 leaves) and min(n, 5) on the carpet (8**5
+words, 8 leaves), placed from its first word's corner numerators, and the
+rule runs on a row of x and a column of y.  The dust's squares share no
+vertices, so its lattice lists the tile's near columns and then its far
+ones (x0 + T(c), then x0 + T(c) + 1, with T writing c's bits as ternary
+digits 2), and likewise the rows: the corners v0..v3 are the four quadrants
+``a[:w, :w]``, ``a[:w, w:]``, ``a[w:, w:]`` and ``a[w:, :w]``, and the cells
+come in the pullback's Morton order.  The carpet's lattice is the
+(3**k + 1)**2 box around its tile, read through the shifted views; the
+kernel runs on every box cell, holes included (1.8x the squares at k = 5),
+and ``np.take`` keeps the tile's own.  A tile's layout depends only on the
+preset and k, so it is built once per level and cached.  Which presets get
+tiles is decided from data: a full tile must be a whole number of leaves.
+``full-subdivision-3``'s 9**k never is, so it keeps the word path, its only
+user: every word is digit-mapped (``_direct_coords``) and each observable is
+evaluated on four 1-D corner arrays.  :func:`estimate_lipschitz` reads the
+same tasks and corner views.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the digit maps, kernel temporaries and
 reordered values reuse its buffers, and nothing of it outlives the call.  The
 lattice coordinates are not among them: a row and a column are too small to
-need it.  A task still allocates its observables' own values and, in direct
-mode, its word indices.
+need it.  A task still allocates its observables' own values and, on the
+word path, its word indices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
 dyadic subdivision, in row-major order, on the same lattice views; its tasks
@@ -50,31 +69,22 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as K
-from .geometry import CANTOR_DUST, IfsPreset
+from .geometry import CANTOR_DUST, IfsPreset, budget_check
 from .oracle import ProjectionField, TorusFunction
 
 LEAF = 4096
-TASK_LEAVES = 16  # 65536 words per parallel task, always whole leaves
-# A pullback task, 4**min(n, 8) words, is the Morton walk of one aligned
-# 2**min(n, 8) x 2**min(n, 8) tile.
-_TILE_LEVEL = 8
+TASK_LEAVES = 16  # at most 65536 words per parallel task, always whole leaves
 _PROJECTION_LEVEL = 6
 _PROJECTION_TOL = 1e-10
 
-MAX_SQUARES_SCALAR = 4**12
-MAX_SQUARES_MATRIX = 4**10
-
 _WORKERS_ENV = "DUSTCOCYCLE_WORKERS"
-
-
-class BudgetError(ValueError):
-    """A run would enumerate more squares than the configured budget."""
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -250,28 +260,132 @@ def _direct_coords(words, n, offx, offy, ws):
     return coords
 
 
-def _vertex_lattice(source, n, w_lo, w_hi, ws):
-    """Vertex lattice of the image cells of words or cells [w_lo, w_hi).
+def _corner_views(near_y, far_y, near_x, far_x):
+    """Index tuples of the corners v0, v1, v2, v3 of every lattice cell, from
+    where the cells' near and far rows and columns sit in the lattice."""
+    return ((near_y, near_x), (near_y, far_x), (far_y, far_x), (far_y, near_x))
 
-    Returns the lattice that spans the bounding box of the cells (H - 1 rows
-    of W - 1 cells) as a (1, W) row of u and an (H, 1) column of v, and where
-    each square's cell sits in that box, in word order: flat row-major
-    indices for pullback words (Morton order), a slice for subdivision cells
-    (already row-major).  Every pullback task, at every level, is one aligned
-    tile of 4**m words, m = min(n, 8), whose squares are the tile of its
-    first word's image cell: the source ``("pullback", order)`` carries the
-    in-tile Morton order, ``K.dust_tile_order(m)``, and only the first word
-    is digit-mapped; any other pullback range raises ValueError.
-    Coordinates are the same floats as the per-square corners: pullback
-    columns and rows wrap with ``& mask`` (the periodic torus), subdivision
-    cells keep their far edge at coordinate value 1, so plain
-    (non-periodized) coordinate functions keep their Riemann sums.
+
+# each cell of a plain lattice spans two neighbouring rows and columns
+_SHIFTED = _corner_views(slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
+
+
+def _tile_level(nmaps):
+    """The largest k with nmaps**k words in one task of at most TASK_LEAVES
+    leaves: 8 on the dust, 5 on the carpet."""
+    k = 0
+    while nmaps > 1 and nmaps ** (k + 1) <= TASK_LEAVES * LEAF:
+        k += 1
+    return k
+
+
+class _Tile(NamedTuple):
+    """The vertex lattice of an aligned direct task of nmaps**k words, k =
+    min(n, :func:`_tile_level`): the level-k sub-fractal whose corner is the
+    task's first word's.
+
+    ``dx`` and ``dy`` are the lattice's column and row numerators over 3**n,
+    relative to that corner; ``views`` index the corners v0..v3 of the
+    lattice cells; ``order`` is where each word's cell sits among them, a
+    flat row-major index, in word order.
     """
+
+    dx: np.ndarray
+    dy: np.ndarray
+    views: tuple
+    order: np.ndarray
+
+
+def _direct_source(preset: IfsPreset, n: int):
+    """The source of a level-n direct sum on ``preset``.
+
+    Tasks are lattice tiles, ``("direct", offx, offy, tile)``, when a full
+    tile of nmaps**k words, k = :func:`_tile_level`, is a whole number of
+    leaves (4**8 on the dust, 8**5 on the carpet; below level k one tile is
+    the whole grid).  Otherwise (``full-subdivision-3``: 9**k never is) they
+    are runs of words, ``("words", offx, offy)``, each word digit-mapped.
+    """
+    offx, offy = preset.offset_arrays()
+    level = _tile_level(preset.nmaps)
+    if preset.nmaps**level % LEAF:
+        return ("words", offx, offy)
+    return ("direct", offx, offy, _direct_tile(preset.offsets, min(n, level)))
+
+
+@lru_cache(maxsize=32)
+def _direct_tile(offsets, k):
+    """The :class:`_Tile` of the level-k words of the IFS with these offsets,
+    with read-only arrays: built once per level, like the digit tables.
+
+    A tile's cells are the level-k words' own, read from their corner
+    numerators.  When they are every pair of their columns and rows (the
+    dust), the lattice lists the cells' near columns, then their far ones,
+    and likewise the rows, so the corners are its four quadrants and no
+    vertex is evaluated twice; every lattice cell is one of the tile's.
+    Otherwise (the carpet) the lattice is the (3**k + 1)**2 box around them,
+    whose cells share their vertices, and the kernel runs on every box cell
+    before the tile's own are gathered.
+    """
+    off = np.array(offsets, dtype=np.int64)
+    words = np.arange(len(offsets) ** k, dtype=np.int64)
+    kx, ky = K.corner_numerators(words, k, off[:, 0], off[:, 1])
+    xs, ys = np.unique(kx), np.unique(ky)
+    if xs.size * ys.size == kx.size:
+        w, h = xs.size, ys.size
+        tile = _Tile(
+            np.concatenate((xs, xs + 1)), np.concatenate((ys, ys + 1)),
+            _corner_views(slice(None, h), slice(h, None), slice(None, w), slice(w, None)),
+            np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
+        )
+    else:
+        side = 3**k
+        box = np.arange(side + 1, dtype=np.int64)
+        tile = _Tile(box, box, _SHIFTED, ky * side + kx)
+    for a in (tile.dx, tile.dy, tile.order):
+        a.flags.writeable = False
+    return tile
+
+
+def _task_span(source):
+    """Words per task: one direct tile's, else TASK_LEAVES leaves (from level
+    8 on one pullback tile, below it the whole grid)."""
+    return source[3].order.size if source[0] == "direct" else TASK_LEAVES * LEAF
+
+
+def _vertex_lattice(source, n, w_lo, w_hi, ws):
+    """Vertex lattice of the cells of words or cells [w_lo, w_hi).
+
+    Returns the lattice as a (1, W) row of u and an (H, 1) column of v, the
+    index tuples of the cell corners v0..v3 in it, and where each square's
+    cell sits among the lattice cells, in word order: flat row-major indices
+    for pullback words (Morton order) and direct tiles, a slice for
+    subdivision cells (already row-major).
+
+    Every pullback task, at every level, is one aligned tile of 4**m words,
+    m = min(n, 8), whose squares are the tile of its first word's image cell:
+    the source ``("pullback", order)`` carries the in-tile Morton order,
+    ``K.dust_tile_order(m)``, and only the first word is digit-mapped.  A
+    direct task is one aligned :class:`_Tile`, placed from its first word's
+    corner numerators alike.  Any other pullback or direct range raises
+    ValueError.  Coordinates are the same floats as the per-square corners:
+    pullback columns and rows wrap with ``& mask`` (the periodic torus),
+    subdivision cells keep their far edge at coordinate value 1, so plain
+    (non-periodized) coordinate functions keep their Riemann sums, and
+    direct ones are numerators over 3**n.
+    """
+    if source[0] == "direct":
+        _, offx, offy, tile = source
+        if w_lo % tile.order.size or w_hi - w_lo != tile.order.size:
+            raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned direct task")
+        kx, ky = K.corner_numerators(np.array([w_lo], dtype=np.int64), n, offx, offy, out=ws)
+        den = float(3**n)
+        x, y = (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den
+        return x[None, :], y[:, None], tile.views, tile.order
     side = 1 << n
     mask = side - 1
     if source[0] == "pullback":
         order = source[1]
-        cols = rows = 1 << min(n, _TILE_LEVEL)
+        cols = rows = 1 << min(n, _tile_level(4))
         if order.size != cols * rows or w_lo % order.size or w_hi - w_lo != order.size:
             raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned pullback task")
         mx, my = K.dust_image_bits(np.array([w_lo], dtype=np.int64), n, out=ws)
@@ -288,12 +402,35 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
         x &= mask
         y &= mask
     inv = 1.0 / float(side)
-    return (x * inv)[None, :], (y * inv)[:, None], order
+    return (x * inv)[None, :], (y * inv)[:, None], _SHIFTED, order
 
 
-def _corner_points(c0, c1, d0, d1):
-    """Vertex evaluation points in order v0, v1, v2, v3."""
-    return ((c0, d0), (c1, d0), (c1, d1), (c0, d1))
+def _corner_values(source, n, w_lo, w_hi, observables, ws):
+    """Each observable's values at the corners v0..v3 of the cells of words
+    or cells [w_lo, w_hi), and where each word's cell sits among them: None
+    on the word path, whose 1-D corner arrays are in word order already.
+
+    Each distinct observable is evaluated once, on the lattice of
+    :func:`_vertex_lattice`, or on the word path at the four corner arrays
+    of every word's own digit map.
+    """
+    cache = {}
+    if source[0] == "words":
+        _, offx, offy = source
+        idx = np.arange(w_lo, w_hi, dtype=np.int64)
+        x0, x1, y0, y1 = _direct_coords(idx, n, offx, offy, ws)
+        for obs in observables:
+            if id(obs) not in cache:
+                cache[id(obs)] = [obs.evaluate(u, v)
+                                  for u, v in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        order = None
+    else:
+        u, v, views, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
+        for obs in observables:
+            if id(obs) not in cache:
+                a = obs.evaluate(u, v)
+                cache[id(obs)] = [a[(..., *view)] for view in views]
+    return [cache[id(o)] for o in observables], order
 
 
 # ---------------------------------------------------------------------------
@@ -319,38 +456,20 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
 def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
 
-    ``source`` is ``("direct", offx, offy)``, ``("pullback", order)`` or
-    ``("cells",)``, as for :func:`_vertex_lattice`.  ``ws`` is the calling
-    thread's :class:`_kernels.Workspace` (default: a fresh one); the
-    returned leaf sums never live in it.  Each distinct observable is
-    evaluated once.
+    ``source`` is ``("direct", offx, offy, tile)`` or ``("words", offx,
+    offy)`` as :func:`_direct_source` builds it, ``("pullback", order)`` or
+    ``("cells",)``.  ``ws`` is the calling thread's
+    :class:`_kernels.Workspace` (default: a fresh one); the returned leaf
+    sums never live in it.  Each distinct observable is evaluated once.
     """
     ws = K.Workspace() if ws is None else ws
-    cache = {}
-    if source[0] == "direct":
-        _, offx, offy = source
-        idx = np.arange(w_lo, w_hi, dtype=np.int64)
-        pts = _corner_points(*_direct_coords(idx, n, offx, offy, ws))
-        for obs in observables:
-            if id(obs) not in cache:
-                cache[id(obs)] = [obs.evaluate(u, v) for (u, v) in pts]
-    else:
-        u, v, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
-        for obs in observables:
-            if id(obs) not in cache:
-                a = obs.evaluate(u, v)
-                cache[id(obs)] = [a[..., :-1, :-1], a[..., :-1, 1:],
-                                  a[..., 1:, 1:], a[..., 1:, :-1]]
-    fv, gv, hv = (cache[id(o)] for o in observables)
-
+    (fv, gv, hv), order = _corner_values(source, n, w_lo, w_hi, observables, ws)
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     vals = kernel(*fv, *gv, *hv, out=ws)
-    if source[0] != "direct":
-        cells = vals.reshape(-1)
-        if isinstance(order, slice):
-            vals = cells[order]
-        else:
-            vals = np.take(cells, order, out=ws.take("reordered", order.shape))
+    if isinstance(order, slice):
+        vals = vals.reshape(-1)[order]
+    elif order is not None:
+        vals = np.take(vals.reshape(-1), order, out=ws.take("reordered", order.shape))
     return K.leaf_sums(vals, LEAF)
 
 
@@ -358,7 +477,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
     observables = (f, g, h)
     nleaves = (total + LEAF - 1) // LEAF
     leafsums = np.empty(nleaves, dtype=np.complex128)
-    span = TASK_LEAVES * LEAF
+    span = _task_span(source)
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
     local = threading.local()  # one workspace per thread, dropped on return
 
@@ -399,15 +518,6 @@ def _word_count(nmaps, n):
     return total
 
 
-def _budget_check(total, kind, allow_large):
-    cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX
-    if total > cap and not allow_large:
-        raise BudgetError(
-            f"{total} squares exceed the {kind} budget of {cap}; "
-            "pass allow_large=True (CLI: --override-budget) to proceed"
-        )
-
-
 def phi_n(
     preset: IfsPreset,
     n: int,
@@ -428,16 +538,15 @@ def phi_n(
         raise ValueError("level must be >= 0")
     kind, mode = _check_triple(f, g, h)
     total = _word_count(preset.nmaps, n)
-    _budget_check(total, kind, allow_large)
+    budget_check(total, kind, allow_large)
     workers = resolve_workers(workers)
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
         # one Morton order for every task of the sum; it dies with the call
-        source = ("pullback", K.dust_tile_order(min(n, _TILE_LEVEL)))
+        source = ("pullback", K.dust_tile_order(min(n, _tile_level(preset.nmaps))))
     else:
-        offx, offy = preset.offset_arrays()
-        source = ("direct", offx, offy)
+        source = _direct_source(preset, n)
     return _sum_kernel(source, n, total, f, g, h, workers)
 
 
@@ -460,7 +569,7 @@ def phi_subdivision(
     if n < 0:
         raise ValueError("level must be >= 0")
     total = _word_count(4, n)
-    _budget_check(total, "scalar", allow_large)
+    budget_check(total, "scalar", allow_large)
     workers = resolve_workers(workers)
     obs = tuple(
         Observable(getattr(t, "name", "fn"), "pullback", "scalar",
@@ -591,25 +700,34 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
 
     The Lipschitz constant is estimated by maximizing difference quotients
     over the four edges of every level-n square, the same differences the
-    kernel consumes.
+    kernel consumes, read from the same tasks and corner views as
+    :func:`phi_n`'s.  Box cells outside a carpet tile are gathered out, so
+    the vertices and edges of its holes never count; a maximum does not
+    depend on the order it is taken in.  A negative level raises ValueError.
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
+    if n < 0:
+        raise ValueError("level must be >= 0")
     total = _word_count(preset.nmaps, n)
-    offx, offy = preset.offset_arrays()
+    source = _direct_source(preset, n)
+    span = _task_span(source)
     edge = 3.0**-n
     sup = 0.0
     lip = 0.0
-    span = TASK_LEAVES * LEAF
     ws = K.Workspace()
     for lo in range(0, total, span):
-        hi = min(total, lo + span)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        x0, x1, y0, y1 = _direct_coords(idx, n, offx, offy, ws)
-        vals = [obs.evaluate(u, v) for (u, v) in _corner_points(x0, x1, y0, y1)]
-        sup = max(sup, max(np.abs(v).max() for v in vals))
+        (vals,), order = _corner_values(source, n, lo, min(total, lo + span), (obs,), ws)
+
+        def top(x):
+            x = np.abs(x)
+            if order is not None and order.size < x.size:
+                x = np.take(x, order)
+            return x.max()
+
+        sup = max(sup, max(top(v) for v in vals))
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            lip = max(lip, np.abs(vals[b] - vals[a]).max() / edge)
+            lip = max(lip, top(vals[b] - vals[a]) / edge)
     return sup, lip
 
 

@@ -16,7 +16,25 @@ from typing import Iterator
 
 import numpy as np
 
-MAX_LEVEL_WITHOUT_OVERRIDE = 16
+# The square budget: the most level-n squares a run enumerates unless the
+# caller passes allow_large.
+MAX_SQUARES_SCALAR = 4**12
+MAX_SQUARES_MATRIX = 4**10
+
+
+class BudgetError(ValueError):
+    """A run would enumerate more squares than the configured budget."""
+
+
+def budget_check(total, kind, allow_large):
+    """Refuse ``total`` squares above the budget of ``kind`` ('scalar' or
+    'matrix') with :class:`BudgetError`, unless ``allow_large``."""
+    cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX
+    if total > cap and not allow_large:
+        raise BudgetError(
+            f"{total} squares exceed the {kind} budget of {cap}; "
+            "pass allow_large=True (CLI: --override-budget) to proceed"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,18 +141,15 @@ def enumerate_squares(
 
     Streaming: nothing is materialized.  ``prefix`` restricts the stream to
     words starting with the given symbols, so disjoint prefix sub-streams can
-    be recreated independently on separate workers.  Levels above
-    ``MAX_LEVEL_WITHOUT_OVERRIDE`` are refused unless ``allow_large`` is set.
+    be recreated independently on separate workers.  More than
+    ``MAX_SQUARES_SCALAR`` level-n squares (nmaps**n, whatever the prefix) are
+    refused with :class:`BudgetError` unless ``allow_large`` is set.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     if len(prefix) > n:
         raise ValueError("prefix longer than the word length")
-    if n > MAX_LEVEL_WITHOUT_OVERRIDE and not allow_large:
-        raise ValueError(
-            f"level {n} exceeds the guard ({MAX_LEVEL_WITHOUT_OVERRIDE}); "
-            "pass allow_large=True to override"
-        )
+    budget_check(preset.nmaps**n, "scalar", allow_large)
     offsets = preset.offsets
     if any(not 0 <= s < preset.nmaps for s in prefix):
         raise ValueError(f"prefix symbols must lie in [0, {preset.nmaps})")

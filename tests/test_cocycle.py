@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dustcocycle.cocycle import (
-    BudgetError,
     Observable,
     convergence_table,
     cyclicity_residual,
@@ -21,7 +20,7 @@ from dustcocycle.cocycle import (
     validate_projection,
 )
 from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
-from dustcocycle.geometry import enumerate_squares, get_preset, vertices
+from dustcocycle.geometry import BudgetError, enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import dust_image
 from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection, get_smooth_preset
 from test_oracle import pauli_pack
@@ -176,6 +175,54 @@ class TestLipschitzDecay:
         sup, lip = estimate_lipschitz(DUST, 4, g)
         assert sup == pytest.approx(1.0, abs=1e-12)
         assert lip == pytest.approx(1.0, rel=1e-12)
+
+    # peaks, and is steepest, inside the carpet's central hole
+    HOLE_BUMP = direct_scalar(
+        lambda u, v: np.exp(-60.0 * ((np.asarray(u) - 0.5) ** 2 + (np.asarray(v) - 0.5) ** 2)),
+        "hole-bump")
+    # each steepest on one kind of edge only: top, bottom, right, left
+    EDGE_PROBES = tuple(
+        direct_scalar(rule, name) for rule, name in (
+            (lambda u, v: u * (1.0 + v), "x(1+y)"),
+            (lambda u, v: u * (2.0 - v), "x(2-y)"),
+            (lambda u, v: (1.0 + u) * v, "(1+x)y"),
+            (lambda u, v: (2.0 - u) * v, "(2-x)y"),
+        ))
+
+    @staticmethod
+    def brute_force(preset, n, obs):
+        """(sup |obs|, largest edge difference / 3**-n) over the vertices and
+        edges of every level-n square, from geometry's own enumeration."""
+        corners = np.array([[v.as_floats() for v in vertices(sq)]
+                            for sq in enumerate_squares(preset, n)])
+        vals = obs.evaluate(corners[..., 0], corners[..., 1])  # squares x (v0..v3)
+        edges = np.abs(np.roll(vals, -1, axis=1) - vals)  # v0v1, v1v2, v2v3, v3v0
+        return np.abs(vals).max(), edges.max() / 3.0**-n
+
+    @pytest.mark.parametrize("preset, levels", [(CARPET, range(1, 5)), (DUST, range(1, 6))])
+    def test_estimates_equal_brute_force(self, preset, levels):
+        """Every edge of every level-n square counts, and only the vertices
+        and edges of those squares: on the carpet, none of its holes'."""
+        f, g, h, _, _ = resolve_functions("sine-xy")
+        for n in levels:
+            for obs in (f, g, h, self.HOLE_BUMP, *self.EDGE_PROBES):
+                assert estimate_lipschitz(preset, n, obs) == self.brute_force(preset, n, obs)
+
+    def test_hole_bump_sees_the_holes(self):
+        """Over the whole vertex grid, holes included, the bump's sup and
+        Lipschitz estimate are larger than over the carpet's own squares."""
+        for n in range(2, 5):
+            grid = np.arange(3**n + 1) / float(3**n)
+            a = self.HOLE_BUMP.evaluate(grid[None, :], grid[:, None])
+            lip = max(np.abs(np.diff(a, axis=0)).max(), np.abs(np.diff(a, axis=1)).max())
+            sup_sq, lip_sq = self.brute_force(CARPET, n, self.HOLE_BUMP)
+            assert a.max() > sup_sq and lip / 3.0**-n > lip_sq
+
+    def test_negative_level_refused(self):
+        f, _, _, _, _ = resolve_functions("const-xy")
+        for preset in (DUST, CARPET, FULL):
+            with pytest.raises(ValueError, match="level must be >= 0"):
+                estimate_lipschitz(preset, -1, f)
 
 
 class TestResiduals:

@@ -9,6 +9,7 @@ from dustcocycle.geometry import (
     CANTOR_DUST,
     FULL_SUBDIVISION_3,
     SIERPINSKI_CARPET,
+    BudgetError,
     enumerate_squares,
     get_preset,
     similarity_dimension,
@@ -80,8 +81,12 @@ class TestEnumeration:
         assert parts == full
 
     def test_level_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            next(iter(enumerate_squares(CANTOR_DUST, 17)))
+        """The stream obeys the engine's scalar square budget, nmaps**n <= 4**12."""
+        assert next(iter(enumerate_squares(CANTOR_DUST, 12))).level == 12
+        assert next(iter(enumerate_squares(SIERPINSKI_CARPET, 8))).level == 8
+        for preset, n in ((CANTOR_DUST, 13), (SIERPINSKI_CARPET, 9), (CANTOR_DUST, 17)):
+            with pytest.raises(BudgetError, match="squares exceed the scalar budget of 16777216"):
+                next(iter(enumerate_squares(preset, n)))
         stream = enumerate_squares(CANTOR_DUST, 17, prefix=(0,) * 16, allow_large=True)
         assert next(iter(stream)).level == 17
 

@@ -1,16 +1,18 @@
 """Per-tile vertex-lattice evaluation against the four-corner reference.
 
-The engine evaluates pullback and subdivision observables once per vertex of
-each task's lattice, handed to the rule as a row of u and a column of v, and
-reads the four corners of every square from it.  A pullback task is always
-one aligned Morton tile, placed from its first word's digit map.
-The reference below is the per-square path it replaced: float corner
-coordinates of each square from every word's digit map, four ``evaluate``
-calls per observable, then the same scalar kernel and leaf sums, which must
-agree bit for bit.  For 2 x 2 Hermitian unit-trace observables, whose rules
-return Bloch vectors, the reference forms the matrices and runs the complex
-batched-matmul formula on them, where the engine runs the real 3-vector
-kernel; the two agree to rounding.
+The engine evaluates pullback, subdivision and direct observables on the
+dust and the carpet once per vertex of each task's lattice, handed to the
+rule as a row of u and a column of v, and reads the four corners of every
+square from it.  A pullback or direct task is always one aligned tile,
+placed from its first word's digit map.  ``full-subdivision-3`` keeps the
+word path, which digit-maps every word.
+The reference below is the per-square path the lattices replaced: float
+corner coordinates of each square from every word's digit map, four
+``evaluate`` calls per observable, then the same scalar kernel and leaf
+sums, which must agree bit for bit.  For 2 x 2 Hermitian unit-trace
+observables, whose rules return Bloch vectors, the reference forms the
+matrices and runs the complex batched-matmul formula on them, where the
+engine runs the real 3-vector kernel; the two agree to rounding.
 """
 
 import math
@@ -22,11 +24,22 @@ from hypothesis import strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle import cocycle
-from dustcocycle.cocycle import LEAF, TASK_LEAVES, Observable, _leaf_sums_for_range, phi_n
+from dustcocycle.cocycle import (
+    LEAF,
+    TASK_LEAVES,
+    Observable,
+    _direct_source,
+    _leaf_sums_for_range,
+    _task_span,
+    phi_n,
+    resolve_functions,
+)
 from dustcocycle.geometry import get_preset
 from test_kernels import bloch_matrices, matmul_reference
 
 DUST = get_preset("cantor-dust")
+CARPET = get_preset("sierpinski-carpet")
+FULL = get_preset("full-subdivision-3")
 TWO_PI = 2.0 * math.pi
 
 
@@ -48,11 +61,20 @@ def _cell_coords(cells, n):
     return i * inv, (i + 1) * inv, j * inv, (j + 1) * inv
 
 
+def _direct_coords(words, n, offx, offy):
+    """Triadic corners (x0, x1, y0, y1) of every word's own square."""
+    kx, ky = K.corner_numerators(words, n, offx, offy)
+    den = float(3**n)
+    return kx / den, (kx + 1) / den, ky / den, (ky + 1) / den
+
+
 def _corner_values(source, n, w_lo, w_hi, observables):
     """Each observable's values at the corners v0..v3 of every square of
     [w_lo, w_hi), evaluated square by square."""
     idx = np.arange(w_lo, w_hi, dtype=np.int64)
-    if source[0] == "pullback":
+    if source[0] in ("direct", "words"):
+        c0, c1, d0, d1 = _direct_coords(idx, n, source[1], source[2])
+    elif source[0] == "pullback":
         c0, c1, d0, d1 = _pullback_coords(idx, n)
     else:
         c0, c1, d0, d1 = _cell_coords(idx, n)
@@ -86,14 +108,15 @@ def reference_leaf_sums(source, n, w_lo, w_hi, observables):
 
 def _pullback(n):
     """The pullback source of a level-n sum, as ``phi_n`` builds it."""
-    return ("pullback", K.dust_tile_order(min(n, cocycle._TILE_LEVEL)))
+    return ("pullback", K.dust_tile_order(min(n, cocycle._tile_level(4))))
 
 
 def _draw_range(draw, source, n, total):
-    """A pullback range is one whole aligned tile at a random task index; a
-    subdivision or direct range is any nonempty range of up to 3 leaves."""
-    if source[0] == "pullback":
-        tile = source[1].size
+    """A pullback or direct tile range is one whole aligned tile at a random
+    task index; a subdivision or word range is any nonempty range of up to 3
+    leaves."""
+    if source[0] in ("pullback", "direct"):
+        tile = _task_span(source) if source[0] == "direct" else source[1].size
         w_lo = tile * draw(st.integers(0, total // tile - 1))
         return w_lo, w_lo + tile
     w_lo = draw(st.integers(0, total - 1))
@@ -198,6 +221,19 @@ class TestLatticeMatchesReference:
             _leaf_sums_for_range(_pullback(5), 9, 0, 1024, obs)
 
 
+def _count_mapped_words(monkeypatch, name):
+    """The word count of every later call to the digit map ``K.<name>``."""
+    mapped = []
+    digit_map = getattr(K, name)
+
+    def counting(w, *args, **kw):
+        mapped.append(np.size(w))
+        return digit_map(w, *args, **kw)
+
+    monkeypatch.setattr(K, name, counting)
+    return mapped
+
+
 class TestVertexCount:
     def test_each_vertex_once_per_tile(self):
         """n=9 is four aligned 256 x 256 Morton tiles of 257 x 257 vertices,
@@ -215,17 +251,71 @@ class TestVertexCount:
     @pytest.mark.parametrize("n, words", [(0, 1), (5, 1), (8, 1), (9, 4)])
     def test_one_digit_mapped_word_per_tile(self, monkeypatch, n, words):
         """Only each tile's first word is digit-mapped, at every level."""
-        mapped = []
-        digit_map = K.dust_image_bits
-
-        def counting(w, level, **kw):
-            mapped.append(np.size(w))
-            return digit_map(w, level, **kw)
-
-        monkeypatch.setattr(K, "dust_image_bits", counting)
+        mapped = _count_mapped_words(monkeypatch, "dust_image_bits")
         f = Observable("trig", "pullback", "scalar", lambda u, v: np.cos(TWO_PI * (u - v)))
         phi_n(DUST, n, f, f, f, workers=2)
         assert mapped == [1] * words
+
+
+class TestDirectTiles:
+    """Direct tasks on the dust and the carpet are lattice tiles placed from
+    their first word; the reference takes every word's corners from its own
+    digit map."""
+
+    @pytest.mark.parametrize("name", ["linear-xy", "sine-xy"])
+    @pytest.mark.parametrize("preset, n", [(DUST, 3), (DUST, 8), (DUST, 9),
+                                           (CARPET, 3), (CARPET, 5), (CARPET, 6)])
+    def test_tile_leaf_sums_equal_per_square_reference(self, preset, n, name):
+        obs = resolve_functions(name)[:3]
+        source = _direct_source(preset, n)
+        assert source[0] == "direct"
+        span = _task_span(source)
+        assert span == preset.nmaps ** min(n, {4: 8, 8: 5}[preset.nmaps])
+        for w_lo in range(0, preset.nmaps**n, span):
+            got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
+            want = reference_leaf_sums(source, n, w_lo, w_lo + span, obs)
+            np.testing.assert_array_equal(got, want)
+
+    def test_dust_tile_cells_come_in_morton_order(self):
+        for n in (0, 1, 5, 8, 9):
+            tile = _direct_source(DUST, n)[3]
+            np.testing.assert_array_equal(tile.order, K.dust_tile_order(min(n, 8)))
+            assert tile.dx.size == tile.dy.size == 2 << min(n, 8)
+
+    def test_tile_needs_one_full_aligned_task(self):
+        obs = resolve_functions("sine-xy")[:3]
+        for preset, n in ((DUST, 9), (CARPET, 6), (DUST, 3), (CARPET, 2)):
+            source = _direct_source(preset, n)
+            span = _task_span(source)
+            for lo, hi in ((0, span - 1), (1, span + 1), (0, 2 * span), (span // 2, span)):
+                with pytest.raises(ValueError, match="full aligned direct task"):
+                    _leaf_sums_for_range(source, n, lo, hi, obs)
+
+    @pytest.mark.parametrize("preset, n, tasks", [(DUST, 0, 1), (DUST, 9, 4),
+                                                  (CARPET, 4, 1), (CARPET, 6, 8)])
+    def test_one_digit_mapped_word_per_tile(self, monkeypatch, preset, n, tasks):
+        _direct_source(preset, n)  # the tile itself is built once per level
+        mapped = _count_mapped_words(monkeypatch, "corner_numerators")
+        obs = resolve_functions("sine-xy")[:3]
+        phi_n(preset, n, *obs, workers=2)
+        assert mapped == [1] * tasks
+
+    def test_full_subdivision_keeps_the_word_path(self, monkeypatch):
+        """9**k words are never whole leaves: every word is digit-mapped, and
+        the leaf sums are the per-square reference's."""
+        obs = resolve_functions("sine-xy")[:3]
+        for n in (0, 3, 6):
+            source = _direct_source(FULL, n)
+            assert source[0] == "words"
+            span = _task_span(source)
+            for w_lo in range(0, 9**n, span):
+                w_hi = min(9**n, w_lo + span)
+                np.testing.assert_array_equal(
+                    _leaf_sums_for_range(source, n, w_lo, w_hi, obs),
+                    reference_leaf_sums(source, n, w_lo, w_hi, obs))
+        mapped = _count_mapped_words(monkeypatch, "corner_numerators")
+        phi_n(FULL, 6, *obs, workers=1)
+        assert sum(mapped) == 9**6
 
 
 # a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
@@ -244,7 +334,7 @@ def _as_complex(fn):
     return lambda u, v: np.asarray(fn(u, v)).astype(np.complex128)
 
 
-_DIRECT = {name: get_preset(name) for name in ("cantor-dust", "sierpinski-carpet")}
+_DIRECT = {p.name: p for p in (DUST, CARPET, FULL)}
 
 
 @st.composite
@@ -253,13 +343,13 @@ def _real_cases(draw):
     n = draw(st.integers(0, 9))
     if mode == "direct":
         preset = _DIRECT[draw(st.sampled_from(sorted(_DIRECT)))]
-        source = ("direct", *preset.offset_arrays())
+        source = _direct_source(preset, n)
         nmaps = preset.nmaps
     else:
         source = _pullback(n) if mode == "pullback" else ("cells",)
         nmaps = 4
     total = nmaps**n
-    span = TASK_LEAVES * LEAF
+    span = _task_span(source)
     if draw(st.booleans()):  # one aligned task, as the engine makes them
         w_lo = span * draw(st.integers(0, (total - 1) // span))
         w_hi = min(total, w_lo + span)
