@@ -21,11 +21,27 @@ General N x N values, non-Hermitian triples and products of matrix values
 are not in the engine; :func:`dustcocycle.fredholm.kernel_trace` keeps the
 general N x N formula as the reference.
 
-Both trace kernels take their inputs with any leading shape -- (B,) corner
-arrays, or (H-1, W-1) shifted views of a vertex lattice, with no corner
-gather; the matrix kernel's inputs carry the three Bloch components in front
--- work through them in blocks of about :data:`BLOCK` squares along the first
-lattice axis, and write their temporaries and their result into a
+Both trace kernels take the vertex lattices of f, g and h (the matrix
+kernel's with the three Bloch components in front) and the four slices
+``cells = (near_y, far_y, near_x, far_x)`` that say where every cell's near
+and far rows and columns sit in them: ``(:-1, 1:, :-1, 1:)`` on a plain
+lattice, whose neighbouring cells share their edges; the quadrants of the
+dust's direct tiles, which share none; or :func:`corner_lattice`, which
+makes a lattice of 1-D corner arrays.  They work through the cells in
+blocks of about :data:`BLOCK` squares along the row axis, reading f at the
+four corners and g and h only as edge differences (:func:`edges`): the
+x-edges Dx = a[:, far_x] - a[:, near_x] and the y-edges
+Dy = a[far_y] - a[near_y], each read at two offsets.  On a plain lattice a
+block's Dx spans its rows lo..hi, so every shared edge is subtracted once;
+where no edge is shared, each of the four is its own difference.
+The kernel's other four vertex differences per function are exact
+negations of these, and a negated operand rounds exactly like the original,
+so the signs fold into the terms and every value is bitwise that of the
+eight-difference corner form the tests keep (up to the sign of an exact
+zero).  Edges are formed per block, from the lattice, never for a whole
+lattice at once: whole-lattice edges kept every value but raised the peak
+RSS of the lipschitz-direct benchmark by 8%, 4 MB of edges per worker on
+the dust's 512 x 512 direct lattice.  Temporaries and the result go into a
 :class:`Workspace` passed as ``out=``.  Every product names its operands and
 its ``out=`` buffer: on arrays of 256 KB and more, numpy's temporary elision
 swaps the operands of a product with a temporary, and a complex product
@@ -35,7 +51,7 @@ arrives in.  The matrix kernel agrees with the batched complex matmul
 formula to 1e-13 (rtol and atol), not to the last ulp.
 
 Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
-the twelve inputs, so real vertex values (every preset triple) run as
+the three lattices, so real vertex values (every preset triple) run as
 float64, at half the bytes and a quarter of the multiplies of complex ones.
 The result is always complex128; the last step of each block casts into it.
 For real inputs its real part is bitwise that of the same inputs cast to
@@ -56,16 +72,17 @@ from functools import lru_cache
 import numpy as np
 
 # Squares per block of both trace kernels: 64 rows of a 256 x 256 pullback
-# tile.  The scalar kernel's float64 temporaries (eight differences, three
-# accumulators) are 1.4 MB, the matrix kernel's (eight differences of four
-# rows, twelve rows of accumulators and products) 5.8 MB.  Each block makes
-# about 30 (scalar) or 70 (matrix) ufunc calls, and the Python between them
-# holds the GIL, so the block size sets how well two workers overlap.  On a
-# 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and 0.32 s
-# on two with 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.
-# 65536-square blocks gained little more (0.13 s on two workers) but raised
-# the peak RSS of the lipschitz-direct benchmark by 7% and of
-# pullback-converge by 14%.
+# tile.  On such a tile the scalar kernel's float64 temporaries (the x- and
+# y-edges of g and h, three accumulators) are 0.9 MB (1.4 MB on the dust's
+# quadrants, whose edges are not shared), the matrix kernel's (the edges in
+# four rows, twelve rows of accumulators and products) 3.7 MB, or 2.6 MB when
+# g = h, as in a pairing.  Each block makes about 25 (scalar) or 50 to 60
+# (matrix) ufunc calls, and the Python between them holds the GIL, so the
+# block size sets how well two workers overlap.  On a 2-core VM, bott-flux
+# phi_n at n = 11 took 0.23 s on one worker and 0.32 s on two with
+# 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.  65536-square
+# blocks gained little more (0.13 s on two workers) but raised the peak RSS
+# of the lipschitz-direct benchmark by 7% and of pullback-converge by 14%.
 BLOCK = 16384
 
 # Entries in one digit table: chunks of k digits with nmaps**k <= 2**16.
@@ -221,112 +238,175 @@ def _blocks(lead):
         yield lo, hi, (hi - lo,) + lead[1:]
 
 
-def _terms(f, g, h, diff):
-    """The four terms (accumulate, F, X, Y, X', Y') of the kernel, each
-    F (X Y - X' Y') added or subtracted, from the vertex values f, g, h
-    (each v0..v3) and ``diff(name, a, b)``, which writes a - b.
+def corner_lattice(v0, v1, v2, v3):
+    """Corner arrays as a lattice and its cells: (a, cells) with a the
+    (..., 2B, 2) array [[v0 | v1], [v3 | v2]] of B-square corner arrays
+    v0..v3 of shape (..., B).  Row i of a holds square i's near corners, row
+    B + i its far ones, so a shares no edges between squares and cell i is
+    row i of the (B, 1) cells."""
+    b = v0.shape[-1]
+    a = np.concatenate((np.stack((v0, v1), axis=-1), np.stack((v3, v2), axis=-1)), axis=-2)
+    return a, (slice(None, b), slice(b, None), slice(None, 1), slice(1, None))
 
-    The twelve per-term vertex differences are four of g and four of h, or
-    their exact negations.
+
+def _rows(a, cells, lo, hi):
+    """Where the near and far rows of cell rows [lo, hi) (hi None: the last)
+    sit in lattice ``a``, as slices with explicit bounds."""
+    near, far = (range(a.shape[-2])[s] for s in cells[:2])
+    hi = len(near) if hi is None else hi
+    return slice(near.start + lo, near.start + hi), slice(far.start + lo, far.start + hi)
+
+
+def corners(a, cells, lo=0, hi=None):
+    """The values v0, v1, v2, v3 of lattice ``a`` at the corners of the cells
+    in cell rows [lo, hi) (default: all), as views."""
+    near_y, far_y = _rows(a, cells, lo, hi)
+    near_x, far_x = cells[2:]
+    return (a[..., near_y, near_x], a[..., near_y, far_x],
+            a[..., far_y, far_x], a[..., far_y, near_x])
+
+
+def edges(a, cells, diff, lo=0, hi=None):
+    """The edge differences of lattice ``a`` along the cells in cell rows
+    [lo, hi) (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0,
+    v2 - v1), the x-edges at the cells' near and far rows and the y-edges at
+    their near and far columns.  The other four corner differences are their
+    exact negations.
+
+    ``diff(name, x, y)`` returns x - y.  Where the cells' near and far rows
+    overlap or touch (a shifted lattice), it is called on two arrays, the
+    x-edges Dx = a[:, far_x] - a[:, near_x] of rows lo..hi and the y-edges
+    Dy = a[far_y] - a[near_y], each read at two offsets, so an edge two
+    cells share is subtracted once.  Where they lie apart (the dust's
+    quadrants, corner lattices), no edge is shared, and each of the four is
+    its own contiguous difference: products of strided views of a shared Dy
+    made the dust's kernel about 8% slower.
     """
-    g10, g30, g32, g12 = (diff("g10", g[1], g[0]), diff("g30", g[3], g[0]),
-                          diff("g32", g[3], g[2]), diff("g12", g[1], g[2]))
-    h21, h23, h03, h01 = (diff("h21", h[2], h[1]), diff("h23", h[2], h[3]),
-                          diff("h03", h[0], h[3]), diff("h01", h[0], h[1]))
+    near_y, far_y = _rows(a, cells, lo, hi)
+    near_x, far_x = cells[2:]
+    top, bottom = min(near_y.start, far_y.start), max(near_y.stop, far_y.stop)
+    if bottom - top > 2 * (near_y.stop - near_y.start):
+        return (diff("xn", a[..., near_y, far_x], a[..., near_y, near_x]),
+                diff("xf", a[..., far_y, far_x], a[..., far_y, near_x]),
+                diff("yn", a[..., far_y, near_x], a[..., near_y, near_x]),
+                diff("yf", a[..., far_y, far_x], a[..., near_y, far_x]))
+    dx = diff("dx", a[..., top:bottom, far_x], a[..., top:bottom, near_x])
+    dy = diff("dy", a[..., far_y, :], a[..., near_y, :])
+    return (dx[..., near_y.start - top : near_y.stop - top, :],
+            dx[..., far_y.start - top : far_y.stop - top, :],
+            dy[..., near_x], dy[..., far_x])
+
+
+def _terms(f, g, h, cells, lo, hi, diff):
+    """The four terms (F, X, Y, X', Y') of the kernel on cell rows [lo, hi),
+    each F (X Y - X' Y') added: f at the corners v0, v2, v1, v3 and the edge
+    differences of g and h (h = g shares them).
+
+    The eight vertex differences of the corner form are these edges or
+    their exact negations, and a product or difference of negated operands
+    rounds to the negation of the original, so folding the signs into the
+    terms keeps every value (up to the sign of an exact zero).
+    """
+    f0, f1, f2, f3 = corners(f, cells, lo, hi)
+    gxn, gxf, gyn, gyf = edges(g, cells, lambda name, x, y: diff("g" + name, x, y), lo, hi)
+    hxn, hxf, hyn, hyf = (gxn, gxf, gyn, gyf) if h is g else edges(
+        h, cells, lambda name, x, y: diff("h" + name, x, y), lo, hi)
     return (
-        (np.add, f[0], g10, h21, g30, h23),
-        (np.add, f[2], g32, h03, g12, h01),
-        (np.subtract, f[1], g10, h03, g12, h23),
-        (np.subtract, f[3], g32, h21, g30, h01),
+        (f0, gxn, hyf, gyn, hxf),
+        (f2, gxf, hyn, gyf, hxn),
+        (f1, gxn, hyn, gyf, hxf),
+        (f3, gxf, hyf, gyn, hxn),
     )
 
 
-def scalar_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
+def scalar_kernel(f, g, h, *, cells, out=None):
     """Per-square trace kernel for scalar vertex values.
 
-    Index i is the vertex number: v0 corner, v1 right, v2 opposite, v3 up.
-    The result is 0.5 * (f0 b1 + f2 b2 - f1 b3 - f3 b4) with
-    b1 = (g1-g0)(h2-h1) - (g3-g0)(h2-h3) and b2..b4 its rotations.  The
-    inputs, real or complex, share one shape, that of the complex128
-    result.  ``out`` is the :class:`Workspace` that holds the result and the
-    temporaries (the result is overwritten by the next kernel call on it); by
-    default a fresh one.
+    ``f``, ``g`` and ``h`` are vertex lattices of one shape, real or
+    complex; ``cells = (near_y, far_y, near_x, far_x)`` are slices of its two
+    axes, the near and far rows and columns of every cell, whose corners are
+    v0 = (near_y, near_x), v1 = (near_y, far_x), v2 = (far_y, far_x) and
+    v3 = (far_y, near_x).  The result, complex128 of the cells' shape, is
+    0.5 * (f0 b1 + f2 b2 - f1 b3 - f3 b4) with b1 = (g1-g0)(h2-h1) -
+    (g3-g0)(h2-h3) and b2..b4 its rotations, computed on the x- and y-edge
+    differences of g and h.  ``out`` is the :class:`Workspace` that holds the
+    result and the temporaries (the result is overwritten by the next kernel
+    call on it); by default a fresh one.
     """
-    inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
     ws = Workspace() if out is None else out
-    dtype = np.result_type(*inputs)
-    result = ws.take("kernel.result", f0.shape)
-    for lo, hi, block in _blocks(f0.shape):
-        vals = [x[lo:hi] for x in inputs]
+    dtype = np.result_type(f, g, h)
+    lead = f[cells[0], cells[2]].shape
+    result = ws.take("kernel.result", lead)
+    for lo, hi, block in _blocks(lead):
 
         def diff(name, a, b):
-            return np.subtract(a, b, out=ws.take(f"kernel.{name}", block, dtype))
+            return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
 
-        terms = _terms(vals[:4], vals[4:8], vals[8:], diff)
+        terms = _terms(f, g, h, cells, lo, hi, diff)
         acc = ws.take("kernel.acc", block, dtype)
         s = ws.take("kernel.s", block, dtype)
         prod = ws.take("kernel.prod", block, dtype)
-        for k, (accumulate, F, X, Y, X2, Y2) in enumerate(terms):
+        for k, (F, X, Y, X2, Y2) in enumerate(terms):
             t = s if k else acc
             np.multiply(X, Y, out=t)
             t -= np.multiply(X2, Y2, out=prod)
             t *= F
             if k:
-                accumulate(acc, s, out=acc)
+                acc += t
         # the cast of a real block into the complex result
         np.multiply(0.5, acc, out=result[lo:hi])
     return result
 
 
-def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
+def matrix_kernel(f, g, h, *, cells, out=None):
     """Per-square trace kernel for 2 x 2 Hermitian unit-trace vertex values,
     read as their real Bloch vectors.
 
-    Each input is a float64 (3, ...) array: the vertex value
-    e = (I + n . sigma) / 2 with n = (n1, n2, n3) along axis 0.  The result,
-    complex128 of the inputs' trailing shape, is the matrix form of the
-    scalar kernel, 0.5 * (Tr f0 b1 + Tr f2 b2 - Tr f1 b3 - Tr f3 b4).  A
-    difference of two vertex values is X = x . sigma / 2, and the Pauli
-    algebra gives Tr(e X Y) = (x . y + i n . cross(x, y)) / 4, so the result
-    is the sum of (x . y - x' . y' + i F . (cross(x, y) - cross(x', y'))) / 8
-    over the four terms F (X Y - X' Y'), on the same eight vertex
-    differences as the scalar kernel.  By bilinearity the four real parts
-    add up to (g10 - g32) . (h21 - h03) - (g30 - g12) . (h23 - h01), with
-    gij the Bloch vector of g(vi) - g(vj).  ``out`` as for
+    ``f``, ``g`` and ``h`` are float64 (3, H, W) lattices: the vertex value
+    e = (I + n . sigma) / 2 with n = (n1, n2, n3) along axis 0; ``cells`` as
+    for :func:`scalar_kernel`.  The result, complex128 of the cells' shape,
+    is the matrix form of the scalar kernel, 0.5 * (Tr f0 b1 + Tr f2 b2 -
+    Tr f1 b3 - Tr f3 b4).  A difference of two vertex values is
+    X = x . sigma / 2, and the Pauli algebra gives
+    Tr(e X Y) = (x . y + i n . cross(x, y)) / 4, so the result is the sum of
+    (x . y - x' . y' + i F . (cross(x, y) - cross(x', y'))) / 8 over the four
+    terms F (X Y - X' Y'), on the same edge differences as the scalar
+    kernel.  By bilinearity the four real parts add up to
+    (gxn + gxf) . (hyf + hyn) - (gyn + gyf) . (hxf + hxn), with gxn, gxf the
+    Bloch vectors of g's x-edges at the near and far rows and gyn, gyf of its
+    y-edges at the near and far columns.  ``out`` as for
     :func:`scalar_kernel`.
     """
-    inputs = (f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
     ws = Workspace() if out is None else out
-    lead = f0.shape[1:]
+    lead = f[:, cells[0], cells[2]].shape[1:]
     result = ws.take("kernel.result", lead)
     # (real, imaginary) of the result as a (2,) + lead float64 view
     parts = np.moveaxis(result.view(np.float64).reshape(lead + (2,)), -1, 0)
     for lo, hi, block in _blocks(lead):
-        vals = [x[:, lo:hi] for x in inputs]
 
         def diff(name, a, b):
             # rows (x2, x3, x1, x2): rows 0:3 and 1:4 are the components
             # turned by one and by two, so cross(x, y) =
             # x[0:3] y[1:4] - x[1:4] y[0:3] in the order (c1, c2, c3), and a
             # dot product may read rows 0:3 of both factors
-            d = ws.take(f"kernel.{name}", (4,) + block, np.float64)
+            d = ws.take(f"kernel.{name}", (4,) + a.shape[1:], np.float64)
             np.subtract(a[1:], b[1:], out=d[:2])
             np.subtract(a[0], b[0], out=d[2])
             np.copyto(d[3], d[0])
             return d
 
-        terms = _terms(vals[:4], vals[4:8], vals[8:], diff)
+        terms = _terms(f, g, h, cells, lo, hi, diff)
         acc = ws.take("kernel.acc", (2, 3) + block, np.float64)  # per component
         re, im = acc
         t = ws.take("kernel.t", (3,) + block, np.float64)
         prod = ws.take("kernel.prod", (3,) + block, np.float64)
-        (_, _, g10, h21, g30, h23), (_, _, g32, h03, g12, h01) = terms[:2]
-        np.subtract(g10[:3], g32[:3], out=re)
-        re *= np.subtract(h21[:3], h03[:3], out=prod)
-        np.subtract(g30[:3], g12[:3], out=t)
-        t *= np.subtract(h23[:3], h01[:3], out=prod)
+        (_, gxn, hyf, gyn, hxf), (_, gxf, hyn, gyf, hxn) = terms[:2]
+        np.add(gxn[:3], gxf[:3], out=re)
+        re *= np.add(hyf[:3], hyn[:3], out=prod)
+        np.add(gyn[:3], gyf[:3], out=t)
+        t *= np.add(hxf[:3], hxn[:3], out=prod)
         re -= t
-        for k, (accumulate, F, X, Y, X2, Y2) in enumerate(terms):
+        for k, (F, X, Y, X2, Y2) in enumerate(terms):
             s = t if k else im
             np.multiply(X[0:3], Y[1:4], out=s)
             s -= np.multiply(X[1:4], Y[0:3], out=prod)
@@ -334,7 +414,7 @@ def matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, *, out=None):
             s += np.multiply(X2[1:4], Y2[0:3], out=prod)
             s *= F
             if k:
-                accumulate(im, s, out=im)
+                im += s
         total = acc[:, 0]  # the sums over the three components
         total += acc[:, 1]
         total += acc[:, 2]

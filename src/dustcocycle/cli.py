@@ -350,12 +350,26 @@ def _cmd_selftest(args) -> int:
     if worst > 1e-12:
         failures.append("kernel oracle mismatch")
 
+    # the engine's scalar kernel on 200 random complex squares, their
+    # corners v0..v3 of f, g and h passed as the engine's corner lattices
+    z = rng.standard_normal((12, 200)) + 1j * rng.standard_normal((12, 200))
+    (f, cells), (g, _), (h, _) = (K.corner_lattice(*z[i : i + 4]) for i in (0, 4, 8))
+    got = K.scalar_kernel(f, g, h, cells=cells)[:, 0]
+    worst = max(
+        abs(got[s] - kernel_trace(*(VertexValues(*z[i : i + 4, s]) for i in (0, 4, 8))))
+        for s in range(200)
+    )
+    print(f"scalar kernel vs closed form: max |diff| = {worst:.2e}")
+    if not worst <= 1e-12:
+        failures.append("scalar kernel mismatch")
+
     # the engine's Bloch-vector matrix kernel on 200 squares, each vertex of
     # f, g and h a random rank-1 projection (I + n . sigma) / 2, |n| = 1
     n = rng.standard_normal((12, 3, 200))
     n /= np.sqrt((n * n).sum(axis=1, keepdims=True))
     e = 0.5 * (np.eye(2) + np.einsum("vks,kij->vsij", n, _PAULI))
-    got = K.matrix_kernel(*n)
+    (f, cells), (g, _), (h, _) = (K.corner_lattice(*n[i : i + 4]) for i in (0, 4, 8))
+    got = K.matrix_kernel(f, g, h, cells=cells)[:, 0]
     worst = max(
         abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[i : i + 4, s]) for i in (0, 4, 8))))
         for s in range(200)

@@ -15,12 +15,15 @@ task's bounding box is a tensor product: the engine builds it as a (1, W)
 row of u and an (H, 1) column of v, 257 of each for a 256 x 256 tile, and
 each observable broadcasts its rule over the two, so a product rule such as
 cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
-The trace kernel reads the four shifted views ``a[:-1, :-1]``,
-``a[:-1, 1:]``, ``a[1:, 1:]`` and ``a[1:, :-1]`` of each observable's
-(H, W) values: the corners v0..v3 of every cell, with no gather.  Real rules
-stay float64 up to the kernel's complex result.  A matrix observable's values
-are its (3, H, W) float64 Bloch vectors, and the kernel reads the same views
-of them.  The per-cell values are then put into word order with one ``np.take``.
+The trace kernel takes each observable's (H, W) values whole, with the
+slices ``_SHIFTED`` of its cells' near and far rows and columns: cell
+(i, j) spans rows i, i + 1 and columns j, j + 1.  Per block of cell rows it
+reads f at the corners v0..v3 and g and h as their x- and y-edge
+differences, each edge subtracted once for the two cells that share it,
+with no gather.  Real rules stay float64 up to the kernel's complex result.
+A matrix observable's values are its (3, H, W) float64 Bloch vectors, read
+the same way.  The per-cell values are then put into word order with one
+``np.take``.
 Every pullback task, at every level, walks its tile in the same Morton
 order, so a pullback sum builds that permutation once, from the digit table
 of the m-digit words, carries it in its source, and places each task's tile
@@ -34,18 +37,21 @@ words, 8 leaves), placed from its first word's corner numerators, and the
 rule runs on a row of x and a column of y.  The dust's squares share no
 vertices, so its lattice lists the tile's near columns and then its far
 ones (x0 + T(c), then x0 + T(c) + 1, with T writing c's bits as ternary
-digits 2), and likewise the rows: the corners v0..v3 are the four quadrants
-``a[:w, :w]``, ``a[:w, w:]``, ``a[w:, w:]`` and ``a[w:, :w]``, and the cells
-come in the pullback's Morton order.  The carpet's lattice is the
-(3**k + 1)**2 box around its tile, read through the shifted views; the
-kernel runs on every box cell, holes included (1.8x the squares at k = 5),
-and ``np.take`` keeps the tile's own.  A tile's layout depends only on the
+digits 2), and likewise the rows: the cells' near rows and columns are
+``:w`` and their far ones ``w:``, so the corners v0..v3 are the four
+quadrants of the lattice, and the cells come in the pullback's Morton order.
+The carpet's lattice is the (3**k + 1)**2 box around its tile, a plain
+lattice; the kernel runs on every box cell, holes included (1.8x the squares
+at k = 5), and ``np.take`` keeps the tile's own.  A tile's layout depends only on the
 preset and k, so it is built once per level and cached.  Which presets get
 tiles is decided from data: a full tile must be a whole number of leaves.
 ``full-subdivision-3``'s 9**k never is, so it keeps the word path, its only
 user: every word is digit-mapped (``_direct_coords``) and each observable is
-evaluated on four 1-D corner arrays.  :func:`estimate_lipschitz` reads the
-same tasks and corner views.
+evaluated once on the corner lattice of the words' corner coordinates,
+whose row i holds word i's near corners and row B + i its far ones
+(:func:`_kernels.corner_lattice`), so that every caller of the kernel passes
+a lattice and its cells.  :func:`estimate_lipschitz` reads the same tasks
+and lattices, and the same edge differences.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the digit maps, kernel temporaries and
@@ -55,7 +61,7 @@ need it.  A task still allocates its observables' own values and, on the
 word path, its word indices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
-dyadic subdivision, in row-major order, on the same lattice views; its tasks
+dyadic subdivision, in row-major order, on the same plain lattices; its tasks
 are whole rows, already in cell order, so they need no reorder, and it never
 uses the Morton permutation: the pullback = subdivision check compares two
 independently ordered sums.  In pullback mode the two sums are termwise equal
@@ -116,10 +122,10 @@ class Observable:
     """A function on the dust, evaluated square-vertex-wise by the engine.
 
     ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
-    broadcast against each other: 1-D corner arrays of one shape, or a (1, W)
-    row of u and an (H, 1) column of v on a vertex lattice.  A scalar rule
-    returns a real or complex array that broadcasts to their common shape; a
-    rule that depends on u only may return the (1, W) row.  ``mode`` decides
+    broadcast against each other: a (1, W) row of u and an (H, 1) column of
+    v on a vertex lattice, or two (2B, 2) corner lattices on the word path.
+    A scalar rule returns a real or complex array that broadcasts to their
+    common shape; a rule that depends on u only may return the (1, W) row.  ``mode`` decides
     what the engine feeds it: the vertex's own triadic coordinates (direct)
     or the dyadic staircase image on the torus (pullback).
 
@@ -260,14 +266,10 @@ def _direct_coords(words, n, offx, offy, ws):
     return coords
 
 
-def _corner_views(near_y, far_y, near_x, far_x):
-    """Index tuples of the corners v0, v1, v2, v3 of every lattice cell, from
-    where the cells' near and far rows and columns sit in the lattice."""
-    return ((near_y, near_x), (near_y, far_x), (far_y, far_x), (far_y, near_x))
-
-
-# each cell of a plain lattice spans two neighbouring rows and columns
-_SHIFTED = _corner_views(slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
+# The cells of a plain lattice, as the kernels take them: (near_y, far_y,
+# near_x, far_x), where the cells' near and far rows and columns sit in the
+# lattice.  Each cell spans two neighbouring rows and columns.
+_SHIFTED = (slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
 
 
 def _tile_level(nmaps):
@@ -285,14 +287,14 @@ class _Tile(NamedTuple):
     task's first word's.
 
     ``dx`` and ``dy`` are the lattice's column and row numerators over 3**n,
-    relative to that corner; ``views`` index the corners v0..v3 of the
-    lattice cells; ``order`` is where each word's cell sits among them, a
-    flat row-major index, in word order.
+    relative to that corner; ``cells`` are where the cells' near and far
+    rows and columns sit in the lattice (as ``_SHIFTED``); ``order`` is where
+    each word's cell sits among them, a flat row-major index, in word order.
     """
 
     dx: np.ndarray
     dy: np.ndarray
-    views: tuple
+    cells: tuple
     order: np.ndarray
 
 
@@ -334,7 +336,7 @@ def _direct_tile(offsets, k):
         w, h = xs.size, ys.size
         tile = _Tile(
             np.concatenate((xs, xs + 1)), np.concatenate((ys, ys + 1)),
-            _corner_views(slice(None, h), slice(h, None), slice(None, w), slice(w, None)),
+            (slice(None, h), slice(h, None), slice(None, w), slice(w, None)),
             np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
         )
     else:
@@ -356,10 +358,10 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
     """Vertex lattice of the cells of words or cells [w_lo, w_hi).
 
     Returns the lattice as a (1, W) row of u and an (H, 1) column of v, the
-    index tuples of the cell corners v0..v3 in it, and where each square's
-    cell sits among the lattice cells, in word order: flat row-major indices
-    for pullback words (Morton order) and direct tiles, a slice for
-    subdivision cells (already row-major).
+    slices of its cells' near and far rows and columns, and where each
+    square's cell sits among the lattice cells, in word order: flat
+    row-major indices for pullback words (Morton order) and direct tiles, a
+    slice for subdivision cells (already row-major).
 
     Every pullback task, at every level, is one aligned tile of 4**m words,
     m = min(n, 8), whose squares are the tile of its first word's image cell:
@@ -380,7 +382,7 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
         kx, ky = K.corner_numerators(np.array([w_lo], dtype=np.int64), n, offx, offy, out=ws)
         den = float(3**n)
         x, y = (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den
-        return x[None, :], y[:, None], tile.views, tile.order
+        return x[None, :], y[:, None], tile.cells, tile.order
     side = 1 << n
     mask = side - 1
     if source[0] == "pullback":
@@ -405,32 +407,31 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
     return (x * inv)[None, :], (y * inv)[:, None], _SHIFTED, order
 
 
-def _corner_values(source, n, w_lo, w_hi, observables, ws):
-    """Each observable's values at the corners v0..v3 of the cells of words
-    or cells [w_lo, w_hi), and where each word's cell sits among them: None
-    on the word path, whose 1-D corner arrays are in word order already.
+def _lattice_values(source, n, w_lo, w_hi, observables, ws):
+    """Each observable's values on the vertex lattice of the cells of words
+    or cells [w_lo, w_hi), the slices of the cells' near and far rows and
+    columns in it, and where each word's cell sits among them: None on the
+    word path, whose cells are in word order already.
 
-    Each distinct observable is evaluated once, on the lattice of
-    :func:`_vertex_lattice`, or on the word path at the four corner arrays
-    of every word's own digit map.
+    Each distinct observable is evaluated once (a repeated one is the same
+    array), on the lattice of :func:`_vertex_lattice`, or on the word path
+    on the corner lattice of every word's own digit map
+    (:func:`_kernels.corner_lattice`: the four corners of word i in rows i
+    and B + i).
     """
-    cache = {}
     if source[0] == "words":
         _, offx, offy = source
-        idx = np.arange(w_lo, w_hi, dtype=np.int64)
-        x0, x1, y0, y1 = _direct_coords(idx, n, offx, offy, ws)
-        for obs in observables:
-            if id(obs) not in cache:
-                cache[id(obs)] = [obs.evaluate(u, v)
-                                  for u, v in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        x0, x1, y0, y1 = _direct_coords(np.arange(w_lo, w_hi, dtype=np.int64), n, offx, offy, ws)
+        u, cells = K.corner_lattice(x0, x1, x1, x0)
+        v, _ = K.corner_lattice(y0, y0, y1, y1)
         order = None
     else:
-        u, v, views, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
-        for obs in observables:
-            if id(obs) not in cache:
-                a = obs.evaluate(u, v)
-                cache[id(obs)] = [a[(..., *view)] for view in views]
-    return [cache[id(o)] for o in observables], order
+        u, v, cells, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
+    cache = {}
+    for obs in observables:
+        if id(obs) not in cache:
+            cache[id(obs)] = obs.evaluate(u, v)
+    return [cache[id(o)] for o in observables], cells, order
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +464,13 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     sums never live in it.  Each distinct observable is evaluated once.
     """
     ws = K.Workspace() if ws is None else ws
-    (fv, gv, hv), order = _corner_values(source, n, w_lo, w_hi, observables, ws)
+    (f, g, h), cells, order = _lattice_values(source, n, w_lo, w_hi, observables, ws)
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
-    vals = kernel(*fv, *gv, *hv, out=ws)
+    vals = kernel(f, g, h, cells=cells, out=ws).reshape(-1)
     if isinstance(order, slice):
-        vals = vals.reshape(-1)[order]
+        vals = vals[order]
     elif order is not None:
-        vals = np.take(vals.reshape(-1), order, out=ws.take("reordered", order.shape))
+        vals = np.take(vals, order, out=ws.take("reordered", order.shape))
     return K.leaf_sums(vals, LEAF)
 
 
@@ -699,11 +700,13 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     """(sup |obs|, Lipschitz estimate) over level-n vertices.
 
     The Lipschitz constant is estimated by maximizing difference quotients
-    over the four edges of every level-n square, the same differences the
-    kernel consumes, read from the same tasks and corner views as
+    over the four edges of every level-n square: the x- and y-edge
+    differences the kernel reads, through the same helper
+    (:func:`_kernels.edges`), on the same tasks and lattices as
     :func:`phi_n`'s.  Box cells outside a carpet tile are gathered out, so
-    the vertices and edges of its holes never count; a maximum does not
-    depend on the order it is taken in.  A negative level raises ValueError.
+    the vertices and edges of its holes never count; a maximum depends on
+    neither the order it is taken in nor the sign of a difference.  A
+    negative level raises ValueError.
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
@@ -717,7 +720,7 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     lip = 0.0
     ws = K.Workspace()
     for lo in range(0, total, span):
-        (vals,), order = _corner_values(source, n, lo, min(total, lo + span), (obs,), ws)
+        (a,), cells, order = _lattice_values(source, n, lo, min(total, lo + span), (obs,), ws)
 
         def top(x):
             x = np.abs(x)
@@ -725,9 +728,8 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
                 x = np.take(x, order)
             return x.max()
 
-        sup = max(sup, max(top(v) for v in vals))
-        for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            lip = max(lip, top(vals[b] - vals[a]) / edge)
+        sup = max(sup, *(top(v) for v in K.corners(a, cells)))
+        lip = max(lip, *(top(d) / edge for d in K.edges(a, cells, lambda _, x, y: x - y)))
     return sup, lip
 
 

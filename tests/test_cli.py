@@ -366,6 +366,16 @@ class TestExitCodes:
         assert code == 0
         assert "selftest passed" in out
 
+    def test_selftest_checks_the_scalar_kernel(self, monkeypatch, capsys):
+        code, out = run_cli("selftest")
+        line = next(x for x in out.splitlines() if x.startswith("scalar kernel vs closed form"))
+        assert float(line.rsplit("=", 1)[1]) <= 1e-12
+        kernel = K.scalar_kernel
+        monkeypatch.setattr(K, "scalar_kernel", lambda *a, **kw: np.conj(kernel(*a, **kw)))
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
+
     def test_selftest_checks_the_matrix_kernel(self, monkeypatch, capsys):
         code, out = run_cli("selftest")
         line = next(x for x in out.splitlines() if x.startswith("matrix kernel vs matrix oracle"))

@@ -1,6 +1,7 @@
 """Digit-map semantics and the digit tables against the digit-by-digit loop,
-the Bloch-vector matrix kernel against the complex matmul formula, and
-leaf-summation determinism of the hot kernels."""
+the edge-difference trace kernels against the corner form they replaced
+(bitwise) and the Bloch-vector matrix kernel against the complex matmul
+formula, and leaf-summation determinism of the hot kernels."""
 
 import numpy as np
 import pytest
@@ -57,51 +58,217 @@ def bloch_reference(*ns):
     return matmul_reference(*(bloch_matrices(n) for n in ns))
 
 
-def corner_views(a):
-    """Corners v0..v3 of every cell of a (3, H, W) Bloch lattice."""
-    return [a[:, :-1, :-1], a[:, :-1, 1:], a[:, 1:, 1:], a[:, 1:, :-1]]
+SHIFTED = (slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
+
+
+def quadrant_cells(h, w):
+    """The cells of a (2h, 2w) lattice that lists its near rows and columns,
+    then its far ones: the dust's direct tiles."""
+    return slice(None, h), slice(h, None), slice(None, w), slice(w, None)
+
+
+def corner_arrays(a, cells):
+    """The values of lattice ``a`` (scalar (H, W) or Bloch (3, H, W)) at the
+    corners v0..v3 of its cells, indexed here apart from the kernels."""
+    near_y, far_y, near_x, far_x = cells
+    return [a[..., near_y, near_x], a[..., near_y, far_x], a[..., far_y, far_x],
+            a[..., far_y, near_x]]
+
+
+def reference_scalar_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
+    """The corner form of the scalar kernel that the edge form replaced:
+    four vertex differences of g and four of h, each term F (X Y - X' Y')
+    added or subtracted, in the kernel's dtype and operand order."""
+    dtype = np.result_type(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3)
+
+    def diff(a, b):
+        return np.subtract(a, b, out=np.empty(np.shape(a), dtype))
+
+    g10, g30, g32, g12 = diff(g1, g0), diff(g3, g0), diff(g3, g2), diff(g1, g2)
+    h21, h23, h03, h01 = diff(h2, h1), diff(h2, h3), diff(h0, h3), diff(h0, h1)
+    acc = None
+    for accumulate, F, X, Y, X2, Y2 in (
+        (np.add, f0, g10, h21, g30, h23),
+        (np.add, f2, g32, h03, g12, h01),
+        (np.subtract, f1, g10, h03, g12, h23),
+        (np.subtract, f3, g32, h21, g30, h01),
+    ):
+        t = np.multiply(X, Y)
+        t -= np.multiply(X2, Y2)
+        t *= F
+        acc = t if acc is None else accumulate(acc, t, out=acc)
+    return np.multiply(0.5, acc, out=np.empty(acc.shape, np.complex128))
+
+
+def reference_matrix_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
+    """The corner form of the Bloch-vector matrix kernel that the edge form
+    replaced, on (3, ...) inputs: eight vertex differences in the 4-row
+    (x2, x3, x1, x2) layout."""
+    def diff(a, b):
+        return np.subtract(a, b)[[1, 2, 0, 1]]
+
+    g10, g30, g32, g12 = diff(g1, g0), diff(g3, g0), diff(g3, g2), diff(g1, g2)
+    h21, h23, h03, h01 = diff(h2, h1), diff(h2, h3), diff(h0, h3), diff(h0, h1)
+    re = np.subtract(g10[:3], g32[:3])
+    re *= np.subtract(h21[:3], h03[:3])
+    t = np.subtract(g30[:3], g12[:3])
+    t *= np.subtract(h23[:3], h01[:3])
+    re -= t
+    im = None
+    for accumulate, F, X, Y, X2, Y2 in (
+        (np.add, f0, g10, h21, g30, h23),
+        (np.add, f2, g32, h03, g12, h01),
+        (np.subtract, f1, g10, h03, g12, h23),
+        (np.subtract, f3, g32, h21, g30, h01),
+    ):
+        s = np.multiply(X[0:3], Y[1:4])
+        s -= np.multiply(X[1:4], Y[0:3])
+        s -= np.multiply(X2[0:3], Y2[1:4])
+        s += np.multiply(X2[1:4], Y2[0:3])
+        s *= F
+        im = s if im is None else accumulate(im, s, out=im)
+    out = np.empty(re.shape[1:], np.complex128)
+    for part, acc in ((out.real, re), (out.imag, im)):
+        total = acc[0]
+        total += acc[1]
+        total += acc[2]
+        np.multiply(total, 0.125, out=part)
+    return out
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+@st.composite
+def _lattice_cases(draw):
+    """(kind, f, g, h, cells): lattices of every layout the engine passes --
+    shifted, quadrant (both with the near and far rows of a block apart, and
+    touching) and corner lattices -- of real or complex scalars or of
+    distinct or shared Bloch vectors, each ending in a short block, and at
+    times only a range of their cell rows that starts and ends off a block
+    boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["real", "complex", "matrix", "matrix f=g=h"]), label="kind")
+    layout = draw(st.sampled_from(["shifted", "quadrant", "corners"]), label="layout")
+    if layout == "corners":
+        rows = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK), label="squares")
+        cols = 1
+        shape = (2 * rows, 2)
+        cells = K.corner_lattice(*np.zeros((4, rows)))[1]
+    else:
+        cols = draw(st.integers(1, 300), label="cells per row")
+        block = K.BLOCK // cols
+        rows = draw(st.sampled_from([block // 2 + 1, 2 * block + block // 3]), label="cell rows")
+        if layout == "shifted":
+            shape, cells = (rows + 1, cols + 1), SHIFTED
+        else:
+            shape, cells = (2 * rows, 2 * cols), quadrant_cells(rows, cols)
+    if rows > 2 and draw(st.booleans(), label="a range of rows"):
+        lo = draw(st.integers(1, rows // 2), label="first row")
+        hi = draw(st.integers(lo + 1, rows - 1), label="end row")
+        starts = [s.indices(shape[0])[0] for s in cells[:2]]
+        cells = (slice(starts[0] + lo, starts[0] + hi), slice(starts[1] + lo, starts[1] + hi),
+                 *cells[2:])
+    nfun = 1 if kind == "matrix f=g=h" else 3
+    head = (3,) if kind.startswith("matrix") else ()
+    lattices = [rng.standard_normal(head + shape) for _ in range(nfun)]
+    if kind == "complex":
+        lattices = [a + 1j * rng.standard_normal(shape) for a in lattices]
+    return (kind, *(lattices * (3 // nfun)), cells)
+
+
+class TestEdgeKernelsMatchCornerForm:
+    """The edge-difference kernels are bitwise the corner form they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lattice_cases())
+    def test_bitwise_equal_to_corner_form(self, case):
+        kind, f, g, h, cells = case
+        kernel, reference = ((K.matrix_kernel, reference_matrix_kernel) if kind.startswith("matrix")
+                             else (K.scalar_kernel, reference_scalar_kernel))
+        got = kernel(f, g, h, cells=cells, out=K.Workspace())
+        want = reference(*(c for a in (f, g, h) for c in corner_arrays(a, cells)))
+        assert got.dtype == np.complex128
+        # +0.0 and -0.0 may trade places where a value is an exact zero
+        assert_bits_equal(got + 0.0, want + 0.0)
+
+    @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
+    def test_edges_are_the_corner_differences(self, rng, layout):
+        a = rng.standard_normal((2 * 70, 2 * 50))
+        cells = {"shifted": SHIFTED, "quadrant": quadrant_cells(70, 50),
+                 "corners": K.corner_lattice(*rng.standard_normal((4, 70)))[1]}[layout]
+        if layout == "corners":
+            a = a[:, :2]
+        v0, v1, v2, v3 = corner_arrays(a, cells)
+        lo, hi = 3, 61
+        got = K.edges(a, cells, lambda _, x, y: x - y, lo, hi)
+        for x, want in zip(got, (v1 - v0, v2 - v3, v3 - v0, v2 - v1)):
+            assert np.array_equal(x, want[lo:hi])
+        for x, want in zip(K.corners(a, cells, lo, hi), (v0, v1, v2, v3)):
+            assert np.array_equal(x, want[lo:hi])
+        # by default, every cell row
+        for x, want in zip(K.edges(a, cells, lambda _, x, y: x - y), (v1 - v0, v2 - v3, v3 - v0,
+                                                                        v2 - v1)):
+            assert np.array_equal(x, want)
+
+
+def bloch_lattices(quads):
+    """Corner lattices of (3, B) Bloch quadruples v0..v3, one per function,
+    and their cells."""
+    lattices = [K.corner_lattice(*q) for q in quads]
+    return [a for a, _ in lattices], lattices[0][1]
 
 
 @st.composite
 def _bloch_inputs(draw):
-    """Twelve (3, ...) Bloch inputs: corner arrays or lattice views, of
-    distinct or shared (f = g = h) functions, always ending in a short block."""
+    """(f, g, h, cells): (3, ...) Bloch lattices, shifted or corner
+    lattices, of distinct or shared (f = g = h) functions, always ending in
+    a short block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     scale = draw(st.sampled_from([1e-3, 1.0, 3.0]), label="scale")
     nfun = 1 if draw(st.booleans(), label="f=g=h") else 3
     if draw(st.booleans(), label="lattice"):
         cols = draw(st.integers(3, 300), label="cells per row")
         rows = K.BLOCK // cols
-        quads = [corner_views(scale * rng.standard_normal((3, 2 * rows + rows // 3 + 1, cols + 1)))
-                 for _ in range(nfun)]
+        lattices = [scale * rng.standard_normal((3, 2 * rows + rows // 3 + 1, cols + 1))
+                    for _ in range(nfun)]
+        cells = SHIFTED
     else:
         size = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK), label="squares")
-        quads = [[scale * rng.standard_normal((3, size)) for _ in range(4)] for _ in range(nfun)]
-    return [x for q in quads * (3 // nfun) for x in q]
+        lattices, cells = bloch_lattices(
+            [[scale * rng.standard_normal((3, size)) for _ in range(4)] for _ in range(nfun)])
+    return (*(lattices * (3 // nfun)), cells)
 
 
 class TestMatrixKernelNumpy:
     @settings(max_examples=25, deadline=None)
     @given(_bloch_inputs())
     def test_matches_matmul_reference(self, args):
-        got = K.matrix_kernel(*args)
-        assert got.shape == args[0].shape[1:] and got.dtype == np.complex128
-        assert np.allclose(got.ravel(), bloch_reference(*args), rtol=1e-13, atol=1e-13)
+        f, g, h, cells = args
+        got = K.matrix_kernel(f, g, h, cells=cells)
+        corners = [c for a in (f, g, h) for c in corner_arrays(a, cells)]
+        assert got.shape == corners[0].shape[1:] and got.dtype == np.complex128
+        assert np.allclose(got.ravel(), bloch_reference(*corners), rtol=1e-13, atol=1e-13)
 
     def test_shared_inputs_match_matmul_reference(self, rng):
-        # a pairing passes the same four arrays as f, g and h; unit Bloch
+        # a pairing passes the same lattice as f, g and h; unit Bloch
         # vectors are rank-1 projections
         p = [rng.standard_normal((3, K.BLOCK + 321)) for _ in range(4)]
         p = [x / np.sqrt((x * x).sum(axis=0)) for x in p]
-        got = K.matrix_kernel(*p, *p, *p)
+        (a,), cells = bloch_lattices([p])
+        got = K.matrix_kernel(a, a, a, cells=cells)[:, 0]
         assert np.allclose(got, bloch_reference(*p, *p, *p), rtol=1e-13, atol=1e-13)
 
     def test_values_independent_of_chunking(self, rng):
         size = 3 * K.BLOCK + 500
-        args = [rng.standard_normal((3, size)) for _ in range(12)]
-        whole = K.matrix_kernel(*args).copy()
+        (f, g, h), cells = bloch_lattices(
+            [[rng.standard_normal((3, size)) for _ in range(4)] for _ in range(3)])
+        whole = K.matrix_kernel(f, g, h, cells=cells).copy()
         lo, hi = 1234, size - 77  # neither end on a block boundary
-        part = K.matrix_kernel(*(x[:, lo:hi] for x in args))
+        part_cells = (slice(lo, hi), slice(size + lo, size + hi), *cells[2:])
+        part = K.matrix_kernel(f, g, h, cells=part_cells)
         assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
 
 

@@ -101,9 +101,10 @@ def rounding_scale(f, g, h):
 
 def reference_leaf_sums(source, n, w_lo, w_hi, observables):
     """Leaf sums of the scalar kernel over [w_lo, w_hi) with every square's
-    corners evaluated apart."""
-    fv, gv, hv = _corner_values(source, n, w_lo, w_hi, observables)
-    return K.leaf_sums(np.ascontiguousarray(K.scalar_kernel(*fv, *gv, *hv)), LEAF)
+    corners evaluated apart, passed as corner lattices."""
+    (f, cells), (g, _), (h, _) = (K.corner_lattice(*c)
+                                  for c in _corner_values(source, n, w_lo, w_hi, observables))
+    return K.leaf_sums(K.scalar_kernel(f, g, h, cells=cells).reshape(-1), LEAF)
 
 
 def _pullback(n):

@@ -1,11 +1,12 @@
-"""Trace kernels on vertex-lattice views, real inputs, and the per-worker
+"""Trace kernels on vertex lattices, real inputs, and the per-worker
 workspace.
 
-The engine hands the kernels shifted views of each task's vertex lattice, not
-gathered corner arrays, real values as float64 (the matrix kernel's Bloch
-vectors always), and every worker thread reuses one workspace for the
-temporaries of all its tasks.  None of these may change a value: views must
-give what contiguous copies give, real scalar inputs the real part of the
+The engine hands the kernels each task's vertex lattice and the slices of
+its cells' rows and columns, not gathered corner arrays, real values as
+float64 (the matrix kernel's Bloch vectors always), and every worker thread
+reuses one workspace for the temporaries of all its tasks.  None of these
+may change a value: a lattice must give what the corner lattice of
+contiguous copies of its corners gives, real scalar inputs the real part of the
 same values cast to complex, bit for bit, and a task's leaf sums must not
 depend on what its thread's workspace held before.  The scalar kernel is
 also checked to be linear in each of f, g and h, the matrix kernel linear in
@@ -26,6 +27,7 @@ from dustcocycle.cocycle import (
 )
 from dustcocycle.geometry import get_preset
 from dustcocycle.oracle import bott_projection
+from test_kernels import SHIFTED, corner_arrays
 
 DUST = get_preset("cantor-dust")
 TWO_PI = 2.0 * np.pi
@@ -40,10 +42,12 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def corner_views(a):
-    """Corners v0..v3 of every cell of lattice ``a`` (scalar (H, W) or
-    Bloch (3, H, W)), as shifted views."""
-    return [a[..., :-1, :-1], a[..., :-1, 1:], a[..., 1:, 1:], a[..., 1:, :-1]]
+def copied_corners(a):
+    """The corner lattice of contiguous copies of the corners of every cell
+    of the plain lattice ``a`` (scalar (H, W) or Bloch (3, H, W)), and its
+    cells."""
+    return K.corner_lattice(*(np.ascontiguousarray(v).reshape(v.shape[:-2] + (-1,))
+                              for v in corner_arrays(a, SHIFTED)))
 
 
 def lattice_shape(cols, block):
@@ -61,52 +65,58 @@ def assert_bits_equal(a, b):
 class TestLatticeViews:
     def test_scalar_kernel_views_equal_contiguous_copies(self, rng):
         h, w = lattice_shape(90, K.BLOCK)
-        views = [c for _ in range(3) for c in corner_views(random_complex(rng, (h, w)))]
-        got = K.scalar_kernel(*views)
-        want = K.scalar_kernel(*(np.ascontiguousarray(v).ravel() for v in views))
+        lattices = [random_complex(rng, (h, w)) for _ in range(3)]
+        got = K.scalar_kernel(*lattices, cells=SHIFTED)
+        copies = [copied_corners(a) for a in lattices]
+        want = K.scalar_kernel(*(a for a, _ in copies), cells=copies[0][1])
         assert got.shape == (h - 1, w - 1)
-        assert_bits_equal(got.ravel(), want)
+        assert_bits_equal(got.ravel(), want.ravel())
 
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "f=g=h"])
     def test_matrix_kernel_views_equal_contiguous_copies(self, rng, shared):
         h, w = lattice_shape(70, K.BLOCK)
         lattices = [rng.standard_normal((3, h, w)) for _ in range(1 if shared else 3)]
-        views = [c for a in lattices * (3 if shared else 1) for c in corner_views(a)]
-        got = K.matrix_kernel(*views)
-        copies = [np.ascontiguousarray(v).reshape(3, -1) for v in views]
-        if shared:  # keep the sharing: f, g and h are the same four arrays
-            copies = copies[:4] * 3
-        want = K.matrix_kernel(*copies)
+        got = K.matrix_kernel(*lattices * (3 if shared else 1), cells=SHIFTED)
+        # keep the sharing: f, g and h are the same corner lattice
+        copies = [copied_corners(a) for a in lattices] * (3 if shared else 1)
+        want = K.matrix_kernel(*(a for a, _ in copies), cells=copies[0][1])
         assert got.shape == (h - 1, w - 1)
-        assert_bits_equal(got.ravel(), want)
+        assert_bits_equal(got.ravel(), want.ravel())
 
     @pytest.mark.parametrize("kernel", [K.scalar_kernel, K.matrix_kernel])
     def test_reused_workspace_gives_fresh_values(self, rng, kernel):
         ws = K.Workspace()
-        big = _vertex_values(rng, kernel, (3 * K.BLOCK + 5,))
-        small = _vertex_values(rng, kernel, (40, 33))
-        kernel(*big, out=ws)
-        got = kernel(*small, out=ws).copy()
-        assert_bits_equal(got, kernel(*small))
+        big, big_cells = _vertex_values(rng, kernel, "corners", 3 * K.BLOCK + 5)
+        small, small_cells = _vertex_values(rng, kernel, "lattice", (41, 34))
+        kernel(*big, cells=big_cells, out=ws)
+        got = kernel(*small, cells=small_cells, out=ws).copy()
+        assert_bits_equal(got, kernel(*small, cells=small_cells))
 
 
-def _vertex_values(rng, kernel, lead):
-    """Twelve kernel inputs of leading shape ``lead``: complex scalars, or
-    (3,) + lead Bloch vectors."""
-    if kernel is K.matrix_kernel:
-        return [rng.standard_normal((3,) + lead) for _ in range(12)]
-    return [random_complex(rng, lead) for _ in range(12)]
+def _vertex_values(rng, kernel, shape, size):
+    """Three complex scalar or Bloch lattices and their cells: corner
+    lattices of ``size`` squares, or plain lattices of shape ``size``."""
+    def draw(shape):
+        if kernel is K.matrix_kernel:
+            return rng.standard_normal((3,) + shape)
+        return random_complex(rng, shape)
+
+    if shape == "corners":
+        lattices = [K.corner_lattice(*(draw((size,)) for _ in range(4))) for _ in range(3)]
+        return [a for a, _ in lattices], lattices[0][1]
+    return [draw(size) for _ in range(3)], SHIFTED
 
 
 def _kernel_inputs(rng, kind, shape, nn):
-    """Twelve float64 kernel inputs: 1-D corner arrays, or corner views of
-    three (f, g and h) lattices; a matrix input has its three Bloch
-    components in front."""
+    """Three float64 kernel lattices (f, g and h) and their cells: corner
+    lattices of 1-D corner arrays, or plain lattices; a matrix input has its
+    three Bloch components in front."""
     head = (3,) if kind == "matrix" else ()
     if shape == "corners":
-        return [rng.standard_normal(head + (nn,)) for _ in range(12)]
+        lattices = [K.corner_lattice(*rng.standard_normal((4,) + head + (nn,))) for _ in range(3)]
+        return [a for a, _ in lattices], lattices[0][1]
     h, w = lattice_shape(nn, K.BLOCK)
-    return [c for _ in range(3) for c in corner_views(rng.standard_normal(head + (h, w)))]
+    return [rng.standard_normal(head + (h, w)) for _ in range(3)], SHIFTED
 
 
 _KERNELS = {"scalar": K.scalar_kernel, "matrix": K.matrix_kernel}
@@ -129,10 +139,10 @@ class TestRealKernels:
     def test_real_part_bitwise_equal_to_complex_inputs(self, case):
         kind, shape, nn, seed = case
         kernel = _KERNELS[kind]
-        real = _kernel_inputs(np.random.default_rng(seed), kind, shape, nn)
+        real, cells = _kernel_inputs(np.random.default_rng(seed), kind, shape, nn)
         ws = K.Workspace()
-        got = kernel(*real, out=ws)
-        want = kernel(*(x.astype(np.complex128) for x in real))
+        got = kernel(*real, cells=cells, out=ws)
+        want = kernel(*(x.astype(np.complex128) for x in real), cells=cells)
         assert got.dtype == want.dtype == np.complex128
         assert np.array_equal(got.real.view(np.uint64), want.real.view(np.uint64))
         assert not got.imag.view(np.uint64).any()  # +0.0 everywhere
@@ -142,28 +152,28 @@ class TestRealKernels:
         assert set(kinds.values()) == {np.dtype(np.float64)}
 
     @settings(max_examples=30, deadline=None)
-    @given(case=_kernel_cases(), slot=st.sampled_from([0, 4, 8]), real=st.booleans(),
+    @given(case=_kernel_cases(), slot=st.sampled_from([0, 1, 2]), real=st.booleans(),
            a=st.complex_numbers(max_magnitude=3.0), b=st.complex_numbers(max_magnitude=3.0))
     def test_linear_in_each_of_f_g_h(self, case, slot, real, a, b):
         """K(.., a x + b y, ..) = a K(.., x, ..) + b K(.., y, ..), with x and y
-        the four vertex values of f (slot 0), g (4) or h (8).  Bloch vectors
+        the vertex lattices of f (slot 0), g (1) or h (2).  Bloch vectors
         are real, and e = (I + n . sigma) / 2 is affine in n: the matrix
         kernel takes real a and b, with b = 1 - a in the f slot."""
         kind, shape, nn, seed = case
         kernel = _KERNELS[kind]
         rng = np.random.default_rng(seed)
-        args = _kernel_inputs(rng, kind, shape, nn)
+        args, cells = _kernel_inputs(rng, kind, shape, nn)
         if kind == "matrix":
             a, b = a.real, (1.0 - a.real if slot == 0 else b.real)
         elif not real:
-            args = [x + 1j * y for x, y in zip(args, _kernel_inputs(rng, kind, shape, nn))]
-        other = [x[..., ::-1] for x in args[slot:slot + 4]]  # a second, different quadruple
+            args = [x + 1j * y for x, y in zip(args, _kernel_inputs(rng, kind, shape, nn)[0])]
+        other = args[slot][..., ::-1]  # a second, different lattice
 
-        def with_slot(vals):
-            return kernel(*args[:slot], *vals, *args[slot + 4:]).copy()
+        def with_slot(x):
+            return kernel(*args[:slot], x, *args[slot + 1:], cells=cells).copy()
 
-        kx, ky = with_slot(args[slot:slot + 4]), with_slot(other)
-        got = with_slot([a * x + b * y for x, y in zip(args[slot:slot + 4], other)])
+        kx, ky = with_slot(args[slot]), with_slot(other)
+        got = with_slot(a * args[slot] + b * other)
         scale = np.max(abs(a) * np.abs(kx) + abs(b) * np.abs(ky), initial=1.0)
         np.testing.assert_allclose(got, a * kx + b * ky, rtol=1e-12, atol=1e-12 * scale)
 
