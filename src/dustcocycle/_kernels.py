@@ -21,19 +21,32 @@ General N x N values, non-Hermitian triples and products of matrix values
 are not in the engine; :func:`dustcocycle.fredholm.kernel_trace` keeps the
 general N x N formula as the reference.
 
-Both trace kernels take the vertex lattices of f, g and h (the matrix
-kernel's with the three Bloch components in front) and the four slices
-``cells = (near_y, far_y, near_x, far_x)`` that say where every cell's near
-and far rows and columns sit in them: ``(:-1, 1:, :-1, 1:)`` on a plain
-lattice, whose neighbouring cells share their edges; the quadrants of the
-dust's direct tiles, which share none; or :func:`corner_lattice`, which
-makes a lattice of 1-D corner arrays.  They work through the cells in
-blocks of about :data:`BLOCK` squares along the row axis, reading f at the
-four corners and g and h only as edge differences (:func:`edges`): the
-x-edges Dx = a[:, far_x] - a[:, near_x] and the y-edges
-Dy = a[far_y] - a[near_y], each read at two offsets.  On a plain lattice a
-block's Dx spans its rows lo..hi, so every shared edge is subtracted once;
-where no edge is shared, each of the four is its own difference.
+Both trace kernels take flat vertex lattices, shape (N,) for scalar values
+and (3, N) for Bloch vectors, and ``cells = ((o0, o1, o2, o3), count)``:
+the flat offsets of the corners v0..v3 of cell 0, and the number of cells.
+Cell k's corners sit at k + o0, k + o1, k + o2 and k + o3, so the corners,
+edge differences, temporaries and results of a run of cells are each one
+contiguous 1-D slice.  The engine passes three layouts:
+
+* a shifted lattice, H x W vertices in row-major order, offsets
+  (0, 1, W + 1, W) and (H - 1) W - 1 cells.  The last cell of each row is a
+  padded cell whose x-edge wraps into the next row; the callers drop its
+  value.  The last row's padded cell is left out, so no cell reads past the
+  lattice;
+* the dust's direct tiles, a (2, 2, h, w) lattice whose corners are four
+  contiguous h w blocks, offsets (0, hw, 3hw, 2hw) and hw cells;
+* the word path's corner arrays v0, v1, v2, v3 of B squares, concatenated:
+  offsets (0, B, 2B, 3B) and B cells.
+
+The kernels work through the cells in runs of :data:`BLOCK` consecutive
+cells, reading f at the four corners and g and h only as edge differences
+(:func:`edges`): the x-edges v1 - v0 and v2 - v3 and the y-edges v3 - v0
+and v2 - v1.  Where a run's two x-edge slices overlap or touch (a shifted
+lattice: Dx[k] = a[k + 1] - a[k], read at k and k + W), they are one
+difference read at two offsets, and likewise the y-edges
+(Dy[k] = a[k + W] - a[k], read at k and k + 1), so every shared edge is
+subtracted once; where they lie apart (the dust's quadrants, the word
+path), each of the four is its own difference.
 The kernel's other four vertex differences per function are exact
 negations of these, and a negated operand rounds exactly like the original,
 so the signs fold into the terms and every value is bitwise that of the
@@ -71,18 +84,19 @@ from functools import lru_cache
 
 import numpy as np
 
-# Squares per block of both trace kernels: 64 rows of a 256 x 256 pullback
-# tile.  On such a tile the scalar kernel's float64 temporaries (the x- and
-# y-edges of g and h, three accumulators) are 0.9 MB (1.4 MB on the dust's
-# quadrants, whose edges are not shared), the matrix kernel's (the edges in
-# four rows, twelve rows of accumulators and products) 3.7 MB, or 2.6 MB when
-# g = h, as in a pairing.  Each block makes about 25 (scalar) or 50 to 60
-# (matrix) ufunc calls, and the Python between them holds the GIL, so the
-# block size sets how well two workers overlap.  On a 2-core VM, bott-flux
-# phi_n at n = 11 took 0.23 s on one worker and 0.32 s on two with
-# 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.  65536-square
-# blocks gained little more (0.13 s on two workers) but raised the peak RSS
-# of the lipschitz-direct benchmark by 7% and of pullback-converge by 14%.
+# Cells per block of both trace kernels: a run of consecutive cells, a
+# quarter of a 256 x 256 pullback tile.  The scalar kernel's float64
+# temporaries for one block (the x- and y-edges of g and h, three
+# accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose edges are
+# not shared), the matrix kernel's (the edges in four rows, twelve rows of
+# accumulators and products) 3.7 MB, or 2.6 MB when g = h, as in a pairing.
+# Each block makes about 25 (scalar) or 50 to 60 (matrix) ufunc calls, and
+# the Python between them holds the GIL, so the block size sets how well two
+# workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on
+# one worker and 0.32 s on two with 4096-square scalar blocks, 0.19 s and
+# 0.15 s with 16384.  65536-square blocks gained little more (0.13 s on two
+# workers) but raised the peak RSS of the lipschitz-direct benchmark by 7%
+# and of pullback-converge by 14%.
 BLOCK = 16384
 
 # Entries in one digit table: chunks of k digits with nmaps**k <= 2**16.
@@ -229,76 +243,52 @@ def dust_tile_order(level):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(lead):
-    """(lo, hi, block shape) of the kernel blocks of about :data:`BLOCK`
-    squares, whole rows of axis 0 of the leading shape ``lead``."""
-    rows = max(1, BLOCK // math.prod(lead[1:]))
-    for lo in range(0, lead[0], rows):
-        hi = min(lead[0], lo + rows)
-        yield lo, hi, (hi - lo,) + lead[1:]
-
-
-def corner_lattice(v0, v1, v2, v3):
-    """Corner arrays as a lattice and its cells: (a, cells) with a the
-    (..., 2B, 2) array [[v0 | v1], [v3 | v2]] of B-square corner arrays
-    v0..v3 of shape (..., B).  Row i of a holds square i's near corners, row
-    B + i its far ones, so a shares no edges between squares and cell i is
-    row i of the (B, 1) cells."""
-    b = v0.shape[-1]
-    a = np.concatenate((np.stack((v0, v1), axis=-1), np.stack((v3, v2), axis=-1)), axis=-2)
-    return a, (slice(None, b), slice(b, None), slice(None, 1), slice(1, None))
-
-
-def _rows(a, cells, lo, hi):
-    """Where the near and far rows of cell rows [lo, hi) (hi None: the last)
-    sit in lattice ``a``, as slices with explicit bounds."""
-    near, far = (range(a.shape[-2])[s] for s in cells[:2])
-    hi = len(near) if hi is None else hi
-    return slice(near.start + lo, near.start + hi), slice(far.start + lo, far.start + hi)
+def _blocks(count):
+    """(lo, hi) of the kernel blocks: runs of :data:`BLOCK` consecutive cells
+    of ``count``."""
+    for lo in range(0, count, BLOCK):
+        yield lo, min(count, lo + BLOCK)
 
 
 def corners(a, cells, lo=0, hi=None):
-    """The values v0, v1, v2, v3 of lattice ``a`` at the corners of the cells
-    in cell rows [lo, hi) (default: all), as views."""
-    near_y, far_y = _rows(a, cells, lo, hi)
-    near_x, far_x = cells[2:]
-    return (a[..., near_y, near_x], a[..., near_y, far_x],
-            a[..., far_y, far_x], a[..., far_y, near_x])
+    """The values v0, v1, v2, v3 of flat lattice ``a`` at the corners of
+    cells [lo, hi) (default: all), as contiguous 1-D views."""
+    offsets, count = cells
+    hi = count if hi is None else hi
+    return tuple(a[..., lo + o : hi + o] for o in offsets)
 
 
 def edges(a, cells, diff, lo=0, hi=None):
-    """The edge differences of lattice ``a`` along the cells in cell rows
-    [lo, hi) (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0,
-    v2 - v1), the x-edges at the cells' near and far rows and the y-edges at
-    their near and far columns.  The other four corner differences are their
+    """The edge differences of flat lattice ``a`` along cells [lo, hi)
+    (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0, v2 - v1),
+    the x-edges at the cells' near and far rows and the y-edges at their
+    near and far columns.  The other four corner differences are their
     exact negations.
 
-    ``diff(name, x, y)`` returns x - y.  Where the cells' near and far rows
-    overlap or touch (a shifted lattice), it is called on two arrays, the
-    x-edges Dx = a[:, far_x] - a[:, near_x] of rows lo..hi and the y-edges
-    Dy = a[far_y] - a[near_y], each read at two offsets, so an edge two
-    cells share is subtracted once.  Where they lie apart (the dust's
-    quadrants, corner lattices), no edge is shared, and each of the four is
-    its own contiguous difference: products of strided views of a shared Dy
-    made the dust's kernel about 8% slower.
+    ``diff(name, x, y)`` returns x - y.  Where the cells' two x-edges are
+    one shift apart (v2 - v3 = v1 - v0 moved by o3 - o0) and the two slices
+    overlap or touch, it is called once, on the x-edges
+    Dx[k] = a[k + o1 - o0] - a[k] spanning both, which are read at two
+    offsets, so an edge two cells share is subtracted once; likewise the
+    y-edges.  Otherwise each edge is its own difference.
     """
-    near_y, far_y = _rows(a, cells, lo, hi)
-    near_x, far_x = cells[2:]
-    top, bottom = min(near_y.start, far_y.start), max(near_y.stop, far_y.stop)
-    if bottom - top > 2 * (near_y.stop - near_y.start):
-        return (diff("xn", a[..., near_y, far_x], a[..., near_y, near_x]),
-                diff("xf", a[..., far_y, far_x], a[..., far_y, near_x]),
-                diff("yn", a[..., far_y, near_x], a[..., near_y, near_x]),
-                diff("yf", a[..., far_y, far_x], a[..., near_y, far_x]))
-    dx = diff("dx", a[..., top:bottom, far_x], a[..., top:bottom, near_x])
-    dy = diff("dy", a[..., far_y, :], a[..., near_y, :])
-    return (dx[..., near_y.start - top : near_y.stop - top, :],
-            dx[..., far_y.start - top : far_y.stop - top, :],
-            dy[..., near_x], dy[..., far_x])
+    (o0, o1, o2, o3), count = cells
+    hi = count if hi is None else hi
+    m = hi - lo
+
+    def pair(name, near, far, other):
+        # the edges a[k + far] - a[k + near] and a[k + o2] - a[k + other]
+        if far - near == o2 - other and 0 <= other - near <= m:
+            d = diff("d" + name, a[..., lo + far : hi + o2], a[..., lo + near : hi + other])
+            return d[..., :m], d[..., other - near : other - near + m]
+        return (diff(name + "n", a[..., lo + far : hi + far], a[..., lo + near : hi + near]),
+                diff(name + "f", a[..., lo + o2 : hi + o2], a[..., lo + other : hi + other]))
+
+    return pair("x", o0, o1, o3) + pair("y", o0, o3, o1)
 
 
 def _terms(f, g, h, cells, lo, hi, diff):
-    """The four terms (F, X, Y, X', Y') of the kernel on cell rows [lo, hi),
+    """The four terms (F, X, Y, X', Y') of the kernel on cells [lo, hi),
     each F (X Y - X' Y') added: f at the corners v0, v2, v1, v3 and the edge
     differences of g and h (h = g shares them).
 
@@ -322,11 +312,10 @@ def _terms(f, g, h, cells, lo, hi, diff):
 def scalar_kernel(f, g, h, *, cells, out=None):
     """Per-square trace kernel for scalar vertex values.
 
-    ``f``, ``g`` and ``h`` are vertex lattices of one shape, real or
-    complex; ``cells = (near_y, far_y, near_x, far_x)`` are slices of its two
-    axes, the near and far rows and columns of every cell, whose corners are
-    v0 = (near_y, near_x), v1 = (near_y, far_x), v2 = (far_y, far_x) and
-    v3 = (far_y, near_x).  The result, complex128 of the cells' shape, is
+    ``f``, ``g`` and ``h`` are flat (N,) vertex lattices, real or complex;
+    ``cells = ((o0, o1, o2, o3), count)`` puts the corners v0..v3 of cell k
+    at k + o0, ..., k + o3 (see the module docstring).  The result, a
+    complex128 array of ``count`` values, is
     0.5 * (f0 b1 + f2 b2 - f1 b3 - f3 b4) with b1 = (g1-g0)(h2-h1) -
     (g3-g0)(h2-h3) and b2..b4 its rotations, computed on the x- and y-edge
     differences of g and h.  ``out`` is the :class:`Workspace` that holds the
@@ -335,17 +324,16 @@ def scalar_kernel(f, g, h, *, cells, out=None):
     """
     ws = Workspace() if out is None else out
     dtype = np.result_type(f, g, h)
-    lead = f[cells[0], cells[2]].shape
-    result = ws.take("kernel.result", lead)
-    for lo, hi, block in _blocks(lead):
+    result = ws.take("kernel.result", (cells[1],))
+    for lo, hi in _blocks(cells[1]):
 
         def diff(name, a, b):
             return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
 
         terms = _terms(f, g, h, cells, lo, hi, diff)
-        acc = ws.take("kernel.acc", block, dtype)
-        s = ws.take("kernel.s", block, dtype)
-        prod = ws.take("kernel.prod", block, dtype)
+        acc = ws.take("kernel.acc", (hi - lo,), dtype)
+        s = ws.take("kernel.s", (hi - lo,), dtype)
+        prod = ws.take("kernel.prod", (hi - lo,), dtype)
         for k, (F, X, Y, X2, Y2) in enumerate(terms):
             t = s if k else acc
             np.multiply(X, Y, out=t)
@@ -362,11 +350,11 @@ def matrix_kernel(f, g, h, *, cells, out=None):
     """Per-square trace kernel for 2 x 2 Hermitian unit-trace vertex values,
     read as their real Bloch vectors.
 
-    ``f``, ``g`` and ``h`` are float64 (3, H, W) lattices: the vertex value
-    e = (I + n . sigma) / 2 with n = (n1, n2, n3) along axis 0; ``cells`` as
-    for :func:`scalar_kernel`.  The result, complex128 of the cells' shape,
-    is the matrix form of the scalar kernel, 0.5 * (Tr f0 b1 + Tr f2 b2 -
-    Tr f1 b3 - Tr f3 b4).  A difference of two vertex values is
+    ``f``, ``g`` and ``h`` are float64 (3, N) flat lattices: the vertex
+    value e = (I + n . sigma) / 2 with n = (n1, n2, n3) along axis 0;
+    ``cells`` as for :func:`scalar_kernel`.  The result, a complex128 array
+    of ``count`` values, is the matrix form of the scalar kernel,
+    0.5 * (Tr f0 b1 + Tr f2 b2 - Tr f1 b3 - Tr f3 b4).  A difference of two vertex values is
     X = x . sigma / 2, and the Pauli algebra gives
     Tr(e X Y) = (x . y + i n . cross(x, y)) / 4, so the result is the sum of
     (x . y - x' . y' + i F . (cross(x, y) - cross(x', y'))) / 8 over the four
@@ -378,11 +366,10 @@ def matrix_kernel(f, g, h, *, cells, out=None):
     :func:`scalar_kernel`.
     """
     ws = Workspace() if out is None else out
-    lead = f[:, cells[0], cells[2]].shape[1:]
-    result = ws.take("kernel.result", lead)
-    # (real, imaginary) of the result as a (2,) + lead float64 view
-    parts = np.moveaxis(result.view(np.float64).reshape(lead + (2,)), -1, 0)
-    for lo, hi, block in _blocks(lead):
+    result = ws.take("kernel.result", (cells[1],))
+    # (real, imaginary) of the result as a (2, count) float64 view
+    parts = result.view(np.float64).reshape(-1, 2).T
+    for lo, hi in _blocks(cells[1]):
 
         def diff(name, a, b):
             # rows (x2, x3, x1, x2): rows 0:3 and 1:4 are the components
@@ -396,10 +383,10 @@ def matrix_kernel(f, g, h, *, cells, out=None):
             return d
 
         terms = _terms(f, g, h, cells, lo, hi, diff)
-        acc = ws.take("kernel.acc", (2, 3) + block, np.float64)  # per component
+        acc = ws.take("kernel.acc", (2, 3, hi - lo), np.float64)  # per component
         re, im = acc
-        t = ws.take("kernel.t", (3,) + block, np.float64)
-        prod = ws.take("kernel.prod", (3,) + block, np.float64)
+        t = ws.take("kernel.t", (3, hi - lo), np.float64)
+        prod = ws.take("kernel.prod", (3, hi - lo), np.float64)
         (_, gxn, hyf, gyn, hxf), (_, gxf, hyn, gyf, hxn) = terms[:2]
         np.add(gxn[:3], gxf[:3], out=re)
         re *= np.add(hyf[:3], hyn[:3], out=prod)

@@ -350,11 +350,12 @@ def _cmd_selftest(args) -> int:
     if worst > 1e-12:
         failures.append("kernel oracle mismatch")
 
-    # the engine's scalar kernel on 200 random complex squares, their
-    # corners v0..v3 of f, g and h passed as the engine's corner lattices
+    # the engine's scalar kernel on 200 random complex squares, the corners
+    # v0..v3 of f, g and h concatenated, as on the engine's word path
     z = rng.standard_normal((12, 200)) + 1j * rng.standard_normal((12, 200))
-    (f, cells), (g, _), (h, _) = (K.corner_lattice(*z[i : i + 4]) for i in (0, 4, 8))
-    got = K.scalar_kernel(f, g, h, cells=cells)[:, 0]
+    cells = ((0, 200, 400, 600), 200)
+    f, g, h = (np.concatenate(z[i : i + 4], axis=-1) for i in (0, 4, 8))
+    got = K.scalar_kernel(f, g, h, cells=cells)
     worst = max(
         abs(got[s] - kernel_trace(*(VertexValues(*z[i : i + 4, s]) for i in (0, 4, 8))))
         for s in range(200)
@@ -368,8 +369,8 @@ def _cmd_selftest(args) -> int:
     n = rng.standard_normal((12, 3, 200))
     n /= np.sqrt((n * n).sum(axis=1, keepdims=True))
     e = 0.5 * (np.eye(2) + np.einsum("vks,kij->vsij", n, _PAULI))
-    (f, cells), (g, _), (h, _) = (K.corner_lattice(*n[i : i + 4]) for i in (0, 4, 8))
-    got = K.matrix_kernel(f, g, h, cells=cells)[:, 0]
+    f, g, h = (np.concatenate(n[i : i + 4], axis=-1) for i in (0, 4, 8))
+    got = K.matrix_kernel(f, g, h, cells=cells)
     worst = max(
         abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[i : i + 4, s]) for i in (0, 4, 8))))
         for s in range(200)
@@ -397,10 +398,11 @@ def _cmd_selftest(args) -> int:
             failures.append(f"riemann closed form at n={n}")
     print("riemann closed form (n=1..3): ok" if not any("riemann" in x for x in failures) else "riemann closed form: FAIL")
 
-    a = phi_n(preset, 6, f, g, h, workers=1)
-    b = phi_n(preset, 6, f, g, h, workers=4)
+    # n = 9 is four tasks, so the 4-worker sum runs on a pool
+    a = phi_n(preset, 9, f, g, h, workers=1)
+    b = phi_n(preset, 9, f, g, h, workers=4)
     det = a == b
-    print(f"worker determinism (n=6): {'ok' if det else 'FAIL'}")
+    print(f"worker determinism (n=9): {'ok' if det else 'FAIL'}")
     if not det:
         failures.append("worker determinism")
 

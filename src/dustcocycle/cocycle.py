@@ -15,57 +15,65 @@ task's bounding box is a tensor product: the engine builds it as a (1, W)
 row of u and an (H, 1) column of v, 257 of each for a 256 x 256 tile, and
 each observable broadcasts its rule over the two, so a product rule such as
 cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
-The trace kernel takes each observable's (H, W) values whole, with the
-slices ``_SHIFTED`` of its cells' near and far rows and columns: cell
-(i, j) spans rows i, i + 1 and columns j, j + 1.  Per block of cell rows it
-reads f at the corners v0..v3 and g and h as their x- and y-edge
-differences, each edge subtracted once for the two cells that share it,
+Each observable's (H, W) values are flattened row-major (a view, or for a
+broadcast row or column a copy in the worker's workspace), and the trace
+kernel takes them whole, with the flat corner offsets (0, 1, W + 1, W) of
+cell 0: cell k's corners are at k, k + 1, k + W + 1 and k + W, so cell
+(i, j) is k = i W + j.  The last cell of each row is a padded one, whose
+x-edge wraps into the next row; it is computed and dropped, and the last
+row's is left out, so the kernel runs on (H - 1) W - 1 cells and never reads
+past the lattice.  Per block of consecutive cells it reads f at the corners
+v0..v3 and g and h as their x- and y-edge differences, each edge subtracted
+once for the two cells that share it, every operand one contiguous slice,
 with no gather.  Real rules stay float64 up to the kernel's complex result.
-A matrix observable's values are its (3, H, W) float64 Bloch vectors, read
+A matrix observable's values are its (3, H W) float64 Bloch vectors, read
 the same way.  The per-cell values are then put into word order with one
 ``np.take``.
 Every pullback task, at every level, walks its tile in the same Morton
 order, so a pullback sum builds that permutation once, from the digit table
-of the m-digit words, carries it in its source, and places each task's tile
+of the m-digit words, rebased past the padded cells to
+ty (2**m + 1) + tx, carries it in its source, and places each task's tile
 from the digit map of its first word alone.
 
 Direct mode evaluates at the triadic vertices of each square instead, over
 3**n.  On the dust and the Sierpinski carpet its tasks are lattice tiles
 too: a task is the nmaps**k words of one level-k sub-fractal, k = min(n, 8)
 on the dust (4**8 words, 16 leaves) and min(n, 5) on the carpet (8**5
-words, 8 leaves), placed from its first word's corner numerators, and the
-rule runs on a row of x and a column of y.  The dust's squares share no
-vertices, so its lattice lists the tile's near columns and then its far
-ones (x0 + T(c), then x0 + T(c) + 1, with T writing c's bits as ternary
-digits 2), and likewise the rows: the cells' near rows and columns are
-``:w`` and their far ones ``w:``, so the corners v0..v3 are the four
-quadrants of the lattice, and the cells come in the pullback's Morton order.
-The carpet's lattice is the (3**k + 1)**2 box around its tile, a plain
-lattice; the kernel runs on every box cell, holes included (1.8x the squares
-at k = 5), and ``np.take`` keeps the tile's own.  A tile's layout depends only on the
-preset and k, so it is built once per level and cached.  Which presets get
-tiles is decided from data: a full tile must be a whole number of leaves.
-``full-subdivision-3``'s 9**k never is, so it keeps the word path, its only
-user: every word is digit-mapped (``_direct_coords``) and each observable is
-evaluated once on the corner lattice of the words' corner coordinates,
-whose row i holds word i's near corners and row B + i its far ones
-(:func:`_kernels.corner_lattice`), so that every caller of the kernel passes
-a lattice and its cells.  :func:`estimate_lipschitz` reads the same tasks
-and lattices, and the same edge differences.
+words, 8 leaves), placed from its first word's corner numerators.  The
+dust's squares share no vertices, so the rule runs on a (1, 2, 1, w) row of
+x, the tile's near columns x0 + T(c) and far ones x0 + T(c) + 1 (T writing
+c's bits as ternary digits 2), and a (2, 1, h, 1) column of y, likewise:
+the (2, 2, h, w) lattice's corners v0..v3 are four contiguous h w blocks at
+offsets (0, hw, 3hw, 2hw), and the cells come in the pullback's Morton
+order.  The carpet's lattice is the (3**k + 1)**2 box around its tile, a
+plain lattice of a row and a column; the kernel runs on every box cell,
+holes and padded cells included (1.8x the squares at k = 5), and
+``np.take`` keeps the tile's own, at ky (3**k + 1) + kx.  A tile's layout
+depends only on the preset and k, so it is built once per level and cached.
+Which presets get tiles is decided from data: a full tile must be a whole
+number of leaves.  ``full-subdivision-3``'s 9**k never is, so it keeps the
+word path, its only user: every word is digit-mapped (``_direct_coords``)
+and each observable is evaluated once on the words' corner coordinates,
+concatenated as (v0, v1, v2, v3), at offsets (0, B, 2B, 3B), so that every
+caller of the kernel passes a flat lattice and its cells.
+:func:`estimate_lipschitz` reads the same tasks and lattices, and the same
+edge differences.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
-one sum and runs all its tasks in it: the digit maps, kernel temporaries and
-reordered values reuse its buffers, and nothing of it outlives the call.  The
-lattice coordinates are not among them: a row and a column are too small to
-need it.  A task still allocates its observables' own values and, on the
-word path, its word indices.
+one sum and runs all its tasks in it: the digit maps, the copies of
+broadcast values, kernel temporaries and reordered values reuse its
+buffers, and nothing of it outlives the call.  A tile's coordinates are
+not among them: a row and a column are too small to need it.  A task still
+allocates its observables' own values and, on the word path, its word
+indices.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
 dyadic subdivision, in row-major order, on the same plain lattices; its tasks
-are whole rows, already in cell order, so they need no reorder, and it never
-uses the Morton permutation: the pullback = subdivision check compares two
-independently ordered sums.  In pullback mode the two sums are termwise equal
-because dust squares biject onto cells with order-preserving corners.
+are whole rows, already in cell order, so they need no reorder (they skip
+the padded cell of each row as they read their cells), and it never uses the
+Morton permutation: the pullback = subdivision check compares two
+independently ordered sums.  In pullback mode the two sums are termwise
+equal because dust squares biject onto cells with order-preserving corners.
 """
 
 from __future__ import annotations
@@ -123,9 +131,11 @@ class Observable:
 
     ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
     broadcast against each other: a (1, W) row of u and an (H, 1) column of
-    v on a vertex lattice, or two (2B, 2) corner lattices on the word path.
-    A scalar rule returns a real or complex array that broadcasts to their
-    common shape; a rule that depends on u only may return the (1, W) row.  ``mode`` decides
+    v on a vertex lattice, a 4-D (1, 2, 1, w) row and (2, 1, h, 1) column on
+    the dust's direct tiles, or two 1-D corner arrays of the same length on
+    the word path.  A scalar rule returns a real or complex array that
+    broadcasts to their common shape; a rule that depends on u only may
+    return the row of u's shape.  ``mode`` decides
     what the engine feeds it: the vertex's own triadic coordinates (direct)
     or the dyadic staircase image on the torus (pullback).
 
@@ -266,10 +276,13 @@ def _direct_coords(words, n, offx, offy, ws):
     return coords
 
 
-# The cells of a plain lattice, as the kernels take them: (near_y, far_y,
-# near_x, far_x), where the cells' near and far rows and columns sit in the
-# lattice.  Each cell spans two neighbouring rows and columns.
-_SHIFTED = (slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
+def _shifted_cells(h, w):
+    """The cells of a plain h x w vertex lattice, flattened row-major, as the
+    kernels take them: corners at k, k + 1, k + w + 1 and k + w, and
+    (h - 1) w - 1 cells.  Cell k = i w + j spans rows i, i + 1 and columns
+    j, j + 1; the last cell of each row (j = w - 1) is a padded cell whose
+    x-edge wraps into the next row, and the last row's is left out."""
+    return (0, 1, w + 1, w), (h - 1) * w - 1
 
 
 def _tile_level(nmaps):
@@ -287,9 +300,9 @@ class _Tile(NamedTuple):
     task's first word's.
 
     ``dx`` and ``dy`` are the lattice's column and row numerators over 3**n,
-    relative to that corner; ``cells`` are where the cells' near and far
-    rows and columns sit in the lattice (as ``_SHIFTED``); ``order`` is where
-    each word's cell sits among them, a flat row-major index, in word order.
+    relative to that corner, shaped to broadcast into the lattice; ``cells``
+    are the lattice's cells as the kernels take them; ``order`` is where each
+    word's cell sits among them, in word order.
     """
 
     dx: np.ndarray
@@ -320,12 +333,14 @@ def _direct_tile(offsets, k):
     with read-only arrays: built once per level, like the digit tables.
 
     A tile's cells are the level-k words' own, read from their corner
-    numerators.  When they are every pair of their columns and rows (the
-    dust), the lattice lists the cells' near columns, then their far ones,
-    and likewise the rows, so the corners are its four quadrants and no
-    vertex is evaluated twice; every lattice cell is one of the tile's.
-    Otherwise (the carpet) the lattice is the (3**k + 1)**2 box around them,
-    whose cells share their vertices, and the kernel runs on every box cell
+    numerators.  When they are every pair of their w columns and h rows (the
+    dust), the lattice is (2, 2, h, w): the cells' near and far rows, their
+    near and far columns, then the rows and columns themselves, so the
+    corners v0..v3 are four contiguous h w blocks at offsets
+    (0, hw, 3hw, 2hw), no vertex is evaluated twice and every lattice cell
+    is one of the tile's.  Otherwise (the carpet) the lattice is the
+    (3**k + 1)**2 box around them, a plain lattice whose cells share their
+    vertices, and the kernel runs on every box cell, padded ones included,
     before the tile's own are gathered.
     """
     off = np.array(offsets, dtype=np.int64)
@@ -334,15 +349,17 @@ def _direct_tile(offsets, k):
     xs, ys = np.unique(kx), np.unique(ky)
     if xs.size * ys.size == kx.size:
         w, h = xs.size, ys.size
+        far = np.arange(2, dtype=np.int64)[:, None]
         tile = _Tile(
-            np.concatenate((xs, xs + 1)), np.concatenate((ys, ys + 1)),
-            (slice(None, h), slice(h, None), slice(None, w), slice(w, None)),
+            (xs + far).reshape(1, 2, 1, w), (ys + far).reshape(2, 1, h, 1),
+            ((0, h * w, 3 * h * w, 2 * h * w), h * w),
             np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
         )
     else:
         side = 3**k
         box = np.arange(side + 1, dtype=np.int64)
-        tile = _Tile(box, box, _SHIFTED, ky * side + kx)
+        tile = _Tile(box[None, :], box[:, None], _shifted_cells(side + 1, side + 1),
+                     ky * (side + 1) + kx)
     for a in (tile.dx, tile.dy, tile.order):
         a.flags.writeable = False
     return tile
@@ -354,26 +371,39 @@ def _task_span(source):
     return source[3].order.size if source[0] == "direct" else TASK_LEAVES * LEAF
 
 
+def _pullback_source(n):
+    """The source of a level-n pullback sum, ``("pullback", order)``: where
+    each of a tile's 4**m words, m = min(n, 8), has its cell on the tile's
+    flat (2**m + 1)-wide lattice, in word order.  That is the Morton walk
+    ``K.dust_tile_order(m)``, ty 2**m + tx, rebased to ty (2**m + 1) + tx
+    past the padded cell of each lattice row; built once per sum."""
+    m = min(n, _tile_level(4))
+    order = K.dust_tile_order(m)
+    return ("pullback", order + (order >> m))
+
+
 def _vertex_lattice(source, n, w_lo, w_hi, ws):
     """Vertex lattice of the cells of words or cells [w_lo, w_hi).
 
-    Returns the lattice as a (1, W) row of u and an (H, 1) column of v, the
-    slices of its cells' near and far rows and columns, and where each
-    square's cell sits among the lattice cells, in word order: flat
-    row-major indices for pullback words (Morton order) and direct tiles, a
-    slice for subdivision cells (already row-major).
+    Returns the lattice coordinates u and v, which broadcast to its shape,
+    its cells as the kernels take them, and where each square's cell sits
+    among them, in word order: an index array for pullback words (the
+    rebased Morton order) and direct tiles, a slice of the row-major cells
+    without their padded ones for subdivision cells.  A plain lattice is a
+    (1, W) row of u and an (H, 1) column of v; a dust tile's, a
+    (1, 2, 1, w) row and a (2, 1, h, 1) column.
 
     Every pullback task, at every level, is one aligned tile of 4**m words,
     m = min(n, 8), whose squares are the tile of its first word's image cell:
-    the source ``("pullback", order)`` carries the in-tile Morton order,
-    ``K.dust_tile_order(m)``, and only the first word is digit-mapped.  A
-    direct task is one aligned :class:`_Tile`, placed from its first word's
-    corner numerators alike.  Any other pullback or direct range raises
-    ValueError.  Coordinates are the same floats as the per-square corners:
-    pullback columns and rows wrap with ``& mask`` (the periodic torus),
-    subdivision cells keep their far edge at coordinate value 1, so plain
-    (non-periodized) coordinate functions keep their Riemann sums, and
-    direct ones are numerators over 3**n.
+    the source (:func:`_pullback_source`) carries the in-tile order, and only
+    the first word is digit-mapped.  A direct task is one aligned
+    :class:`_Tile`, placed from its first word's corner numerators alike.
+    Any other pullback or direct range raises ValueError.  Coordinates are
+    the same floats as the per-square corners: pullback columns and rows
+    wrap with ``& mask`` (the periodic torus), subdivision cells keep their
+    far edge at coordinate value 1, so plain (non-periodized) coordinate
+    functions keep their Riemann sums, and direct ones are numerators over
+    3**n.
     """
     if source[0] == "direct":
         _, offx, offy, tile = source
@@ -381,8 +411,7 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
             raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned direct task")
         kx, ky = K.corner_numerators(np.array([w_lo], dtype=np.int64), n, offx, offy, out=ws)
         den = float(3**n)
-        x, y = (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den
-        return x[None, :], y[:, None], tile.cells, tile.order
+        return (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den, tile.cells, tile.order
     side = 1 << n
     mask = side - 1
     if source[0] == "pullback":
@@ -404,33 +433,46 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
         x &= mask
         y &= mask
     inv = 1.0 / float(side)
-    return (x * inv)[None, :], (y * inv)[:, None], _SHIFTED, order
+    return (x * inv)[None, :], (y * inv)[:, None], _shifted_cells(rows + 1, cols + 1), order
+
+
+def _flat(values, shape, name, ws):
+    """``values`` reshaped to the flat ``shape``: a view when they are
+    C-contiguous, else (a broadcast row or column) a copy held in buffer
+    ``name`` of ``ws``."""
+    if not values.flags.c_contiguous:
+        buf = ws.take(name, values.shape, values.dtype)
+        np.copyto(buf, values)
+        values = buf
+    return values.reshape(shape)
 
 
 def _lattice_values(source, n, w_lo, w_hi, observables, ws):
-    """Each observable's values on the vertex lattice of the cells of words
-    or cells [w_lo, w_hi), the slices of the cells' near and far rows and
-    columns in it, and where each word's cell sits among them: None on the
-    word path, whose cells are in word order already.
+    """Each observable's values on the flat vertex lattice of the cells of
+    words or cells [w_lo, w_hi), shape (N,) or (3, N) for Bloch vectors, the
+    lattice's cells as the kernels take them, and where each word's cell
+    sits among them: None on the word path, whose cells are in word order
+    already.
 
     Each distinct observable is evaluated once (a repeated one is the same
-    array), on the lattice of :func:`_vertex_lattice`, or on the word path
-    on the corner lattice of every word's own digit map
-    (:func:`_kernels.corner_lattice`: the four corners of word i in rows i
-    and B + i).
+    array), on the lattice of :func:`_vertex_lattice`, or on the word path on
+    the corners of every word's own digit map, concatenated as
+    (v0, v1, v2, v3) with offsets (0, B, 2B, 3B).
     """
     if source[0] == "words":
         _, offx, offy = source
         x0, x1, y0, y1 = _direct_coords(np.arange(w_lo, w_hi, dtype=np.int64), n, offx, offy, ws)
-        u, cells = K.corner_lattice(x0, x1, x1, x0)
-        v, _ = K.corner_lattice(y0, y0, y1, y1)
-        order = None
+        b = x0.size
+        u = np.concatenate((x0, x1, x1, x0), out=ws.take("coords.u", (4 * b,), np.float64))
+        v = np.concatenate((y0, y0, y1, y1), out=ws.take("coords.v", (4 * b,), np.float64))
+        cells, order = ((0, b, 2 * b, 3 * b), b), None
     else:
         u, v, cells, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
     cache = {}
-    for obs in observables:
+    for i, obs in enumerate(observables):
         if id(obs) not in cache:
-            cache[id(obs)] = obs.evaluate(u, v)
+            shape = (3, -1) if obs.kind == "matrix" else (-1,)
+            cache[id(obs)] = _flat(obs.evaluate(u, v), shape, f"lattice.{i}", ws)
     return [cache[id(o)] for o in observables], cells, order
 
 
@@ -466,12 +508,23 @@ def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
     ws = K.Workspace() if ws is None else ws
     (f, g, h), cells, order = _lattice_values(source, n, w_lo, w_hi, observables, ws)
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
-    vals = kernel(f, g, h, cells=cells, out=ws).reshape(-1)
+    vals = kernel(f, g, h, cells=cells, out=ws)
     if isinstance(order, slice):
-        vals = vals[order]
+        vals = _row_major(vals, cells, ws)[order]
     elif order is not None:
         vals = np.take(vals, order, out=ws.take("reordered", order.shape))
     return K.leaf_sums(vals, LEAF)
+
+
+def _row_major(vals, cells, ws):
+    """The values of a plain lattice's cells in row-major order, without the
+    padded cell of each row, held in ``ws``."""
+    width = cells[0][3]
+    rows = (cells[1] + 1) // width
+    grid = ws.take("reordered", (rows, width - 1))
+    np.copyto(grid[:-1], vals[: (rows - 1) * width].reshape(rows - 1, width)[:, :-1])
+    np.copyto(grid[-1], vals[(rows - 1) * width :])
+    return grid.reshape(-1)
 
 
 def _sum_kernel(source, n, total, f, g, h, workers):
@@ -544,8 +597,8 @@ def phi_n(
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
-        # one Morton order for every task of the sum; it dies with the call
-        source = ("pullback", K.dust_tile_order(min(n, _tile_level(preset.nmaps))))
+        # one in-tile order for every task of the sum; it dies with the call
+        source = _pullback_source(n)
     else:
         source = _direct_source(preset, n)
     return _sum_kernel(source, n, total, f, g, h, workers)
@@ -703,10 +756,11 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     over the four edges of every level-n square: the x- and y-edge
     differences the kernel reads, through the same helper
     (:func:`_kernels.edges`), on the same tasks and lattices as
-    :func:`phi_n`'s.  Box cells outside a carpet tile are gathered out, so
-    the vertices and edges of its holes never count; a maximum depends on
-    neither the order it is taken in nor the sign of a difference.  A
-    negative level raises ValueError.
+    :func:`phi_n`'s.  Box cells outside a carpet tile, padded cells among
+    them, are gathered out, so neither the vertices and edges of its holes
+    nor an x-edge that wraps from one lattice row into the next counts; a
+    maximum depends on neither the order it is taken in nor the sign of a
+    difference.  A negative level raises ValueError.
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")

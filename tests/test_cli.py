@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import subprocess
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,7 @@ except ImportError:  # pragma: no cover
 
 import numpy as np
 
-from dustcocycle import __version__, cli
+from dustcocycle import __version__, cli, cocycle
 from dustcocycle import _kernels as K
 from dustcocycle.cli import CSV_COLUMNS, build_id, main
 from dustcocycle.oracle import SMOOTH_PRESETS, ProjectionField
@@ -375,6 +376,36 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 1
         assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
+
+    def test_selftest_determinism_runs_several_tasks_on_a_pool(self, monkeypatch):
+        """The worker-determinism check sums a level of several tasks, so its
+        multi-worker sum runs them on a pool, not serially."""
+        threads = []
+        task = cocycle._leaf_sums_for_range
+
+        def counted(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return task(*args, **kwargs)
+
+        parallel = []
+        phi_n = cli.phi_n
+
+        def recorded(*args, workers=None, **kwargs):
+            start = len(threads)
+            val = phi_n(*args, workers=workers, **kwargs)
+            if workers > 1:
+                parallel.append(threads[start:])
+            return val
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", counted)
+        monkeypatch.setattr(cli, "phi_n", recorded)
+        code, out = run_cli("selftest")
+        assert code == 0
+        assert "worker determinism (n=9): ok" in out
+        assert parallel
+        for ran in parallel:
+            assert len(ran) > 1
+            assert threading.main_thread() not in ran
 
     def test_selftest_checks_the_matrix_kernel(self, monkeypatch, capsys):
         code, out = run_cli("selftest")

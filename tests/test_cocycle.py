@@ -208,6 +208,20 @@ class TestLipschitzDecay:
             for obs in (f, g, h, self.HOLE_BUMP, *self.EDGE_PROBES):
                 assert estimate_lipschitz(preset, n, obs) == self.brute_force(preset, n, obs)
 
+    # steep across a lattice row: a wrap from a row's last vertex to the
+    # next row's first would be an "edge" of size 1e6
+    ROW_WRAP = direct_scalar(lambda u, v: 1e6 * np.asarray(u), "1e6 x")
+
+    @pytest.mark.parametrize("preset, levels", [(CARPET, range(0, 5)), (DUST, range(0, 6)),
+                                                (FULL, range(0, 4))])
+    def test_row_wrap_never_counts(self, preset, levels):
+        """The padded cell at the end of each lattice row is never read as a
+        square: its x-edge, which wraps into the next row, does not count."""
+        for n in levels:
+            got = estimate_lipschitz(preset, n, self.ROW_WRAP)
+            assert got == self.brute_force(preset, n, self.ROW_WRAP)
+            assert got[1] == pytest.approx(1e6, rel=1e-6)
+
     def test_hole_bump_sees_the_holes(self):
         """Over the whole vertex grid, holes included, the bump's sup and
         Lipschitz estimate are larger than over the carpet's own squares."""

@@ -1,15 +1,30 @@
 """Digit-map semantics and the digit tables against the digit-by-digit loop,
-the edge-difference trace kernels against the corner form they replaced
-(bitwise) and the Bloch-vector matrix kernel against the complex matmul
-formula, and leaf-summation determinism of the hot kernels."""
+the edge-difference trace kernels on flat lattices against the corner form
+they replaced (bitwise) and the Bloch-vector matrix kernel against the
+complex matmul formula, that no kernel reads outside its lattice, and
+leaf-summation determinism of the hot kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dustcocycle import _kernels as K
+from dustcocycle import cocycle
 from dustcocycle.cocycle import LEAF
 from dustcocycle.geometry import IfsPreset, get_preset
+from dustcocycle.oracle import bott_projection
+
+DUST, CARPET, FULL = (get_preset(name) for name in ("cantor-dust", "sierpinski-carpet",
+                                                    "full-subdivision-3"))
+# a complex pullback triple with a u-only rule, a real direct triple with an
+# x-only and a y-only rule, and a Bloch projection
+PULLBACK = (
+    cocycle.Observable("uv", "pullback", "scalar", lambda u, v: 0.5 + u * v),
+    cocycle.Observable("u^2", "pullback", "scalar", lambda u, v: u * u),
+    cocycle.Observable("v+iu", "pullback", "scalar", lambda u, v: v - 1j * u),
+)
+DIRECT = cocycle.resolve_functions("const-xy")[:3]
+BOTT = cocycle.pullback_projection(bott_projection(1))
 
 
 @pytest.fixture
@@ -58,21 +73,37 @@ def bloch_reference(*ns):
     return matmul_reference(*(bloch_matrices(n) for n in ns))
 
 
-SHIFTED = (slice(None, -1), slice(1, None), slice(None, -1), slice(1, None))
+def shifted_cells(h, w):
+    """The flat cells of a plain h x w lattice, flattened row-major: corners
+    at k, k + 1, k + w + 1 and k + w, and (h - 1) w - 1 cells, the last of
+    each row a padded one."""
+    return (0, 1, w + 1, w), (h - 1) * w - 1
 
 
 def quadrant_cells(h, w):
-    """The cells of a (2h, 2w) lattice that lists its near rows and columns,
-    then its far ones: the dust's direct tiles."""
-    return slice(None, h), slice(h, None), slice(None, w), slice(w, None)
+    """The cells of a (2, 2, h, w) lattice of near and far rows, near and far
+    columns, then h rows and w columns: the dust's direct tiles."""
+    return (0, h * w, 3 * h * w, 2 * h * w), h * w
+
+
+def corner_cells(b):
+    """The cells of B squares' corner arrays concatenated as (v0, v1, v2, v3):
+    the word path."""
+    return (0, b, 2 * b, 3 * b), b
 
 
 def corner_arrays(a, cells):
-    """The values of lattice ``a`` (scalar (H, W) or Bloch (3, H, W)) at the
+    """The values of flat lattice ``a`` (scalar (N,) or Bloch (3, N)) at the
     corners v0..v3 of its cells, indexed here apart from the kernels."""
-    near_y, far_y, near_x, far_x = cells
-    return [a[..., near_y, near_x], a[..., near_y, far_x], a[..., far_y, far_x],
-            a[..., far_y, near_x]]
+    offsets, count = cells
+    k = np.arange(count)
+    return [a[..., k + o] for o in offsets]
+
+
+def cell_range(cells, lo, hi):
+    """The cells [lo, hi) of ``cells``, as cells of their own."""
+    offsets, _ = cells
+    return tuple(o + lo for o in offsets), hi - lo
 
 
 def reference_scalar_kernel(f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3):
@@ -143,39 +174,37 @@ def assert_bits_equal(a, b):
 
 @st.composite
 def _lattice_cases(draw):
-    """(kind, f, g, h, cells): lattices of every layout the engine passes --
-    shifted, quadrant (both with the near and far rows of a block apart, and
-    touching) and corner lattices -- of real or complex scalars or of
-    distinct or shared Bloch vectors, each ending in a short block, and at
-    times only a range of their cell rows that starts and ends off a block
+    """(kind, f, g, h, cells): flat lattices of every layout the engine
+    passes -- shifted, quadrant (both with the two edge slices of a block
+    apart, and touching) and corner lattices -- of real or complex scalars or
+    of distinct or shared Bloch vectors, each ending in a short block, and at
+    times only a range of their cells that starts and ends off a block
     boundary."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     kind = draw(st.sampled_from(["real", "complex", "matrix", "matrix f=g=h"]), label="kind")
     layout = draw(st.sampled_from(["shifted", "quadrant", "corners"]), label="layout")
     if layout == "corners":
-        rows = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK), label="squares")
-        cols = 1
-        shape = (2 * rows, 2)
-        cells = K.corner_lattice(*np.zeros((4, rows)))[1]
+        squares = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK),
+                       label="squares")
+        size, cells = 4 * squares, corner_cells(squares)
     else:
         cols = draw(st.integers(1, 300), label="cells per row")
         block = K.BLOCK // cols
         rows = draw(st.sampled_from([block // 2 + 1, 2 * block + block // 3]), label="cell rows")
         if layout == "shifted":
-            shape, cells = (rows + 1, cols + 1), SHIFTED
+            size, cells = (rows + 1) * (cols + 1), shifted_cells(rows + 1, cols + 1)
         else:
-            shape, cells = (2 * rows, 2 * cols), quadrant_cells(rows, cols)
-    if rows > 2 and draw(st.booleans(), label="a range of rows"):
-        lo = draw(st.integers(1, rows // 2), label="first row")
-        hi = draw(st.integers(lo + 1, rows - 1), label="end row")
-        starts = [s.indices(shape[0])[0] for s in cells[:2]]
-        cells = (slice(starts[0] + lo, starts[0] + hi), slice(starts[1] + lo, starts[1] + hi),
-                 *cells[2:])
+            size, cells = 4 * rows * cols, quadrant_cells(rows, cols)
+    count = cells[1]
+    if count > 2 and draw(st.booleans(), label="a range of cells"):
+        lo = draw(st.integers(1, count // 2), label="first cell")
+        hi = draw(st.integers(lo + 1, count - 1), label="end cell")
+        cells = cell_range(cells, lo, hi)
     nfun = 1 if kind == "matrix f=g=h" else 3
     head = (3,) if kind.startswith("matrix") else ()
-    lattices = [rng.standard_normal(head + shape) for _ in range(nfun)]
+    lattices = [rng.standard_normal(head + (size,)) for _ in range(nfun)]
     if kind == "complex":
-        lattices = [a + 1j * rng.standard_normal(shape) for a in lattices]
+        lattices = [a + 1j * rng.standard_normal(size) for a in lattices]
     return (kind, *(lattices * (3 // nfun)), cells)
 
 
@@ -196,45 +225,122 @@ class TestEdgeKernelsMatchCornerForm:
 
     @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
     def test_edges_are_the_corner_differences(self, rng, layout):
-        a = rng.standard_normal((2 * 70, 2 * 50))
-        cells = {"shifted": SHIFTED, "quadrant": quadrant_cells(70, 50),
-                 "corners": K.corner_lattice(*rng.standard_normal((4, 70)))[1]}[layout]
-        if layout == "corners":
-            a = a[:, :2]
+        a = rng.standard_normal(4 * 70 * 50)
+        cells = {"shifted": shifted_cells(4 * 70, 50), "quadrant": quadrant_cells(70, 50),
+                 "corners": corner_cells(70 * 50)}[layout]
         v0, v1, v2, v3 = corner_arrays(a, cells)
-        lo, hi = 3, 61
-        got = K.edges(a, cells, lambda _, x, y: x - y, lo, hi)
-        for x, want in zip(got, (v1 - v0, v2 - v3, v3 - v0, v2 - v1)):
-            assert np.array_equal(x, want[lo:hi])
-        for x, want in zip(K.corners(a, cells, lo, hi), (v0, v1, v2, v3)):
-            assert np.array_equal(x, want[lo:hi])
-        # by default, every cell row
+        for lo, hi in ((3, 61), (5, 3000), (0, cells[1])):
+            got = K.edges(a, cells, lambda _, x, y: x - y, lo, hi)
+            for x, want in zip(got, (v1 - v0, v2 - v3, v3 - v0, v2 - v1)):
+                assert np.array_equal(x, want[lo:hi])
+            for x, want in zip(K.corners(a, cells, lo, hi), (v0, v1, v2, v3)):
+                assert np.array_equal(x, want[lo:hi])
+        # by default, every cell
         for x, want in zip(K.edges(a, cells, lambda _, x, y: x - y), (v1 - v0, v2 - v3, v3 - v0,
                                                                         v2 - v1)):
             assert np.array_equal(x, want)
 
+    def test_shifted_cells_are_the_lattice_squares(self, rng):
+        """On a plain lattice, the corners of cell i w + j, j < w - 1, are
+        those of the square at row i and column j; cell i w + w - 1 is a
+        padded one."""
+        h, w = 7, 5
+        a = rng.standard_normal((h, w))
+        v0, v1, v2, v3 = corner_arrays(a.reshape(-1), shifted_cells(h, w))
+        square = np.arange((h - 1) * w - 1) % w < w - 1
+        for x, want in ((v0, a[:-1, :-1]), (v1, a[:-1, 1:]), (v2, a[1:, 1:]), (v3, a[1:, :-1])):
+            assert np.array_equal(x[square], want.reshape(-1))
+
+
+class TestPaddedCellsNeverLeak:
+    """A kernel reads nothing outside its lattice: on a lattice that is a
+    view into a buffer of NaN, every value is finite."""
+
+    LAYOUTS = [("shifted", shifted_cells(h, w), h * w) for h, w in
+               ((2, 2), (3, 3), (2, 7), (7, 2), (129, 130))]
+    LAYOUTS += [("quadrant", quadrant_cells(h, w), 4 * h * w) for h, w in
+                ((1, 1), (2, 2), (3, 5), (128, 128))]
+    LAYOUTS += [("corners", corner_cells(b), 4 * b) for b in (1, 2, K.BLOCK + 3)]
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "matrix", "matrix f=g=h"])
+    @pytest.mark.parametrize("layout, cells, size", LAYOUTS,
+                             ids=lambda x: x if isinstance(x, str) else None)
+    def test_finite_inside_nan(self, rng, kind, layout, cells, size):
+        head = (3,) if kind.startswith("matrix") else ()
+        dtype = np.complex128 if kind == "complex" else np.float64
+        pad = 17
+        lattices = []
+        for _ in range(1 if kind == "matrix f=g=h" else 3):
+            buf = np.full(head + (size + 2 * pad,), np.nan, dtype)
+            a = buf[..., pad : pad + size]
+            a[...] = rng.standard_normal(a.shape)
+            if kind == "complex":
+                a.imag = rng.standard_normal(a.shape)
+            lattices.append(a)
+        f, g, h = lattices * (3 // len(lattices))
+        kernel = K.matrix_kernel if head else K.scalar_kernel
+        got = kernel(f, g, h, cells=cells)
+        assert got.shape == (cells[1],)
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    def test_engine_lattices_finite_inside_nan(self, monkeypatch, n):
+        """The cells the engine passes stay inside its lattices, from 1 x 1
+        cell (n = 0) up: every kernel call of every layout, on copies of its
+        lattices inside NaN, gives finite values, and the sums the same
+        bits."""
+        calls = []
+
+        def padded(kernel):
+            def run(*lattices, cells, out=None):
+                inside = []
+                for a in lattices:
+                    buf = np.full(a.shape[:-1] + (a.shape[-1] + 34,), np.nan, a.dtype)
+                    inside.append(buf[..., 17:-17])
+                    inside[-1][...] = a
+                got = kernel(*inside, cells=cells, out=out)
+                calls.append(bool(np.isfinite(got).all()))
+                return got
+
+            return run
+
+        sums = {
+            "pullback": lambda: cocycle.phi_n(DUST, n, *PULLBACK, workers=1),
+            "subdivision": lambda: cocycle.phi_subdivision(n, *(o.rule for o in PULLBACK),
+                                                           workers=1),
+            "dust": lambda: cocycle.phi_n(DUST, n, *DIRECT, workers=1),
+            "carpet": lambda: cocycle.phi_n(CARPET, min(n, 6), *DIRECT, workers=1),
+            "words": lambda: cocycle.phi_n(FULL, min(n, 4), *DIRECT, workers=1),
+            "pairing": lambda: cocycle.pairing_n(DUST, n, BOTT, workers=1),
+        }
+        want = {name: fn() for name, fn in sums.items()}
+        monkeypatch.setattr(K, "scalar_kernel", padded(K.scalar_kernel))
+        monkeypatch.setattr(K, "matrix_kernel", padded(K.matrix_kernel))
+        for name, fn in sums.items():
+            assert fn() == want[name], name
+        assert calls and all(calls)
+
 
 def bloch_lattices(quads):
-    """Corner lattices of (3, B) Bloch quadruples v0..v3, one per function,
-    and their cells."""
-    lattices = [K.corner_lattice(*q) for q in quads]
-    return [a for a, _ in lattices], lattices[0][1]
+    """Flat lattices of (3, B) Bloch quadruples v0..v3, one per function,
+    the corner arrays concatenated, and their cells."""
+    return [np.concatenate(q, axis=-1) for q in quads], corner_cells(quads[0][0].shape[-1])
 
 
 @st.composite
 def _bloch_inputs(draw):
-    """(f, g, h, cells): (3, ...) Bloch lattices, shifted or corner
-    lattices, of distinct or shared (f = g = h) functions, always ending in
-    a short block."""
+    """(f, g, h, cells): (3, N) Bloch lattices, shifted or corner lattices,
+    of distinct or shared (f = g = h) functions, always ending in a short
+    block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     scale = draw(st.sampled_from([1e-3, 1.0, 3.0]), label="scale")
     nfun = 1 if draw(st.booleans(), label="f=g=h") else 3
     if draw(st.booleans(), label="lattice"):
         cols = draw(st.integers(3, 300), label="cells per row")
         rows = K.BLOCK // cols
-        lattices = [scale * rng.standard_normal((3, 2 * rows + rows // 3 + 1, cols + 1))
-                    for _ in range(nfun)]
-        cells = SHIFTED
+        h, w = 2 * rows + rows // 3 + 1, cols + 1
+        lattices = [scale * rng.standard_normal((3, h * w)) for _ in range(nfun)]
+        cells = shifted_cells(h, w)
     else:
         size = draw(st.integers(1, 2 * K.BLOCK + 99).filter(lambda m: m % K.BLOCK), label="squares")
         lattices, cells = bloch_lattices(
@@ -250,7 +356,7 @@ class TestMatrixKernelNumpy:
         got = K.matrix_kernel(f, g, h, cells=cells)
         corners = [c for a in (f, g, h) for c in corner_arrays(a, cells)]
         assert got.shape == corners[0].shape[1:] and got.dtype == np.complex128
-        assert np.allclose(got.ravel(), bloch_reference(*corners), rtol=1e-13, atol=1e-13)
+        assert np.allclose(got, bloch_reference(*corners), rtol=1e-13, atol=1e-13)
 
     def test_shared_inputs_match_matmul_reference(self, rng):
         # a pairing passes the same lattice as f, g and h; unit Bloch
@@ -258,7 +364,7 @@ class TestMatrixKernelNumpy:
         p = [rng.standard_normal((3, K.BLOCK + 321)) for _ in range(4)]
         p = [x / np.sqrt((x * x).sum(axis=0)) for x in p]
         (a,), cells = bloch_lattices([p])
-        got = K.matrix_kernel(a, a, a, cells=cells)[:, 0]
+        got = K.matrix_kernel(a, a, a, cells=cells)
         assert np.allclose(got, bloch_reference(*p, *p, *p), rtol=1e-13, atol=1e-13)
 
     def test_values_independent_of_chunking(self, rng):
@@ -267,8 +373,7 @@ class TestMatrixKernelNumpy:
             [[rng.standard_normal((3, size)) for _ in range(4)] for _ in range(3)])
         whole = K.matrix_kernel(f, g, h, cells=cells).copy()
         lo, hi = 1234, size - 77  # neither end on a block boundary
-        part_cells = (slice(lo, hi), slice(size + lo, size + hi), *cells[2:])
-        part = K.matrix_kernel(f, g, h, cells=part_cells)
+        part = K.matrix_kernel(f, g, h, cells=cell_range(cells, lo, hi))
         assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
 
 

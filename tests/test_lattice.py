@@ -101,15 +101,15 @@ def rounding_scale(f, g, h):
 
 def reference_leaf_sums(source, n, w_lo, w_hi, observables):
     """Leaf sums of the scalar kernel over [w_lo, w_hi) with every square's
-    corners evaluated apart, passed as corner lattices."""
-    (f, cells), (g, _), (h, _) = (K.corner_lattice(*c)
-                                  for c in _corner_values(source, n, w_lo, w_hi, observables))
-    return K.leaf_sums(K.scalar_kernel(f, g, h, cells=cells).reshape(-1), LEAF)
+    corners evaluated apart, passed concatenated as (v0, v1, v2, v3)."""
+    f, g, h = (np.concatenate(c) for c in _corner_values(source, n, w_lo, w_hi, observables))
+    b = w_hi - w_lo
+    return K.leaf_sums(K.scalar_kernel(f, g, h, cells=((0, b, 2 * b, 3 * b), b)), LEAF)
 
 
 def _pullback(n):
     """The pullback source of a level-n sum, as ``phi_n`` builds it."""
-    return ("pullback", K.dust_tile_order(min(n, cocycle._tile_level(4))))
+    return cocycle._pullback_source(n)
 
 
 def _draw_range(draw, source, n, total):

@@ -1,12 +1,12 @@
 """Trace kernels on vertex lattices, real inputs, and the per-worker
 workspace.
 
-The engine hands the kernels each task's vertex lattice and the slices of
-its cells' rows and columns, not gathered corner arrays, real values as
+The engine hands the kernels each task's flat vertex lattice and the
+corner offsets of its cells, not gathered corner arrays, real values as
 float64 (the matrix kernel's Bloch vectors always), and every worker thread
 reuses one workspace for the temporaries of all its tasks.  None of these
-may change a value: a lattice must give what the corner lattice of
-contiguous copies of its corners gives, real scalar inputs the real part of the
+may change a value: a lattice must give what the concatenated contiguous
+copies of its cells' corners give, real scalar inputs the real part of the
 same values cast to complex, bit for bit, and a task's leaf sums must not
 depend on what its thread's workspace held before.  The scalar kernel is
 also checked to be linear in each of f, g and h, the matrix kernel linear in
@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
-    TASK_LEAVES, LEAF, Observable, _leaf_sums_for_range, phi_n, pullback_projection,
+    TASK_LEAVES, LEAF, Observable, _leaf_sums_for_range, _pullback_source, phi_n,
+    pullback_projection,
 )
 from dustcocycle.geometry import get_preset
 from dustcocycle.oracle import bott_projection
-from test_kernels import SHIFTED, corner_arrays
+from test_kernels import corner_arrays, corner_cells, shifted_cells
 
 DUST = get_preset("cantor-dust")
 TWO_PI = 2.0 * np.pi
@@ -42,12 +43,11 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def copied_corners(a):
-    """The corner lattice of contiguous copies of the corners of every cell
-    of the plain lattice ``a`` (scalar (H, W) or Bloch (3, H, W)), and its
-    cells."""
-    return K.corner_lattice(*(np.ascontiguousarray(v).reshape(v.shape[:-2] + (-1,))
-                              for v in corner_arrays(a, SHIFTED)))
+def copied_corners(a, cells):
+    """Contiguous copies of the corners of every cell of the flat lattice
+    ``a`` (scalar (N,) or Bloch (3, N)), concatenated, and their cells."""
+    v = corner_arrays(a, cells)
+    return np.concatenate(v, axis=-1), corner_cells(v[0].shape[-1])
 
 
 def lattice_shape(cols, block):
@@ -65,23 +65,23 @@ def assert_bits_equal(a, b):
 class TestLatticeViews:
     def test_scalar_kernel_views_equal_contiguous_copies(self, rng):
         h, w = lattice_shape(90, K.BLOCK)
-        lattices = [random_complex(rng, (h, w)) for _ in range(3)]
-        got = K.scalar_kernel(*lattices, cells=SHIFTED)
-        copies = [copied_corners(a) for a in lattices]
+        lattices = [random_complex(rng, h * w) for _ in range(3)]
+        got = K.scalar_kernel(*lattices, cells=shifted_cells(h, w))
+        copies = [copied_corners(a, shifted_cells(h, w)) for a in lattices]
         want = K.scalar_kernel(*(a for a, _ in copies), cells=copies[0][1])
-        assert got.shape == (h - 1, w - 1)
-        assert_bits_equal(got.ravel(), want.ravel())
+        assert got.shape == ((h - 1) * w - 1,)
+        assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "f=g=h"])
     def test_matrix_kernel_views_equal_contiguous_copies(self, rng, shared):
         h, w = lattice_shape(70, K.BLOCK)
-        lattices = [rng.standard_normal((3, h, w)) for _ in range(1 if shared else 3)]
-        got = K.matrix_kernel(*lattices * (3 if shared else 1), cells=SHIFTED)
+        lattices = [rng.standard_normal((3, h * w)) for _ in range(1 if shared else 3)]
+        got = K.matrix_kernel(*lattices * (3 if shared else 1), cells=shifted_cells(h, w))
         # keep the sharing: f, g and h are the same corner lattice
-        copies = [copied_corners(a) for a in lattices] * (3 if shared else 1)
+        copies = [copied_corners(a, shifted_cells(h, w)) for a in lattices] * (3 if shared else 1)
         want = K.matrix_kernel(*(a for a, _ in copies), cells=copies[0][1])
-        assert got.shape == (h - 1, w - 1)
-        assert_bits_equal(got.ravel(), want.ravel())
+        assert got.shape == ((h - 1) * w - 1,)
+        assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("kernel", [K.scalar_kernel, K.matrix_kernel])
     def test_reused_workspace_gives_fresh_values(self, rng, kernel):
@@ -94,29 +94,27 @@ class TestLatticeViews:
 
 
 def _vertex_values(rng, kernel, shape, size):
-    """Three complex scalar or Bloch lattices and their cells: corner
-    lattices of ``size`` squares, or plain lattices of shape ``size``."""
-    def draw(shape):
+    """Three complex scalar or Bloch flat lattices and their cells: corner
+    arrays of ``size`` squares, or plain lattices of shape ``size``."""
+    def draw(n):
         if kernel is K.matrix_kernel:
-            return rng.standard_normal((3,) + shape)
-        return random_complex(rng, shape)
+            return rng.standard_normal((3, n))
+        return random_complex(rng, n)
 
     if shape == "corners":
-        lattices = [K.corner_lattice(*(draw((size,)) for _ in range(4))) for _ in range(3)]
-        return [a for a, _ in lattices], lattices[0][1]
-    return [draw(size) for _ in range(3)], SHIFTED
+        return [draw(4 * size) for _ in range(3)], corner_cells(size)
+    return [draw(size[0] * size[1]) for _ in range(3)], shifted_cells(*size)
 
 
 def _kernel_inputs(rng, kind, shape, nn):
-    """Three float64 kernel lattices (f, g and h) and their cells: corner
-    lattices of 1-D corner arrays, or plain lattices; a matrix input has its
+    """Three float64 flat kernel lattices (f, g and h) and their cells:
+    concatenated corner arrays, or plain lattices; a matrix input has its
     three Bloch components in front."""
     head = (3,) if kind == "matrix" else ()
     if shape == "corners":
-        lattices = [K.corner_lattice(*rng.standard_normal((4,) + head + (nn,))) for _ in range(3)]
-        return [a for a, _ in lattices], lattices[0][1]
+        return [rng.standard_normal(head + (4 * nn,)) for _ in range(3)], corner_cells(nn)
     h, w = lattice_shape(nn, K.BLOCK)
-    return [rng.standard_normal(head + (h, w)) for _ in range(3)], SHIFTED
+    return [rng.standard_normal(head + (h * w,)) for _ in range(3)], shifted_cells(h, w)
 
 
 _KERNELS = {"scalar": K.scalar_kernel, "matrix": K.matrix_kernel}
@@ -198,7 +196,7 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     def test_task_leaf_sums_independent_of_workspace_history(self, kind):
         span = TASK_LEAVES * LEAF
-        task_a = (("pullback", K.dust_tile_order(8)), 9, span, 2 * span, _observables(kind))
+        task_a = (_pullback_source(9), 9, span, 2 * span, _observables(kind))
         task_b = (("cells",), 5, 0, 4**5, _observables("scalar"))  # other n, shape and kind
         ws = K.Workspace()
         first = _leaf_sums_for_range(*task_a, ws)
