@@ -26,17 +26,19 @@ and (3, N) for Bloch vectors, and ``cells = ((o0, o1, o2, o3), count)``:
 the flat offsets of the corners v0..v3 of cell 0, and the number of cells.
 Cell k's corners sit at k + o0, k + o1, k + o2 and k + o3, so the corners,
 edge differences, temporaries and results of a run of cells are each one
-contiguous 1-D slice.  The engine passes three layouts:
+contiguous 1-D slice.  The engine passes two layouts:
 
 * a shifted lattice, H x W vertices in row-major order, offsets
   (0, 1, W + 1, W) and (H - 1) W - 1 cells.  The last cell of each row is a
   padded cell whose x-edge wraps into the next row; the callers drop its
   value.  The last row's padded cell is left out, so no cell reads past the
   lattice;
-* the dust's direct tiles, a (2, 2, h, w) lattice whose corners are four
-  contiguous h w blocks, offsets (0, hw, 3hw, 2hw) and hw cells;
-* the word path's corner arrays v0, v1, v2, v3 of B squares, concatenated:
-  offsets (0, B, 2B, 3B) and B cells.
+* the direct tiles of the dust and ``full-subdivision-3``, a (2, 2, h, w)
+  lattice whose corners are four contiguous h w blocks, offsets
+  (0, hw, 3hw, 2hw) and hw cells.
+
+The tests also feed corner arrays v0, v1, v2, v3 of B squares,
+concatenated: offsets (0, B, 2B, 3B) and B cells.
 
 The kernels work through the cells in runs of :data:`BLOCK` consecutive
 cells, reading f at the four corners and g and h only as edge differences
@@ -45,8 +47,8 @@ and v2 - v1.  Where a run's two x-edge slices overlap or touch (a shifted
 lattice: Dx[k] = a[k + 1] - a[k], read at k and k + W), they are one
 difference read at two offsets, and likewise the y-edges
 (Dy[k] = a[k + W] - a[k], read at k and k + 1), so every shared edge is
-subtracted once; where they lie apart (the dust's quadrants, the word
-path), each of the four is its own difference.
+subtracted once; where they lie apart (the quadrant tiles, concatenated
+corners), each of the four is its own difference.
 The kernel's other four vertex differences per function are exact
 negations of these, and a negated operand rounds exactly like the original,
 so the signs fold into the terms and every value is bitwise that of the
@@ -169,7 +171,11 @@ _MORTON_TABLES = _digit_tables((0, 0, 1, 1), (0, 1, 0, 1), 2)
 
 
 def _digit_map(words, n, tables, base, ws):
-    """(kx, ky) of the n-digit words ``words`` from chunked table lookups."""
+    """(kx, ky) of the n-digit words ``words`` from chunked table lookups.
+
+    The engine maps many words at once only to build a tile's layout, at
+    most one chunk of digits deep; its loop over several chunks serves the
+    one-word tile origins of deep levels (and the tests)."""
     words = np.asarray(words, dtype=np.int64)
     ws = Workspace() if ws is None else ws
     kx = ws.take("digits.x", words.shape, np.int64)

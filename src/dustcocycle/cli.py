@@ -351,7 +351,7 @@ def _cmd_selftest(args) -> int:
         failures.append("kernel oracle mismatch")
 
     # the engine's scalar kernel on 200 random complex squares, the corners
-    # v0..v3 of f, g and h concatenated, as on the engine's word path
+    # v0..v3 of f, g and h concatenated, at offsets (0, 200, 400, 600)
     z = rng.standard_normal((12, 200)) + 1j * rng.standard_normal((12, 200))
     cells = ((0, 200, 400, 600), 200)
     f, g, h = (np.concatenate(z[i : i + 4], axis=-1) for i in (0, 4, 8))

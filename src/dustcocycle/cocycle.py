@@ -36,36 +36,34 @@ ty (2**m + 1) + tx, carries it in its source, and places each task's tile
 from the digit map of its first word alone.
 
 Direct mode evaluates at the triadic vertices of each square instead, over
-3**n.  On the dust and the Sierpinski carpet its tasks are lattice tiles
-too: a task is the nmaps**k words of one level-k sub-fractal, k = min(n, 8)
-on the dust (4**8 words, 16 leaves) and min(n, 5) on the carpet (8**5
-words, 8 leaves), placed from its first word's corner numerators.  The
-dust's squares share no vertices, so the rule runs on a (1, 2, 1, w) row of
-x, the tile's near columns x0 + T(c) and far ones x0 + T(c) + 1 (T writing
-c's bits as ternary digits 2), and a (2, 1, h, 1) column of y, likewise:
-the (2, 2, h, w) lattice's corners v0..v3 are four contiguous h w blocks at
-offsets (0, hw, 3hw, 2hw), and the cells come in the pullback's Morton
-order.  The carpet's lattice is the (3**k + 1)**2 box around its tile, a
-plain lattice of a row and a column; the kernel runs on every box cell,
-holes and padded cells included (1.8x the squares at k = 5), and
-``np.take`` keeps the tile's own, at ky (3**k + 1) + kx.  A tile's layout
-depends only on the preset and k, so it is built once per level and cached.
-Which presets get tiles is decided from data: a full tile must be a whole
-number of leaves.  ``full-subdivision-3``'s 9**k never is, so it keeps the
-word path, its only user: every word is digit-mapped (``_direct_coords``)
-and each observable is evaluated once on the words' corner coordinates,
-concatenated as (v0, v1, v2, v3), at offsets (0, B, 2B, 3B), so that every
-caller of the kernel passes a flat lattice and its cells.
-:func:`estimate_lipschitz` reads the same tasks and lattices, and the same
-edge differences.
+3**n.  Its tasks are walked on lattice tiles too: a tile is the nmaps**k
+words of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
+dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and 4
+on ``full-subdivision-3`` (9**4 words, never a whole number of leaves),
+placed from its first word's corner numerators.  A task is one tile when a
+full tile is a whole number of leaves; otherwise it keeps TASK_LEAVES leaves
+and walks the tiles it touches, up to 11 on ``full-subdivision-3``, each
+computed whole before its share of the task's words is taken.  When a
+tile's cells are every pair of its w columns and h rows (the dust, and
+``full-subdivision-3``), the rule runs on a (1, 2, 1, w) row of x, the
+tile's near columns x0 + T(c) and far ones x0 + T(c) + 1 (on the dust, T
+writes c's bits as ternary digits 2), and a (2, 1, h, 1) column of y,
+likewise: the (2, 2, h, w) lattice's corners v0..v3 are four contiguous h w
+blocks at offsets (0, hw, 3hw, 2hw), and on the dust the cells come in the
+pullback's Morton order.  The carpet's lattice is the (3**k + 1)**2 box
+around its tile, a plain lattice of a row and a column; the kernel runs on
+every box cell, holes and padded cells included (1.8x the squares at
+k = 5).  ``np.take`` puts each tile's own cells in word order: a tile's
+layout depends only on the preset and k, so it is built once per level and
+cached.  :func:`estimate_lipschitz` reads the same tiles and lattices, and
+the same edge differences.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the digit maps, the copies of
 broadcast values, kernel temporaries and reordered values reuse its
 buffers, and nothing of it outlives the call.  A tile's coordinates are
 not among them: a row and a column are too small to need it.  A task still
-allocates its observables' own values and, on the word path, its word
-indices.
+allocates its observables' own values.
 
 ``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
 dyadic subdivision, in row-major order, on the same plain lattices; its tasks
@@ -131,13 +129,13 @@ class Observable:
 
     ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
     broadcast against each other: a (1, W) row of u and an (H, 1) column of
-    v on a vertex lattice, a 4-D (1, 2, 1, w) row and (2, 1, h, 1) column on
-    the dust's direct tiles, or two 1-D corner arrays of the same length on
-    the word path.  A scalar rule returns a real or complex array that
-    broadcasts to their common shape; a rule that depends on u only may
-    return the row of u's shape.  ``mode`` decides
-    what the engine feeds it: the vertex's own triadic coordinates (direct)
-    or the dyadic staircase image on the torus (pullback).
+    v on a vertex lattice, or a 4-D (1, 2, 1, w) row and (2, 1, h, 1) column
+    on the direct tiles of the dust and ``full-subdivision-3``.  A scalar
+    rule returns a real or complex array that broadcasts to their common
+    shape; a rule that depends on u only may return the row of u's shape.
+    ``mode`` decides what the engine feeds it: the vertex's own triadic
+    coordinates (direct) or the dyadic staircase image on the torus
+    (pullback).
 
     Matrix kind is the 2 x 2 Hermitian unit-trace field
     e = (I + n . sigma) / 2 of a real vector n: the rank-1 projections and
@@ -263,19 +261,6 @@ def validate_projection(obs: Observable, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _direct_coords(words, n, offx, offy, ws):
-    """Triadic vertex coordinates (x0, x1, y0, y1) as floats, held in ``ws``."""
-    kx, ky = K.corner_numerators(words, n, offx, offy, out=ws)
-    den = float(3**n)
-    coords = []
-    for axis, k in (("x", kx), ("y", ky)):
-        near = np.divide(k, den, out=ws.take(f"coords.{axis}0", k.shape, np.float64))
-        k += 1
-        far = np.divide(k, den, out=ws.take(f"coords.{axis}1", k.shape, np.float64))
-        coords += [near, far]
-    return coords
-
-
 def _shifted_cells(h, w):
     """The cells of a plain h x w vertex lattice, flattened row-major, as the
     kernels take them: corners at k, k + 1, k + w + 1 and k + w, and
@@ -287,17 +272,21 @@ def _shifted_cells(h, w):
 
 def _tile_level(nmaps):
     """The largest k with nmaps**k words in one task of at most TASK_LEAVES
-    leaves: 8 on the dust, 5 on the carpet."""
+    leaves, less one when nmaps**k is not a whole number of leaves: 8 on the
+    dust, 5 on the carpet, 4 on ``full-subdivision-3``.  A task then spans
+    several tiles, and the smaller ones waste fewer kernel cells at its ends
+    (9**4 words: at most 11 tiles, 10% more cells than the task's own; 9**5:
+    up to 3 tiles, 2.7x)."""
     k = 0
     while nmaps > 1 and nmaps ** (k + 1) <= TASK_LEAVES * LEAF:
         k += 1
-    return k
+    return k - 1 if k and nmaps**k % LEAF else k
 
 
 class _Tile(NamedTuple):
-    """The vertex lattice of an aligned direct task of nmaps**k words, k =
+    """The vertex lattice of an aligned run of nmaps**k direct words, k =
     min(n, :func:`_tile_level`): the level-k sub-fractal whose corner is the
-    task's first word's.
+    run's first word's.
 
     ``dx`` and ``dy`` are the lattice's column and row numerators over 3**n,
     relative to that corner, shaped to broadcast into the lattice; ``cells``
@@ -312,19 +301,12 @@ class _Tile(NamedTuple):
 
 
 def _direct_source(preset: IfsPreset, n: int):
-    """The source of a level-n direct sum on ``preset``.
-
-    Tasks are lattice tiles, ``("direct", offx, offy, tile)``, when a full
-    tile of nmaps**k words, k = :func:`_tile_level`, is a whole number of
-    leaves (4**8 on the dust, 8**5 on the carpet; below level k one tile is
-    the whole grid).  Otherwise (``full-subdivision-3``: 9**k never is) they
-    are runs of words, ``("words", offx, offy)``, each word digit-mapped.
-    """
+    """The source of a level-n direct sum on ``preset``,
+    ``("direct", offx, offy, tile)``: the symbols' offset digits and the
+    :class:`_Tile` of nmaps**k words, k = min(n, :func:`_tile_level`) (below
+    that level one tile is the whole grid)."""
     offx, offy = preset.offset_arrays()
-    level = _tile_level(preset.nmaps)
-    if preset.nmaps**level % LEAF:
-        return ("words", offx, offy)
-    return ("direct", offx, offy, _direct_tile(preset.offsets, min(n, level)))
+    return ("direct", offx, offy, _direct_tile(preset.offsets, min(n, _tile_level(preset.nmaps))))
 
 
 @lru_cache(maxsize=32)
@@ -334,11 +316,12 @@ def _direct_tile(offsets, k):
 
     A tile's cells are the level-k words' own, read from their corner
     numerators.  When they are every pair of their w columns and h rows (the
-    dust), the lattice is (2, 2, h, w): the cells' near and far rows, their
-    near and far columns, then the rows and columns themselves, so the
-    corners v0..v3 are four contiguous h w blocks at offsets
-    (0, hw, 3hw, 2hw), no vertex is evaluated twice and every lattice cell
-    is one of the tile's.  Otherwise (the carpet) the lattice is the
+    dust and ``full-subdivision-3``), the lattice is (2, 2, h, w): the
+    cells' near and far rows, their near and far columns, then the rows and
+    columns themselves, so the corners v0..v3 are four contiguous h w blocks
+    at offsets (0, hw, 3hw, 2hw) and every lattice cell is one of the
+    tile's; on the dust, whose squares share no vertices, no vertex is
+    evaluated twice.  Otherwise (the carpet) the lattice is the
     (3**k + 1)**2 box around them, a plain lattice whose cells share their
     vertices, and the kernel runs on every box cell, padded ones included,
     before the tile's own are gathered.
@@ -365,10 +348,16 @@ def _direct_tile(offsets, k):
     return tile
 
 
-def _task_span(source):
-    """Words per task: one direct tile's, else TASK_LEAVES leaves (from level
-    8 on one pullback tile, below it the whole grid)."""
-    return source[3].order.size if source[0] == "direct" else TASK_LEAVES * LEAF
+def _task_span(source, total):
+    """Words per task of a sum of ``total`` words: one direct tile's when
+    that is a whole number of leaves or the whole grid, else TASK_LEAVES
+    leaves (from level 8 on one pullback tile, below it the whole grid).
+    Task bounds are whole leaves, so a sum never depends on the worker
+    count."""
+    if source[0] == "direct" and (source[3].order.size % LEAF == 0
+                                  or source[3].order.size == total):
+        return source[3].order.size
+    return TASK_LEAVES * LEAF
 
 
 def _pullback_source(n):
@@ -390,15 +379,15 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
     among them, in word order: an index array for pullback words (the
     rebased Morton order) and direct tiles, a slice of the row-major cells
     without their padded ones for subdivision cells.  A plain lattice is a
-    (1, W) row of u and an (H, 1) column of v; a dust tile's, a
-    (1, 2, 1, w) row and a (2, 1, h, 1) column.
+    (1, W) row of u and an (H, 1) column of v; a quadrant tile's (the dust,
+    ``full-subdivision-3``), a (1, 2, 1, w) row and a (2, 1, h, 1) column.
 
     Every pullback task, at every level, is one aligned tile of 4**m words,
     m = min(n, 8), whose squares are the tile of its first word's image cell:
     the source (:func:`_pullback_source`) carries the in-tile order, and only
-    the first word is digit-mapped.  A direct task is one aligned
-    :class:`_Tile`, placed from its first word's corner numerators alike.
-    Any other pullback or direct range raises ValueError.  Coordinates are
+    the first word is digit-mapped; any other pullback range raises
+    ValueError.  A direct range is one aligned :class:`_Tile`, placed from
+    its first word's corner numerators alike.  Coordinates are
     the same floats as the per-square corners: pullback columns and rows
     wrap with ``& mask`` (the periodic torus), subdivision cells keep their
     far edge at coordinate value 1, so plain (non-periodized) coordinate
@@ -407,8 +396,6 @@ def _vertex_lattice(source, n, w_lo, w_hi, ws):
     """
     if source[0] == "direct":
         _, offx, offy, tile = source
-        if w_lo % tile.order.size or w_hi - w_lo != tile.order.size:
-            raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned direct task")
         kx, ky = K.corner_numerators(np.array([w_lo], dtype=np.int64), n, offx, offy, out=ws)
         den = float(3**n)
         return (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den, tile.cells, tile.order
@@ -448,26 +435,13 @@ def _flat(values, shape, name, ws):
 
 
 def _lattice_values(source, n, w_lo, w_hi, observables, ws):
-    """Each observable's values on the flat vertex lattice of the cells of
-    words or cells [w_lo, w_hi), shape (N,) or (3, N) for Bloch vectors, the
-    lattice's cells as the kernels take them, and where each word's cell
-    sits among them: None on the word path, whose cells are in word order
-    already.
-
-    Each distinct observable is evaluated once (a repeated one is the same
-    array), on the lattice of :func:`_vertex_lattice`, or on the word path on
-    the corners of every word's own digit map, concatenated as
-    (v0, v1, v2, v3) with offsets (0, B, 2B, 3B).
+    """Each observable's values on the flat vertex lattice of
+    :func:`_vertex_lattice` for words or cells [w_lo, w_hi), shape (N,) or
+    (3, N) for Bloch vectors, the lattice's cells as the kernels take them,
+    and where each word's cell sits among them.  Each distinct observable is
+    evaluated once (a repeated one is the same array).
     """
-    if source[0] == "words":
-        _, offx, offy = source
-        x0, x1, y0, y1 = _direct_coords(np.arange(w_lo, w_hi, dtype=np.int64), n, offx, offy, ws)
-        b = x0.size
-        u = np.concatenate((x0, x1, x1, x0), out=ws.take("coords.u", (4 * b,), np.float64))
-        v = np.concatenate((y0, y0, y1, y1), out=ws.take("coords.v", (4 * b,), np.float64))
-        cells, order = ((0, b, 2 * b, 3 * b), b), None
-    else:
-        u, v, cells, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
+    u, v, cells, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
     cache = {}
     for i, obs in enumerate(observables):
         if id(obs) not in cache:
@@ -497,22 +471,34 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
 
 
 def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
-    """Leaf sums of the kernel over word/cell indices [w_lo, w_hi).
+    """Leaf sums of the kernel over word/cell indices [w_lo, w_hi), leaves
+    counted from w_lo.
 
-    ``source`` is ``("direct", offx, offy, tile)`` or ``("words", offx,
-    offy)`` as :func:`_direct_source` builds it, ``("pullback", order)`` or
-    ``("cells",)``.  ``ws`` is the calling thread's
-    :class:`_kernels.Workspace` (default: a fresh one); the returned leaf
-    sums never live in it.  Each distinct observable is evaluated once.
+    ``source`` is ``("direct", offx, offy, tile)`` as :func:`_direct_source`
+    builds it, ``("pullback", order)`` or ``("cells",)``.  A direct range
+    may be any range: the kernel runs on every tile it touches, whole, and
+    each tile's share of the range is taken in word order.  ``ws`` is the
+    calling thread's :class:`_kernels.Workspace` (default: a fresh one); the
+    returned leaf sums never live in it.  Each distinct observable is
+    evaluated once per lattice.
     """
     ws = K.Workspace() if ws is None else ws
-    (f, g, h), cells, order = _lattice_values(source, n, w_lo, w_hi, observables, ws)
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
-    vals = kernel(f, g, h, cells=cells, out=ws)
-    if isinstance(order, slice):
-        vals = _row_major(vals, cells, ws)[order]
-    elif order is not None:
-        vals = np.take(vals, order, out=ws.take("reordered", order.shape))
+    if source[0] == "cells":
+        (f, g, h), cells, order = _lattice_values(source, n, w_lo, w_hi, observables, ws)
+        vals = _row_major(kernel(f, g, h, cells=cells, out=ws), cells, ws)
+        return K.leaf_sums(vals[order], LEAF)
+    if source[0] == "direct":
+        span = source[3].order.size
+        tiles = range(w_lo - w_lo % span, w_hi, span)
+    else:  # one pullback tile
+        span, tiles = w_hi - w_lo, (w_lo,)
+    vals = ws.take("reordered", (w_hi - w_lo,))
+    for lo in tiles:
+        (f, g, h), cells, order = _lattice_values(source, n, lo, lo + span, observables, ws)
+        a, b = max(w_lo, lo), min(w_hi, lo + span)
+        np.take(kernel(f, g, h, cells=cells, out=ws), order[a - lo : b - lo],
+                out=vals[a - w_lo : b - w_lo])
     return K.leaf_sums(vals, LEAF)
 
 
@@ -531,7 +517,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
     observables = (f, g, h)
     nleaves = (total + LEAF - 1) // LEAF
     leafsums = np.empty(nleaves, dtype=np.complex128)
-    span = _task_span(source)
+    span = _task_span(source, total)
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
     local = threading.local()  # one workspace per thread, dropped on return
 
@@ -755,7 +741,7 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     The Lipschitz constant is estimated by maximizing difference quotients
     over the four edges of every level-n square: the x- and y-edge
     differences the kernel reads, through the same helper
-    (:func:`_kernels.edges`), on the same tasks and lattices as
+    (:func:`_kernels.edges`), on the same tiles and lattices as
     :func:`phi_n`'s.  Box cells outside a carpet tile, padded cells among
     them, are gathered out, so neither the vertices and edges of its holes
     nor an x-edge that wraps from one lattice row into the next counts; a
@@ -768,17 +754,17 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
         raise ValueError("level must be >= 0")
     total = _word_count(preset.nmaps, n)
     source = _direct_source(preset, n)
-    span = _task_span(source)
+    span = source[3].order.size  # nmaps**n is a whole number of tiles
     edge = 3.0**-n
     sup = 0.0
     lip = 0.0
     ws = K.Workspace()
     for lo in range(0, total, span):
-        (a,), cells, order = _lattice_values(source, n, lo, min(total, lo + span), (obs,), ws)
+        (a,), cells, order = _lattice_values(source, n, lo, lo + span, (obs,), ws)
 
         def top(x):
             x = np.abs(x)
-            if order is not None and order.size < x.size:
+            if order.size < x.size:
                 x = np.take(x, order)
             return x.max()
 

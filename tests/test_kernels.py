@@ -88,7 +88,7 @@ def quadrant_cells(h, w):
 
 def corner_cells(b):
     """The cells of B squares' corner arrays concatenated as (v0, v1, v2, v3):
-    the word path."""
+    the per-square references' layout."""
     return (0, b, 2 * b, 3 * b), b
 
 
@@ -310,7 +310,7 @@ class TestPaddedCellsNeverLeak:
                                                            workers=1),
             "dust": lambda: cocycle.phi_n(DUST, n, *DIRECT, workers=1),
             "carpet": lambda: cocycle.phi_n(CARPET, min(n, 6), *DIRECT, workers=1),
-            "words": lambda: cocycle.phi_n(FULL, min(n, 4), *DIRECT, workers=1),
+            "full-subdivision-3": lambda: cocycle.phi_n(FULL, min(n, 5), *DIRECT, workers=1),
             "pairing": lambda: cocycle.pairing_n(DUST, n, BOTT, workers=1),
         }
         want = {name: fn() for name, fn in sums.items()}

@@ -1,11 +1,11 @@
 """Per-tile vertex-lattice evaluation against the four-corner reference.
 
-The engine evaluates pullback, subdivision and direct observables on the
-dust and the carpet once per vertex of each task's lattice, handed to the
-rule as a row of u and a column of v, and reads the four corners of every
-square from it.  A pullback or direct task is always one aligned tile,
-placed from its first word's digit map.  ``full-subdivision-3`` keeps the
-word path, which digit-maps every word.
+The engine evaluates pullback, subdivision and direct observables once per
+vertex of each lattice, handed to the rule as a row of u and a column of v,
+and reads the four corners of every square from it.  A pullback task is
+always one aligned tile, placed from its first word's digit map; a direct
+range walks the aligned tiles it touches, each placed alike, which on
+``full-subdivision-3`` (9**4-word tiles, never whole leaves) cuts tiles.
 The reference below is the per-square path the lattices replaced: float
 corner coordinates of each square from every word's digit map, four
 ``evaluate`` calls per observable, then the same scalar kernel and leaf
@@ -34,7 +34,7 @@ from dustcocycle.cocycle import (
     phi_n,
     resolve_functions,
 )
-from dustcocycle.geometry import get_preset
+from dustcocycle.geometry import PRESETS, get_preset
 from test_kernels import bloch_matrices, matmul_reference
 
 DUST = get_preset("cantor-dust")
@@ -72,7 +72,7 @@ def _corner_values(source, n, w_lo, w_hi, observables):
     """Each observable's values at the corners v0..v3 of every square of
     [w_lo, w_hi), evaluated square by square."""
     idx = np.arange(w_lo, w_hi, dtype=np.int64)
-    if source[0] in ("direct", "words"):
+    if source[0] == "direct":
         c0, c1, d0, d1 = _direct_coords(idx, n, source[1], source[2])
     elif source[0] == "pullback":
         c0, c1, d0, d1 = _pullback_coords(idx, n)
@@ -113,14 +113,18 @@ def _pullback(n):
 
 
 def _draw_range(draw, source, n, total):
-    """A pullback or direct tile range is one whole aligned tile at a random
-    task index; a subdivision or word range is any nonempty range of up to 3
-    leaves."""
-    if source[0] in ("pullback", "direct"):
-        tile = _task_span(source) if source[0] == "direct" else source[1].size
+    """A pullback range is one whole aligned tile at a random task index; a
+    direct range starts on a leaf, as the engine's tasks do, and may cut
+    tiles; a subdivision range is any.  Direct and subdivision ranges are
+    nonempty and span up to 3 leaves."""
+    if source[0] == "pullback":
+        tile = source[1].size
         w_lo = tile * draw(st.integers(0, total // tile - 1))
         return w_lo, w_lo + tile
-    w_lo = draw(st.integers(0, total - 1))
+    if source[0] == "direct":
+        w_lo = LEAF * draw(st.integers(0, (total - 1) // LEAF))
+    else:
+        w_lo = draw(st.integers(0, total - 1))
     return w_lo, w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
 
 
@@ -259,9 +263,8 @@ class TestVertexCount:
 
 
 class TestDirectTiles:
-    """Direct tasks on the dust and the carpet are lattice tiles placed from
-    their first word; the reference takes every word's corners from its own
-    digit map."""
+    """Direct sums run on lattice tiles placed from their first word; the
+    reference takes every word's corners from its own digit map."""
 
     @pytest.mark.parametrize("name", ["linear-xy", "sine-xy"])
     @pytest.mark.parametrize("preset, n", [(DUST, 3), (DUST, 8), (DUST, 9),
@@ -270,7 +273,7 @@ class TestDirectTiles:
         obs = resolve_functions(name)[:3]
         source = _direct_source(preset, n)
         assert source[0] == "direct"
-        span = _task_span(source)
+        span = _task_span(source, preset.nmaps**n)
         assert span == preset.nmaps ** min(n, {4: 8, 8: 5}[preset.nmaps])
         for w_lo in range(0, preset.nmaps**n, span):
             got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
@@ -283,14 +286,17 @@ class TestDirectTiles:
             np.testing.assert_array_equal(tile.order, K.dust_tile_order(min(n, 8)))
             assert tile.dx.size == tile.dy.size == 2 << min(n, 8)
 
-    def test_tile_needs_one_full_aligned_task(self):
+    def test_partial_ranges_equal_per_square_reference(self):
+        """A direct range need not be one aligned tile: the kernel runs on
+        every tile the range touches, and the range keeps its own words."""
         obs = resolve_functions("sine-xy")[:3]
-        for preset, n in ((DUST, 9), (CARPET, 6), (DUST, 3), (CARPET, 2)):
+        for preset, n in ((DUST, 9), (CARPET, 6), (DUST, 3), (CARPET, 2), (FULL, 5)):
             source = _direct_source(preset, n)
-            span = _task_span(source)
+            span, total = source[3].order.size, preset.nmaps**n
             for lo, hi in ((0, span - 1), (1, span + 1), (0, 2 * span), (span // 2, span)):
-                with pytest.raises(ValueError, match="full aligned direct task"):
-                    _leaf_sums_for_range(source, n, lo, hi, obs)
+                hi = min(hi, total)
+                np.testing.assert_array_equal(_leaf_sums_for_range(source, n, lo, hi, obs),
+                                              reference_leaf_sums(source, n, lo, hi, obs))
 
     @pytest.mark.parametrize("preset, n, tasks", [(DUST, 0, 1), (DUST, 9, 4),
                                                   (CARPET, 4, 1), (CARPET, 6, 8)])
@@ -301,14 +307,15 @@ class TestDirectTiles:
         phi_n(preset, n, *obs, workers=2)
         assert mapped == [1] * tasks
 
-    def test_full_subdivision_keeps_the_word_path(self, monkeypatch):
-        """9**k words are never whole leaves: every word is digit-mapped, and
-        the leaf sums are the per-square reference's."""
+    def test_full_subdivision_runs_on_tiles(self, monkeypatch):
+        """9**k words are never whole leaves: tasks of TASK_LEAVES leaves walk
+        the 9**4-word tiles they touch, each placed from its first word, and
+        their leaf sums are the per-square reference's."""
         obs = resolve_functions("sine-xy")[:3]
-        for n in (0, 3, 6):
+        for n in (0, 3, 4, 5, 6):
             source = _direct_source(FULL, n)
-            assert source[0] == "words"
-            span = _task_span(source)
+            assert source[3].order.size == 9 ** min(n, 4)
+            span = _task_span(source, 9**n)
             for w_lo in range(0, 9**n, span):
                 w_hi = min(9**n, w_lo + span)
                 np.testing.assert_array_equal(
@@ -316,7 +323,29 @@ class TestDirectTiles:
                     reference_leaf_sums(source, n, w_lo, w_hi, obs))
         mapped = _count_mapped_words(monkeypatch, "corner_numerators")
         phi_n(FULL, 6, *obs, workers=1)
-        assert sum(mapped) == 9**6
+        assert mapped == [1] * 89  # 81 tiles, 8 of them cut by a task bound
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_tasks_start_on_leaves(self, monkeypatch, name):
+        """Every direct sum runs on tiles, and every task range it builds
+        starts on a leaf, so its leaf sums, and the sum, never depend on how
+        the tasks are spread over workers."""
+        preset = PRESETS[name]
+        ranges = []
+
+        def record(source, n, lo, hi, observables, ws=None):
+            assert source[0] == "direct" and isinstance(source[3], cocycle._Tile)
+            ranges.append((lo, hi))
+            return np.zeros(-(-(hi - lo) // LEAF), dtype=np.complex128)
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", record)
+        obs = resolve_functions("const-xy")[:3]
+        for n in range(8):
+            ranges.clear()
+            phi_n(preset, n, *obs, workers=1)
+            assert ranges[0][0] == 0 and ranges[-1][1] == preset.nmaps**n
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(lo % LEAF == 0 for lo, _ in ranges)
 
 
 # a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
@@ -350,7 +379,7 @@ def _real_cases(draw):
         source = _pullback(n) if mode == "pullback" else ("cells",)
         nmaps = 4
     total = nmaps**n
-    span = _task_span(source)
+    span = _task_span(source, total)
     if draw(st.booleans()):  # one aligned task, as the engine makes them
         w_lo = span * draw(st.integers(0, (total - 1) // span))
         w_hi = min(total, w_lo + span)

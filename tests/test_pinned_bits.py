@@ -2,13 +2,15 @@
 
 Every change to the engine so far has kept each phi bitwise equal to its
 parent's; these pins turn that into a check that runs every time.  There is
-one case per layout the trace kernels read:
+one case per layout the trace kernels read, or way a sum places its tiles:
 
 * pullback Morton tiles (several tasks at n = 9), real and complex rules;
 * subdivision rows;
 * the dust's direct quadrant tiles;
 * the carpet's box tiles;
-* the word path of ``full-subdivision-3``;
+* ``full-subdivision-3``'s quadrant tiles, 9**4 words each, which tasks of
+  16 leaves cut (ids ``full-subdivision-3-words``, pinned when every word
+  of this preset was digit-mapped);
 * the matrix kernel, through ``pairing_n``.
 
 Each runs on one and on two workers.  The rules are polynomials (and a Bloch
