@@ -8,7 +8,9 @@ largest k with nmaps**k <= 2**16, and each chunk's contribution to the corner
 numerators is one lookup in a table of all k-digit words.  The Cantor-dust
 image map's base-4 -> binary table (k = 8) is built at import; the triadic
 tables are built once per preset's offsets.  The integers are those of the
-digit-by-digit loop, which the tests keep as the reference.
+digit-by-digit loop, which the tests keep as the reference.  The engine maps
+one word per tile, the tile's first, and each tile layout's words once per
+level, so the maps allocate their own results and scratch.
 
 The engine's vertex values are of two kinds.  Scalar values are real or
 complex.  Matrix values are 2 x 2 Hermitian with unit trace, the form of the
@@ -33,7 +35,7 @@ contiguous 1-D slice.  The engine passes two layouts:
   padded cell whose x-edge wraps into the next row; the callers drop its
   value.  The last row's padded cell is left out, so no cell reads past the
   lattice;
-* the direct tiles of the dust and ``full-subdivision-3``, a (2, 2, h, w)
+* the dust's direct tiles, whose squares share no vertices, a (2, 2, h, w)
   lattice whose corners are four contiguous h w blocks, offsets
   (0, hw, 3hw, 2hw) and hw cells.
 
@@ -170,66 +172,51 @@ def _triadic_tables(offx, offy):
 _MORTON_TABLES = _digit_tables((0, 0, 1, 1), (0, 1, 0, 1), 2)
 
 
-def _digit_map(words, n, tables, base, ws):
-    """(kx, ky) of the n-digit words ``words`` from chunked table lookups.
+def _digit_map(words, n, tables, base):
+    """(kx, ky) of the n-digit words ``words`` from chunked table lookups:
+    each chunk of k digits, least significant first, is one lookup scaled
+    by base**(digits below it).
 
-    The engine maps many words at once only to build a tile's layout, at
-    most one chunk of digits deep; its loop over several chunks serves the
-    one-word tile origins of deep levels (and the tests)."""
+    The engine maps many words at once only to build a tile's layout, once
+    per level and at most one chunk of digits deep, and otherwise one word
+    per tile, the tile's first, at any depth."""
     words = np.asarray(words, dtype=np.int64)
-    ws = Workspace() if ws is None else ws
-    kx = ws.take("digits.x", words.shape, np.int64)
-    ky = ws.take("digits.y", words.shape, np.int64)
-    if n == 0:
-        kx[...] = ky[...] = 0
-        return kx, ky
+    kx = np.zeros(words.shape, dtype=np.int64)
+    ky = np.zeros(words.shape, dtype=np.int64)
     k = len(tables) - 1
     chunk = tables[k][0].size
-    shift = chunk.bit_length() - 1 if chunk & (chunk - 1) == 0 else None
-    d = ws.take("digits.d", words.shape, np.int64)
     rest = words
     for lo in range(0, n, k):
         r = min(k, n - lo)
         if lo + r == n:
             d = rest
-        elif shift is not None:
-            np.bitwise_and(rest, chunk - 1, out=d)
-            rest = np.right_shift(rest, shift, out=ws.take("digits.rest", words.shape, np.int64))
         else:
-            rest = np.divmod(rest, chunk, out=(ws.take("digits.rest", words.shape, np.int64), d))[0]
+            rest, d = np.divmod(rest, chunk)
         tx, ty = tables[r]
-        if lo == 0:
-            np.take(tx, d, out=kx)
-            np.take(ty, d, out=ky)
-        else:
-            part = ws.take("digits.part", words.shape, np.int64)
-            scale = base**lo
-            kx += np.multiply(np.take(tx, d, out=part), scale, out=part)
-            ky += np.multiply(np.take(ty, d, out=part), scale, out=part)
+        kx += tx[d] * base**lo
+        ky += ty[d] * base**lo
     return kx, ky
 
 
-def corner_numerators(words, n, offx, offy, *, out=None):
+def corner_numerators(words, n, offx, offy):
     """Base-3 corner numerators (kx, ky) of the level-n squares with word
     indices ``words`` (lexicographic word order = numeric index order).
 
     ``offx``/``offy`` are the per-symbol offset digits of the IFS preset; the
     word symbol at depth j scales 3**(n-1-j), so the least significant index
-    digit is the finest one.  ``out`` is the :class:`Workspace` that holds
-    the results and the scratch; by default a fresh one.
+    digit is the finest one.
     """
     tables = _triadic_tables(tuple(int(x) for x in offx), tuple(int(y) for y in offy))
-    return _digit_map(words, n, tables, 3, out)
+    return _digit_map(words, n, tables, 3)
 
 
-def dust_image_bits(words, n, *, out=None):
+def dust_image_bits(words, n):
     """Dyadic image-corner numerators (mx, my) of Cantor-dust squares.
 
     Symbol s in {0..3} contributes offset bit pair (s>>1, s&1); the ternary
     digit 2 of the corner maps to the binary digit 1 of the image corner.
-    ``out`` as for :func:`corner_numerators`.
     """
-    return _digit_map(words, n, _MORTON_TABLES, 2, out)
+    return _digit_map(words, n, _MORTON_TABLES, 2)
 
 
 def dust_tile_order(level):
@@ -238,7 +225,7 @@ def dust_tile_order(level):
     Morton walk of the grid, for ``level`` <= 8.
 
     The integers are :func:`dust_image_bits` of every such word, read
-    straight from the digit table it looks them up in; no scratch is used.
+    straight from the digit table it looks them up in.
     """
     tx, ty = _MORTON_TABLES[level]
     return (ty << level) + tx

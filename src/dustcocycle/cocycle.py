@@ -7,71 +7,75 @@ pairwise tree over 4096-word leaves.  The tree shape depends only on the term
 count, never on the worker count, so results are bit-identical however the
 work is spread.
 
-Each parallel task covers up to 65536 consecutive words.  In pullback mode the
-staircase image of the dust squares is the Z-order (Morton) walk of the
-2**n x 2**n torus cells, so a task's squares are one aligned 2**m x 2**m
-tile, m = min(n, 8) (for n <= 8, the whole grid).  The vertex lattice of a
-task's bounding box is a tensor product: the engine builds it as a (1, W)
-row of u and an (H, 1) column of v, 257 of each for a 256 x 256 tile, and
-each observable broadcasts its rule over the two, so a product rule such as
-cos 2 pi u * cos 2 pi v calls its transcendentals H + W times, not H * W.
-Each observable's (H, W) values are flattened row-major (a view, or for a
-broadcast row or column a copy in the worker's workspace), and the trace
-kernel takes them whole, with the flat corner offsets (0, 1, W + 1, W) of
-cell 0: cell k's corners are at k, k + 1, k + W + 1 and k + W, so cell
-(i, j) is k = i W + j.  The last cell of each row is a padded one, whose
-x-edge wraps into the next row; it is computed and dropped, and the last
-row's is left out, so the kernel runs on (H - 1) W - 1 cells and never reads
-past the lattice.  Per block of consecutive cells it reads f at the corners
-v0..v3 and g and h as their x- and y-edge differences, each edge subtracted
-once for the two cells that share it, every operand one contiguous slice,
-with no gather.  Real rules stay float64 up to the kernel's complex result.
-A matrix observable's values are its (3, H W) float64 Bloch vectors, read
-the same way.  The per-cell values are then put into word order with one
-``np.take``.
-Every pullback task, at every level, walks its tile in the same Morton
-order, so a pullback sum builds that permutation once, from the digit table
-of the m-digit words, rebased past the padded cells to
-ty (2**m + 1) + tx, carries it in its source, and places each task's tile
-from the digit map of its first word alone.
+Every sum is one walk over aligned tiles of one shape.  Its source
+(:class:`_Source`) is one :class:`_Tile`, the vertex lattice of a run of
+words as integer offsets from the run's first vertex, with the lattice's
+cells as the kernels take them and where each word's cell sits among them,
+built once per sum (a direct one once per level); a function that places a
+tile from its first word; and the coordinates' denominator.  There are three
+sources:
 
-Direct mode evaluates at the triadic vertices of each square instead, over
-3**n.  Its tasks are walked on lattice tiles too: a tile is the nmaps**k
-words of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
-dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and 4
-on ``full-subdivision-3`` (9**4 words, never a whole number of leaves),
-placed from its first word's corner numerators.  A task is one tile when a
-full tile is a whole number of leaves; otherwise it keeps TASK_LEAVES leaves
-and walks the tiles it touches, up to 11 on ``full-subdivision-3``, each
-computed whole before its share of the task's words is taken.  When a
-tile's cells are every pair of its w columns and h rows (the dust, and
-``full-subdivision-3``), the rule runs on a (1, 2, 1, w) row of x, the
-tile's near columns x0 + T(c) and far ones x0 + T(c) + 1 (on the dust, T
-writes c's bits as ternary digits 2), and a (2, 1, h, 1) column of y,
-likewise: the (2, 2, h, w) lattice's corners v0..v3 are four contiguous h w
-blocks at offsets (0, hw, 3hw, 2hw), and on the dust the cells come in the
-pullback's Morton order.  The carpet's lattice is the (3**k + 1)**2 box
-around its tile, a plain lattice of a row and a column; the kernel runs on
-every box cell, holes and padded cells included (1.8x the squares at
-k = 5).  ``np.take`` puts each tile's own cells in word order: a tile's
-layout depends only on the preset and k, so it is built once per level and
-cached.  :func:`estimate_lipschitz` reads the same tiles and lattices, and
-the same edge differences.
+* pullback (the staircase images of the vertices, over 2**n): the image
+  cells of the dust squares are the Z-order (Morton) walk of the
+  2**n x 2**n torus cells, so 4**m words, m = min(n, 8), are one aligned
+  2**m x 2**m tile (for n <= 8, the whole grid), in the same Morton order at
+  every level, placed from its first word's image bits and wrapped with
+  ``& mask`` onto the periodic torus;
+* subdivision (``phi_subdivision``, over 2**n): cell w of the plain dyadic
+  subdivision, in row-major order, is at column w & mask and row w >> n; a
+  tile is min(2**n, 65536) columns by as many whole rows as fit in 16
+  leaves, its cells in row-major order.  It never uses the Morton order, so
+  the pullback = subdivision check compares two independently ordered sums,
+  termwise equal because dust squares biject onto cells with
+  order-preserving corners.  Its coordinates do not wrap: a cell's far edge
+  keeps the value 1, so plain coordinate functions keep their Riemann sums;
+* direct (the vertices themselves, over 3**n): a tile is the nmaps**k words
+  of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
+  dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and 4
+  on ``full-subdivision-3`` (9**4 words, never a whole number of leaves),
+  placed from its first word's corner numerators.
+
+Each parallel task covers up to 65536 consecutive words: one tile when a
+tile is a whole number of leaves or the whole grid, else (on
+``full-subdivision-3``) TASK_LEAVES leaves that walk the up to 11 tiles they
+touch.  Any range is walked alike: each tile it touches is computed whole,
+and its share of the range is gathered into word order with one
+``np.take``.  The gather passes ``mode="clip"``, under which numpy writes
+into ``out=`` directly, where the default ``mode="raise"`` buffers it; the
+tests check once that every tile's order is in bounds.
+
+A tile's lattice is a tensor product: each observable's rule gets a row of
+u and a column of v that broadcast to it, 257 of each for a 256 x 256
+pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
+transcendentals H + W times, not H * W.  Each observable's values are
+flattened (a view, or for a broadcast row or column a copy in the worker's
+workspace), and the trace kernel takes them whole, with the flat corner
+offsets of cell 0.  Pullback and subdivision tiles, and the
+(3**k + 1)**2 boxes around the carpet's and ``full-subdivision-3``'s, are
+plain H x W lattices, a (1, W) row and an (H, 1) column, with offsets
+(0, 1, W + 1, W): cell (i, j) is k = i W + j, the last cell of each row is
+a padded one whose x-edge wraps into the next row, computed and dropped,
+and the last row's is left out, so the kernel runs on (H - 1) W - 1 cells
+and never reads past the lattice; box cells in a carpet hole are computed
+and dropped too (1.8x the squares at k = 5).  The dust's direct squares
+share no vertices: its lattice is (2, 2, h, w), a (1, 2, 1, w) row of the
+tile's near and far columns and a (2, 1, h, 1) column of its near and far
+rows, whose corners v0..v3 are four contiguous h w blocks at offsets
+(0, hw, 3hw, 2hw), with the cells in the pullback's Morton order.  Per
+block of consecutive cells the kernel reads f at the corners v0..v3 and g
+and h as their x- and y-edge differences, each edge two cells share
+subtracted once, every operand one contiguous slice.  Real rules stay
+float64 up to the kernel's complex result; a matrix observable's values
+are its (3, N) float64 Bloch vectors, read the same way.
+:func:`estimate_lipschitz` reads the same tiles, lattices and edge
+differences.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
-one sum and runs all its tasks in it: the digit maps, the copies of
-broadcast values, kernel temporaries and reordered values reuse its
-buffers, and nothing of it outlives the call.  A tile's coordinates are
-not among them: a row and a column are too small to need it.  A task still
-allocates its observables' own values.
-
-``phi_subdivision`` runs the same kernel over the cells of the plain 2**n
-dyadic subdivision, in row-major order, on the same plain lattices; its tasks
-are whole rows, already in cell order, so they need no reorder (they skip
-the padded cell of each row as they read their cells), and it never uses the
-Morton permutation: the pullback = subdivision check compares two
-independently ordered sums.  In pullback mode the two sums are termwise
-equal because dust squares biject onto cells with order-preserving corners.
+one sum and runs all its tasks in it: the copies of broadcast values, kernel
+temporaries and gathered values reuse its buffers, and nothing of it
+outlives the call.  A tile's coordinates and its first word's digit map are
+not among them: they are too small to need it.  A task still allocates its
+observables' own values.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class Observable:
     ``rule(u, v)`` is elementwise numpy over float coordinate arrays that
     broadcast against each other: a (1, W) row of u and an (H, 1) column of
     v on a vertex lattice, or a 4-D (1, 2, 1, w) row and (2, 1, h, 1) column
-    on the direct tiles of the dust and ``full-subdivision-3``.  A scalar
+    on the dust's direct tiles.  A scalar
     rule returns a real or complex array that broadcasts to their common
     shape; a rule that depends on u only may return the row of u's shape.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
@@ -257,17 +261,8 @@ def validate_projection(obs: Observable, n: int):
 
 
 # ---------------------------------------------------------------------------
-# vertex coordinates
+# tiles and sources
 # ---------------------------------------------------------------------------
-
-
-def _shifted_cells(h, w):
-    """The cells of a plain h x w vertex lattice, flattened row-major, as the
-    kernels take them: corners at k, k + 1, k + w + 1 and k + w, and
-    (h - 1) w - 1 cells.  Cell k = i w + j spans rows i, i + 1 and columns
-    j, j + 1; the last cell of each row (j = w - 1) is a padded cell whose
-    x-edge wraps into the next row, and the last row's is left out."""
-    return (0, 1, w + 1, w), (h - 1) * w - 1
 
 
 def _tile_level(nmaps):
@@ -284,14 +279,15 @@ def _tile_level(nmaps):
 
 
 class _Tile(NamedTuple):
-    """The vertex lattice of an aligned run of nmaps**k direct words, k =
-    min(n, :func:`_tile_level`): the level-k sub-fractal whose corner is the
-    run's first word's.
+    """The vertex lattice of one aligned run of a sum's words, all runs
+    alike, with read-only arrays.
 
-    ``dx`` and ``dy`` are the lattice's column and row numerators over 3**n,
-    relative to that corner, shaped to broadcast into the lattice; ``cells``
-    are the lattice's cells as the kernels take them; ``order`` is where each
-    word's cell sits among them, in word order.
+    ``dx`` and ``dy`` are the lattice's integer column and row coordinates
+    relative to the run's first word's, shaped to broadcast into the
+    lattice; ``cells`` are the lattice's cells as the kernels take them;
+    ``order`` is where each word's cell sits among them, in word order.  An
+    order is unique, lies in [0, cell count) and never names a padded cell,
+    so the engine gathers with it unchecked (``mode="clip"``).
     """
 
     dx: np.ndarray
@@ -300,127 +296,142 @@ class _Tile(NamedTuple):
     order: np.ndarray
 
 
-def _direct_source(preset: IfsPreset, n: int):
-    """The source of a level-n direct sum on ``preset``,
-    ``("direct", offx, offy, tile)``: the symbols' offset digits and the
-    :class:`_Tile` of nmaps**k words, k = min(n, :func:`_tile_level`) (below
-    that level one tile is the whole grid)."""
-    offx, offy = preset.offset_arrays()
-    return ("direct", offx, offy, _direct_tile(preset.offsets, min(n, _tile_level(preset.nmaps))))
+def _read_only(tile):
+    for a in (tile.dx, tile.dy, tile.order):
+        a.flags.writeable = False
+    return tile
+
+
+def _box_tile(cols, rows, cx, cy):
+    """The :class:`_Tile` of the cells at columns ``cx`` and rows ``cy``, in
+    word order, of the plain (rows + 1) x (cols + 1) vertex lattice around
+    them, flattened row-major.
+
+    With w = cols + 1, the kernels' cell k = i w + j spans rows i, i + 1 and
+    columns j, j + 1, its corners at k, k + 1, k + w + 1 and k + w.  The
+    last cell of each row (j = cols) is a padded cell whose x-edge wraps
+    into the next row, and the last row's is left out: rows w - 1 cells.
+    """
+    w = cols + 1
+    return _read_only(_Tile(
+        np.arange(w, dtype=np.int64)[None, :], np.arange(rows + 1, dtype=np.int64)[:, None],
+        ((0, 1, w + 1, w), rows * w - 1), cy * w + cx,
+    ))
+
+
+def _pullback_tile(m):
+    """The 2**m x 2**m tile of the image cells of 4**m dust words, in their
+    Morton order: the digit table of the m-digit words.
+
+    Pullback and subdivision tiles are built once per sum, which takes
+    about a millisecond, and are not cached: kept alive between sums, their
+    512 KB orders raised the pairing-chern benchmark's peak RSS by about
+    2 MB."""
+    order = K.dust_tile_order(m)
+    return _box_tile(1 << m, 1 << m, order & ((1 << m) - 1), order >> m)
+
+
+def _subdivision_tile(n):
+    """The tile of the 2**n subdivision: min(2**n, 65536) columns by as many
+    whole rows as fit in TASK_LEAVES leaves, its cells in row-major order."""
+    cols = min(1 << n, TASK_LEAVES * LEAF)
+    rows = min(1 << n, TASK_LEAVES * LEAF // cols)
+    cells = np.arange(rows * cols, dtype=np.int64)
+    return _box_tile(cols, rows, cells % cols, cells // cols)
 
 
 @lru_cache(maxsize=32)
 def _direct_tile(offsets, k):
     """The :class:`_Tile` of the level-k words of the IFS with these offsets,
-    with read-only arrays: built once per level, like the digit tables.
+    read from their corner numerators; built once per level, like the digit
+    tables.
 
-    A tile's cells are the level-k words' own, read from their corner
-    numerators.  When they are every pair of their w columns and h rows (the
-    dust and ``full-subdivision-3``), the lattice is (2, 2, h, w): the
+    When the cells are every pair of their w columns and h rows and no two
+    of them share a vertex (the dust), the lattice is (2, 2, h, w): the
     cells' near and far rows, their near and far columns, then the rows and
     columns themselves, so the corners v0..v3 are four contiguous h w blocks
-    at offsets (0, hw, 3hw, 2hw) and every lattice cell is one of the
-    tile's; on the dust, whose squares share no vertices, no vertex is
-    evaluated twice.  Otherwise (the carpet) the lattice is the
-    (3**k + 1)**2 box around them, a plain lattice whose cells share their
-    vertices, and the kernel runs on every box cell, padded ones included,
+    at offsets (0, hw, 3hw, 2hw), every lattice cell is one of the tile's
+    and no vertex is evaluated twice.  Otherwise (the carpet and
+    ``full-subdivision-3``) the lattice is the (3**k + 1)**2 box around
+    them, a plain lattice whose cells share their vertices and edges, and
+    the kernel runs on every box cell, holes and padded ones included,
     before the tile's own are gathered.
     """
     off = np.array(offsets, dtype=np.int64)
     words = np.arange(len(offsets) ** k, dtype=np.int64)
     kx, ky = K.corner_numerators(words, k, off[:, 0], off[:, 1])
     xs, ys = np.unique(kx), np.unique(ky)
-    if xs.size * ys.size == kx.size:
+    if xs.size * ys.size == kx.size and (np.diff(xs) > 1).all() and (np.diff(ys) > 1).all():
         w, h = xs.size, ys.size
         far = np.arange(2, dtype=np.int64)[:, None]
-        tile = _Tile(
+        return _read_only(_Tile(
             (xs + far).reshape(1, 2, 1, w), (ys + far).reshape(2, 1, h, 1),
             ((0, h * w, 3 * h * w, 2 * h * w), h * w),
             np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
-        )
-    else:
-        side = 3**k
-        box = np.arange(side + 1, dtype=np.int64)
-        tile = _Tile(box[None, :], box[:, None], _shifted_cells(side + 1, side + 1),
-                     ky * (side + 1) + kx)
-    for a in (tile.dx, tile.dy, tile.order):
-        a.flags.writeable = False
-    return tile
+        ))
+    return _box_tile(3**k, 3**k, kx, ky)
 
 
-def _task_span(source, total):
-    """Words per task of a sum of ``total`` words: one direct tile's when
-    that is a whole number of leaves or the whole grid, else TASK_LEAVES
-    leaves (from level 8 on one pullback tile, below it the whole grid).
-    Task bounds are whole leaves, so a sum never depends on the worker
-    count."""
-    if source[0] == "direct" and (source[3].order.size % LEAF == 0
-                                  or source[3].order.size == total):
-        return source[3].order.size
-    return TASK_LEAVES * LEAF
+class _Source(NamedTuple):
+    """A level-n sum as a walk over aligned tiles of one shape.
+
+    ``tile`` is the :class:`_Tile` of every run of ``tile.order.size``
+    words; ``place(w)`` gives the integer column and row coordinates of the
+    lattice of the run whose first word is ``w``, shaped like ``tile.dx``
+    and ``tile.dy``; ``den`` is their denominator, 2**n or 3**n.
+    """
+
+    tile: _Tile
+    place: Callable
+    den: float
 
 
 def _pullback_source(n):
-    """The source of a level-n pullback sum, ``("pullback", order)``: where
-    each of a tile's 4**m words, m = min(n, 8), has its cell on the tile's
-    flat (2**m + 1)-wide lattice, in word order.  That is the Morton walk
-    ``K.dust_tile_order(m)``, ty 2**m + tx, rebased to ty (2**m + 1) + tx
-    past the padded cell of each lattice row; built once per sum."""
-    m = min(n, _tile_level(4))
-    order = K.dust_tile_order(m)
-    return ("pullback", order + (order >> m))
+    """The source of a level-n pullback sum: the dust words' image cells on
+    the 2**n torus grid, in aligned Morton tiles of 2**m x 2**m cells,
+    m = min(n, 8), each placed from its first word's image bits and wrapped
+    with ``& mask`` onto the periodic torus."""
+    tile = _pullback_tile(min(n, _tile_level(4)))
+    mask = (1 << n) - 1
+
+    def place(w):
+        mx, my = K.dust_image_bits(np.array([w], dtype=np.int64), n)
+        return (mx[0] + tile.dx) & mask, (my[0] + tile.dy) & mask
+
+    return _Source(tile, place, float(1 << n))
 
 
-def _vertex_lattice(source, n, w_lo, w_hi, ws):
-    """Vertex lattice of the cells of words or cells [w_lo, w_hi).
+def _subdivision_source(n):
+    """The source of a level-n subdivision sum: cell w of the 2**n dyadic
+    subdivision, in row-major order, is at column w & mask and row w >> n.
+    Coordinates do not wrap, so a cell's far edge keeps the value 1."""
+    tile = _subdivision_tile(n)
+    mask = (1 << n) - 1
+    return _Source(tile, lambda w: ((w & mask) + tile.dx, (w >> n) + tile.dy), float(1 << n))
 
-    Returns the lattice coordinates u and v, which broadcast to its shape,
-    its cells as the kernels take them, and where each square's cell sits
-    among them, in word order: an index array for pullback words (the
-    rebased Morton order) and direct tiles, a slice of the row-major cells
-    without their padded ones for subdivision cells.  A plain lattice is a
-    (1, W) row of u and an (H, 1) column of v; a quadrant tile's (the dust,
-    ``full-subdivision-3``), a (1, 2, 1, w) row and a (2, 1, h, 1) column.
 
-    Every pullback task, at every level, is one aligned tile of 4**m words,
-    m = min(n, 8), whose squares are the tile of its first word's image cell:
-    the source (:func:`_pullback_source`) carries the in-tile order, and only
-    the first word is digit-mapped; any other pullback range raises
-    ValueError.  A direct range is one aligned :class:`_Tile`, placed from
-    its first word's corner numerators alike.  Coordinates are
-    the same floats as the per-square corners: pullback columns and rows
-    wrap with ``& mask`` (the periodic torus), subdivision cells keep their
-    far edge at coordinate value 1, so plain (non-periodized) coordinate
-    functions keep their Riemann sums, and direct ones are numerators over
-    3**n.
-    """
-    if source[0] == "direct":
-        _, offx, offy, tile = source
-        kx, ky = K.corner_numerators(np.array([w_lo], dtype=np.int64), n, offx, offy, out=ws)
-        den = float(3**n)
-        return (kx[0] + tile.dx) / den, (ky[0] + tile.dy) / den, tile.cells, tile.order
-    side = 1 << n
-    mask = side - 1
-    if source[0] == "pullback":
-        order = source[1]
-        cols = rows = 1 << min(n, _tile_level(4))
-        if order.size != cols * rows or w_lo % order.size or w_hi - w_lo != order.size:
-            raise ValueError(f"[{w_lo}, {w_hi}) is not one full aligned pullback task")
-        mx, my = K.dust_image_bits(np.array([w_lo], dtype=np.int64), n, out=ws)
-        x0, y0 = int(mx[0]), int(my[0])
-    else:
-        y0, y1 = w_lo >> n, (w_hi - 1) >> n
-        x0, cols = (w_lo & mask, w_hi - w_lo) if y0 == y1 else (0, side)
-        rows = y1 - y0 + 1
-        start = (w_lo & mask) - x0
-        order = slice(start, start + w_hi - w_lo)
-    x = x0 + np.arange(cols + 1, dtype=np.int64)
-    y = y0 + np.arange(rows + 1, dtype=np.int64)
-    if source[0] == "pullback":
-        x &= mask
-        y &= mask
-    inv = 1.0 / float(side)
-    return (x * inv)[None, :], (y * inv)[:, None], _shifted_cells(rows + 1, cols + 1), order
+def _direct_source(preset: IfsPreset, n: int):
+    """The source of a level-n direct sum on ``preset``: the tile of the
+    nmaps**k words of one level-k sub-fractal, k = min(n,
+    :func:`_tile_level`) (below that level one tile is the whole grid),
+    placed from its first word's corner numerators over 3**n."""
+    offx, offy = preset.offset_arrays()
+    tile = _direct_tile(preset.offsets, min(n, _tile_level(preset.nmaps)))
+
+    def place(w):
+        kx, ky = K.corner_numerators(np.array([w], dtype=np.int64), n, offx, offy)
+        return kx[0] + tile.dx, ky[0] + tile.dy
+
+    return _Source(tile, place, float(3**n))
+
+
+def _task_span(source, total):
+    """Words per task of a sum of ``total`` words: one tile's when that is a
+    whole number of leaves or the whole grid, else TASK_LEAVES leaves (on
+    ``full-subdivision-3``, whose 9**k words never are).  Task bounds are
+    whole leaves, so a sum never depends on the worker count."""
+    span = source.tile.order.size
+    return span if span % LEAF == 0 or span == total else TASK_LEAVES * LEAF
 
 
 def _flat(values, shape, name, ws):
@@ -434,20 +445,20 @@ def _flat(values, shape, name, ws):
     return values.reshape(shape)
 
 
-def _lattice_values(source, n, w_lo, w_hi, observables, ws):
-    """Each observable's values on the flat vertex lattice of
-    :func:`_vertex_lattice` for words or cells [w_lo, w_hi), shape (N,) or
-    (3, N) for Bloch vectors, the lattice's cells as the kernels take them,
-    and where each word's cell sits among them.  Each distinct observable is
-    evaluated once (a repeated one is the same array).
+def _lattice_values(source, lo, observables, ws):
+    """Each observable's values on the flat vertex lattice of the tile whose
+    first word is ``lo``, shape (N,) or (3, N) for Bloch vectors.  Each
+    distinct observable is evaluated once (a repeated one is the same
+    array).
     """
-    u, v, cells, order = _vertex_lattice(source, n, w_lo, w_hi, ws)
+    x, y = source.place(lo)
+    u, v = x / source.den, y / source.den
     cache = {}
     for i, obs in enumerate(observables):
         if id(obs) not in cache:
             shape = (3, -1) if obs.kind == "matrix" else (-1,)
             cache[id(obs)] = _flat(obs.evaluate(u, v), shape, f"lattice.{i}", ws)
-    return [cache[id(o)] for o in observables], cells, order
+    return [cache[id(o)] for o in observables]
 
 
 # ---------------------------------------------------------------------------
@@ -470,50 +481,31 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _leaf_sums_for_range(source, n, w_lo, w_hi, observables, ws=None):
-    """Leaf sums of the kernel over word/cell indices [w_lo, w_hi), leaves
-    counted from w_lo.
+def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None):
+    """Leaf sums of the kernel over the words [w_lo, w_hi) of ``source``,
+    leaves counted from w_lo.
 
-    ``source`` is ``("direct", offx, offy, tile)`` as :func:`_direct_source`
-    builds it, ``("pullback", order)`` or ``("cells",)``.  A direct range
-    may be any range: the kernel runs on every tile it touches, whole, and
-    each tile's share of the range is taken in word order.  ``ws`` is the
-    calling thread's :class:`_kernels.Workspace` (default: a fresh one); the
-    returned leaf sums never live in it.  Each distinct observable is
-    evaluated once per lattice.
+    Any range may be asked for: the kernel runs on every tile the range
+    touches, whole, and each tile's share of the range is gathered in word
+    order.  ``ws`` is the calling thread's :class:`_kernels.Workspace`
+    (default: a fresh one); the returned leaf sums never live in it.  Each
+    distinct observable is evaluated once per lattice.
     """
     ws = K.Workspace() if ws is None else ws
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
-    if source[0] == "cells":
-        (f, g, h), cells, order = _lattice_values(source, n, w_lo, w_hi, observables, ws)
-        vals = _row_major(kernel(f, g, h, cells=cells, out=ws), cells, ws)
-        return K.leaf_sums(vals[order], LEAF)
-    if source[0] == "direct":
-        span = source[3].order.size
-        tiles = range(w_lo - w_lo % span, w_hi, span)
-    else:  # one pullback tile
-        span, tiles = w_hi - w_lo, (w_lo,)
+    tile = source.tile
+    span = tile.order.size
     vals = ws.take("reordered", (w_hi - w_lo,))
-    for lo in tiles:
-        (f, g, h), cells, order = _lattice_values(source, n, lo, lo + span, observables, ws)
+    for lo in range(w_lo - w_lo % span, w_hi, span):
+        f, g, h = _lattice_values(source, lo, observables, ws)
         a, b = max(w_lo, lo), min(w_hi, lo + span)
-        np.take(kernel(f, g, h, cells=cells, out=ws), order[a - lo : b - lo],
-                out=vals[a - w_lo : b - w_lo])
+        # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
+        np.take(kernel(f, g, h, cells=tile.cells, out=ws), tile.order[a - lo : b - lo],
+                out=vals[a - w_lo : b - w_lo], mode="clip")
     return K.leaf_sums(vals, LEAF)
 
 
-def _row_major(vals, cells, ws):
-    """The values of a plain lattice's cells in row-major order, without the
-    padded cell of each row, held in ``ws``."""
-    width = cells[0][3]
-    rows = (cells[1] + 1) // width
-    grid = ws.take("reordered", (rows, width - 1))
-    np.copyto(grid[:-1], vals[: (rows - 1) * width].reshape(rows - 1, width)[:, :-1])
-    np.copyto(grid[-1], vals[(rows - 1) * width :])
-    return grid.reshape(-1)
-
-
-def _sum_kernel(source, n, total, f, g, h, workers):
+def _sum_kernel(source, total, f, g, h, workers):
     observables = (f, g, h)
     nleaves = (total + LEAF - 1) // LEAF
     leafsums = np.empty(nleaves, dtype=np.complex128)
@@ -526,7 +518,7 @@ def _sum_kernel(source, n, total, f, g, h, workers):
         if ws is None:
             ws = local.ws = K.Workspace()
         lo, hi = task
-        out = _leaf_sums_for_range(source, n, lo, hi, observables, ws)
+        out = _leaf_sums_for_range(source, lo, hi, observables, ws)
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -583,11 +575,10 @@ def phi_n(
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
-        # one in-tile order for every task of the sum; it dies with the call
         source = _pullback_source(n)
     else:
         source = _direct_source(preset, n)
-    return _sum_kernel(source, n, total, f, g, h, workers)
+    return _sum_kernel(source, total, f, g, h, workers)
 
 
 def phi_subdivision(
@@ -616,7 +607,7 @@ def phi_subdivision(
                    t.fn if isinstance(t, TorusFunction) else t)
         for t in (ftilde, gtilde, htilde)
     )
-    return _sum_kernel(("cells",), n, total, *obs, workers)
+    return _sum_kernel(_subdivision_source(n), total, *obs, workers)
 
 
 def pairing_n(
@@ -754,22 +745,22 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
         raise ValueError("level must be >= 0")
     total = _word_count(preset.nmaps, n)
     source = _direct_source(preset, n)
-    span = source[3].order.size  # nmaps**n is a whole number of tiles
+    tile = source.tile
     edge = 3.0**-n
     sup = 0.0
     lip = 0.0
     ws = K.Workspace()
-    for lo in range(0, total, span):
-        (a,), cells, order = _lattice_values(source, n, lo, lo + span, (obs,), ws)
 
-        def top(x):
-            x = np.abs(x)
-            if order.size < x.size:
-                x = np.take(x, order)
-            return x.max()
+    def top(x):
+        x = np.abs(x)
+        if tile.order.size < x.size:
+            x = np.take(x, tile.order)
+        return x.max()
 
-        sup = max(sup, *(top(v) for v in K.corners(a, cells)))
-        lip = max(lip, *(top(d) / edge for d in K.edges(a, cells, lambda _, x, y: x - y)))
+    for lo in range(0, total, tile.order.size):  # nmaps**n is a whole number of tiles
+        (a,) = _lattice_values(source, lo, (obs,), ws)
+        sup = max(sup, *(top(v) for v in K.corners(a, tile.cells)))
+        lip = max(lip, *(top(d) / edge for d in K.edges(a, tile.cells, lambda _, x, y: x - y)))
     return sup, lip
 
 

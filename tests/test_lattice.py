@@ -1,21 +1,23 @@
 """Per-tile vertex-lattice evaluation against the four-corner reference.
 
-The engine evaluates pullback, subdivision and direct observables once per
-vertex of each lattice, handed to the rule as a row of u and a column of v,
-and reads the four corners of every square from it.  A pullback task is
-always one aligned tile, placed from its first word's digit map; a direct
-range walks the aligned tiles it touches, each placed alike, which on
-``full-subdivision-3`` (9**4-word tiles, never whole leaves) cuts tiles.
-The reference below is the per-square path the lattices replaced: float
-corner coordinates of each square from every word's digit map, four
-``evaluate`` calls per observable, then the same scalar kernel and leaf
-sums, which must agree bit for bit.  For 2 x 2 Hermitian unit-trace
-observables, whose rules return Bloch vectors, the reference forms the
-matrices and runs the complex batched-matmul formula on them, where the
-engine runs the real 3-vector kernel; the two agree to rounding.
+Every sum, pullback, subdivision or direct, is a walk over aligned tiles of
+one shape: the engine places each tile's vertex lattice from the tile's
+first word, evaluates each observable once per vertex, handed to the rule
+as a row of u and a column of v, and reads the four corners of every
+square from it.  Any range walks the tiles it touches and keeps its own
+words, which cuts tiles at its ends.  The reference below is the
+per-square path the lattices replaced: float corner coordinates of each
+square from every word's own digit map (or, for subdivision cells, its own
+column and row), four ``evaluate`` calls per observable, then the same
+scalar kernel and leaf sums, which must agree bit for bit.  For 2 x 2
+Hermitian unit-trace observables, whose rules return Bloch vectors, the
+reference forms the matrices and runs the complex batched-matmul formula on
+them, where the engine runs the real 3-vector kernel; the two agree to
+rounding.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -68,16 +70,33 @@ def _direct_coords(words, n, offx, offy):
     return kx / den, (kx + 1) / den, ky / den, (ky + 1) / den
 
 
-def _corner_values(source, n, w_lo, w_hi, observables):
+class _Sum(NamedTuple):
+    """A level-n sum: the engine's source, the reference's corner
+    coordinates (x0, x1, y0, y1) of given words, and the word count."""
+
+    source: cocycle._Source
+    coords: Callable
+    total: int
+
+
+def _pullback(n):
+    return _Sum(cocycle._pullback_source(n), lambda w: _pullback_coords(w, n), 4**n)
+
+
+def _subdivision(n):
+    return _Sum(cocycle._subdivision_source(n), lambda w: _cell_coords(w, n), 4**n)
+
+
+def _direct(preset, n):
+    offx, offy = preset.offset_arrays()
+    return _Sum(_direct_source(preset, n), lambda w: _direct_coords(w, n, offx, offy),
+                preset.nmaps**n)
+
+
+def _corner_values(case, w_lo, w_hi, observables):
     """Each observable's values at the corners v0..v3 of every square of
     [w_lo, w_hi), evaluated square by square."""
-    idx = np.arange(w_lo, w_hi, dtype=np.int64)
-    if source[0] == "direct":
-        c0, c1, d0, d1 = _direct_coords(idx, n, source[1], source[2])
-    elif source[0] == "pullback":
-        c0, c1, d0, d1 = _pullback_coords(idx, n)
-    else:
-        c0, c1, d0, d1 = _cell_coords(idx, n)
+    c0, c1, d0, d1 = case.coords(np.arange(w_lo, w_hi, dtype=np.int64))
     pts = ((c0, d0), (c1, d0), (c1, d1), (c0, d1))
     return [[o.evaluate(u, v) for (u, v) in pts] for o in observables]
 
@@ -99,32 +118,32 @@ def rounding_scale(f, g, h):
     return sum(m(f[k]) * (x * y + e * (x + y)) for k, x, y in products)
 
 
-def reference_leaf_sums(source, n, w_lo, w_hi, observables):
+def reference_leaf_sums(case, w_lo, w_hi, observables):
     """Leaf sums of the scalar kernel over [w_lo, w_hi) with every square's
-    corners evaluated apart, passed concatenated as (v0, v1, v2, v3)."""
-    f, g, h = (np.concatenate(c) for c in _corner_values(source, n, w_lo, w_hi, observables))
-    b = w_hi - w_lo
-    return K.leaf_sums(K.scalar_kernel(f, g, h, cells=((0, b, 2 * b, 3 * b), b)), LEAF)
+    corners evaluated apart, passed concatenated as (v0, v1, v2, v3).
+
+    A lone square is computed with a neighbour, when the grid has one, and
+    dropped: numpy rounds an in-place complex product of a 1-element array
+    unlike its vector loop, and from n = 1 on every tile the engine runs
+    has more than one cell."""
+    lo, hi = w_lo, w_hi
+    if hi - lo == 1 and case.total > 1:
+        lo, hi = (lo, hi + 1) if hi < case.total else (lo - 1, hi)
+    f, g, h = (np.concatenate(c) for c in _corner_values(case, lo, hi, observables))
+    b = hi - lo
+    vals = K.scalar_kernel(f, g, h, cells=((0, b, 2 * b, 3 * b), b))
+    return K.leaf_sums(vals[w_lo - lo : w_hi - lo], LEAF)
 
 
-def _pullback(n):
-    """The pullback source of a level-n sum, as ``phi_n`` builds it."""
-    return cocycle._pullback_source(n)
+def _assert_matches_reference(case, w_lo, w_hi, observables):
+    np.testing.assert_array_equal(_leaf_sums_for_range(case.source, w_lo, w_hi, observables),
+                                  reference_leaf_sums(case, w_lo, w_hi, observables))
 
 
-def _draw_range(draw, source, n, total):
-    """A pullback range is one whole aligned tile at a random task index; a
-    direct range starts on a leaf, as the engine's tasks do, and may cut
-    tiles; a subdivision range is any.  Direct and subdivision ranges are
-    nonempty and span up to 3 leaves."""
-    if source[0] == "pullback":
-        tile = source[1].size
-        w_lo = tile * draw(st.integers(0, total // tile - 1))
-        return w_lo, w_lo + tile
-    if source[0] == "direct":
-        w_lo = LEAF * draw(st.integers(0, (total - 1) // LEAF))
-    else:
-        w_lo = draw(st.integers(0, total - 1))
+def _draw_range(draw, total):
+    """Any nonempty range of up to 3 leaves and a bit, as likely to cut a
+    tile or a leaf as not."""
+    w_lo = draw(st.integers(0, total - 1))
     return w_lo, w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
 
 
@@ -167,8 +186,8 @@ def _cases(draw, matrix=False):
     """A range of a pullback or subdivision sum and a scalar (or 2 x 2
     Hermitian unit-trace) triple, of distinct or shared observables."""
     n = draw(st.integers(0, 9))
-    source = _pullback(n) if draw(st.booleans()) else ("cells",)
-    w_lo, w_hi = _draw_range(draw, source, n, 4**n)
+    case = draw(st.sampled_from([_pullback, _subdivision]))(n)
+    w_lo, w_hi = _draw_range(draw, case.total)
     if matrix:
         f, g, h = (_matrix(draw(st.lists(_terms, min_size=3, max_size=3))) for _ in range(3))
     else:
@@ -177,53 +196,57 @@ def _cases(draw, matrix=False):
     if share != "distinct":
         g = f
         h = f if share == "f=g=h" else h
-    return source, n, w_lo, w_hi, (f, g, h)
+    return case, w_lo, w_hi, (f, g, h)
+
+
+_OBS = tuple(_scalar(t) for t in (
+    [(1, 0, 1.0, 0.5)], [(0, 1, 0.3, -1.0), (2, -1, 0.7, 0.2)], [(1, 1, -0.4, 0.9)],
+))
 
 
 class TestLatticeMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(_cases())
     def test_leaf_sums_bit_identical(self, case):
-        source, n, w_lo, w_hi, obs = case
-        got = _leaf_sums_for_range(source, n, w_lo, w_hi, obs)
-        want = reference_leaf_sums(source, n, w_lo, w_hi, obs)
-        np.testing.assert_array_equal(got, want)
+        _assert_matches_reference(*case)
 
     @settings(max_examples=30, deadline=None)
     @given(_cases(matrix=True))
     def test_matrix_leaf_sums_match_matmul_reference(self, case):
         """Each leaf within 1e-13 of the sum of its squares' rounding scales."""
-        source, n, w_lo, w_hi, obs = case
-        got = _leaf_sums_for_range(source, n, w_lo, w_hi, obs)
-        corners = [[bloch_matrices(x) for x in c]
-                   for c in _corner_values(source, n, w_lo, w_hi, obs)]
+        case, w_lo, w_hi, obs = case
+        got = _leaf_sums_for_range(case.source, w_lo, w_hi, obs)
+        corners = [[bloch_matrices(x) for x in c] for c in _corner_values(case, w_lo, w_hi, obs)]
         want = K.leaf_sums(matmul_reference(*corners[0], *corners[1], *corners[2]), LEAF)
         scale = K.leaf_sums(rounding_scale(*corners), LEAF).real
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("source", [("pullback",), ("cells",)])
+    @pytest.mark.parametrize("source", [_pullback, _subdivision], ids=["source0", "source1"])
     @pytest.mark.parametrize("n", [8, 9])
     def test_whole_tasks_bit_identical(self, source, n):
-        obs = tuple(_scalar(t) for t in (
-            [(1, 0, 1.0, 0.5)], [(0, 1, 0.3, -1.0), (2, -1, 0.7, 0.2)], [(1, 1, -0.4, 0.9)],
-        ))
-        source = _pullback(n) if source[0] == "pullback" else source
         span = TASK_LEAVES * LEAF
         for w_lo in range(0, 4**n, span):
-            got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
-            want = reference_leaf_sums(source, n, w_lo, w_lo + span, obs)
-            np.testing.assert_array_equal(got, want)
+            _assert_matches_reference(source(n), w_lo, w_lo + span, _OBS)
 
-    def test_tile_order_needs_one_full_aligned_task(self):
-        obs = (_scalar([(1, 0, 1.0, 0.5)]),) * 3
+    def test_pullback_ranges_that_cut_tiles(self):
+        """A pullback range need not be one aligned tile: the kernel runs on
+        every Morton tile the range touches, and the range keeps its own
+        words."""
         span = TASK_LEAVES * LEAF
         for n, lo, hi in ((9, 1, span + 1), (9, 0, LEAF), (9, span, 3 * span), (5, 0, 1023),
-                          (5, 1, 1025), (0, 0, 0)):
-            with pytest.raises(ValueError, match="full aligned"):
-                _leaf_sums_for_range(_pullback(n), n, lo, hi, obs)
-        with pytest.raises(ValueError, match="full aligned"):  # an order of the wrong level
-            _leaf_sums_for_range(_pullback(5), 9, 0, 1024, obs)
+                          (5, 1, 1025), (0, 0, 0), (0, 0, 1), (9, 3 * span + 5, 4 * span)):
+            _assert_matches_reference(_pullback(n), lo, min(hi, 4**n), _OBS)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_subdivision_ranges_on_partial_rows(self, n):
+        """From n = 17 on, a subdivision tile is part of one row of 2**n
+        cells: ranges that cut tiles, cross a row's end, or end at the grid's
+        top right cell, whose far edge is at 1, keep every value."""
+        span, row, total = TASK_LEAVES * LEAF, 1 << n, 4**n
+        for lo, hi in ((0, 3 * LEAF + 5), (span - 100, span + 100), (row - 7, row + 9),
+                       (3 * span - 7, 4 * span + 9), (total - 1000, total)):
+            _assert_matches_reference(_subdivision(n), lo, hi, _OBS)
 
 
 def _count_mapped_words(monkeypatch, name):
@@ -271,32 +294,41 @@ class TestDirectTiles:
                                            (CARPET, 3), (CARPET, 5), (CARPET, 6)])
     def test_tile_leaf_sums_equal_per_square_reference(self, preset, n, name):
         obs = resolve_functions(name)[:3]
-        source = _direct_source(preset, n)
-        assert source[0] == "direct"
-        span = _task_span(source, preset.nmaps**n)
+        case = _direct(preset, n)
+        span = _task_span(case.source, case.total)
         assert span == preset.nmaps ** min(n, {4: 8, 8: 5}[preset.nmaps])
-        for w_lo in range(0, preset.nmaps**n, span):
-            got = _leaf_sums_for_range(source, n, w_lo, w_lo + span, obs)
-            want = reference_leaf_sums(source, n, w_lo, w_lo + span, obs)
-            np.testing.assert_array_equal(got, want)
+        for w_lo in range(0, case.total, span):
+            _assert_matches_reference(case, w_lo, w_lo + span, obs)
 
     def test_dust_tile_cells_come_in_morton_order(self):
         for n in (0, 1, 5, 8, 9):
-            tile = _direct_source(DUST, n)[3]
+            tile = _direct_source(DUST, n).tile
             np.testing.assert_array_equal(tile.order, K.dust_tile_order(min(n, 8)))
             assert tile.dx.size == tile.dy.size == 2 << min(n, 8)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_quadrants_only_where_no_squares_touch(self, name):
+        """A lattice of every square's near and far rows and columns
+        evaluates a vertex once per square that has it: only the dust, whose
+        squares share no vertices, takes it; the carpet and
+        ``full-subdivision-3`` take the plain (3**k + 1)**2 box."""
+        preset = PRESETS[name]
+        for k in range(1, cocycle._tile_level(preset.nmaps) + 1):
+            tile = cocycle._direct_tile(preset.offsets, k)
+            if preset is DUST:
+                assert tile.dx.shape == (1, 2, 1, 1 << k)
+            else:
+                assert tile.dx.shape == (1, 3**k + 1) and tile.dy.shape == (3**k + 1, 1)
 
     def test_partial_ranges_equal_per_square_reference(self):
         """A direct range need not be one aligned tile: the kernel runs on
         every tile the range touches, and the range keeps its own words."""
         obs = resolve_functions("sine-xy")[:3]
         for preset, n in ((DUST, 9), (CARPET, 6), (DUST, 3), (CARPET, 2), (FULL, 5)):
-            source = _direct_source(preset, n)
-            span, total = source[3].order.size, preset.nmaps**n
+            case = _direct(preset, n)
+            span = case.source.tile.order.size
             for lo, hi in ((0, span - 1), (1, span + 1), (0, 2 * span), (span // 2, span)):
-                hi = min(hi, total)
-                np.testing.assert_array_equal(_leaf_sums_for_range(source, n, lo, hi, obs),
-                                              reference_leaf_sums(source, n, lo, hi, obs))
+                _assert_matches_reference(case, lo, min(hi, case.total), obs)
 
     @pytest.mark.parametrize("preset, n, tasks", [(DUST, 0, 1), (DUST, 9, 4),
                                                   (CARPET, 4, 1), (CARPET, 6, 8)])
@@ -313,14 +345,11 @@ class TestDirectTiles:
         their leaf sums are the per-square reference's."""
         obs = resolve_functions("sine-xy")[:3]
         for n in (0, 3, 4, 5, 6):
-            source = _direct_source(FULL, n)
-            assert source[3].order.size == 9 ** min(n, 4)
-            span = _task_span(source, 9**n)
-            for w_lo in range(0, 9**n, span):
-                w_hi = min(9**n, w_lo + span)
-                np.testing.assert_array_equal(
-                    _leaf_sums_for_range(source, n, w_lo, w_hi, obs),
-                    reference_leaf_sums(source, n, w_lo, w_hi, obs))
+            case = _direct(FULL, n)
+            assert case.source.tile.order.size == 9 ** min(n, 4)
+            span = _task_span(case.source, case.total)
+            for w_lo in range(0, case.total, span):
+                _assert_matches_reference(case, w_lo, min(case.total, w_lo + span), obs)
         mapped = _count_mapped_words(monkeypatch, "corner_numerators")
         phi_n(FULL, 6, *obs, workers=1)
         assert mapped == [1] * 89  # 81 tiles, 8 of them cut by a task bound
@@ -333,8 +362,8 @@ class TestDirectTiles:
         preset = PRESETS[name]
         ranges = []
 
-        def record(source, n, lo, hi, observables, ws=None):
-            assert source[0] == "direct" and isinstance(source[3], cocycle._Tile)
+        def record(source, lo, hi, observables, ws=None):
+            assert isinstance(source, cocycle._Source)
             ranges.append((lo, hi))
             return np.zeros(-(-(hi - lo) // LEAF), dtype=np.complex128)
 
@@ -346,6 +375,39 @@ class TestDirectTiles:
             assert ranges[0][0] == 0 and ranges[-1][1] == preset.nmaps**n
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
             assert all(lo % LEAF == 0 for lo, _ in ranges)
+
+
+def _tiles():
+    """(id, tile, words) of every tile a sum can walk: pullback m = 0..8,
+    subdivision n = 0..17 and each preset's direct tiles, k = 0 up to its
+    tile level."""
+    for m in range(9):
+        yield f"pullback-{m}", cocycle._pullback_tile(m), 4**m
+    for n in range(18):
+        yield f"subdivision-{n}", cocycle._subdivision_tile(n), min(4**n, TASK_LEAVES * LEAF)
+    for name, preset in sorted(PRESETS.items()):
+        for k in range(cocycle._tile_level(preset.nmaps) + 1):
+            yield f"{name}-{k}", cocycle._direct_tile(preset.offsets, k), preset.nmaps**k
+
+
+class TestTileOrders:
+    @pytest.mark.parametrize("tile, words", [t[1:] for t in _tiles()],
+                             ids=[t[0] for t in _tiles()])
+    def test_order_is_safe_to_gather(self, tile, words):
+        """The engine gathers each tile's values with ``mode="clip"``, which
+        checks no index: every order holds one distinct lattice cell per
+        word, none a padded cell, and every cell's corners lie inside the
+        lattice."""
+        (o0, o1, o2, o3), count = tile.cells
+        shape = np.broadcast_shapes(tile.dx.shape, tile.dy.shape)
+        order = tile.order
+        assert order.shape == (words,) and order.dtype == np.int64
+        assert np.unique(order).size == words
+        assert order.min() >= 0 and order.max() < count
+        assert count + max(o0, o1, o2, o3) <= math.prod(shape)
+        if len(shape) == 2:  # a plain lattice: the last cell of each row is padded
+            assert not (order % shape[1] == shape[1] - 1).any()
+        assert not any(a.flags.writeable for a in (tile.dx, tile.dy, order))
 
 
 # a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
@@ -369,24 +431,20 @@ _DIRECT = {p.name: p for p in (DUST, CARPET, FULL)}
 
 @st.composite
 def _real_cases(draw):
-    mode = draw(st.sampled_from(["pullback", "cells", "direct"]))
+    kind = draw(st.sampled_from(["pullback", "subdivision", "direct"]))
     n = draw(st.integers(0, 9))
-    if mode == "direct":
-        preset = _DIRECT[draw(st.sampled_from(sorted(_DIRECT)))]
-        source = _direct_source(preset, n)
-        nmaps = preset.nmaps
+    if kind == "direct":
+        case = _direct(_DIRECT[draw(st.sampled_from(sorted(_DIRECT)))], n)
     else:
-        source = _pullback(n) if mode == "pullback" else ("cells",)
-        nmaps = 4
-    total = nmaps**n
-    span = _task_span(source, total)
+        case = (_pullback if kind == "pullback" else _subdivision)(n)
+    span = _task_span(case.source, case.total)
     if draw(st.booleans()):  # one aligned task, as the engine makes them
-        w_lo = span * draw(st.integers(0, (total - 1) // span))
-        w_hi = min(total, w_lo + span)
+        w_lo = span * draw(st.integers(0, (case.total - 1) // span))
+        w_hi = min(case.total, w_lo + span)
     else:
-        w_lo, w_hi = _draw_range(draw, source, n, total)
+        w_lo, w_hi = _draw_range(draw, case.total)
     rules = [_real_trig(draw(_terms)) for _ in range(3)]
-    return source, n, w_lo, w_hi, rules
+    return case.source, "direct" if kind == "direct" else "pullback", w_lo, w_hi, rules
 
 
 class TestRealValuesStayReal:
@@ -396,13 +454,12 @@ class TestRealValuesStayReal:
     @settings(max_examples=60, deadline=None)
     @given(_real_cases())
     def test_leaf_sums_equal_complex_cast(self, case):
-        source, n, w_lo, w_hi, rules = case
-        mode = "direct" if source[0] == "direct" else "pullback"
+        source, mode, w_lo, w_hi, rules = case
         real = tuple(Observable("re", mode, "scalar", r) for r in rules)
         cplx = tuple(Observable("c", mode, "scalar", _as_complex(r)) for r in rules)
         assert real[0].evaluate(np.zeros(3), np.zeros(3)).dtype == np.float64
-        got = _leaf_sums_for_range(source, n, w_lo, w_hi, real)
-        want = _leaf_sums_for_range(source, n, w_lo, w_hi, cplx)
+        got = _leaf_sums_for_range(source, w_lo, w_hi, real)
+        want = _leaf_sums_for_range(source, w_lo, w_hi, cplx)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, want)
 

@@ -5,12 +5,12 @@ parent's; these pins turn that into a check that runs every time.  There is
 one case per layout the trace kernels read, or way a sum places its tiles:
 
 * pullback Morton tiles (several tasks at n = 9), real and complex rules;
-* subdivision rows;
+* subdivision tiles of whole rows;
 * the dust's direct quadrant tiles;
 * the carpet's box tiles;
-* ``full-subdivision-3``'s quadrant tiles, 9**4 words each, which tasks of
-  16 leaves cut (ids ``full-subdivision-3-words``, pinned when every word
-  of this preset was digit-mapped);
+* ``full-subdivision-3``'s box tiles, 9**4 words each, which tasks of 16
+  leaves cut (ids ``full-subdivision-3-words``, pinned when every word of
+  this preset was digit-mapped);
 * the matrix kernel, through ``pairing_n``.
 
 Each runs on one and on two workers.  The rules are polynomials (and a Bloch

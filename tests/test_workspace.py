@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
-    TASK_LEAVES, LEAF, Observable, _leaf_sums_for_range, _pullback_source, phi_n,
-    pullback_projection,
+    TASK_LEAVES, LEAF, Observable, _leaf_sums_for_range, _pullback_source, _subdivision_source,
+    phi_n, pullback_projection,
 )
 from dustcocycle.geometry import get_preset
 from dustcocycle.oracle import bott_projection
@@ -196,8 +196,9 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     def test_task_leaf_sums_independent_of_workspace_history(self, kind):
         span = TASK_LEAVES * LEAF
-        task_a = (_pullback_source(9), 9, span, 2 * span, _observables(kind))
-        task_b = (("cells",), 5, 0, 4**5, _observables("scalar"))  # other n, shape and kind
+        task_a = (_pullback_source(9), span, 2 * span, _observables(kind))
+        # another level, lattice shape and kind
+        task_b = (_subdivision_source(5), 0, 4**5, _observables("scalar"))
         ws = K.Workspace()
         first = _leaf_sums_for_range(*task_a, ws)
         other = _leaf_sums_for_range(*task_b, ws)
