@@ -63,9 +63,29 @@ the dust's 512 x 512 direct lattice.  Temporaries and the result go into a
 its ``out=`` buffer: on arrays of 256 KB and more, numpy's temporary elision
 swaps the operands of a product with a temporary, and a complex product
 (fused multiply-add) is not bitwise commutative.  So a square's value
-depends only on its own inputs, never on the block, task or array layout it
-arrives in.  The matrix kernel agrees with the batched complex matmul
-formula to 1e-13 (rtol and atol), not to the last ulp.
+depends only on its own inputs, never on the task or array layout it
+arrives in, and only in one case on its block: numpy rounds an in-place
+complex product of a one-element array unlike its vector loop, so the
+scalar kernel's value of a complex square alone in its block (a call of
+1 mod :data:`BLOCK` cells: every n = 0 sum, and the last cell of a
+subdivision tile at n = 15) can differ in the last bit from the same square
+in a longer block.  Real scalar values are not affected, nor is the matrix
+kernel, which is real float64 arithmetic throughout.  The matrix kernel
+agrees with the batched complex matmul formula to 1e-13 (rtol and atol), not
+to the last ulp.
+
+When h is g, as in every pairing, phi_n(p, p, p), the matrix kernel runs a
+symmetric block that gives the general block's values bit for bit with less
+work.  Its real part per component, (gxn + gxf) (hyf + hyn) -
+(gyn + gyf) (hxf + hxn), is then A B - B A, and float addition and
+multiplication commute bit for bit, so it is +0 and is written as such,
+without the 7 ufunc calls that compute it.  Terms 1 and 3 read the operands
+of terms 0 and 2 as (Y', X', Y, X), so their four cross-product halves are
+the same products in reverse order: 4 products per pair of terms, not 8.
+Each term keeps its own order of subtraction and the terms are added in the
+general order.  The one difference: where a product A B overflows (edge
+differences of Bloch vectors of about 1e154 and more) or an input is not
+finite, the general block's real part is NaN and the symmetric block's +0.
 
 Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
 the three lattices, so real vertex values (every preset triple) run as
@@ -93,8 +113,10 @@ import numpy as np
 # temporaries for one block (the x- and y-edges of g and h, three
 # accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose edges are
 # not shared), the matrix kernel's (the edges in four rows, twelve rows of
-# accumulators and products) 3.7 MB, or 2.6 MB when g = h, as in a pairing.
-# Each block makes about 25 (scalar) or 50 to 60 (matrix) ufunc calls, and
+# accumulators and products) 3.7 MB, or 3.4 MB in the symmetric block, when
+# g = h as in a pairing (g's edges, twelve rows of the shared cross products
+# and six of accumulators).  Each block makes about 25 (scalar), 50 to 60
+# (matrix) or 37 (symmetric matrix block) ufunc calls, and
 # the Python between them holds the GIL, so the block size sets how well two
 # workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on
 # one worker and 0.32 s on two with 4096-square scalar blocks, 0.19 s and
@@ -357,6 +379,12 @@ def matrix_kernel(f, g, h, *, cells, out=None):
     Bloch vectors of g's x-edges at the near and far rows and gyn, gyf of its
     y-edges at the near and far columns.  ``out`` as for
     :func:`scalar_kernel`.
+
+    When ``h is g``, each block is :func:`_symmetric_block`: the same bits
+    from half the cross products, with the real part, A . B - B . A, written
+    as +0 (see the module docstring; only where A . B overflows, at Bloch
+    edge differences of about 1e154, or on non-finite inputs does the general
+    block give NaN there instead).
     """
     ws = Workspace() if out is None else out
     result = ws.take("kernel.result", (cells[1],))
@@ -376,6 +404,9 @@ def matrix_kernel(f, g, h, *, cells, out=None):
             return d
 
         terms = _terms(f, g, h, cells, lo, hi, diff)
+        if h is g:
+            _symmetric_block(terms, ws, parts[:, lo:hi])
+            continue
         acc = ws.take("kernel.acc", (2, 3, hi - lo), np.float64)  # per component
         re, im = acc
         t = ws.take("kernel.t", (3, hi - lo), np.float64)
@@ -400,6 +431,46 @@ def matrix_kernel(f, g, h, *, cells, out=None):
         total += acc[:, 2]
         np.multiply(total, 0.125, out=parts[:, lo:hi])
     return result
+
+
+def _symmetric_block(terms, ws, parts):
+    """One block of :func:`matrix_kernel` when h is g, written into the
+    (real, imaginary) rows ``parts``: the general block's values, bit for
+    bit, from half its cross products and none of its real part.
+
+    With h = g, the real part's two products are A . B and B . A, which
+    round alike, so it is +0.  Term k + 1 (k = 0, 2) reads term k's operands
+    as (Y', X', Y, X), so its four cross-product halves are term k's in
+    reverse order; each term keeps its own order of subtraction, and the
+    terms are added in the general block's order.
+    """
+    m = parts.shape[1]
+    im, s = ws.take("kernel.acc", (2, 3, m), np.float64)
+    p = ws.take("kernel.cross", (4, 3, m), np.float64)
+    for k in (0, 2):
+        (F, X, Y, X2, Y2), F1 = terms[k], terms[k + 1][0]
+        np.multiply(X[0:3], Y[1:4], out=p[0])
+        np.multiply(X[1:4], Y[0:3], out=p[1])
+        np.multiply(X2[0:3], Y2[1:4], out=p[2])
+        np.multiply(X2[1:4], Y2[0:3], out=p[3])
+        t = s if k else im
+        np.subtract(p[0], p[1], out=t)
+        t -= p[2]
+        t += p[3]
+        t *= F
+        if k:
+            im += t
+        t = p[3]  # term k + 1, in place: ((p3 - p2) - p1) + p0
+        t -= p[2]
+        t -= p[1]
+        t += p[0]
+        t *= F1
+        im += t
+    total = im[0]  # the sum over the three components
+    total += im[1]
+    total += im[2]
+    np.multiply(total, 0.125, out=parts[1])
+    parts[0] = 0.0
 
 
 def leaf_sums(vals, leaf):

@@ -379,6 +379,16 @@ def _cmd_selftest(args) -> int:
     if not worst <= 1e-12:
         failures.append("matrix kernel oracle mismatch")
 
+    # the same with f = g = h, one lattice, as in every pairing: the kernel's
+    # symmetric block
+    got = K.matrix_kernel(f, f, f, cells=cells)
+    worst = max(
+        abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[0:4, s]),) * 3)) for s in range(200)
+    )
+    print(f"matrix kernel vs matrix oracle (f = g = h): max |diff| = {worst:.2e}")
+    if not worst <= 1e-12:
+        failures.append("matrix kernel oracle mismatch (f = g = h)")
+
     bad = 0
     for sq in enumerate_squares(get_preset("cantor-dust"), 4):
         try:

@@ -417,6 +417,25 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL matrix kernel oracle mismatch" in capsys.readouterr().err
 
+    def test_selftest_checks_the_symmetric_matrix_block(self, monkeypatch, capsys):
+        """A pairing's f = g = h runs the matrix kernel's symmetric block,
+        which selftest checks on its own line."""
+        code, out = run_cli("selftest")
+        line = next(x for x in out.splitlines() if x.startswith("matrix kernel vs matrix oracle "
+                                                                  "(f = g = h)"))
+        assert float(line.rsplit("=", 1)[1]) <= 1e-12
+        block = K._symmetric_block
+
+        def conjugated(terms, ws, parts):
+            block(terms, ws, parts)
+            parts[1] *= -1
+
+        monkeypatch.setattr(K, "_symmetric_block", conjugated)
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL matrix kernel oracle mismatch (f = g = h)"]
+
     def test_pairing_rejects_values_off_the_bloch_form(self, monkeypatch, capsys):
         """A Bott field whose n3 is NaN at the vertex images whose u is an odd
         multiple of 1/128 passes the level-6 projection check and is refused

@@ -377,6 +377,38 @@ class TestMatrixKernelNumpy:
         assert np.array_equal(part.view(np.float64), whole[lo:hi].view(np.float64))
 
 
+def cells_of(layout, count):
+    """(lattice size, cells) of ``count`` cells in a shifted, quadrant or
+    corner layout; the shifted lattice is at most 300 vertices wide."""
+    if layout == "shifted":
+        w = max(d for d in range(2, 301) if (count + 1) % d == 0)
+        h = (count + 1) // w + 1
+        return h * w, shifted_cells(h, w)
+    if layout == "quadrant":
+        return 4 * count, quadrant_cells(1, count)
+    return 4 * count, corner_cells(count)
+
+
+class TestSymmetricMatrixBlock:
+    """matrix_kernel(a, a, a) runs the symmetric block; with copies of a as g
+    and h it runs the general one, and the two agree bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
+    @pytest.mark.parametrize("count", [1, 2, K.BLOCK + 1, 2 * K.BLOCK + 99])
+    def test_bitwise_equal_to_general_path(self, rng, layout, count):
+        size, cells = cells_of(layout, count)
+        assert cells[1] == count
+        a = rng.standard_normal((3, size))
+        ranges = [cells]
+        if count > 2 * K.BLOCK:
+            ranges.append(cell_range(cells, 1234, count - 77))  # off block boundaries
+        for c in ranges:
+            got = K.matrix_kernel(a, a, a, cells=c, out=K.Workspace()).copy()
+            want = K.matrix_kernel(a, a.copy(), a.copy(), cells=c, out=K.Workspace())
+            assert_bits_equal(got, want)
+            assert not np.signbit(got.real).any() and not got.real.any()  # +0 throughout
+
+
 class TestLeafSums:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

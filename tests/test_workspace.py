@@ -77,7 +77,9 @@ class TestLatticeViews:
         h, w = lattice_shape(70, K.BLOCK)
         lattices = [rng.standard_normal((3, h * w)) for _ in range(1 if shared else 3)]
         got = K.matrix_kernel(*lattices * (3 if shared else 1), cells=shifted_cells(h, w))
-        # keep the sharing: f, g and h are the same corner lattice
+        # keep the sharing: f, g and h are the same corner lattice, so both
+        # sides run the symmetric block (test_kernels checks it against the
+        # general one)
         copies = [copied_corners(a, shifted_cells(h, w)) for a in lattices] * (3 if shared else 1)
         want = K.matrix_kernel(*(a for a, _ in copies), cells=copies[0][1])
         assert got.shape == ((h - 1) * w - 1,)
