@@ -74,6 +74,35 @@ kernel, which is real float64 arithmetic throughout.  The matrix kernel
 agrees with the batched complex matmul formula to 1e-13 (rtol and atol), not
 to the last ulp.
 
+Zero edges.  A scalar rule of one coordinate gives a lattice whose edges
+along the other are exact zeros: the y-edges of a row (values that vary
+along x only, such as g = sin 2 pi u in bott-flux) and the x-edges of a
+column (h = sin 2 pi v).  The engine reads this from the strides of the
+rule's broadcast values and names it to the scalar kernel
+(``zero_edges``), which then forms neither a product with such a factor,
+X Y = gx hy or X' Y' = gy hx, nor an edge that only that product reads: on
+bott-flux, per block, 2 edge differences instead of 4 and 4 products
+instead of 8.  This keeps every bit.  A zero edge is x - x of a finite x,
++0, so a product it is a factor of is an exact zero (of either sign) when
+the other factor is finite, and p - 0 = p, 0 - p = -p; the remaining
+operations keep their operands and order.  Without X Y each term is
+-(X' Y') F, so the kernel adds the terms X' Y' F in the same order and
+scales their sum by -0.5: a sum of negated terms is the negated sum, bit
+for bit.  When both products vanish (a row g with a row h, h = g a row, a
+constant g), every term is an exact zero times f, and the general path
+runs, so that an f that is not finite still gives NaN, not 0.  The values
+are as the general path's up to the sign of an exact zero, with three
+provisos:
+
+* the engine names an edge zero only where the values the row or column
+  repeats are finite, since inf - inf is NaN, not 0;
+* where another input is not finite, the general path's 0 * inf = NaN is
+  not formed, so a square may be +-inf where the general path gives NaN,
+  not finite either way;
+* a shifted lattice's padded cell is not a square: a column's x-edge there
+  wraps into the next row and is not zero, so its value differs; the
+  callers drop it.
+
 When h is g, as in every pairing, phi_n(p, p, p), the matrix kernel runs a
 symmetric block that gives the general block's values bit for bit with less
 work.  Its real part per component, (gxn + gxf) (hyf + hyn) -
@@ -115,14 +144,17 @@ import numpy as np
 # not shared), the matrix kernel's (the edges in four rows, twelve rows of
 # accumulators and products) 3.7 MB, or 3.4 MB in the symmetric block, when
 # g = h as in a pairing (g's edges, twelve rows of the shared cross products
-# and six of accumulators).  Each block makes about 25 (scalar), 50 to 60
-# (matrix) or 37 (symmetric matrix block) ufunc calls, and
-# the Python between them holds the GIL, so the block size sets how well two
-# workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on
-# one worker and 0.32 s on two with 4096-square scalar blocks, 0.19 s and
-# 0.15 s with 16384.  65536-square blocks gained little more (0.13 s on two
-# workers) but raised the peak RSS of the lipschitz-direct benchmark by 7%
-# and of pullback-converge by 14%.
+# and six of accumulators).  Each block makes about 25 (scalar; 14 for a row
+# g and a column h), 50 to 60 (matrix) or 37 (symmetric matrix block) ufunc
+# calls, and the Python between them holds the GIL, so the block size sets
+# how well two workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11
+# took 0.23 s on one worker and 0.32 s on two with 4096-square scalar blocks,
+# 0.19 s and 0.15 s with 16384.  65536-square blocks gained little more
+# (0.13 s on two workers) but raised the peak RSS of the lipschitz-direct
+# benchmark by 7% and of pullback-converge by 14%.  Cutting a tile's 65791
+# cells into near-equal blocks instead of 4 x 16384 + 255 kept every bit
+# but raised pullback-converge's peak RSS by 3.5 MB (5 blocks) or 5.3 MB (4),
+# and with 5 blocks its one-worker time by 15%.
 BLOCK = 16384
 
 # Entries in one digit table: chunks of k digits with nmaps**k <= 2**16.
@@ -273,12 +305,13 @@ def corners(a, cells, lo=0, hi=None):
     return tuple(a[..., lo + o : hi + o] for o in offsets)
 
 
-def edges(a, cells, diff, lo=0, hi=None):
+def edges(a, cells, diff, lo=0, hi=None, axes="xy"):
     """The edge differences of flat lattice ``a`` along cells [lo, hi)
     (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0, v2 - v1),
     the x-edges at the cells' near and far rows and the y-edges at their
     near and far columns.  The other four corner differences are their
-    exact negations.
+    exact negations.  Only the edges along ``axes`` ("x" and/or "y") are
+    formed; the others are None.
 
     ``diff(name, x, y)`` returns x - y.  Where the cells' two x-edges are
     one shift apart (v2 - v3 = v1 - v0 moved by o3 - o0) and the two slices
@@ -299,13 +332,15 @@ def edges(a, cells, diff, lo=0, hi=None):
         return (diff(name + "n", a[..., lo + far : hi + far], a[..., lo + near : hi + near]),
                 diff(name + "f", a[..., lo + o2 : hi + o2], a[..., lo + other : hi + other]))
 
-    return pair("x", o0, o1, o3) + pair("y", o0, o3, o1)
+    return ((pair("x", o0, o1, o3) if "x" in axes else (None, None))
+            + (pair("y", o0, o3, o1) if "y" in axes else (None, None)))
 
 
-def _terms(f, g, h, cells, lo, hi, diff):
+def _terms(f, g, h, cells, lo, hi, diff, axes=("xy", "xy")):
     """The four terms (F, X, Y, X', Y') of the kernel on cells [lo, hi),
     each F (X Y - X' Y') added: f at the corners v0, v2, v1, v3 and the edge
-    differences of g and h (h = g shares them).
+    differences of g and h (h = g shares them) along ``axes``, g's and h's
+    (see :func:`edges`; an edge not formed is None).
 
     The eight vertex differences of the corner form are these edges or
     their exact negations, and a product or difference of negated operands
@@ -313,9 +348,10 @@ def _terms(f, g, h, cells, lo, hi, diff):
     terms keeps every value (up to the sign of an exact zero).
     """
     f0, f1, f2, f3 = corners(f, cells, lo, hi)
-    gxn, gxf, gyn, gyf = edges(g, cells, lambda name, x, y: diff("g" + name, x, y), lo, hi)
+    gxn, gxf, gyn, gyf = edges(g, cells, lambda name, x, y: diff("g" + name, x, y), lo, hi,
+                               axes[0])
     hxn, hxf, hyn, hyf = (gxn, gxf, gyn, gyf) if h is g else edges(
-        h, cells, lambda name, x, y: diff("h" + name, x, y), lo, hi)
+        h, cells, lambda name, x, y: diff("h" + name, x, y), lo, hi, axes[1])
     return (
         (f0, gxn, hyf, gyn, hxf),
         (f2, gxf, hyn, gyf, hxn),
@@ -324,7 +360,7 @@ def _terms(f, g, h, cells, lo, hi, diff):
     )
 
 
-def scalar_kernel(f, g, h, *, cells, out=None):
+def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     """Per-square trace kernel for scalar vertex values.
 
     ``f``, ``g`` and ``h`` are flat (N,) vertex lattices, real or complex;
@@ -336,28 +372,49 @@ def scalar_kernel(f, g, h, *, cells, out=None):
     differences of g and h.  ``out`` is the :class:`Workspace` that holds the
     result and the temporaries (the result is overwritten by the next kernel
     call on it); by default a fresh one.
+
+    ``zero_edges`` names, for g and for h, the axes ("x" and/or "y") along
+    which every cell's edge differences are exact zeros: "y" for a row,
+    values that vary along x only, "x" for a column (the same for both
+    when h is g).  The products with such an edge factor, and the edges
+    only they read, are not formed (see the module docstring).  A padded
+    cell's x-edge, which wraps into the next row, is not a cell edge: its
+    value is not the general path's.
     """
     ws = Workspace() if out is None else out
     dtype = np.result_type(f, g, h)
     result = ws.take("kernel.result", (cells[1],))
+    zg, zh = zero_edges
+    # X Y = gx hy and X' Y' = gy hx; when both vanish, the general path
+    # keeps the NaN of a term 0 * F whose f is not finite
+    xy = "x" not in zg and "y" not in zh
+    xy2 = "y" not in zg and "x" not in zh
+    if not (xy or xy2):
+        xy = xy2 = True
+    axes = "x" * xy + "y" * xy2, "y" * xy + "x" * xy2
     for lo, hi in _blocks(cells[1]):
 
         def diff(name, a, b):
             return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
 
-        terms = _terms(f, g, h, cells, lo, hi, diff)
+        terms = _terms(f, g, h, cells, lo, hi, diff, axes)
         acc = ws.take("kernel.acc", (hi - lo,), dtype)
         s = ws.take("kernel.s", (hi - lo,), dtype)
         prod = ws.take("kernel.prod", (hi - lo,), dtype)
         for k, (F, X, Y, X2, Y2) in enumerate(terms):
             t = s if k else acc
-            np.multiply(X, Y, out=t)
-            t -= np.multiply(X2, Y2, out=prod)
+            if xy:
+                np.multiply(X, Y, out=t)
+                if xy2:
+                    t -= np.multiply(X2, Y2, out=prod)
+            else:
+                np.multiply(X2, Y2, out=t)  # the term's negation
             t *= F
             if k:
                 acc += t
-        # the cast of a real block into the complex result
-        np.multiply(0.5, acc, out=result[lo:hi])
+        # the cast of a real block into the complex result; without X Y,
+        # acc is the sum of the negated terms, the negated sum
+        np.multiply(0.5 if xy else -0.5, acc, out=result[lo:hi])
     return result
 
 

@@ -364,6 +364,25 @@ def _cmd_selftest(args) -> int:
     if not worst <= 1e-12:
         failures.append("scalar kernel mismatch")
 
+    # a row g (x only) and a column h (y only) on the dust's (2, 2, h, w)
+    # quadrant layout, as in bott-flux: named as such, the kernel skips the
+    # products their zero edges vanish, and must give the general path's bits
+    draw = np.random.default_rng(20240203).standard_normal
+    rows, cols = 30, 40
+    full = (2, 2, rows, cols)
+    fq = (draw(full) + 1j * draw(full)).reshape(-1)
+    gq = np.broadcast_to(draw((1, 2, 1, cols)), full).reshape(-1)
+    hq = np.broadcast_to(draw((2, 1, rows, 1)) * (1 - 2j), full).reshape(-1)
+    hw = rows * cols
+    quadrants = ((0, hw, 3 * hw, 2 * hw), hw)
+    got = K.scalar_kernel(fq, gq, hq, cells=quadrants, zero_edges=("y", "x"))
+    want = K.scalar_kernel(fq, gq, hq, cells=quadrants)
+    # +0.0 and -0.0 may trade places where a value is an exact zero
+    differ = int(((got + 0.0).view(np.int64) != (want + 0.0).view(np.int64)).sum())
+    print(f"scalar kernel zero-edge elision vs general path: {differ} of {2 * hw} parts differ")
+    if differ:
+        failures.append("scalar kernel zero-edge elision mismatch")
+
     # the engine's Bloch-vector matrix kernel on 200 squares, each vertex of
     # f, g and h a random rank-1 projection (I + n . sigma) / 2, |n| = 1
     n = rng.standard_normal((12, 3, 200))

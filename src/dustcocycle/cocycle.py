@@ -50,7 +50,10 @@ pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
 transcendentals H + W times, not H * W.  Each observable's values are
 flattened (a view, or for a broadcast row or column a copy in the worker's
 workspace), and the trace kernel takes them whole, with the flat corner
-offsets of cell 0.  Pullback and subdivision tiles, and the
+offsets of cell 0.  Before the copy, a scalar row's or column's strides
+say that its edges along the other coordinate are exact zeros (when the
+values it repeats are finite), which the scalar kernel is told, and skips
+the products they zero.  Pullback and subdivision tiles, and the
 (3**k + 1)**2 boxes around the carpet's and ``full-subdivision-3``'s, are
 plain H x W lattices, a (1, W) row and an (H, 1) column, with offsets
 (0, 1, W + 1, W): cell (i, j) is k = i W + j, the last cell of each row is
@@ -136,7 +139,10 @@ class Observable:
     v on a vertex lattice, or a 4-D (1, 2, 1, w) row and (2, 1, h, 1) column
     on the dust's direct tiles.  A scalar
     rule returns a real or complex array that broadcasts to their common
-    shape; a rule that depends on u only may return the row of u's shape.
+    shape.  A rule of one coordinate should return its row (u only) or
+    column (v only) as it is, not multiplied out to the full shape: the
+    engine reads from its strides that its edges along the other coordinate
+    are exact zeros, and the scalar kernel skips the products they zero.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
     coordinates (direct) or the dyadic staircase image on the torus
     (pullback).
@@ -445,20 +451,41 @@ def _flat(values, shape, name, ws):
     return values.reshape(shape)
 
 
+def _zero_edges(values, u, v):
+    """The axes, "x" and/or "y", along which the cell edges of a scalar
+    rule's broadcast ``values`` at (u, v) are exact zeros: "y" when they
+    have stride 0 on every axis along which v varies (a rule of u only),
+    "x" likewise for u.  None are trusted unless the values they repeat
+    are finite, since inf - inf is NaN."""
+    zero = "".join(
+        name for name, c in (("x", u), ("y", v))
+        if all(values.strides[-k] == 0 for k, m in enumerate(reversed(np.shape(c)), 1) if m > 1)
+    )
+    if not zero:
+        return ""
+    distinct = values[tuple(slice(None, 1) if st == 0 else slice(None) for st in values.strides)]
+    return zero if np.isfinite(distinct).all() else ""
+
+
 def _lattice_values(source, lo, observables, ws):
     """Each observable's values on the flat vertex lattice of the tile whose
-    first word is ``lo``, shape (N,) or (3, N) for Bloch vectors.  Each
-    distinct observable is evaluated once (a repeated one is the same
-    array).
+    first word is ``lo``, shape (N,) or (3, N) for Bloch vectors, and the
+    axes along which a scalar one's edges are exact zeros
+    (:func:`_zero_edges`; "" for a matrix one).  Each distinct observable
+    is evaluated once (a repeated one is the same array).
     """
     x, y = source.place(lo)
     u, v = x / source.den, y / source.den
     cache = {}
     for i, obs in enumerate(observables):
         if id(obs) not in cache:
-            shape = (3, -1) if obs.kind == "matrix" else (-1,)
-            cache[id(obs)] = _flat(obs.evaluate(u, v), shape, f"lattice.{i}", ws)
-    return [cache[id(o)] for o in observables]
+            values = obs.evaluate(u, v)
+            if obs.kind == "matrix":
+                cache[id(obs)] = _flat(values, (3, -1), f"lattice.{i}", ws), ""
+            else:
+                zero = _zero_edges(values, u, v)
+                cache[id(obs)] = _flat(values, (-1,), f"lattice.{i}", ws), zero
+    return [cache[id(o)][0] for o in observables], [cache[id(o)][1] for o in observables]
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +519,17 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None):
     distinct observable is evaluated once per lattice.
     """
     ws = K.Workspace() if ws is None else ws
-    kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
+    matrix = observables[0].kind == "matrix"
+    kernel = K.matrix_kernel if matrix else K.scalar_kernel
     tile = source.tile
     span = tile.order.size
     vals = ws.take("reordered", (w_hi - w_lo,))
     for lo in range(w_lo - w_lo % span, w_hi, span):
-        f, g, h = _lattice_values(source, lo, observables, ws)
+        (f, g, h), (_, zg, zh) = _lattice_values(source, lo, observables, ws)
+        kw = {} if matrix else {"zero_edges": (zg, zh)}
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
-        np.take(kernel(f, g, h, cells=tile.cells, out=ws), tile.order[a - lo : b - lo],
+        np.take(kernel(f, g, h, cells=tile.cells, out=ws, **kw), tile.order[a - lo : b - lo],
                 out=vals[a - w_lo : b - w_lo], mode="clip")
     return K.leaf_sums(vals, LEAF)
 
@@ -737,7 +766,9 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     them, are gathered out, so neither the vertices and edges of its holes
     nor an x-edge that wraps from one lattice row into the next counts; a
     maximum depends on neither the order it is taken in nor the sign of a
-    difference.  A negative level raises ValueError.
+    difference.  A negative level, or a value at a level-n vertex that is
+    not finite (which would make the estimate meaningless), raises
+    ValueError naming the observable.
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
@@ -758,8 +789,12 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
         return x.max()
 
     for lo in range(0, total, tile.order.size):  # nmaps**n is a whole number of tiles
-        (a,) = _lattice_values(source, lo, (obs,), ws)
-        sup = max(sup, *(top(v) for v in K.corners(a, tile.cells)))
+        (a,), _ = _lattice_values(source, lo, (obs,), ws)
+        tops = [top(v) for v in K.corners(a, tile.cells)]
+        # numpy's max propagates NaN, Python's drops it: max(0.0, nan) is 0.0
+        if not np.isfinite(tops).all():
+            raise ValueError(f"observable {obs.name!r} is not finite at every level-{n} vertex")
+        sup = max(sup, *tops)
         lip = max(lip, *(top(d) / edge for d in K.edges(a, tile.cells, lambda _, x, y: x - y)))
     return sup, lip
 

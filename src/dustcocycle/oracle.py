@@ -102,21 +102,21 @@ _COS_COS = _tf(
 
 _SIN_U = _tf(
     "sin2piu",
-    lambda u, v: np.sin(TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
+    lambda u, v: np.sin(TWO_PI * u),
     lambda u, v: TWO_PI * np.cos(TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
 )
 
 _SIN_V = _tf(
     "sin2piv",
-    lambda u, v: np.sin(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
+    lambda u, v: np.sin(TWO_PI * v),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: TWO_PI * np.cos(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
 )
 
 _COS_V = _tf(
     "cos2piv",
-    lambda u, v: np.cos(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
+    lambda u, v: np.cos(TWO_PI * v),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: -TWO_PI * np.sin(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
 )
@@ -137,7 +137,7 @@ _COS4_COS = _tf(
 
 _SIN_4U = _tf(
     "sin4piu",
-    lambda u, v: np.sin(2 * TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
+    lambda u, v: np.sin(2 * TWO_PI * u),
     lambda u, v: 2 * TWO_PI * np.cos(2 * TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
 )

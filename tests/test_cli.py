@@ -362,6 +362,24 @@ class TestExitCodes:
         code, _ = run_cli("phi", "--functions", "const-xy", "--n", "2", "--mode", "pullback")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lipschitz_refuses_non_finite_values(self, monkeypatch, capsys, bad):
+        """An observable that is NaN or inf at some vertex makes the
+        Lipschitz estimate raise, and the command exit 2."""
+        def triple():
+            f, g, h = cocycle.DIRECT_PRESETS["linear-xy"]()
+            bent = cocycle.direct_scalar(
+                lambda u, v: np.where(np.asarray(u) > 0.5, bad, np.asarray(u) + v), "bent-y")
+            return f, g, bent
+
+        monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", triple)
+        with np.errstate(invalid="ignore"):  # phi_n of the level runs first
+            code, _ = run_cli("lipschitz", "--functions", "bent-xy", "--n", "1..3",
+                              "--workers", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "observable 'bent-y' is not finite at every level-1 vertex" in err
+
     def test_selftest_passes(self):
         code, out = run_cli("selftest")
         assert code == 0
@@ -376,6 +394,25 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 1
         assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
+
+    def test_selftest_checks_the_zero_edge_elision(self, monkeypatch, capsys):
+        """A kernel whose elided path is one ulp off passes every other check
+        (the closed forms are checked to 1e-12) and fails this one alone."""
+        code, out = run_cli("selftest")
+        assert "scalar kernel zero-edge elision vs general path: 0 of 2400 parts differ" in out
+        kernel = K.scalar_kernel
+
+        def off_by_an_ulp(*args, zero_edges=("", ""), **kwargs):
+            got = kernel(*args, zero_edges=zero_edges, **kwargs)
+            if any(zero_edges):
+                got.real = np.nextafter(got.real, np.inf)
+            return got
+
+        monkeypatch.setattr(K, "scalar_kernel", off_by_an_ulp)
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL scalar kernel zero-edge elision mismatch"]
 
     def test_selftest_determinism_runs_several_tasks_on_a_pool(self, monkeypatch):
         """The worker-determinism check sums a level of several tasks, so its

@@ -250,6 +250,29 @@ class TestLipschitzDecay:
             with pytest.raises(ValueError, match="level must be >= 0"):
                 estimate_lipschitz(preset, -1, f)
 
+    # NaN at the level-n vertices with x > 1/2 and y < 1/5; inf along x > 0.9
+    NAN_CORNER = direct_scalar(
+        lambda u, v: np.where((np.asarray(u) > 0.5) & (np.asarray(v) < 0.2), np.nan, u + v),
+        "nan-corner")
+    INF_EDGE = direct_scalar(lambda u, v: np.where(np.asarray(u) > 0.9, np.inf, u * v), "inf-edge")
+
+    @pytest.mark.parametrize("preset, n", [(DUST, 3), (CARPET, 2), (FULL, 2)])
+    @pytest.mark.parametrize("obs", [NAN_CORNER, INF_EDGE], ids=lambda o: o.name)
+    def test_non_finite_values_refused(self, preset, n, obs):
+        """A NaN or inf vertex value would give a finite, wrong estimate
+        (Python's max(0.0, nan) is 0.0): it raises, naming the observable."""
+        with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
+            estimate_lipschitz(preset, n, obs)
+
+    def test_non_finite_values_in_a_carpet_hole_do_not_count(self):
+        """Only the vertices of the carpet's own squares are read: a NaN in
+        its central hole, at no level-2 vertex, is not refused."""
+        hole = direct_scalar(
+            lambda u, v: np.where((np.abs(np.asarray(u) - 0.5) < 0.1)
+                                  & (np.abs(np.asarray(v) - 0.5) < 0.1), np.nan, u * v),
+            "nan-in-hole")
+        assert estimate_lipschitz(CARPET, 2, hole) == self.brute_force(CARPET, 2, hole)
+
 
 class TestResiduals:
     def test_unit_argument_telescopes_exactly(self):

@@ -292,13 +292,13 @@ class TestPaddedCellsNeverLeak:
         calls = []
 
         def padded(kernel):
-            def run(*lattices, cells, out=None):
+            def run(*lattices, cells, out=None, **kw):
                 inside = []
                 for a in lattices:
                     buf = np.full(a.shape[:-1] + (a.shape[-1] + 34,), np.nan, a.dtype)
                     inside.append(buf[..., 17:-17])
                     inside[-1][...] = a
-                got = kernel(*inside, cells=cells, out=out)
+                got = kernel(*inside, cells=cells, out=out, **kw)
                 calls.append(bool(np.isfinite(got).all()))
                 return got
 
@@ -407,6 +407,111 @@ class TestSymmetricMatrixBlock:
             want = K.matrix_kernel(a, a.copy(), a.copy(), cells=c, out=K.Workspace())
             assert_bits_equal(got, want)
             assert not np.signbit(got.real).any() and not got.real.any()  # +0 throughout
+
+
+def patterned_lattice(rng, layout, size, cells, zero, dtype):
+    """A flat ``dtype`` lattice of ``size`` values in ``layout`` whose cell
+    edges along ``zero`` are exact zeros: a row for "y" (values that vary
+    along x only), a column for "x", a constant for "xy"."""
+    def draw(shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if dtype == np.complex128 else a
+
+    if layout == "corners":
+        p, q = draw(size // 4), draw(size // 4)
+        return np.concatenate({"": (p, q, draw(size // 4), draw(size // 4)),
+                               "y": (p, q, q, p), "x": (p, p, q, q), "xy": (p, p, p, p)}[zero])
+    if layout == "shifted":
+        w = cells[0][3]
+        shape, row, col = (size // w, w), (1, w), (size // w, 1)
+    else:
+        hw = size // 4
+        shape, row, col = (2, 2, 1, hw), (1, 2, 1, hw), (2, 1, 1, 1)
+    part = {"": shape, "y": row, "x": col, "xy": (1,) * len(shape)}[zero]
+    return np.broadcast_to(draw(part), shape).reshape(-1)
+
+
+def real_cells(layout, cells):
+    """Which of ``cells`` are squares: all but a shifted lattice's padded
+    cells, whose x-edge wraps into the next row."""
+    (o0, _, _, o3), count = cells
+    w = o3 - o0
+    return (o0 + np.arange(count)) % w != w - 1 if layout == "shifted" else np.ones(count, bool)
+
+
+class TestZeroEdgeElision:
+    """With zero edges named, scalar_kernel skips the products they zero and
+    gives the general path's bits on every square (up to the sign of an
+    exact zero)."""
+
+    PATTERNS = [("y", ""), ("x", ""), ("", "y"), ("", "x"), ("y", "x"), ("x", "y"),
+                ("y", "y"), ("x", "x"), ("xy", ""), ("", "xy"), ("h is g", "y"),
+                ("h is g", "x")]
+
+    @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
+    @pytest.mark.parametrize("count", [1, 2, K.BLOCK + 1, 2 * K.BLOCK + 99])
+    @pytest.mark.parametrize("zg, zh", PATTERNS, ids=lambda z: z.replace(" ", "-") or "full")
+    def test_bitwise_equal_to_general_path(self, rng, layout, count, zg, zh):
+        size, cells = cells_of(layout, count)
+        ranges = [cells]
+        if count > 2 * K.BLOCK:
+            ranges.append(cell_range(cells, 1234, count - 77))  # off block boundaries
+        for gtype, htype in ((np.float64,) * 2, (np.complex128,) * 2,
+                             (np.float64, np.complex128)):
+            f = patterned_lattice(rng, layout, size, cells, "", htype)
+            if zg == "h is g":
+                g = h = patterned_lattice(rng, layout, size, cells, zh, gtype)
+                zero = (zh, zh)
+            else:
+                g = patterned_lattice(rng, layout, size, cells, zg, gtype)
+                h = patterned_lattice(rng, layout, size, cells, zh, htype)
+                zero = (zg, zh)
+            for c in ranges:
+                got = K.scalar_kernel(f, g, h, cells=c, out=K.Workspace(), zero_edges=zero)
+                want = K.scalar_kernel(f, g, h.copy() if h is g else h, cells=c,
+                                       out=K.Workspace())
+                keep = real_cells(layout, c)
+                assert_bits_equal(got[keep] + 0.0, want[keep] + 0.0)
+
+    def test_products_not_formed(self, monkeypatch, rng):
+        """On a row g and a column h (bott-flux), each term forms one
+        product, X Y, and each function one edge difference per axis it
+        varies along."""
+        size, cells = cells_of("shifted", 2 * K.BLOCK)  # blocks wider than a row
+        f = patterned_lattice(rng, "shifted", size, cells, "", np.float64)
+        g = patterned_lattice(rng, "shifted", size, cells, "y", np.float64)
+        h = patterned_lattice(rng, "shifted", size, cells, "x", np.float64)
+        calls = {"multiply": 0, "subtract": 0}
+        for name in calls:
+            ufunc = getattr(np, name)
+
+            def counted(*args, _ufunc=ufunc, _name=name, **kwargs):
+                calls[_name] += 1
+                return _ufunc(*args, **kwargs)
+
+            monkeypatch.setattr(K.np, name, counted)
+        K.scalar_kernel(f, g, h, cells=cells, zero_edges=("y", "x"))
+        blocks = len(list(K._blocks(cells[1])))
+        # per block: g's x-edges and h's y-edges (one shared difference
+        # each), 4 products and the final scale
+        assert calls == {"multiply": 5 * blocks, "subtract": 2 * blocks}
+
+    @pytest.mark.parametrize("zg, zh", [("y", "x"), ("x", "y"), ("y", "y"), ("xy", "")])
+    def test_non_finite_f_stays_non_finite(self, rng, zg, zh):
+        """Where f is NaN or inf at a corner, a square is not finite on either
+        path, also where both products vanish (a row g with a row h, a
+        constant g): every term is then 0 * F, NaN as on the general path."""
+        size, cells = cells_of("quadrant", 300)
+        f = patterned_lattice(rng, "quadrant", size, cells, "", np.complex128).copy()
+        f[::7] = np.nan
+        f[3::11] = np.inf
+        g = patterned_lattice(rng, "quadrant", size, cells, zg, np.float64)
+        h = patterned_lattice(rng, "quadrant", size, cells, zh, np.float64)
+        with np.errstate(invalid="ignore"):
+            got = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace(), zero_edges=(zg, zh))
+            want = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace())
+        assert not np.isfinite(want).all()
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
 
 
 class TestLeafSums:

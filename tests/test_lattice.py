@@ -507,3 +507,94 @@ class TestObservableContract:
             phi_n(DUST, 3, p, p, p, workers=1)
         with pytest.raises(ValueError, match="'complex-e': a matrix rule returns real Bloch"):
             cocycle.validate_projection(p, 3)
+
+
+class TestZeroEdgeDetection:
+    """A scalar rule of one coordinate reaches the engine as a broadcast row
+    or column; its stride-0 axes name the edges the kernel may skip, and the
+    sums keep every bit of the general path."""
+
+    RULES = {
+        "u only": (lambda u, v: np.sin(TWO_PI * u), "y"),
+        "v only": (lambda u, v: np.cos(TWO_PI * v), "x"),
+        "complex u only": (lambda u, v: np.exp(1j * TWO_PI * u), "y"),
+        "constant": (lambda u, v: np.float64(0.5), "xy"),
+        "both": (lambda u, v: u * v, ""),
+        "u only, full": (lambda u, v: np.sin(TWO_PI * u) * np.ones_like(v), ""),
+    }
+    SOURCES = {
+        "pullback n=3": lambda: cocycle._pullback_source(3),
+        "pullback n=9": lambda: cocycle._pullback_source(9),
+        "subdivision n=9": lambda: cocycle._subdivision_source(9),
+        "dust quadrants": lambda: _direct_source(DUST, 4),
+        "carpet box": lambda: _direct_source(CARPET, 3),
+    }
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_patterns_read_from_strides(self, source):
+        src = self.SOURCES[source]()
+        mode = "direct" if "quadrants" in source or "box" in source else "pullback"
+        obs = [Observable(name, mode, "scalar", rule) for name, (rule, _) in self.RULES.items()]
+        values, zero = cocycle._lattice_values(src, 0, obs, K.Workspace())
+        assert zero == [want for _, want in self.RULES.values()]
+        assert all(a.ndim == 1 for a in values)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_falls_back(self, monkeypatch, bad):
+        """inf - inf is NaN, not 0: a row or column that is not finite
+        names no zero edges, and the kernel takes the general path."""
+        src = cocycle._pullback_source(4)
+        row = Observable("u only", "pullback", "scalar",
+                         lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u)))
+        col = Observable("v only", "pullback", "scalar",
+                         lambda u, v: np.where(v == 0.25, bad, np.cos(TWO_PI * v)))
+        _, zero = cocycle._lattice_values(src, 0, (row, col), K.Workspace())
+        assert zero == ["", ""]
+        seen = []
+        kernel = K.scalar_kernel
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["zero_edges"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(K, "scalar_kernel", recorded)
+        f = Observable("uv", "pullback", "scalar", lambda u, v: u * v)
+        with np.errstate(invalid="ignore"):
+            phi_n(DUST, 4, f, row, col, workers=1)
+        assert seen == [("", "")]
+
+    SUMS = [(name, "pullback") for name in ("bott-flux", "stokes-null", "mixed-mode",
+                                            "double-flux")]
+    SUMS += [("bott-flux", "subdivision")]
+    SUMS += [(name, preset) for name in ("const-xy", "sine-xy")
+             for preset in ("cantor-dust", "sierpinski-carpet", "full-subdivision-3")]
+
+    @staticmethod
+    def phi(name, where, n):
+        f, g, h = resolve_functions(name)[:3]
+        if where == "subdivision":
+            return cocycle.phi_subdivision(n, f.rule, g.rule, h.rule, workers=1)
+        if where == "pullback":
+            return phi_n(DUST, n, f, g, h, workers=1)
+        return phi_n(get_preset(where), min(n, 5), f, g, h, workers=1)
+
+    @pytest.mark.parametrize("name, where", SUMS)
+    def test_sums_equal_general_path(self, monkeypatch, name, where):
+        """Every sum of the catalogue's and the direct presets' triples, at
+        n = 0..8, equals the sum with the zero edges withheld from the
+        kernel."""
+        want = {}
+        kernel = K.scalar_kernel
+        skipped = []
+
+        def general(*args, zero_edges=("", ""), **kwargs):
+            skipped.append(zero_edges)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(K, "scalar_kernel", general)
+        for n in range(9):
+            want[n] = self.phi(name, where, n)
+        monkeypatch.setattr(K, "scalar_kernel", kernel)
+        assert any(any(z) for z in skipped)
+        for n in range(9):
+            assert self.phi(name, where, n) == want[n], n

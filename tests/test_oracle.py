@@ -16,6 +16,7 @@ from dustcocycle.oracle import (
     wedge_quadrature,
 )
 
+TWO_PI = 2.0 * math.pi
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -115,6 +116,28 @@ class TestCatalogue:
         assert SMOOTH_PRESETS["bump-mix"].target is None
         with pytest.raises(KeyError):
             closed_form_target("bump-mix")
+
+    # the one-coordinate rules as they were, multiplied out to the full shape
+    FULL_RULES = {
+        "sin2piu": lambda u, v: np.sin(TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
+        "sin2piv": lambda u, v: np.sin(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
+        "cos2piv": lambda u, v: np.cos(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
+        "sin4piu": lambda u, v: np.sin(2 * TWO_PI * u)
+        * np.ones_like(np.asarray(v, dtype=np.float64)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FULL_RULES))
+    def test_one_coordinate_rules_return_their_row_or_column(self, name):
+        """A rule of u (v) only returns the row (column) it is given, so the
+        engine skips its zero edges; broadcast, it is bitwise the full
+        values, as x * 1.0 = x."""
+        tf = next(t for p in SMOOTH_PRESETS.values() for t in (p.f, p.g, p.h) if t.name == name)
+        u = np.random.default_rng(5).uniform(-1.0, 2.0, (1, 257))
+        v = np.random.default_rng(6).uniform(-1.0, 2.0, (129, 1))
+        got = tf(u, v)
+        assert got.shape == (u if name.endswith("u") else v).shape
+        want = self.FULL_RULES[name](u, v)
+        assert np.array_equal(np.broadcast_to(got, want.shape).view(np.int64), want.view(np.int64))
 
     def test_periodicity_of_components(self):
         u = np.linspace(0.0, 1.0, 7)
