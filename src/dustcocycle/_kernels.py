@@ -79,26 +79,25 @@ along the other are exact zeros: the y-edges of a row (values that vary
 along x only, such as g = sin 2 pi u in bott-flux) and the x-edges of a
 column (h = sin 2 pi v).  The engine reads this from the strides of the
 rule's broadcast values and names it to the scalar kernel
-(``zero_edges``), which then forms neither a product with such a factor,
-X Y = gx hy or X' Y' = gy hx, nor an edge that only that product reads: on
-bott-flux, per block, 2 edge differences instead of 4 and 4 products
-instead of 8.  This keeps every bit.  A zero edge is x - x of a finite x,
-+0, so a product it is a factor of is an exact zero (of either sign) when
-the other factor is finite, and p - 0 = p, 0 - p = -p; the remaining
-operations keep their operands and order.  Without X Y each term is
--(X' Y') F, so the kernel adds the terms X' Y' F in the same order and
-scales their sum by -0.5: a sum of negated terms is the negated sum, bit
-for bit.  When both products vanish (a row g with a row h, h = g a row, a
-constant g), every term is an exact zero times f, and the general path
-runs, so that an f that is not finite still gives NaN, not 0.  The values
-are as the general path's up to the sign of an exact zero, with three
-provisos:
+(``zero_edges``).  Where X' Y' = gy hx vanishes (g a row or h a column)
+and X Y = gx hy does not, the kernel forms neither X' Y' nor the edges
+only it reads, gy and hx: on bott-flux, per block, 2 edge differences
+instead of 4 and 4 products instead of 8.  This keeps every bit.  A zero
+edge is x - x of a finite x, +0, so X' Y' is an exact zero (of either
+sign) when the other factor is finite, and p - 0 = p; the remaining
+operations keep their operands and order.  Every other pattern runs the
+general path: no preset has g a column or h a row, and when both products
+vanish (a row g with a row h, h = g a row, a constant g) every term is an
+exact zero times f, where the general path keeps the NaN of an f that is
+not finite.  The values are as the general path's up to the sign of an
+exact zero, with three provisos:
 
 * the engine names an edge zero only where the values the row or column
   repeats are finite, since inf - inf is NaN, not 0;
-* where another input is not finite, the general path's 0 * inf = NaN is
-  not formed, so a square may be +-inf where the general path gives NaN,
-  not finite either way;
+* where another input is not finite, or an edge difference of finite
+  values overflows (values of about 1e308), the general path's
+  0 * inf = NaN is not formed, so a square may be finite or +-inf where
+  the general path gives NaN;
 * a shifted lattice's padded cell is not a square: a column's x-edge there
   wraps into the next row and is not zero, so its value differs; the
   callers drop it.
@@ -376,8 +375,9 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     ``zero_edges`` names, for g and for h, the axes ("x" and/or "y") along
     which every cell's edge differences are exact zeros: "y" for a row,
     values that vary along x only, "x" for a column (the same for both
-    when h is g).  The products with such an edge factor, and the edges
-    only they read, are not formed (see the module docstring).  A padded
+    when h is g).  Where this zeros X' Y' = gy hx but not X Y = gx hy, the
+    product X' Y' and the edges gy and hx are not formed (see the module
+    docstring); every other pattern runs the general path.  A padded
     cell's x-edge, which wraps into the next row, is not a cell edge: its
     value is not the general path's.
     """
@@ -385,13 +385,10 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     dtype = np.result_type(f, g, h)
     result = ws.take("kernel.result", (cells[1],))
     zg, zh = zero_edges
-    # X Y = gx hy and X' Y' = gy hx; when both vanish, the general path
-    # keeps the NaN of a term 0 * F whose f is not finite
-    xy = "x" not in zg and "y" not in zh
-    xy2 = "y" not in zg and "x" not in zh
-    if not (xy or xy2):
-        xy = xy2 = True
-    axes = "x" * xy + "y" * xy2, "y" * xy + "x" * xy2
+    # only X' Y' = gy hx vanishes; when X Y = gx hy does too, the general
+    # path keeps the NaN of a term 0 * F whose f is not finite
+    elide = "x" not in zg and "y" not in zh and ("y" in zg or "x" in zh)
+    axes = ("x", "y") if elide else ("xy", "xy")
     for lo, hi in _blocks(cells[1]):
 
         def diff(name, a, b):
@@ -403,18 +400,13 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
         prod = ws.take("kernel.prod", (hi - lo,), dtype)
         for k, (F, X, Y, X2, Y2) in enumerate(terms):
             t = s if k else acc
-            if xy:
-                np.multiply(X, Y, out=t)
-                if xy2:
-                    t -= np.multiply(X2, Y2, out=prod)
-            else:
-                np.multiply(X2, Y2, out=t)  # the term's negation
+            np.multiply(X, Y, out=t)
+            if not elide:
+                t -= np.multiply(X2, Y2, out=prod)
             t *= F
             if k:
                 acc += t
-        # the cast of a real block into the complex result; without X Y,
-        # acc is the sum of the negated terms, the negated sum
-        np.multiply(0.5 if xy else -0.5, acc, out=result[lo:hi])
+        np.multiply(0.5, acc, out=result[lo:hi])  # casts a real block
     return result
 
 

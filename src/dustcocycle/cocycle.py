@@ -53,7 +53,7 @@ workspace), and the trace kernel takes them whole, with the flat corner
 offsets of cell 0.  Before the copy, a scalar row's or column's strides
 say that its edges along the other coordinate are exact zeros (when the
 values it repeats are finite), which the scalar kernel is told, and skips
-the products they zero.  Pullback and subdivision tiles, and the
+gy hx where they zero it.  Pullback and subdivision tiles, and the
 (3**k + 1)**2 boxes around the carpet's and ``full-subdivision-3``'s, are
 plain H x W lattices, a (1, W) row and an (H, 1) column, with offsets
 (0, 1, W + 1, W): cell (i, j) is k = i W + j, the last cell of each row is
@@ -142,7 +142,7 @@ class Observable:
     shape.  A rule of one coordinate should return its row (u only) or
     column (v only) as it is, not multiplied out to the full shape: the
     engine reads from its strides that its edges along the other coordinate
-    are exact zeros, and the scalar kernel skips the products they zero.
+    are exact zeros, and the scalar kernel skips the product they zero.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
     coordinates (direct) or the dyadic staircase image on the torus
     (pullback).

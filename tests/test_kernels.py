@@ -473,14 +473,19 @@ class TestZeroEdgeElision:
                 keep = real_cells(layout, c)
                 assert_bits_equal(got[keep] + 0.0, want[keep] + 0.0)
 
-    def test_products_not_formed(self, monkeypatch, rng):
-        """On a row g and a column h (bott-flux), each term forms one
-        product, X Y, and each function one edge difference per axis it
-        varies along."""
+    @pytest.mark.parametrize("zg, zh, multiply, subtract", [
+        ("y", "x", 5, 2), ("y", "", 5, 2), ("", "x", 5, 2),
+        ("x", "y", 9, 4), ("x", "", 9, 4), ("y", "y", 9, 4), ("", "", 9, 4),
+    ])
+    def test_products_not_formed(self, monkeypatch, rng, zg, zh, multiply, subtract):
+        """Where the zero edges make X' Y' vanish and not X Y (a row g, a
+        column h: bott-flux), each term forms one product, X Y, and g and h
+        one edge difference each; every other pattern forms the general
+        path's 4 edges and 8 products."""
         size, cells = cells_of("shifted", 2 * K.BLOCK)  # blocks wider than a row
         f = patterned_lattice(rng, "shifted", size, cells, "", np.float64)
-        g = patterned_lattice(rng, "shifted", size, cells, "y", np.float64)
-        h = patterned_lattice(rng, "shifted", size, cells, "x", np.float64)
+        g = patterned_lattice(rng, "shifted", size, cells, zg, np.float64)
+        h = patterned_lattice(rng, "shifted", size, cells, zh, np.float64)
         calls = {"multiply": 0, "subtract": 0}
         for name in calls:
             ufunc = getattr(np, name)
@@ -490,11 +495,11 @@ class TestZeroEdgeElision:
                 return _ufunc(*args, **kwargs)
 
             monkeypatch.setattr(K.np, name, counted)
-        K.scalar_kernel(f, g, h, cells=cells, zero_edges=("y", "x"))
+        K.scalar_kernel(f, g, h, cells=cells, zero_edges=(zg, zh))
         blocks = len(list(K._blocks(cells[1])))
-        # per block: g's x-edges and h's y-edges (one shared difference
-        # each), 4 products and the final scale
-        assert calls == {"multiply": 5 * blocks, "subtract": 2 * blocks}
+        # per block: one shared difference per edge formed, a product per
+        # term and product formed, and the final scale
+        assert calls == {"multiply": multiply * blocks, "subtract": subtract * blocks}
 
     @pytest.mark.parametrize("zg, zh", [("y", "x"), ("x", "y"), ("y", "y"), ("xy", "")])
     def test_non_finite_f_stays_non_finite(self, rng, zg, zh):
