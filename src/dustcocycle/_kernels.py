@@ -66,11 +66,12 @@ swaps the operands of a product with a temporary, and a complex product
 depends only on its own inputs, never on the task or array layout it
 arrives in, and only in one case on its block: numpy rounds an in-place
 complex product of a one-element array unlike its vector loop, so the
-scalar kernel's value of a complex square alone in its block (a call of
-1 mod :data:`BLOCK` cells: every n = 0 sum, and the last cell of a
-subdivision tile at n = 15) can differ in the last bit from the same square
-in a longer block.  Real scalar values are not affected, nor is the matrix
-kernel, which is real float64 arithmetic throughout.  The matrix kernel
+scalar kernel's value of a complex square alone in its block can differ in
+the last bit from the same square in a longer block.  A trailing cell that
+would be alone is joined to the block before it (:func:`_blocks`), so only
+a call of one cell (every n = 0 sum) has such a block.  Real scalar values
+are not affected, nor is the matrix kernel, which is real float64
+arithmetic throughout.  The matrix kernel
 agrees with the batched complex matmul formula to 1e-13 (rtol and atol), not
 to the last ulp.
 
@@ -291,9 +292,11 @@ def dust_tile_order(level):
 
 def _blocks(count):
     """(lo, hi) of the kernel blocks: runs of :data:`BLOCK` consecutive cells
-    of ``count``."""
-    for lo in range(0, count, BLOCK):
-        yield lo, min(count, lo + BLOCK)
+    of ``count``, a trailing run of one cell joined to the block before it,
+    so that only a call of one cell has a block of one cell."""
+    last = count - 1 if count > 1 and count % BLOCK == 1 else count
+    for lo in range(0, last, BLOCK):
+        yield lo, lo + BLOCK if lo + BLOCK < last else count
 
 
 def corners(a, cells, lo=0, hi=None):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import _kernels as K
+from . import cocycle
 from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
     CocycleReport,
@@ -426,6 +427,19 @@ def _cmd_selftest(args) -> int:
         if abs(got - want) > 1e-12 * want:
             failures.append(f"riemann closed form at n={n}")
     print("riemann closed form (n=1..3): ok" if not any("riemann" in x for x in failures) else "riemann closed form: FAIL")
+
+    # the sup and edge maxima phi_n's tasks take from their lattices, which
+    # estimate_lipschitz reads back, against a serial walk of the tiles
+    triple = resolve_functions("sine-xy")[:3]
+    for name, n in (("cantor-dust", 6), ("sierpinski-carpet", 4)):
+        phi_n(get_preset(name), n, *triple, workers=1)
+        record = cocycle._last_direct
+        same = record is not None and record[2] == triple and all(
+            np.array_equal(peak, cocycle._walk_maxima(get_preset(name), n, obs))
+            for peak, obs in zip(record[3], triple))
+        print(f"lipschitz maxima, one pass vs tile walk ({name} n={n}): {'ok' if same else 'FAIL'}")
+        if not same:
+            failures.append(f"lipschitz maxima at {name} n={n}")
 
     # n = 9 is four tasks, so the 4-worker sum runs on a pool
     a = phi_n(preset, 9, f, g, h, workers=1)

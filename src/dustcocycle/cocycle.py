@@ -70,8 +70,13 @@ and h as their x- and y-edge differences, each edge two cells share
 subtracted once, every operand one contiguous slice.  Real rules stay
 float64 up to the kernel's complex result; a matrix observable's values
 are its (3, N) float64 Bloch vectors, read the same way.
-:func:`estimate_lipschitz` reads the same tiles, lattices and edge
-differences.
+A direct scalar sum also takes, per task and observable, the sup of the
+values and the largest edge difference over the tile's own cells
+(:func:`_maxima`, the carpet's holes and padded cells left out), and keeps
+their maxima over the tasks as the record of the last such sum;
+:func:`estimate_lipschitz` reads them back for an observable of that sum,
+so a level of the Lipschitz table evaluates each rule once per tile, and
+otherwise walks the same tiles with the same helper.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the copies of broadcast values, kernel
@@ -508,7 +513,53 @@ def _pairwise_reduce(a: np.ndarray) -> complex:
     return complex(a[0])
 
 
-def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None):
+def _top(x):
+    """max |x|, NaN if x holds one, without an ``np.abs`` copy of real x."""
+    if np.iscomplexobj(x):
+        return np.abs(x).max()
+    return max(x.max(), -x.min())  # both NaN when x holds one
+
+
+def _maxima(a, tile, ws, zero=""):
+    """(sup |a|, largest |edge difference|) of the flat scalar lattice ``a``
+    of ``tile``, over the tile's own cells only: their corners, and their
+    x- and y-edges (:func:`_kernels.edges`), formed block by block into the
+    kernel's edge buffers in ``ws``.  Edges along the axes ``zero`` names
+    (:func:`_zero_edges`) are exact zeros and are not formed.
+
+    Where the lattice has cells that are not the tile's (a box's carpet
+    holes and padded cells, whose x-edge wraps into the next lattice row),
+    the corners of the tile's own cells are first gathered by
+    ``tile.order``, concatenated (v0, v1, v2, v3); otherwise every lattice
+    vertex is a corner of one of its cells.  Neither maximum depends on
+    order.  A sup that is not finite (a NaN or inf value) comes with the
+    edge maximum NaN, its edges not formed.
+    """
+    cells = tile.cells
+    if tile.order.size < cells[1]:
+        m = tile.order.size
+        c = ws.take("maxima.corners", (4, m), a.dtype)
+        for o, out in zip(cells[0], c):
+            np.take(a[o:], tile.order, out=out, mode="clip")
+        a, cells = c.reshape(-1), ((0, m, 2 * m, 3 * m), m)
+    sup = _top(a)
+    if not np.isfinite(sup):
+        return sup, np.nan  # no estimate; its edges are not formed
+    axes = "".join(x for x in "xy" if x not in zero)
+    edge = 0.0
+    if axes:
+
+        def diff(name, x, y):
+            return np.subtract(x, y, out=ws.take(f"kernel.g{name}", x.shape, a.dtype))
+
+        for lo, hi in K._blocks(cells[1]):
+            for d in K.edges(a, cells, diff, lo, hi, axes):
+                if d is not None:
+                    edge = max(edge, _top(d))
+    return sup, edge
+
+
+def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
     """Leaf sums of the kernel over the words [w_lo, w_hi) of ``source``,
     leaves counted from w_lo.
 
@@ -517,6 +568,9 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None):
     order.  ``ws`` is the calling thread's :class:`_kernels.Workspace`
     (default: a fresh one); the returned leaf sums never live in it.  Each
     distinct observable is evaluated once per lattice.
+
+    ``maxima``, for scalar observables, is a (3, 2) float array, set to each
+    observable's :func:`_maxima` over the tiles the range touches.
     """
     ws = K.Workspace() if ws is None else ws
     matrix = observables[0].kind == "matrix"
@@ -524,38 +578,63 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None):
     tile = source.tile
     span = tile.order.size
     vals = ws.take("reordered", (w_hi - w_lo,))
+    if maxima is not None:
+        maxima[...] = 0.0
     for lo in range(w_lo - w_lo % span, w_hi, span):
-        (f, g, h), (_, zg, zh) = _lattice_values(source, lo, observables, ws)
-        kw = {} if matrix else {"zero_edges": (zg, zh)}
+        lattice, zero = _lattice_values(source, lo, observables, ws)
+        f, g, h = lattice
+        kw = {} if matrix else {"zero_edges": (zero[1], zero[2])}
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
         np.take(kernel(f, g, h, cells=tile.cells, out=ws, **kw), tile.order[a - lo : b - lo],
                 out=vals[a - w_lo : b - w_lo], mode="clip")
+        if maxima is not None:
+            for i, x in enumerate(lattice):
+                j = next(j for j, y in enumerate(lattice) if y is x)  # a repeat is taken once
+                if j == i:
+                    np.maximum(maxima[i], _maxima(x, tile, ws, zero[i]), out=maxima[i])
+                else:
+                    maxima[i] = maxima[j]
     return K.leaf_sums(vals, LEAF)
 
 
-def _sum_kernel(source, total, f, g, h, workers):
+# (preset offsets, n, (f, g, h), maxima) of the last direct scalar sum, the
+# maxima a (3, 2) array of f's, g's and h's (sup, largest edge difference)
+# for estimate_lipschitz; every other sum sets it to None
+_last_direct = None
+
+
+def _sum_kernel(source, total, f, g, h, workers, key=None):
+    """The level's sum over ``source``.  ``key``, given for a direct scalar
+    sum as (preset offsets, n), makes each task also take its observables'
+    :func:`_maxima`, combined over the tasks into ``_last_direct``."""
+    global _last_direct
+    _last_direct = None
     observables = (f, g, h)
     nleaves = (total + LEAF - 1) // LEAF
     leafsums = np.empty(nleaves, dtype=np.complex128)
     span = _task_span(source, total)
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
+    maxima = None if key is None else np.empty((len(tasks), 3, 2))
     local = threading.local()  # one workspace per thread, dropped on return
 
-    def run(task):
+    def run(i):
         ws = getattr(local, "ws", None)
         if ws is None:
             ws = local.ws = K.Workspace()
-        lo, hi = task
-        out = _leaf_sums_for_range(source, lo, hi, observables, ws)
+        lo, hi = tasks[i]
+        out = _leaf_sums_for_range(source, lo, hi, observables, ws,
+                                   maxima=None if maxima is None else maxima[i])
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
-        for t in tasks:
-            run(t)
+        for i in range(len(tasks)):
+            run(i)
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            list(pool.map(run, tasks))
+            list(pool.map(run, range(len(tasks))))
+    if key is not None:
+        _last_direct = (*key, observables, np.max(maxima, axis=0))  # np.max keeps NaN
     return _pairwise_reduce(leafsums)
 
 
@@ -604,10 +683,9 @@ def phi_n(
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
-        source = _pullback_source(n)
-    else:
-        source = _direct_source(preset, n)
-    return _sum_kernel(source, total, f, g, h, workers)
+        return _sum_kernel(_pullback_source(n), total, f, g, h, workers)
+    key = (preset.offsets, n) if kind == "scalar" else None
+    return _sum_kernel(_direct_source(preset, n), total, f, g, h, workers, key)
 
 
 def phi_subdivision(
@@ -755,48 +833,54 @@ def link_error_ratios(rows: Sequence[CocycleReport]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _walk_maxima(preset: IfsPreset, n: int, obs: Observable) -> np.ndarray:
+    """(sup |obs|, largest edge difference) over the level-n squares of
+    ``preset``: :func:`_maxima` of every tile of the direct source, walked
+    serially in a fresh workspace."""
+    total = _word_count(preset.nmaps, n)
+    source = _direct_source(preset, n)
+    ws = K.Workspace()
+    peak = np.zeros(2)
+    for lo in range(0, total, source.tile.order.size):  # nmaps**n is a whole number of tiles
+        (a,), (zero,) = _lattice_values(source, lo, (obs,), ws)
+        np.maximum(peak, _maxima(a, source.tile, ws, zero), out=peak)
+    return peak
+
+
 def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[float, float]:
     """(sup |obs|, Lipschitz estimate) over level-n vertices.
 
     The Lipschitz constant is estimated by maximizing difference quotients
     over the four edges of every level-n square: the x- and y-edge
-    differences the kernel reads, through the same helper
-    (:func:`_kernels.edges`), on the same tiles and lattices as
-    :func:`phi_n`'s.  Box cells outside a carpet tile, padded cells among
-    them, are gathered out, so neither the vertices and edges of its holes
-    nor an x-edge that wraps from one lattice row into the next counts; a
-    maximum depends on neither the order it is taken in nor the sign of a
-    difference.  A negative level, or a value at a level-n vertex that is
-    not finite (which would make the estimate meaningless), raises
-    ValueError naming the observable.
+    differences the kernel reads, on the same tiles and lattices as
+    :func:`phi_n`'s, through :func:`_maxima`.  Box cells outside a carpet
+    tile, padded cells among them, are gathered out, so neither the vertices
+    and edges of its holes nor an x-edge that wraps from one lattice row into
+    the next counts.  The largest difference over 3**-n is the largest
+    quotient, since rounding a division is monotone.
+
+    When the last sum was :func:`phi_n` of a direct scalar triple holding
+    this very observable, on this preset and level, its tasks took these
+    maxima from the lattices they evaluated, and they are read back; else
+    the tiles are walked serially (:func:`_walk_maxima`).  Either way the
+    values are the same, as a maximum depends on neither the order it is
+    taken in nor the tasks it is split over.  A negative level, or a value
+    at a level-n vertex that is not finite (which would make the estimate
+    meaningless), raises ValueError naming the observable.
     """
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
     if n < 0:
         raise ValueError("level must be >= 0")
-    total = _word_count(preset.nmaps, n)
-    source = _direct_source(preset, n)
-    tile = source.tile
-    edge = 3.0**-n
-    sup = 0.0
-    lip = 0.0
-    ws = K.Workspace()
-
-    def top(x):
-        x = np.abs(x)
-        if tile.order.size < x.size:
-            x = np.take(x, tile.order)
-        return x.max()
-
-    for lo in range(0, total, tile.order.size):  # nmaps**n is a whole number of tiles
-        (a,), _ = _lattice_values(source, lo, (obs,), ws)
-        tops = [top(v) for v in K.corners(a, tile.cells)]
-        # numpy's max propagates NaN, Python's drops it: max(0.0, nan) is 0.0
-        if not np.isfinite(tops).all():
-            raise ValueError(f"observable {obs.name!r} is not finite at every level-{n} vertex")
-        sup = max(sup, *tops)
-        lip = max(lip, *(top(d) / edge for d in K.edges(a, tile.cells, lambda _, x, y: x - y)))
-    return sup, lip
+    offsets, level, triple, maxima = _last_direct or (None, None, (), None)
+    place = next((i for i, o in enumerate(triple) if o is obs), None)
+    if place is not None and (offsets, level) == (preset.offsets, n):
+        sup, edge = maxima[place]
+    else:
+        sup, edge = _walk_maxima(preset, n, obs)
+    if not np.isfinite(sup):
+        raise ValueError(f"observable {obs.name!r} is not finite at every level-{n} vertex")
+    return sup, edge / 3.0**-n
 
 
 def lipschitz_bound(preset: IfsPreset, n: int, sup_f: float, lip_g: float, lip_h: float) -> float:

@@ -414,6 +414,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "FAIL scalar kernel zero-edge elision mismatch"]
 
+    def test_selftest_checks_the_one_pass_maxima(self, monkeypatch, capsys):
+        """Maxima that phi_n's tasks take one ulp high fail this check alone:
+        the walk it compares them with is not the pass."""
+        code, out = run_cli("selftest")
+        assert "lipschitz maxima, one pass vs tile walk (cantor-dust n=6): ok" in out
+        assert "lipschitz maxima, one pass vs tile walk (sierpinski-carpet n=4): ok" in out
+        task = cocycle._leaf_sums_for_range
+
+        def ulp_high(*args, maxima=None, **kwargs):
+            out = task(*args, maxima=maxima, **kwargs)
+            if maxima is not None:
+                maxima[...] = np.nextafter(maxima, np.inf)
+            return out
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", ulp_high)
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL lipschitz maxima at cantor-dust n=6", "FAIL lipschitz maxima at sierpinski-carpet n=4"]
+
     def test_selftest_determinism_runs_several_tasks_on_a_pool(self, monkeypatch):
         """The worker-determinism check sums a level of several tasks, so its
         multi-worker sum runs them on a pool, not serially."""

@@ -1,10 +1,12 @@
 """The combinatorial integration engine: closed forms, identities, decay."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from dustcocycle import cocycle
 from dustcocycle.cocycle import (
     Observable,
     convergence_table,
@@ -264,6 +266,21 @@ class TestLipschitzDecay:
         with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
             estimate_lipschitz(preset, n, obs)
 
+    @pytest.mark.parametrize("preset, n", [(DUST, 3), (CARPET, 2), (FULL, 2)])
+    @pytest.mark.parametrize("obs", [NAN_CORNER, INF_EDGE], ids=lambda o: o.name)
+    def test_non_finite_values_refused_after_phi_n(self, preset, n, obs):
+        """Read back from the maxima of a phi_n over it, which evaluates no
+        rule again, a NaN or inf value still raises."""
+        calls = []
+        counted = direct_scalar(lambda u, v: calls.append(1) or obs.rule(u, v), obs.name)
+        f, _, h, _, _ = resolve_functions("linear-xy")
+        with np.errstate(invalid="ignore"):
+            phi_n(preset, n, f, counted, h, workers=1)
+        calls.clear()
+        with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
+            estimate_lipschitz(preset, n, counted)
+        assert calls == []
+
     def test_non_finite_values_in_a_carpet_hole_do_not_count(self):
         """Only the vertices of the carpet's own squares are read: a NaN in
         its central hole, at no level-2 vertex, is not refused."""
@@ -272,6 +289,95 @@ class TestLipschitzDecay:
                                   & (np.abs(np.asarray(v) - 0.5) < 0.1), np.nan, u * v),
             "nan-in-hole")
         assert estimate_lipschitz(CARPET, 2, hole) == self.brute_force(CARPET, 2, hole)
+
+
+def counted_triple(name, calls):
+    """The named direct triple, each rule appending its name to ``calls``
+    when evaluated."""
+    return tuple(
+        direct_scalar(lambda u, v, o=o: calls.append(o.name) or o.rule(u, v), o.name)
+        for o in resolve_functions(name)[:3]
+    )
+
+
+def corner_values(preset, n, obs):
+    """``obs`` at the corners v0..v3 of every level-n square, shape (4, N),
+    the corners read digit by digit from the word indices, coarse first,
+    apart from the engine's tiles and digit tables."""
+    words = np.arange(preset.nmaps**n, dtype=np.int64)
+    offx, offy = preset.offset_arrays()
+    kx, ky = np.zeros_like(words), np.zeros_like(words)
+    for j in range(n):
+        d = words // preset.nmaps ** (n - 1 - j) % preset.nmaps
+        kx, ky = 3 * kx + offx[d], 3 * ky + offy[d]
+    den = float(3**n)
+    return np.stack([obs.evaluate((kx + a) / den, (ky + b) / den)
+                     for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))])
+
+
+def brute_force_lipschitz(preset, n, obs):
+    """(sup |obs|, largest edge difference / 3**-n) over every level-n
+    square, from :func:`corner_values`."""
+    vals = corner_values(preset, n, obs)
+    edges = np.abs(np.roll(vals, -1, axis=0) - vals)  # v0v1, v1v2, v2v3, v3v0
+    return np.abs(vals).max(), edges.max() / 3.0**-n
+
+
+class TestLipschitzInOnePass:
+    """phi_n of a direct scalar triple takes each observable's sup and edge
+    maxima from the lattices its tasks evaluate, and estimate_lipschitz reads
+    them back, evaluating no rule; any other observable, level, preset or
+    sum walks the tiles again."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("preset, n", [(DUST, 9), (DUST, 10), (CARPET, 5), (CARPET, 6),
+                                           (FULL, 5)], ids=lambda x: getattr(x, "name", x))
+    def test_pass_equals_walk_and_brute_force(self, preset, n, workers):
+        calls = []
+        triple = counted_triple("linear-xy" if preset is DUST else "sine-xy", calls)
+        phi_n(preset, n, *triple, workers=workers)
+        calls.clear()
+        got = [estimate_lipschitz(preset, n, o) for o in triple]
+        assert calls == []
+        for obs, (sup, lip) in zip(triple, got):
+            walk_sup, walk_edge = cocycle._walk_maxima(preset, n, obs)
+            assert (sup, lip) == (walk_sup, walk_edge / 3.0**-n)
+            assert (sup, lip) == brute_force_lipschitz(preset, n, obs)
+
+    def test_repeated_observable(self):
+        """A triple that repeats an observable takes its maxima once, and
+        reads them back for each place."""
+        calls = []
+        f, g, _ = counted_triple("sine-xy", calls)
+        phi_n(CARPET, 3, f, g, g, workers=1)
+        calls.clear()
+        got = estimate_lipschitz(CARPET, 3, g)
+        assert calls == []
+        assert got == brute_force_lipschitz(CARPET, 3, g)
+
+    @pytest.mark.parametrize("case", ["observable", "level", "preset", "pullback",
+                                      "subdivision", "matrix"])
+    def test_record_read_only_for_its_own_sum(self, case):
+        """After phi_n(DUST, 5) of a triple, its maxima are not read for an
+        equal but other observable object, another level or preset, or once
+        a pullback, subdivision or matrix sum has run: the tiles are walked
+        again, to the same values."""
+        calls = []
+        triple = counted_triple("linear-xy", calls)
+        phi_n(DUST, 5, *triple, workers=1)
+        g = replace(triple[1]) if case == "observable" else triple[1]
+        preset, n = {"level": (DUST, 4), "preset": (CARPET, 5)}.get(case, (DUST, 5))
+        bott = resolve_functions("bott-flux")[:3]
+        if case == "pullback":
+            phi_n(DUST, 3, *bott, workers=1)
+        elif case == "subdivision":
+            phi_subdivision(3, *(o.rule for o in bott), workers=1)
+        elif case == "matrix":
+            pairing_n(DUST, 3, pullback_projection(bott_projection(1)), workers=1)
+        calls.clear()
+        got = estimate_lipschitz(preset, n, g)
+        assert calls == ["x"]  # one tile
+        assert got == brute_force_lipschitz(preset, n, g)
 
 
 class TestResiduals:

@@ -223,6 +223,25 @@ class TestEdgeKernelsMatchCornerForm:
         # +0.0 and -0.0 may trade places where a value is an exact zero
         assert_bits_equal(got + 0.0, want + 0.0)
 
+    @pytest.mark.parametrize("layout", ["shifted", "corners"])
+    def test_complex_tail_cell_is_not_a_block_of_its_own(self, layout):
+        """A call of BLOCK + 1 cells (a shifted lattice of one column of
+        cells, or concatenated corners) runs its last cell in a longer
+        block: numpy rounds an in-place complex product of a one-element
+        array unlike its vector loop, and a block of that one cell could
+        differ from the corner form in the last bit."""
+        draw = np.random.default_rng(16385)
+        for _ in range(8):
+            if layout == "shifted":
+                size, cells = (K.BLOCK // 2 + 2) * 2, shifted_cells(K.BLOCK // 2 + 2, 2)
+            else:
+                size, cells = 4 * (K.BLOCK + 1), corner_cells(K.BLOCK + 1)
+            assert cells[1] == K.BLOCK + 1
+            f, g, h = (random_complex(draw, size) for _ in range(3))
+            got = K.scalar_kernel(f, g, h, cells=cells)
+            want = reference_scalar_kernel(*(c for a in (f, g, h) for c in corner_arrays(a, cells)))
+            assert_bits_equal(got + 0.0, want + 0.0)
+
     @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
     def test_edges_are_the_corner_differences(self, rng, layout):
         a = rng.standard_normal(4 * 70 * 50)
