@@ -13,6 +13,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from . import _kernels as K
-from . import cocycle
 from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
     CocycleReport,
@@ -428,15 +428,16 @@ def _cmd_selftest(args) -> int:
             failures.append(f"riemann closed form at n={n}")
     print("riemann closed form (n=1..3): ok" if not any("riemann" in x for x in failures) else "riemann closed form: FAIL")
 
-    # the sup and edge maxima phi_n's tasks take from their lattices, which
-    # estimate_lipschitz reads back, against a serial walk of the tiles
+    # a Lipschitz table's estimates, read back from the maxima its sum took
+    # (level n - 1's estimates make level n's sum take them), against a
+    # serial walk of the tiles for a copy of each observable
     triple = resolve_functions("sine-xy")[:3]
     for name, n in (("cantor-dust", 6), ("sierpinski-carpet", 4)):
-        phi_n(get_preset(name), n, *triple, workers=1)
-        record = cocycle._last_direct
-        same = record is not None and record[2] == triple and all(
-            np.array_equal(peak, cocycle._walk_maxima(get_preset(name), n, obs))
-            for peak, obs in zip(record[3], triple))
+        grid = get_preset(name)
+        for level in (n - 1, n):
+            phi_n(grid, level, *triple, workers=1)
+            got = [estimate_lipschitz(grid, level, obs) for obs in triple]
+        same = got == [estimate_lipschitz(grid, n, replace(obs)) for obs in triple]
         print(f"lipschitz maxima, one pass vs tile walk ({name} n={n}): {'ok' if same else 'FAIL'}")
         if not same:
             failures.append(f"lipschitz maxima at {name} n={n}")

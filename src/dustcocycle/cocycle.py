@@ -70,13 +70,13 @@ and h as their x- and y-edge differences, each edge two cells share
 subtracted once, every operand one contiguous slice.  Real rules stay
 float64 up to the kernel's complex result; a matrix observable's values
 are its (3, N) float64 Bloch vectors, read the same way.
-A direct scalar sum also takes, per task and observable, the sup of the
-values and the largest edge difference over the tile's own cells
-(:func:`_maxima`, the carpet's holes and padded cells left out), and keeps
-their maxima over the tasks as the record of the last such sum;
-:func:`estimate_lipschitz` reads them back for an observable of that sum,
-so a level of the Lipschitz table evaluates each rule once per tile, and
-otherwise walks the same tiles with the same helper.
+:func:`estimate_lipschitz` takes, per observable, the sup of the values
+and the largest edge difference over the tile's own cells
+(:func:`_maxima`, the carpet's holes and padded cells left out), on the
+same tiles and lattices.  In a Lipschitz table, where the estimates of
+each level follow its sum over the same triple, the sum's tasks take them
+from the lattices they evaluate and the estimates read them back, so each
+rule is evaluated once per tile; otherwise the estimates walk the tiles.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the copies of broadcast values, kernel
@@ -472,12 +472,17 @@ def _zero_edges(values, u, v):
     return zero if np.isfinite(distinct).all() else ""
 
 
-def _lattice_values(source, lo, observables, ws):
+def _lattice_values(source, lo, observables, ws, maxima=None):
     """Each observable's values on the flat vertex lattice of the tile whose
     first word is ``lo``, shape (N,) or (3, N) for Bloch vectors, and the
     axes along which a scalar one's edges are exact zeros
     (:func:`_zero_edges`; "" for a matrix one).  Each distinct observable
     is evaluated once (a repeated one is the same array).
+
+    ``maxima``, given for scalar observables, is a (len(observables), 2)
+    float array that each distinct observable's :func:`_maxima` on this
+    tile raise (elementwise, NaN kept); a repeated one's row is its first
+    one's.
     """
     x, y = source.place(lo)
     u, v = x / source.den, y / source.den
@@ -486,10 +491,21 @@ def _lattice_values(source, lo, observables, ws):
         if id(obs) not in cache:
             values = obs.evaluate(u, v)
             if obs.kind == "matrix":
-                cache[id(obs)] = _flat(values, (3, -1), f"lattice.{i}", ws), ""
+                cache[id(obs)] = _flat(values, (3, -1), f"lattice.{i}", ws), "", i
             else:
                 zero = _zero_edges(values, u, v)
-                cache[id(obs)] = _flat(values, (-1,), f"lattice.{i}", ws), zero
+                cache[id(obs)] = _flat(values, (-1,), f"lattice.{i}", ws), zero, i
+    if maxima is not None:
+        # after every evaluation, so the edge buffers are first taken where
+        # the kernel would take them: interleaved with the evaluations, they
+        # left the peak RSS of repeated 2-worker lipschitz-direct passes 7 MB
+        # higher
+        for i, obs in enumerate(observables):
+            values, zero, first = cache[id(obs)]
+            if first == i:
+                np.maximum(maxima[i], _maxima(values, source.tile, ws, zero), out=maxima[i])
+            else:
+                maxima[i] = maxima[first]
     return [cache[id(o)][0] for o in observables], [cache[id(o)][1] for o in observables]
 
 
@@ -570,7 +586,8 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
     distinct observable is evaluated once per lattice.
 
     ``maxima``, for scalar observables, is a (3, 2) float array, set to each
-    observable's :func:`_maxima` over the tiles the range touches.
+    observable's :func:`_maxima` over the tiles the range touches
+    (:func:`_lattice_values`).
     """
     ws = K.Workspace() if ws is None else ws
     matrix = observables[0].kind == "matrix"
@@ -581,33 +598,29 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
     if maxima is not None:
         maxima[...] = 0.0
     for lo in range(w_lo - w_lo % span, w_hi, span):
-        lattice, zero = _lattice_values(source, lo, observables, ws)
-        f, g, h = lattice
-        kw = {} if matrix else {"zero_edges": (zero[1], zero[2])}
+        (f, g, h), (_, zg, zh) = _lattice_values(source, lo, observables, ws, maxima)
+        kw = {} if matrix else {"zero_edges": (zg, zh)}
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
         np.take(kernel(f, g, h, cells=tile.cells, out=ws, **kw), tile.order[a - lo : b - lo],
                 out=vals[a - w_lo : b - w_lo], mode="clip")
-        if maxima is not None:
-            for i, x in enumerate(lattice):
-                j = next(j for j, y in enumerate(lattice) if y is x)  # a repeat is taken once
-                if j == i:
-                    np.maximum(maxima[i], _maxima(x, tile, ws, zero[i]), out=maxima[i])
-                else:
-                    maxima[i] = maxima[j]
     return K.leaf_sums(vals, LEAF)
 
 
-# (preset offsets, n, (f, g, h), maxima) of the last direct scalar sum, the
-# maxima a (3, 2) array of f's, g's and h's (sup, largest edge difference)
-# for estimate_lipschitz; every other sum sets it to None
+# The last direct scalar sum, (preset offsets, n, (f, g, h), maxima, asked):
+# maxima is a (3, 2) array of f's, g's and h's (sup, largest edge
+# difference), or None when the sum took none, and asked whether
+# estimate_lipschitz has been called for one of its observables at its
+# preset and level.  Every other sum sets it to None.
 _last_direct = None
 
 
-def _sum_kernel(source, total, f, g, h, workers, key=None):
-    """The level's sum over ``source``.  ``key``, given for a direct scalar
-    sum as (preset offsets, n), makes each task also take its observables'
-    :func:`_maxima`, combined over the tasks into ``_last_direct``."""
+def _sum_kernel(source, total, f, g, h, workers, maxima=None):
+    """The level's sum over ``source``.  ``maxima``, a (3, 2) float array
+    given for a direct scalar sum, is set to f's, g's and h's
+    :func:`_maxima` over the level: each task takes them over the tiles it
+    touches, and their maximum does not depend on how the tasks are
+    spread."""
     global _last_direct
     _last_direct = None
     observables = (f, g, h)
@@ -615,7 +628,7 @@ def _sum_kernel(source, total, f, g, h, workers, key=None):
     leafsums = np.empty(nleaves, dtype=np.complex128)
     span = _task_span(source, total)
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
-    maxima = None if key is None else np.empty((len(tasks), 3, 2))
+    per_task = None if maxima is None else np.empty((len(tasks), 3, 2))
     local = threading.local()  # one workspace per thread, dropped on return
 
     def run(i):
@@ -624,7 +637,7 @@ def _sum_kernel(source, total, f, g, h, workers, key=None):
             ws = local.ws = K.Workspace()
         lo, hi = tasks[i]
         out = _leaf_sums_for_range(source, lo, hi, observables, ws,
-                                   maxima=None if maxima is None else maxima[i])
+                                   maxima=None if per_task is None else per_task[i])
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -633,8 +646,8 @@ def _sum_kernel(source, total, f, g, h, workers, key=None):
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             list(pool.map(run, range(len(tasks))))
-    if key is not None:
-        _last_direct = (*key, observables, np.max(maxima, axis=0))  # np.max keeps NaN
+    if maxima is not None:
+        np.max(per_task, axis=0, out=maxima)  # np.max keeps NaN
     return _pairwise_reduce(leafsums)
 
 
@@ -673,7 +686,15 @@ def phi_n(
     preset.  In pullback mode (dust preset only) the triple is evaluated at
     the dyadic staircase images of the vertices; in direct mode at the
     vertices themselves.
+
+    A direct scalar sum over the very triple (by identity) of the last one,
+    after :func:`estimate_lipschitz` was asked about that one, is a level of
+    a Lipschitz table: its tasks also take each observable's
+    :func:`_maxima`, which the estimates of this level then read back
+    instead of evaluating the rules again.  Other sums take none: taking
+    the maxima made a plain direct sum 23 to 130 % slower.
     """
+    global _last_direct
     if n < 0:
         raise ValueError("level must be >= 0")
     kind, mode = _check_triple(f, g, h)
@@ -683,15 +704,21 @@ def phi_n(
     if mode == "pullback":
         if preset.name != CANTOR_DUST.name:
             raise ValueError("pullback mode is defined through the dust digit map only")
-        source, key = _pullback_source(n), None
+        source = _pullback_source(n)
     else:
         source = _direct_source(preset, n)
-        key = (preset.offsets, n) if kind == "scalar" else None
+    direct = kind == "scalar" and mode == "direct"
+    _, _, last, _, asked = _last_direct or (None, None, (), None, False)
+    table = direct and asked and all(a is b for a, b in zip(last, (f, g, h)))
+    maxima = np.empty((3, 2)) if table else None
     # ``source`` is held here until the sum returns, so its arrays are freed
     # after the sum's workspaces: freed before them, as when it was passed
     # without a name, a pullback tile's 512 KB order made a 1-worker
     # pairing-chern pass take 8932-9414 page faults instead of 7785
-    return _sum_kernel(source, total, f, g, h, workers, key)
+    val = _sum_kernel(source, total, f, g, h, workers, maxima)
+    if direct:
+        _last_direct = (preset.offsets, n, (f, g, h), maxima, False)
+    return val
 
 
 def phi_subdivision(
@@ -839,20 +866,6 @@ def link_error_ratios(rows: Sequence[CocycleReport]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _walk_maxima(preset: IfsPreset, n: int, obs: Observable) -> np.ndarray:
-    """(sup |obs|, largest edge difference) over the level-n squares of
-    ``preset``: :func:`_maxima` of every tile of the direct source, walked
-    serially in a fresh workspace."""
-    total = _word_count(preset.nmaps, n)
-    source = _direct_source(preset, n)
-    ws = K.Workspace()
-    peak = np.zeros(2)
-    for lo in range(0, total, source.tile.order.size):  # nmaps**n is a whole number of tiles
-        (a,), (zero,) = _lattice_values(source, lo, (obs,), ws)
-        np.maximum(peak, _maxima(a, source.tile, ws, zero), out=peak)
-    return peak
-
-
 def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[float, float]:
     """(sup |obs|, Lipschitz estimate) over level-n vertices.
 
@@ -865,25 +878,36 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     the next counts.  The largest difference over 3**-n is the largest
     quotient, since rounding a division is monotone.
 
-    When the last sum was :func:`phi_n` of a direct scalar triple holding
-    this very observable, on this preset and level, its tasks took these
-    maxima from the lattices they evaluated, and they are read back; else
-    the tiles are walked serially (:func:`_walk_maxima`).  Either way the
-    values are the same, as a maximum depends on neither the order it is
-    taken in nor the tasks it is split over.  A negative level, or a value
-    at a level-n vertex that is not finite (which would make the estimate
-    meaningless), raises ValueError naming the observable.
+    When the last sum was a :func:`phi_n` over this very observable, on
+    this preset and level, that took the maxima (a level of a Lipschitz
+    table, see :func:`phi_n`), they are read back; else the tiles are
+    walked serially.  Either way the values are the same, as a maximum
+    depends on neither the order it is taken in nor the tasks it is split
+    over.  A negative level, or a value at a level-n vertex that is not
+    finite (which would make the estimate meaningless), raises ValueError
+    naming the observable.
     """
+    global _last_direct
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
     if n < 0:
         raise ValueError("level must be >= 0")
-    offsets, level, triple, maxima = _last_direct or (None, None, (), None)
+    offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):
+        _last_direct = (offsets, level, triple, maxima, True)
+    else:
+        maxima = None
+    if maxima is not None:
         sup, edge = maxima[place]
     else:
-        sup, edge = _walk_maxima(preset, n, obs)
+        total = _word_count(preset.nmaps, n)
+        source = _direct_source(preset, n)
+        ws = K.Workspace()
+        peak = np.zeros((1, 2))
+        for lo in range(0, total, source.tile.order.size):  # nmaps**n is a whole number of tiles
+            _lattice_values(source, lo, (obs,), ws, peak)
+        sup, edge = peak[0]
     if not np.isfinite(sup):
         raise ValueError(f"observable {obs.name!r} is not finite at every level-{n} vertex")
     return sup, edge / 3.0**-n

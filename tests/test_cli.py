@@ -415,8 +415,8 @@ class TestExitCodes:
             "FAIL scalar kernel zero-edge elision mismatch"]
 
     def test_selftest_checks_the_one_pass_maxima(self, monkeypatch, capsys):
-        """Maxima that phi_n's tasks take one ulp high fail this check alone:
-        the walk it compares them with is not the pass."""
+        """Maxima that a table's sums take one ulp high fail this check
+        alone: the walk it compares them with is not the pass."""
         code, out = run_cli("selftest")
         assert "lipschitz maxima, one pass vs tile walk (cantor-dust n=6): ok" in out
         assert "lipschitz maxima, one pass vs tile walk (sierpinski-carpet n=4): ok" in out

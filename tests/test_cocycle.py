@@ -268,13 +268,15 @@ class TestLipschitzDecay:
 
     @pytest.mark.parametrize("preset, n", [(DUST, 3), (CARPET, 2), (FULL, 2)])
     @pytest.mark.parametrize("obs", [NAN_CORNER, INF_EDGE], ids=lambda o: o.name)
-    def test_non_finite_values_refused_after_phi_n(self, preset, n, obs):
-        """Read back from the maxima of a phi_n over it, which evaluates no
-        rule again, a NaN or inf value still raises."""
+    def test_non_finite_values_refused_in_a_table(self, preset, n, obs):
+        """Read back from the maxima a Lipschitz table's sum took, which
+        evaluates no rule again, a NaN or inf value still raises."""
         calls = []
         counted = direct_scalar(lambda u, v: calls.append(1) or obs.rule(u, v), obs.name)
         f, _, h, _, _ = resolve_functions("linear-xy")
         with np.errstate(invalid="ignore"):
+            phi_n(preset, n - 1, f, counted, h, workers=1)
+            estimate_lipschitz(preset, n - 1, f)
             phi_n(preset, n, f, counted, h, workers=1)
         calls.clear()
         with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
@@ -323,11 +325,19 @@ def brute_force_lipschitz(preset, n, obs):
     return np.abs(vals).max(), edges.max() / 3.0**-n
 
 
+def table_level(preset, n, triple, workers=1):
+    """Level n of a Lipschitz table, as `dustcocycle lipschitz` computes it:
+    phi_n over the triple, then each observable's estimate."""
+    val = phi_n(preset, n, *triple, workers=workers)
+    return val, [estimate_lipschitz(preset, n, o) for o in triple]
+
+
 class TestLipschitzInOnePass:
-    """phi_n of a direct scalar triple takes each observable's sup and edge
-    maxima from the lattices its tasks evaluate, and estimate_lipschitz reads
-    them back, evaluating no rule; any other observable, level, preset or
-    sum walks the tiles again."""
+    """In a Lipschitz table, each level's phi_n takes its observables' sup
+    and edge maxima from the lattices its tasks evaluate, and the estimates
+    that follow read them back, evaluating no rule; any other observable,
+    level, preset or sum walks the tiles again, and a sum outside a table
+    takes no maxima."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("preset, n", [(DUST, 9), (DUST, 10), (CARPET, 5), (CARPET, 6),
@@ -335,21 +345,24 @@ class TestLipschitzInOnePass:
     def test_pass_equals_walk_and_brute_force(self, preset, n, workers):
         calls = []
         triple = counted_triple("linear-xy" if preset is DUST else "sine-xy", calls)
+        table_level(preset, n - 1, triple, workers)
         phi_n(preset, n, *triple, workers=workers)
         calls.clear()
         got = [estimate_lipschitz(preset, n, o) for o in triple]
         assert calls == []
-        for obs, (sup, lip) in zip(triple, got):
-            walk_sup, walk_edge = cocycle._walk_maxima(preset, n, obs)
-            assert (sup, lip) == (walk_sup, walk_edge / 3.0**-n)
-            assert (sup, lip) == brute_force_lipschitz(preset, n, obs)
+        for obs, estimate in zip(triple, got):
+            assert estimate == estimate_lipschitz(preset, n, replace(obs))  # walks
+            assert estimate == brute_force_lipschitz(preset, n, obs)
 
     def test_repeated_observable(self):
         """A triple that repeats an observable takes its maxima once, and
         reads them back for each place."""
         calls = []
         f, g, _ = counted_triple("sine-xy", calls)
+        table_level(CARPET, 2, (f, g, g))
+        calls.clear()
         phi_n(CARPET, 3, f, g, g, workers=1)
+        assert calls == [f.name, g.name]  # one tile, g evaluated once
         calls.clear()
         got = estimate_lipschitz(CARPET, 3, g)
         assert calls == []
@@ -358,12 +371,13 @@ class TestLipschitzInOnePass:
     @pytest.mark.parametrize("case", ["observable", "level", "preset", "pullback",
                                       "subdivision", "matrix"])
     def test_record_read_only_for_its_own_sum(self, case):
-        """After phi_n(DUST, 5) of a triple, its maxima are not read for an
+        """After phi_n(DUST, 5) of a table, its maxima are not read for an
         equal but other observable object, another level or preset, or once
         a pullback, subdivision or matrix sum has run: the tiles are walked
         again, to the same values."""
         calls = []
         triple = counted_triple("linear-xy", calls)
+        table_level(DUST, 4, triple)
         phi_n(DUST, 5, *triple, workers=1)
         g = replace(triple[1]) if case == "observable" else triple[1]
         preset, n = {"level": (DUST, 4), "preset": (CARPET, 5)}.get(case, (DUST, 5))
@@ -378,6 +392,32 @@ class TestLipschitzInOnePass:
         got = estimate_lipschitz(preset, n, g)
         assert calls == ["x"]  # one tile
         assert got == brute_force_lipschitz(preset, n, g)
+
+    def test_maxima_taken_only_in_a_table(self, monkeypatch):
+        """A direct sum takes the maxima only over the triple of the last
+        sum, after an estimate was asked about that one: sums outside a
+        table (a convergence table, the residuals, a new triple, or a sum
+        with no estimate before it) pay nothing for them."""
+        taken = []
+        maxima = cocycle._maxima
+        monkeypatch.setattr(cocycle, "_maxima", lambda *args: taken.append(1) or maxima(*args))
+        f, g, h, _, _ = resolve_functions("sine-xy")
+        for preset in (DUST, CARPET, FULL):
+            convergence_table(preset, [1, 2, 3], f, g, h, workers=2)
+            cyclicity_residual(preset, 3, f, g, h, workers=1)
+            hochschild_residual(preset, 2, f, g, h, f, workers=1)
+        assert taken == []
+        table_level(DUST, 3, (f, g, h))  # its estimates walk, through _maxima
+        taken.clear()
+        phi_n(DUST, 4, f, g, h, workers=1)
+        assert len(taken) == 3  # one tile, three observables
+        phi_n(DUST, 5, f, g, h, workers=1)  # no estimate between
+        phi_n(DUST, 6, f, g, h, workers=1)
+        assert len(taken) == 3
+        estimate_lipschitz(DUST, 6, g)
+        taken.clear()
+        phi_n(DUST, 6, f, h, g, workers=1)  # another triple
+        assert taken == []
 
 
 class TestResiduals:
