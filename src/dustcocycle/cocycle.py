@@ -11,9 +11,9 @@ Every sum is one walk over aligned tiles of one shape.  Its source
 (:class:`_Source`) is one :class:`_Tile`, the vertex lattice of a run of
 words as integer offsets from the run's first vertex, with the lattice's
 cells as the kernels take them and where each word's cell sits among them,
-built once per sum (a direct one once per level); a function that places a
-tile from its first word; and the coordinates' denominator.  There are three
-sources:
+built once per layout and level and kept, read-only, for the process; a
+function that places a tile from its first word; and the coordinates'
+denominator.  There are three sources:
 
 * pullback (the staircase images of the vertices, over 2**n): the image
   cells of the dust squares are the Z-order (Morton) walk of the
@@ -48,22 +48,22 @@ A tile's lattice is a tensor product: each observable's rule gets a row of
 u and a column of v that broadcast to it, 257 of each for a 256 x 256
 pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
 transcendentals H + W times, not H * W.  Each observable's values are
-flattened (a view, or for a broadcast row or column a copy in the worker's
-workspace), and the trace kernel takes them whole, with the flat corner
-offsets of cell 0.  Before the copy, a scalar row's or column's strides
-say that its edges along the other coordinate are exact zeros (when the
-values it repeats are finite), which the scalar kernel is told, and skips
-gy hx where they zero it.  Pullback and subdivision tiles, and the
-(3**k + 1)**2 boxes around the carpet's and ``full-subdivision-3``'s, are
-plain H x W lattices, a (1, W) row and an (H, 1) column, with offsets
-(0, 1, W + 1, W): cell (i, j) is k = i W + j, the last cell of each row is
-a padded one whose x-edge wraps into the next row, computed and dropped,
-and the last row's is left out, so the kernel runs on (H - 1) W - 1 cells
-and never reads past the lattice; box cells in a carpet hole are computed
-and dropped too (1.8x the squares at k = 5).  The dust's direct squares
-share no vertices: its lattice is (2, 2, h, w), a (1, 2, 1, w) row of the
-tile's near and far columns and a (2, 1, h, 1) column of its near and far
-rows, whose corners v0..v3 are four contiguous h w blocks at offsets
+flattened: a C-contiguous one as a view, a broadcast row, column or
+constant as a copy in the worker's workspace; the trace kernel takes them
+whole, with the flat corner offsets of cell 0.  Before the copy, a scalar
+row's or column's strides say that its edges along the other coordinate
+are exact zeros (when the values it repeats are finite), which the scalar
+kernel is told, and skips gy hx where they zero it.  Pullback and
+subdivision tiles, and the (3**k + 1)**2 boxes around the carpet's and
+``full-subdivision-3``'s, are plain H x W lattices, a (1, W) row and an
+(H, 1) column, with offsets (0, 1, W + 1, W): cell (i, j) is k = i W + j,
+the last cell of each row is a padded one whose x-edge wraps into the next
+row, computed and dropped, and the last row's is left out, so the kernel
+runs on (H - 1) W - 1 cells and never reads past the lattice; box cells in
+a carpet hole are computed and dropped too (1.8x the squares at k = 5).
+The dust's direct squares share no vertices: its lattice is (2, 2, h, w),
+a (1, 2, 1, w) row of the tile's near and far columns and a (2, 1, h, 1)
+column of its near and far rows, whose corners v0..v3 are four contiguous h w blocks at offsets
 (0, hw, 3hw, 2hw), with the cells in the pullback's Morton order.  Per
 block of consecutive cells the kernel reads f at the corners v0..v3 and g
 and h as their x- and y-edge differences, each edge two cells share
@@ -161,6 +161,9 @@ class Observable:
     non-Hermitian matrix triples and products of matrix observables (a
     product of projections is neither Hermitian nor of unit trace) are not
     supported.
+
+    Nothing reads ``tag``: the field stays only because the benchmark's
+    ``perfbench/workloads.py`` passes one.
     """
 
     name: str
@@ -225,27 +228,24 @@ class Observable:
         a, b = self.rule, other.rule
         return Observable(
             f"({self.name})*({other.name})", self.mode, "scalar",
-            lambda u, v: np.asarray(a(u, v)) * np.asarray(b(u, v)), self.tag,
+            lambda u, v: np.asarray(a(u, v)) * np.asarray(b(u, v)),
         )
 
 
 def pullback_scalar(tf, name: str | None = None) -> Observable:
     """Torus function composed with the staircase image map."""
     tf = tf if isinstance(tf, TorusFunction) else TorusFunction(name or "fn", tf)
-    return Observable(name or tf.name, "pullback", "scalar", tf.fn, tag="smooth-pullback")
+    return Observable(name or tf.name, "pullback", "scalar", tf.fn)
 
 
 def direct_scalar(fn, name: str) -> Observable:
     """Function of the vertex coordinates themselves."""
-    return Observable(name, "direct", "scalar", fn, tag="lipschitz-direct")
+    return Observable(name, "direct", "scalar", fn)
 
 
 def pullback_projection(field: ProjectionField, name: str | None = None) -> Observable:
     """Matrix projection on the torus composed with the staircase image."""
-    return Observable(
-        name or field.name, "pullback", "matrix", field.__call__,
-        tag="matrix-projection", dim=2,
-    )
+    return Observable(name or field.name, "pullback", "matrix", field.__call__, dim=2)
 
 
 def validate_projection(obs: Observable, n: int):
@@ -330,18 +330,16 @@ def _box_tile(cols, rows, cx, cy):
     ))
 
 
+@lru_cache(maxsize=32)
 def _pullback_tile(m):
     """The 2**m x 2**m tile of the image cells of 4**m dust words, in their
-    Morton order: the digit table of the m-digit words.
-
-    Pullback and subdivision tiles are built once per sum, which takes
-    about a millisecond, and are not cached: kept alive between sums, their
-    512 KB orders raised the pairing-chern benchmark's peak RSS by about
-    2 MB."""
+    Morton order: the digit table of the m-digit words; built once per
+    level, like every tile."""
     order = K.dust_tile_order(m)
     return _box_tile(1 << m, 1 << m, order & ((1 << m) - 1), order >> m)
 
 
+@lru_cache(maxsize=32)
 def _subdivision_tile(n):
     """The tile of the 2**n subdivision: min(2**n, 65536) columns by as many
     whole rows as fit in TASK_LEAVES leaves, its cells in row-major order."""
@@ -354,8 +352,8 @@ def _subdivision_tile(n):
 @lru_cache(maxsize=32)
 def _direct_tile(offsets, k):
     """The :class:`_Tile` of the level-k words of the IFS with these offsets,
-    read from their corner numerators; built once per level, like the digit
-    tables.
+    read from their corner numerators; built once per level, like every
+    tile.
 
     When the cells are every pair of their w columns and h rows and no two
     of them share a vertex (the dust), the lattice is (2, 2, h, w): the
@@ -445,17 +443,6 @@ def _task_span(source, total):
     return span if span % LEAF == 0 or span == total else TASK_LEAVES * LEAF
 
 
-def _flat(values, shape, name, ws):
-    """``values`` reshaped to the flat ``shape``: a view when they are
-    C-contiguous, else (a broadcast row or column) a copy held in buffer
-    ``name`` of ``ws``."""
-    if not values.flags.c_contiguous:
-        buf = ws.take(name, values.shape, values.dtype)
-        np.copyto(buf, values)
-        values = buf
-    return values.reshape(shape)
-
-
 def _zero_edges(values, u, v):
     """The axes, "x" and/or "y", along which the cell edges of a scalar
     rule's broadcast ``values`` at (u, v) are exact zeros: "y" when they
@@ -475,9 +462,13 @@ def _zero_edges(values, u, v):
 def _lattice_values(source, lo, observables, ws, maxima=None):
     """Each observable's values on the flat vertex lattice of the tile whose
     first word is ``lo``, shape (N,) or (3, N) for Bloch vectors, and the
-    axes along which a scalar one's edges are exact zeros
-    (:func:`_zero_edges`; "" for a matrix one).  Each distinct observable
-    is evaluated once (a repeated one is the same array).
+    axes along which a scalar one's edges are exact zeros.  Each distinct
+    observable is evaluated once (a repeated one is the same array).
+
+    C-contiguous values are flattened as views and name no zero edges.
+    Others (a broadcast row, column or constant) are copied into buffer
+    ``lattice.i`` of ``ws``, i the observable's place, after a scalar one's
+    zero edges are read from their strides (:func:`_zero_edges`).
 
     ``maxima``, given for scalar observables, is a (len(observables), 2)
     float array that each distinct observable's :func:`_maxima` on this
@@ -489,12 +480,14 @@ def _lattice_values(source, lo, observables, ws, maxima=None):
     cache = {}
     for i, obs in enumerate(observables):
         if id(obs) not in cache:
-            values = obs.evaluate(u, v)
-            if obs.kind == "matrix":
-                cache[id(obs)] = _flat(values, (3, -1), f"lattice.{i}", ws), "", i
-            else:
-                zero = _zero_edges(values, u, v)
-                cache[id(obs)] = _flat(values, (-1,), f"lattice.{i}", ws), zero, i
+            values, zero = obs.evaluate(u, v), ""
+            if not values.flags.c_contiguous:
+                if obs.kind == "scalar":
+                    zero = _zero_edges(values, u, v)
+                buf = ws.take(f"lattice.{i}", values.shape, values.dtype)
+                np.copyto(buf, values)
+                values = buf
+            cache[id(obs)] = values.reshape((3, -1) if obs.kind == "matrix" else -1), zero, i
     if maxima is not None:
         # after every evaluation, so the edge buffers are first taken where
         # the kernel would take them: interleaved with the evaluations, they
@@ -711,10 +704,6 @@ def phi_n(
     _, _, last, _, asked = _last_direct or (None, None, (), None, False)
     table = direct and asked and all(a is b for a, b in zip(last, (f, g, h)))
     maxima = np.empty((3, 2)) if table else None
-    # ``source`` is held here until the sum returns, so its arrays are freed
-    # after the sum's workspaces: freed before them, as when it was passed
-    # without a name, a pullback tile's 512 KB order made a 1-worker
-    # pairing-chern pass take 8932-9414 page faults instead of 7785
     val = _sum_kernel(source, total, f, g, h, workers, maxima)
     if direct:
         _last_direct = (preset.offsets, n, (f, g, h), maxima, False)

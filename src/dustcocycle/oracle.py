@@ -82,60 +82,56 @@ def _as_torus_function(x):
 # ---------------------------------------------------------------------------
 
 
-def _tf(name, fn, du, dv):
-    return TorusFunction(name, fn, du, dv)
-
-
-_ONE = _tf(
+_ONE = TorusFunction(
     "one",
     lambda u, v: np.ones_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
 )
 
-_COS_COS = _tf(
+_COS_COS = TorusFunction(
     "cos2piu*cos2piv",
     lambda u, v: np.cos(TWO_PI * u) * np.cos(TWO_PI * v),
     lambda u, v: -TWO_PI * np.sin(TWO_PI * u) * np.cos(TWO_PI * v),
     lambda u, v: -TWO_PI * np.cos(TWO_PI * u) * np.sin(TWO_PI * v),
 )
 
-_SIN_U = _tf(
+_SIN_U = TorusFunction(
     "sin2piu",
     lambda u, v: np.sin(TWO_PI * u),
     lambda u, v: TWO_PI * np.cos(TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
 )
 
-_SIN_V = _tf(
+_SIN_V = TorusFunction(
     "sin2piv",
     lambda u, v: np.sin(TWO_PI * v),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: TWO_PI * np.cos(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
 )
 
-_COS_V = _tf(
+_COS_V = TorusFunction(
     "cos2piv",
     lambda u, v: np.cos(TWO_PI * v),
     lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
     lambda u, v: -TWO_PI * np.sin(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
 )
 
-_SIN_UV = _tf(
+_SIN_UV = TorusFunction(
     "sin2pi(u+v)",
     lambda u, v: np.sin(TWO_PI * (u + v)),
     lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
     lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
 )
 
-_COS4_COS = _tf(
+_COS4_COS = TorusFunction(
     "cos4piu*cos2piv",
     lambda u, v: np.cos(2 * TWO_PI * u) * np.cos(TWO_PI * v),
     lambda u, v: -2 * TWO_PI * np.sin(2 * TWO_PI * u) * np.cos(TWO_PI * v),
     lambda u, v: -TWO_PI * np.cos(2 * TWO_PI * u) * np.sin(TWO_PI * v),
 )
 
-_SIN_4U = _tf(
+_SIN_4U = TorusFunction(
     "sin4piu",
     lambda u, v: np.sin(2 * TWO_PI * u),
     lambda u, v: 2 * TWO_PI * np.cos(2 * TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),

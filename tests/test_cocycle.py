@@ -531,7 +531,7 @@ class TestPairing:
             "diag(1,0)", "pullback", "matrix",
             lambda u, v: np.broadcast_to([[[0.0]], [[0.0]], [[1.0]]],
                                          (3,) + np.broadcast_shapes(np.shape(u), np.shape(v))),
-            tag="matrix-projection", dim=2,
+            dim=2,
         )
         assert pairing_n(DUST, 4, p, workers=1) == 0j
 
@@ -542,7 +542,7 @@ class TestPairing:
             "not-proj", "pullback", "matrix",
             lambda u, v: np.broadcast_to([[[0.2]], [[0.0]], [[0.2]]],
                                          (3,) + np.broadcast_shapes(np.shape(u), np.shape(v))),
-            tag="matrix-projection", dim=2,
+            dim=2,
         )
         with pytest.raises(ValueError, match=r"not a projection .*\|e\^2-e\|=2\.30e-01"):
             validate_projection(p, 4)

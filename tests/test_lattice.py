@@ -410,6 +410,40 @@ class TestTileOrders:
             assert not (order % shape[1] == shape[1] - 1).any()
         assert not any(a.flags.writeable for a in (tile.dx, tile.dy, order))
 
+    CACHES = (cocycle._pullback_tile, cocycle._subdivision_tile, cocycle._direct_tile)
+
+    def test_each_tile_kept_once(self):
+        """Every tile is kept, in a bounded cache, and handed out again: the
+        pullback sums of every level past 8 share one 256 x 256 tile."""
+        assert all(isinstance(c.cache_info().maxsize, int) for c in self.CACHES)
+        assert cocycle._pullback_source(9).tile is cocycle._pullback_source(12).tile
+        for n in (0, 9, 17):
+            assert cocycle._subdivision_tile(n) is cocycle._subdivision_tile(n)
+            assert cocycle._subdivision_source(n).tile is cocycle._subdivision_tile(n)
+
+    def test_sums_build_each_tile_once(self, monkeypatch):
+        """From cold caches, repeated sums of one layout and level, on one and
+        two workers, build its tile once: the pullback tile of levels 9 and
+        10, the subdivision tile of level 9 and the carpet's level-3 box."""
+        built = []
+
+        def box_tile(*args):
+            built.append(args[:2])
+            return box(*args)
+
+        box = cocycle._box_tile
+        monkeypatch.setattr(cocycle, "_box_tile", box_tile)
+        for cache in self.CACHES:
+            cache.cache_clear()
+        f, g, h = resolve_functions("bott-flux")[:3]
+        a, b, c = resolve_functions("const-xy")[:3]
+        for workers in (1, 2, 1):
+            for n in (9, 10):
+                phi_n(DUST, n, f, g, h, workers=workers)
+            cocycle.phi_subdivision(9, f.rule, g.rule, h.rule, workers=workers)
+            phi_n(CARPET, 3, a, b, c, workers=workers)
+        assert built == [(256, 256), (512, 128), (27, 27)]
+
 
 # a real trig rule: terms (a, b, c, s) -> c cos 2pi au cos 2pi bv + s sin 2pi(au+bv)
 def _real_trig(terms):
@@ -533,12 +567,32 @@ class TestZeroEdgeDetection:
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_patterns_read_from_strides(self, source):
+        """Zero edges are read from the strides of a broadcast value, which
+        is copied into the workspace; a full (C-contiguous) value names
+        none and is used in place, a view of the rule's own array."""
         src = self.SOURCES[source]()
         mode = "direct" if "quadrants" in source or "box" in source else "pullback"
-        obs = [Observable(name, mode, "scalar", rule) for name, (rule, _) in self.RULES.items()]
-        values, zero = cocycle._lattice_values(src, 0, obs, K.Workspace())
+        returned = {}
+
+        def recorded(name, rule):
+            def fn(u, v):
+                returned[name] = rule(u, v)
+                return returned[name]
+
+            return fn
+
+        obs = [Observable(name, mode, "scalar", recorded(name, rule))
+               for name, (rule, _) in self.RULES.items()]
+        ws = K.Workspace()
+        values, zero = cocycle._lattice_values(src, 0, obs, ws)
         assert zero == [want for _, want in self.RULES.values()]
         assert all(a.ndim == 1 for a in values)
+        for i, (name, a) in enumerate(zip(self.RULES, values)):
+            copied = np.shares_memory(a, ws.take(f"lattice.{i}", a.shape, a.dtype))
+            if np.size(returned[name]) == a.size:
+                assert np.shares_memory(a, returned[name]) and not copied
+            else:
+                assert copied and not np.shares_memory(a, returned[name])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_falls_back(self, monkeypatch, bad):

@@ -13,7 +13,8 @@ one case per layout the trace kernels read, or way a sum places its tiles:
   this preset was digit-mapped);
 * the matrix kernel, through ``pairing_n``.
 
-Each runs on one and on two workers.  The rules are polynomials (and a Bloch
+Each runs on one and on two workers, with the engine's tile caches as
+earlier tests left them and cleared before the call.  The rules are polynomials (and a Bloch
 field normalised with ``sqrt``), so the pins rest on IEEE arithmetic alone,
 not on the platform's libm.  Some rules depend on one coordinate only, so
 their values reach the kernel as broadcast rows or columns.
@@ -22,6 +23,7 @@ their values reach the kernel as broadcast rows or columns.
 import numpy as np
 import pytest
 
+from dustcocycle import cocycle
 from dustcocycle.cocycle import (
     Observable, direct_scalar, pairing_n, phi_n, phi_subdivision,
 )
@@ -108,3 +110,12 @@ PINS = {
 def test_phi_bits_pinned(case, n, workers):
     z = complex(CASES[case](n, workers))
     assert (z.real.hex(), z.imag.hex()) == PINS[case, n]
+
+
+@pytest.mark.parametrize("case, n", sorted(PINS), ids=lambda x: str(x))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phi_bits_pinned_cold_tiles(case, n, workers):
+    """The pins hold when every tile is built afresh for the call."""
+    for tiles in (cocycle._pullback_tile, cocycle._subdivision_tile, cocycle._direct_tile):
+        tiles.cache_clear()
+    test_phi_bits_pinned(case, n, workers)
