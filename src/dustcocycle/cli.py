@@ -68,15 +68,19 @@ _PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 def build_id() -> str:
-    """``__version__`` plus the short commit of the checkout holding this
-    package (never of the caller's cwd); plain ``__version__`` elsewhere."""
+    """``__version__`` plus the short commit of this package's own source
+    checkout, the one whose ``src/`` holds it (never of the caller's cwd,
+    nor of an unrelated repository a copy is installed under, such as a
+    project holding a venv); plain ``__version__`` elsewhere."""
     try:
         rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5, cwd=_PACKAGE_DIR,
         )
         if rev.returncode == 0:
-            return f"{__version__}+g{rev.stdout.strip()}"
+            top, commit = rev.stdout.splitlines()
+            if Path(top).resolve() == _PACKAGE_DIR.parents[1]:
+                return f"{__version__}+g{commit}"
     except (OSError, subprocess.TimeoutExpired):
         pass
     return __version__

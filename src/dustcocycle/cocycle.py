@@ -12,8 +12,10 @@ Every sum is one walk over aligned tiles of one shape.  Its source
 words as integer offsets from the run's first vertex, with the lattice's
 cells as the kernels take them and where each word's cell sits among them,
 built once per layout and level and kept, read-only, for the process; a
-function that places a tile from its first word; and the coordinates'
-denominator.  There are three sources:
+function that places a tile from its first word (pullback and direct
+sources read it from one digit-map call per sum, made on the first words
+of all the sum's tiles); and the coordinates' denominator.  There are
+three sources:
 
 * pullback (the staircase images of the vertices, over 2**n): the image
   cells of the dust squares are the Z-order (Morton) walk of the
@@ -81,9 +83,8 @@ rule is evaluated once per tile; otherwise the estimates walk the tiles.
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
 one sum and runs all its tasks in it: the copies of broadcast values, kernel
 temporaries and gathered values reuse its buffers, and nothing of it
-outlives the call.  A tile's coordinates and its first word's digit map are
-not among them: they are too small to need it.  A task still allocates its
-observables' own values.
+outlives the call.  A tile's coordinates are not among them: they are too
+small to need it.  A task still allocates its observables' own values.
 """
 
 from __future__ import annotations
@@ -333,10 +334,10 @@ def _box_tile(cols, rows, cx, cy):
 @lru_cache(maxsize=32)
 def _pullback_tile(m):
     """The 2**m x 2**m tile of the image cells of 4**m dust words, in their
-    Morton order: the digit table of the m-digit words; built once per
+    Morton order: the image bits of the m-digit words; built once per
     level, like every tile."""
-    order = K.dust_tile_order(m)
-    return _box_tile(1 << m, 1 << m, order & ((1 << m) - 1), order >> m)
+    mx, my = K.dust_image_bits(np.arange(4**m, dtype=np.int64), m)
+    return _box_tile(1 << m, 1 << m, mx, my)
 
 
 @lru_cache(maxsize=32)
@@ -386,8 +387,9 @@ class _Source(NamedTuple):
 
     ``tile`` is the :class:`_Tile` of every run of ``tile.order.size``
     words; ``place(w)`` gives the integer column and row coordinates of the
-    lattice of the run whose first word is ``w``, shaped like ``tile.dx``
-    and ``tile.dy``; ``den`` is their denominator, 2**n or 3**n.
+    lattice of the run whose first word is ``w``, a multiple of that size,
+    shaped like ``tile.dx`` and ``tile.dy``; ``den`` is their denominator,
+    2**n or 3**n.
     """
 
     tile: _Tile
@@ -399,13 +401,15 @@ def _pullback_source(n):
     """The source of a level-n pullback sum: the dust words' image cells on
     the 2**n torus grid, in aligned Morton tiles of 2**m x 2**m cells,
     m = min(n, 8), each placed from its first word's image bits and wrapped
-    with ``& mask`` onto the periodic torus."""
+    with ``& mask`` onto the periodic torus.  The image bits of every
+    tile's first word come from one digit-map call."""
     tile = _pullback_tile(min(n, _tile_level(4)))
+    span = tile.order.size
     mask = (1 << n) - 1
+    mx, my = K.dust_image_bits(np.arange(0, 4**n, span, dtype=np.int64), n)
 
     def place(w):
-        mx, my = K.dust_image_bits(np.array([w], dtype=np.int64), n)
-        return (mx[0] + tile.dx) & mask, (my[0] + tile.dy) & mask
+        return (mx[w // span] + tile.dx) & mask, (my[w // span] + tile.dy) & mask
 
     return _Source(tile, place, float(1 << n))
 
@@ -423,13 +427,16 @@ def _direct_source(preset: IfsPreset, n: int):
     """The source of a level-n direct sum on ``preset``: the tile of the
     nmaps**k words of one level-k sub-fractal, k = min(n,
     :func:`_tile_level`) (below that level one tile is the whole grid),
-    placed from its first word's corner numerators over 3**n."""
+    placed from its first word's corner numerators over 3**n.  The corner
+    numerators of every tile's first word come from one digit-map call."""
     offx, offy = preset.offset_arrays()
     tile = _direct_tile(preset.offsets, min(n, _tile_level(preset.nmaps)))
+    span = tile.order.size
+    firsts = np.arange(0, preset.nmaps**n, span, dtype=np.int64)
+    kx, ky = K.corner_numerators(firsts, n, offx, offy)
 
     def place(w):
-        kx, ky = K.corner_numerators(np.array([w], dtype=np.int64), n, offx, offy)
-        return kx[0] + tile.dx, ky[0] + tile.dy
+        return kx[w // span] + tile.dx, ky[w // span] + tile.dy
 
     return _Source(tile, place, float(3**n))
 

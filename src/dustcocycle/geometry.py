@@ -135,26 +135,19 @@ class DyadicCell:
 
 
 def enumerate_squares(
-    preset: IfsPreset, n: int, prefix: tuple = (), allow_large: bool = False
+    preset: IfsPreset, n: int, allow_large: bool = False
 ) -> Iterator[SquareGeom]:
     """Yield the level-n squares in lexicographic word order.
 
-    Streaming: nothing is materialized.  ``prefix`` restricts the stream to
-    words starting with the given symbols, so disjoint prefix sub-streams can
-    be recreated independently on separate workers.  More than
-    ``MAX_SQUARES_SCALAR`` level-n squares (nmaps**n, whatever the prefix) are
-    refused with :class:`BudgetError` unless ``allow_large`` is set.
+    Streaming: nothing is materialized.  More than ``MAX_SQUARES_SCALAR``
+    level-n squares (nmaps**n) are refused with :class:`BudgetError` unless
+    ``allow_large`` is set.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    if len(prefix) > n:
-        raise ValueError("prefix longer than the word length")
     budget_check(preset.nmaps**n, "scalar", allow_large)
     offsets = preset.offsets
-    if any(not 0 <= s < preset.nmaps for s in prefix):
-        raise ValueError(f"prefix symbols must lie in [0, {preset.nmaps})")
-    for tail in product(range(preset.nmaps), repeat=n - len(prefix)):
-        word = prefix + tail
+    for word in product(range(preset.nmaps), repeat=n):
         kx = 0
         ky = 0
         for s in word:

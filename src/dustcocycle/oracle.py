@@ -39,17 +39,15 @@ class TorusFunction:
     def __call__(self, u, v):
         return self.fn(u, v)
 
-    def partial_u(self, u, v, step=None):
+    def partial_u(self, u, v, step):
         if self.du is not None:
             return self.du(u, v)
-        h = step if step is not None else 1e-5
-        return (self.fn((u + h) % 1.0, v) - self.fn((u - h) % 1.0, v)) / (2.0 * h)
+        return (self.fn((u + step) % 1.0, v) - self.fn((u - step) % 1.0, v)) / (2.0 * step)
 
-    def partial_v(self, u, v, step=None):
+    def partial_v(self, u, v, step):
         if self.dv is not None:
             return self.dv(u, v)
-        h = step if step is not None else 1e-5
-        return (self.fn(u, (v + h) % 1.0) - self.fn(u, (v - h) % 1.0)) / (2.0 * h)
+        return (self.fn(u, (v + step) % 1.0) - self.fn(u, (v - step) % 1.0)) / (2.0 * step)
 
 
 def wedge_quadrature(ft, gt, ht, m: int) -> complex:

@@ -245,6 +245,21 @@ class TestBuildId:
         assert got == expected and other not in got
         assert got.startswith(__version__)
 
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+    def test_ignores_checkout_a_copy_is_installed_under(self, tmp_path, monkeypatch):
+        # a venv inside a project repository that ignores it: the package
+        # copy sits in that checkout, which is not its own source
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+               "-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (tmp_path / ".gitignore").write_text("venv/\n")
+        subprocess.run(git + ["add", ".gitignore"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "project"], check=True)
+        copy = tmp_path / "venv" / "lib" / "site-packages" / "dustcocycle"
+        copy.mkdir(parents=True)
+        monkeypatch.setattr(cli, "_PACKAGE_DIR", copy)
+        assert build_id() == __version__
+
     def test_version_outside_a_checkout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_PACKAGE_DIR", tmp_path)
         assert build_id() == __version__

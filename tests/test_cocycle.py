@@ -305,7 +305,7 @@ def counted_triple(name, calls):
 def corner_values(preset, n, obs):
     """``obs`` at the corners v0..v3 of every level-n square, shape (4, N),
     the corners read digit by digit from the word indices, coarse first,
-    apart from the engine's tiles and digit tables."""
+    apart from the engine's tiles and digit maps."""
     words = np.arange(preset.nmaps**n, dtype=np.int64)
     offx, offy = preset.offset_arrays()
     kx, ky = np.zeros_like(words), np.zeros_like(words)

@@ -1,4 +1,4 @@
-"""Digit-map semantics and the digit tables against the digit-by-digit loop,
+"""Digit-map semantics and the digit maps against the reference digit loop,
 the edge-difference trace kernels on flat lattices against the corner form
 they replaced (bitwise) and the Bloch-vector matrix kernel against the
 complex matmul formula, that no kernel reads outside its lattice, and
@@ -583,8 +583,8 @@ def reference_image_bits(words, n):
     return mx, my
 
 
-# the shipped presets, plus one whose symbol 0 has nonzero offsets, so the
-# zero digits above a word's last chunk would show if they were looked up
+# the shipped presets, plus one whose symbol 0 has nonzero offsets, so a
+# digit map that stopped short of a word's n digits would show
 _DIGIT_PRESETS = [get_preset(name) for name in ("cantor-dust", "sierpinski-carpet",
                                                 "full-subdivision-3")]
 _DIGIT_PRESETS.append(IfsPreset("shifted-3", ((2, 1), (0, 0), (1, 2))))
@@ -600,7 +600,22 @@ def _words(draw, nmaps, max_n):
     return n, np.array([0, *words, last], dtype=np.int64)
 
 
+def _arrays(value):
+    """The arrays ``value`` is or holds in its lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _arrays(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+
+
 class TestDigitTables:
+    """The digit maps, one loop over a word's digits, against the reference
+    loops above, and the tile orders read from them."""
+
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_corner_numerators_match_digit_loop(self, data):
@@ -622,15 +637,24 @@ class TestDigitTables:
 
     @pytest.mark.parametrize("level", [0, 1, 5, 8])
     def test_tile_order_matches_digit_loop(self, level):
+        # the pullback tile's cells in a (2**level + 1)-vertex-wide lattice
         mx, my = reference_image_bits(np.arange(4**level, dtype=np.int64), level)
-        assert np.array_equal(K.dust_tile_order(level), my * (1 << level) + mx)
+        order = cocycle._pullback_tile(level).order
+        assert np.array_equal(order, my * ((1 << level) + 1) + mx)
 
     @pytest.mark.parametrize("preset", _DIGIT_PRESETS, ids=lambda p: p.name)
     def test_every_word_of_a_level(self, preset):
-        # one full chunk of k digits (nmaps**k <= 2**16) and one digit above it
+        # the first level of more than 2**16 words
         n = 1 + max(k for k in range(1, 17) if preset.nmaps**k <= 1 << 16)
         words = np.arange(preset.nmaps**n, dtype=np.int64)
         offx, offy = preset.offset_arrays()
         got = K.corner_numerators(words, n, offx, offy)
         want = reference_corner_numerators(words, n, offx, offy)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_import_builds_no_array(self):
+        """The digit maps need no tables: no module-level value of
+        ``_kernels`` is, or holds, an array."""
+        held = [name for name, v in vars(K).items()
+                if not name.startswith("__") and any(True for _ in _arrays(v))]
+        assert held == []

@@ -37,7 +37,12 @@ from dustcocycle.cocycle import (
     resolve_functions,
 )
 from dustcocycle.geometry import PRESETS, get_preset
-from test_kernels import bloch_matrices, matmul_reference
+from test_kernels import (
+    bloch_matrices,
+    matmul_reference,
+    reference_corner_numerators,
+    reference_image_bits,
+)
 
 DUST = get_preset("cantor-dust")
 CARPET = get_preset("sierpinski-carpet")
@@ -276,13 +281,17 @@ class TestVertexCount:
         phi_n(DUST, 9, f, f, f, workers=1)
         assert shapes == [((1, 257), (257, 1))] * 4
 
-    @pytest.mark.parametrize("n, words", [(0, 1), (5, 1), (8, 1), (9, 4)])
+    @pytest.mark.parametrize("n, words", [(0, 1), (5, 1), (8, 1), (9, 4), (10, 16)])
     def test_one_digit_mapped_word_per_tile(self, monkeypatch, n, words):
-        """Only each tile's first word is digit-mapped, at every level."""
+        """Only each tile's first word is digit-mapped, all in one call per
+        sum, at every level and worker count."""
+        cocycle._pullback_tile(min(n, 8))  # the tile itself is built once per level
         mapped = _count_mapped_words(monkeypatch, "dust_image_bits")
         f = Observable("trig", "pullback", "scalar", lambda u, v: np.cos(TWO_PI * (u - v)))
-        phi_n(DUST, n, f, f, f, workers=2)
-        assert mapped == [1] * words
+        for workers in (1, 2):
+            mapped.clear()
+            phi_n(DUST, n, f, f, f, workers=workers)
+            assert mapped == [words]
 
 
 class TestDirectTiles:
@@ -302,9 +311,11 @@ class TestDirectTiles:
 
     def test_dust_tile_cells_come_in_morton_order(self):
         for n in (0, 1, 5, 8, 9):
+            k = min(n, 8)
             tile = _direct_source(DUST, n).tile
-            np.testing.assert_array_equal(tile.order, K.dust_tile_order(min(n, 8)))
-            assert tile.dx.size == tile.dy.size == 2 << min(n, 8)
+            mx, my = reference_image_bits(np.arange(4**k, dtype=np.int64), k)
+            np.testing.assert_array_equal(tile.order, (my << k) + mx)
+            assert tile.dx.size == tile.dy.size == 2 << k
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_quadrants_only_where_no_squares_touch(self, name):
@@ -330,14 +341,18 @@ class TestDirectTiles:
             for lo, hi in ((0, span - 1), (1, span + 1), (0, 2 * span), (span // 2, span)):
                 _assert_matches_reference(case, lo, min(hi, case.total), obs)
 
-    @pytest.mark.parametrize("preset, n, tasks", [(DUST, 0, 1), (DUST, 9, 4),
+    @pytest.mark.parametrize("preset, n, tiles", [(DUST, 0, 1), (DUST, 9, 4),
                                                   (CARPET, 4, 1), (CARPET, 6, 8)])
-    def test_one_digit_mapped_word_per_tile(self, monkeypatch, preset, n, tasks):
+    def test_one_digit_mapped_word_per_tile(self, monkeypatch, preset, n, tiles):
+        """Only each tile's first word is digit-mapped, all in one call per
+        sum, at every worker count."""
         _direct_source(preset, n)  # the tile itself is built once per level
         mapped = _count_mapped_words(monkeypatch, "corner_numerators")
         obs = resolve_functions("sine-xy")[:3]
-        phi_n(preset, n, *obs, workers=2)
-        assert mapped == [1] * tasks
+        for workers in (1, 2):
+            mapped.clear()
+            phi_n(preset, n, *obs, workers=workers)
+            assert mapped == [tiles]
 
     def test_full_subdivision_runs_on_tiles(self, monkeypatch):
         """9**k words are never whole leaves: tasks of TASK_LEAVES leaves walk
@@ -351,8 +366,10 @@ class TestDirectTiles:
             for w_lo in range(0, case.total, span):
                 _assert_matches_reference(case, w_lo, min(case.total, w_lo + span), obs)
         mapped = _count_mapped_words(monkeypatch, "corner_numerators")
-        phi_n(FULL, 6, *obs, workers=1)
-        assert mapped == [1] * 89  # 81 tiles, 8 of them cut by a task bound
+        for workers in (1, 2):
+            mapped.clear()
+            phi_n(FULL, 6, *obs, workers=workers)
+            assert mapped == [81]  # one call on the first words of all 81 tiles
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_tasks_start_on_leaves(self, monkeypatch, name):
@@ -376,6 +393,32 @@ class TestDirectTiles:
             assert ranges[0][0] == 0 and ranges[-1][1] == preset.nmaps**n
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
             assert all(lo % LEAF == 0 for lo, _ in ranges)
+
+
+class TestPlacement:
+    """Every tile of a multi-tile sum is placed at its first word's corner,
+    read from the one digit-map call the source makes per sum."""
+
+    @pytest.mark.parametrize("kind, preset, n", [("pullback", DUST, 10), ("direct", DUST, 10),
+                                                 ("direct", CARPET, 7), ("direct", FULL, 6)],
+                             ids=["pullback-10", "dust-10", "carpet-7", "full-subdivision-3-6"])
+    def test_place_matches_reference_loop(self, kind, preset, n):
+        if kind == "pullback":
+            source, mask = cocycle._pullback_source(n), (1 << n) - 1
+        else:
+            source, mask = _direct_source(preset, n), -1  # direct corners do not wrap
+        tile = source.tile
+        span = tile.order.size
+        firsts = np.arange(0, preset.nmaps**n, span, dtype=np.int64)
+        assert firsts.size > 1
+        if kind == "pullback":
+            kx, ky = reference_image_bits(firsts, n)
+        else:
+            kx, ky = reference_corner_numerators(firsts, n, *preset.offset_arrays())
+        for t in range(firsts.size):
+            x, y = source.place(t * span)
+            np.testing.assert_array_equal(x, (kx[t] + tile.dx) & mask)
+            np.testing.assert_array_equal(y, (ky[t] + tile.dy) & mask)
 
 
 def _tiles():
