@@ -11,13 +11,16 @@ one case per layout the trace kernels read, or way a sum places its tiles:
 * ``full-subdivision-3``'s box tiles, 9**4 words each, which tasks of 16
   leaves cut (ids ``full-subdivision-3-words``, pinned when every word of
   this preset was digit-mapped);
-* the matrix kernel, through ``pairing_n``.
+* the matrix kernel, through ``pairing_n``;
+* separable triples, g of u only and h of v only, on pullback and
+  subdivision tiles, real and complex (the complex subdivision at n = 0 is
+  a call of one cell).
 
 Each runs on one and on two workers, with the engine's tile caches as
 earlier tests left them and cleared before the call.  The rules are polynomials (and a Bloch
 field normalised with ``sqrt``), so the pins rest on IEEE arithmetic alone,
 not on the platform's libm.  Some rules depend on one coordinate only, so
-their values reach the kernel as broadcast rows or columns.
+their values reach the kernel as compact rows or columns.
 """
 
 import numpy as np
@@ -67,6 +70,25 @@ def _bloch(u, v):
 
 PROJECTION = Observable("poly-bloch", "pullback", "matrix", _bloch, dim=2)
 
+# f full, g of u only (a row), h of v only (a column)
+SEPARABLE = (
+    _pullback(lambda u, v: 0.2 + u * v - 0.3 * v * v),
+    _pullback(lambda u, v: u * (0.4 - u * u)),
+    _pullback(lambda u, v: 0.5 * v * v - 0.2 * v),
+)
+
+SUBDIVISION_SEPARABLE = (
+    lambda u, v: 0.3 - u * v / 3.0 + 0.1 * u,
+    lambda u, v: u * u * (0.7 - 0.2 * u),
+    lambda u, v: v * (0.6 - v),
+)
+
+COMPLEX_SEPARABLE = (
+    _pullback(lambda u, v: 0.4 + u * v + 0.2j * (u - v * v)),
+    _pullback(lambda u, v: u * u + 0.3j * u),
+    _pullback(lambda u, v: v - 0.2j * v * v),
+)
+
 CASES = {
     "pullback": lambda n, w: phi_n(DUST, n, *PULLBACK, workers=w),
     "subdivision": lambda n, w: phi_subdivision(n, *SUBDIVISION, workers=w),
@@ -74,6 +96,11 @@ CASES = {
     "carpet-direct": lambda n, w: phi_n(CARPET, n, *DIRECT, workers=w),
     "full-subdivision-3-words": lambda n, w: phi_n(FULL, n, *DIRECT, workers=w),
     "pairing": lambda n, w: pairing_n(DUST, n, PROJECTION, workers=w),
+    "pullback-separable": lambda n, w: phi_n(DUST, n, *SEPARABLE, workers=w),
+    "subdivision-separable": lambda n, w: phi_subdivision(n, *SUBDIVISION_SEPARABLE, workers=w),
+    "pullback-complex-separable": lambda n, w: phi_n(DUST, n, *COMPLEX_SEPARABLE, workers=w),
+    "subdivision-complex-separable": lambda n, w: phi_subdivision(
+        n, *(o.rule for o in COMPLEX_SEPARABLE), workers=w),
 }
 
 # (case, n) -> (real.hex(), imag.hex()), computed before the flat-cell kernels
@@ -102,6 +129,21 @@ PINS = {
     ("pairing", 1): ("0x0.0p+0", "0x0.0p+0"),
     ("pairing", 5): ("0x1.cb5eb87d35b4cp-4", "0x0.0p+0"),
     ("pairing", 9): ("0x1.e2e5ada1b49f9p-4", "0x0.0p+0"),
+    # computed before rows and columns reached the kernel compact
+    ("pullback-separable", 0): ("0x0.0p+0", "0x0.0p+0"),
+    ("pullback-separable", 1): ("0x1.0000000000000p-62", "0x0.0p+0"),
+    ("pullback-separable", 5): ("-0x1.10bea80000001p-5", "0x0.0p+0"),
+    ("pullback-separable", 9): ("-0x1.50b0fbd6aa802p-5", "0x0.0p+0"),
+    ("subdivision-separable", 0): ("-0x1.b4e81b4e81b4ep-4", "0x0.0p+0"),
+    ("subdivision-separable", 1): ("-0x1.4395810624dd3p-4", "0x0.0p+0"),
+    ("subdivision-separable", 5): ("-0x1.1668be76c8b43p-4", "0x0.0p+0"),
+    ("subdivision-separable", 9): ("-0x1.1639ae27e402bp-4", "0x0.0p+0"),
+    ("pullback-complex-separable", 1): ("0x0.0p+0", "0x0.0p+0"),
+    ("pullback-complex-separable", 5): ("0x0.0p+0", "-0x1.2c4fffffffff8p-7"),
+    ("pullback-complex-separable", 9): ("-0x1.2000000000000p-52", "-0x1.67d71a5000008p-7"),
+    ("subdivision-complex-separable", 0): ("0x1.60c49ba5e353fp+0", "0x1.0a3d70a3d70a2p-3"),
+    ("subdivision-complex-separable", 1): ("0x1.816872b020c4ap+0", "0x1.63d70a3d70a3cp-3"),
+    ("subdivision-complex-separable", 5): ("0x1.8c3ed916872b0p+0", "0x1.7bedca3d70a3dp-3"),
 }
 
 
