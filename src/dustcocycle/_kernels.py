@@ -22,7 +22,8 @@ are not in the engine; :func:`dustcocycle.fredholm.kernel_trace` keeps the
 general N x N formula as the reference.
 
 Both trace kernels take flat vertex lattices, shape (N,) for scalar values
-and (3, N) for Bloch vectors, and ``cells = ((o0, o1, o2, o3), count)``:
+and (3, N) for Bloch vectors (the scalar kernel also a compact row g and
+column h, see Zero edges), and ``cells = ((o0, o1, o2, o3), count)``:
 the flat offsets of the corners v0..v3 of cell 0, and the number of cells.
 Cell k's corners sit at k + o0, k + o1, k + o2 and k + o3, so the corners,
 edge differences, temporaries and results of a run of cells are each one
@@ -76,23 +77,31 @@ to the last ulp.
 Zero edges.  A scalar rule of one coordinate gives a lattice whose edges
 along the other are exact zeros: the y-edges of a row (values that vary
 along x only, such as g = sin 2 pi u in bott-flux) and the x-edges of a
-column (h = sin 2 pi v).  The engine reads this from the strides of the
-rule's broadcast values and names it to the scalar kernel
-(``zero_edges``).  Where X' Y' = gy hx vanishes (g a row or h a column)
-and X Y = gx hy does not, the kernel forms neither X' Y' nor the edges
-only it reads, gy and hx: on bott-flux, per block, 2 edge differences
-instead of 4 and 4 products instead of 8.  This keeps every bit.  A zero
-edge is x - x of a finite x, +0, so X' Y' is an exact zero (of either
-sign) when the other factor is finite, and p - 0 = p; the remaining
-operations keep their operands and order.  Every other pattern runs the
-general path: no preset has g a column or h a row, and when both products
-vanish (a row g with a row h, h = g a row, a constant g) every term is an
-exact zero times f, where the general path keeps the NaN of an f that is
-not finite.  The values are as the general path's up to the sign of an
-exact zero, with three provisos:
+column (h = sin 2 pi v).  The engine reads this from the axes of length 1
+of the rule's compact values.  A row g with a column h reaches the scalar
+kernel compact, (1, W) and (H, 1) on a shifted lattice, (1, 2, 1, w) and
+(2, 1, h, 1) on the quadrants.  Then X' Y' = gy hx vanishes, a row's two
+x-edges at a cell are the same difference d[j] of its column and a
+column's two y-edges the same e[i] of its row, so every term's X Y is
+d[j] e[i]: the kernel forms d and e once per call (a shifted lattice's
+padded column gets a finite d = 0) and each block's X Y once, as their
+outer product over the rows the block touches, d the first operand as in
+X Y.  A call of one cell takes the flat path instead (see below: numpy
+rounds a lone complex product of broadcast operands like an in-place one).
+Otherwise the engine names the zero edges of flat g and h to the scalar
+kernel (``zero_edges``): where X' Y' vanishes (g a row or h a column) and
+X Y = gx hy does not, the kernel forms neither X' Y' nor the edges only it
+reads, gy and hx.  Both keep every bit.  A zero edge is x - x of a finite
+x, +0, so X' Y' is an exact zero (of either sign) when the other factor is
+finite, and p - 0 = p; the remaining operations keep their operands and
+order.  Every other pattern runs the general path: no preset has g a
+column or h a row, and when both products vanish (a row g with a row h,
+h = g a row, a constant g) every term is an exact zero times f, where the
+general path keeps the NaN of an f that is not finite.  The values are as
+the general path's up to the sign of an exact zero, with three provisos:
 
-* the engine names an edge zero only where the values the row or column
-  repeats are finite, since inf - inf is NaN, not 0;
+* the engine names an edge zero, or passes a row or column compact, only
+  where its values are finite, since inf - inf is NaN, not 0;
 * where another input is not finite, or an edge difference of finite
   values overflows (values of about 1e308), the general path's
   0 * inf = NaN is not formed, so a square may be finite or +-inf where
@@ -138,13 +147,15 @@ import numpy as np
 # quarter of a 256 x 256 pullback tile.  The scalar kernel's float64
 # temporaries for one block (the x- and y-edges of g and h, three
 # accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose edges are
-# not shared), the matrix kernel's (the edges in four rows, twelve rows of
-# accumulators and products) 3.7 MB, or 3.4 MB in the symmetric block, when
-# g = h as in a pairing (g's edges, twelve rows of the shared cross products
-# and six of accumulators).  Each block makes about 25 (scalar; 14 for a row
-# g and a column h), 50 to 60 (matrix) or 37 (symmetric matrix block) ufunc
-# calls, and the Python between them holds the GIL, so the block size sets
-# how well two workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11
+# not shared; 0.4 MB for a compact row g and column h, the outer product of
+# their edges and two accumulators), the matrix kernel's (the edges in four
+# rows, twelve rows of accumulators and products) 3.7 MB, or 3.0 MB in the
+# symmetric block, when g = h as in a pairing (g's edges, twelve rows of
+# the shared cross products and three of accumulators).  Each block makes
+# about 25 (scalar; 14 for a flat row g and column h, 9 for compact ones),
+# 50 to 60 (matrix) or 37 (symmetric matrix block) ufunc calls, and the
+# Python between them holds the GIL, so the block size sets how well two
+# workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11
 # took 0.23 s on one worker and 0.32 s on two with 4096-square scalar blocks,
 # 0.19 s and 0.15 s with 16384.  65536-square blocks gained little more
 # (0.13 s on two workers) but raised the peak RSS of the lipschitz-direct
@@ -309,6 +320,32 @@ def _terms(f, g, h, cells, lo, hi, diff, axes=("xy", "xy")):
     )
 
 
+def near_far(a):
+    """The values of a compact row or column ``a`` at the near and far ends
+    of each of its edges, as two 1-D views: ``a[0, :-1]`` and ``a[0, 1:]``
+    of a shifted lattice's (1, W) row, likewise of its (H, 1) column, and
+    the near and far halves of the dust quadrants' (1, 2, 1, w) row or
+    (2, 1, h, 1) column."""
+    if a.ndim == 2:
+        a = a.reshape(-1)
+        return a[:-1], a[1:]
+    a = a.reshape(2, -1)
+    return a[0], a[1]
+
+
+def _edge_vectors(g, h, dtype, ws):
+    """d, the x-edges of a compact row g, and e, the y-edges of a compact
+    column h, so that cell k = i W + j, W = d.size, has X Y = d[j] e[i]: a
+    shifted lattice's padded last column gets the finite d = 0, whose value
+    the callers drop; the quadrants have none."""
+    gn, gf = near_far(g)
+    hn, hf = near_far(h)
+    d = ws.take("kernel.d", (gn.size + (g.ndim == 2),), dtype)
+    np.subtract(gf, gn, out=d[: gn.size])
+    d[gn.size :] = 0
+    return d, np.subtract(hf, hn, out=ws.take("kernel.e", hn.shape, dtype))
+
+
 def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     """Per-square trace kernel for scalar vertex values.
 
@@ -322,18 +359,34 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     result and the temporaries (the result is overwritten by the next kernel
     call on it); by default a fresh one.
 
-    ``zero_edges`` names, for g and for h, the axes ("x" and/or "y") along
+    A row g (values of x only) and a column h (of y only) may instead come
+    compact, in the shapes the engine evaluates them in: (1, W) and (H, 1)
+    on a shifted H x W lattice, (1, 2, 1, w) and (2, 1, h, 1) on the dust's
+    quadrants, with ``cells`` all of the lattice's.  Each block then forms
+    X Y once, as the outer product of g's x-edges and h's y-edges, and
+    X' Y' not at all (see the module docstring).
+
+    ``zero_edges`` names, for flat g and h, the axes ("x" and/or "y") along
     which every cell's edge differences are exact zeros: "y" for a row,
-    values that vary along x only, "x" for a column (the same for both
-    when h is g).  Where this zeros X' Y' = gy hx but not X Y = gx hy, the
-    product X' Y' and the edges gy and hx are not formed (see the module
-    docstring); every other pattern runs the general path.  A padded
-    cell's x-edge, which wraps into the next row, is not a cell edge: its
-    value is not the general path's.
+    "x" for a column (the same for both when h is g).  Where this zeros
+    X' Y' = gy hx but not X Y = gx hy, the product X' Y' and the edges gy
+    and hx are not formed; every other pattern runs the general path.  A
+    padded cell's x-edge, which wraps into the next row, is not a cell
+    edge: its value is not the general path's.
     """
     ws = Workspace() if out is None else out
     dtype = np.result_type(f, g, h)
     result = ws.take("kernel.result", (cells[1],))
+    if g.ndim > 1:
+        if cells[1] > 1:
+            _separable(f, g, h, cells, dtype, ws, result)
+            return result
+        # one square: numpy rounds a lone complex product of broadcast
+        # operands, as of in-place ones, unlike its vector loop, so it takes
+        # the flat path on the four vertex values of g and of h
+        shape = np.broadcast_shapes(g.shape, h.shape)
+        g, h = (np.broadcast_to(a, shape).reshape(-1) for a in (g, h))
+        zero_edges = ("y", "x")
     zg, zh = zero_edges
     # only X' Y' = gy hx vanishes; when X Y = gx hy does too, the general
     # path keeps the NaN of a term 0 * F whose f is not finite
@@ -358,6 +411,29 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
                 acc += t
         np.multiply(0.5, acc, out=result[lo:hi])  # casts a real block
     return result
+
+
+def _separable(f, g, h, cells, dtype, ws, result):
+    """:func:`scalar_kernel` on a compact row g and column h, into
+    ``result``.  A row's two x-edges at a cell are the same difference
+    d[j], a column's two y-edges the same e[i], so every term's X Y is
+    P = d[j] e[i], taken per block as one outer product over the rows the
+    block touches, and X' Y' = 0 is not formed."""
+    d, e = _edge_vectors(g, h, dtype, ws)
+    width = d.size
+    for lo, hi in _blocks(cells[1]):
+        i0, i1 = lo // width, (hi - 1) // width + 1
+        p = ws.take("kernel.prod", (i1 - i0, width), dtype)
+        np.multiply(d, e[i0:i1, None], out=p)  # X Y, in the general path's order
+        P = p.reshape(-1)[lo - i0 * width : hi - i0 * width]
+        f0, f1, f2, f3 = corners(f, cells, lo, hi)
+        acc = ws.take("kernel.acc", (hi - lo,), dtype)
+        s = ws.take("kernel.s", (hi - lo,), dtype)
+        for t, F in ((acc, f0), (s, f2), (s, f1), (s, f3)):
+            np.multiply(P, F, out=t)
+            if t is s:
+                acc += s
+        np.multiply(0.5, acc, out=result[lo:hi])  # casts a real block
 
 
 def matrix_kernel(f, g, h, *, cells, out=None):
@@ -441,10 +517,11 @@ def _symmetric_block(terms, ws, parts):
     round alike, so it is +0.  Term k + 1 (k = 0, 2) reads term k's operands
     as (Y', X', Y, X), so its four cross-product halves are term k's in
     reverse order; each term keeps its own order of subtraction, and the
-    terms are added in the general block's order.
+    terms are added in the general block's order.  Term 2's sum is written
+    into g's x-edges, which no product reads after its own.
     """
     m = parts.shape[1]
-    im, s = ws.take("kernel.acc", (2, 3, m), np.float64)
+    im = ws.take("kernel.acc", (3, m), np.float64)
     p = ws.take("kernel.cross", (4, 3, m), np.float64)
     for k in (0, 2):
         (F, X, Y, X2, Y2), F1 = terms[k], terms[k + 1][0]
@@ -452,7 +529,8 @@ def _symmetric_block(terms, ws, parts):
         np.multiply(X[1:4], Y[0:3], out=p[1])
         np.multiply(X2[0:3], Y2[1:4], out=p[2])
         np.multiply(X2[1:4], Y2[0:3], out=p[3])
-        t = s if k else im
+        # term 2's sum goes into g's x-edges, dead once its products are taken
+        t = X[0:3] if k else im
         np.subtract(p[0], p[1], out=t)
         t -= p[2]
         t += p[3]

@@ -69,9 +69,9 @@ _PACKAGE_DIR = Path(__file__).resolve().parent
 
 def build_id() -> str:
     """``__version__`` plus the short commit of this package's own source
-    checkout, the one whose ``src/`` holds it (never of the caller's cwd,
-    nor of an unrelated repository a copy is installed under, such as a
-    project holding a venv); plain ``__version__`` elsewhere."""
+    checkout, the one it sits in as ``src/dustcocycle`` (never of the
+    caller's cwd, nor of an unrelated repository a copy is installed under,
+    such as a project holding a venv); plain ``__version__`` elsewhere."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
@@ -79,7 +79,7 @@ def build_id() -> str:
         )
         if rev.returncode == 0:
             top, commit = rev.stdout.splitlines()
-            if Path(top).resolve() == _PACKAGE_DIR.parents[1]:
+            if Path(top).resolve() / "src" / "dustcocycle" == _PACKAGE_DIR:
                 return f"{__version__}+g{commit}"
     except (OSError, subprocess.TimeoutExpired):
         pass
@@ -369,22 +369,32 @@ def _cmd_selftest(args) -> int:
     if not worst <= 1e-12:
         failures.append("scalar kernel mismatch")
 
-    # a row g (x only) and a column h (y only) on the dust's (2, 2, h, w)
-    # quadrant layout, as in bott-flux: named as such, the kernel skips the
-    # products their zero edges vanish, and must give the general path's bits
+    # a row g (x only) and a column h (y only), as in bott-flux, on the
+    # dust's (2, 2, h, w) quadrants and on a shifted H x W box: given
+    # compact, the kernel forms X Y as one outer product of their edges and
+    # skips X' Y', which their zero edges vanish, and must give the bits of
+    # the same values materialized as flat lattices (a box's padded cells
+    # aside, which are not squares)
     draw = np.random.default_rng(20240203).standard_normal
     rows, cols = 30, 40
-    full = (2, 2, rows, cols)
-    fq = (draw(full) + 1j * draw(full)).reshape(-1)
-    gq = np.broadcast_to(draw((1, 2, 1, cols)), full).reshape(-1)
-    hq = np.broadcast_to(draw((2, 1, rows, 1)) * (1 - 2j), full).reshape(-1)
-    hw = rows * cols
-    quadrants = ((0, hw, 3 * hw, 2 * hw), hw)
-    got = K.scalar_kernel(fq, gq, hq, cells=quadrants, zero_edges=("y", "x"))
-    want = K.scalar_kernel(fq, gq, hq, cells=quadrants)
-    # +0.0 and -0.0 may trade places where a value is an exact zero
-    differ = int(((got + 0.0).view(np.int64) != (want + 0.0).view(np.int64)).sum())
-    print(f"scalar kernel zero-edge elision vs general path: {differ} of {2 * hw} parts differ")
+    differ = parts = 0
+    for full, g_shape, h_shape, layout in (
+        ((2, 2, rows, cols), (1, 2, 1, cols), (2, 1, rows, 1),
+         ((0, rows * cols, 3 * rows * cols, 2 * rows * cols), rows * cols)),
+        ((rows, cols), (1, cols), (rows, 1), ((0, 1, cols + 1, cols), (rows - 1) * cols - 1)),
+    ):
+        fc = (draw(full) + 1j * draw(full)).reshape(-1)
+        gc, hc = draw(g_shape), draw(h_shape) * (1 - 2j)
+        got = K.scalar_kernel(fc, gc, hc, cells=layout)
+        want = K.scalar_kernel(fc, *(np.broadcast_to(a, full).reshape(-1) for a in (gc, hc)),
+                               cells=layout)
+        square = np.arange(layout[1]) % cols != cols - 1 if len(full) == 2 else slice(None)
+        # +0.0 and -0.0 may trade places where a value is an exact zero
+        bits = [(a[square] + 0.0).view(np.int64) for a in (got, want)]
+        differ += int((bits[0] != bits[1]).sum())
+        parts += bits[0].size
+    print(f"scalar kernel zero-edge elision, compact vs materialized rows and columns: "
+          f"{differ} of {parts} parts differ")
     if differ:
         failures.append("scalar kernel zero-edge elision mismatch")
 

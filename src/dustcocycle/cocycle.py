@@ -49,13 +49,16 @@ tests check once that every tile's order is in bounds.
 A tile's lattice is a tensor product: each observable's rule gets a row of
 u and a column of v that broadcast to it, 257 of each for a 256 x 256
 pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
-transcendentals H + W times, not H * W.  Each observable's values are
-flattened: a C-contiguous one as a view, a broadcast row, column or
-constant as a copy in the worker's workspace; the trace kernel takes them
-whole, with the flat corner offsets of cell 0.  Before the copy, a scalar
-row's or column's strides say that its edges along the other coordinate
-are exact zeros (when the values it repeats are finite), which the scalar
-kernel is told, and skips gy hx where they zero it.  Pullback and
+transcendentals H + W times, not H * W.  A scalar rule's row, column or
+constant stays compact, as the rule returned it, its axes of length 1
+naming the edges that are exact zeros; other values are flattened, a
+C-contiguous one as a view.  A finite row g with a finite column h goes to
+the scalar kernel compact, which forms each block's X Y as one outer
+product of their edges; any other compact value that the kernel reads is
+copied into a flat lattice in the worker's workspace (f for its corners,
+a row or column whose partner is full, with its zero edges named, so the
+kernel skips gy hx where they zero it).  The trace kernel takes flat
+lattices whole, with the flat corner offsets of cell 0.  Pullback and
 subdivision tiles, and the (3**k + 1)**2 boxes around the carpet's and
 ``full-subdivision-3``'s, are plain H x W lattices, a (1, W) row and an
 (H, 1) column, with offsets (0, 1, W + 1, W): cell (i, j) is k = i W + j,
@@ -75,14 +78,15 @@ are its (3, N) float64 Bloch vectors, read the same way.
 :func:`estimate_lipschitz` takes, per observable, the sup of the values
 and the largest edge difference over the tile's own cells
 (:func:`_maxima`, the carpet's holes and padded cells left out), on the
-same tiles and lattices.  In a Lipschitz table, where the estimates of
-each level follow its sum over the same triple, the sum's tasks take them
-from the lattices they evaluate and the estimates read them back, so each
-rule is evaluated once per tile; otherwise the estimates walk the tiles.
+same tiles and lattices, a compact row or column read as it is.  In a
+Lipschitz table, where the estimates of each level follow its sum over the
+same triple, the sum's tasks take them from the lattices they evaluate and
+the estimates read them back, so each rule is evaluated once per tile;
+otherwise the estimates walk the tiles.
 
 Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
-one sum and runs all its tasks in it: the copies of broadcast values, kernel
-temporaries and gathered values reuse its buffers, and nothing of it
+one sum and runs all its tasks in it: the flat copies of compact values,
+kernel temporaries and gathered values reuse its buffers, and nothing of it
 outlives the call.  A tile's coordinates are not among them: they are too
 small to need it.  A task still allocates its observables' own values.
 """
@@ -147,8 +151,10 @@ class Observable:
     rule returns a real or complex array that broadcasts to their common
     shape.  A rule of one coordinate should return its row (u only) or
     column (v only) as it is, not multiplied out to the full shape: the
-    engine reads from its strides that its edges along the other coordinate
-    are exact zeros, and the scalar kernel skips the product they zero.
+    engine keeps it compact and reads from its axes of length 1 that its
+    edges along the other coordinate are exact zeros.  A row g with a
+    column h reaches the scalar kernel compact, which forms each square's
+    X Y as a product of their edges and skips the product X' Y' they zero.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
     coordinates (direct) or the dyadic staircase image on the torus
     (pullback).
@@ -193,6 +199,14 @@ class Observable:
         A result that does not broadcast to that shape, and for matrix kind
         one that is complex or not finite, raises ValueError.
         """
+        values, shape = self._values(u, v)
+        return np.broadcast_to(values, shape)
+
+    def _values(self, u, v):
+        """(values, shape): the rule's values at (u, v) as it returned them,
+        checked and cast as :meth:`evaluate` does, with leading axes of
+        length 1 added up to the full shape's number; so a rule of u only
+        gives its row.  ``shape`` is the full shape."""
         out = np.asarray(self.rule(u, v))
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if self.kind == "matrix":
@@ -205,12 +219,11 @@ class Observable:
         out = out.astype(np.complex128 if np.iscomplexobj(out) else np.float64, copy=False)
         if self.kind == "matrix" and not np.isfinite(out).all():
             raise ValueError(f"observable {self.name!r} is not finite at every vertex")
+        lead = len(shape) - out.ndim
         # a matrix result of fewer axes would broadcast n along the last one
-        if self.kind != "matrix" or out.ndim == len(shape):
-            try:
-                return np.broadcast_to(out, shape)
-            except ValueError:
-                pass
+        if (lead == 0 or lead > 0 and self.kind != "matrix") and all(
+                m in (1, k) for m, k in zip(out.shape, shape[lead:])):
+            return out.reshape((1,) * lead + out.shape), shape
         raise ValueError(
             f"observable {self.name!r}: rule returned shape {out.shape}, "
             f"which does not broadcast to {shape}"
@@ -296,21 +309,28 @@ class _Tile(NamedTuple):
 
     ``dx`` and ``dy`` are the lattice's integer column and row coordinates
     relative to the run's first word's, shaped to broadcast into the
-    lattice; ``cells`` are the lattice's cells as the kernels take them;
-    ``order`` is where each word's cell sits among them, in word order.  An
-    order is unique, lies in [0, cell count) and never names a padded cell,
-    so the engine gathers with it unchecked (``mode="clip"``).
+    lattice, whose ``shape`` is theirs broadcast; ``cells`` are the
+    lattice's cells as the kernels take them; ``order`` is where each
+    word's cell sits among them, in word order.  An order is unique, lies in
+    [0, cell count) and never names a padded cell, so the engine gathers
+    with it unchecked (``mode="clip"``).  ``cols`` and ``rows`` are the
+    edges of a compact row and column (:func:`_kernels.near_far`) that the
+    tile's own cells use, or None for all of them.
     """
 
     dx: np.ndarray
     dy: np.ndarray
     cells: tuple
     order: np.ndarray
+    shape: tuple
+    cols: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
 
 
 def _read_only(tile):
-    for a in (tile.dx, tile.dy, tile.order):
-        a.flags.writeable = False
+    for a in (tile.dx, tile.dy, tile.order, tile.cols, tile.rows):
+        if a is not None:
+            a.flags.writeable = False
     return tile
 
 
@@ -325,9 +345,11 @@ def _box_tile(cols, rows, cx, cy):
     into the next row, and the last row's is left out: rows w - 1 cells.
     """
     w = cols + 1
+    xs, ys = np.unique(cx), np.unique(cy)
     return _read_only(_Tile(
         np.arange(w, dtype=np.int64)[None, :], np.arange(rows + 1, dtype=np.int64)[:, None],
-        ((0, 1, w + 1, w), rows * w - 1), cy * w + cx,
+        ((0, 1, w + 1, w), rows * w - 1), cy * w + cx, (rows + 1, w),
+        None if xs.size == cols else xs, None if ys.size == rows else ys,
     ))
 
 
@@ -377,7 +399,7 @@ def _direct_tile(offsets, k):
         return _read_only(_Tile(
             (xs + far).reshape(1, 2, 1, w), (ys + far).reshape(2, 1, h, 1),
             ((0, h * w, 3 * h * w, 2 * h * w), h * w),
-            np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
+            np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx), (2, 2, h, w),
         ))
     return _box_tile(3**k, 3**k, kx, ky)
 
@@ -450,51 +472,61 @@ def _task_span(source, total):
     return span if span % LEAF == 0 or span == total else TASK_LEAVES * LEAF
 
 
-def _zero_edges(values, u, v):
+def _zero_axes(values, u, v):
     """The axes, "x" and/or "y", along which the cell edges of a scalar
-    rule's broadcast ``values`` at (u, v) are exact zeros: "y" when they
-    have stride 0 on every axis along which v varies (a rule of u only),
-    "x" likewise for u.  None are trusted unless the values they repeat
-    are finite, since inf - inf is NaN."""
-    zero = "".join(
-        name for name, c in (("x", u), ("y", v))
-        if all(values.strides[-k] == 0 for k, m in enumerate(reversed(np.shape(c)), 1) if m > 1)
-    )
-    if not zero:
+    rule's ``values`` at (u, v), with an axis per lattice axis, are exact
+    zeros where the values are finite: "y" when they have length 1 along
+    every axis along which v varies (a row, a rule of u only), "x" likewise
+    for u."""
+    if values.size == u.size * v.size:  # full: u and v vary along disjoint axes
         return ""
-    distinct = values[tuple(slice(None, 1) if st == 0 else slice(None) for st in values.strides)]
-    return zero if np.isfinite(distinct).all() else ""
+    if values.shape == u.shape:
+        return "y"
+    if values.shape == v.shape:
+        return "x"
+    return "".join(name for name, c in (("x", u), ("y", v))
+                   if all(m == 1 for m, k in zip(values.shape, c.shape) if k > 1))
+
+
+def _full(a, shape, ws, name):
+    """``a`` broadcast to ``shape``, C-contiguous: ``a`` itself when it is,
+    else a copy into buffer ``name`` of ``ws``."""
+    if a.shape == shape and a.flags.c_contiguous:
+        return a
+    buf = ws.take(name, shape, a.dtype)
+    np.copyto(buf, a)
+    return buf
 
 
 def _lattice_values(source, lo, observables, ws, maxima=None):
-    """Each observable's values on the flat vertex lattice of the tile whose
-    first word is ``lo``, shape (N,) or (3, N) for Bloch vectors, and the
-    axes along which a scalar one's edges are exact zeros.  Each distinct
-    observable is evaluated once (a repeated one is the same array).
+    """Each observable's values on the vertex lattice of the tile whose
+    first word is ``lo``, and the axes along which a scalar one's edges are
+    exact zeros (:func:`_zero_axes`).  Each distinct observable is evaluated
+    once (a repeated one is the same array).
 
-    C-contiguous values are flattened as views and name no zero edges.
-    Others (a broadcast row, column or constant) are copied into buffer
-    ``lattice.i`` of ``ws``, i the observable's place, after a scalar one's
-    zero edges are read from their strides (:func:`_zero_edges`).
+    A scalar row, column or constant stays as the rule returned it, with an
+    axis per lattice axis (:meth:`Observable._values`).  Other values are
+    flat, (N,) or (3, N) for Bloch vectors: a C-contiguous one a view, any
+    other a copy into buffer ``lattice.i`` of ``ws``, i the observable's
+    place.
 
     ``maxima``, given for scalar observables, is a (len(observables), 2)
     float array that each distinct observable's :func:`_maxima` on this
     tile raise (elementwise, NaN kept); a repeated one's row is its first
     one's.
     """
+    tile = source.tile
     x, y = source.place(lo)
     u, v = x / source.den, y / source.den
     cache = {}
     for i, obs in enumerate(observables):
         if id(obs) not in cache:
-            values, zero = obs.evaluate(u, v), ""
-            if not values.flags.c_contiguous:
-                if obs.kind == "scalar":
-                    zero = _zero_edges(values, u, v)
-                buf = ws.take(f"lattice.{i}", values.shape, values.dtype)
-                np.copyto(buf, values)
-                values = buf
-            cache[id(obs)] = values.reshape((3, -1) if obs.kind == "matrix" else -1), zero, i
+            values, shape = obs._values(u, v)
+            zero = _zero_axes(values, u, v) if obs.kind == "scalar" else ""
+            if not zero:
+                values = _full(values, shape, ws, f"lattice.{i}")
+                values = values.reshape((3, -1) if obs.kind == "matrix" else -1)
+            cache[id(obs)] = values, zero, i
     if maxima is not None:
         # after every evaluation, so the edge buffers are first taken where
         # the kernel would take them: interleaved with the evaluations, they
@@ -503,10 +535,33 @@ def _lattice_values(source, lo, observables, ws, maxima=None):
         for i, obs in enumerate(observables):
             values, zero, first = cache[id(obs)]
             if first == i:
-                np.maximum(maxima[i], _maxima(values, source.tile, ws, zero), out=maxima[i])
+                np.maximum(maxima[i], _maxima(values, tile, ws, zero), out=maxima[i])
             else:
                 maxima[i] = maxima[first]
     return [cache[id(o)][0] for o in observables], [cache[id(o)][1] for o in observables]
+
+
+def _kernel_args(values, zeros, tile, ws):
+    """The scalar kernel's f, g and h on ``tile``, and its ``zero_edges``,
+    from :func:`_lattice_values`' values and zero axes.
+
+    A row g and a column h go to the kernel compact, in the shapes of the
+    tile's coordinates, when both are finite.  Every other compact value is
+    copied into a flat lattice, in buffer ``lattice.i`` of ``ws``, and names
+    its zero axes only where its values are finite, since inf - inf is NaN,
+    not 0; a repeated value is copied once.
+    """
+    zeros = [z if z and np.isfinite(a).all() else "" for a, z in zip(values, zeros)]
+    f, g, h = values
+    if zeros[1:] == ["y", "x"]:
+        return (f if f.ndim == 1 else _full(f, tile.shape, ws, "lattice.0").reshape(-1),
+                g if g.shape == tile.dx.shape else np.broadcast_to(g, tile.dx.shape),
+                h if h.shape == tile.dy.shape else np.broadcast_to(h, tile.dy.shape)), ("", "")
+    flat = {}
+    for i, a in enumerate(values):
+        if id(a) not in flat:
+            flat[id(a)] = a if a.ndim == 1 else _full(a, tile.shape, ws, f"lattice.{i}").reshape(-1)
+    return [flat[id(a)] for a in values], tuple(zeros[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +592,25 @@ def _top(x):
 
 
 def _maxima(a, tile, ws, zero=""):
-    """(sup |a|, largest |edge difference|) of the flat scalar lattice ``a``
-    of ``tile``, over the tile's own cells only: their corners, and their
-    x- and y-edges (:func:`_kernels.edges`), formed block by block into the
-    kernel's edge buffers in ``ws``.  Edges along the axes ``zero`` names
-    (:func:`_zero_edges`) are exact zeros and are not formed.
+    """(sup |a|, largest |edge difference|) of the scalar values ``a`` of
+    ``tile``, over the tile's own cells only: their corners, and their
+    x- and y-edges.  Edges along the axes ``zero`` names (:func:`_zero_axes`)
+    are exact zeros and are not formed.
 
-    Where the lattice has cells that are not the tile's (a box's carpet
-    holes and padded cells, whose x-edge wraps into the next lattice row),
-    the corners of the tile's own cells are first gathered by
-    ``tile.order``, concatenated (v0, v1, v2, v3); otherwise every lattice
-    vertex is a corner of one of its cells.  Neither maximum depends on
-    order.  A sup that is not finite (a NaN or inf value) comes with the
-    edge maximum NaN, its edges not formed.
+    A compact row, column or constant (``zero`` not empty) is read as it
+    is: a row's values and x-edges at the columns ``tile.cols`` of its
+    :func:`_kernels.near_far` pairs, a column's at the rows ``tile.rows``.
+    A flat lattice's edges (:func:`_kernels.edges`) are formed block by
+    block into the kernel's edge buffers in ``ws``; where it has cells that
+    are not the tile's (a box's carpet holes and padded cells, whose x-edge
+    wraps into the next lattice row), the corners of the tile's own cells
+    are first gathered by ``tile.order``, concatenated (v0, v1, v2, v3);
+    otherwise every lattice vertex is a corner of one of its cells.
+    Neither maximum depends on order.  A sup that is not finite (a NaN or
+    inf value) comes with the edge maximum NaN, its edges not formed.
     """
+    if zero:
+        return _compact_maxima(a, tile, zero)
     cells = tile.cells
     if tile.order.size < cells[1]:
         m = tile.order.size
@@ -561,18 +621,30 @@ def _maxima(a, tile, ws, zero=""):
     sup = _top(a)
     if not np.isfinite(sup):
         return sup, np.nan  # no estimate; its edges are not formed
-    axes = "".join(x for x in "xy" if x not in zero)
     edge = 0.0
-    if axes:
 
-        def diff(name, x, y):
-            return np.subtract(x, y, out=ws.take(f"kernel.g{name}", x.shape, a.dtype))
+    def diff(name, x, y):
+        return np.subtract(x, y, out=ws.take(f"kernel.g{name}", x.shape, a.dtype))
 
-        for lo, hi in K._blocks(cells[1]):
-            for d in K.edges(a, cells, diff, lo, hi, axes):
-                if d is not None:
-                    edge = max(edge, _top(d))
+    for lo, hi in K._blocks(cells[1]):
+        for d in K.edges(a, cells, diff, lo, hi):
+            edge = max(edge, _top(d))
     return sup, edge
+
+
+def _compact_maxima(a, tile, zero):
+    """:func:`_maxima` of a compact row, column or constant ``a``."""
+    if zero == "xy":  # a constant: every edge is an exact zero
+        sup = _top(a)
+        return (sup, 0.0) if np.isfinite(sup) else (sup, np.nan)
+    shape, own = (tile.dx.shape, tile.cols) if zero == "y" else (tile.dy.shape, tile.rows)
+    near, far = K.near_far(np.broadcast_to(a, shape))
+    if own is not None:
+        near, far = near[own], far[own]
+    sup = np.maximum(_top(near), _top(far))  # np.maximum keeps NaN
+    if not np.isfinite(sup):
+        return sup, np.nan
+    return sup, max(0.0, _top(far - near))
 
 
 def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
@@ -591,19 +663,21 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
     """
     ws = K.Workspace() if ws is None else ws
     matrix = observables[0].kind == "matrix"
-    kernel = K.matrix_kernel if matrix else K.scalar_kernel
     tile = source.tile
     span = tile.order.size
     vals = ws.take("reordered", (w_hi - w_lo,))
     if maxima is not None:
         maxima[...] = 0.0
     for lo in range(w_lo - w_lo % span, w_hi, span):
-        (f, g, h), (_, zg, zh) = _lattice_values(source, lo, observables, ws, maxima)
-        kw = {} if matrix else {"zero_edges": (zg, zh)}
+        values, zeros = _lattice_values(source, lo, observables, ws, maxima)
+        if matrix:
+            result = K.matrix_kernel(*values, cells=tile.cells, out=ws)
+        else:
+            (f, g, h), zero_edges = _kernel_args(values, zeros, tile, ws)
+            result = K.scalar_kernel(f, g, h, cells=tile.cells, out=ws, zero_edges=zero_edges)
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
-        np.take(kernel(f, g, h, cells=tile.cells, out=ws, **kw), tile.order[a - lo : b - lo],
-                out=vals[a - w_lo : b - w_lo], mode="clip")
+        np.take(result, tile.order[a - lo : b - lo], out=vals[a - w_lo : b - w_lo], mode="clip")
     return K.leaf_sums(vals, LEAF)
 
 

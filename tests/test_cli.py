@@ -260,6 +260,21 @@ class TestBuildId:
         monkeypatch.setattr(cli, "_PACKAGE_DIR", copy)
         assert build_id() == __version__
 
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+    def test_ignores_a_copy_two_levels_below_a_checkout(self, tmp_path, monkeypatch):
+        # a copy whose grandparent is some repository's toplevel, but not
+        # under its src/: that repository is not its source either
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+               "-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (tmp_path / ".gitignore").write_text("venv/\n")
+        subprocess.run(git + ["add", ".gitignore"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "project"], check=True)
+        copy = tmp_path / "venv" / "dustcocycle"
+        copy.mkdir(parents=True)
+        monkeypatch.setattr(cli, "_PACKAGE_DIR", copy.resolve())
+        assert build_id() == __version__
+
     def test_version_outside_a_checkout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_PACKAGE_DIR", tmp_path)
         assert build_id() == __version__
@@ -411,15 +426,17 @@ class TestExitCodes:
         assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
 
     def test_selftest_checks_the_zero_edge_elision(self, monkeypatch, capsys):
-        """A kernel whose elided path is one ulp off passes every other check
-        (the closed forms are checked to 1e-12) and fails this one alone."""
+        """A kernel whose path for a compact row g and column h is one ulp
+        off passes every other check (the closed forms are checked to
+        1e-12) and fails this one alone."""
         code, out = run_cli("selftest")
-        assert "scalar kernel zero-edge elision vs general path: 0 of 2400 parts differ" in out
+        assert ("scalar kernel zero-edge elision, compact vs materialized rows and columns: "
+                "0 of 4662 parts differ") in out
         kernel = K.scalar_kernel
 
-        def off_by_an_ulp(*args, zero_edges=("", ""), **kwargs):
-            got = kernel(*args, zero_edges=zero_edges, **kwargs)
-            if any(zero_edges):
+        def off_by_an_ulp(f, g, h, **kwargs):
+            got = kernel(f, g, h, **kwargs)
+            if g.ndim > 1:
                 got.real = np.nextafter(got.real, np.inf)
             return got
 

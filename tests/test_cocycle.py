@@ -24,7 +24,7 @@ from dustcocycle.cocycle import (
     validate_projection,
 )
 from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
-from dustcocycle.geometry import BudgetError, enumerate_squares, get_preset, vertices
+from dustcocycle.geometry import BudgetError, IfsPreset, enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import dust_image
 from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection, get_smooth_preset
 from test_oracle import pauli_pack
@@ -353,6 +353,28 @@ class TestLipschitzInOnePass:
         for obs, estimate in zip(triple, got):
             assert estimate == estimate_lipschitz(preset, n, replace(obs))  # walks
             assert estimate == brute_force_lipschitz(preset, n, obs)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_compact_rules_count_only_own_rows_and_columns(self, n):
+        """On an IFS whose box tiles have a column and a row that no cell of
+        the tile uses, a row's and a column's maxima, read from their
+        compact values, leave out the values and edges there: a step to 5
+        at a vertex column no cell reaches, and a jump across a row no cell
+        covers, count for neither."""
+        corner = IfsPreset("corner", ((0, 0), (1, 0), (0, 2)))
+        tile = cocycle._direct_tile(corner.offsets, n)
+        assert tile.cols is not None and tile.rows is not None
+        triple = (direct_scalar(lambda x, y: 1.0 + x * y, "1+xy"),
+                  direct_scalar(lambda x, y: np.where(x > 0.8, 5.0, x), "x, 5 past 0.8"),
+                  direct_scalar(lambda x, y: np.where(y < 0.5, 0.0, 1.0), "step at y=0.5"))
+        table_level(corner, n - 1, triple)
+        phi_n(corner, n, *triple, workers=1)
+        for obs in triple:
+            got = estimate_lipschitz(corner, n, obs)  # read back from the sum
+            assert got == estimate_lipschitz(corner, n, replace(obs))  # walks
+            assert got == brute_force_lipschitz(corner, n, obs)
+        assert estimate_lipschitz(corner, n, triple[1])[0] < 1.0
+        assert estimate_lipschitz(corner, n, triple[2])[1] == 0.0
 
     def test_repeated_observable(self):
         """A triple that repeats an observable takes its maxima once, and

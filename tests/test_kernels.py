@@ -458,6 +458,63 @@ def real_cells(layout, cells):
     return (o0 + np.arange(count)) % w != w - 1 if layout == "shifted" else np.ones(count, bool)
 
 
+class TestSeparablePair:
+    """Given a row g and a column h compact, scalar_kernel forms each
+    block's X Y as one outer product of their edge vectors, and gives the
+    bits of the same values as flat lattices on every square (a shifted
+    lattice's padded cells aside), also for a lone complex square."""
+
+    @staticmethod
+    def lattices(rng, layout, rows, cols, gtype, htype):
+        """(f, g, h, cells): a flat f, a compact row g and column h on a
+        shifted rows x cols lattice or on rows x cols quadrant cells."""
+        def draw(shape, dtype):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if dtype == np.complex128 else a
+
+        if layout == "shifted":
+            full, row, col = (rows, cols), (1, cols), (rows, 1)
+            cells = shifted_cells(rows, cols)
+        else:
+            full, row, col = (2, 2, rows, cols), (1, 2, 1, cols), (2, 1, rows, 1)
+            cells = quadrant_cells(rows, cols)
+        return draw(full, htype).reshape(-1), draw(row, gtype), draw(col, htype), cells
+
+    @pytest.mark.parametrize("layout, rows, cols", [
+        ("shifted", 2, 2), ("shifted", 2, 3), ("shifted", 70, 257), ("shifted", 300, 120),
+        ("quadrant", 1, 1), ("quadrant", 1, 2), ("quadrant", 64, 300), ("quadrant", 129, 257),
+    ])
+    def test_bitwise_equal_to_materialized(self, rng, layout, rows, cols):
+        for gtype, htype in ((np.float64,) * 2, (np.complex128,) * 2,
+                             (np.float64, np.complex128)):
+            for _ in range(20 if rows * cols < 10 else 1):  # a lone square rounds by chance
+                f, g, h, cells = self.lattices(rng, layout, rows, cols, gtype, htype)
+                full = (2, 2, rows, cols) if layout == "quadrant" else (rows, cols)
+                got = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace())
+                want = K.scalar_kernel(f, *(np.broadcast_to(a, full).reshape(-1) for a in (g, h)),
+                                       cells=cells, out=K.Workspace())
+                keep = real_cells(layout, cells)
+                assert_bits_equal(got[keep] + 0.0, want[keep] + 0.0)
+
+    def test_one_outer_product_per_block(self, monkeypatch, rng):
+        """Per call, one difference for each edge vector; per block, the
+        outer product, a product per term and the final scale."""
+        f, g, h, cells = self.lattices(rng, "shifted", 300, 120, np.float64, np.float64)
+        calls = {"multiply": 0, "subtract": 0}
+        for name in calls:
+            ufunc = getattr(np, name)
+
+            def counted(*args, _ufunc=ufunc, _name=name, **kwargs):
+                calls[_name] += 1
+                return _ufunc(*args, **kwargs)
+
+            monkeypatch.setattr(K.np, name, counted)
+        K.scalar_kernel(f, g, h, cells=cells)
+        blocks = len(list(K._blocks(cells[1])))
+        assert blocks > 2
+        assert calls == {"multiply": 6 * blocks, "subtract": 2}
+
+
 class TestZeroEdgeElision:
     """With zero edges named, scalar_kernel skips the products they zero and
     gives the general path's bits on every square (up to the sign of an

@@ -588,9 +588,11 @@ class TestObservableContract:
 
 
 class TestZeroEdgeDetection:
-    """A scalar rule of one coordinate reaches the engine as a broadcast row
-    or column; its stride-0 axes name the edges the kernel may skip, and the
-    sums keep every bit of the general path."""
+    """A scalar rule of one coordinate reaches the engine compact, as the
+    row or column it returned; its length-1 axes name the edges that are
+    exact zeros, a row g and a column h go to the kernel as they are, and
+    the sums keep every bit of the same sums on materialized flat
+    lattices."""
 
     RULES = {
         "u only": (lambda u, v: np.sin(TWO_PI * u), "y"),
@@ -609,10 +611,10 @@ class TestZeroEdgeDetection:
     }
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
-    def test_patterns_read_from_strides(self, source):
-        """Zero edges are read from the strides of a broadcast value, which
-        is copied into the workspace; a full (C-contiguous) value names
-        none and is used in place, a view of the rule's own array."""
+    def test_patterns_read_from_shapes(self, source):
+        """Zero edges are read from the axes of length 1 of the values as
+        the rule returned them, which stay compact, the rule's own array;
+        a full (C-contiguous) value names none and is flattened in place."""
         src = self.SOURCES[source]()
         mode = "direct" if "quadrants" in source or "box" in source else "pullback"
         returned = {}
@@ -626,73 +628,120 @@ class TestZeroEdgeDetection:
 
         obs = [Observable(name, mode, "scalar", recorded(name, rule))
                for name, (rule, _) in self.RULES.items()]
-        ws = K.Workspace()
-        values, zero = cocycle._lattice_values(src, 0, obs, ws)
+        values, zero = cocycle._lattice_values(src, 0, obs, K.Workspace())
         assert zero == [want for _, want in self.RULES.values()]
-        assert all(a.ndim == 1 for a in values)
-        for i, (name, a) in enumerate(zip(self.RULES, values)):
-            copied = np.shares_memory(a, ws.take(f"lattice.{i}", a.shape, a.dtype))
-            if np.size(returned[name]) == a.size:
-                assert np.shares_memory(a, returned[name]) and not copied
+        for name, a, z in zip(self.RULES, values, zero):
+            assert np.shares_memory(a, returned[name]) or np.ndim(returned[name]) == 0
+            assert a.ndim == (1 if not z else len(src.tile.shape))
+            assert a.size == np.size(returned[name])
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_only_a_row_g_and_a_column_h_stay_compact(self, source):
+        """The kernel takes a finite row g and column h as they are, in the
+        shapes of the tile's coordinates; any other compact value is copied
+        into the workspace as a flat lattice, and names its zero edges."""
+        src = self.SOURCES[source]()
+        mode = "direct" if "quadrants" in source or "box" in source else "pullback"
+        obs = {name: Observable(name, mode, "scalar", rule)
+               for name, (rule, _) in self.RULES.items()}
+        for names, compact, zero_edges in (
+            (("both", "u only", "v only"), True, ("", "")),
+            (("u only", "u only", "v only"), True, ("", "")),
+            (("both", "both", "v only"), False, ("", "x")),
+            (("both", "u only", "u only"), False, ("y", "y")),
+            (("both", "constant", "v only"), False, ("xy", "x")),
+        ):
+            ws = K.Workspace()
+            values, zeros = cocycle._lattice_values(src, 0, [obs[n] for n in names], ws)
+            (f, g, h), got = cocycle._kernel_args(values, zeros, src.tile, ws)
+            assert f.ndim == 1 and f.size == math.prod(src.tile.shape)
+            if compact:
+                assert got == ("", "")
+                assert g is values[1] and g.shape == src.tile.dx.shape
+                assert h is values[2] and h.shape == src.tile.dy.shape
             else:
-                assert copied and not np.shares_memory(a, returned[name])
+                assert got == zero_edges
+                for i, a in enumerate((g, h), 1):
+                    assert a.ndim == 1 and a.size == f.size
+                    if values[i].ndim > 1:  # a repeated value is copied once
+                        first = names.index(names[i])
+                        assert np.shares_memory(a, ws.take(f"lattice.{first}", a.shape, a.dtype))
+                assert (h is g) == (names[2] == names[1])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_falls_back(self, monkeypatch, bad):
-        """inf - inf is NaN, not 0: a row or column that is not finite
-        names no zero edges, and the kernel takes the general path."""
+        """inf - inf is NaN, not 0: a row or column that is not finite is
+        copied into a flat lattice, names no zero edges, and the kernel
+        takes the general path."""
         src = cocycle._pullback_source(4)
         row = Observable("u only", "pullback", "scalar",
                          lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u)))
         col = Observable("v only", "pullback", "scalar",
                          lambda u, v: np.where(v == 0.25, bad, np.cos(TWO_PI * v)))
-        _, zero = cocycle._lattice_values(src, 0, (row, col), K.Workspace())
-        assert zero == ["", ""]
+        f = Observable("uv", "pullback", "scalar", lambda u, v: u * v)
+        ws = K.Workspace()
+        values, zero = cocycle._lattice_values(src, 0, (f, row, col), ws)
+        assert zero == ["", "y", "x"]
+        (_, g, h), zero_edges = cocycle._kernel_args(values, zero, src.tile, ws)
+        assert zero_edges == ("", "") and g.ndim == h.ndim == 1
         seen = []
         kernel = K.scalar_kernel
 
-        def recorded(*args, **kwargs):
-            seen.append(kwargs["zero_edges"])
-            return kernel(*args, **kwargs)
+        def recorded(f, g, h, **kwargs):
+            seen.append((g.ndim, h.ndim, kwargs["zero_edges"]))
+            return kernel(f, g, h, **kwargs)
 
         monkeypatch.setattr(K, "scalar_kernel", recorded)
-        f = Observable("uv", "pullback", "scalar", lambda u, v: u * v)
         with np.errstate(invalid="ignore"):
             phi_n(DUST, 4, f, row, col, workers=1)
-        assert seen == [("", "")]
+        assert seen == [(1, 1, ("", ""))]
 
-    SUMS = [(name, "pullback") for name in ("bott-flux", "stokes-null", "mixed-mode",
-                                            "double-flux")]
-    SUMS += [("bott-flux", "subdivision")]
-    SUMS += [(name, preset) for name in ("const-xy", "sine-xy")
+    SUMS = [(name, "pullback", "compact") for name in ("bott-flux", "stokes-null",
+                                                       "double-flux")]
+    SUMS += [("mixed-mode", "pullback", "zero edges"), ("bott-flux", "subdivision", "compact")]
+    SUMS += [(name, preset, "compact") for name in ("const-xy", "sine-xy")
              for preset in ("cantor-dust", "sierpinski-carpet", "full-subdivision-3")]
 
     @staticmethod
-    def phi(name, where, n):
-        f, g, h = resolve_functions(name)[:3]
+    def phi(triple, where, n):
+        f, g, h = triple
         if where == "subdivision":
             return cocycle.phi_subdivision(n, f.rule, g.rule, h.rule, workers=1)
         if where == "pullback":
             return phi_n(DUST, n, f, g, h, workers=1)
         return phi_n(get_preset(where), min(n, 5), f, g, h, workers=1)
 
-    @pytest.mark.parametrize("name, where", SUMS)
-    def test_sums_equal_general_path(self, monkeypatch, name, where):
+    @staticmethod
+    def materialized(obs):
+        """``obs`` with a rule that returns its values at full shape,
+        C-contiguous, so the engine reads them as a flat lattice."""
+        def rule(u, v):
+            shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+            return np.ascontiguousarray(np.broadcast_to(obs.rule(u, v), shape))
+
+        return Observable(obs.name, obs.mode, obs.kind, rule)
+
+    @pytest.mark.parametrize("name, where, path", SUMS)
+    def test_sums_equal_general_path(self, monkeypatch, name, where, path):
         """Every sum of the catalogue's and the direct presets' triples, at
-        n = 0..8, equals the sum with the zero edges withheld from the
-        kernel."""
-        want = {}
+        n = 0..8, equals the same sum on materialized flat lattices, which
+        name no zero edges; the compact ones ran through
+        ``K.scalar_kernel``, with a row g and a column h as they are
+        (``path`` "compact") or with zero edges named (mixed-mode's column
+        h, whose partner g is full)."""
+        triple = resolve_functions(name)[:3]
+        flat = tuple(self.materialized(o) for o in triple)
         kernel = K.scalar_kernel
-        skipped = []
+        seen = []
 
-        def general(*args, zero_edges=("", ""), **kwargs):
-            skipped.append(zero_edges)
-            return kernel(*args, **kwargs)
+        def recorded(f, g, h, **kwargs):
+            seen.append((g.ndim > 1, any(kwargs["zero_edges"])))
+            return kernel(f, g, h, **kwargs)
 
-        monkeypatch.setattr(K, "scalar_kernel", general)
+        monkeypatch.setattr(K, "scalar_kernel", recorded)
         for n in range(9):
-            want[n] = self.phi(name, where, n)
-        monkeypatch.setattr(K, "scalar_kernel", kernel)
-        assert any(any(z) for z in skipped)
-        for n in range(9):
-            assert self.phi(name, where, n) == want[n], n
+            want = self.phi(flat, where, n)
+            assert not any(compact or zero for compact, zero in seen)
+            assert self.phi(triple, where, n) == want, n
+            assert seen.pop() == ((True, False) if path == "compact" else (False, True))
+            seen.clear()
