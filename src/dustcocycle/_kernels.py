@@ -421,14 +421,18 @@ def _separable(f, g, h, cells, dtype, ws, result):
     block touches, and X' Y' = 0 is not formed."""
     d, e = _edge_vectors(g, h, dtype, ws)
     width = d.size
+    m = min(cells[1], BLOCK + 1)  # the longest block
+    # a block of m cells touches at most (m - 1) // width + 2 rows
+    prod = ws.take("kernel.prod", (m - 1 + 2 * width,), dtype)
+    accs = ws.take("kernel.acc", (m,), dtype)
+    sums = ws.take("kernel.s", (m,), dtype)
     for lo, hi in _blocks(cells[1]):
         i0, i1 = lo // width, (hi - 1) // width + 1
-        p = ws.take("kernel.prod", (i1 - i0, width), dtype)
-        np.multiply(d, e[i0:i1, None], out=p)  # X Y, in the general path's order
-        P = p.reshape(-1)[lo - i0 * width : hi - i0 * width]
+        p = prod[: (i1 - i0) * width]
+        np.multiply(d, e[i0:i1, None], out=p.reshape(i1 - i0, width))  # X Y, d first
+        P = p[lo - i0 * width : hi - i0 * width]
         f0, f1, f2, f3 = corners(f, cells, lo, hi)
-        acc = ws.take("kernel.acc", (hi - lo,), dtype)
-        s = ws.take("kernel.s", (hi - lo,), dtype)
+        acc, s = accs[: hi - lo], sums[: hi - lo]
         for t, F in ((acc, f0), (s, f2), (s, f1), (s, f3)):
             np.multiply(P, F, out=t)
             if t is s:

@@ -480,10 +480,6 @@ def _zero_axes(values, u, v):
     for u."""
     if values.size == u.size * v.size:  # full: u and v vary along disjoint axes
         return ""
-    if values.shape == u.shape:
-        return "y"
-    if values.shape == v.shape:
-        return "x"
     return "".join(name for name, c in (("x", u), ("y", v))
                    if all(m == 1 for m, k in zip(values.shape, c.shape) if k > 1))
 
@@ -515,7 +511,6 @@ def _lattice_values(source, lo, observables, ws, maxima=None):
     tile raise (elementwise, NaN kept); a repeated one's row is its first
     one's.
     """
-    tile = source.tile
     x, y = source.place(lo)
     u, v = x / source.den, y / source.den
     cache = {}
@@ -535,7 +530,7 @@ def _lattice_values(source, lo, observables, ws, maxima=None):
         for i, obs in enumerate(observables):
             values, zero, first = cache[id(obs)]
             if first == i:
-                np.maximum(maxima[i], _maxima(values, tile, ws, zero), out=maxima[i])
+                np.maximum(maxima[i], _maxima(values, source.tile, ws, zero), out=maxima[i])
             else:
                 maxima[i] = maxima[first]
     return [cache[id(o)][0] for o in observables], [cache[id(o)][1] for o in observables]
