@@ -696,10 +696,10 @@ class TestZeroEdgeDetection:
             phi_n(DUST, 4, f, row, col, workers=1)
         assert seen == [(1, 1, ("", ""))]
 
-    SUMS = [(name, "pullback", "compact") for name in ("bott-flux", "stokes-null",
-                                                       "double-flux")]
-    SUMS += [("mixed-mode", "pullback", "zero edges"), ("bott-flux", "subdivision", "compact")]
-    SUMS += [(name, preset, "compact") for name in ("const-xy", "sine-xy")
+    SUMS = [(name, "pullback") for name in ("bott-flux", "stokes-null", "mixed-mode",
+                                            "double-flux")]
+    SUMS += [("bott-flux", "subdivision")]
+    SUMS += [(name, preset) for name in ("const-xy", "sine-xy")
              for preset in ("cantor-dust", "sierpinski-carpet", "full-subdivision-3")]
 
     @staticmethod
@@ -721,14 +721,14 @@ class TestZeroEdgeDetection:
 
         return Observable(obs.name, obs.mode, obs.kind, rule)
 
-    @pytest.mark.parametrize("name, where, path", SUMS)
-    def test_sums_equal_general_path(self, monkeypatch, name, where, path):
+    @pytest.mark.parametrize("name, where", SUMS)
+    def test_sums_equal_general_path(self, monkeypatch, name, where):
         """Every sum of the catalogue's and the direct presets' triples, at
         n = 0..8, equals the same sum on materialized flat lattices, which
         name no zero edges; the compact ones ran through
-        ``K.scalar_kernel``, with a row g and a column h as they are
-        (``path`` "compact") or with zero edges named (mixed-mode's column
-        h, whose partner g is full)."""
+        ``K.scalar_kernel``, with a row g and a column h as they are, or
+        with zero edges named (mixed-mode's column h, whose partner g is
+        full)."""
         triple = resolve_functions(name)[:3]
         flat = tuple(self.materialized(o) for o in triple)
         kernel = K.scalar_kernel
@@ -743,5 +743,5 @@ class TestZeroEdgeDetection:
             want = self.phi(flat, where, n)
             assert not any(compact or zero for compact, zero in seen)
             assert self.phi(triple, where, n) == want, n
-            assert seen.pop() == ((True, False) if path == "compact" else (False, True))
+            assert seen.pop() == ((False, True) if name == "mixed-mode" else (True, False))
             seen.clear()
