@@ -26,10 +26,38 @@ def pauli_pack(n):
     return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", n, PAULI))
 
 
+def field_partials(field, u, v):
+    """A projection field's h = (sin b, sin a, M - cos a - cos b), with
+    a = 2 pi w u and b = 2 pi v, and its analytic partials h_u, h_v: each a
+    3-tuple that broadcasts, h's components multiplied out to the full shape
+    and identically zero partials the scalar 0.0."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    a = TWO_PI * field.winding * u
+    b = TWO_PI * v
+    h = (np.sin(b) * np.ones_like(a), np.sin(a) * np.ones_like(b),
+         field.mass - np.cos(a) - np.cos(b))
+    k = TWO_PI * field.winding
+    hu = (0.0, k * np.cos(a), k * np.sin(a))
+    hv = (TWO_PI * np.cos(b), 0.0, TWO_PI * np.sin(b))
+    return h, hu, hv
+
+
+def reference_unit_field(field, u, v):
+    """n = h / |h| as a (3, ...) array, from h at the full shape: the
+    formula :meth:`ProjectionField.__call__` matches bit for bit."""
+    h = field_partials(field, u, v)[0]
+    norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
+    n = np.empty((3,) + norm.shape)
+    for k in range(3):
+        np.divide(h[k], norm, out=n[k, ...])
+    return n
+
+
 def unit_field_partials(field, u, v):
     """The unit field n = h / |h| and its partials n_u, n_v, each a 3-tuple,
     from d(h / |h|) = (dh - n (n . dh)) / |h|."""
-    h, hu, hv = (np.broadcast_arrays(*x, u, v)[:3] for x in field._field(u, v))
+    h, hu, hv = (np.broadcast_arrays(*x, u, v)[:3] for x in field_partials(field, u, v))
     norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
     n = tuple(c / norm for c in h)
     out = []
@@ -48,12 +76,15 @@ def reference_projection_partials(field, u, v):
 
 def reference_chern_commutator(field, m):
     """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u))
-    with the 2x2 matrices formed explicitly."""
+    with the 2x2 matrices formed explicitly, 128 grid rows at a time."""
     pts = (np.arange(m) + 0.5) / m
-    u, v = np.meshgrid(pts, pts, indexing="ij")
-    e, eu, ev = reference_projection_partials(field, u, v)
-    comm = eu @ ev - ev @ eu
-    return complex(np.einsum("...ij,...ji->...", e, comm).mean() / (1j * math.pi))
+    total = 0j
+    for lo in range(0, m, 128):
+        u, v = np.meshgrid(pts[lo:lo + 128], pts, indexing="ij")
+        e, eu, ev = reference_projection_partials(field, u, v)
+        comm = eu @ ev - ev @ eu
+        total += np.einsum("...ij,...ji->...", e, comm).sum()
+    return complex(total / (m * m) / (1j * math.pi))
 
 
 class TestWedgeQuadrature:
@@ -178,14 +209,57 @@ class TestProjectionField:
         u, v = rng.uniform(-1.0, 2.0, (2, 1000))
         np.testing.assert_array_equal(field(u, v), unit_field_partials(field, u, v)[0])
 
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    def test_call_matches_full_shape_formula_bitwise(self, d):
+        """sin a and sin b stay compact in the field, yet every Bloch vector
+        keeps the bits of h multiplied out to the full shape first."""
+        field = bott_projection(d)
+        rng = np.random.default_rng(d + 40)
+        grid = np.arange(64) / 64.0
+        pts = rng.uniform(-1.0, 2.0, 33)
+        inputs = [
+            (rng.uniform(-1.0, 2.0, (1, 257)), rng.uniform(-1.0, 2.0, (257, 1))),  # pullback tile
+            (grid[None, :], grid[:, None]),  # validate_projection's level-6 grid
+            np.meshgrid(pts, pts[::-1], indexing="ij"),
+            (np.float64(0.3), np.float64(0.7)),
+            (0.8, -0.45),
+        ]
+        for u, v in inputs:
+            got, want = field(u, v), reference_unit_field(field, u, v)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    def test_curvature_numerator_closed_form(self, d):
+        """h . (h_u x h_v) = 2 pi k (cos a + cos b - M cos a cos b) with
+        k = 2 pi w, from sin^2 + cos^2 = 1 alone: the oracle's integrand."""
+        field = bott_projection(d)
+        u, v = np.random.default_rng(d + 60).uniform(-1.0, 2.0, (2, 1000))
+        (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v) = field_partials(field, u, v)
+        triple = (
+            h1 * (h2u * h3v - h3u * h2v)
+            + h2 * (h3u * h1v - h1u * h3v)
+            + h3 * (h1u * h2v - h2u * h1v)
+        )
+        ca, cb = np.cos(TWO_PI * field.winding * u), np.cos(TWO_PI * v)
+        closed = ca + cb - field.mass * ca * cb
+        assert np.abs(triple / (TWO_PI * TWO_PI * field.winding) - closed).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    def test_chern_value_at_grid_1024(self, d):
+        val = chern_pairing_oracle(bott_projection(d), 1024)
+        assert abs(val - 2 * d) <= 1e-9
+        assert val.imag == 0.0
+
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_chern_value_on_even_lattice(self, d):
         val = chern_pairing_oracle(bott_projection(d), 256)
         assert abs(val - 2 * d) < 1e-3
         assert abs(val.imag) < 1e-12
 
-    @pytest.mark.parametrize("m", [64, 128, 256])
-    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    @pytest.mark.parametrize("d, m", [
+        (d, m) for d in range(-MAX_WINDING, MAX_WINDING + 1) for m in (64, 128, 256)
+    ] + [(-1, 1024), (1, 1024)])
     def test_degree_integral_matches_commutator_reference(self, d, m):
         field = bott_projection(d)
         val = chern_pairing_oracle(field, m)
