@@ -11,9 +11,10 @@ matching the vertex cycle v0 -> v1 -> v2 of the square kernel.
 The Chern oracle is the degree integral of a projection's unit field.  For
 ``e = (I + n . sigma) / 2`` the Pauli identities give
 ``Tr(e [e_u, e_v]) = (i / 2) n . (n_u x n_v)``, and for ``n = h / |h|``
-``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``; so the pairing integral
-``(1 / pi i) * integral Tr(e [e_u, e_v])`` is
-``(1 / 2 pi) * integral h . (h_u x h_v) / |h|^3`` and no matrix is formed.
+``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``.  For every
+:class:`ProjectionField`, sin^2 + cos^2 = 1, the only identity used, makes
+``h . (h_u x h_v)`` a closed-form curvature, so neither a matrix nor h's
+partials are formed.
 """
 
 from __future__ import annotations
@@ -243,10 +244,11 @@ MAX_WINDING = 3
 class ProjectionField:
     """A rank-1 smooth projection e(u, v) in M_2(C) built from a unit field.
 
-    ``e = (I + n . sigma) / 2`` where ``n = h / |h|`` for a smooth field
-    ``h`` that never vanishes; the sphere map ``n`` has winding number
-    ``degree``.  Calling the field gives ``n``, which is how the engine's
-    matrix observables describe ``e``.
+    ``e = (I + n . sigma) / 2`` where ``n = h / |h|`` for the smooth field
+    ``h = (sin b, sin a, mass - cos a - cos b)``, ``a = 2 pi winding u``,
+    ``b = 2 pi v``, which never vanishes; the sphere map ``n`` has winding
+    number ``degree``.  Calling the field gives ``n``, which is how the
+    engine's matrix observables describe ``e``.
     """
 
     name: str
@@ -254,34 +256,22 @@ class ProjectionField:
     winding: int
     mass: float
 
-    def _values(self, u, v):
-        """The angles (a, b) and the unnormalised field h at (u, v)."""
+    def __call__(self, u, v):
+        """The unit field n = h / |h| at (u, v), the Bloch vector of e, as a
+        (3, ...) float64 array.  sin b and sin a and their squares keep the
+        shapes of v and u; only h3, |h|^2 and n take the full shape, each
+        element bitwise as with h multiplied out first (x * 1.0 == x)."""
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         a = TWO_PI * self.winding * u
         b = TWO_PI * v
-        h1 = np.sin(b) * np.ones_like(a)
-        h2 = np.sin(a) * np.ones_like(b)
+        h1 = np.sin(b)
+        h2 = np.sin(a)
         h3 = self.mass - np.cos(a) - np.cos(b)
-        return a, b, (h1, h2, h3)
-
-    def _field(self, u, v):
-        """h and its analytic partials h_u, h_v, each a 3-tuple that
-        broadcasts (identically zero components are the scalar 0.0)."""
-        a, b, h = self._values(u, v)
-        k = TWO_PI * self.winding
-        hu = (0.0, k * np.cos(a), k * np.sin(a))
-        hv = (TWO_PI * np.cos(b), 0.0, TWO_PI * np.sin(b))
-        return h, hu, hv
-
-    def __call__(self, u, v):
-        """The unit field n = h / |h| at (u, v), the Bloch vector of e, as a
-        (3, ...) float64 array; the field's partials are never computed."""
-        h = self._values(u, v)[2]
-        norm = np.sqrt(h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
+        norm = np.sqrt(h1 * h1 + h2 * h2 + h3 * h3)
         n = np.empty((3,) + norm.shape)
-        for k in range(3):
-            np.divide(h[k], norm, out=n[k, ...])
+        for k, c in enumerate((h1, h2, h3)):
+            np.divide(c, norm, out=n[k, ...])
         return n
 
 
@@ -306,29 +296,31 @@ _ORACLE_ROWS = 64
 
 def chern_pairing_oracle(field: ProjectionField, m: int) -> complex:
     """Midpoint quadrature of (1 / pi i) * integral Tr(e (e_u e_v - e_v e_u)),
-    evaluated as the degree integral of the field.
+    evaluated as the degree integral of the field in closed form.
 
-    For ``e = (I + n . sigma) / 2`` the Pauli algebra gives
-    ``Tr(e [e_u, e_v]) = (i / 2) n . (n_u x n_v)``, and for ``n = h / |h|``
-    ``n . (n_u x n_v) = h . (h_u x h_v) / |h|^3``.  The value is therefore
-    ``(1 / 2 pi) * mean(h . (h_u x h_v) / |h|^3)``, twice the Chern number,
-    computed from the unnormalised field and its analytic partials with no
-    matrix and no complex array.  Rows are taken ``_ORACLE_ROWS`` at a time,
-    u as a column and v as a row, so the transcendentals run on 1-D axes.
+    ``Tr(e [e_u, e_v]) = (i / 2) h . (h_u x h_v) / |h|^3`` for
+    ``e = (I + n . sigma) / 2``, ``n = h / |h|``.  With
+    ``h = (sin b, sin a, M - cos a - cos b)``, ``a = k u``, ``b = 2 pi v``
+    and ``k = 2 pi winding``, sin^2 + cos^2 = 1 turns ``h . (h_u x h_v)``
+    into ``2 pi k (cos a + cos b - M cos a cos b)``, the Qi-Wu-Zhang
+    curvature (Phys. Rev. B 74, 085308, 2006).  The value, twice the Chern
+    number, is ``k * mean((cos a + cos b - M cos a cos b) / |h|^3)`` with
+    ``|h|^2 = (sin^2 b + sin^2 a) + h3^2``, taken ``_ORACLE_ROWS`` rows at
+    a time, u as a column and v as a row, so the transcendentals and
+    squares run on 1-D axes.
     """
     if m < 64:
         raise ValueError("grid size must be >= 64")
     pts = (np.arange(m) + 0.5) / m
+    k = TWO_PI * field.winding
+    b = TWO_PI * pts[None, :]
+    cb, sb = np.cos(b), np.sin(b)
+    sb2 = sb * sb
     acc = 0.0
     for lo in range(0, m, _ORACLE_ROWS):
-        (h1, h2, h3), (h1u, h2u, h3u), (h1v, h2v, h3v) = field._field(
-            pts[lo:lo + _ORACLE_ROWS, None], pts[None, :]
-        )
-        triple = (
-            h1 * (h2u * h3v - h3u * h2v)
-            + h2 * (h3u * h1v - h1u * h3v)
-            + h3 * (h1u * h2v - h2u * h1v)
-        )
-        norm2 = h1 * h1 + h2 * h2 + h3 * h3
-        acc += (triple / (norm2 * np.sqrt(norm2))).sum()
-    return complex(acc / (m * m) / TWO_PI)
+        a = k * pts[lo:lo + _ORACLE_ROWS, None]
+        ca, sa = np.cos(a), np.sin(a)
+        h3 = field.mass - ca - cb
+        norm2 = (sb2 + sa * sa) + h3 * h3
+        acc += ((ca + cb - field.mass * ca * cb) / (norm2 * np.sqrt(norm2))).sum()
+    return complex(k * (acc / (m * m)))
