@@ -83,29 +83,23 @@ kernel compact, (1, W) and (H, 1) on a shifted lattice, (1, 2, 1, w) and
 (2, 1, h, 1) on the quadrants.  Then X' Y' = gy hx vanishes, a row's two
 x-edges at a cell are the same difference d[j] of its column and a
 column's two y-edges the same e[i] of its row, so every term's X Y is
-d[j] e[i]: the kernel forms d and e once per call (a shifted lattice's
-padded column gets a finite d = 0) and each block's X Y once, as their
-outer product over the rows the block touches, d the first operand as in
-X Y.  A call of one cell takes the flat path instead (see below: numpy
-rounds a lone complex product of broadcast operands like an in-place one).
-Otherwise the engine names the zero edges of flat g and h to the scalar
-kernel (``zero_edges``): where X' Y' vanishes (g a row or h a column) and
-X Y = gx hy does not, the kernel forms neither X' Y' nor the edges only it
-reads, gy and hx.  Both keep every bit.  A zero edge is x - x of a finite
-x, +0, so X' Y' is an exact zero (of either sign) when the other factor is
-finite, and p - 0 = p; the remaining operations keep their operands and
-order.  Every other pattern runs the general path: no preset has g a
-column or h a row, and when both products vanish (a row g with a row h,
-h = g a row, a constant g) every term is an exact zero times f, where the
-general path keeps the NaN of an f that is not finite.  The values are as
-the general path's up to the sign of an exact zero, with three provisos:
+d[j] e[i]: the kernel's separable path forms d and e once per call (a
+shifted lattice's padded column gets a finite d = 0) and each block's X Y
+once, as their outer product over the rows the block touches, d the first
+operand as in X Y.  A call of one cell takes the general path instead (see
+below: numpy rounds a lone complex product of broadcast operands like an
+in-place one).
+Every other operand shape runs the general path on flat lattices: a row or
+column whose partner is not the matching column or row, a row with a row,
+a constant.  It forms every product, also one that zero edges make an exact
+zero, so a term 0 * F whose f is not finite keeps its NaN.  The separable
+path's values are the general path's on the same values materialized flat,
+up to the sign of an exact zero: a zero edge is x - x of a finite x, +0, so
+the X' Y' it does not form is an exact zero (of either sign) and p - 0 = p,
+and every other operation keeps its operands and order.  Two provisos:
 
-* the engine names an edge zero, or passes a row or column compact, only
-  where its values are finite, since inf - inf is NaN, not 0;
-* where another input is not finite, or an edge difference of finite
-  values overflows (values of about 1e308), the general path's
-  0 * inf = NaN is not formed, so a square may be finite or +-inf where
-  the general path gives NaN;
+* the engine passes a row or column compact only where its values are
+  finite, since inf - inf is NaN, not 0;
 * a shifted lattice's padded cell is not a square: a column's x-edge there
   wraps into the next row and is not zero, so its value differs; the
   callers drop it.
@@ -152,12 +146,12 @@ import numpy as np
 # rows, twelve rows of accumulators and products) 3.7 MB, or 3.0 MB in the
 # symmetric block, when g = h as in a pairing (g's edges, twelve rows of
 # the shared cross products and three of accumulators).  Each block makes
-# about 25 (scalar; 14 for a flat row g and column h, 9 for compact ones),
-# 50 to 60 (matrix) or 37 (symmetric matrix block) ufunc calls, and the
-# Python between them holds the GIL, so the block size sets how well two
-# workers overlap.  On a 2-core VM, bott-flux phi_n at n = 11
-# took 0.23 s on one worker and 0.32 s on two with 4096-square scalar blocks,
-# 0.19 s and 0.15 s with 16384.  65536-square blocks gained little more
+# about 25 (scalar; 9 for a compact row g and column h), 50 to 60 (matrix)
+# or 37 (symmetric matrix block) ufunc calls, and the Python between them
+# holds the GIL, so the block size sets how well two workers overlap.  On a
+# 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and 0.32 s
+# on two with 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.
+# 65536-square blocks gained little more
 # (0.13 s on two workers) but raised the peak RSS of the lipschitz-direct
 # benchmark by 7% and of pullback-converge by 14%.  Cutting a tile's 65791
 # cells into near-equal blocks instead of 4 x 16384 + 255 kept every bit
@@ -265,13 +259,12 @@ def corners(a, cells, lo=0, hi=None):
     return tuple(a[..., lo + o : hi + o] for o in offsets)
 
 
-def edges(a, cells, diff, lo=0, hi=None, axes="xy"):
+def edges(a, cells, diff, lo=0, hi=None):
     """The edge differences of flat lattice ``a`` along cells [lo, hi)
     (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0, v2 - v1),
     the x-edges at the cells' near and far rows and the y-edges at their
     near and far columns.  The other four corner differences are their
-    exact negations.  Only the edges along ``axes`` ("x" and/or "y") are
-    formed; the others are None.
+    exact negations.
 
     ``diff(name, x, y)`` returns x - y.  Where the cells' two x-edges are
     one shift apart (v2 - v3 = v1 - v0 moved by o3 - o0) and the two slices
@@ -292,15 +285,13 @@ def edges(a, cells, diff, lo=0, hi=None, axes="xy"):
         return (diff(name + "n", a[..., lo + far : hi + far], a[..., lo + near : hi + near]),
                 diff(name + "f", a[..., lo + o2 : hi + o2], a[..., lo + other : hi + other]))
 
-    return ((pair("x", o0, o1, o3) if "x" in axes else (None, None))
-            + (pair("y", o0, o3, o1) if "y" in axes else (None, None)))
+    return pair("x", o0, o1, o3) + pair("y", o0, o3, o1)
 
 
-def _terms(f, g, h, cells, lo, hi, diff, axes=("xy", "xy")):
+def _terms(f, g, h, cells, lo, hi, diff):
     """The four terms (F, X, Y, X', Y') of the kernel on cells [lo, hi),
     each F (X Y - X' Y') added: f at the corners v0, v2, v1, v3 and the edge
-    differences of g and h (h = g shares them) along ``axes``, g's and h's
-    (see :func:`edges`; an edge not formed is None).
+    differences of g and h (h = g shares them, see :func:`edges`).
 
     The eight vertex differences of the corner form are these edges or
     their exact negations, and a product or difference of negated operands
@@ -308,10 +299,9 @@ def _terms(f, g, h, cells, lo, hi, diff, axes=("xy", "xy")):
     terms keeps every value (up to the sign of an exact zero).
     """
     f0, f1, f2, f3 = corners(f, cells, lo, hi)
-    gxn, gxf, gyn, gyf = edges(g, cells, lambda name, x, y: diff("g" + name, x, y), lo, hi,
-                               axes[0])
+    gxn, gxf, gyn, gyf = edges(g, cells, lambda name, x, y: diff("g" + name, x, y), lo, hi)
     hxn, hxf, hyn, hyf = (gxn, gxf, gyn, gyf) if h is g else edges(
-        h, cells, lambda name, x, y: diff("h" + name, x, y), lo, hi, axes[1])
+        h, cells, lambda name, x, y: diff("h" + name, x, y), lo, hi)
     return (
         (f0, gxn, hyf, gyn, hxf),
         (f2, gxf, hyn, gyf, hxn),
@@ -346,7 +336,7 @@ def _edge_vectors(g, h, dtype, ws):
     return d, np.subtract(hf, hn, out=ws.take("kernel.e", hn.shape, dtype))
 
 
-def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
+def scalar_kernel(f, g, h, *, cells, out=None):
     """Per-square trace kernel for scalar vertex values.
 
     ``f``, ``g`` and ``h`` are flat (N,) vertex lattices, real or complex;
@@ -364,15 +354,8 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
     on a shifted H x W lattice, (1, 2, 1, w) and (2, 1, h, 1) on the dust's
     quadrants, with ``cells`` all of the lattice's.  Each block then forms
     X Y once, as the outer product of g's x-edges and h's y-edges, and
-    X' Y' not at all (see the module docstring).
-
-    ``zero_edges`` names, for flat g and h, the axes ("x" and/or "y") along
-    which every cell's edge differences are exact zeros: "y" for a row,
-    "x" for a column (the same for both when h is g).  Where this zeros
-    X' Y' = gy hx but not X Y = gx hy, the product X' Y' and the edges gy
-    and hx are not formed; every other pattern runs the general path.  A
-    padded cell's x-edge, which wraps into the next row, is not a cell
-    edge: its value is not the general path's.
+    X' Y' not at all (:func:`_separable`, see the module docstring).  Every
+    other operand runs the general path on flat lattices.
     """
     ws = Workspace() if out is None else out
     dtype = np.result_type(f, g, h)
@@ -383,29 +366,22 @@ def scalar_kernel(f, g, h, *, cells, out=None, zero_edges=("", "")):
             return result
         # one square: numpy rounds a lone complex product of broadcast
         # operands, as of in-place ones, unlike its vector loop, so it takes
-        # the flat path on the four vertex values of g and of h
+        # the general path on the four vertex values of g and of h
         shape = np.broadcast_shapes(g.shape, h.shape)
         g, h = (np.broadcast_to(a, shape).reshape(-1) for a in (g, h))
-        zero_edges = ("y", "x")
-    zg, zh = zero_edges
-    # only X' Y' = gy hx vanishes; when X Y = gx hy does too, the general
-    # path keeps the NaN of a term 0 * F whose f is not finite
-    elide = "x" not in zg and "y" not in zh and ("y" in zg or "x" in zh)
-    axes = ("x", "y") if elide else ("xy", "xy")
     for lo, hi in _blocks(cells[1]):
 
         def diff(name, a, b):
             return np.subtract(a, b, out=ws.take(f"kernel.{name}", a.shape, dtype))
 
-        terms = _terms(f, g, h, cells, lo, hi, diff, axes)
+        terms = _terms(f, g, h, cells, lo, hi, diff)
         acc = ws.take("kernel.acc", (hi - lo,), dtype)
         s = ws.take("kernel.s", (hi - lo,), dtype)
         prod = ws.take("kernel.prod", (hi - lo,), dtype)
         for k, (F, X, Y, X2, Y2) in enumerate(terms):
             t = s if k else acc
             np.multiply(X, Y, out=t)
-            if not elide:
-                t -= np.multiply(X2, Y2, out=prod)
+            t -= np.multiply(X2, Y2, out=prod)
             t *= F
             if k:
                 acc += t

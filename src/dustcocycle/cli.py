@@ -371,10 +371,11 @@ def _cmd_selftest(args) -> int:
 
     # a row g (x only) and a column h (y only), as in bott-flux, on the
     # dust's (2, 2, h, w) quadrants and on a shifted H x W box: given
-    # compact, the kernel forms X Y as one outer product of their edges and
-    # skips X' Y', which their zero edges vanish, and must give the bits of
-    # the same values materialized as flat lattices (a box's padded cells
-    # aside, which are not squares)
+    # compact, they run the kernel's separable path, which forms X Y as one
+    # outer product of their edges and skips X' Y', which their zero edges
+    # vanish, and must give the general path's bits on the same values
+    # materialized as flat lattices (a box's padded cells aside, which are
+    # not squares)
     draw = np.random.default_rng(20240203).standard_normal
     rows, cols = 30, 40
     differ = parts = 0
@@ -393,10 +394,10 @@ def _cmd_selftest(args) -> int:
         bits = [(a[square] + 0.0).view(np.int64) for a in (got, want)]
         differ += int((bits[0] != bits[1]).sum())
         parts += bits[0].size
-    print(f"scalar kernel zero-edge elision, compact vs materialized rows and columns: "
+    print(f"scalar kernel separable path, compact vs materialized rows and columns: "
           f"{differ} of {parts} parts differ")
     if differ:
-        failures.append("scalar kernel zero-edge elision mismatch")
+        failures.append("scalar kernel separable path mismatch")
 
     # the engine's Bloch-vector matrix kernel on 200 squares, each vertex of
     # f, g and h a random rank-1 projection (I + n . sigma) / 2, |n| = 1

@@ -56,8 +56,9 @@ C-contiguous one as a view.  A finite row g with a finite column h goes to
 the scalar kernel compact, which forms each block's X Y as one outer
 product of their edges; any other compact value that the kernel reads is
 copied into a flat lattice in the worker's workspace (f for its corners,
-a row or column whose partner is full, with its zero edges named, so the
-kernel skips gy hx where they zero it).  The trace kernel takes flat
+a row or column whose partner is not the matching column or row, a
+constant g or h), which the kernel's general path reads like any other
+flat lattice, forming every product.  The trace kernel takes flat
 lattices whole, with the flat corner offsets of cell 0.  Pullback and
 subdivision tiles, and the (3**k + 1)**2 boxes around the carpet's and
 ``full-subdivision-3``'s, are plain H x W lattices, a (1, W) row and an
@@ -154,7 +155,9 @@ class Observable:
     engine keeps it compact and reads from its axes of length 1 that its
     edges along the other coordinate are exact zeros.  A row g with a
     column h reaches the scalar kernel compact, which forms each square's
-    X Y as a product of their edges and skips the product X' Y' they zero.
+    X Y as a product of their edges and skips the product X' Y' they zero;
+    any other row, column or constant the kernel reads is copied into a
+    flat lattice for its general path.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
     coordinates (direct) or the dyadic staircase image on the torus
     (pullback).
@@ -537,26 +540,25 @@ def _lattice_values(source, lo, observables, ws, maxima=None):
 
 
 def _kernel_args(values, zeros, tile, ws):
-    """The scalar kernel's f, g and h on ``tile``, and its ``zero_edges``,
-    from :func:`_lattice_values`' values and zero axes.
+    """The scalar kernel's f, g and h on ``tile``, from
+    :func:`_lattice_values`' values and zero axes.
 
     A row g and a column h go to the kernel compact, in the shapes of the
-    tile's coordinates, when both are finite.  Every other compact value is
-    copied into a flat lattice, in buffer ``lattice.i`` of ``ws``, and names
-    its zero axes only where its values are finite, since inf - inf is NaN,
-    not 0; a repeated value is copied once.
+    tile's coordinates, when both are finite, since inf - inf is NaN, not
+    0.  Every other compact value is copied into a flat lattice, in buffer
+    ``lattice.i`` of ``ws``, for the kernel's general path; a repeated value
+    is copied once.
     """
-    zeros = [z if z and np.isfinite(a).all() else "" for a, z in zip(values, zeros)]
     f, g, h = values
-    if zeros[1:] == ["y", "x"]:
+    if zeros[1:] == ["y", "x"] and np.isfinite(g).all() and np.isfinite(h).all():
         return (f if f.ndim == 1 else _full(f, tile.shape, ws, "lattice.0").reshape(-1),
                 g if g.shape == tile.dx.shape else np.broadcast_to(g, tile.dx.shape),
-                h if h.shape == tile.dy.shape else np.broadcast_to(h, tile.dy.shape)), ("", "")
+                h if h.shape == tile.dy.shape else np.broadcast_to(h, tile.dy.shape))
     flat = {}
     for i, a in enumerate(values):
         if id(a) not in flat:
             flat[id(a)] = a if a.ndim == 1 else _full(a, tile.shape, ws, f"lattice.{i}").reshape(-1)
-    return [flat[id(a)] for a in values], tuple(zeros[1:])
+    return [flat[id(a)] for a in values]
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +670,8 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
         if matrix:
             result = K.matrix_kernel(*values, cells=tile.cells, out=ws)
         else:
-            (f, g, h), zero_edges = _kernel_args(values, zeros, tile, ws)
-            result = K.scalar_kernel(f, g, h, cells=tile.cells, out=ws, zero_edges=zero_edges)
+            f, g, h = _kernel_args(values, zeros, tile, ws)
+            result = K.scalar_kernel(f, g, h, cells=tile.cells, out=ws)
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
         np.take(result, tile.order[a - lo : b - lo], out=vals[a - w_lo : b - w_lo], mode="clip")

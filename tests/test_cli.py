@@ -430,7 +430,7 @@ class TestExitCodes:
         off passes every other check (the closed forms are checked to
         1e-12) and fails this one alone."""
         code, out = run_cli("selftest")
-        assert ("scalar kernel zero-edge elision, compact vs materialized rows and columns: "
+        assert ("scalar kernel separable path, compact vs materialized rows and columns: "
                 "0 of 4662 parts differ") in out
         kernel = K.scalar_kernel
 
@@ -444,7 +444,7 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "FAIL scalar kernel zero-edge elision mismatch"]
+            "FAIL scalar kernel separable path mismatch"]
 
     def test_selftest_checks_the_one_pass_maxima(self, monkeypatch, capsys):
         """Maxima that a table's sums take one ulp high fail this check

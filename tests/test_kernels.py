@@ -514,54 +514,78 @@ class TestSeparablePair:
         assert blocks > 2
         assert calls == {"multiply": 6 * blocks, "subtract": 2}
 
+    @pytest.mark.parametrize("layout, rows, cols", [("shifted", 40, 31), ("quadrant", 20, 15)])
+    def test_non_finite_f_stays_non_finite(self, rng, layout, rows, cols):
+        """Where f is NaN or inf at a corner, a square is not finite, as on
+        the general path: the same squares are finite on both (a shifted
+        lattice's padded cells aside)."""
+        f, g, h, cells = self.lattices(rng, layout, rows, cols, np.float64, np.float64)
+        f = f.astype(np.complex128)
+        f[::7] = np.nan
+        f[3::11] = np.inf
+        full = (2, 2, rows, cols) if layout == "quadrant" else (rows, cols)
+        with np.errstate(invalid="ignore"):
+            got = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace())
+            want = K.scalar_kernel(f, *(np.broadcast_to(a, full).reshape(-1) for a in (g, h)),
+                                   cells=cells, out=K.Workspace())
+        keep = real_cells(layout, cells)
+        assert not np.isfinite(want[keep]).all()
+        assert np.array_equal(np.isfinite(got[keep]), np.isfinite(want[keep]))
+
 
 class TestZeroEdgeElision:
-    """With zero edges named, scalar_kernel skips the products they zero and
-    gives the general path's bits on every square (up to the sign of an
-    exact zero)."""
+    """Flat lattices with zero edges, a row, column or constant g or h:
+    the scalar kernel elides nothing on them.  Every pattern runs the
+    general path, with the corner form's bits (up to the sign of an exact
+    zero), all of its edges and products, and a square not finite where an
+    f corner is not.  A compact row g with a compact column h, the one
+    shape that skips a product, is TestSeparablePair's."""
 
     PATTERNS = [("y", ""), ("x", ""), ("", "y"), ("", "x"), ("y", "x"), ("x", "y"),
                 ("y", "y"), ("x", "x"), ("xy", ""), ("", "xy"), ("h is g", "y"),
                 ("h is g", "x")]
 
+    @staticmethod
+    def triple(rng, layout, size, cells, zg, zh, gtype=np.float64, htype=np.float64):
+        """Flat f, g and h in ``layout``, g's and h's edges along ``zg`` and
+        ``zh`` exact zeros, h the very array g for ``zg == "h is g"``."""
+        f = patterned_lattice(rng, layout, size, cells, "", htype)
+        if zg == "h is g":
+            g = h = patterned_lattice(rng, layout, size, cells, zh, gtype)
+        else:
+            g = patterned_lattice(rng, layout, size, cells, zg, gtype)
+            h = patterned_lattice(rng, layout, size, cells, zh, htype)
+        return f, g, h
+
     @pytest.mark.parametrize("layout", ["shifted", "quadrant", "corners"])
     @pytest.mark.parametrize("count", [1, 2, K.BLOCK + 1, 2 * K.BLOCK + 99])
     @pytest.mark.parametrize("zg, zh", PATTERNS, ids=lambda z: z.replace(" ", "-") or "full")
     def test_bitwise_equal_to_general_path(self, rng, layout, count, zg, zh):
+        """The general path's corner form, bit for bit, on every cell (a
+        shifted lattice's padded ones too), with real, complex and mixed
+        values and, for h is g, its shared edges."""
         size, cells = cells_of(layout, count)
         ranges = [cells]
         if count > 2 * K.BLOCK:
             ranges.append(cell_range(cells, 1234, count - 77))  # off block boundaries
         for gtype, htype in ((np.float64,) * 2, (np.complex128,) * 2,
                              (np.float64, np.complex128)):
-            f = patterned_lattice(rng, layout, size, cells, "", htype)
-            if zg == "h is g":
-                g = h = patterned_lattice(rng, layout, size, cells, zh, gtype)
-                zero = (zh, zh)
-            else:
-                g = patterned_lattice(rng, layout, size, cells, zg, gtype)
-                h = patterned_lattice(rng, layout, size, cells, zh, htype)
-                zero = (zg, zh)
+            f, g, h = self.triple(rng, layout, size, cells, zg, zh, gtype, htype)
             for c in ranges:
-                got = K.scalar_kernel(f, g, h, cells=c, out=K.Workspace(), zero_edges=zero)
-                want = K.scalar_kernel(f, g, h.copy() if h is g else h, cells=c,
-                                       out=K.Workspace())
-                keep = real_cells(layout, c)
-                assert_bits_equal(got[keep] + 0.0, want[keep] + 0.0)
+                got = K.scalar_kernel(f, g, h, cells=c, out=K.Workspace())
+                want = reference_scalar_kernel(*(x for a in (f, g, h) for x in corner_arrays(a, c)))
+                assert_bits_equal(got + 0.0, want + 0.0)
 
     @pytest.mark.parametrize("zg, zh, multiply, subtract", [
-        ("y", "x", 5, 2), ("y", "", 5, 2), ("", "x", 5, 2),
+        ("y", "x", 9, 4), ("y", "", 9, 4), ("", "x", 9, 4),
         ("x", "y", 9, 4), ("x", "", 9, 4), ("y", "y", 9, 4), ("", "", 9, 4),
     ])
     def test_products_not_formed(self, monkeypatch, rng, zg, zh, multiply, subtract):
-        """Where the zero edges make X' Y' vanish and not X Y (a row g, a
-        column h: bott-flux), each term forms one product, X Y, and g and h
-        one edge difference each; every other pattern forms the general
-        path's 4 edges and 8 products."""
+        """No product is left out on flat lattices, also where the zero
+        edges make X' Y' vanish (a row g, a column h: bott-flux's, flat):
+        every pattern forms the general path's 4 edges and 8 products."""
         size, cells = cells_of("shifted", 2 * K.BLOCK)  # blocks wider than a row
-        f = patterned_lattice(rng, "shifted", size, cells, "", np.float64)
-        g = patterned_lattice(rng, "shifted", size, cells, zg, np.float64)
-        h = patterned_lattice(rng, "shifted", size, cells, zh, np.float64)
+        f, g, h = self.triple(rng, "shifted", size, cells, zg, zh)
         calls = {"multiply": 0, "subtract": 0}
         for name in calls:
             ufunc = getattr(np, name)
@@ -571,28 +595,27 @@ class TestZeroEdgeElision:
                 return _ufunc(*args, **kwargs)
 
             monkeypatch.setattr(K.np, name, counted)
-        K.scalar_kernel(f, g, h, cells=cells, zero_edges=(zg, zh))
+        K.scalar_kernel(f, g, h, cells=cells)
         blocks = len(list(K._blocks(cells[1])))
-        # per block: one shared difference per edge formed, a product per
-        # term and product formed, and the final scale
+        # per block: one shared difference per edge, a product per term and
+        # product, and the final scale
         assert calls == {"multiply": multiply * blocks, "subtract": subtract * blocks}
 
     @pytest.mark.parametrize("zg, zh", [("y", "x"), ("x", "y"), ("y", "y"), ("xy", "")])
     def test_non_finite_f_stays_non_finite(self, rng, zg, zh):
-        """Where f is NaN or inf at a corner, a square is not finite on either
-        path, also where both products vanish (a row g with a row h, a
-        constant g): every term is then 0 * F, NaN as on the general path."""
+        """A square is finite exactly where f is finite at its four corners,
+        also where both products vanish (a row g with a row h, a constant
+        g): every term is then 0 * F, NaN where F is not finite."""
         size, cells = cells_of("quadrant", 300)
-        f = patterned_lattice(rng, "quadrant", size, cells, "", np.complex128).copy()
+        f, g, h = self.triple(rng, "quadrant", size, cells, zg, zh, htype=np.complex128)
+        f = f.copy()
         f[::7] = np.nan
         f[3::11] = np.inf
-        g = patterned_lattice(rng, "quadrant", size, cells, zg, np.float64)
-        h = patterned_lattice(rng, "quadrant", size, cells, zh, np.float64)
         with np.errstate(invalid="ignore"):
-            got = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace(), zero_edges=(zg, zh))
-            want = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace())
-        assert not np.isfinite(want).all()
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            got = K.scalar_kernel(f, g, h, cells=cells, out=K.Workspace())
+        finite = np.logical_and.reduce([np.isfinite(c) for c in corner_arrays(f, cells)])
+        assert not finite.all()
+        assert np.array_equal(np.isfinite(got), finite)
 
 
 class TestLeafSums:

@@ -639,28 +639,26 @@ class TestZeroEdgeDetection:
     def test_only_a_row_g_and_a_column_h_stay_compact(self, source):
         """The kernel takes a finite row g and column h as they are, in the
         shapes of the tile's coordinates; any other compact value is copied
-        into the workspace as a flat lattice, and names its zero edges."""
+        into the workspace as a flat lattice, for the general path."""
         src = self.SOURCES[source]()
         mode = "direct" if "quadrants" in source or "box" in source else "pullback"
         obs = {name: Observable(name, mode, "scalar", rule)
                for name, (rule, _) in self.RULES.items()}
-        for names, compact, zero_edges in (
-            (("both", "u only", "v only"), True, ("", "")),
-            (("u only", "u only", "v only"), True, ("", "")),
-            (("both", "both", "v only"), False, ("", "x")),
-            (("both", "u only", "u only"), False, ("y", "y")),
-            (("both", "constant", "v only"), False, ("xy", "x")),
+        for names, compact in (
+            (("both", "u only", "v only"), True),
+            (("u only", "u only", "v only"), True),
+            (("both", "both", "v only"), False),
+            (("both", "u only", "u only"), False),
+            (("both", "constant", "v only"), False),
         ):
             ws = K.Workspace()
             values, zeros = cocycle._lattice_values(src, 0, [obs[n] for n in names], ws)
-            (f, g, h), got = cocycle._kernel_args(values, zeros, src.tile, ws)
+            f, g, h = cocycle._kernel_args(values, zeros, src.tile, ws)
             assert f.ndim == 1 and f.size == math.prod(src.tile.shape)
             if compact:
-                assert got == ("", "")
                 assert g is values[1] and g.shape == src.tile.dx.shape
                 assert h is values[2] and h.shape == src.tile.dy.shape
             else:
-                assert got == zero_edges
                 for i, a in enumerate((g, h), 1):
                     assert a.ndim == 1 and a.size == f.size
                     if values[i].ndim > 1:  # a repeated value is copied once
@@ -671,8 +669,8 @@ class TestZeroEdgeDetection:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_falls_back(self, monkeypatch, bad):
         """inf - inf is NaN, not 0: a row or column that is not finite is
-        copied into a flat lattice, names no zero edges, and the kernel
-        takes the general path."""
+        copied into a flat lattice, and the kernel takes the general
+        path."""
         src = cocycle._pullback_source(4)
         row = Observable("u only", "pullback", "scalar",
                          lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u)))
@@ -682,19 +680,19 @@ class TestZeroEdgeDetection:
         ws = K.Workspace()
         values, zero = cocycle._lattice_values(src, 0, (f, row, col), ws)
         assert zero == ["", "y", "x"]
-        (_, g, h), zero_edges = cocycle._kernel_args(values, zero, src.tile, ws)
-        assert zero_edges == ("", "") and g.ndim == h.ndim == 1
+        _, g, h = cocycle._kernel_args(values, zero, src.tile, ws)
+        assert g.ndim == h.ndim == 1
         seen = []
         kernel = K.scalar_kernel
 
         def recorded(f, g, h, **kwargs):
-            seen.append((g.ndim, h.ndim, kwargs["zero_edges"]))
+            seen.append((g.ndim, h.ndim))
             return kernel(f, g, h, **kwargs)
 
         monkeypatch.setattr(K, "scalar_kernel", recorded)
         with np.errstate(invalid="ignore"):
             phi_n(DUST, 4, f, row, col, workers=1)
-        assert seen == [(1, 1, ("", ""))]
+        assert seen == [(1, 1)]
 
     SUMS = [(name, "pullback") for name in ("bott-flux", "stokes-null", "mixed-mode",
                                             "double-flux")]
@@ -724,24 +722,23 @@ class TestZeroEdgeDetection:
     @pytest.mark.parametrize("name, where", SUMS)
     def test_sums_equal_general_path(self, monkeypatch, name, where):
         """Every sum of the catalogue's and the direct presets' triples, at
-        n = 0..8, equals the same sum on materialized flat lattices, which
-        name no zero edges; the compact ones ran through
-        ``K.scalar_kernel``, with a row g and a column h as they are, or
-        with zero edges named (mixed-mode's column h, whose partner g is
-        full)."""
+        n = 0..8, equals the same sum on materialized flat lattices; the
+        compact ones ran through ``K.scalar_kernel`` with a row g and a
+        column h as they are, but mixed-mode's, whose column h has a full
+        partner g, copied flat for the general path."""
         triple = resolve_functions(name)[:3]
         flat = tuple(self.materialized(o) for o in triple)
         kernel = K.scalar_kernel
         seen = []
 
         def recorded(f, g, h, **kwargs):
-            seen.append((g.ndim > 1, any(kwargs["zero_edges"])))
+            seen.append(g.ndim > 1)
             return kernel(f, g, h, **kwargs)
 
         monkeypatch.setattr(K, "scalar_kernel", recorded)
         for n in range(9):
             want = self.phi(flat, where, n)
-            assert not any(compact or zero for compact, zero in seen)
+            assert not any(seen)
             assert self.phi(triple, where, n) == want, n
-            assert seen.pop() == ((False, True) if name == "mixed-mode" else (True, False))
+            assert seen.pop() == (name != "mixed-mode")
             seen.clear()

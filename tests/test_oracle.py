@@ -160,8 +160,9 @@ class TestCatalogue:
     @pytest.mark.parametrize("name", sorted(FULL_RULES))
     def test_one_coordinate_rules_return_their_row_or_column(self, name):
         """A rule of u (v) only returns the row (column) it is given, so the
-        engine skips its zero edges; broadcast, it is bitwise the full
-        values, as x * 1.0 = x."""
+        engine keeps it compact (a row g with a column h runs the scalar
+        kernel's separable path); broadcast, it is bitwise the full values,
+        as x * 1.0 = x."""
         tf = next(t for p in SMOOTH_PRESETS.values() for t in (p.f, p.g, p.h) if t.name == name)
         u = np.random.default_rng(5).uniform(-1.0, 2.0, (1, 257))
         v = np.random.default_rng(6).uniform(-1.0, 2.0, (129, 1))
