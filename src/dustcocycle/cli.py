@@ -2,7 +2,8 @@
 
 Exit status: 0 success, 1 a numerical check failed, 2 usage error (unknown
 names, malformed ranges, budget exceeded without the override flag, a worker
-count below 1 in ``--workers`` or ``DUSTCOCYCLE_WORKERS``).
+count below 1 in ``--workers`` or ``DUSTCOCYCLE_WORKERS``, an ``--out`` path
+in a missing directory or one that cannot be written).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cocycle import (
     resolve_workers,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
-from .geometry import PRESETS, BudgetError, enumerate_squares, get_preset, similarity_dimension
+from .geometry import PRESETS, enumerate_squares, get_preset, similarity_dimension
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
@@ -100,7 +101,10 @@ def _provenance(args, extra=None):
 
 def _emit(text: str, args) -> None:
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:  # a usage error (exit 2), not a traceback
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -487,16 +491,20 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    parent = Path(args.out).parent if getattr(args, "out", None) else None
+    if parent and not parent.is_dir():
+        # refused before any engine call, not after a whole table
+        print(f"error: --out parent {str(parent)!r} is not a directory", file=sys.stderr)
+        return 2
     try:
         if "workers" in vars(args):
             # resolve the effective count once, so reports record what ran
             args.workers = resolve_workers(args.workers)
         return _HANDLERS[args.command](args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; BudgetError is a ValueError
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,11 @@
 """Independent ground truth on the torus: quadrature, presets, projections.
 
 Everything here evaluates genuine surface integrals on the flat torus with
-the midpoint rule, which is near-exact for trigonometric polynomials.  These
-values are what the combinatorial sums are tested against; nothing in this
-module touches squares, words or digit maps.
+the midpoint rule, partials taken spectrally on the same grid: exact to
+rounding for trigonometric polynomials the grid resolves, and geometrically
+convergent for analytic periodic functions.  These values are what the
+combinatorial sums are tested against; nothing in this module touches
+squares, words or digit maps.
 
 Orientation convention: the u-partial comes before the v-partial everywhere,
 matching the vertex cycle v0 -> v1 -> v2 of the square kernel.
@@ -30,50 +32,48 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TorusFunction:
-    """A 1-periodic function of (u, v) with optional analytic partials."""
+    """A named 1-periodic function of (u, v); :func:`wedge_quadrature` takes
+    its partials spectrally, so none are carried."""
 
     name: str
     fn: Callable
-    du: Callable | None = None
-    dv: Callable | None = None
 
     def __call__(self, u, v):
         return self.fn(u, v)
 
-    def partial_u(self, u, v, step):
-        if self.du is not None:
-            return self.du(u, v)
-        return (self.fn((u + step) % 1.0, v) - self.fn((u - step) % 1.0, v)) / (2.0 * step)
 
-    def partial_v(self, u, v, step):
-        if self.dv is not None:
-            return self.dv(u, v)
-        return (self.fn(u, (v + step) % 1.0) - self.fn(u, (v - step) % 1.0)) / (2.0 * step)
+def _spectral_partial(values, axis: int):
+    """The partial along ``axis`` of 1-periodic values sampled on a uniform
+    grid: FFT, multiply by i 2 pi k, inverse FFT, with the Nyquist mode of
+    an even-length axis zeroed.  Exact to rounding for trigonometric
+    polynomials of degree below half the axis length; an axis of length 1
+    (a value constant along it) gives an exact 0."""
+    m = values.shape[axis]
+    k = np.fft.fftfreq(m, 1.0 / m)
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    ik = (1j * TWO_PI * k).reshape((m, 1) if axis == 0 else (1, m))
+    d = np.fft.ifft(np.fft.fft(values, axis=axis) * ik, axis=axis)
+    return d if np.iscomplexobj(values) else d.real
 
 
 def wedge_quadrature(ft, gt, ht, m: int) -> complex:
     """Midpoint-rule value of 2 * integral of f (g_u h_v - g_v h_u) du dv.
 
-    ``m`` is the grid size per axis; partials are analytic when the functions
-    carry them, otherwise central differences at step 1/m.
+    ``m`` is the grid size per axis; the functions are :class:`TorusFunction`
+    or plain callables of (u, v).  Each is evaluated on an (m, 1) column of
+    u and a (1, m) row of v, so a rule of one coordinate keeps its row or
+    column; g's and h's partials are spectral along each axis of those
+    values (see :func:`_spectral_partial`).
     """
     if m < 4:
         raise ValueError("grid size must be >= 4")
-    ft, gt, ht = (_as_torus_function(x) for x in (ft, gt, ht))
     pts = (np.arange(m) + 0.5) / m
-    u, v = np.meshgrid(pts, pts, indexing="ij")
-    step = 1.0 / m
-    w = ft(u, v) * (
-        gt.partial_u(u, v, step) * ht.partial_v(u, v, step)
-        - gt.partial_v(u, v, step) * ht.partial_u(u, v, step)
-    )
+    u, v = pts[:, None], pts[None, :]
+    g, h = (np.atleast_2d(tf(u, v)) for tf in (gt, ht))
+    gu, gv, hu, hv = (_spectral_partial(x, axis) for x in (g, h) for axis in (0, 1))
+    w = ft(u, v) * (gu * hv - gv * hu)
     return complex(2.0 * np.mean(w))
-
-
-def _as_torus_function(x):
-    if isinstance(x, TorusFunction):
-        return x
-    return TorusFunction(getattr(x, "__name__", "fn"), x)
 
 
 # ---------------------------------------------------------------------------
@@ -81,61 +81,17 @@ def _as_torus_function(x):
 # ---------------------------------------------------------------------------
 
 
-_ONE = TorusFunction(
-    "one",
-    lambda u, v: np.ones_like(np.asarray(u, dtype=np.float64)),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-)
-
-_COS_COS = TorusFunction(
-    "cos2piu*cos2piv",
-    lambda u, v: np.cos(TWO_PI * u) * np.cos(TWO_PI * v),
-    lambda u, v: -TWO_PI * np.sin(TWO_PI * u) * np.cos(TWO_PI * v),
-    lambda u, v: -TWO_PI * np.cos(TWO_PI * u) * np.sin(TWO_PI * v),
-)
-
-_SIN_U = TorusFunction(
-    "sin2piu",
-    lambda u, v: np.sin(TWO_PI * u),
-    lambda u, v: TWO_PI * np.cos(TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-)
-
-_SIN_V = TorusFunction(
-    "sin2piv",
-    lambda u, v: np.sin(TWO_PI * v),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-    lambda u, v: TWO_PI * np.cos(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
-)
-
-_COS_V = TorusFunction(
-    "cos2piv",
-    lambda u, v: np.cos(TWO_PI * v),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-    lambda u, v: -TWO_PI * np.sin(TWO_PI * v) * np.ones_like(np.asarray(u, dtype=np.float64)),
-)
-
-_SIN_UV = TorusFunction(
-    "sin2pi(u+v)",
-    lambda u, v: np.sin(TWO_PI * (u + v)),
-    lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
-    lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
-)
-
+_ONE = TorusFunction("one", lambda u, v: np.ones_like(np.asarray(u, dtype=np.float64)))
+_COS_COS = TorusFunction("cos2piu*cos2piv", lambda u, v: np.cos(TWO_PI * u) * np.cos(TWO_PI * v))
+_SIN_U = TorusFunction("sin2piu", lambda u, v: np.sin(TWO_PI * u))
+_SIN_V = TorusFunction("sin2piv", lambda u, v: np.sin(TWO_PI * v))
+_COS_V = TorusFunction("cos2piv", lambda u, v: np.cos(TWO_PI * v))
+_SIN_UV = TorusFunction("sin2pi(u+v)", lambda u, v: np.sin(TWO_PI * (u + v)))
 _COS4_COS = TorusFunction(
     "cos4piu*cos2piv",
     lambda u, v: np.cos(2 * TWO_PI * u) * np.cos(TWO_PI * v),
-    lambda u, v: -2 * TWO_PI * np.sin(2 * TWO_PI * u) * np.cos(TWO_PI * v),
-    lambda u, v: -TWO_PI * np.cos(2 * TWO_PI * u) * np.sin(TWO_PI * v),
 )
-
-_SIN_4U = TorusFunction(
-    "sin4piu",
-    lambda u, v: np.sin(2 * TWO_PI * u),
-    lambda u, v: 2 * TWO_PI * np.cos(2 * TWO_PI * u) * np.ones_like(np.asarray(v, dtype=np.float64)),
-    lambda u, v: np.zeros_like(np.asarray(u, dtype=np.float64)),
-)
+_SIN_4U = TorusFunction("sin4piu", lambda u, v: np.sin(2 * TWO_PI * u))
 
 
 @dataclass(frozen=True)

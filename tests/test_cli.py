@@ -359,17 +359,53 @@ class TestPointCommands:
 
 
 class TestExitCodes:
-    def test_unknown_preset(self):
+    def test_unknown_preset(self, capsys):
         code, _ = run_cli("dimension", "--preset", "menger-sponge")
         assert code == 2
+        # the message itself, not the quoted repr str() gives a KeyError
+        assert capsys.readouterr().err == (
+            "error: unknown IFS preset 'menger-sponge'; choose from "
+            "['cantor-dust', 'full-subdivision-3', 'sierpinski-carpet']\n"
+        )
 
-    def test_unknown_functions(self):
+    def test_unknown_functions(self, capsys):
         code, _ = run_cli("converge", "--functions", "nope", "--n", "1..2")
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown smooth preset 'nope'; choose from "
+            "['bott-flux', 'bump-mix', 'double-flux', 'mixed-mode', 'stokes-null']\n"
+        )
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, capsys):
         code, _ = run_cli("phi", "--functions", "const-xy", "--n", "13")
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: 67108864 squares exceed")
+
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--functions", "bott-flux", "--n", "2..3"),
+        ("cantor", "--p", "1", "--n", "1"),
+    ])
+    def test_out_into_missing_directory_refused_first(self, argv, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(cli, "convergence_table", never)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout = run_cli(*argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --out parent {str(out.parent)!r} is not a directory\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--functions", "bott-flux", "--n", "2..3", "--workers", "1"),
+        ("cantor", "--p", "1", "--n", "1"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, argv, tmp_path, capsys):
+        code, _ = run_cli(*argv, "--out", str(tmp_path))  # a directory
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["phi", "lipschitz"])
     def test_word_index_overflow_under_override(self, command, capsys):

@@ -1,5 +1,6 @@
 """The combinatorial integration engine: closed forms, identities, decay."""
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
 from dustcocycle.geometry import BudgetError, IfsPreset, enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import dust_image
 from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection, get_smooth_preset
-from test_oracle import pauli_pack
+from test_oracle import bump_mix_phi, pauli_pack
 
 DUST = get_preset("cantor-dust")
 CARPET = get_preset("sierpinski-carpet")
@@ -105,6 +106,94 @@ class TestClosedForms:
         f, g, h, _, _ = resolve_functions("const-xy")
         got = phi_n(CARPET, 3, f, g, h, workers=1)
         assert got == pytest.approx(2.0 * (8.0 / 9.0) ** 3, rel=1e-12)
+
+
+def _sinc(x):
+    return math.sin(x) / x
+
+
+# phi_n of the band-limited pullbacks at level n: the engine's sum over the
+# level-n dyadic squares is the central-difference stencil of step 1 / 2^n
+# (see band_stencil), which scales the derivative of a mode of frequency k by
+# sinc(2 pi k / 2^n), while the mean over the 2^n grid of a product of modes
+# below 2^n is exact; double-flux aliases at n = 2, so the forms hold from 3
+BAND_LIMITED = {
+    "bott-flux": lambda n: 2.0 * math.pi**2 * _sinc(2.0 * math.pi / 2**n) ** 2,
+    "mixed-mode": lambda n: 2.0 * math.pi**2 * _sinc(2.0 * math.pi / 2**n) ** 2,
+    "double-flux": lambda n: 4.0 * math.pi**2 * _sinc(4.0 * math.pi / 2**n)
+    * _sinc(2.0 * math.pi / 2**n),
+    "stokes-null": lambda n: 0.0,
+}
+BAND_LEVELS = range(3, 12)
+ULPS = 8 * np.finfo(np.float64).eps
+
+
+def translated_triple(name, seed):
+    """A catalogue triple's rules moved on the torus by a seed-drawn (a, b),
+    unmoved for seed None; a rule of one coordinate stays a row or column."""
+    sp = get_smooth_preset(name)
+    a, b = (0.0, 0.0) if seed is None else np.random.default_rng(seed).uniform(0.0, 1.0, 2)
+    return tuple((lambda fn: lambda u, v: fn(u + a, v + b))(tf.fn) for tf in (sp.f, sp.g, sp.h))
+
+
+@lru_cache(maxsize=None)
+def band_phi(name, seed, n, workers):
+    obs = (pullback_scalar(fn) for fn in translated_triple(name, seed))
+    return phi_n(DUST, n, *obs, workers=workers)
+
+
+def band_stencil(f, g, h, n):
+    """2 mean(f (D_u g D_v h - D_v g D_u h)) over the vertices k / 2^n, with
+    D the central difference of step 1 / 2^n: what phi_n sums, derived by
+    hand rather than through squares, words or digit maps."""
+    N = 2**n
+    d = 1.0 / N
+    u = (np.arange(N) / N)[:, None]
+    v = (np.arange(N) / N)[None, :]
+
+    def diff(fn, du, dv):
+        return (fn(u + du, v + dv) - fn(u - du, v - dv)) / (2.0 * d)
+
+    w = f(u, v) * (diff(g, d, 0.0) * diff(h, 0.0, d) - diff(g, 0.0, d) * diff(h, d, 0.0))
+    return 2.0 * np.mean(np.broadcast_to(w, (N, N)))
+
+
+def assert_band_close(got, want, n, scale=None):
+    """Within 8 ulps of ``scale`` (default ``want``), or 1e-14 when that is 0."""
+    scale = want if scale is None else scale
+    tol = ULPS * abs(scale) if scale else 1e-14
+    assert abs(got - want) <= tol, (n, got, want)
+
+
+class TestBandLimitedLevels:
+    """Every level of a band-limited pullback equals its closed form to
+    rounding, at either worker count and wherever the triple sits on the
+    torus (n = 11 unmoved only, to keep the suite's time down)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("name", sorted(BAND_LIMITED))
+    def test_per_level_closed_form(self, name, seed, workers):
+        for n in BAND_LEVELS if seed is None else BAND_LEVELS[:-1]:
+            got = band_phi(name, seed, n, workers)
+            assert got.imag == 0.0
+            assert_band_close(got.real, BAND_LIMITED[name](n), n)
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("name", sorted(BAND_LIMITED))
+    def test_stencil_is_the_closed_form_and_phi(self, name, seed):
+        for n in range(3, 11):
+            st, want = band_stencil(*translated_triple(name, seed), n), BAND_LIMITED[name](n)
+            assert_band_close(st, want, n)
+            assert_band_close(band_phi(name, seed, n, 1).real, st, n, scale=want)
+
+    def test_stencil_is_not_phi_off_the_band(self):
+        """On the full-spectrum bump-mix the stencil and phi_n part (both
+        tend to the same integral): the equalities above are not vacuous."""
+        sp = get_smooth_preset("bump-mix")
+        phi = bump_mix_phi(10)
+        st = band_stencil(sp.f.fn, sp.g.fn, sp.h.fn, 10)
+        assert abs(st - phi.real) / abs(phi) > 1e-4
 
 
 class TestSubdivisionIdentity:

@@ -1,6 +1,7 @@
 """Torus quadrature, the preset catalogue, and projection fields."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,15 +10,26 @@ from dustcocycle.oracle import (
     MAX_WINDING,
     SMOOTH_PRESETS,
     TorusFunction,
+    _spectral_partial,
     bott_projection,
     chern_pairing_oracle,
     closed_form_target,
     get_smooth_preset,
     wedge_quadrature,
 )
+from dustcocycle.cocycle import phi_n, pullback_scalar
+from dustcocycle.geometry import get_preset
 
 TWO_PI = 2.0 * math.pi
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@lru_cache(maxsize=None)
+def bump_mix_phi(n):
+    """The engine's level-n bump-mix pullback on the dust, one worker."""
+    sp = get_smooth_preset("bump-mix")
+    obs = (pullback_scalar(tf) for tf in (sp.f, sp.g, sp.h))
+    return phi_n(get_preset("cantor-dust"), n, *obs, workers=1)
 
 
 def pauli_pack(n):
@@ -108,23 +120,103 @@ class TestWedgeQuadrature:
         b = wedge_quadrature(sp.f, sp.g, sp.h, 128)
         assert abs(a - b) < 1e-10
 
-    def test_finite_difference_partials_fallback(self):
-        plain = TorusFunction("plain", lambda u, v: np.sin(2 * np.pi * u) * np.cos(2 * np.pi * v))
-        sp = get_smooth_preset("bott-flux")
-        a = wedge_quadrature(sp.f, plain, sp.h, 256)
-        analytic = TorusFunction(
-            "exact",
-            plain.fn,
-            lambda u, v: 2 * np.pi * np.cos(2 * np.pi * u) * np.cos(2 * np.pi * v),
-            lambda u, v: -2 * np.pi * np.sin(2 * np.pi * u) * np.sin(2 * np.pi * v),
+    def test_function_without_partials_matches_analytic_value(self):
+        """Plain callables, g full: 2 int cos(2pi u) (2pi)^2 cos^2(2pi u)
+        cos^2(2pi v) du dv = 2 pi^2, as h = sin(2pi v) has no u-partial."""
+        plain = TorusFunction("plain", lambda u, v: np.sin(TWO_PI * u) * np.cos(TWO_PI * v))
+        q = wedge_quadrature(
+            lambda u, v: np.cos(TWO_PI * u), plain, lambda u, v: np.sin(TWO_PI * v), 256
         )
-        b = wedge_quadrature(sp.f, analytic, sp.h, 256)
-        assert a == pytest.approx(b, rel=1e-3, abs=1e-3)
+        assert abs(q - 2.0 * math.pi**2) <= 1e-12
+
+    @pytest.mark.parametrize("m", [64, 128, 512])
+    @pytest.mark.parametrize("name", [k for k, p in SMOOTH_PRESETS.items() if p.target is not None])
+    def test_tabulated_values_to_rounding(self, name, m):
+        sp = get_smooth_preset(name)
+        q = wedge_quadrature(sp.f, sp.g, sp.h, m)
+        assert abs(q - sp.target) <= (1e-15 if name == "stokes-null" else 1e-13)
+
+    def test_full_spectrum_value_converged_at_grid_64(self):
+        sp = get_smooth_preset("bump-mix")
+        q = [wedge_quadrature(sp.f, sp.g, sp.h, m) for m in (64, 128, 512)]
+        assert max(abs(a - q[0]) for a in q) <= 1e-14
+        assert q[0].imag == 0.0
+
+    def test_engine_error_falls_fourfold_per_level_on_bump_mix(self):
+        """Measured against the grid-64 quadrature, phi_n's error on the
+        full-spectrum bump-mix keeps its 4^-n rate through n = 10: the
+        quadrature is far closer to the limit than phi_10 is."""
+        sp = get_smooth_preset("bump-mix")
+        q = wedge_quadrature(sp.f, sp.g, sp.h, 64)
+        err = {n: abs(bump_mix_phi(n) - q) for n in range(6, 11)}
+        for n in range(7, 11):
+            assert 0.249 <= err[n] / err[n - 1] <= 0.254, (n, err[n] / err[n - 1])
 
     def test_small_grid_rejected(self):
         sp = get_smooth_preset("bott-flux")
         with pytest.raises(ValueError):
             wedge_quadrature(sp.f, sp.g, sp.h, 2)
+
+
+# the catalogue's trig rules' partials (d/du, d/dv), derived by hand
+def _zero(u, v):
+    return 0.0
+
+
+ANALYTIC_PARTIALS = {
+    "one": (_zero, _zero),
+    "cos2piu*cos2piv": (
+        lambda u, v: -TWO_PI * np.sin(TWO_PI * u) * np.cos(TWO_PI * v),
+        lambda u, v: -TWO_PI * np.cos(TWO_PI * u) * np.sin(TWO_PI * v),
+    ),
+    "sin2piu": (lambda u, v: TWO_PI * np.cos(TWO_PI * u), _zero),
+    "sin2piv": (_zero, lambda u, v: TWO_PI * np.cos(TWO_PI * v)),
+    "cos2piv": (_zero, lambda u, v: -TWO_PI * np.sin(TWO_PI * v)),
+    "sin2pi(u+v)": (
+        lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
+        lambda u, v: TWO_PI * np.cos(TWO_PI * (u + v)),
+    ),
+    "cos4piu*cos2piv": (
+        lambda u, v: -2 * TWO_PI * np.sin(2 * TWO_PI * u) * np.cos(TWO_PI * v),
+        lambda u, v: -TWO_PI * np.cos(2 * TWO_PI * u) * np.sin(TWO_PI * v),
+    ),
+    "sin4piu": (lambda u, v: 2 * TWO_PI * np.cos(2 * TWO_PI * u), _zero),
+}
+
+
+class TestSpectralPartials:
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_PARTIALS))
+    def test_catalogue_partials_match_analytic(self, name):
+        """On the quadrature's (m, 1) u column and (1, m) v row at m = 64,
+        spectral partials equal the analytic ones to 1e-12, and are exactly
+        0 along an axis the rule does not read (its length-1 axis)."""
+        tf = next(t for p in SMOOTH_PRESETS.values() for t in (p.f, p.g, p.h) if t.name == name)
+        pts = (np.arange(64) + 0.5) / 64
+        u, v = pts[:, None], pts[None, :]
+        values = np.atleast_2d(tf(u, v))
+        for axis, exact in enumerate(ANALYTIC_PARTIALS[name]):
+            d = _spectral_partial(values, axis)
+            assert d.dtype == np.float64
+            want = np.broadcast_to(exact(u, v), (64, 64))
+            assert np.abs(np.broadcast_to(d, want.shape) - want).max() <= 1e-12
+            if values.shape[axis] == 1:
+                assert not d.any()
+
+    def test_complex_values_stay_complex(self):
+        pts = (np.arange(32) + 0.5) / 32
+        d = _spectral_partial(np.exp(1j * TWO_PI * pts)[None, :], 1)
+        assert np.abs(d - 1j * TWO_PI * np.exp(1j * TWO_PI * pts)).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_nyquist_mode_dropped(self, m):
+        """The mode m // 2 is the Nyquist mode of an even grid, with no
+        derivative it can resolve, and gives 0; on an odd grid it is the
+        highest resolved mode and differentiates exactly."""
+        k = m // 2
+        pts = (np.arange(m) + 0.5) / m
+        d = _spectral_partial(np.cos(TWO_PI * k * pts)[:, None], 0)[:, 0]
+        want = 0.0 if m % 2 == 0 else -TWO_PI * k * np.sin(TWO_PI * k * pts)
+        assert np.abs(d - want).max() <= 1e-12
 
 
 class TestCatalogue:
