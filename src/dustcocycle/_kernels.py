@@ -41,11 +41,12 @@ contiguous 1-D slice.  The engine passes two layouts:
 The tests also feed corner arrays v0, v1, v2, v3 of B squares,
 concatenated: offsets (0, B, 2B, 3B) and B cells.
 
-The kernels work through the cells in runs of :data:`BLOCK` consecutive
-cells, reading f at the four corners and g and h only as edge differences
-(:func:`edges`): the x-edges v1 - v0 and v2 - v3 and the y-edges v3 - v0
-and v2 - v1.  Where a run's two x-edge slices overlap or touch (a shifted
-lattice: Dx[k] = a[k + 1] - a[k], read at k and k + W), they are one
+The kernels work through the cells in runs of consecutive cells,
+:data:`BLOCK` (scalar) or :data:`MATRIX_BLOCK` (matrix) at a time, reading
+f at the four corners and g and h only as edge differences (:func:`edges`):
+the x-edges v1 - v0 and v2 - v3 and the y-edges v3 - v0 and v2 - v1.
+Where a run's two x-edge slices overlap or touch (a shifted lattice:
+Dx[k] = a[k + 1] - a[k], read at k and k + W), they are one
 difference read at two offsets, and likewise the y-edges
 (Dy[k] = a[k + W] - a[k], read at k and k + 1), so every shared edge is
 subtracted once; where they lie apart (the quadrant tiles, concatenated
@@ -70,9 +71,9 @@ the last bit from the same square in a longer block.  A trailing cell that
 would be alone is joined to the block before it (:func:`_blocks`), so only
 a call of one cell (every n = 0 sum) has such a block.  Real scalar values
 are not affected, nor is the matrix kernel, which is real float64
-arithmetic throughout.  The matrix kernel
-agrees with the batched complex matmul formula to 1e-13 (rtol and atol), not
-to the last ulp.
+arithmetic throughout, so its values do not depend on its block length
+either.  The matrix kernel agrees with the batched complex matmul formula
+to 1e-13 (rtol and atol), not to the last ulp.
 
 Zero edges.  A scalar rule of one coordinate gives a lattice whose edges
 along the other are exact zeros: the y-edges of a row (values that vary
@@ -137,27 +138,39 @@ import math
 
 import numpy as np
 
-# Cells per block of both trace kernels: a run of consecutive cells, a
-# quarter of a 256 x 256 pullback tile.  The scalar kernel's float64
-# temporaries for one block (the x- and y-edges of g and h, three
-# accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose edges are
-# not shared; 0.4 MB for a compact row g and column h, the outer product of
-# their edges and two accumulators), the matrix kernel's (the edges in four
-# rows, twelve rows of accumulators and products) 3.7 MB, or 3.0 MB in the
-# symmetric block, when g = h as in a pairing (g's edges, twelve rows of
-# the shared cross products and three of accumulators).  Each block makes
-# about 25 (scalar; 9 for a compact row g and column h), 50 to 60 (matrix)
-# or 37 (symmetric matrix block) ufunc calls, and the Python between them
-# holds the GIL, so the block size sets how well two workers overlap.  On a
-# 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and 0.32 s
-# on two with 4096-square scalar blocks, 0.19 s and 0.15 s with 16384.
-# 65536-square blocks gained little more
-# (0.13 s on two workers) but raised the peak RSS of the lipschitz-direct
-# benchmark by 7% and of pullback-converge by 14%.  Cutting a tile's 65791
-# cells into near-equal blocks instead of 4 x 16384 + 255 kept every bit
-# but raised pullback-converge's peak RSS by 3.5 MB (5 blocks) or 5.3 MB (4),
-# and with 5 blocks its one-worker time by 15%.
+# Cells per block of the scalar kernel and the Lipschitz maxima: a run of
+# consecutive cells, a quarter of a 256 x 256 pullback tile.  The scalar
+# kernel's float64 temporaries for one block (the x- and y-edges of g and h,
+# three accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose
+# edges are not shared; 0.4 MB for a compact row g and column h, the outer
+# product of their edges and two accumulators).  Each block makes about 25
+# ufunc calls (9 for a compact row g and column h), and the Python between
+# them holds the GIL, so the block size sets how well two workers overlap.
+# On a 2-core VM, bott-flux phi_n at n = 11 took 0.23 s on one worker and
+# 0.32 s on two with 4096-square scalar blocks, 0.19 s and 0.15 s with
+# 16384.  65536-square blocks gained little more (0.13 s on two workers) but
+# raised the peak RSS of the lipschitz-direct benchmark by 7% and of
+# pullback-converge by 14%.  Cutting a tile's 65791 cells into near-equal
+# blocks instead of 4 x 16384 + 255 kept every bit but raised
+# pullback-converge's peak RSS by 3.5 MB (5 blocks) or 5.3 MB (4), and with
+# 5 blocks its one-worker time by 15%.  Blocks of 8192 for both kernels
+# made 1-worker bott-flux pullback passes (n = 4..11) 6% slower.
 BLOCK = 16384
+
+# Cells per block of the matrix kernel.  Its temporaries per block (the
+# edges in four rows, twelve rows of accumulators and products) are
+# 1.85 MB, or 1.5 MB in the symmetric block, when g = h as in a pairing
+# (g's edges, twelve rows of the shared cross products and three of
+# accumulators).  At 16384 cells they were 3.7 and 3.0 MB, more than a
+# core's 2 MB of L2 on the 2-core VM, so the block's 37 (symmetric) to 60
+# ufunc calls streamed their operands from L3.  At 8192 cells a 257 x 257
+# pairing tile took 4.4 ms in the symmetric block and 7.3 ms in the
+# general one, against 4.9 and 7.8 ms.  Alternating 1-worker pairing
+# passes (n = 6..10) in one process took 0.91 of their 16384-cell time
+# with 8192-cell blocks, 0.90 with 6144 and 1.05 with 4096, where the
+# Python between the blocks outweighs the cache; 2-worker passes did not
+# move.
+MATRIX_BLOCK = BLOCK // 2
 
 
 class Workspace:
@@ -171,8 +184,8 @@ class Workspace:
     size is what bounds memory: peak RSS follows the largest block a worker
     holds (with one 16 MB corner block per task, the pairing benchmark's peak
     RSS rose by a third), which is why the kernels work in blocks of
-    :data:`BLOCK` squares and nothing larger
-    than one task's values is sized here.
+    :data:`BLOCK` or :data:`MATRIX_BLOCK` squares and nothing larger than
+    one task's values is sized here.
     """
 
     def __init__(self):
@@ -242,13 +255,13 @@ def dust_image_bits(words, n):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(count):
-    """(lo, hi) of the kernel blocks: runs of :data:`BLOCK` consecutive cells
+def _blocks(count, length=BLOCK):
+    """(lo, hi) of the kernel blocks: runs of ``length`` consecutive cells
     of ``count``, a trailing run of one cell joined to the block before it,
     so that only a call of one cell has a block of one cell."""
-    last = count - 1 if count > 1 and count % BLOCK == 1 else count
-    for lo in range(0, last, BLOCK):
-        yield lo, lo + BLOCK if lo + BLOCK < last else count
+    last = count - 1 if count > 1 and count % length == 1 else count
+    for lo in range(0, last, length):
+        yield lo, lo + length if lo + length < last else count
 
 
 def corners(a, cells, lo=0, hi=None):
@@ -445,7 +458,7 @@ def matrix_kernel(f, g, h, *, cells, out=None):
     result = ws.take("kernel.result", (cells[1],))
     # (real, imaginary) of the result as a (2, count) float64 view
     parts = result.view(np.float64).reshape(-1, 2).T
-    for lo, hi in _blocks(cells[1]):
+    for lo, hi in _blocks(cells[1], MATRIX_BLOCK):
 
         def diff(name, a, b):
             # rows (x2, x3, x1, x2): rows 0:3 and 1:4 are the components

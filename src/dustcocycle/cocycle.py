@@ -107,7 +107,7 @@ import numpy as np
 
 from . import _kernels as K
 from .geometry import CANTOR_DUST, IfsPreset, budget_check
-from .oracle import ProjectionField, TorusFunction
+from .oracle import SMOOTH_PRESETS, ProjectionField, TorusFunction
 
 LEAF = 4096
 TASK_LEAVES = 16  # at most 65536 words per parallel task, always whole leaves
@@ -1018,15 +1018,17 @@ def resolve_functions(name: str):
     """A named triple: (f, g, h, target-or-None, mode).
 
     Pullback names come from the smooth catalogue and carry their closed-form
-    target; direct names carry target 0 (the Lipschitz limit).
+    target; direct names carry target 0 (the Lipschitz limit).  Any other
+    name raises KeyError, naming both catalogues.
     """
-    from .oracle import get_smooth_preset
-
     key = name.strip().lower()
     if key in DIRECT_PRESETS:
         f, g, h = DIRECT_PRESETS[key]()
         return f, g, h, 0.0 + 0.0j, "direct"
-    preset = get_smooth_preset(key)
+    if key not in SMOOTH_PRESETS:
+        raise KeyError(f"unknown functions {name!r}; choose from "
+                       f"{sorted({*DIRECT_PRESETS, *SMOOTH_PRESETS})}")
+    preset = SMOOTH_PRESETS[key]
     return (
         pullback_scalar(preset.f),
         pullback_scalar(preset.g),

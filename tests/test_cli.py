@@ -372,8 +372,9 @@ class TestExitCodes:
         code, _ = run_cli("converge", "--functions", "nope", "--n", "1..2")
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: unknown smooth preset 'nope'; choose from "
-            "['bott-flux', 'bump-mix', 'double-flux', 'mixed-mode', 'stokes-null']\n"
+            "error: unknown functions 'nope'; choose from "
+            "['bott-flux', 'bump-mix', 'const-xy', 'double-flux', 'linear-xy', "
+            "'mixed-mode', 'sine-xy', 'stokes-null']\n"
         )
 
     def test_budget_exceeded(self, capsys):

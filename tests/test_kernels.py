@@ -1,8 +1,9 @@
 """Digit-map semantics and the digit maps against the reference digit loop,
 the edge-difference trace kernels on flat lattices against the corner form
 they replaced (bitwise) and the Bloch-vector matrix kernel against the
-complex matmul formula, that no kernel reads outside its lattice, and
-leaf-summation determinism of the hot kernels."""
+complex matmul formula, that the matrix kernel's bits do not depend on its
+block length, that no kernel reads outside its lattice, and leaf-summation
+determinism of the hot kernels."""
 
 import numpy as np
 import pytest
@@ -426,6 +427,37 @@ class TestSymmetricMatrixBlock:
             want = K.matrix_kernel(a, a.copy(), a.copy(), cells=c, out=K.Workspace())
             assert_bits_equal(got, want)
             assert not np.signbit(got.real).any() and not got.real.any()  # +0 throughout
+
+
+class TestMatrixBlockLength:
+    """The matrix kernel is real float64 arithmetic cell by cell, so its
+    values do not depend on the block length: at each length, the symmetric
+    block (a, a, a) and the general block (f, g, h) give the bits of one
+    block for the whole call."""
+
+    @staticmethod
+    def lattices(rng):
+        """(f, g, h, cells) of a 257 x 257 pullback tile of the degree-1 Bott
+        field, then of random Bloch lattices, shifted and corner."""
+        pts = np.arange(257) / 256
+        tile = bott_projection(1)(pts[:, None], pts[None, :]).reshape(3, -1)
+        yield tile, tile.copy(), tile.copy(), shifted_cells(257, 257)
+        size, cells = cells_of("shifted", 2 * K.BLOCK + 99)
+        yield *(rng.standard_normal((3, size)) for _ in range(3)), cells
+        quads = [[rng.standard_normal((3, K.BLOCK + 321)) for _ in range(4)] for _ in range(3)]
+        lattices, cells = bloch_lattices(quads)
+        yield *lattices, cells
+
+    @pytest.mark.parametrize("length", [1000, 4097, K.BLOCK // 2, K.BLOCK])
+    def test_bits_independent_of_block_length(self, monkeypatch, rng, length):
+        for f, g, h, cells in self.lattices(rng):
+            runs = {}
+            for key, block in (("whole", cells[1]), ("blocked", length)):
+                monkeypatch.setattr(K, "MATRIX_BLOCK", block)
+                runs[key] = [K.matrix_kernel(*args, cells=cells, out=K.Workspace())
+                             for args in ((f, f, f), (f, g, h))]
+            for got, want in zip(runs["blocked"], runs["whole"]):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def patterned_lattice(rng, layout, size, cells, zero, dtype):

@@ -272,6 +272,24 @@ class TestCatalogue:
                 assert np.allclose(tf(u, v), tf(u, v + 1.0), atol=1e-12)
 
 
+def chern_integrand(field, m):
+    """The Chern oracle's integrand (cos a + cos b - M cos a cos b) / |h|^3
+    on the whole m x m midpoint grid, u along axis 0."""
+    pts = (np.arange(m) + 0.5) / m
+    a = TWO_PI * field.winding * pts[:, None]
+    b = TWO_PI * pts[None, :]
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    h3 = field.mass - ca - cb
+    norm2 = (sb * sb + sa * sa) + h3 * h3
+    return (ca + cb - field.mass * ca * cb) / (norm2 * np.sqrt(norm2))
+
+
+def full_grid_chern(field, m):
+    """The Chern oracle's value summed over the whole grid, without the
+    mirror fold."""
+    return complex(TWO_PI * field.winding * (chern_integrand(field, m).sum() / (m * m)))
+
+
 class TestProjectionField:
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
     def test_projection_invariants_on_grid(self, d):
@@ -352,12 +370,33 @@ class TestProjectionField:
 
     @pytest.mark.parametrize("d, m", [
         (d, m) for d in range(-MAX_WINDING, MAX_WINDING + 1) for m in (64, 128, 256)
-    ] + [(-1, 1024), (1, 1024)])
+    ] + [(-1, 1024), (1, 1024)] + [
+        (d, m) for d in range(-MAX_WINDING, MAX_WINDING + 1) for m in (65, 127)
+    ])
     def test_degree_integral_matches_commutator_reference(self, d, m):
         field = bott_projection(d)
         val = chern_pairing_oracle(field, m)
         assert abs(val - reference_chern_commutator(field, m)) <= 1e-12
         assert val.imag == 0.0
+
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    @pytest.mark.parametrize("m", [64, 65, 127, 256, 1023, 1024])
+    def test_folded_grid_matches_full_grid(self, d, m):
+        """The weighted quarter the oracle sums gives the full grid's mean
+        to rounding, for even m and for odd m with its unpaired middle."""
+        field = bott_projection(d)
+        assert abs(chern_pairing_oracle(field, m) - full_grid_chern(field, m)) <= 1e-13
+
+    @pytest.mark.parametrize("d", range(-MAX_WINDING, MAX_WINDING + 1))
+    def test_integrand_is_mirror_symmetric(self, d):
+        """The fold's premise: row i and row m - 1 - i of the integrand agree,
+        and likewise its columns, up to the rounding of their angles,
+        2 pi w (1 - u) against 2 pi w u along u (1e-15 per unit of
+        frequency, plus 1e-15)."""
+        field = bott_projection(d)
+        g = chern_integrand(field, 64)
+        assert np.abs(g - g[::-1]).max() <= 1e-15 * (1 + abs(field.winding))
+        assert np.abs(g - g[:, ::-1]).max() <= 2e-15
 
     def test_additivity_ratio(self):
         base = chern_pairing_oracle(bott_projection(1), 256)
