@@ -99,24 +99,26 @@ up to the sign of an exact zero: a zero edge is x - x of a finite x, +0, so
 the X' Y' it does not form is an exact zero (of either sign) and p - 0 = p,
 and every other operation keeps its operands and order.  Two provisos:
 
-* the engine passes a row or column compact only where its values are
-  finite, since inf - inf is NaN, not 0;
+* a value that is not finite: inf - inf is NaN, not 0, so the paths may
+  differ at a square with such a vertex of g or h, but neither value is
+  finite there, and the engine refuses a sum that is not finite;
 * a shifted lattice's padded cell is not a square: a column's x-edge there
   wraps into the next row and is not zero, so its value differs; the
   callers drop it.
 
-When h is g, as in every pairing, phi_n(p, p, p), the matrix kernel runs a
-symmetric block that gives the general block's values bit for bit with less
-work.  Its real part per component, (gxn + gxf) (hyf + hyn) -
+The matrix kernel has one block (:func:`_block`), which does less work when
+h is g, as in every pairing, phi_n(p, p, p), for the same bits as on a copy
+of g.  The real part per component, (gxn + gxf) (hyf + hyn) -
 (gyn + gyf) (hxf + hxn), is then A B - B A, and float addition and
 multiplication commute bit for bit, so it is +0 and is written as such,
 without the 7 ufunc calls that compute it.  Terms 1 and 3 read the operands
 of terms 0 and 2 as (Y', X', Y, X), so their four cross-product halves are
-the same products in reverse order: 4 products per pair of terms, not 8.
-Each term keeps its own order of subtraction and the terms are added in the
-general order.  The one difference: where a product A B overflows (edge
-differences of Bloch vectors of about 1e154 and more) or an input is not
-finite, the general block's real part is NaN and the symmetric block's +0.
+the same products in reverse order, which they take from terms 0 and 2: 4
+products per pair of terms, not 8.  Each term keeps its own order of
+subtraction, and the terms are added in the same order either way.  The one
+difference: where a product A B overflows (edge differences of Bloch vectors
+of about 1e154 and more) or an input is not finite, the real part is NaN on
+a copy of g and +0 when h is g.
 
 Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
 the three lattices, so real vertex values (every preset triple) run as
@@ -158,14 +160,12 @@ import numpy as np
 BLOCK = 16384
 
 # Cells per block of the matrix kernel.  Its temporaries per block (the
-# edges in four rows, twelve rows of accumulators and products) are
-# 1.85 MB, or 1.5 MB in the symmetric block, when g = h as in a pairing
-# (g's edges, twelve rows of the shared cross products and three of
-# accumulators).  At 16384 cells they were 3.7 and 3.0 MB, more than a
-# core's 2 MB of L2 on the 2-core VM, so the block's 37 (symmetric) to 60
-# ufunc calls streamed their operands from L3.  At 8192 cells a 257 x 257
-# pairing tile took 4.4 ms in the symmetric block and 7.3 ms in the
-# general one, against 4.9 and 7.8 ms.  Alternating 1-worker pairing
+# edges in four rows, twelve rows of cross products and three of
+# accumulators) are 2.05 MB, or 1.5 MB when h is g as in a pairing (g's
+# edges only).  At 16384 cells a pairing's were 3.0 MB, more than a core's
+# 2 MB of L2 on the 2-core VM, so the block's 37 ufunc calls (60 when h is
+# not g) streamed their operands from L3.  At 8192 cells a 257 x 257
+# pairing tile took 4.4 ms, against 4.9 ms.  Alternating 1-worker pairing
 # passes (n = 6..10) in one process took 0.91 of their 16384-cell time
 # with 8192-cell blocks, 0.90 with 6144 and 1.05 with 4096, where the
 # Python between the blocks outweighs the cache; 2-worker passes did not
@@ -448,11 +448,11 @@ def matrix_kernel(f, g, h, *, cells, out=None):
     y-edges at the near and far columns.  ``out`` as for
     :func:`scalar_kernel`.
 
-    When ``h is g``, each block is :func:`_symmetric_block`: the same bits
-    from half the cross products, with the real part, A . B - B . A, written
-    as +0 (see the module docstring; only where A . B overflows, at Bloch
-    edge differences of about 1e154, or on non-finite inputs does the general
-    block give NaN there instead).
+    Each block is :func:`_block`.  When ``h is g`` it forms half the cross
+    products and writes the real part, A . B - B . A, as +0: the bits of the
+    same call on a copy of g (see the module docstring; only where A . B
+    overflows, at Bloch edge differences of about 1e154, or on non-finite
+    inputs is the copy's real part NaN instead).
     """
     ws = Workspace() if out is None else out
     result = ws.take("kernel.result", (cells[1],))
@@ -471,76 +471,60 @@ def matrix_kernel(f, g, h, *, cells, out=None):
             np.copyto(d[3], d[0])
             return d
 
-        terms = _terms(f, g, h, cells, lo, hi, diff)
-        if h is g:
-            _symmetric_block(terms, ws, parts[:, lo:hi])
-            continue
-        acc = ws.take("kernel.acc", (2, 3, hi - lo), np.float64)  # per component
-        re, im = acc
-        t = ws.take("kernel.t", (3, hi - lo), np.float64)
-        prod = ws.take("kernel.prod", (3, hi - lo), np.float64)
-        (_, gxn, hyf, gyn, hxf), (_, gxf, hyn, gyf, hxn) = terms[:2]
-        np.add(gxn[:3], gxf[:3], out=re)
-        re *= np.add(hyf[:3], hyn[:3], out=prod)
-        np.add(gyn[:3], gyf[:3], out=t)
-        t *= np.add(hxf[:3], hxn[:3], out=prod)
-        re -= t
-        for k, (F, X, Y, X2, Y2) in enumerate(terms):
-            s = t if k else im
-            np.multiply(X[0:3], Y[1:4], out=s)
-            s -= np.multiply(X[1:4], Y[0:3], out=prod)
-            s -= np.multiply(X2[0:3], Y2[1:4], out=prod)
-            s += np.multiply(X2[1:4], Y2[0:3], out=prod)
-            s *= F
-            if k:
-                im += s
-        total = acc[:, 0]  # the sums over the three components
-        total += acc[:, 1]
-        total += acc[:, 2]
-        np.multiply(total, 0.125, out=parts[:, lo:hi])
+        _block(_terms(f, g, h, cells, lo, hi, diff), h is g, ws, parts[:, lo:hi])
     return result
 
 
-def _symmetric_block(terms, ws, parts):
-    """One block of :func:`matrix_kernel` when h is g, written into the
-    (real, imaginary) rows ``parts``: the general block's values, bit for
-    bit, from half its cross products and none of its real part.
+def _block(terms, symmetric, ws, parts):
+    """One block of :func:`matrix_kernel`, written into the (real,
+    imaginary) rows ``parts``.
 
-    With h = g, the real part's two products are A . B and B . A, which
-    round alike, so it is +0.  Term k + 1 (k = 0, 2) reads term k's operands
-    as (Y', X', Y, X), so its four cross-product halves are term k's in
-    reverse order; each term keeps its own order of subtraction, and the
-    terms are added in the general block's order.  Term 2's sum is written
-    into g's x-edges, which no product reads after its own.
+    Each term's four cross-product halves are formed and combined in the
+    order of its formula.  When ``symmetric`` (h is g), term k + 1
+    (k = 0, 2) reads term k's operands as (Y', X', Y, X), so it takes term
+    k's products in reverse order, formed in place, and term 2's sum is
+    written into g's x-edges, which no product reads after its own; the real
+    part, A . B - B . A, is written as +0.  Otherwise no edge is written:
+    on a shifted lattice g's two x-edges are views of one difference.
     """
     m = parts.shape[1]
     im = ws.take("kernel.acc", (3, m), np.float64)
     p = ws.take("kernel.cross", (4, 3, m), np.float64)
-    for k in (0, 2):
-        (F, X, Y, X2, Y2), F1 = terms[k], terms[k + 1][0]
-        np.multiply(X[0:3], Y[1:4], out=p[0])
-        np.multiply(X[1:4], Y[0:3], out=p[1])
-        np.multiply(X2[0:3], Y2[1:4], out=p[2])
-        np.multiply(X2[1:4], Y2[0:3], out=p[3])
-        # term 2's sum goes into g's x-edges, dead once its products are taken
-        t = X[0:3] if k else im
-        np.subtract(p[0], p[1], out=t)
-        t -= p[2]
-        t += p[3]
+    for k, (F, X, Y, X2, Y2) in enumerate(terms):
+        if symmetric and k % 2:
+            t = p[3]  # ((p3 - p2) - p1) + p0
+            t -= p[2]
+            t -= p[1]
+            t += p[0]
+        else:
+            np.multiply(X[0:3], Y[1:4], out=p[0])
+            np.multiply(X[1:4], Y[0:3], out=p[1])
+            np.multiply(X2[0:3], Y2[1:4], out=p[2])
+            np.multiply(X2[1:4], Y2[0:3], out=p[3])
+            t = im if k == 0 else X[0:3] if symmetric else p[0]
+            np.subtract(p[0], p[1], out=t)
+            t -= p[2]
+            t += p[3]
         t *= F
         if k:
             im += t
-        t = p[3]  # term k + 1, in place: ((p3 - p2) - p1) + p0
-        t -= p[2]
-        t -= p[1]
-        t += p[0]
-        t *= F1
-        im += t
     total = im[0]  # the sum over the three components
     total += im[1]
     total += im[2]
     np.multiply(total, 0.125, out=parts[1])
-    parts[0] = 0.0
+    if symmetric:
+        parts[0] = 0.0
+        return
+    (_, gxn, hyf, gyn, hxf), (_, gxf, hyn, gyf, hxn) = terms[:2]
+    re = np.add(gxn[:3], gxf[:3], out=p[0])
+    re *= np.add(hyf[:3], hyn[:3], out=p[1])
+    t = np.add(gyn[:3], gyf[:3], out=p[2])
+    t *= np.add(hxf[:3], hxn[:3], out=p[1])
+    re -= t
+    total = re[0]
+    total += re[1]
+    total += re[2]
+    np.multiply(total, 0.125, out=parts[0])
 
 
 def leaf_sums(vals, leaf):

@@ -419,7 +419,7 @@ def _cmd_selftest(args) -> int:
         failures.append("matrix kernel oracle mismatch")
 
     # the same with f = g = h, one lattice, as in every pairing: the kernel's
-    # symmetric block
+    # block then reuses the cross products and writes the real part as +0
     got = K.matrix_kernel(f, f, f, cells=cells)
     worst = max(
         abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[0:4, s]),) * 3)) for s in range(200)

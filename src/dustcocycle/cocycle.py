@@ -5,7 +5,8 @@ evaluates a function triple at the four vertices of each square, applies the
 per-square trace kernel and reduces the 4**n terms through a fixed-shape
 pairwise tree over 4096-word leaves.  The tree shape depends only on the term
 count, never on the worker count, so results are bit-identical however the
-work is spread.
+work is spread.  Every sum returns through :func:`_sum_kernel`, which
+refuses one that is not finite.
 
 Every sum is one walk over aligned tiles of one shape.  Its source
 (:class:`_Source`) is one :class:`_Tile`, the vertex lattice of a run of
@@ -52,9 +53,9 @@ pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
 transcendentals H + W times, not H * W.  A scalar rule's row, column or
 constant stays compact, as the rule returned it, its axes of length 1
 naming the edges that are exact zeros; other values are flattened, a
-C-contiguous one as a view.  A finite row g with a finite column h goes to
-the scalar kernel compact, which forms each block's X Y as one outer
-product of their edges; any other compact value that the kernel reads is
+C-contiguous one as a view.  A row g with a column h goes to the scalar
+kernel compact, whatever their values, and it forms each block's X Y as one
+outer product of their edges; any other compact value that the kernel reads is
 copied into a flat lattice in the worker's workspace (f for its corners,
 a row or column whose partner is not the matching column or row, a
 constant g or h), which the kernel's general path reads like any other
@@ -157,7 +158,8 @@ class Observable:
     column h reaches the scalar kernel compact, which forms each square's
     X Y as a product of their edges and skips the product X' Y' they zero;
     any other row, column or constant the kernel reads is copied into a
-    flat lattice for its general path.
+    flat lattice for its general path.  Scalar values are not checked: a
+    NaN or inf at a vertex of a square makes the sum raise ValueError.
     ``mode`` decides what the engine feeds it: the vertex's own triadic
     coordinates (direct) or the dyadic staircase image on the torus
     (pullback).
@@ -544,13 +546,15 @@ def _kernel_args(values, zeros, tile, ws):
     :func:`_lattice_values`' values and zero axes.
 
     A row g and a column h go to the kernel compact, in the shapes of the
-    tile's coordinates, when both are finite, since inf - inf is NaN, not
-    0.  Every other compact value is copied into a flat lattice, in buffer
+    tile's coordinates, whatever their values: one that is not finite at a
+    vertex of one of the level's own squares makes that square's term, and
+    so the sum, non-finite on either path, and :func:`_sum_kernel` refuses
+    it.  Every other compact value is copied into a flat lattice, in buffer
     ``lattice.i`` of ``ws``, for the kernel's general path; a repeated value
     is copied once.
     """
     f, g, h = values
-    if zeros[1:] == ["y", "x"] and np.isfinite(g).all() and np.isfinite(h).all():
+    if zeros[1:] == ["y", "x"]:
         return (f if f.ndim == 1 else _full(f, tile.shape, ws, "lattice.0").reshape(-1),
                 g if g.shape == tile.dx.shape else np.broadcast_to(g, tile.dx.shape),
                 h if h.shape == tile.dy.shape else np.broadcast_to(h, tile.dy.shape))
@@ -686,12 +690,17 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
 _last_direct = None
 
 
-def _sum_kernel(source, total, f, g, h, workers, maxima=None):
-    """The level's sum over ``source``.  ``maxima``, a (3, 2) float array
-    given for a direct scalar sum, is set to f's, g's and h's
-    :func:`_maxima` over the level: each task takes them over the tiles it
-    touches, and their maximum does not depend on how the tasks are
-    spread."""
+def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
+    """The level-n sum over ``source``, of ``total`` words.  ``maxima``, a
+    (3, 2) float array given for a direct scalar sum, is set to f's, g's
+    and h's :func:`_maxima` over the level: each task takes them over the
+    tiles it touches, and their maximum does not depend on how the tasks
+    are spread.
+
+    Every sum returns here, and one that is not finite (a NaN or inf at a
+    vertex of a square, or an overflow) raises ValueError naming the triple
+    and the level; a value at a vertex of no square (a carpet hole, a
+    padded cell) enters no term that is kept."""
     global _last_direct
     _last_direct = None
     observables = (f, g, h)
@@ -719,7 +728,12 @@ def _sum_kernel(source, total, f, g, h, workers, maxima=None):
             list(pool.map(run, range(len(tasks))))
     if maxima is not None:
         np.max(per_task, axis=0, out=maxima)  # np.max keeps NaN
-    return _pairwise_reduce(leafsums)
+    val = _pairwise_reduce(leafsums)
+    if not np.isfinite(val):
+        names = ", ".join(repr(o.name) for o in observables)
+        raise ValueError(f"the level-{n} sum over ({names}) is {val}, not finite: an observable is "
+                         "NaN or inf at a vertex of a square, or the sum of finite terms overflowed")
+    return val
 
 
 def _check_triple(f, g, h):
@@ -764,6 +778,9 @@ def phi_n(
     :func:`_maxima`, which the estimates of this level then read back
     instead of evaluating the rules again.  Other sums take none: taking
     the maxima made a plain direct sum 23 to 130 % slower.
+
+    A sum that is not finite (a NaN or inf value at a vertex of a square,
+    or an overflow) raises ValueError naming the triple and the level.
     """
     global _last_direct
     if n < 0:
@@ -782,7 +799,7 @@ def phi_n(
     _, _, last, _, asked = _last_direct or (None, None, (), None, False)
     table = direct and asked and all(a is b for a, b in zip(last, (f, g, h)))
     maxima = np.empty((3, 2)) if table else None
-    val = _sum_kernel(source, total, f, g, h, workers, maxima)
+    val = _sum_kernel(source, n, total, f, g, h, workers, maxima)
     if direct:
         _last_direct = (preset.offsets, n, (f, g, h), maxima, False)
     return val
@@ -802,19 +819,16 @@ def phi_subdivision(
     vertex values are taken at the raw dyadic cell corners, so the far edge
     evaluates at coordinate value 1.  For 1-periodic functions that matches
     the identified value up to rounding, and plain coordinate functions keep
-    their exact Riemann sums.
+    their exact Riemann sums.  A sum that is not finite raises ValueError,
+    as in :func:`phi_n`.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     total = _word_count(4, n)
     budget_check(total, "scalar", allow_large)
     workers = resolve_workers(workers)
-    obs = tuple(
-        Observable(getattr(t, "name", "fn"), "pullback", "scalar",
-                   t.fn if isinstance(t, TorusFunction) else t)
-        for t in (ftilde, gtilde, htilde)
-    )
-    return _sum_kernel(_subdivision_source(n), total, *obs, workers)
+    obs = [pullback_scalar(t) for t in (ftilde, gtilde, htilde)]
+    return _sum_kernel(_subdivision_source(n), n, total, *obs, workers)
 
 
 def pairing_n(
@@ -825,7 +839,8 @@ def pairing_n(
     allow_large: bool = False,
 ) -> complex:
     """Finite-level pairing of the cocycle with a matrix projection:
-    phi_n(p, p, p) / (2 pi i), after :func:`validate_projection`."""
+    phi_n(p, p, p) / (2 pi i), after :func:`validate_projection`; a sum
+    that is not finite raises ValueError, as in :func:`phi_n`."""
     if p.kind != "matrix" or p.mode != "pullback":
         raise ValueError("pairing needs a pullback-mode matrix projection")
     validate_projection(p, n)

@@ -38,6 +38,17 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def bent_triple(bad):
+    """A factory for linear-xy with h, "bent-y", ``bad`` where x > 1/2."""
+    def triple():
+        f, g, _ = cocycle.DIRECT_PRESETS["linear-xy"]()
+        bent = cocycle.direct_scalar(
+            lambda u, v: np.where(np.asarray(u) > 0.5, bad, np.asarray(u) + v), "bent-y")
+        return f, g, bent
+
+    return triple
+
+
 class TestConverge:
     def test_csv_shape_and_values(self):
         code, out = run_cli(
@@ -431,21 +442,32 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lipschitz_refuses_non_finite_values(self, monkeypatch, capsys, bad):
-        """An observable that is NaN or inf at some vertex makes the
-        Lipschitz estimate raise, and the command exit 2."""
-        def triple():
-            f, g, h = cocycle.DIRECT_PRESETS["linear-xy"]()
-            bent = cocycle.direct_scalar(
-                lambda u, v: np.where(np.asarray(u) > 0.5, bad, np.asarray(u) + v), "bent-y")
-            return f, g, bent
-
-        monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", triple)
-        with np.errstate(invalid="ignore"):  # phi_n of the level runs first
+        """An observable that is NaN or inf at some vertex makes the sum of
+        the table's first level raise, before its Lipschitz estimates, and
+        the command exit 2."""
+        monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", bent_triple(bad))
+        with np.errstate(invalid="ignore"):
             code, _ = run_cli("lipschitz", "--functions", "bent-xy", "--n", "1..3",
                               "--workers", "1")
         assert code == 2
         err = capsys.readouterr().err
-        assert "observable 'bent-y' is not finite at every level-1 vertex" in err
+        assert "error: the level-1 sum over ('x+y', 'x', 'bent-y') is " in err
+
+    @pytest.mark.parametrize("bad, workers", [(np.nan, 1), (np.nan, 2), (np.inf, 1)])
+    def test_phi_json_refuses_a_non_finite_sum(self, monkeypatch, capsys, bad, workers):
+        """JSON has no NaN: a level's sum that is not finite exits 2 with
+        one error line, and nothing is written (inf on one worker only,
+        where np.errstate silences inf - inf)."""
+        monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", bent_triple(bad))
+        with np.errstate(invalid="ignore"):
+            code, out = run_cli("phi", "--functions", "bent-xy", "--n", "9", "--format", "json",
+                                "--workers", str(workers))
+        assert code == 2 and out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: the level-9 sum over ('x+y', 'x', 'bent-y') is ")
 
     def test_selftest_passes(self):
         code, out = run_cli("selftest")
@@ -462,7 +484,7 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
 
-    def test_selftest_checks_the_zero_edge_elision(self, monkeypatch, capsys):
+    def test_selftest_checks_the_separable_path(self, monkeypatch, capsys):
         """A kernel whose path for a compact row g and column h is one ulp
         off passes every other check (the closed forms are checked to
         1e-12) and fails this one alone."""
@@ -544,19 +566,21 @@ class TestExitCodes:
         assert "FAIL matrix kernel oracle mismatch" in capsys.readouterr().err
 
     def test_selftest_checks_the_symmetric_matrix_block(self, monkeypatch, capsys):
-        """A pairing's f = g = h runs the matrix kernel's symmetric block,
-        which selftest checks on its own line."""
+        """A pairing's f = g = h runs the matrix kernel's block with h is g,
+        which reuses the cross products; selftest checks it on its own
+        line."""
         code, out = run_cli("selftest")
         line = next(x for x in out.splitlines() if x.startswith("matrix kernel vs matrix oracle "
                                                                   "(f = g = h)"))
         assert float(line.rsplit("=", 1)[1]) <= 1e-12
-        block = K._symmetric_block
+        block = K._block
 
-        def conjugated(terms, ws, parts):
-            block(terms, ws, parts)
-            parts[1] *= -1
+        def conjugated(terms, symmetric, ws, parts):
+            block(terms, symmetric, ws, parts)
+            if symmetric:
+                parts[1] *= -1
 
-        monkeypatch.setattr(K, "_symmetric_block", conjugated)
+        monkeypatch.setattr(K, "_block", conjugated)
         code, out = run_cli("selftest")
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [

@@ -1,6 +1,7 @@
 """The combinatorial integration engine: closed forms, identities, decay."""
 
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ from dustcocycle.cocycle import (
 from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
 from dustcocycle.geometry import BudgetError, IfsPreset, enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import dust_image
-from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection, get_smooth_preset
+from dustcocycle.oracle import SMOOTH_PRESETS, TorusFunction, bott_projection, get_smooth_preset
 from test_oracle import bump_mix_phi, pauli_pack
 
 DUST = get_preset("cantor-dust")
@@ -358,19 +359,17 @@ class TestLipschitzDecay:
     @pytest.mark.parametrize("preset, n", [(DUST, 3), (CARPET, 2), (FULL, 2)])
     @pytest.mark.parametrize("obs", [NAN_CORNER, INF_EDGE], ids=lambda o: o.name)
     def test_non_finite_values_refused_in_a_table(self, preset, n, obs):
-        """Read back from the maxima a Lipschitz table's sum took, which
-        evaluates no rule again, a NaN or inf value still raises."""
-        calls = []
-        counted = direct_scalar(lambda u, v: calls.append(1) or obs.rule(u, v), obs.name)
+        """In a Lipschitz table each level's sum runs before its estimates,
+        and a NaN or inf value makes the sum raise, naming the triple and
+        the level, before any estimate.  It leaves no maxima to read back,
+        so an estimate asked for anyway walks the tiles and raises too."""
         f, _, h, _, _ = resolve_functions("linear-xy")
-        with np.errstate(invalid="ignore"):
-            phi_n(preset, n - 1, f, counted, h, workers=1)
-            estimate_lipschitz(preset, n - 1, f)
-            phi_n(preset, n, f, counted, h, workers=1)
-        calls.clear()
+        refused = re.escape(f"the level-{n} sum over ('x+y', '{obs.name}', 'y') is ")
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=refused):
+            phi_n(preset, n, f, obs, h, workers=1)
+        assert cocycle._last_direct is None
         with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
-            estimate_lipschitz(preset, n, counted)
-        assert calls == []
+            estimate_lipschitz(preset, n, obs)
 
     def test_non_finite_values_in_a_carpet_hole_do_not_count(self):
         """Only the vertices of the carpet's own squares are read: a NaN in
@@ -682,6 +681,84 @@ class TestPairing:
         val = pairing_n(DUST, 8, p, workers=2)
         assert val.real == pytest.approx(2.0, abs=0.01)
         assert abs(val.imag) < 1e-10
+
+
+def bits(z):
+    """The bits of complex ``z``, as two int64."""
+    return np.array([z]).view(np.int64).tolist()
+
+
+class TestNonFiniteSums:
+    """Every sum returns through one check: a level's sum that is not
+    finite raises ValueError naming the triple and the level.  inf is tested
+    on one worker only, where ``np.errstate`` silences the warning of
+    inf - inf; a worker thread does not inherit it."""
+
+    CASES = [(np.nan, 1), (np.nan, 2), (np.inf, 1)]
+
+    @staticmethod
+    def refused(names, n):
+        return re.escape(f"the level-{n} sum over ({', '.join(map(repr, names))}) is ")
+
+    @pytest.mark.parametrize("bad, workers", CASES)
+    def test_phi_n(self, bad, workers):
+        """A direct h, not finite along x > 0.9, on the general path; level
+        9 is four tasks, so two workers run them on a pool."""
+        f, g, _, _, _ = resolve_functions("linear-xy")
+        h = direct_scalar(lambda u, v: np.where(np.asarray(u) > 0.9, bad, v * 1.0), "bad")
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=self.refused(("x+y", "x", "bad"), 9)):
+            phi_n(DUST, 9, f, g, h, workers=workers)
+
+    @pytest.mark.parametrize("bad, workers", CASES)
+    def test_phi_subdivision(self, bad, workers):
+        """bott-flux with its row g not finite at u = 1/2, on the separable
+        path."""
+        sp = get_smooth_preset("bott-flux")
+        g = TorusFunction("g-bad", lambda u, v: np.where(u == 0.5, bad, sp.g(u, v)))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=self.refused((sp.f.name, "g-bad", sp.h.name), 9)):
+            phi_subdivision(9, sp.f, g, sp.h, workers=workers)
+
+    def test_pairing_n_refuses_an_overflowing_sum(self):
+        """A sum of finite values can overflow: a Bott field scaled by 1e200
+        at the vertex images whose u is an odd multiple of 1/128, which the
+        level-6 projection check does not see, is refused at n = 7."""
+        bott = bott_projection(1)
+
+        def rule(u, v):
+            n = bott(u, v)
+            n[:, np.broadcast_to(np.asarray(u) * 128 % 2 == 1, n.shape[1:])] *= 1e200
+            return n
+
+        p = Observable("bott-1-huge", "pullback", "matrix", rule, dim=2)
+        assert pairing_n(DUST, 6, p, workers=1).real == pytest.approx(2.0, abs=0.05)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=self.refused(("bott-1-huge",) * 3, 7) + ".*overflowed"):
+            pairing_n(DUST, 7, p, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("place", [0, 1, 2], ids=["f", "g", "h"])
+    def test_nan_in_a_carpet_hole_keeps_the_sum(self, workers, place):
+        """A NaN only at vertices of no level-6 square, in the hole of the
+        carpet's lower left ninth, inside a tile's box, enters no term that
+        is kept: the sum is finite and bitwise that of the same values with
+        the NaN made finite.  In f, beside the row g and column h, the
+        kernel runs its separable path; in g or h, its general path."""
+        def holed(fill):
+            def rule(u, v):
+                u, v = np.asarray(u), np.asarray(v)
+                hole = (np.abs(u - 1 / 6) < 0.03) & (np.abs(v - 1 / 6) < 0.03)
+                return np.where(hole, fill, u * v + 1.0)
+
+            return direct_scalar(rule, "holed")
+
+        triple = list(resolve_functions("linear-xy")[:3])
+        got, want = (
+            phi_n(CARPET, 6, *triple[:place], holed(fill), *triple[place + 1:], workers=workers)
+            for fill in (np.nan, 7.0)
+        )
+        assert np.isfinite(got) and bits(got) == bits(want)
 
 
 class TestBudgetsAndValidation:

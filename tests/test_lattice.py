@@ -667,10 +667,11 @@ class TestZeroEdgeDetection:
                 assert (h is g) == (names[2] == names[1])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_row_falls_back(self, monkeypatch, bad):
-        """inf - inf is NaN, not 0: a row or column that is not finite is
-        copied into a flat lattice, and the kernel takes the general
-        path."""
+    def test_non_finite_row_stays_compact_and_is_refused(self, monkeypatch, bad):
+        """The kernel's path follows its operands' shapes, not their values:
+        a row and a column that are not finite at a vertex of a square still
+        reach the separable path compact, and the level's sum, not finite
+        on either path, is refused."""
         src = cocycle._pullback_source(4)
         row = Observable("u only", "pullback", "scalar",
                          lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u)))
@@ -681,18 +682,19 @@ class TestZeroEdgeDetection:
         values, zero = cocycle._lattice_values(src, 0, (f, row, col), ws)
         assert zero == ["", "y", "x"]
         _, g, h = cocycle._kernel_args(values, zero, src.tile, ws)
-        assert g.ndim == h.ndim == 1
+        assert g is values[1] and h is values[2]
         seen = []
         kernel = K.scalar_kernel
 
         def recorded(f, g, h, **kwargs):
-            seen.append((g.ndim, h.ndim))
+            seen.append((g.shape, h.shape))
             return kernel(f, g, h, **kwargs)
 
         monkeypatch.setattr(K, "scalar_kernel", recorded)
-        with np.errstate(invalid="ignore"):
+        refused = r"the level-4 sum over \('uv', 'u only', 'v only'\) is .*, not finite"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=refused):
             phi_n(DUST, 4, f, row, col, workers=1)
-        assert seen == [(1, 1)]
+        assert seen == [(src.tile.dx.shape, src.tile.dy.shape)]
 
     SUMS = [(name, "pullback") for name in ("bott-flux", "stokes-null", "mixed-mode",
                                             "double-flux")]
