@@ -78,10 +78,10 @@ to 1e-13 (rtol and atol), not to the last ulp.
 Zero edges.  A scalar rule of one coordinate gives a lattice whose edges
 along the other are exact zeros: the y-edges of a row (values that vary
 along x only, such as g = sin 2 pi u in bott-flux) and the x-edges of a
-column (h = sin 2 pi v).  The engine reads this from the axes of length 1
-of the rule's compact values.  A row g with a column h reaches the scalar
-kernel compact, (1, W) and (H, 1) on a shifted lattice, (1, 2, 1, w) and
-(2, 1, h, 1) on the quadrants.  Then X' Y' = gy hx vanishes, a row's two
+column (h = sin 2 pi v).  The engine reads this from the shape of the
+rule's compact values, that of the tile's row of u or column of v.  A row
+g with a column h reaches the scalar kernel compact, (1, W) and (H, 1) on
+a shifted lattice, (1, 2, 1, w) and (2, 1, h, 1) on the quadrants.  Then X' Y' = gy hx vanishes, a row's two
 x-edges at a cell are the same difference d[j] of its column and a
 column's two y-edges the same e[i] of its row, so every term's X Y is
 d[j] e[i]: the kernel's separable path forms d and e once per call (a

@@ -1,6 +1,7 @@
 """The combinatorial integration engine.
 
-``phi_n`` streams the level-n squares of an IFS preset in word order,
+``phi_n`` streams the level-n squares of one of the three IFS presets of
+``geometry.PRESETS`` in word order,
 evaluates a function triple at the four vertices of each square, applies the
 per-square trace kernel and reduces the 4**n terms through a fixed-shape
 pairwise tree over 4096-word leaves.  The tree shape depends only on the term
@@ -10,20 +11,20 @@ refuses one that is not finite.
 
 Every sum is one walk over aligned tiles of one shape.  Its source
 (:class:`_Source`) is one :class:`_Tile`, the vertex lattice of a run of
-words as integer offsets from the run's first vertex, with the lattice's
-cells as the kernels take them and where each word's cell sits among them,
+words as integer offsets from the tile's origin, with the lattice's cells
+as the kernels take them and where each word's cell sits among them,
 built once per layout and level and kept, read-only, for the process; a
 function that places a tile from its first word (pullback and direct
-sources read it from one digit-map call per sum, made on the first words
-of all the sum's tiles); and the coordinates' denominator.  There are
-three sources:
+sources read it from one digit-map call per sum, made on the indices of
+all the sum's tiles over the digits above the tile's); and the
+coordinates' denominator.  There are three sources:
 
 * pullback (the staircase images of the vertices, over 2**n): the image
   cells of the dust squares are the Z-order (Morton) walk of the
   2**n x 2**n torus cells, so 4**m words, m = min(n, 8), are one aligned
   2**m x 2**m tile (for n <= 8, the whole grid), in the same Morton order at
-  every level, placed from its first word's image bits and wrapped with
-  ``& mask`` onto the periodic torus;
+  every level, tile t placed at 2**m times the image bits of its n - m
+  digits and wrapped with ``& mask`` onto the periodic torus;
 * subdivision (``phi_subdivision``, over 2**n): cell w of the plain dyadic
   subdivision, in row-major order, is at column w & mask and row w >> n; a
   tile is min(2**n, 65536) columns by as many whole rows as fit in 16
@@ -36,7 +37,7 @@ three sources:
   of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
   dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and 4
   on ``full-subdivision-3`` (9**4 words, never a whole number of leaves),
-  placed from its first word's corner numerators.
+  tile t placed at 3**k times the corner numerators of its n - k digits.
 
 Each parallel task covers up to 65536 consecutive words: one tile when a
 tile is a whole number of leaves or the whole grid, else (on
@@ -51,9 +52,9 @@ A tile's lattice is a tensor product: each observable's rule gets a row of
 u and a column of v that broadcast to it, 257 of each for a 256 x 256
 pullback tile, so a product rule such as cos 2 pi u * cos 2 pi v calls its
 transcendentals H + W times, not H * W.  A scalar rule's row, column or
-constant stays compact, as the rule returned it, its axes of length 1
-naming the edges that are exact zeros; other values are flattened, a
-C-contiguous one as a view.  A row g with a column h goes to the scalar
+constant stays compact, as the rule returned it, its shape (that of the
+tile's row of u or column of v, or one value) naming the edges that are
+exact zeros; other values are flattened, a C-contiguous one as a view.  A row g with a column h goes to the scalar
 kernel compact, whatever their values, and it forms each block's X Y as one
 outer product of their edges; any other compact value that the kernel reads is
 copied into a flat lattice in the worker's workspace (f for its corners,
@@ -80,7 +81,7 @@ are its (3, N) float64 Bloch vectors, read the same way.
 :func:`estimate_lipschitz` takes, per observable, the sup of the values
 and the largest edge difference over the tile's own cells
 (:func:`_maxima`, the carpet's holes and padded cells left out), on the
-same tiles and lattices, a compact row or column read as it is.  In a
+same tiles and lattices, a compact row or column read whole as it is.  In a
 Lipschitz table, where the estimates of each level follow its sum over the
 same triple, the sum's tasks take them from the lattices they evaluate and
 the estimates read them back, so each rule is evaluated once per tile;
@@ -107,7 +108,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .geometry import CANTOR_DUST, IfsPreset, budget_check
+from .geometry import CANTOR_DUST, PRESETS, IfsPreset, budget_check
 from .oracle import SMOOTH_PRESETS, ProjectionField, TorusFunction
 
 LEAF = 4096
@@ -153,8 +154,8 @@ class Observable:
     rule returns a real or complex array that broadcasts to their common
     shape.  A rule of one coordinate should return its row (u only) or
     column (v only) as it is, not multiplied out to the full shape: the
-    engine keeps it compact and reads from its axes of length 1 that its
-    edges along the other coordinate are exact zeros.  A row g with a
+    engine keeps it compact and reads from its shape that its edges along
+    the other coordinate are exact zeros.  A row g with a
     column h reaches the scalar kernel compact, which forms each square's
     X Y as a product of their edges and skips the product X' Y' they zero;
     any other row, column or constant the kernel reads is copied into a
@@ -313,29 +314,24 @@ class _Tile(NamedTuple):
     alike, with read-only arrays.
 
     ``dx`` and ``dy`` are the lattice's integer column and row coordinates
-    relative to the run's first word's, shaped to broadcast into the
-    lattice, whose ``shape`` is theirs broadcast; ``cells`` are the
-    lattice's cells as the kernels take them; ``order`` is where each
-    word's cell sits among them, in word order.  An order is unique, lies in
-    [0, cell count) and never names a padded cell, so the engine gathers
-    with it unchecked (``mode="clip"``).  ``cols`` and ``rows`` are the
-    edges of a compact row and column (:func:`_kernels.near_far`) that the
-    tile's own cells use, or None for all of them.
+    relative to the tile's origin, shaped to broadcast into the lattice;
+    ``cells`` are the lattice's cells as the kernels take them; ``order`` is
+    where each word's cell sits among them, in word order.  An order is
+    unique, lies in [0, cell count) and never names a padded cell, so the
+    engine gathers with it unchecked (``mode="clip"``).  The tile's own
+    cells use every column and every row of the lattice, so a compact row
+    or column is read whole (:func:`_compact_maxima`).
     """
 
     dx: np.ndarray
     dy: np.ndarray
     cells: tuple
     order: np.ndarray
-    shape: tuple
-    cols: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
 
 
 def _read_only(tile):
-    for a in (tile.dx, tile.dy, tile.order, tile.cols, tile.rows):
-        if a is not None:
-            a.flags.writeable = False
+    for a in (tile.dx, tile.dy, tile.order):
+        a.flags.writeable = False
     return tile
 
 
@@ -350,11 +346,9 @@ def _box_tile(cols, rows, cx, cy):
     into the next row, and the last row's is left out: rows w - 1 cells.
     """
     w = cols + 1
-    xs, ys = np.unique(cx), np.unique(cy)
     return _read_only(_Tile(
         np.arange(w, dtype=np.int64)[None, :], np.arange(rows + 1, dtype=np.int64)[:, None],
-        ((0, 1, w + 1, w), rows * w - 1), cy * w + cx, (rows + 1, w),
-        None if xs.size == cols else xs, None if ys.size == rows else ys,
+        ((0, 1, w + 1, w), rows * w - 1), cy * w + cx,
     ))
 
 
@@ -404,7 +398,7 @@ def _direct_tile(offsets, k):
         return _read_only(_Tile(
             (xs + far).reshape(1, 2, 1, w), (ys + far).reshape(2, 1, h, 1),
             ((0, h * w, 3 * h * w, 2 * h * w), h * w),
-            np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx), (2, 2, h, w),
+            np.searchsorted(ys, ky) * w + np.searchsorted(xs, kx),
         ))
     return _box_tile(3**k, 3**k, kx, ky)
 
@@ -427,13 +421,15 @@ class _Source(NamedTuple):
 def _pullback_source(n):
     """The source of a level-n pullback sum: the dust words' image cells on
     the 2**n torus grid, in aligned Morton tiles of 2**m x 2**m cells,
-    m = min(n, 8), each placed from its first word's image bits and wrapped
-    with ``& mask`` onto the periodic torus.  The image bits of every
-    tile's first word come from one digit-map call."""
-    tile = _pullback_tile(min(n, _tile_level(4)))
+    m = min(n, 8), tile t placed at 2**m times the image bits of its n - m
+    digits and wrapped with ``& mask`` onto the periodic torus.  The image
+    bits of every tile come from one digit-map call, of no digit step when
+    one tile is the whole grid."""
+    m = min(n, _tile_level(4))
+    tile = _pullback_tile(m)
     span = tile.order.size
     mask = (1 << n) - 1
-    mx, my = K.dust_image_bits(np.arange(0, 4**n, span, dtype=np.int64), n)
+    mx, my = (a << m for a in K.dust_image_bits(np.arange(4 ** (n - m), dtype=np.int64), n - m))
 
     def place(w):
         return (mx[w // span] + tile.dx) & mask, (my[w // span] + tile.dy) & mask
@@ -451,16 +447,18 @@ def _subdivision_source(n):
 
 
 def _direct_source(preset: IfsPreset, n: int):
-    """The source of a level-n direct sum on ``preset``: the tile of the
-    nmaps**k words of one level-k sub-fractal, k = min(n,
-    :func:`_tile_level`) (below that level one tile is the whole grid),
-    placed from its first word's corner numerators over 3**n.  The corner
-    numerators of every tile's first word come from one digit-map call."""
-    offx, offy = preset.offset_arrays()
-    tile = _direct_tile(preset.offsets, min(n, _tile_level(preset.nmaps)))
+    """The source of a level-n direct sum on ``preset``, one of
+    ``geometry.PRESETS``: the tile of the nmaps**k words of one level-k
+    sub-fractal, k = min(n, :func:`_tile_level`) (below that level one tile
+    is the whole grid), tile t placed at 3**k times the corner numerators
+    of its n - k digits, over 3**n.  The corner numerators of every tile
+    come from one digit-map call, of no digit step when one tile is the
+    whole grid."""
+    k = min(n, _tile_level(preset.nmaps))
+    tile = _direct_tile(preset.offsets, k)
     span = tile.order.size
-    firsts = np.arange(0, preset.nmaps**n, span, dtype=np.int64)
-    kx, ky = K.corner_numerators(firsts, n, offx, offy)
+    tiles = np.arange(preset.nmaps ** (n - k), dtype=np.int64)
+    kx, ky = (a * 3**k for a in K.corner_numerators(tiles, n - k, *preset.offset_arrays()))
 
     def place(w):
         return kx[w // span] + tile.dx, ky[w // span] + tile.dy
@@ -477,18 +475,6 @@ def _task_span(source, total):
     return span if span % LEAF == 0 or span == total else TASK_LEAVES * LEAF
 
 
-def _zero_axes(values, u, v):
-    """The axes, "x" and/or "y", along which the cell edges of a scalar
-    rule's ``values`` at (u, v), with an axis per lattice axis, are exact
-    zeros where the values are finite: "y" when they have length 1 along
-    every axis along which v varies (a row, a rule of u only), "x" likewise
-    for u."""
-    if values.size == u.size * v.size:  # full: u and v vary along disjoint axes
-        return ""
-    return "".join(name for name, c in (("x", u), ("y", v))
-                   if all(m == 1 for m, k in zip(values.shape, c.shape) if k > 1))
-
-
 def _full(a, shape, ws, name):
     """``a`` broadcast to ``shape``, C-contiguous: ``a`` itself when it is,
     else a copy into buffer ``name`` of ``ws``."""
@@ -499,70 +485,62 @@ def _full(a, shape, ws, name):
     return buf
 
 
-def _lattice_values(source, lo, observables, ws, maxima=None):
-    """Each observable's values on the vertex lattice of the tile whose
-    first word is ``lo``, and the axes along which a scalar one's edges are
-    exact zeros (:func:`_zero_axes`).  Each distinct observable is evaluated
-    once (a repeated one is the same array).
+def _operands(source, lo, observables, ws, maxima=None):
+    """The trace kernel's f, g and h, ``observables``' values on the vertex
+    lattice of the tile whose first word is ``lo``.  Each distinct
+    observable is evaluated once, and a repeated one is the same array.
 
-    A scalar row, column or constant stays as the rule returned it, with an
-    axis per lattice axis (:meth:`Observable._values`).  Other values are
-    flat, (N,) or (3, N) for Bloch vectors: a C-contiguous one a view, any
-    other a copy into buffer ``lattice.i`` of ``ws``, i the observable's
-    place.
+    A scalar value, as the rule returned it with an axis per lattice axis
+    (:meth:`Observable._values`), is a row (a rule of u only, its y-edges
+    exact zeros) when it has the shape of ``tile.dx``, a column when it has
+    that of ``tile.dy``, a constant when it is one value, and full
+    otherwise.  A full value, and every matrix one, is flattened to (N,) or
+    (3, N) for Bloch vectors: a C-contiguous one as a view, any other as a
+    copy into buffer ``lattice.i`` of ``ws``, i the observable's place.  A
+    row g with a column h goes to the kernel compact, whatever their
+    values: one that is not finite at a vertex of one of the level's own
+    squares makes that square's term, and so the sum, non-finite on either
+    path, and :func:`_sum_kernel` refuses it.  Any other compact value of a
+    triple is copied flat likewise, once, for the kernel's general path.  A
+    lone observable (the walk of :func:`estimate_lipschitz`) is returned as
+    evaluated, a compact value compact.
 
     ``maxima``, given for scalar observables, is a (len(observables), 2)
     float array that each distinct observable's :func:`_maxima` on this
     tile raise (elementwise, NaN kept); a repeated one's row is its first
     one's.
     """
+    tile = source.tile
     x, y = source.place(lo)
     u, v = x / source.den, y / source.den
-    cache = {}
-    for i, obs in enumerate(observables):
-        if id(obs) not in cache:
-            values, shape = obs._values(u, v)
-            zero = _zero_axes(values, u, v) if obs.kind == "scalar" else ""
-            if not zero:
-                values = _full(values, shape, ws, f"lattice.{i}")
-                values = values.reshape((3, -1) if obs.kind == "matrix" else -1)
-            cache[id(obs)] = values, zero, i
+    first = [next(j for j, o in enumerate(observables) if o is obs) for obs in observables]
+    values, compact = {}, []
+    for i in dict.fromkeys(first):
+        obs = observables[i]
+        a, shape = obs._values(u, v)
+        if obs.kind == "scalar" and (a.size == 1 or a.shape in (tile.dx.shape, tile.dy.shape)):
+            compact.append(i)
+        else:
+            a = _full(a, shape, ws, f"lattice.{i}").reshape((3, -1) if obs.kind == "matrix" else -1)
+        values[i] = a
     if maxima is not None:
         # after every evaluation, so the edge buffers are first taken where
         # the kernel would take them: interleaved with the evaluations, they
         # left the peak RSS of repeated 2-worker lipschitz-direct passes 7 MB
         # higher
-        for i, obs in enumerate(observables):
-            values, zero, first = cache[id(obs)]
-            if first == i:
-                np.maximum(maxima[i], _maxima(values, source.tile, ws, zero), out=maxima[i])
+        for i, j in enumerate(first):
+            if i == j:
+                np.maximum(maxima[i], _maxima(values[i], tile, ws), out=maxima[i])
             else:
-                maxima[i] = maxima[first]
-    return [cache[id(o)][0] for o in observables], [cache[id(o)][1] for o in observables]
-
-
-def _kernel_args(values, zeros, tile, ws):
-    """The scalar kernel's f, g and h on ``tile``, from
-    :func:`_lattice_values`' values and zero axes.
-
-    A row g and a column h go to the kernel compact, in the shapes of the
-    tile's coordinates, whatever their values: one that is not finite at a
-    vertex of one of the level's own squares makes that square's term, and
-    so the sum, non-finite on either path, and :func:`_sum_kernel` refuses
-    it.  Every other compact value is copied into a flat lattice, in buffer
-    ``lattice.i`` of ``ws``, for the kernel's general path; a repeated value
-    is copied once.
-    """
-    f, g, h = values
-    if zeros[1:] == ["y", "x"]:
-        return (f if f.ndim == 1 else _full(f, tile.shape, ws, "lattice.0").reshape(-1),
-                g if g.shape == tile.dx.shape else np.broadcast_to(g, tile.dx.shape),
-                h if h.shape == tile.dy.shape else np.broadcast_to(h, tile.dy.shape))
-    flat = {}
-    for i, a in enumerate(values):
-        if id(a) not in flat:
-            flat[id(a)] = a if a.ndim == 1 else _full(a, tile.shape, ws, f"lattice.{i}").reshape(-1)
-    return [flat[id(a)] for a in values]
+                maxima[i] = maxima[j]
+    if len(observables) == 1:
+        return [values[0]]
+    f, g, h = (values[j] for j in first)
+    if g.shape == tile.dx.shape and h.shape == tile.dy.shape:
+        return (f if f.ndim == 1 else _full(f, shape, ws, "lattice.0").reshape(-1)), g, h
+    for i in compact:
+        values[i] = _full(values[i], shape, ws, f"lattice.{i}").reshape(-1)
+    return [values[j] for j in first]
 
 
 # ---------------------------------------------------------------------------
@@ -592,26 +570,24 @@ def _top(x):
     return max(x.max(), -x.min())  # both NaN when x holds one
 
 
-def _maxima(a, tile, ws, zero=""):
+def _maxima(a, tile, ws):
     """(sup |a|, largest |edge difference|) of the scalar values ``a`` of
-    ``tile``, over the tile's own cells only: their corners, and their
-    x- and y-edges.  Edges along the axes ``zero`` names (:func:`_zero_axes`)
-    are exact zeros and are not formed.
+    ``tile``, as :func:`_operands` evaluates them, over the tile's own
+    cells only: their corners, and their x- and y-edges.
 
-    A compact row, column or constant (``zero`` not empty) is read as it
-    is: a row's values and x-edges at the columns ``tile.cols`` of its
-    :func:`_kernels.near_far` pairs, a column's at the rows ``tile.rows``.
-    A flat lattice's edges (:func:`_kernels.edges`) are formed block by
-    block into the kernel's edge buffers in ``ws``; where it has cells that
-    are not the tile's (a box's carpet holes and padded cells, whose x-edge
-    wraps into the next lattice row), the corners of the tile's own cells
-    are first gathered by ``tile.order``, concatenated (v0, v1, v2, v3);
-    otherwise every lattice vertex is a corner of one of its cells.
-    Neither maximum depends on order.  A sup that is not finite (a NaN or
-    inf value) comes with the edge maximum NaN, its edges not formed.
+    A compact row, column or constant is read as it is
+    (:func:`_compact_maxima`).  A flat lattice's edges
+    (:func:`_kernels.edges`) are formed block by block into the kernel's
+    edge buffers in ``ws``; where it has cells that are not the tile's (a
+    box's carpet holes and padded cells, whose x-edge wraps into the next
+    lattice row), the corners of the tile's own cells are first gathered by
+    ``tile.order``, concatenated (v0, v1, v2, v3); otherwise every lattice
+    vertex is a corner of one of its cells.  Neither maximum depends on
+    order.  A sup that is not finite (a NaN or inf value) comes with the
+    edge maximum NaN, its edges not formed.
     """
-    if zero:
-        return _compact_maxima(a, tile, zero)
+    if a.ndim > 1:
+        return _compact_maxima(a)
     cells = tile.cells
     if tile.order.size < cells[1]:
         m = tile.order.size
@@ -633,15 +609,12 @@ def _maxima(a, tile, ws, zero=""):
     return sup, edge
 
 
-def _compact_maxima(a, tile, zero):
-    """:func:`_maxima` of a compact row, column or constant ``a``."""
-    if zero == "xy":  # a constant: every edge is an exact zero
-        sup = _top(a)
-        return (sup, 0.0) if np.isfinite(sup) else (sup, np.nan)
-    shape, own = (tile.dx.shape, tile.cols) if zero == "y" else (tile.dy.shape, tile.rows)
-    near, far = K.near_far(np.broadcast_to(a, shape))
-    if own is not None:
-        near, far = near[own], far[own]
+def _compact_maxima(a):
+    """:func:`_maxima` of a compact row, column or constant ``a``: its values
+    at the near and far ends of its edges (:func:`_kernels.near_far`), all
+    of them, since a tile's own cells use every column and row of its
+    lattice; a constant's edges are exact zeros."""
+    near, far = K.near_far(a) if a.size > 1 else (a.reshape(-1),) * 2
     sup = np.maximum(_top(near), _top(far))  # np.maximum keeps NaN
     if not np.isfinite(sup):
         return sup, np.nan
@@ -660,22 +633,17 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
 
     ``maxima``, for scalar observables, is a (3, 2) float array, set to each
     observable's :func:`_maxima` over the tiles the range touches
-    (:func:`_lattice_values`).
+    (:func:`_operands`).
     """
     ws = K.Workspace() if ws is None else ws
-    matrix = observables[0].kind == "matrix"
+    kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     tile = source.tile
     span = tile.order.size
     vals = ws.take("reordered", (w_hi - w_lo,))
     if maxima is not None:
         maxima[...] = 0.0
     for lo in range(w_lo - w_lo % span, w_hi, span):
-        values, zeros = _lattice_values(source, lo, observables, ws, maxima)
-        if matrix:
-            result = K.matrix_kernel(*values, cells=tile.cells, out=ws)
-        else:
-            f, g, h = _kernel_args(values, zeros, tile, ws)
-            result = K.scalar_kernel(f, g, h, cells=tile.cells, out=ws)
+        result = kernel(*_operands(source, lo, observables, ws, maxima), cells=tile.cells, out=ws)
         a, b = max(w_lo, lo), min(w_hi, lo + span)
         # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
         np.take(result, tile.order[a - lo : b - lo], out=vals[a - w_lo : b - w_lo], mode="clip")
@@ -716,8 +684,11 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
         if ws is None:
             ws = local.ws = K.Workspace()
         lo, hi = tasks[i]
-        out = _leaf_sums_for_range(source, lo, hi, observables, ws,
-                                   maxima=None if per_task is None else per_task[i])
+        # a non-finite sum is refused below, not warned about term by term;
+        # a pool thread does not inherit the caller's error state
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = _leaf_sums_for_range(source, lo, hi, observables, ws,
+                                       maxima=None if per_task is None else per_task[i])
         leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
     if workers <= 1 or len(tasks) == 1:
@@ -728,7 +699,8 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
             list(pool.map(run, range(len(tasks))))
     if maxima is not None:
         np.max(per_task, axis=0, out=maxima)  # np.max keeps NaN
-    val = _pairwise_reduce(leafsums)
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = _pairwise_reduce(leafsums)
     if not np.isfinite(val):
         names = ", ".join(repr(o.name) for o in observables)
         raise ValueError(f"the level-{n} sum over ({names}) is {val}, not finite: an observable is "
@@ -745,6 +717,17 @@ def _check_triple(f, g, h):
     if len(modes) != 1:
         raise ValueError("observable triple must share evaluation mode")
     return kinds.pop(), modes.pop()
+
+
+def _check_preset(preset, mode):
+    """Refuse, with ValueError, a pullback on any preset but the dust and a
+    direct sum or estimate on one outside ``geometry.PRESETS``: the tiles
+    and their placement are laid out for these alone."""
+    if mode == "pullback" and preset != CANTOR_DUST:
+        raise ValueError("pullback mode is defined through the dust digit map only")
+    if PRESETS.get(preset.name) != preset:
+        raise ValueError(f"the engine runs on the presets {sorted(PRESETS)} only, not {preset.name!r} "
+                         f"with offsets {preset.offsets}")
 
 
 def _word_count(nmaps, n):
@@ -768,9 +751,10 @@ def phi_n(
     """The approximating combinatorial integration at level n.
 
     Sums the per-square trace kernel over all |S|**n level-n squares of the
-    preset.  In pullback mode (dust preset only) the triple is evaluated at
-    the dyadic staircase images of the vertices; in direct mode at the
-    vertices themselves.
+    preset, one of ``geometry.PRESETS``.  In pullback mode (the dust only)
+    the triple is evaluated at the dyadic staircase images of the vertices;
+    in direct mode at the vertices themselves.  Any other preset raises
+    ValueError before a tile is built.
 
     A direct scalar sum over the very triple (by identity) of the last one,
     after :func:`estimate_lipschitz` was asked about that one, is a level of
@@ -786,15 +770,11 @@ def phi_n(
     if n < 0:
         raise ValueError("level must be >= 0")
     kind, mode = _check_triple(f, g, h)
+    _check_preset(preset, mode)
     total = _word_count(preset.nmaps, n)
     budget_check(total, kind, allow_large)
     workers = resolve_workers(workers)
-    if mode == "pullback":
-        if preset.name != CANTOR_DUST.name:
-            raise ValueError("pullback mode is defined through the dust digit map only")
-        source = _pullback_source(n)
-    else:
-        source = _direct_source(preset, n)
+    source = _pullback_source(n) if mode == "pullback" else _direct_source(preset, n)
     direct = kind == "scalar" and mode == "direct"
     _, _, last, _, asked = _last_direct or (None, None, (), None, False)
     table = direct and asked and all(a is b for a, b in zip(last, (f, g, h)))
@@ -965,15 +945,17 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     table, see :func:`phi_n`), they are read back; else the tiles are
     walked serially.  Either way the values are the same, as a maximum
     depends on neither the order it is taken in nor the tasks it is split
-    over.  A negative level, or a value at a level-n vertex that is not
-    finite (which would make the estimate meaningless), raises ValueError
-    naming the observable.
+    over.  A negative level, a preset outside ``geometry.PRESETS``, or a
+    value at a level-n vertex that is not finite (which would make the
+    estimate meaningless), raises ValueError, the last naming the
+    observable.
     """
     global _last_direct
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
     if n < 0:
         raise ValueError("level must be >= 0")
+    _check_preset(preset, obs.mode)
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):
@@ -987,8 +969,9 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
         source = _direct_source(preset, n)
         ws = K.Workspace()
         peak = np.zeros((1, 2))
-        for lo in range(0, total, source.tile.order.size):  # nmaps**n is a whole number of tiles
-            _lattice_values(source, lo, (obs,), ws, peak)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value is refused below
+            for lo in range(0, total, source.tile.order.size):  # a whole number of tiles
+                _operands(source, lo, (obs,), ws, peak)
         sup, edge = peak[0]
     if not np.isfinite(sup):
         raise ValueError(f"observable {obs.name!r} is not finite at every level-{n} vertex")

@@ -446,22 +446,18 @@ class TestExitCodes:
         the table's first level raise, before its Lipschitz estimates, and
         the command exit 2."""
         monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", bent_triple(bad))
-        with np.errstate(invalid="ignore"):
-            code, _ = run_cli("lipschitz", "--functions", "bent-xy", "--n", "1..3",
-                              "--workers", "1")
+        code, _ = run_cli("lipschitz", "--functions", "bent-xy", "--n", "1..3", "--workers", "1")
         assert code == 2
         err = capsys.readouterr().err
         assert "error: the level-1 sum over ('x+y', 'x', 'bent-y') is " in err
 
-    @pytest.mark.parametrize("bad, workers", [(np.nan, 1), (np.nan, 2), (np.inf, 1)])
+    @pytest.mark.parametrize("bad, workers", [(np.nan, 1), (np.nan, 2), (np.inf, 1), (np.inf, 2)])
     def test_phi_json_refuses_a_non_finite_sum(self, monkeypatch, capsys, bad, workers):
         """JSON has no NaN: a level's sum that is not finite exits 2 with
-        one error line, and nothing is written (inf on one worker only,
-        where np.errstate silences inf - inf)."""
+        one error line and no warning, and nothing is written."""
         monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", bent_triple(bad))
-        with np.errstate(invalid="ignore"):
-            code, out = run_cli("phi", "--functions", "bent-xy", "--n", "9", "--format", "json",
-                                "--workers", str(workers))
+        code, out = run_cli("phi", "--functions", "bent-xy", "--n", "9", "--format", "json",
+                            "--workers", str(workers))
         assert code == 2 and out == ""
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -365,7 +365,7 @@ class TestLipschitzDecay:
         so an estimate asked for anyway walks the tiles and raises too."""
         f, _, h, _, _ = resolve_functions("linear-xy")
         refused = re.escape(f"the level-{n} sum over ('x+y', '{obs.name}', 'y') is ")
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=refused):
+        with pytest.raises(ValueError, match=refused):
             phi_n(preset, n, f, obs, h, workers=1)
         assert cocycle._last_direct is None
         with pytest.raises(ValueError, match=f"observable '{obs.name}' is not finite"):
@@ -441,28 +441,6 @@ class TestLipschitzInOnePass:
         for obs, estimate in zip(triple, got):
             assert estimate == estimate_lipschitz(preset, n, replace(obs))  # walks
             assert estimate == brute_force_lipschitz(preset, n, obs)
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_compact_rules_count_only_own_rows_and_columns(self, n):
-        """On an IFS whose box tiles have a column and a row that no cell of
-        the tile uses, a row's and a column's maxima, read from their
-        compact values, leave out the values and edges there: a step to 5
-        at a vertex column no cell reaches, and a jump across a row no cell
-        covers, count for neither."""
-        corner = IfsPreset("corner", ((0, 0), (1, 0), (0, 2)))
-        tile = cocycle._direct_tile(corner.offsets, n)
-        assert tile.cols is not None and tile.rows is not None
-        triple = (direct_scalar(lambda x, y: 1.0 + x * y, "1+xy"),
-                  direct_scalar(lambda x, y: np.where(x > 0.8, 5.0, x), "x, 5 past 0.8"),
-                  direct_scalar(lambda x, y: np.where(y < 0.5, 0.0, 1.0), "step at y=0.5"))
-        table_level(corner, n - 1, triple)
-        phi_n(corner, n, *triple, workers=1)
-        for obs in triple:
-            got = estimate_lipschitz(corner, n, obs)  # read back from the sum
-            assert got == estimate_lipschitz(corner, n, replace(obs))  # walks
-            assert got == brute_force_lipschitz(corner, n, obs)
-        assert estimate_lipschitz(corner, n, triple[1])[0] < 1.0
-        assert estimate_lipschitz(corner, n, triple[2])[1] == 0.0
 
     def test_repeated_observable(self):
         """A triple that repeats an observable takes its maxima once, and
@@ -690,11 +668,11 @@ def bits(z):
 
 class TestNonFiniteSums:
     """Every sum returns through one check: a level's sum that is not
-    finite raises ValueError naming the triple and the level.  inf is tested
-    on one worker only, where ``np.errstate`` silences the warning of
-    inf - inf; a worker thread does not inherit it."""
+    finite raises ValueError naming the triple and the level, and numpy
+    warns of none of its inf - inf or overflows, on the caller's thread or
+    a pool's (pytest makes a warning an error)."""
 
-    CASES = [(np.nan, 1), (np.nan, 2), (np.inf, 1)]
+    CASES = [(np.nan, 1), (np.nan, 2), (np.inf, 1), (np.inf, 2)]
 
     @staticmethod
     def refused(names, n):
@@ -706,8 +684,7 @@ class TestNonFiniteSums:
         9 is four tasks, so two workers run them on a pool."""
         f, g, _, _, _ = resolve_functions("linear-xy")
         h = direct_scalar(lambda u, v: np.where(np.asarray(u) > 0.9, bad, v * 1.0), "bad")
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match=self.refused(("x+y", "x", "bad"), 9)):
+        with pytest.raises(ValueError, match=self.refused(("x+y", "x", "bad"), 9)):
             phi_n(DUST, 9, f, g, h, workers=workers)
 
     @pytest.mark.parametrize("bad, workers", CASES)
@@ -716,8 +693,7 @@ class TestNonFiniteSums:
         path."""
         sp = get_smooth_preset("bott-flux")
         g = TorusFunction("g-bad", lambda u, v: np.where(u == 0.5, bad, sp.g(u, v)))
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match=self.refused((sp.f.name, "g-bad", sp.h.name), 9)):
+        with pytest.raises(ValueError, match=self.refused((sp.f.name, "g-bad", sp.h.name), 9)):
             phi_subdivision(9, sp.f, g, sp.h, workers=workers)
 
     def test_pairing_n_refuses_an_overflowing_sum(self):
@@ -733,9 +709,21 @@ class TestNonFiniteSums:
 
         p = Observable("bott-1-huge", "pullback", "matrix", rule, dim=2)
         assert pairing_n(DUST, 6, p, workers=1).real == pytest.approx(2.0, abs=0.05)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match=self.refused(("bott-1-huge",) * 3, 7) + ".*overflowed"):
+        with pytest.raises(ValueError, match=self.refused(("bott-1-huge",) * 3, 7) + ".*overflowed"):
             pairing_n(DUST, 7, p, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phi_n_refuses_a_sum_that_overflows_between_leaves(self, workers):
+        """Finite leaf sums, each near 4e306, whose pairwise tree overflows:
+        x and y scaled by 4.4e155 make every level-9 dust term about 1e303."""
+        one = direct_scalar(lambda u, v: np.ones(np.broadcast_shapes(np.shape(u), np.shape(v))),
+                            "one")
+        g = direct_scalar(lambda u, v: np.asarray(u) * 4.4e155, "big x")
+        h = direct_scalar(lambda u, v: np.asarray(v) * 4.4e155, "big y")
+        assert np.isfinite(cocycle._leaf_sums_for_range(cocycle._direct_source(DUST, 9), 0,
+                                                        4**9, (one, g, h))).all()
+        with pytest.raises(ValueError, match=self.refused(("one", "big x", "big y"), 9)):
+            phi_n(DUST, 9, one, g, h, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("place", [0, 1, 2], ids=["f", "g", "h"])
@@ -785,6 +773,54 @@ class TestBudgetsAndValidation:
         f, g, h, _, _ = resolve_functions("bott-flux")
         with pytest.raises(ValueError, match="digit map"):
             phi_n(CARPET, 2, f, g, h, workers=1)
+
+    # three maps whose tiles skip lattice columns and rows, and the dust's name on
+    # three of its four maps
+    OTHER_PRESETS = [IfsPreset("corner", ((0, 0), (1, 0), (0, 2))),
+                     IfsPreset("cantor-dust", ((0, 0), (0, 2), (2, 0)))]
+
+    @pytest.fixture
+    def no_tile_built(self, monkeypatch):
+        """Fails a test that builds a tile or digit-maps a word."""
+        def refused(*args):
+            raise AssertionError("a tile was built")
+
+        for name in ("_pullback_tile", "_direct_tile", "_box_tile"):
+            monkeypatch.setattr(cocycle, name, refused)
+        for name in ("corner_numerators", "dust_image_bits"):
+            monkeypatch.setattr(cocycle.K, name, refused)
+
+    @pytest.mark.parametrize("preset", OTHER_PRESETS, ids=lambda p: p.name)
+    def test_direct_sums_need_a_named_preset(self, preset, no_tile_built):
+        """The engine's tiles are laid out for ``geometry.PRESETS`` alone: a
+        direct sum, estimate or residual on any other preset, or on one
+        that takes a preset's name with other maps, raises before any tile
+        is built."""
+        f, g, h, _, _ = resolve_functions("linear-xy")
+        refused = re.escape(f"not {preset.name!r} with offsets {preset.offsets}")
+        with pytest.raises(ValueError, match=refused):
+            phi_n(preset, 3, f, g, h, workers=1)
+        with pytest.raises(ValueError, match=refused):
+            estimate_lipschitz(preset, 3, g)
+        with pytest.raises(ValueError, match=refused):
+            cyclicity_residual(preset, 3, f, g, h, workers=1)
+
+    def test_estimate_on_another_preset_reads_no_table(self):
+        """An estimate on a preset with the dust's maps under another name
+        is refused, also right after a table's sum on the dust."""
+        triple = resolve_functions("linear-xy")[:3]
+        phi_n(DUST, 3, *triple, workers=1)
+        estimate_lipschitz(DUST, 3, triple[1])
+        phi_n(DUST, 3, *triple, workers=1)
+        with pytest.raises(ValueError, match="not 'dust' with offsets"):
+            estimate_lipschitz(IfsPreset("dust", DUST.offsets), 3, triple[1])
+
+    def test_pullback_needs_the_dust_itself(self, no_tile_built):
+        """A pullback on a preset named cantor-dust but with other maps
+        raises before any tile is built."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        with pytest.raises(ValueError, match="digit map"):
+            phi_n(self.OTHER_PRESETS[1], 3, f, g, h, workers=1)
 
     def test_mode_mixing_rejected(self):
         f, g, h, _, _ = resolve_functions("bott-flux")

@@ -453,6 +453,21 @@ class TestTileOrders:
             assert not (order % shape[1] == shape[1] - 1).any()
         assert not any(a.flags.writeable for a in (tile.dx, tile.dy, order))
 
+    @pytest.mark.parametrize("tile, words", [t[1:] for t in _tiles()],
+                             ids=[t[0] for t in _tiles()])
+    def test_own_cells_use_every_column_and_row(self, tile, words):
+        """A compact row or column is read whole, every edge of it
+        (``cocycle._compact_maxima``): the tile's own cells use every cell
+        column and every cell row of its lattice, a box's (W - 1 columns,
+        the padded last one aside, and H - 1 rows) and the dust quadrants'
+        (w columns and h rows, each cell one of the tile's)."""
+        width, height = tile.dx.shape[-1], tile.dy.shape[-2]
+        if tile.dx.ndim == 2:
+            width, height = width - 1, height - 1
+        step = tile.dx.shape[-1]
+        np.testing.assert_array_equal(np.unique(tile.order % step), np.arange(width))
+        np.testing.assert_array_equal(np.unique(tile.order // step), np.arange(height))
+
     CACHES = (cocycle._pullback_tile, cocycle._subdivision_tile, cocycle._direct_tile)
 
     def test_each_tile_kept_once(self):
@@ -589,18 +604,18 @@ class TestObservableContract:
 
 class TestZeroEdgeDetection:
     """A scalar rule of one coordinate reaches the engine compact, as the
-    row or column it returned; its length-1 axes name the edges that are
-    exact zeros, a row g and a column h go to the kernel as they are, and
-    the sums keep every bit of the same sums on materialized flat
-    lattices."""
+    row or column it returned; its shape, that of the tile's ``dx`` or
+    ``dy``, names the edges that are exact zeros, a row g and a column h go
+    to the kernel as they are, and the sums keep every bit of the same sums
+    on materialized flat lattices."""
 
     RULES = {
-        "u only": (lambda u, v: np.sin(TWO_PI * u), "y"),
-        "v only": (lambda u, v: np.cos(TWO_PI * v), "x"),
-        "complex u only": (lambda u, v: np.exp(1j * TWO_PI * u), "y"),
-        "constant": (lambda u, v: np.float64(0.5), "xy"),
-        "both": (lambda u, v: u * v, ""),
-        "u only, full": (lambda u, v: np.sin(TWO_PI * u) * np.ones_like(v), ""),
+        "u only": (lambda u, v: np.sin(TWO_PI * u), "row"),
+        "v only": (lambda u, v: np.cos(TWO_PI * v), "column"),
+        "complex u only": (lambda u, v: np.exp(1j * TWO_PI * u), "row"),
+        "constant": (lambda u, v: np.float64(0.5), "constant"),
+        "both": (lambda u, v: u * v, "full"),
+        "u only, full": (lambda u, v: np.sin(TWO_PI * u) * np.ones_like(v), "full"),
     }
     SOURCES = {
         "pullback n=3": lambda: cocycle._pullback_source(3),
@@ -610,12 +625,46 @@ class TestZeroEdgeDetection:
         "carpet box": lambda: _direct_source(CARPET, 3),
     }
 
+    @staticmethod
+    def lattice_size(tile):
+        return math.prod(np.broadcast_shapes(tile.dx.shape, tile.dy.shape))
+
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_patterns_read_from_shapes(self, source):
-        """Zero edges are read from the axes of length 1 of the values as
-        the rule returned them, which stay compact, the rule's own array;
-        a full (C-contiguous) value names none and is flattened in place."""
+        """Zero edges are read from the shape of the values as the rule
+        returned them, which a lone observable (the Lipschitz walk's) keeps
+        compact, the rule's own array; a full (C-contiguous) value names
+        none and is flattened in place."""
         src = self.SOURCES[source]()
+        tile = src.tile
+        mode = "direct" if "quadrants" in source or "box" in source else "pullback"
+        shapes = {"row": tile.dx.shape, "column": tile.dy.shape,
+                  "constant": (1,) * tile.dx.ndim, "full": (self.lattice_size(tile),)}
+        returned = {}
+
+        def recorded(name, rule):
+            def fn(u, v):
+                returned[name] = rule(u, v)
+                return returned[name]
+
+            return fn
+
+        for name, (rule, pattern) in self.RULES.items():
+            obs = Observable(name, mode, "scalar", recorded(name, rule))
+            (a,) = cocycle._operands(src, 0, (obs,), K.Workspace())
+            assert a.shape == shapes[pattern], name
+            assert np.shares_memory(a, returned[name]) or np.ndim(returned[name]) == 0
+            assert a.ndim == (1 if pattern == "full" else tile.dx.ndim)
+            assert a.size == np.size(returned[name])
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_only_a_row_g_and_a_column_h_stay_compact(self, source):
+        """The kernel takes a finite row g and column h as the rule returned
+        them, in the shapes of the tile's coordinates; any other compact
+        value is copied into the workspace as a flat lattice, for the
+        general path, a repeated one once."""
+        src = self.SOURCES[source]()
+        tile = src.tile
         mode = "direct" if "quadrants" in source or "box" in source else "pullback"
         returned = {}
 
@@ -626,23 +675,7 @@ class TestZeroEdgeDetection:
 
             return fn
 
-        obs = [Observable(name, mode, "scalar", recorded(name, rule))
-               for name, (rule, _) in self.RULES.items()]
-        values, zero = cocycle._lattice_values(src, 0, obs, K.Workspace())
-        assert zero == [want for _, want in self.RULES.values()]
-        for name, a, z in zip(self.RULES, values, zero):
-            assert np.shares_memory(a, returned[name]) or np.ndim(returned[name]) == 0
-            assert a.ndim == (1 if not z else len(src.tile.shape))
-            assert a.size == np.size(returned[name])
-
-    @pytest.mark.parametrize("source", sorted(SOURCES))
-    def test_only_a_row_g_and_a_column_h_stay_compact(self, source):
-        """The kernel takes a finite row g and column h as they are, in the
-        shapes of the tile's coordinates; any other compact value is copied
-        into the workspace as a flat lattice, for the general path."""
-        src = self.SOURCES[source]()
-        mode = "direct" if "quadrants" in source or "box" in source else "pullback"
-        obs = {name: Observable(name, mode, "scalar", rule)
+        obs = {name: Observable(name, mode, "scalar", recorded(name, rule))
                for name, (rule, _) in self.RULES.items()}
         for names, compact in (
             (("both", "u only", "v only"), True),
@@ -652,16 +685,15 @@ class TestZeroEdgeDetection:
             (("both", "constant", "v only"), False),
         ):
             ws = K.Workspace()
-            values, zeros = cocycle._lattice_values(src, 0, [obs[n] for n in names], ws)
-            f, g, h = cocycle._kernel_args(values, zeros, src.tile, ws)
-            assert f.ndim == 1 and f.size == math.prod(src.tile.shape)
+            f, g, h = cocycle._operands(src, 0, [obs[n] for n in names], ws)
+            assert f.ndim == 1 and f.size == self.lattice_size(tile)
             if compact:
-                assert g is values[1] and g.shape == src.tile.dx.shape
-                assert h is values[2] and h.shape == src.tile.dy.shape
+                assert g.shape == tile.dx.shape and np.shares_memory(g, returned[names[1]])
+                assert h.shape == tile.dy.shape and np.shares_memory(h, returned[names[2]])
             else:
                 for i, a in enumerate((g, h), 1):
                     assert a.ndim == 1 and a.size == f.size
-                    if values[i].ndim > 1:  # a repeated value is copied once
+                    if self.RULES[names[i]][1] != "full":  # a repeated value is copied once
                         first = names.index(names[i])
                         assert np.shares_memory(a, ws.take(f"lattice.{first}", a.shape, a.dtype))
                 assert (h is g) == (names[2] == names[1])
@@ -671,28 +703,31 @@ class TestZeroEdgeDetection:
         """The kernel's path follows its operands' shapes, not their values:
         a row and a column that are not finite at a vertex of a square still
         reach the separable path compact, and the level's sum, not finite
-        on either path, is refused."""
+        on either path, is refused, with no warning."""
         src = cocycle._pullback_source(4)
-        row = Observable("u only", "pullback", "scalar",
-                         lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u)))
-        col = Observable("v only", "pullback", "scalar",
-                         lambda u, v: np.where(v == 0.25, bad, np.cos(TWO_PI * v)))
+        returned = []
+
+        def recorded(rule):
+            return lambda u, v: returned.append(rule(u, v)) or returned[-1]
+
+        row = Observable("u only", "pullback", "scalar", recorded(
+            lambda u, v: np.where(u == 0.5, bad, np.sin(TWO_PI * u))))
+        col = Observable("v only", "pullback", "scalar", recorded(
+            lambda u, v: np.where(v == 0.25, bad, np.cos(TWO_PI * v))))
         f = Observable("uv", "pullback", "scalar", lambda u, v: u * v)
-        ws = K.Workspace()
-        values, zero = cocycle._lattice_values(src, 0, (f, row, col), ws)
-        assert zero == ["", "y", "x"]
-        _, g, h = cocycle._kernel_args(values, zero, src.tile, ws)
-        assert g is values[1] and h is values[2]
+        _, g, h = cocycle._operands(src, 0, (f, row, col), K.Workspace())
+        assert g.shape == src.tile.dx.shape and np.shares_memory(g, returned[0])
+        assert h.shape == src.tile.dy.shape and np.shares_memory(h, returned[1])
         seen = []
         kernel = K.scalar_kernel
 
-        def recorded(f, g, h, **kwargs):
+        def recorded_kernel(f, g, h, **kwargs):
             seen.append((g.shape, h.shape))
             return kernel(f, g, h, **kwargs)
 
-        monkeypatch.setattr(K, "scalar_kernel", recorded)
+        monkeypatch.setattr(K, "scalar_kernel", recorded_kernel)
         refused = r"the level-4 sum over \('uv', 'u only', 'v only'\) is .*, not finite"
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=refused):
+        with pytest.raises(ValueError, match=refused):
             phi_n(DUST, 4, f, row, col, workers=1)
         assert seen == [(src.tile.dx.shape, src.tile.dy.shape)]
 
