@@ -1,9 +1,10 @@
 """Command-line front end: experiments in, CSV/JSON reports out.
 
 Exit status: 0 success, 1 a numerical check failed, 2 usage error (unknown
-names, malformed ranges, budget exceeded without the override flag, a worker
-count below 1 in ``--workers`` or ``DUSTCOCYCLE_WORKERS``, an ``--out`` path
-in a missing directory or one that cannot be written).
+names, malformed ranges, a level range over the square budget without the
+override flag, refused before any sum, a worker count below 1 in
+``--workers`` or ``DUSTCOCYCLE_WORKERS``, an ``--out`` path in a missing
+directory or one that cannot be written).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .cocycle import (
     resolve_workers,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
-from .geometry import PRESETS, enumerate_squares, get_preset, similarity_dimension
+from .geometry import PRESETS, budget_check, enumerate_squares, get_preset, similarity_dimension
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
@@ -116,7 +117,11 @@ def _emit_object(obj: dict, text: str, args) -> None:
 
 def _emit_table(columns, dicts, args, extra_meta=None) -> None:
     """Emit a table of records in the selected format to --out or stdout;
-    CSV writes ``columns``, JSON every key of each record."""
+    CSV writes ``columns``, JSON every key of each record.  Under
+    ``--no-timing`` every record's ``ms`` is 0, so the output is
+    byte-reproducible."""
+    if args.no_timing:
+        dicts = [{**d, "ms": 0.0} for d in dicts]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -129,17 +134,6 @@ def _emit_table(columns, dicts, args, extra_meta=None) -> None:
             {"meta": _provenance(args, extra_meta), "records": dicts}, indent=2
         ) + "\n"
     _emit(text, args)
-
-
-def write_rows(rows: list[CocycleReport], args, extra_meta=None, timing=True) -> None:
-    """Emit a convergence report in the selected format to --out or stdout."""
-    dicts = []
-    for row in rows:
-        d = row.as_dict()
-        if not timing:
-            d["ms"] = 0.0
-        dicts.append(d)
-    _emit_table(CSV_COLUMNS, dicts, args, extra_meta)
 
 
 def _parse_n_range(spec: str) -> list[int]:
@@ -229,12 +223,13 @@ def _cmd_phi(args) -> int:
         print(f"error: triple {args.functions!r} is {mode}-mode, not {wanted_mode}", file=sys.stderr)
         return 2
     ns = _parse_n_range(args.n)
+    budget_check(preset.nmaps ** max(ns), f.kind, args.override_budget)  # before any sum
     rows = convergence_table(
         preset, ns, f, g, h, target=target,
         workers=args.workers, allow_large=args.override_budget,
     )
-    write_rows(rows, args, {"functions": args.functions, "preset": preset.name},
-               timing=not args.no_timing)
+    _emit_table(CSV_COLUMNS, [row.as_dict() for row in rows], args,
+                {"functions": args.functions, "preset": preset.name})
     return 0
 
 
@@ -248,6 +243,7 @@ def _cmd_lipschitz(args) -> int:
         print(f"error: lipschitz needs a direct-mode triple, got {args.functions!r}", file=sys.stderr)
         return 2
     ns = _parse_n_range(args.n)
+    budget_check(preset.nmaps ** max(ns), f.kind, args.override_budget)  # before any sum
     records = []
     violated = False
     for n in ns:
@@ -266,7 +262,7 @@ def _cmd_lipschitz(args) -> int:
                 "abs_phi": abs(val),
                 "bound": bound,
                 "within_bound": int(ok),
-                "ms": 0.0 if args.no_timing else (perf_counter() - t0) * 1e3,
+                "ms": (perf_counter() - t0) * 1e3,
             }
         )
     _emit_table(LIPSCHITZ_COLUMNS, records, args, {"functions": args.functions})
@@ -277,9 +273,11 @@ def _cmd_pairing(args) -> int:
     preset = get_preset(args.preset)
     field = bott_projection(args.degree)
     p = pullback_projection(field)
+    ns = _parse_n_range(args.n)
+    budget_check(preset.nmaps ** max(ns), p.kind, args.override_budget)  # before the oracle
     oracle_val = chern_pairing_oracle(field, args.grid)
     rows = []
-    for n in _parse_n_range(args.n):
+    for n in ns:
         t0 = perf_counter()
         val = pairing_n(preset, n, p, workers=args.workers, allow_large=args.override_budget)
         rows.append(
@@ -291,8 +289,8 @@ def _cmd_pairing(args) -> int:
             )
         )
     link_error_ratios(rows)
-    write_rows(rows, args, {"degree": args.degree, "grid": args.grid},
-               timing=not args.no_timing)
+    _emit_table(CSV_COLUMNS, [row.as_dict() for row in rows], args,
+                {"degree": args.degree, "grid": args.grid})
     return 0
 
 

@@ -274,7 +274,8 @@ def validate_projection(obs: Observable, n: int):
     of u and a (2**m, 1) column of v.  For e = (I + n . sigma) / 2,
     e^2 - e = (|n|^2 - 1) I / 4, and e = e* holds by construction.
 
-    A negative level raises ValueError before any evaluation.
+    A negative level raises ValueError before any evaluation; a field that
+    is not a projection raises one ValueError, also where |n|^2 overflows.
     """
     if obs.kind != "matrix":
         raise ValueError("projection check needs a matrix observable")
@@ -283,7 +284,8 @@ def validate_projection(obs: Observable, n: int):
     m = min(n, _PROJECTION_LEVEL)
     grid = np.arange(1 << m) / float(1 << m)
     b = obs.evaluate(grid[None, :], grid[:, None])
-    idem = np.abs(b[0] * b[0] + b[1] * b[1] + b[2] * b[2] - 1.0).max() / 4.0
+    with np.errstate(over="ignore"):  # |n|^2 = inf is refused below, without a warning
+        idem = np.abs(b[0] * b[0] + b[1] * b[1] + b[2] * b[2] - 1.0).max() / 4.0
     if idem > _PROJECTION_TOL:
         raise ValueError(
             f"observable {obs.name!r} is not a projection at level-{m} vertices "
@@ -320,7 +322,7 @@ class _Tile(NamedTuple):
     unique, lies in [0, cell count) and never names a padded cell, so the
     engine gathers with it unchecked (``mode="clip"``).  The tile's own
     cells use every column and every row of the lattice, so a compact row
-    or column is read whole (:func:`_compact_maxima`).
+    or column is read whole (:func:`_maxima`).
     """
 
     dx: np.ndarray
@@ -507,8 +509,9 @@ def _operands(source, lo, observables, ws, maxima=None):
 
     ``maxima``, given for scalar observables, is a (len(observables), 2)
     float array that each distinct observable's :func:`_maxima` on this
-    tile raise (elementwise, NaN kept); a repeated one's row is its first
-    one's.
+    tile raise (elementwise, NaN kept); a repeated observable's row stays
+    as it is (0 in a sum's tasks), since its estimate reads its first
+    place's row.
     """
     tile = source.tile
     x, y = source.place(lo)
@@ -528,11 +531,8 @@ def _operands(source, lo, observables, ws, maxima=None):
         # the kernel would take them: interleaved with the evaluations, they
         # left the peak RSS of repeated 2-worker lipschitz-direct passes 7 MB
         # higher
-        for i, j in enumerate(first):
-            if i == j:
-                np.maximum(maxima[i], _maxima(values[i], tile, ws), out=maxima[i])
-            else:
-                maxima[i] = maxima[j]
+        for i, a in values.items():
+            np.maximum(maxima[i], _maxima(a, tile, ws), out=maxima[i])
     if len(observables) == 1:
         return [values[0]]
     f, g, h = (values[j] for j in first)
@@ -549,9 +549,8 @@ def _operands(source, lo, observables, ws, maxima=None):
 
 
 def _pairwise_reduce(a: np.ndarray) -> complex:
-    """Fixed-shape pairwise tree sum; shape depends only on len(a)."""
-    if a.size == 0:
-        return 0j
+    """Fixed-shape pairwise tree sum of at least one value; shape depends
+    only on len(a)."""
     while a.size > 1:
         half = a.size // 2
         odd = a.size - 2 * half
@@ -575,19 +574,22 @@ def _maxima(a, tile, ws):
     ``tile``, as :func:`_operands` evaluates them, over the tile's own
     cells only: their corners, and their x- and y-edges.
 
-    A compact row, column or constant is read as it is
-    (:func:`_compact_maxima`).  A flat lattice's edges
-    (:func:`_kernels.edges`) are formed block by block into the kernel's
-    edge buffers in ``ws``; where it has cells that are not the tile's (a
-    box's carpet holes and padded cells, whose x-edge wraps into the next
-    lattice row), the corners of the tile's own cells are first gathered by
-    ``tile.order``, concatenated (v0, v1, v2, v3); otherwise every lattice
-    vertex is a corner of one of its cells.  Neither maximum depends on
-    order.  A sup that is not finite (a NaN or inf value) comes with the
-    edge maximum NaN, its edges not formed.
+    A compact row or column is read as it is: its values at the near and
+    far ends of its edges (:func:`_kernels.near_far`), all of them, since a
+    tile's own cells use every column and row of its lattice; a constant's
+    edges are exact zeros.  A flat lattice's edges (:func:`_kernels.edges`)
+    are formed block by block into the kernel's edge buffers in ``ws``;
+    where it has cells that are not the tile's (a box's carpet holes and
+    padded cells, whose x-edge wraps into the next lattice row), the
+    corners of the tile's own cells are first gathered by ``tile.order``,
+    concatenated (v0, v1, v2, v3); otherwise every lattice vertex is a
+    corner of one of its cells.  Neither maximum depends on order.  A sup
+    that is not finite (a NaN or inf value) is returned as it is, with
+    whatever edge maximum follows, for the caller to refuse.
     """
     if a.ndim > 1:
-        return _compact_maxima(a)
+        near, far = K.near_far(a) if a.size > 1 else (a.reshape(-1),) * 2
+        return np.maximum(_top(near), _top(far)), max(0.0, _top(far - near))  # np.maximum keeps NaN
     cells = tile.cells
     if tile.order.size < cells[1]:
         m = tile.order.size
@@ -596,8 +598,6 @@ def _maxima(a, tile, ws):
             np.take(a[o:], tile.order, out=out, mode="clip")
         a, cells = c.reshape(-1), ((0, m, 2 * m, 3 * m), m)
     sup = _top(a)
-    if not np.isfinite(sup):
-        return sup, np.nan  # no estimate; its edges are not formed
     edge = 0.0
 
     def diff(name, x, y):
@@ -607,18 +607,6 @@ def _maxima(a, tile, ws):
         for d in K.edges(a, cells, diff, lo, hi):
             edge = max(edge, _top(d))
     return sup, edge
-
-
-def _compact_maxima(a):
-    """:func:`_maxima` of a compact row, column or constant ``a``: its values
-    at the near and far ends of its edges (:func:`_kernels.near_far`), all
-    of them, since a tile's own cells use every column and row of its
-    lattice; a constant's edges are exact zeros."""
-    near, far = K.near_far(a) if a.size > 1 else (a.reshape(-1),) * 2
-    sup = np.maximum(_top(near), _top(far))  # np.maximum keeps NaN
-    if not np.isfinite(sup):
-        return sup, np.nan
-    return sup, max(0.0, _top(far - near))
 
 
 def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):

@@ -111,6 +111,40 @@ class TestConverge:
         assert len(payload["records"]) == 3
 
 
+class TestNoTiming:
+    COMMANDS = [
+        ("phi", "--functions", "bott-flux", "--n", "9"),
+        ("converge", "--functions", "bott-flux", "--n", "3..9"),
+        ("lipschitz", "--functions", "linear-xy", "--n", "1..9"),
+        ("pairing", "--n", "4..9", "--grid", "64"),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ms_zero_and_bytes_stable_across_worker_counts(self, argv, fmt):
+        """Every record's ms is 0, and the output is byte-identical at 1 and
+        2 workers (level 9 is four tasks, so two workers run a pool), set
+        aside the JSON's effective worker counts, which differ by design."""
+        outputs = []
+        for workers in (1, 2):
+            code, out = run_cli(*argv, "--format", fmt, "--workers", str(workers), "--no-timing")
+            assert code == 0
+            if fmt == "csv":
+                ms = [row["ms"] for row in csv.DictReader(io.StringIO(out))]
+            else:
+                ms = [record["ms"] for record in json.loads(out)["records"]]
+                out = "".join(line for line in out.splitlines(keepends=True)
+                              if not line.lstrip().startswith('"workers": '))
+            assert ms and set(ms) == {"0" if fmt == "csv" else 0.0}
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_lipschitz_ms_timed_without_the_flag(self):
+        code, out = run_cli("lipschitz", "--functions", "linear-xy", "--n", "1..3", "--workers", "1")
+        assert code == 0
+        assert all(float(row["ms"]) > 0 for row in csv.DictReader(io.StringIO(out)))
+
+
 class TestLipschitz:
     def test_riemann_preset_closed_form(self):
         code, out = run_cli("lipschitz", "--n", "1..6", "--workers", "1")
@@ -392,6 +426,49 @@ class TestExitCodes:
         code, _ = run_cli("phi", "--functions", "const-xy", "--n", "13")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: 67108864 squares exceed")
+
+    OVER_BUDGET = [
+        (("converge", "--functions", "const-xy", "--n", "11..13"), 4**13, "scalar", 4**12),
+        (("pairing", "--n", "9..11"), 4**11, "matrix", 4**10),
+        (("lipschitz", "--preset", "sierpinski-carpet", "--functions", "sine-xy", "--n", "7..9"),
+         8**9, "scalar", 4**12),
+    ]
+
+    @staticmethod
+    def engine_calls(monkeypatch):
+        """Make every sum and the pairing oracle record its call and stop
+        the command with a ValueError; returns the list of calls."""
+        calls = []
+
+        def stop(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise ValueError(f"{name} ran")
+            return call
+
+        for module, name in ((cocycle, "phi_n"), (cli, "phi_n"), (cocycle, "pairing_n"),
+                             (cli, "pairing_n"), (cli, "chern_pairing_oracle")):
+            monkeypatch.setattr(module, name, stop(name))
+        return calls
+
+    @pytest.mark.parametrize("argv, total, kind, cap", OVER_BUDGET,
+                             ids=[case[0][0] for case in OVER_BUDGET])
+    def test_over_budget_range_refused_before_any_sum(self, monkeypatch, capsys, argv, total,
+                                                      kind, cap):
+        """A level range whose largest level is over the budget exits 2 with
+        the budget line before its first sum, and before the pairing's
+        oracle; under --override-budget the check passes and the command
+        goes on to the engine."""
+        calls = self.engine_calls(monkeypatch)
+        code, out = run_cli(*argv, "--workers", "1")
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err == (
+            f"error: {total} squares exceed the {kind} budget of {cap}; "
+            "pass allow_large=True (CLI: --override-budget) to proceed\n"
+        )
+        code, _ = run_cli(*argv, "--workers", "1", "--override-budget")
+        assert code == 2 and len(calls) == 1
+        assert capsys.readouterr().err == f"error: {calls[0]} ran\n"
 
     @pytest.mark.parametrize("argv", [
         ("converge", "--functions", "bott-flux", "--n", "2..3"),

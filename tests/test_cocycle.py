@@ -654,6 +654,17 @@ class TestPairing:
             pairing_n(DUST, 6, p, workers=1)
         validate_projection(p, 5)  # (0, 1/64) is no level-5 vertex image
 
+    def test_huge_field_rejected_without_a_warning(self):
+        """The degree-1 field scaled by 1e200: |n|^2 overflows to inf, and
+        the check raises its one ValueError, with no overflow warning before
+        it (pytest makes a warning an error)."""
+        bott = bott_projection(1)
+        p = Observable("bott-1-huge", "pullback", "matrix", lambda u, v: bott(u, v) * 1e200, dim=2)
+        with pytest.raises(ValueError, match=r"not a projection .*\|e\^2-e\|=inf"):
+            validate_projection(p, 5)
+        with pytest.raises(ValueError, match=r"'bott-1-huge' is not a projection at level-5"):
+            pairing_n(DUST, 5, p, workers=1)
+
     def test_degree_one_converges_to_even_integer(self):
         p = pullback_projection(bott_projection(1))
         val = pairing_n(DUST, 8, p, workers=2)

@@ -457,7 +457,7 @@ class TestTileOrders:
                              ids=[t[0] for t in _tiles()])
     def test_own_cells_use_every_column_and_row(self, tile, words):
         """A compact row or column is read whole, every edge of it
-        (``cocycle._compact_maxima``): the tile's own cells use every cell
+        (``cocycle._maxima``): the tile's own cells use every cell
         column and every cell row of its lattice, a box's (W - 1 columns,
         the padded last one aside, and H - 1 rows) and the dust quadrants'
         (w columns and h rows, each cell one of the tile's)."""
