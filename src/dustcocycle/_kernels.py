@@ -176,8 +176,9 @@ MATRIX_BLOCK = BLOCK // 2
 class Workspace:
     """Named scratch arrays that one thread reuses from call to call.
 
-    The engine makes one per worker thread for the duration of one sum, so a
-    task's temporaries are allocated once, not once per task: freshly
+    The engine makes one per thread that runs a sum's tasks, for the
+    duration of the sum, so a task's temporaries are allocated once, not
+    once per task: freshly
     allocated multi-MB arrays made glibc hand their pages back to the system
     between tasks and fault them in again, which cost about half of a
     pullback task's time.  Buffers only grow, to the largest request, so their

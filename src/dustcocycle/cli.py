@@ -249,9 +249,9 @@ def _cmd_lipschitz(args) -> int:
     for n in ns:
         t0 = perf_counter()
         val = phi_n(preset, n, f, g, h, workers=args.workers, allow_large=args.override_budget)
-        sup_f, _ = estimate_lipschitz(preset, n, f)
-        _, lip_g = estimate_lipschitz(preset, n, g)
-        _, lip_h = estimate_lipschitz(preset, n, h)
+        sup_f, _ = estimate_lipschitz(preset, n, f, allow_large=args.override_budget)
+        _, lip_g = estimate_lipschitz(preset, n, g, allow_large=args.override_budget)
+        _, lip_h = estimate_lipschitz(preset, n, h, allow_large=args.override_budget)
         bound = lipschitz_bound(preset, n, sup_f, lip_g, lip_h)
         ok = abs(val) <= bound
         violated |= not ok
@@ -459,7 +459,7 @@ def _cmd_selftest(args) -> int:
         if not same:
             failures.append(f"lipschitz maxima at {name} n={n}")
 
-    # n = 9 is four tasks, so the 4-worker sum runs on a pool
+    # n = 9 is four tasks, so the 4-worker sum runs them on four helper threads
     a = phi_n(preset, 9, f, g, h, workers=1)
     b = phi_n(preset, 9, f, g, h, workers=4)
     det = a == b

@@ -87,11 +87,18 @@ same triple, the sum's tasks take them from the lattices they evaluate and
 the estimates read them back, so each rule is evaluated once per tile;
 otherwise the estimates walk the tiles.
 
-Each worker thread keeps one :class:`_kernels.Workspace` for the duration of
-one sum and runs all its tasks in it: the flat copies of compact values,
-kernel temporaries and gathered values reuse its buffers, and nothing of it
-outlives the call.  A tile's coordinates are not among them: they are too
-small to need it.  A task still allocates its observables' own values.
+A sum hands its task indices out from one shared iterator to
+min(workers, tasks) threads, all running one loop: the calling thread alone
+when that is one, else as many plain helper threads, started for the sum
+and joined before it returns, while the caller waits.  Each of them keeps
+one :class:`_kernels.Workspace` for all the tasks it takes: the flat copies
+of compact values, kernel temporaries and gathered values reuse its
+buffers, and nothing of it outlives the call.  A tile's coordinates are not
+among them: they are too small to need it.  A task still allocates its
+observables' own values.  A 1-worker sum stays on the caller: run on a
+fresh helper, its buffers went to a heap that glibc trims and faults in
+again sum after sum, and a 65536-word Lipschitz level took about twice
+as long (2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -99,9 +106,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -123,12 +131,13 @@ def resolve_workers(workers: int | None) -> int:
     """The effective worker count: ``workers`` itself, or for None the value
     of ``DUSTCOCYCLE_WORKERS``, else the CPU count.
 
-    A count below 1, or a set environment value that is not a positive
-    integer, raises ValueError.
+    A count that is not an ``int`` of at least 1 (a bool, a float or a
+    string is none), or a set environment value that is not a positive
+    integer, raises ValueError naming it.
     """
     if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        if type(workers) is not int or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         return workers
     env = os.environ.get(_WORKERS_ENV)
     if not env:
@@ -646,6 +655,22 @@ def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
 _last_direct = None
 
 
+class _Recorded:
+    """A block that appends to ``into`` the exception leaving it, or None,
+    and lets that exception go on.  ``sys.exc_info()`` in a ``finally``
+    would not do: inside an ``except`` block of the caller's it names the
+    exception being handled there."""
+
+    def __init__(self, into):
+        self.into = into
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        self.into.append(exc)
+
+
 def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     """The level-n sum over ``source``, of ``total`` words.  ``maxima``, a
     (3, 2) float array given for a direct scalar sum, is set to f's, g's
@@ -656,7 +681,18 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     Every sum returns here, and one that is not finite (a NaN or inf at a
     vertex of a square, or an overflow) raises ValueError naming the triple
     and the level; a value at a vertex of no square (a carpet hole, a
-    padded cell) enters no term that is kept."""
+    padded cell) enters no term that is kept.
+
+    The tasks' indices go out from one shared iterator, which
+    min(workers, tasks) threads drain, each in a
+    :class:`_kernels.Workspace` of its own: the calling thread alone when
+    that is one, else as many helper threads while the caller waits.  Each
+    task writes its own leaves, so the sum does not depend on which thread
+    ran which task.  An exception in a task stops every thread from
+    starting another; each records what it raised, no helper prints it, and
+    the caller joins every helper, then raises the first one recorded, as
+    itself.  An exception in the caller while it waits (a
+    KeyboardInterrupt) stops the helpers after the tasks they hold."""
     global _last_direct
     _last_direct = None
     observables = (f, g, h)
@@ -665,26 +701,34 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     span = _task_span(source, total)
     tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
     per_task = None if maxima is None else np.empty((len(tasks), 3, 2))
-    local = threading.local()  # one workspace per thread, dropped on return
+    todo = iter(range(len(tasks)))  # shared: each index goes to one thread
+    raised = []  # what each thread raised, None for one that ran out of tasks
 
-    def run(i):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = K.Workspace()
-        lo, hi = tasks[i]
-        # a non-finite sum is refused below, not warned about term by term;
-        # a pool thread does not inherit the caller's error state
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = _leaf_sums_for_range(source, lo, hi, observables, ws,
-                                       maxima=None if per_task is None else per_task[i])
-        leafsums[lo // LEAF : lo // LEAF + out.size] = out
+    def work():
+        ws = K.Workspace()  # this thread's, for every task it takes
+        with suppress(BaseException), _Recorded(raised):  # for the caller to raise
+            # a non-finite sum is refused below, not warned about term by
+            # term; a helper does not inherit the caller's error state
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i in takewhile(lambda _: not any(raised), todo):
+                    lo, hi = tasks[i]
+                    out = _leaf_sums_for_range(source, lo, hi, observables, ws,
+                                               maxima=None if per_task is None else per_task[i])
+                    leafsums[lo // LEAF : lo // LEAF + out.size] = out
 
-    if workers <= 1 or len(tasks) == 1:
-        for i in range(len(tasks)):
-            run(i)
+    threads = min(workers, len(tasks))
+    if threads == 1:
+        work()  # alone, the caller runs the tasks itself
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            list(pool.map(run, range(len(tasks))))
+        helpers = [threading.Thread(target=work) for _ in range(threads)]
+        with _Recorded(raised):  # an interrupted caller stops the helpers too
+            for t in helpers:
+                t.start()
+            for t in helpers:
+                t.join()
+    error = next(filter(None, raised), None)
+    if error is not None:
+        raise error
     if maxima is not None:
         np.max(per_task, axis=0, out=maxima)  # np.max keeps NaN
     with np.errstate(invalid="ignore", over="ignore"):
@@ -916,7 +960,9 @@ def link_error_ratios(rows: Sequence[CocycleReport]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[float, float]:
+def estimate_lipschitz(
+    preset: IfsPreset, n: int, obs: Observable, allow_large: bool = False
+) -> tuple[float, float]:
     """(sup |obs|, Lipschitz estimate) over level-n vertices.
 
     The Lipschitz constant is estimated by maximizing difference quotients
@@ -936,7 +982,8 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     over.  A negative level, a preset outside ``geometry.PRESETS``, or a
     value at a level-n vertex that is not finite (which would make the
     estimate meaningless), raises ValueError, the last naming the
-    observable.
+    observable.  More squares than the scalar budget raise BudgetError
+    before any tile is built, unless ``allow_large``, as in :func:`phi_n`.
     """
     global _last_direct
     if obs.kind != "scalar" or obs.mode != "direct":
@@ -944,6 +991,8 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     if n < 0:
         raise ValueError("level must be >= 0")
     _check_preset(preset, obs.mode)
+    total = _word_count(preset.nmaps, n)
+    budget_check(total, obs.kind, allow_large)
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):
@@ -953,7 +1002,6 @@ def estimate_lipschitz(preset: IfsPreset, n: int, obs: Observable) -> tuple[floa
     if maxima is not None:
         sup, edge = maxima[place]
     else:
-        total = _word_count(preset.nmaps, n)
         source = _direct_source(preset, n)
         ws = K.Workspace()
         peak = np.zeros((1, 2))

@@ -123,7 +123,7 @@ class TestNoTiming:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ms_zero_and_bytes_stable_across_worker_counts(self, argv, fmt):
         """Every record's ms is 0, and the output is byte-identical at 1 and
-        2 workers (level 9 is four tasks, so two workers run a pool), set
+        2 workers (level 9 is four tasks, so two workers start two helper threads), set
         aside the JSON's effective worker counts, which differ by design."""
         outputs = []
         for workers in (1, 2):
@@ -600,33 +600,41 @@ class TestExitCodes:
 
     def test_selftest_determinism_runs_several_tasks_on_a_pool(self, monkeypatch):
         """The worker-determinism check sums a level of several tasks, so its
-        multi-worker sum runs them on a pool, not serially."""
-        threads = []
+        multi-worker sum runs them on several helper threads, not serially,
+        and none on the calling thread."""
+        threads, helpers = [], []
         task = cocycle._leaf_sums_for_range
 
         def counted(*args, **kwargs):
             threads.append(threading.current_thread())
             return task(*args, **kwargs)
 
+        class Recording(threading.Thread):
+            def start(self):
+                helpers.append(self)
+                super().start()
+
         parallel = []
         phi_n = cli.phi_n
 
         def recorded(*args, workers=None, **kwargs):
-            start = len(threads)
+            start, started = len(threads), len(helpers)
             val = phi_n(*args, workers=workers, **kwargs)
             if workers > 1:
-                parallel.append(threads[start:])
+                parallel.append((workers, threads[start:], len(helpers) - started))
             return val
 
         monkeypatch.setattr(cocycle, "_leaf_sums_for_range", counted)
+        monkeypatch.setattr(cocycle.threading, "Thread", Recording)
         monkeypatch.setattr(cli, "phi_n", recorded)
         code, out = run_cli("selftest")
         assert code == 0
         assert "worker determinism (n=9): ok" in out
         assert parallel
-        for ran in parallel:
+        for workers, ran, started in parallel:
             assert len(ran) > 1
             assert threading.main_thread() not in ran
+            assert started == min(workers, len(ran)) > 1
 
     def test_selftest_checks_the_matrix_kernel(self, monkeypatch, capsys):
         code, out = run_cli("selftest")

@@ -2,6 +2,10 @@
 
 import math
 import re
+import signal
+import sys
+import threading
+import time
 from dataclasses import replace
 from functools import lru_cache
 
@@ -680,8 +684,8 @@ def bits(z):
 class TestNonFiniteSums:
     """Every sum returns through one check: a level's sum that is not
     finite raises ValueError naming the triple and the level, and numpy
-    warns of none of its inf - inf or overflows, on the caller's thread or
-    a pool's (pytest makes a warning an error)."""
+    warns of none of its inf - inf or overflows, on any thread that runs
+    its tasks (pytest makes a warning an error)."""
 
     CASES = [(np.nan, 1), (np.nan, 2), (np.inf, 1), (np.inf, 2)]
 
@@ -692,7 +696,7 @@ class TestNonFiniteSums:
     @pytest.mark.parametrize("bad, workers", CASES)
     def test_phi_n(self, bad, workers):
         """A direct h, not finite along x > 0.9, on the general path; level
-        9 is four tasks, so two workers run them on a pool."""
+        9 is four tasks, so two workers run them on two threads."""
         f, g, _, _, _ = resolve_functions("linear-xy")
         h = direct_scalar(lambda u, v: np.where(np.asarray(u) > 0.9, bad, v * 1.0), "bad")
         with pytest.raises(ValueError, match=self.refused(("x+y", "x", "bad"), 9)):
@@ -839,6 +843,22 @@ class TestBudgetsAndValidation:
         with pytest.raises(ValueError, match="mode"):
             phi_n(DUST, 2, f, g, d, workers=1)
 
+    @pytest.mark.parametrize("workers", [2.5, True, "2", 0])
+    def test_workers_that_are_not_a_positive_int_rejected(self, workers, no_tile_built):
+        """A worker count must be an ``int`` (not a bool) of at least 1:
+        any other value raises ValueError naming it, before any tile is
+        built.  Unchecked, 2.5 and True would run and "2" would fail in a
+        comparison."""
+        f, g, h, _, _ = resolve_functions("linear-xy")
+        sp = get_smooth_preset("bott-flux")
+        named = re.escape(f"workers must be an integer >= 1, got {workers!r}")
+        with pytest.raises(ValueError, match=named):
+            phi_n(DUST, 3, f, g, h, workers=workers)
+        with pytest.raises(ValueError, match=named):
+            phi_subdivision(3, sp.f, sp.g, sp.h, workers=workers)
+        with pytest.raises(ValueError, match=named):
+            convergence_table(DUST, [3], f, g, h, workers=workers)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_non_positive_workers_rejected(self, workers):
         f, g, h, _, _ = resolve_functions("const-xy")
@@ -877,6 +897,20 @@ class TestWordIndexOverflow:
         with pytest.raises(ValueError, match="overflow"):
             estimate_lipschitz(FULL, 20, f)
 
+    def test_lipschitz_refuses_an_over_budget_level_before_any_tile(self, monkeypatch):
+        """4**14 dust words exceed the scalar budget: the estimate raises
+        BudgetError before it builds a source, as phi_n does, and with
+        allow_large it gets past the check."""
+        def reached(*args):
+            raise AssertionError("_direct_source reached")
+
+        monkeypatch.setattr(cocycle, "_direct_source", reached)
+        f, _, _, _, _ = resolve_functions("const-xy")
+        with pytest.raises(BudgetError):
+            estimate_lipschitz(DUST, 14, f)
+        with pytest.raises(AssertionError, match="_direct_source reached"):
+            estimate_lipschitz(DUST, 14, f, allow_large=True)
+
     def test_last_fitting_level_passes_the_check(self):
         from dustcocycle.cocycle import _word_count
 
@@ -885,21 +919,149 @@ class TestWordIndexOverflow:
 
 
 class TestThreadPool:
+    """A sum hands its task indices out from one shared iterator to
+    min(workers, tasks) threads: the calling thread alone when that is one,
+    else as many helper threads, and the caller runs none."""
+
     def test_pool_capped_at_task_count(self, monkeypatch):
-        from dustcocycle import cocycle
+        """At 8 workers a 4-task sum (bott-flux, n = 9) starts exactly 4
+        helpers, at 1 worker none, and the two values are bitwise equal."""
+        started = []
 
-        sizes = []
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        class Recording(cocycle.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kw):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kw)
-
-        monkeypatch.setattr(cocycle, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(cocycle.threading, "Thread", Recording)
         f, g, h, _, _ = resolve_functions("bott-flux")
         want = phi_n(DUST, 9, f, g, h, workers=1)
-        assert phi_n(DUST, 9, f, g, h, workers=8) == want
-        assert sizes == [4]
+        assert started == []
+        assert bits(phi_n(DUST, 9, f, g, h, workers=8)) == bits(want)
+        assert len(started) == 4
+
+    def test_each_task_runs_once_under_frequent_switches(self, monkeypatch):
+        """More threads than cores, switching every microsecond, share one
+        iterator of the 16 tasks of a sum (bott-flux, n = 10): every task
+        runs exactly once, and the value is bitwise the 1-worker one."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        want = bits(phi_n(DUST, 10, f, g, h, workers=1))
+        starts = []
+        real = cocycle._leaf_sums_for_range
+
+        def task(source, lo, hi, *args, **kwargs):
+            starts.append(lo)  # list.append is atomic
+            return real(source, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                starts.clear()
+                assert bits(phi_n(DUST, 10, f, g, h, workers=8)) == want
+                assert sorted(starts) == [i * 4**8 for i in range(16)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_task_exception_reaches_the_caller(self, monkeypatch, capfd, workers):
+        """An exception raised in a task, on the calling thread (1 worker)
+        or on a helper, reaches the caller as itself, after every helper has
+        ended, and no helper prints it.
+
+        The sum (bott-flux, n = 10) has 16 tasks.  Each thread's first task
+        waits at a barrier until every thread holds one; then the first past
+        it raises at once, and the others go on after 0.2 s, by when the
+        failure is recorded: no further task may start."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        caller = threading.current_thread()
+        count = threading.active_count()
+        assert bits(phi_n(DUST, 10, f, g, h, workers=workers)) == bits(
+            phi_n(DUST, 10, f, g, h, workers=1))
+        assert threading.active_count() == count
+
+        boom = RuntimeError("boom")
+        barrier = threading.Barrier(workers, timeout=30)
+        lock = threading.Lock()
+        events, seen, raisers = [], set(), []
+        real = cocycle._leaf_sums_for_range
+
+        def task(*args, **kwargs):
+            me = threading.current_thread()
+            with lock:
+                first = me not in seen
+                seen.add(me)
+                events.append("start")
+            if first:
+                barrier.wait()
+                with lock:
+                    raises = "raise" not in events
+                    if raises:
+                        events.append("raise")
+                        raisers.append(me)
+                if raises:
+                    raise boom
+                time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
+        with pytest.raises(RuntimeError) as caught:
+            phi_n(DUST, 10, f, g, h, workers=workers)
+        assert caught.value is boom
+        assert len(raisers) == 1
+        assert (caller in seen) == (raisers == [caller]) == (workers == 1)
+        assert threading.active_count() == count
+        assert events == ["start"] * workers + ["raise"]
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sum_inside_an_exception_handler(self, workers):
+        """A sum called while the caller handles an exception (bott-flux,
+        n = 9, 4 tasks) returns its value: the exception being handled is
+        not taken for one that a task raised."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        want = bits(phi_n(DUST, 9, f, g, h, workers=workers))
+        try:
+            raise KeyError("handled")
+        except KeyError:
+            assert bits(phi_n(DUST, 9, f, g, h, workers=workers)) == want
+
+    def test_interrupted_caller_stops_the_helpers(self, monkeypatch, capfd):
+        """A KeyboardInterrupt that reaches the caller while it waits for
+        its helpers (bott-flux, n = 10, 16 tasks, 2 workers) leaves the call
+        at once, and no helper starts a task after the one it holds.
+
+        Each helper's first task waits at a barrier until both hold one;
+        one then sends SIGINT to the main thread, which runs the test, and
+        both hold their tasks until the interrupt has been caught."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        assert threading.current_thread() is threading.main_thread()
+        count = threading.active_count()
+        barrier = threading.Barrier(2, timeout=30)
+        caught = threading.Event()
+        starts = []
+        real = cocycle._leaf_sums_for_range
+
+        def task(*args, **kwargs):
+            starts.append(threading.current_thread())
+            if len(starts) <= 2:
+                if barrier.wait() == 0:
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                caught.wait(30)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
+        with pytest.raises(KeyboardInterrupt):
+            phi_n(DUST, 10, f, g, h, workers=2)
+        caught.set()
+        for helper in starts[:2]:
+            helper.join(30)
+            assert not helper.is_alive()
+        assert len(starts) == len(set(starts)) == 2
+        assert threading.main_thread() not in starts
+        assert threading.active_count() == count
+        assert capfd.readouterr().err == ""
 
 
 class TestConvergenceTable:

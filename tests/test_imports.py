@@ -4,9 +4,15 @@ No module under ``src/dustcocycle`` names the package in an import, so a copy
 of the package under another name imports beside the original, each copy
 reading its own modules: this is what lets one process hold two trees side
 by side, for instance to compare two versions pass against pass.
+
+Importing it pulls in neither ``concurrent.futures`` nor ``logging``: a sum
+runs its tasks on plain threads, and the two modules cost several ms of
+every process's start.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +56,15 @@ def test_no_absolute_self_import(path):
 ])
 def test_checker_finds_absolute_self_imports(source, found):
     assert list(absolute_self_imports(ast.parse(source))) == found
+
+
+def test_import_pulls_in_no_executor_or_logging():
+    """In a fresh interpreter with ``src/`` on the path, ``import
+    dustcocycle`` leaves ``concurrent.futures`` and ``logging`` out of
+    ``sys.modules``."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dustcocycle; "
+             "print(dustcocycle.__file__); "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [str(PACKAGE / "__init__.py"), "[]"]
