@@ -3,10 +3,10 @@
 ``phi_n`` streams the level-n squares of one of the three IFS presets of
 ``geometry.PRESETS`` in word order,
 evaluates a function triple at the four vertices of each square, applies the
-per-square trace kernel and reduces the 4**n terms through a fixed-shape
-pairwise tree over 4096-word leaves.  The tree shape depends only on the term
-count, never on the worker count, so results are bit-identical however the
-work is spread.  Every sum returns through :func:`_sum_kernel`, which
+per-square trace kernel and reduces the nmaps**n terms through a fixed-shape
+pairwise tree over leaves of up to 4096 words.  The tree shape depends only
+on the layout and the level, never on the worker count, so results are
+bit-identical however the work is spread.  Every sum returns through :func:`_sum_kernel`, which
 refuses one that is not finite.
 
 Every sum is one walk over aligned tiles of one shape.  Its source
@@ -35,18 +35,20 @@ coordinates' denominator.  There are three sources:
   keeps the value 1, so plain coordinate functions keep their Riemann sums;
 * direct (the vertices themselves, over 3**n): a tile is the nmaps**k words
   of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
-  dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and 4
-  on ``full-subdivision-3`` (9**4 words, never a whole number of leaves),
-  tile t placed at 3**k times the corner numerators of its n - k digits.
+  dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and
+  on ``full-subdivision-3`` (9**5 words, 14 leaves and a short one), tile t
+  placed at 3**k times the corner numerators of its n - k digits.
 
-Each parallel task covers up to 65536 consecutive words: one tile when a
-tile is a whole number of leaves or the whole grid, else (on
-``full-subdivision-3``) TASK_LEAVES leaves that walk the up to 11 tiles they
-touch.  Any range is walked alike: each tile it touches is computed whole,
-and its share of the range is gathered into word order with one
-``np.take``.  The gather passes ``mode="clip"``, under which numpy writes
-into ``out=`` directly, where the default ``mode="raise"`` buffers it; the
-tests check once that every tile's order is in bounds.
+Each parallel task is one tile, of at most 65536 words: the kernel runs on
+its lattice whole, its values are gathered into word order with one
+``np.take``, and they are summed in leaves counted from its first word, the
+last one short where a tile is not a whole number of leaves.  A tile is
+whole leaves or the whole grid, so the leaves are those of the word stream,
+but on ``full-subdivision-3`` from level 6 on, where they follow its tiles.
+The leaves, and so the sum, depend on the level alone, never on the worker
+count.  The gather passes ``mode="clip"``, under which numpy writes into
+``out=`` directly, where the default ``mode="raise"`` buffers it; the tests
+check once that every tile's order is in bounds.
 
 A tile's lattice is a tensor product: each observable's rule gets a row of
 u and a column of v that broadcast to it, 257 of each for a 256 x 256
@@ -109,7 +111,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import count, takewhile
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -120,7 +122,7 @@ from .geometry import CANTOR_DUST, PRESETS, IfsPreset, budget_check
 from .oracle import SMOOTH_PRESETS, ProjectionField, TorusFunction
 
 LEAF = 4096
-TASK_LEAVES = 16  # at most 65536 words per parallel task, always whole leaves
+TASK_LEAVES = 16  # at most 65536 words, one tile, per parallel task
 _PROJECTION_LEVEL = 6
 _PROJECTION_TOL = 1e-10
 
@@ -309,20 +311,14 @@ def validate_projection(obs: Observable, n: int):
 
 def _tile_level(nmaps):
     """The largest k with nmaps**k words in one task of at most TASK_LEAVES
-    leaves, less one when nmaps**k is not a whole number of leaves: 8 on the
-    dust, 5 on the carpet, 4 on ``full-subdivision-3``.  A task then spans
-    several tiles, and the smaller ones waste fewer kernel cells at its ends
-    (9**4 words: at most 11 tiles, 10% more cells than the task's own; 9**5:
-    up to 3 tiles, 2.7x)."""
-    k = 0
-    while nmaps > 1 and nmaps ** (k + 1) <= TASK_LEAVES * LEAF:
-        k += 1
-    return k - 1 if k and nmaps**k % LEAF else k
+    leaves: 8 on the dust, 5 on the carpet and on ``full-subdivision-3``,
+    whose (3**5 + 1)**2 box pads under 1 % of its cells."""
+    return next(k for k in count() if nmaps ** (k + 1) > TASK_LEAVES * LEAF)
 
 
 class _Tile(NamedTuple):
-    """The vertex lattice of one aligned run of a sum's words, all runs
-    alike, with read-only arrays.
+    """The vertex lattice of one aligned tile of a sum's words, one parallel
+    task's, all tiles of a sum alike, with read-only arrays.
 
     ``dx`` and ``dy`` are the lattice's integer column and row coordinates
     relative to the tile's origin, shaped to broadcast into the lattice;
@@ -477,15 +473,6 @@ def _direct_source(preset: IfsPreset, n: int):
     return _Source(tile, place, float(3**n))
 
 
-def _task_span(source, total):
-    """Words per task of a sum of ``total`` words: one tile's when that is a
-    whole number of leaves or the whole grid, else TASK_LEAVES leaves (on
-    ``full-subdivision-3``, whose 9**k words never are).  Task bounds are
-    whole leaves, so a sum never depends on the worker count."""
-    span = source.tile.order.size
-    return span if span % LEAF == 0 or span == total else TASK_LEAVES * LEAF
-
-
 def _full(a, shape, ws, name):
     """``a`` broadcast to ``shape``, C-contiguous: ``a`` itself when it is,
     else a copy into buffer ``name`` of ``ws``."""
@@ -618,32 +605,28 @@ def _maxima(a, tile, ws):
     return sup, edge
 
 
-def _leaf_sums_for_range(source, w_lo, w_hi, observables, ws=None, maxima=None):
-    """Leaf sums of the kernel over the words [w_lo, w_hi) of ``source``,
-    leaves counted from w_lo.
+def _leaf_sums_for_range(source, lo, observables, ws=None, maxima=None):
+    """Leaf sums of the kernel over the tile of ``source`` whose first word
+    is ``lo``, a multiple of the tile's word count: its values gathered in
+    word order and summed in leaves counted from ``lo``, the last one short
+    when the tile is not a whole number of leaves.
 
-    Any range may be asked for: the kernel runs on every tile the range
-    touches, whole, and each tile's share of the range is gathered in word
-    order.  ``ws`` is the calling thread's :class:`_kernels.Workspace`
-    (default: a fresh one); the returned leaf sums never live in it.  Each
-    distinct observable is evaluated once per lattice.
+    ``ws`` is the calling thread's :class:`_kernels.Workspace` (default: a
+    fresh one); the returned leaf sums never live in it.  Each distinct
+    observable is evaluated once.
 
     ``maxima``, for scalar observables, is a (3, 2) float array, set to each
-    observable's :func:`_maxima` over the tiles the range touches
-    (:func:`_operands`).
+    observable's :func:`_maxima` over the tile (:func:`_operands`).
     """
     ws = K.Workspace() if ws is None else ws
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     tile = source.tile
-    span = tile.order.size
-    vals = ws.take("reordered", (w_hi - w_lo,))
+    vals = ws.take("reordered", tile.order.shape)
     if maxima is not None:
         maxima[...] = 0.0
-    for lo in range(w_lo - w_lo % span, w_hi, span):
-        result = kernel(*_operands(source, lo, observables, ws, maxima), cells=tile.cells, out=ws)
-        a, b = max(w_lo, lo), min(w_hi, lo + span)
-        # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
-        np.take(result, tile.order[a - lo : b - lo], out=vals[a - w_lo : b - w_lo], mode="clip")
+    result = kernel(*_operands(source, lo, observables, ws, maxima), cells=tile.cells, out=ws)
+    # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
+    np.take(result, tile.order, out=vals, mode="clip")
     return K.leaf_sums(vals, LEAF)
 
 
@@ -674,9 +657,11 @@ class _Recorded:
 def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     """The level-n sum over ``source``, of ``total`` words.  ``maxima``, a
     (3, 2) float array given for a direct scalar sum, is set to f's, g's
-    and h's :func:`_maxima` over the level: each task takes them over the
-    tiles it touches, and their maximum does not depend on how the tasks
-    are spread.
+    and h's :func:`_maxima` over the level: each task takes them over its
+    tile, and their maximum does not depend on how the tasks are spread.
+
+    Task i is the tile of words [i s, (i + 1) s), s the tile's word count,
+    and writes the i-th run of ceil(s / LEAF) leaf sums.
 
     Every sum returns here, and one that is not finite (a NaN or inf at a
     vertex of a square, or an overflow) raises ValueError naming the triple
@@ -696,10 +681,10 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     global _last_direct
     _last_direct = None
     observables = (f, g, h)
-    nleaves = (total + LEAF - 1) // LEAF
-    leafsums = np.empty(nleaves, dtype=np.complex128)
-    span = _task_span(source, total)
-    tasks = [(lo, min(total, lo + span)) for lo in range(0, total, span)]
+    span = source.tile.order.size
+    per = -(-span // LEAF)  # leaves per task
+    tasks = range(0, total, span)
+    leafsums = np.empty(len(tasks) * per, dtype=np.complex128)
     per_task = None if maxima is None else np.empty((len(tasks), 3, 2))
     todo = iter(range(len(tasks)))  # shared: each index goes to one thread
     raised = []  # what each thread raised, None for one that ran out of tasks
@@ -711,10 +696,9 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
             # term; a helper does not inherit the caller's error state
             with np.errstate(invalid="ignore", over="ignore"):
                 for i in takewhile(lambda _: not any(raised), todo):
-                    lo, hi = tasks[i]
-                    out = _leaf_sums_for_range(source, lo, hi, observables, ws,
-                                               maxima=None if per_task is None else per_task[i])
-                    leafsums[lo // LEAF : lo // LEAF + out.size] = out
+                    leafsums[i * per : (i + 1) * per] = _leaf_sums_for_range(
+                        source, tasks[i], observables, ws,
+                        maxima=None if per_task is None else per_task[i])
 
     threads = min(workers, len(tasks))
     if threads == 1:

@@ -182,8 +182,13 @@ def similarity_dimension(preset, tol: float = 1e-13) -> float:
 
     ``preset`` is an :class:`IfsPreset` or a plain iterable of contraction
     ratios.  The contraction sum is strictly decreasing in d, equal to the
-    map count at d = 0.
+    map count at d = 0.  The bisection stops once the bracket is no wider
+    than ``tol``, or has closed to two adjacent floats, so a ``tol`` below
+    their spacing (0 included) ends too.  A NaN or negative ``tol`` raises
+    ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     ratios = [float(r) for r in (preset.ratios if isinstance(preset, IfsPreset) else preset)]
     if not ratios:
         raise ValueError("preset has no maps")
@@ -198,6 +203,8 @@ def similarity_dimension(preset, tol: float = 1e-13) -> float:
         hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no bracket is narrower
+            break
         if excess(mid) > 0.0:
             lo = mid
         else:

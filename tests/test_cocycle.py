@@ -735,8 +735,9 @@ class TestNonFiniteSums:
                             "one")
         g = direct_scalar(lambda u, v: np.asarray(u) * 4.4e155, "big x")
         h = direct_scalar(lambda u, v: np.asarray(v) * 4.4e155, "big y")
-        assert np.isfinite(cocycle._leaf_sums_for_range(cocycle._direct_source(DUST, 9), 0,
-                                                        4**9, (one, g, h))).all()
+        source = cocycle._direct_source(DUST, 9)
+        for lo in range(0, 4**9, 4**8):
+            assert np.isfinite(cocycle._leaf_sums_for_range(source, lo, (one, g, h))).all()
         with pytest.raises(ValueError, match=self.refused(("one", "big x", "big y"), 9)):
             phi_n(DUST, 9, one, g, h, workers=workers)
 
@@ -949,9 +950,9 @@ class TestThreadPool:
         starts = []
         real = cocycle._leaf_sums_for_range
 
-        def task(source, lo, hi, *args, **kwargs):
+        def task(source, lo, *args, **kwargs):
             starts.append(lo)  # list.append is atomic
-            return real(source, lo, hi, *args, **kwargs)
+            return real(source, lo, *args, **kwargs)
 
         monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
         interval = sys.getswitchinterval()
@@ -1034,30 +1035,57 @@ class TestThreadPool:
 
         Each helper's first task waits at a barrier until both hold one;
         one then sends SIGINT to the main thread, which runs the test, and
-        both hold their tasks until the interrupt has been caught."""
+        both hold their tasks until the interrupt has been caught.
+
+        The interrupt can reach the caller inside ``join`` while that helper
+        still runs, and CPython then marks the helper stopped: ``join`` and
+        ``is_alive`` no longer wait for it.  So the helpers' end is read from
+        ``threading.enumerate()``, which a thread leaves only when it has
+        finished, polled against a deadline.
+
+        A SIGINT that lands just before the caller blocks in ``join`` is
+        handled only when the caller wakes, after the helper it joins has
+        ended.  So the signal is sent again every 50 ms until its handler,
+        which raises the KeyboardInterrupt once, has run."""
         f, g, h, _, _ = resolve_functions("bott-flux")
         assert threading.current_thread() is threading.main_thread()
         count = threading.active_count()
         barrier = threading.Barrier(2, timeout=30)
-        caught = threading.Event()
+        handled, caught = threading.Event(), threading.Event()
         starts = []
         real = cocycle._leaf_sums_for_range
+
+        def interrupt(signum, frame):
+            if not handled.is_set():
+                handled.set()
+                raise KeyboardInterrupt
 
         def task(*args, **kwargs):
             starts.append(threading.current_thread())
             if len(starts) <= 2:
                 if barrier.wait() == 0:
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    for _ in range(600):  # for at most 30 s
+                        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                        if handled.wait(0.05):
+                            break
                 caught.wait(30)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
-        with pytest.raises(KeyboardInterrupt):
-            phi_n(DUST, 10, f, g, h, workers=2)
-        caught.set()
-        for helper in starts[:2]:
-            helper.join(30)
-            assert not helper.is_alive()
+        previous = signal.signal(signal.SIGINT, interrupt)
+        try:  # kept until the helpers, which send the signal, have ended
+            with pytest.raises(KeyboardInterrupt):
+                phi_n(DUST, 10, f, g, h, workers=2)
+            caught.set()
+            for helper in starts[:2]:
+                helper.join(30)
+                assert not helper.is_alive()
+            deadline = time.monotonic() + 30
+            while set(starts[:2]) & set(threading.enumerate()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            caught.set()
+            signal.signal(signal.SIGINT, previous)
         assert len(starts) == len(set(starts)) == 2
         assert threading.main_thread() not in starts
         assert threading.active_count() == count

@@ -1,6 +1,9 @@
 """IFS enumeration, exact coordinates, subdivision cells, dimension solver."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +170,21 @@ class TestSimilarityDimension:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
             similarity_dimension([1.5])
+
+    def test_tolerance_below_the_float_spacing_ends(self):
+        """A tol of 0, or below the spacing of floats near the root, ends
+        once the bracket is two adjacent floats, and a negative or NaN tol
+        is refused; run in a fresh interpreter under a timeout, so a
+        bisection that never ends fails the test instead of hanging the
+        suite."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                 "from dustcocycle.geometry import CANTOR_DUST, similarity_dimension\n"
+                 "for t in (0.0, 1e-300, -1.0, float('nan')):\n"
+                 "    try: print(similarity_dimension(CANTOR_DUST, t).hex())\n"
+                 "    except ValueError as e: print(str(e).replace(' ', '_'))\n")
+        out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                             text=True, check=True, timeout=30).stdout.split()
+        assert [float.fromhex(x) for x in out[:2]] == [
+            pytest.approx(np.log(4.0) / np.log(3.0), abs=1e-15)] * 2
+        assert out[2:] == ["tol_must_be_a_number_>=_0,_got_-1.0", "tol_must_be_a_number_>=_0,_got_nan"]

@@ -4,12 +4,12 @@ Every sum, pullback, subdivision or direct, is a walk over aligned tiles of
 one shape: the engine places each tile's vertex lattice from the tile's
 first word, evaluates each observable once per vertex, handed to the rule
 as a row of u and a column of v, and reads the four corners of every
-square from it.  Any range walks the tiles it touches and keeps its own
-words, which cuts tiles at its ends.  The reference below is the
-per-square path the lattices replaced: float corner coordinates of each
-square from every word's own digit map (or, for subdivision cells, its own
-column and row), four ``evaluate`` calls per observable, then the same
-scalar kernel and leaf sums, which must agree bit for bit.  For 2 x 2
+square from it.  Each task is one aligned tile, its leaves counted from
+its first word.  The reference below is the per-square path the lattices
+replaced: float corner coordinates of each square from every word's own
+digit map (or, for subdivision cells, its own column and row), four
+``evaluate`` calls per observable, then the same scalar kernel and leaf
+sums, which must agree bit for bit.  For 2 x 2
 Hermitian unit-trace observables, whose rules return Bloch vectors, the
 reference forms the matrices and runs the complex batched-matmul formula on
 them, where the engine runs the real 3-vector kernel; the two agree to
@@ -32,7 +32,6 @@ from dustcocycle.cocycle import (
     Observable,
     _direct_source,
     _leaf_sums_for_range,
-    _task_span,
     phi_n,
     resolve_functions,
 )
@@ -98,10 +97,15 @@ def _direct(preset, n):
                 preset.nmaps**n)
 
 
-def _corner_values(case, w_lo, w_hi, observables):
+def _span(case):
+    """The words of one of the sum's tiles."""
+    return case.source.tile.order.size
+
+
+def _corner_values(case, w_lo, observables):
     """Each observable's values at the corners v0..v3 of every square of
-    [w_lo, w_hi), evaluated square by square."""
-    c0, c1, d0, d1 = case.coords(np.arange(w_lo, w_hi, dtype=np.int64))
+    the tile whose first word is ``w_lo``, evaluated square by square."""
+    c0, c1, d0, d1 = case.coords(np.arange(w_lo, w_lo + _span(case), dtype=np.int64))
     pts = ((c0, d0), (c1, d0), (c1, d1), (c0, d1))
     return [[o.evaluate(u, v) for (u, v) in pts] for o in observables]
 
@@ -123,33 +127,23 @@ def rounding_scale(f, g, h):
     return sum(m(f[k]) * (x * y + e * (x + y)) for k, x, y in products)
 
 
-def reference_leaf_sums(case, w_lo, w_hi, observables):
-    """Leaf sums of the scalar kernel over [w_lo, w_hi) with every square's
-    corners evaluated apart, passed concatenated as (v0, v1, v2, v3).
-
-    A lone square is computed with a neighbour, when the grid has one, and
-    dropped: numpy rounds an in-place complex product of a 1-element array
-    unlike its vector loop, and from n = 1 on every tile the engine runs
-    has more than one cell."""
-    lo, hi = w_lo, w_hi
-    if hi - lo == 1 and case.total > 1:
-        lo, hi = (lo, hi + 1) if hi < case.total else (lo - 1, hi)
-    f, g, h = (np.concatenate(c) for c in _corner_values(case, lo, hi, observables))
-    b = hi - lo
-    vals = K.scalar_kernel(f, g, h, cells=((0, b, 2 * b, 3 * b), b))
-    return K.leaf_sums(vals[w_lo - lo : w_hi - lo], LEAF)
+def reference_leaf_sums(case, w_lo, observables):
+    """Leaf sums of the scalar kernel over the tile whose first word is
+    ``w_lo``, with every square's corners evaluated apart, passed
+    concatenated as (v0, v1, v2, v3)."""
+    f, g, h = (np.concatenate(c) for c in _corner_values(case, w_lo, observables))
+    b = _span(case)
+    return K.leaf_sums(K.scalar_kernel(f, g, h, cells=((0, b, 2 * b, 3 * b), b)), LEAF)
 
 
-def _assert_matches_reference(case, w_lo, w_hi, observables):
-    np.testing.assert_array_equal(_leaf_sums_for_range(case.source, w_lo, w_hi, observables),
-                                  reference_leaf_sums(case, w_lo, w_hi, observables))
+def _assert_matches_reference(case, w_lo, observables):
+    np.testing.assert_array_equal(_leaf_sums_for_range(case.source, w_lo, observables),
+                                  reference_leaf_sums(case, w_lo, observables))
 
 
-def _draw_range(draw, total):
-    """Any nonempty range of up to 3 leaves and a bit, as likely to cut a
-    tile or a leaf as not."""
-    w_lo = draw(st.integers(0, total - 1))
-    return w_lo, w_lo + draw(st.integers(1, min(total - w_lo, 3 * LEAF + 17)))
+def _draw_tile(draw, case):
+    """The first word of any one of the sum's tiles."""
+    return _span(case) * draw(st.integers(0, case.total // _span(case) - 1))
 
 
 # a trig polynomial: terms (a, b, c, s) -> c cos 2pi(au+bv) + i s sin 2pi(au+bv)
@@ -188,11 +182,11 @@ def _matrix(entries):
 
 @st.composite
 def _cases(draw, matrix=False):
-    """A range of a pullback or subdivision sum and a scalar (or 2 x 2
+    """A tile of a pullback or subdivision sum and a scalar (or 2 x 2
     Hermitian unit-trace) triple, of distinct or shared observables."""
     n = draw(st.integers(0, 9))
     case = draw(st.sampled_from([_pullback, _subdivision]))(n)
-    w_lo, w_hi = _draw_range(draw, case.total)
+    w_lo = _draw_tile(draw, case)
     if matrix:
         f, g, h = (_matrix(draw(st.lists(_terms, min_size=3, max_size=3))) for _ in range(3))
     else:
@@ -201,7 +195,7 @@ def _cases(draw, matrix=False):
     if share != "distinct":
         g = f
         h = f if share == "f=g=h" else h
-    return case, w_lo, w_hi, (f, g, h)
+    return case, w_lo, (f, g, h)
 
 
 _OBS = tuple(_scalar(t) for t in (
@@ -219,9 +213,9 @@ class TestLatticeMatchesReference:
     @given(_cases(matrix=True))
     def test_matrix_leaf_sums_match_matmul_reference(self, case):
         """Each leaf within 1e-13 of the sum of its squares' rounding scales."""
-        case, w_lo, w_hi, obs = case
-        got = _leaf_sums_for_range(case.source, w_lo, w_hi, obs)
-        corners = [[bloch_matrices(x) for x in c] for c in _corner_values(case, w_lo, w_hi, obs)]
+        case, w_lo, obs = case
+        got = _leaf_sums_for_range(case.source, w_lo, obs)
+        corners = [[bloch_matrices(x) for x in c] for c in _corner_values(case, w_lo, obs)]
         want = K.leaf_sums(matmul_reference(*corners[0], *corners[1], *corners[2]), LEAF)
         scale = K.leaf_sums(rounding_scale(*corners), LEAF).real
         assert got.shape == want.shape
@@ -230,28 +224,22 @@ class TestLatticeMatchesReference:
     @pytest.mark.parametrize("source", [_pullback, _subdivision], ids=["source0", "source1"])
     @pytest.mark.parametrize("n", [8, 9])
     def test_whole_tasks_bit_identical(self, source, n):
-        span = TASK_LEAVES * LEAF
-        for w_lo in range(0, 4**n, span):
-            _assert_matches_reference(source(n), w_lo, w_lo + span, _OBS)
-
-    def test_pullback_ranges_that_cut_tiles(self):
-        """A pullback range need not be one aligned tile: the kernel runs on
-        every Morton tile the range touches, and the range keeps its own
-        words."""
-        span = TASK_LEAVES * LEAF
-        for n, lo, hi in ((9, 1, span + 1), (9, 0, LEAF), (9, span, 3 * span), (5, 0, 1023),
-                          (5, 1, 1025), (0, 0, 0), (0, 0, 1), (9, 3 * span + 5, 4 * span)):
-            _assert_matches_reference(_pullback(n), lo, min(hi, 4**n), _OBS)
+        case = source(n)
+        assert _span(case) == TASK_LEAVES * LEAF
+        for w_lo in range(0, case.total, _span(case)):
+            _assert_matches_reference(case, w_lo, _OBS)
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_subdivision_ranges_on_partial_rows(self, n):
         """From n = 17 on, a subdivision tile is part of one row of 2**n
-        cells: ranges that cut tiles, cross a row's end, or end at the grid's
-        top right cell, whose far edge is at 1, keep every value."""
-        span, row, total = TASK_LEAVES * LEAF, 1 << n, 4**n
-        for lo, hi in ((0, 3 * LEAF + 5), (span - 100, span + 100), (row - 7, row + 9),
-                       (3 * span - 7, 4 * span + 9), (total - 1000, total)):
-            _assert_matches_reference(_subdivision(n), lo, hi, _OBS)
+        cells: the first five tiles, among them the ones that end the first
+        row and start the second, and the one that ends at the grid's top
+        right cell, whose far edge is at 1, keep every value."""
+        case = _subdivision(n)
+        span, row = _span(case), 1 << n
+        assert span == TASK_LEAVES * LEAF and row in (2 * span, 4 * span)
+        for w_lo in (*range(0, 5 * span, span), case.total - span):
+            _assert_matches_reference(case, w_lo, _OBS)
 
 
 def _count_mapped_words(monkeypatch, name):
@@ -304,10 +292,10 @@ class TestDirectTiles:
     def test_tile_leaf_sums_equal_per_square_reference(self, preset, n, name):
         obs = resolve_functions(name)[:3]
         case = _direct(preset, n)
-        span = _task_span(case.source, case.total)
+        span = _span(case)
         assert span == preset.nmaps ** min(n, {4: 8, 8: 5}[preset.nmaps])
         for w_lo in range(0, case.total, span):
-            _assert_matches_reference(case, w_lo, w_lo + span, obs)
+            _assert_matches_reference(case, w_lo, obs)
 
     def test_dust_tile_cells_come_in_morton_order(self):
         for n in (0, 1, 5, 8, 9):
@@ -331,16 +319,6 @@ class TestDirectTiles:
             else:
                 assert tile.dx.shape == (1, 3**k + 1) and tile.dy.shape == (3**k + 1, 1)
 
-    def test_partial_ranges_equal_per_square_reference(self):
-        """A direct range need not be one aligned tile: the kernel runs on
-        every tile the range touches, and the range keeps its own words."""
-        obs = resolve_functions("sine-xy")[:3]
-        for preset, n in ((DUST, 9), (CARPET, 6), (DUST, 3), (CARPET, 2), (FULL, 5)):
-            case = _direct(preset, n)
-            span = case.source.tile.order.size
-            for lo, hi in ((0, span - 1), (1, span + 1), (0, 2 * span), (span // 2, span)):
-                _assert_matches_reference(case, lo, min(hi, case.total), obs)
-
     @pytest.mark.parametrize("preset, n, tiles", [(DUST, 0, 1), (DUST, 9, 4),
                                                   (CARPET, 4, 1), (CARPET, 6, 8)])
     def test_one_digit_mapped_word_per_tile(self, monkeypatch, preset, n, tiles):
@@ -355,44 +333,55 @@ class TestDirectTiles:
             assert mapped == [tiles]
 
     def test_full_subdivision_runs_on_tiles(self, monkeypatch):
-        """9**k words are never whole leaves: tasks of TASK_LEAVES leaves walk
-        the 9**4-word tiles they touch, each placed from its first word, and
-        their leaf sums are the per-square reference's."""
+        """9**k words are never whole leaves: each task is one 9**5-word
+        tile, placed from its first word, its leaves counted from that word,
+        the last one short, and its leaf sums are the per-square
+        reference's."""
         obs = resolve_functions("sine-xy")[:3]
         for n in (0, 3, 4, 5, 6):
             case = _direct(FULL, n)
-            assert case.source.tile.order.size == 9 ** min(n, 4)
-            span = _task_span(case.source, case.total)
-            for w_lo in range(0, case.total, span):
-                _assert_matches_reference(case, w_lo, min(case.total, w_lo + span), obs)
+            assert _span(case) == 9 ** min(n, 5)
+            for w_lo in range(0, case.total, _span(case)):
+                _assert_matches_reference(case, w_lo, obs)
         mapped = _count_mapped_words(monkeypatch, "corner_numerators")
         for workers in (1, 2):
             mapped.clear()
             phi_n(FULL, 6, *obs, workers=workers)
-            assert mapped == [81]  # one call on the first words of all 81 tiles
+            assert mapped == [9]  # one call on the first words of all 9 tiles
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_full_subdivision_bits_equal_across_workers(self, n):
+        """At n = 6 and 7, ``full-subdivision-3`` sums 9 and 81 tiles of
+        9**5 words, none a whole number of leaves, with the same bits on 1,
+        2 and 8 workers."""
+        obs = resolve_functions("sine-xy")[:3]
+        assert FULL.nmaps**n // _span(_direct(FULL, n)) == 9 ** (n - 5)
+        bits = [(z.real.hex(), z.imag.hex())
+                for z in (phi_n(FULL, n, *obs, workers=w) for w in (1, 2, 8))]
+        assert bits[1:] == bits[:1] * 2
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_tasks_start_on_leaves(self, monkeypatch, name):
-        """Every direct sum runs on tiles, and every task range it builds
-        starts on a leaf, so its leaf sums, and the sum, never depend on how
-        the tasks are spread over workers."""
+        """Every direct sum runs on tiles, and each task it builds is
+        exactly one aligned tile, whose leaves start on its first word, so
+        its leaf sums, and the sum, never depend on how the tasks are spread
+        over workers."""
         preset = PRESETS[name]
-        ranges = []
+        starts = []
 
-        def record(source, lo, hi, observables, ws=None, maxima=None):
+        def record(source, lo, observables, ws=None, maxima=None):
             assert isinstance(source, cocycle._Source)
             assert maxima is None  # no estimate asked: the sum takes no maxima
-            ranges.append((lo, hi))
-            return np.zeros(-(-(hi - lo) // LEAF), dtype=np.complex128)
+            starts.append((lo, source.tile.order.size))
+            return np.zeros(-(-source.tile.order.size // LEAF), dtype=np.complex128)
 
         monkeypatch.setattr(cocycle, "_leaf_sums_for_range", record)
         obs = resolve_functions("const-xy")[:3]
         for n in range(8):
-            ranges.clear()
+            starts.clear()
             phi_n(preset, n, *obs, workers=1)
-            assert ranges[0][0] == 0 and ranges[-1][1] == preset.nmaps**n
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            assert all(lo % LEAF == 0 for lo, _ in ranges)
+            span = preset.nmaps ** min(n, cocycle._tile_level(preset.nmaps))
+            assert starts == [(lo, span) for lo in range(0, preset.nmaps**n, span)]
 
 
 class TestPlacement:
@@ -530,14 +519,9 @@ def _real_cases(draw):
         case = _direct(_DIRECT[draw(st.sampled_from(sorted(_DIRECT)))], n)
     else:
         case = (_pullback if kind == "pullback" else _subdivision)(n)
-    span = _task_span(case.source, case.total)
-    if draw(st.booleans()):  # one aligned task, as the engine makes them
-        w_lo = span * draw(st.integers(0, (case.total - 1) // span))
-        w_hi = min(case.total, w_lo + span)
-    else:
-        w_lo, w_hi = _draw_range(draw, case.total)
+    w_lo = _draw_tile(draw, case)
     rules = [_real_trig(draw(_terms)) for _ in range(3)]
-    return case.source, "direct" if kind == "direct" else "pullback", w_lo, w_hi, rules
+    return case.source, "direct" if kind == "direct" else "pullback", w_lo, rules
 
 
 class TestRealValuesStayReal:
@@ -547,12 +531,12 @@ class TestRealValuesStayReal:
     @settings(max_examples=60, deadline=None)
     @given(_real_cases())
     def test_leaf_sums_equal_complex_cast(self, case):
-        source, mode, w_lo, w_hi, rules = case
+        source, mode, w_lo, rules = case
         real = tuple(Observable("re", mode, "scalar", r) for r in rules)
         cplx = tuple(Observable("c", mode, "scalar", _as_complex(r)) for r in rules)
         assert real[0].evaluate(np.zeros(3), np.zeros(3)).dtype == np.float64
-        got = _leaf_sums_for_range(source, w_lo, w_hi, real)
-        want = _leaf_sums_for_range(source, w_lo, w_hi, cplx)
+        got = _leaf_sums_for_range(source, w_lo, real)
+        want = _leaf_sums_for_range(source, w_lo, cplx)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, want)
 

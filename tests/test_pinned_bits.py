@@ -8,9 +8,10 @@ one case per layout the trace kernels read, or way a sum places its tiles:
 * subdivision tiles of whole rows;
 * the dust's direct quadrant tiles;
 * the carpet's box tiles;
-* ``full-subdivision-3``'s box tiles, 9**4 words each, which tasks of 16
-  leaves cut (ids ``full-subdivision-3-words``, pinned when every word of
-  this preset was digit-mapped);
+* ``full-subdivision-3``'s box tiles, 9**5 words each, one per task and
+  never a whole number of leaves (ids ``full-subdivision-3-words``, pinned
+  when every word of this preset was digit-mapped, and held when its tasks
+  became single tiles);
 * the matrix kernel, through ``pairing_n``;
 * separable triples, g of u only and h of v only, on pullback and
   subdivision tiles, real and complex (the complex subdivision at n = 0 is
