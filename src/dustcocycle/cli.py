@@ -37,7 +37,9 @@ from .cocycle import (
     resolve_workers,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
-from .geometry import PRESETS, budget_check, enumerate_squares, get_preset, similarity_dimension
+from .geometry import (
+    CANTOR_DUST, PRESETS, budget_check, enumerate_squares, get_preset, similarity_dimension,
+)
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
@@ -88,16 +90,14 @@ def build_id() -> str:
     return __version__
 
 
-def _provenance(args, extra=None):
-    meta = {
+def _provenance(args, extra):
+    return {
         "build": build_id(),
         "backend": K.BACKEND,
         "workers": args.workers,
         "command": args.command,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _emit(text: str, args) -> None:
@@ -115,9 +115,10 @@ def _emit_object(obj: dict, text: str, args) -> None:
     _emit(json.dumps(obj) + "\n" if args.format == "json" else text, args)
 
 
-def _emit_table(columns, dicts, args, extra_meta=None) -> None:
+def _emit_table(columns, dicts, args, extra_meta) -> None:
     """Emit a table of records in the selected format to --out or stdout;
-    CSV writes ``columns``, JSON every key of each record.  Under
+    CSV writes ``columns``, JSON every key of each record and, in its meta,
+    the provenance and ``extra_meta``.  Under
     ``--no-timing`` every record's ``ms`` is 0, so the output is
     byte-reproducible."""
     if args.no_timing:
@@ -172,8 +173,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="cantor-dust", help=f"IFS preset {sorted(PRESETS)}")
     p.add_argument("--functions", default="bott-flux", help="named function triple")
     p.add_argument("--n", required=True, help="level, e.g. 8")
-    p.add_argument("--mode", choices=("pullback", "direct"), default=None,
-                   help="must match the triple's mode when given")
     _add_run_flags(p)
 
     p = sub.add_parser("converge", help="convergence table over a level range")
@@ -188,8 +187,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="level range, e.g. 1..8")
     _add_run_flags(p)
 
+    # a pairing is a pullback, so it runs on the dust alone: no --preset
     p = sub.add_parser("pairing", help="projection pairing vs the quadrature oracle")
-    p.add_argument("--preset", default="cantor-dust")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--n", required=True, help="level or range, e.g. 6..10")
     p.add_argument("--grid", type=int, default=1024, help="oracle grid size")
@@ -217,11 +216,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _cmd_phi(args) -> int:
     preset = get_preset(args.preset)
-    f, g, h, target, mode = resolve_functions(args.functions)
-    wanted_mode = getattr(args, "mode", None)
-    if wanted_mode and wanted_mode != mode:
-        print(f"error: triple {args.functions!r} is {mode}-mode, not {wanted_mode}", file=sys.stderr)
-        return 2
+    f, g, h, target, _ = resolve_functions(args.functions)
     ns = _parse_n_range(args.n)
     budget_check(preset.nmaps ** max(ns), f.kind, args.override_budget)  # before any sum
     rows = convergence_table(
@@ -270,19 +265,18 @@ def _cmd_lipschitz(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
-    preset = get_preset(args.preset)
     field = bott_projection(args.degree)
     p = pullback_projection(field)
     ns = _parse_n_range(args.n)
-    budget_check(preset.nmaps ** max(ns), p.kind, args.override_budget)  # before the oracle
+    budget_check(CANTOR_DUST.nmaps ** max(ns), p.kind, args.override_budget)  # before the oracle
     oracle_val = chern_pairing_oracle(field, args.grid)
     rows = []
     for n in ns:
         t0 = perf_counter()
-        val = pairing_n(preset, n, p, workers=args.workers, allow_large=args.override_budget)
+        val = pairing_n(CANTOR_DUST, n, p, workers=args.workers, allow_large=args.override_budget)
         rows.append(
             CocycleReport(
-                preset=preset.name, n=n, squares=preset.nmaps**n, phi=val,
+                preset=CANTOR_DUST.name, n=n, squares=CANTOR_DUST.nmaps**n, phi=val,
                 target=oracle_val, abs_err=abs(val - oracle_val),
                 wall_ms=(perf_counter() - t0) * 1e3,
                 workers=args.workers,

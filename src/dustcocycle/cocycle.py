@@ -274,9 +274,9 @@ def direct_scalar(fn, name: str) -> Observable:
     return Observable(name, "direct", "scalar", fn)
 
 
-def pullback_projection(field: ProjectionField, name: str | None = None) -> Observable:
+def pullback_projection(field: ProjectionField) -> Observable:
     """Matrix projection on the torus composed with the staircase image."""
-    return Observable(name or field.name, "pullback", "matrix", field.__call__, dim=2)
+    return Observable(field.name, "pullback", "matrix", field.__call__, dim=2)
 
 
 def validate_projection(obs: Observable, n: int):
@@ -677,7 +677,11 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
     starting another; each records what it raised, no helper prints it, and
     the caller joins every helper, then raises the first one recorded, as
     itself.  An exception in the caller while it waits (a
-    KeyboardInterrupt) stops the helpers after the tasks they hold."""
+    KeyboardInterrupt) stops the helpers after the tasks they hold.  The
+    caller waits on each helper in joins of at most 0.1 s: a SIGINT that
+    lands just before an untimed join blocks would be handled only once
+    that helper had ended, and the helpers would run every remaining
+    task first."""
     global _last_direct
     _last_direct = None
     observables = (f, g, h)
@@ -709,7 +713,8 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
             for t in helpers:
                 t.start()
             for t in helpers:
-                t.join()
+                while t.is_alive():
+                    t.join(0.1)
     error = next(filter(None, raised), None)
     if error is not None:
         raise error
@@ -746,12 +751,18 @@ def _check_preset(preset, mode):
                          f"with offsets {preset.offsets}")
 
 
-def _word_count(nmaps, n):
-    """nmaps**n, the number of level-n words; ValueError when the word indices
-    would overflow int64."""
+def _word_count(nmaps, n, kind, allow_large):
+    """nmaps**n, the number of level-n words, after the checks every sum and
+    estimate makes before any tile is built, in this order: a negative level
+    and word indices that would overflow int64 raise ValueError, and more
+    words than the budget of ``kind`` raise BudgetError unless
+    ``allow_large``."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
     total = nmaps**n
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"{nmaps}**{n} level-{n} words overflow 64-bit word indices")
+    budget_check(total, kind, allow_large)
     return total
 
 
@@ -783,12 +794,9 @@ def phi_n(
     or an overflow) raises ValueError naming the triple and the level.
     """
     global _last_direct
-    if n < 0:
-        raise ValueError("level must be >= 0")
     kind, mode = _check_triple(f, g, h)
     _check_preset(preset, mode)
-    total = _word_count(preset.nmaps, n)
-    budget_check(total, kind, allow_large)
+    total = _word_count(preset.nmaps, n, kind, allow_large)
     workers = resolve_workers(workers)
     source = _pullback_source(n) if mode == "pullback" else _direct_source(preset, n)
     direct = kind == "scalar" and mode == "direct"
@@ -818,10 +826,7 @@ def phi_subdivision(
     their exact Riemann sums.  A sum that is not finite raises ValueError,
     as in :func:`phi_n`.
     """
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    total = _word_count(4, n)
-    budget_check(total, "scalar", allow_large)
+    total = _word_count(4, n, "scalar", allow_large)
     workers = resolve_workers(workers)
     obs = [pullback_scalar(t) for t in (ftilde, gtilde, htilde)]
     return _sum_kernel(_subdivision_source(n), n, total, *obs, workers)
@@ -879,7 +884,6 @@ class CocycleReport:
     err_ratio: Optional[float] = None
     wall_ms: float = 0.0
     workers: int = 1
-    backend: str = K.BACKEND
 
     def as_dict(self):
         return {
@@ -894,7 +898,7 @@ class CocycleReport:
             "err_ratio": self.err_ratio,
             "ms": self.wall_ms,
             "workers": self.workers,
-            "backend": self.backend,
+            "backend": K.BACKEND,
         }
 
 
@@ -972,11 +976,8 @@ def estimate_lipschitz(
     global _last_direct
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
-    if n < 0:
-        raise ValueError("level must be >= 0")
     _check_preset(preset, obs.mode)
-    total = _word_count(preset.nmaps, n)
-    budget_check(total, obs.kind, allow_large)
+    total = _word_count(preset.nmaps, n, obs.kind, allow_large)
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):

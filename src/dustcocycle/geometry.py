@@ -9,6 +9,7 @@ that exactness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -47,10 +48,6 @@ class IfsPreset:
     @property
     def nmaps(self):
         return len(self.offsets)
-
-    @property
-    def ratios(self):
-        return (Fraction(1, 3),) * self.nmaps
 
     def offset_arrays(self):
         off = np.array(self.offsets, dtype=np.int64)
@@ -112,10 +109,6 @@ class SquareGeom:
     def edge(self) -> Fraction:
         return Fraction(1, 3**self.level)
 
-    @property
-    def corner(self) -> TriadicPoint:
-        return TriadicPoint(self.kx, self.ky, self.level)
-
 
 @dataclass(frozen=True)
 class DyadicCell:
@@ -134,18 +127,17 @@ class DyadicCell:
         return Fraction(self.i, d), Fraction(self.j, d)
 
 
-def enumerate_squares(
-    preset: IfsPreset, n: int, allow_large: bool = False
-) -> Iterator[SquareGeom]:
+def enumerate_squares(preset: IfsPreset, n: int) -> Iterator[SquareGeom]:
     """Yield the level-n squares in lexicographic word order.
 
-    Streaming: nothing is materialized.  More than ``MAX_SQUARES_SCALAR``
-    level-n squares (nmaps**n) are refused with :class:`BudgetError` unless
-    ``allow_large`` is set.
+    Streaming: nothing is materialized.  This is the exact reference the
+    tests walk square by square, so it always keeps the scalar budget: more
+    than ``MAX_SQUARES_SCALAR`` level-n squares (nmaps**n) are refused with
+    :class:`BudgetError`.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    budget_check(preset.nmaps**n, "scalar", allow_large)
+    budget_check(preset.nmaps**n, "scalar", allow_large=False)
     offsets = preset.offsets
     for word in product(range(preset.nmaps), repeat=n):
         kx = 0
@@ -177,36 +169,10 @@ def subdivision_cells(n: int) -> Iterator[DyadicCell]:
             yield DyadicCell(i, j, n)
 
 
-def similarity_dimension(preset, tol: float = 1e-13) -> float:
-    """The exponent d with sum(r**d) = 1, found by bisection.
-
-    ``preset`` is an :class:`IfsPreset` or a plain iterable of contraction
-    ratios.  The contraction sum is strictly decreasing in d, equal to the
-    map count at d = 0.  The bisection stops once the bracket is no wider
-    than ``tol``, or has closed to two adjacent floats, so a ``tol`` below
-    their spacing (0 included) ends too.  A NaN or negative ``tol`` raises
-    ValueError.
-    """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    ratios = [float(r) for r in (preset.ratios if isinstance(preset, IfsPreset) else preset)]
-    if not ratios:
-        raise ValueError("preset has no maps")
-    if any(not (0.0 < r < 1.0) for r in ratios):
-        raise ValueError("similarity ratios must lie in (0, 1)")
-
-    def excess(d):
-        return sum(r**d for r in ratios) - 1.0
-
-    lo, hi = 0.0, 1.0
-    while excess(hi) > 0.0:
-        hi *= 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: no bracket is narrower
-            break
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def similarity_dimension(preset: IfsPreset) -> float:
+    """The similarity dimension d of ``preset``: the root of Moran's
+    equation, sum(r**d) = 1 over its maps' contraction ratios.  Every map
+    here scales by 1/3, so the equation is nmaps * 3**-d = 1 and
+    d = log(nmaps) / log(3): log 4 / log 3 for the dust, exactly 2 for
+    ``full-subdivision-3``."""
+    return math.log(preset.nmaps) / math.log(3)

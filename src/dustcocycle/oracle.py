@@ -107,8 +107,8 @@ class SmoothPreset:
     note: str
 
 
-def _bump(shift_u, shift_v, width=4.0, mix="cos*cos"):
-    """An analytic periodic bump exp(width * (core - 1)), full-spectrum.
+def _bump(shift_u, shift_v, mix="cos*cos"):
+    """An analytic periodic bump exp(4 (core - 1)), full-spectrum.
 
     Unlike the trig-polynomial presets these are not band-limited, so lattice
     sums of their products alias at every level and residual diagnostics stay
@@ -123,7 +123,7 @@ def _bump(shift_u, shift_v, width=4.0, mix="cos*cos"):
             core = np.sin(TWO_PI * u) * np.sin(TWO_PI * v)
         else:
             core = np.cos(TWO_PI * (u + v))
-        return np.exp(width * (core - 1.0))
+        return np.exp(4.0 * (core - 1.0))
 
     return TorusFunction(f"bump[{mix},{shift_u},{shift_v}]", fn)
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import threading
@@ -254,6 +256,19 @@ class TestRunFlagsOnlyWhereUsed:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--functions", "const-xy", "--n", "2", "--mode", "direct"),
+        ("pairing", "--n", "2", "--grid", "64", "--preset", "cantor-dust"),
+    ], ids=("phi --mode", "pairing --preset"))
+    def test_flags_without_a_use_are_refused(self, argv, capsys):
+        """``phi --mode`` only repeated the mode the triple's name fixes,
+        and a pairing, a pullback, runs on the dust alone: neither flag
+        exists."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [("cantor", "--p", "1", "--n", "1"), ("dimension",)])
     def test_bad_worker_env_is_ignored_where_no_engine_runs(self, monkeypatch, command):
         monkeypatch.setenv("DUSTCOCYCLE_WORKERS", "0")
@@ -332,6 +347,39 @@ class TestBuildId:
         assert build_id() == __version__
 
 
+class TestReadmeQuickStart:
+    """The README's Quick start runs as shown: each command of its bash
+    block, run through :func:`main`, exits 0, and one under a comment that
+    ends in ``: prints X`` writes exactly X (quotes around X aside)."""
+
+    @staticmethod
+    def commands():
+        """[(argv, printed)] of the block, printed None where no comment
+        names the output."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Quick start\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands, printed = [], None
+        for line in filter(str.strip, block.splitlines()):
+            if line.startswith("#"):
+                said = re.search(r": prints (.+)$", line)
+                printed = said.group(1).strip('"') if said else printed
+            else:
+                program, *argv = shlex.split(line)
+                assert program == "dustcocycle", line
+                commands.append((argv, printed))
+                printed = None
+        return commands
+
+    def test_every_command_runs_as_shown(self):
+        commands = self.commands()
+        assert commands, "no command under README's Quick start"
+        for argv, printed in commands:
+            code, out = run_cli(*argv)
+            assert code == 0, argv
+            if printed is not None:
+                assert out == printed + "\n", argv
+
+
 class TestPointCommands:
     def test_cantor_prints_fraction_and_float(self):
         code, out = run_cli("cantor", "--p", "1", "--n", "1")
@@ -357,6 +405,19 @@ class TestPointCommands:
         code, out = run_cli("dimension", "--preset", "cantor-dust")
         assert code == 0
         assert out.strip() == "1.261859507"
+
+    @pytest.mark.parametrize("preset, text, value", [
+        ("cantor-dust", "1.261859507", "0x1.430939835353dp+0"),
+        ("sierpinski-carpet", "1.892789261", "0x1.e48dd644fcfdap+0"),
+        ("full-subdivision-3", "2.000000000", "0x1.0000000000000p+1"),
+    ], ids=["cantor-dust", "sierpinski-carpet", "full-subdivision-3"])
+    def test_dimension_is_the_closed_form(self, preset, text, value):
+        """The text keeps nine decimals; the JSON value is log(nmaps) / log 3
+        to the bit, exactly 2 on the full grid."""
+        assert run_cli("dimension", "--preset", preset) == (0, text + "\n")
+        code, out = run_cli("dimension", "--preset", preset, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dimension"].hex() == value
 
     @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     @pytest.mark.parametrize("preset", ["cantor-dust", "sierpinski-carpet", "full-subdivision-3"])
@@ -512,10 +573,6 @@ class TestExitCodes:
         code, _ = run_cli("pairing", "--n", "-1", "--grid", "64")
         assert code == 2
         assert "error: level must be >= 0" in capsys.readouterr().err
-
-    def test_mode_mismatch(self):
-        code, _ = run_cli("phi", "--functions", "const-xy", "--n", "2", "--mode", "pullback")
-        assert code == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lipschitz_refuses_non_finite_values(self, monkeypatch, capsys, bad):

@@ -915,8 +915,22 @@ class TestWordIndexOverflow:
     def test_last_fitting_level_passes_the_check(self):
         from dustcocycle.cocycle import _word_count
 
-        assert _word_count(9, 19) == 9**19
-        assert _word_count(4, 31) == 4**31
+        assert _word_count(9, 19, "scalar", True) == 9**19
+        assert _word_count(4, 31, "matrix", True) == 4**31
+
+    def test_one_level_check_in_order(self):
+        """A negative level, then overflowing word indices, raise
+        ValueError, and only then an over-budget count BudgetError."""
+        from dustcocycle.cocycle import _word_count
+
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            _word_count(9, -1, "scalar", False)
+        with pytest.raises(ValueError, match="overflow") as caught:
+            _word_count(9, 20, "scalar", False)
+        assert type(caught.value) is ValueError
+        with pytest.raises(BudgetError, match="matrix budget of 1048576"):
+            _word_count(4, 11, "matrix", False)
+        assert _word_count(4, 10, "matrix", False) == 4**10
 
 
 class TestThreadPool:
@@ -1028,6 +1042,23 @@ class TestThreadPool:
         except KeyError:
             assert bits(phi_n(DUST, 9, f, g, h, workers=workers)) == want
 
+    def test_caller_waits_in_timed_joins(self, monkeypatch):
+        """The caller of a 2-worker sum (bott-flux, n = 10, 16 tasks) waits
+        on its helpers only in joins with a timeout, so a signal never waits
+        for a helper to end; the value is bitwise the 1-worker one."""
+        timeouts = []
+
+        class Recording(threading.Thread):
+            def join(self, timeout=None):
+                timeouts.append(timeout)
+                super().join(timeout)
+
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        want = bits(phi_n(DUST, 10, f, g, h, workers=1))
+        monkeypatch.setattr(cocycle.threading, "Thread", Recording)
+        assert bits(phi_n(DUST, 10, f, g, h, workers=2)) == want
+        assert timeouts and None not in timeouts
+
     def test_interrupted_caller_stops_the_helpers(self, monkeypatch, capfd):
         """A KeyboardInterrupt that reaches the caller while it waits for
         its helpers (bott-flux, n = 10, 16 tasks, 2 workers) leaves the call
@@ -1043,36 +1074,27 @@ class TestThreadPool:
         ``threading.enumerate()``, which a thread leaves only when it has
         finished, polled against a deadline.
 
-        A SIGINT that lands just before the caller blocks in ``join`` is
-        handled only when the caller wakes, after the helper it joins has
-        ended.  So the signal is sent again every 50 ms until its handler,
-        which raises the KeyboardInterrupt once, has run."""
+        The signal is sent once: the caller waits in timed joins, so one
+        that lands just before a join blocks is still handled within its
+        timeout, while both helpers hold their tasks."""
         f, g, h, _, _ = resolve_functions("bott-flux")
         assert threading.current_thread() is threading.main_thread()
         count = threading.active_count()
         barrier = threading.Barrier(2, timeout=30)
-        handled, caught = threading.Event(), threading.Event()
+        caught = threading.Event()
         starts = []
         real = cocycle._leaf_sums_for_range
-
-        def interrupt(signum, frame):
-            if not handled.is_set():
-                handled.set()
-                raise KeyboardInterrupt
 
         def task(*args, **kwargs):
             starts.append(threading.current_thread())
             if len(starts) <= 2:
                 if barrier.wait() == 0:
-                    for _ in range(600):  # for at most 30 s
-                        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                        if handled.wait(0.05):
-                            break
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                 caught.wait(30)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cocycle, "_leaf_sums_for_range", task)
-        previous = signal.signal(signal.SIGINT, interrupt)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:  # kept until the helpers, which send the signal, have ended
             with pytest.raises(KeyboardInterrupt):
                 phi_n(DUST, 10, f, g, h, workers=2)

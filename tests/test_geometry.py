@@ -1,9 +1,7 @@
-"""IFS enumeration, exact coordinates, subdivision cells, dimension solver."""
+"""IFS enumeration, exact coordinates, subdivision cells, similarity dimension."""
 
-import subprocess
-import sys
+import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,9 +81,9 @@ class TestEnumeration:
         for preset, n in ((CANTOR_DUST, 13), (SIERPINSKI_CARPET, 9), (CANTOR_DUST, 17)):
             with pytest.raises(BudgetError, match="squares exceed the scalar budget of 16777216"):
                 next(iter(enumerate_squares(preset, n)))
-        # the stream is lazy: past the budget, its first square comes at once
-        stream = enumerate_squares(CANTOR_DUST, 17, allow_large=True)
-        assert next(iter(stream)).word == (0,) * 17
+        # the stream is lazy: an iterator, whose first squares come at once
+        stream = enumerate_squares(CANTOR_DUST, 12)
+        assert [next(stream).word for _ in range(2)] == [(0,) * 12, (0,) * 11 + (1,)]
 
     def test_dust_digit_invariant(self):
         # every vertex numerator is a {0,2}-digit numeral, possibly + 1
@@ -149,8 +147,15 @@ class TestSubdivision:
 
 
 class TestSimilarityDimension:
-    def test_two_halves_give_dimension_one(self):
-        assert similarity_dimension([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
+    """Every map scales by 1/3, so Moran's equation nmaps * 3**-d = 1 has
+    the closed form d = log(nmaps) / log(3)."""
+
+    @pytest.mark.parametrize("preset", [CANTOR_DUST, SIERPINSKI_CARPET, FULL_SUBDIVISION_3],
+                             ids=lambda p: p.name)
+    def test_closed_form_to_the_bit(self, preset):
+        got = similarity_dimension(preset)
+        assert got.hex() == (math.log(preset.nmaps) / math.log(3)).hex()
+        assert preset.nmaps * 3.0**-got == pytest.approx(1.0, abs=1e-15)
 
     def test_dust(self):
         want = np.log(4.0) / np.log(3.0)
@@ -161,30 +166,4 @@ class TestSimilarityDimension:
         assert similarity_dimension(SIERPINSKI_CARPET) == pytest.approx(want, abs=1e-12)
 
     def test_full_subdivision_is_planar(self):
-        assert similarity_dimension(FULL_SUBDIVISION_3) == pytest.approx(2.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_dimension([])
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_dimension([1.5])
-
-    def test_tolerance_below_the_float_spacing_ends(self):
-        """A tol of 0, or below the spacing of floats near the root, ends
-        once the bracket is two adjacent floats, and a negative or NaN tol
-        is refused; run in a fresh interpreter under a timeout, so a
-        bisection that never ends fails the test instead of hanging the
-        suite."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-                 "from dustcocycle.geometry import CANTOR_DUST, similarity_dimension\n"
-                 "for t in (0.0, 1e-300, -1.0, float('nan')):\n"
-                 "    try: print(similarity_dimension(CANTOR_DUST, t).hex())\n"
-                 "    except ValueError as e: print(str(e).replace(' ', '_'))\n")
-        out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
-                             text=True, check=True, timeout=30).stdout.split()
-        assert [float.fromhex(x) for x in out[:2]] == [
-            pytest.approx(np.log(4.0) / np.log(3.0), abs=1e-15)] * 2
-        assert out[2:] == ["tol_must_be_a_number_>=_0,_got_-1.0", "tol_must_be_a_number_>=_0,_got_nan"]
+        assert similarity_dimension(FULL_SUBDIVISION_3) == 2.0
