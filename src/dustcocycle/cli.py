@@ -1,8 +1,9 @@
 """Command-line front end: experiments in, CSV/JSON reports out.
 
 Exit status: 0 success, 1 a numerical check failed, 2 usage error (unknown
-names, malformed ranges, a level range over the square budget without the
-override flag, refused before any sum, a worker count below 1 in
+names, malformed ranges, a level range with a negative level, with word
+indices over int64, or over the square budget without the override flag,
+refused before any sum, a worker count below 1 in
 ``--workers`` or ``DUSTCOCYCLE_WORKERS``, an ``--out`` path in a missing
 directory or one that cannot be written).
 """
@@ -25,21 +26,19 @@ from . import __version__
 from . import _kernels as K
 from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
-    CocycleReport,
     convergence_table,
     estimate_lipschitz,
-    link_error_ratios,
+    level_table,
     lipschitz_bound,
     pairing_n,
     phi_n,
     pullback_projection,
     resolve_functions,
     resolve_workers,
+    word_count,
 )
 from .fredholm import VertexValues, check_constants, kernel_trace, kernel_trace_oracle
-from .geometry import (
-    CANTOR_DUST, PRESETS, budget_check, enumerate_squares, get_preset, similarity_dimension,
-)
+from .geometry import CANTOR_DUST, PRESETS, enumerate_squares, get_preset, similarity_dimension
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
@@ -137,15 +136,21 @@ def _emit_table(columns, dicts, args, extra_meta) -> None:
     _emit(text, args)
 
 
-def _parse_n_range(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty level range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(spec)]
+def _levels(args, nmaps, kind) -> list[int]:
+    """The levels of ``--n``, one (``8``) or a range (``4..10``), refused
+    before any sum where the engine's own check (:func:`cocycle.word_count`
+    on ``nmaps`` maps, for a triple of ``kind``) refuses their smallest or
+    largest: a negative level, word indices over int64, or without
+    ``--override-budget`` more squares than the budget.  The range passes
+    every check where its two ends do."""
+    spec = args.n.strip()
+    lo, dots, hi = spec.partition("..")
+    ns = list(range(int(lo), int(hi if dots else lo) + 1))
+    if not ns:
+        raise ValueError(f"empty level range {spec!r}")
+    for n in (ns[0], ns[-1]):
+        word_count(nmaps, n, kind, args.override_budget)
+    return ns
 
 
 def _add_output_flags(p):
@@ -169,22 +174,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", help="single combinatorial integral at one level")
+    p = sub.add_parser("converge", help="combinatorial integral at a level or over a level range")
     p.add_argument("--preset", default="cantor-dust", help=f"IFS preset {sorted(PRESETS)}")
     p.add_argument("--functions", default="bott-flux", help="named function triple")
-    p.add_argument("--n", required=True, help="level, e.g. 8")
-    _add_run_flags(p)
-
-    p = sub.add_parser("converge", help="convergence table over a level range")
-    p.add_argument("--preset", default="cantor-dust")
-    p.add_argument("--functions", default="bott-flux")
-    p.add_argument("--n", required=True, help="level range, e.g. 4..10")
+    p.add_argument("--n", required=True, help="level or range, e.g. 8 or 4..10")
     _add_run_flags(p)
 
     p = sub.add_parser("lipschitz", help="decay table and bound check for direct triples")
     p.add_argument("--preset", default="cantor-dust")
     p.add_argument("--functions", default="const-xy")
-    p.add_argument("--n", required=True, help="level range, e.g. 1..8")
+    p.add_argument("--n", required=True, help="level or range, e.g. 1..8")
     _add_run_flags(p)
 
     # a pairing is a pullback, so it runs on the dust alone: no --preset
@@ -214,11 +213,10 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_phi(args) -> int:
+def _cmd_converge(args) -> int:
     preset = get_preset(args.preset)
     f, g, h, target, _ = resolve_functions(args.functions)
-    ns = _parse_n_range(args.n)
-    budget_check(preset.nmaps ** max(ns), f.kind, args.override_budget)  # before any sum
+    ns = _levels(args, preset.nmaps, f.kind)
     rows = convergence_table(
         preset, ns, f, g, h, target=target,
         workers=args.workers, allow_large=args.override_budget,
@@ -235,10 +233,8 @@ def _cmd_lipschitz(args) -> int:
     preset = get_preset(args.preset)
     f, g, h, _, mode = resolve_functions(args.functions)
     if mode != "direct":
-        print(f"error: lipschitz needs a direct-mode triple, got {args.functions!r}", file=sys.stderr)
-        return 2
-    ns = _parse_n_range(args.n)
-    budget_check(preset.nmaps ** max(ns), f.kind, args.override_budget)  # before any sum
+        raise ValueError(f"lipschitz needs a direct-mode triple, got {args.functions!r}")
+    ns = _levels(args, preset.nmaps, f.kind)
     records = []
     violated = False
     for n in ns:
@@ -267,22 +263,13 @@ def _cmd_lipschitz(args) -> int:
 def _cmd_pairing(args) -> int:
     field = bott_projection(args.degree)
     p = pullback_projection(field)
-    ns = _parse_n_range(args.n)
-    budget_check(CANTOR_DUST.nmaps ** max(ns), p.kind, args.override_budget)  # before the oracle
+    ns = _levels(args, CANTOR_DUST.nmaps, p.kind)  # before the oracle
     oracle_val = chern_pairing_oracle(field, args.grid)
-    rows = []
-    for n in ns:
-        t0 = perf_counter()
-        val = pairing_n(CANTOR_DUST, n, p, workers=args.workers, allow_large=args.override_budget)
-        rows.append(
-            CocycleReport(
-                preset=CANTOR_DUST.name, n=n, squares=CANTOR_DUST.nmaps**n, phi=val,
-                target=oracle_val, abs_err=abs(val - oracle_val),
-                wall_ms=(perf_counter() - t0) * 1e3,
-                workers=args.workers,
-            )
-        )
-    link_error_ratios(rows)
+    rows = level_table(
+        CANTOR_DUST, ns,
+        lambda n: pairing_n(CANTOR_DUST, n, p, workers=args.workers, allow_large=args.override_budget),
+        oracle_val, args.workers,
+    )
     _emit_table(CSV_COLUMNS, [row.as_dict() for row in rows], args,
                 {"degree": args.degree, "grid": args.grid})
     return 0
@@ -470,8 +457,7 @@ def _cmd_selftest(args) -> int:
 
 
 _HANDLERS = {
-    "phi": _cmd_phi,
-    "converge": _cmd_phi,
+    "converge": _cmd_converge,
     "lipschitz": _cmd_lipschitz,
     "pairing": _cmd_pairing,
     "cantor": _cmd_cantor,

@@ -118,7 +118,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .geometry import CANTOR_DUST, PRESETS, IfsPreset, budget_check
+from .geometry import (
+    CANTOR_DUST, MAX_SQUARES_MATRIX, MAX_SQUARES_SCALAR, PRESETS, BudgetError, IfsPreset,
+)
 from .oracle import SMOOTH_PRESETS, ProjectionField, TorusFunction
 
 LEAF = 4096
@@ -751,18 +753,25 @@ def _check_preset(preset, mode):
                          f"with offsets {preset.offsets}")
 
 
-def _word_count(nmaps, n, kind, allow_large):
+def word_count(nmaps, n, kind, allow_large):
     """nmaps**n, the number of level-n words, after the checks every sum and
     estimate makes before any tile is built, in this order: a negative level
     and word indices that would overflow int64 raise ValueError, and more
-    words than the budget of ``kind`` raise BudgetError unless
-    ``allow_large``."""
+    words than the square budget of ``kind`` ('scalar' or 'matrix') raise
+    BudgetError unless ``allow_large``.  A level range passes every check
+    where its smallest and largest level do, so the command line checks a
+    range at its two ends before any sum."""
     if n < 0:
         raise ValueError("level must be >= 0")
     total = nmaps**n
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"{nmaps}**{n} level-{n} words overflow 64-bit word indices")
-    budget_check(total, kind, allow_large)
+    cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX
+    if total > cap and not allow_large:
+        raise BudgetError(
+            f"{total} squares exceed the {kind} budget of {cap}; "
+            "pass allow_large=True (CLI: --override-budget) to proceed"
+        )
     return total
 
 
@@ -796,7 +805,7 @@ def phi_n(
     global _last_direct
     kind, mode = _check_triple(f, g, h)
     _check_preset(preset, mode)
-    total = _word_count(preset.nmaps, n, kind, allow_large)
+    total = word_count(preset.nmaps, n, kind, allow_large)
     workers = resolve_workers(workers)
     source = _pullback_source(n) if mode == "pullback" else _direct_source(preset, n)
     direct = kind == "scalar" and mode == "direct"
@@ -815,7 +824,6 @@ def phi_subdivision(
     gtilde,
     htilde,
     workers: int | None = None,
-    allow_large: bool = False,
 ) -> complex:
     """The same kernel summed over the 4**n cells of the 2**n subdivision.
 
@@ -823,10 +831,11 @@ def phi_subdivision(
     vertex values are taken at the raw dyadic cell corners, so the far edge
     evaluates at coordinate value 1.  For 1-periodic functions that matches
     the identified value up to rounding, and plain coordinate functions keep
-    their exact Riemann sums.  A sum that is not finite raises ValueError,
-    as in :func:`phi_n`.
+    their exact Riemann sums.  More cells than the scalar budget raise
+    BudgetError, and a sum that is not finite ValueError, as in
+    :func:`phi_n`.
     """
-    total = _word_count(4, n, "scalar", allow_large)
+    total = word_count(4, n, "scalar", False)
     workers = resolve_workers(workers)
     obs = [pullback_scalar(t) for t in (ftilde, gtilde, htilde)]
     return _sum_kernel(_subdivision_source(n), n, total, *obs, workers)
@@ -849,20 +858,19 @@ def pairing_n(
     return val / (2j * math.pi)
 
 
-def cyclicity_residual(preset, n, f, g, h, workers=None, allow_large=False) -> float:
+def cyclicity_residual(preset, n, f, g, h, workers=None) -> float:
     """|phi_n(f, g, h) - phi_n(h, f, g)|: cyclic symmetry defect at level n."""
-    a = phi_n(preset, n, f, g, h, workers=workers, allow_large=allow_large)
-    b = phi_n(preset, n, h, f, g, workers=workers, allow_large=allow_large)
+    a = phi_n(preset, n, f, g, h, workers=workers)
+    b = phi_n(preset, n, h, f, g, workers=workers)
     return abs(a - b)
 
 
-def hochschild_residual(preset, n, a0, a1, a2, a3, workers=None, allow_large=False) -> float:
+def hochschild_residual(preset, n, a0, a1, a2, a3, workers=None) -> float:
     """|b phi_n| on one quadruple, with pointwise observable products."""
-    kw = dict(workers=workers, allow_large=allow_large)
-    val = phi_n(preset, n, a0 * a1, a2, a3, **kw)
-    val -= phi_n(preset, n, a0, a1 * a2, a3, **kw)
-    val += phi_n(preset, n, a0, a1, a2 * a3, **kw)
-    val -= phi_n(preset, n, a3 * a0, a1, a2, **kw)
+    val = phi_n(preset, n, a0 * a1, a2, a3, workers=workers)
+    val -= phi_n(preset, n, a0, a1 * a2, a3, workers=workers)
+    val += phi_n(preset, n, a0, a1, a2 * a3, workers=workers)
+    val -= phi_n(preset, n, a3 * a0, a1, a2, workers=workers)
     return abs(val)
 
 
@@ -902,6 +910,32 @@ class CocycleReport:
         }
 
 
+def level_table(
+    preset: IfsPreset, ns: Sequence[int], value: Callable, target, workers: int,
+) -> list[CocycleReport]:
+    """One report per level n of ``ns``, in their order: ``value(n)``, the
+    level's sum on ``preset`` at ``workers`` workers, and its wall time.
+    Given a ``target``, each row also holds its error against it and, from
+    the second row on, that error over the previous row's, left unset where
+    the previous one is 0.
+
+    Every table of levels the command line writes but the Lipschitz one is
+    built here: :func:`convergence_table`'s and the pairing's."""
+    rows = []
+    for n in ns:
+        t0 = perf_counter()
+        val = value(n)
+        row = CocycleReport(preset=preset.name, n=n, squares=preset.nmaps**n, phi=val,
+                            wall_ms=(perf_counter() - t0) * 1e3, workers=workers)
+        if target is not None:
+            row.target = complex(target)
+            row.abs_err = abs(val - target)
+            if rows and rows[-1].abs_err:
+                row.err_ratio = row.abs_err / rows[-1].abs_err
+        rows.append(row)
+    return rows
+
+
 def convergence_table(
     preset: IfsPreset,
     ns: Sequence[int],
@@ -912,35 +946,15 @@ def convergence_table(
     workers: int | None = None,
     allow_large: bool = False,
 ) -> list[CocycleReport]:
-    """One report per level: value, error against the target, error ratios."""
+    """The :func:`level_table` of :func:`phi_n` over the triple: one report
+    per level of ``ns``, with its error against ``target`` and the error
+    ratios.  Each level calls ``phi_n`` as this module's global at that
+    time, so a wrapper set on it (a tracer's) sees every sum."""
     workers = resolve_workers(workers)
-    rows = []
-    for n in ns:
-        t0 = perf_counter()
-        val = phi_n(preset, n, f, g, h, workers=workers, allow_large=allow_large)
-        ms = (perf_counter() - t0) * 1e3
-        row = CocycleReport(
-            preset=preset.name,
-            n=n,
-            squares=preset.nmaps**n,
-            phi=val,
-            wall_ms=ms,
-            workers=workers,
-        )
-        if target is not None:
-            row.target = complex(target)
-            row.abs_err = abs(val - target)
-        rows.append(row)
-    link_error_ratios(rows)
-    return rows
-
-
-def link_error_ratios(rows: Sequence[CocycleReport]) -> None:
-    """Set each row's ``err_ratio`` to its ``abs_err`` over the previous
-    row's; left unset where either error is missing or the previous is 0."""
-    for prev, row in zip(rows, rows[1:]):
-        if row.abs_err is not None and prev.abs_err not in (None, 0.0):
-            row.err_ratio = row.abs_err / prev.abs_err
+    return level_table(
+        preset, ns, lambda n: phi_n(preset, n, f, g, h, workers=workers, allow_large=allow_large),
+        target, workers,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +991,7 @@ def estimate_lipschitz(
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
     _check_preset(preset, obs.mode)
-    total = _word_count(preset.nmaps, n, obs.kind, allow_large)
+    total = word_count(preset.nmaps, n, obs.kind, allow_large)
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):

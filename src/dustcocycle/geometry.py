@@ -17,25 +17,15 @@ from typing import Iterator
 
 import numpy as np
 
-# The square budget: the most level-n squares a run enumerates unless the
-# caller passes allow_large.
+# The square budget: the most level-n squares of a scalar or a matrix
+# triple that a sum takes unless its caller passes allow_large
+# (``cocycle.word_count``); the reference stream always keeps the scalar one.
 MAX_SQUARES_SCALAR = 4**12
 MAX_SQUARES_MATRIX = 4**10
 
 
 class BudgetError(ValueError):
     """A run would enumerate more squares than the configured budget."""
-
-
-def budget_check(total, kind, allow_large):
-    """Refuse ``total`` squares above the budget of ``kind`` ('scalar' or
-    'matrix') with :class:`BudgetError`, unless ``allow_large``."""
-    cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX
-    if total > cap and not allow_large:
-        raise BudgetError(
-            f"{total} squares exceed the {kind} budget of {cap}; "
-            "pass allow_large=True (CLI: --override-budget) to proceed"
-        )
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,9 @@ def enumerate_squares(preset: IfsPreset, n: int) -> Iterator[SquareGeom]:
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    budget_check(preset.nmaps**n, "scalar", allow_large=False)
+    if preset.nmaps**n > MAX_SQUARES_SCALAR:
+        raise BudgetError(f"{preset.nmaps**n} squares exceed the scalar budget of "
+                          f"{MAX_SQUARES_SCALAR}, which the reference stream always keeps")
     offsets = preset.offsets
     for word in product(range(preset.nmaps), repeat=n):
         kx = 0

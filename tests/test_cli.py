@@ -115,13 +115,14 @@ class TestConverge:
 
 class TestNoTiming:
     COMMANDS = [
-        ("phi", "--functions", "bott-flux", "--n", "9"),
+        ("converge", "--functions", "bott-flux", "--n", "9"),
         ("converge", "--functions", "bott-flux", "--n", "3..9"),
         ("lipschitz", "--functions", "linear-xy", "--n", "1..9"),
         ("pairing", "--n", "4..9", "--grid", "64"),
     ]
 
-    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("argv", COMMANDS,
+                             ids=("converge-one-level", "converge", "lipschitz", "pairing"))
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ms_zero_and_bytes_stable_across_worker_counts(self, argv, fmt):
         """Every record's ms is 0, and the output is byte-identical at 1 and
@@ -204,7 +205,7 @@ class TestPairing:
 
 class TestWorkers:
     @pytest.mark.parametrize("command", [
-        ("phi", "--functions", "const-xy", "--n", "2"),
+        ("converge", "--functions", "const-xy", "--n", "2"),
         ("pairing", "--n", "2", "--grid", "64"),
     ])
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -215,12 +216,12 @@ class TestWorkers:
     @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
     def test_bad_env_rejected(self, monkeypatch, capsys, value):
         monkeypatch.setenv("DUSTCOCYCLE_WORKERS", value)
-        code, out = run_cli("phi", "--functions", "const-xy", "--n", "2")
+        code, out = run_cli("converge", "--functions", "const-xy", "--n", "2")
         assert code == 2 and out == ""
         assert "DUSTCOCYCLE_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ("phi", "--functions", "const-xy", "--n", "2"),
+        ("converge", "--functions", "const-xy", "--n", "2"),
         ("pairing", "--n", "2", "--grid", "64"),
     ])
     def test_json_records_effective_count(self, monkeypatch, command):
@@ -233,9 +234,18 @@ class TestWorkers:
 
     def test_json_default_count_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("DUSTCOCYCLE_WORKERS", raising=False)
-        code, out = run_cli("phi", "--functions", "const-xy", "--n", "2", "--format", "json")
+        code, out = run_cli("converge", "--functions", "const-xy", "--n", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["meta"]["workers"] == (os.cpu_count() or 1)
+
+
+class TestCommands:
+    def test_one_handler_per_command(self):
+        """Each subcommand has a handler of its own: no command is another
+        one under a second name."""
+        (sub,) = (a for a in cli.make_parser()._actions if a.dest == "command")
+        assert set(cli._HANDLERS) == set(sub.choices)
+        assert len(set(cli._HANDLERS.values())) == len(cli._HANDLERS)
 
 
 class TestRunFlagsOnlyWhereUsed:
@@ -257,11 +267,11 @@ class TestRunFlagsOnlyWhereUsed:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ("phi", "--functions", "const-xy", "--n", "2", "--mode", "direct"),
+        ("converge", "--functions", "const-xy", "--n", "2", "--mode", "direct"),
         ("pairing", "--n", "2", "--grid", "64", "--preset", "cantor-dust"),
-    ], ids=("phi --mode", "pairing --preset"))
+    ], ids=("converge --mode", "pairing --preset"))
     def test_flags_without_a_use_are_refused(self, argv, capsys):
-        """``phi --mode`` only repeated the mode the triple's name fixes,
+        """``--mode`` would only repeat the mode the triple's name fixes,
         and a pairing, a pullback, runs on the dust alone: neither flag
         exists."""
         with pytest.raises(SystemExit) as exc:
@@ -279,7 +289,7 @@ class TestRunFlagsOnlyWhereUsed:
 class TestReportRecords:
     @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     def test_phi_json_has_no_unfilled_residual_fields(self):
-        code, out = run_cli("phi", "--functions", "bott-flux", "--n", "3", "--format", "json",
+        code, out = run_cli("converge", "--functions", "bott-flux", "--n", "3", "--format", "json",
                             "--workers", "1")
         assert code == 0
         payload = json.loads(out)
@@ -484,7 +494,7 @@ class TestExitCodes:
         )
 
     def test_budget_exceeded(self, capsys):
-        code, _ = run_cli("phi", "--functions", "const-xy", "--n", "13")
+        code, _ = run_cli("converge", "--functions", "const-xy", "--n", "13")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: 67108864 squares exceed")
 
@@ -557,21 +567,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["phi", "lipschitz"])
-    def test_word_index_overflow_under_override(self, command, capsys):
-        code, _ = run_cli(
+    @pytest.mark.parametrize("command", ["converge", "lipschitz"])
+    def test_word_index_overflow_under_override(self, command, monkeypatch, capsys):
+        """9**19 words fit int64 word indices and 9**20 do not: the range
+        is refused before its level-19 sum, not after it."""
+        calls = self.engine_calls(monkeypatch)
+        code, out = run_cli(
             command, "--preset", "full-subdivision-3", "--functions", "const-xy",
-            "--n", "20", "--override-budget",
+            "--n", "19..20", "--override-budget", "--workers", "1",
         )
-        assert code == 2
-        assert "overflow" in capsys.readouterr().err
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err == "error: 9**20 level-20 words overflow 64-bit word indices\n"
 
-    def test_bad_range(self, capsys):
+    def test_bad_range(self, monkeypatch, capsys):
         code, _ = run_cli("converge", "--functions", "const-xy", "--n", "5..3")
         assert code == 2
-        # a negative pairing level is refused before the projection check
-        code, _ = run_cli("pairing", "--n", "-1", "--grid", "64")
-        assert code == 2
+        # a negative pairing level is refused before the oracle; given
+        # apart from --n, argparse would take -1..3 for an option
+        calls = self.engine_calls(monkeypatch)
+        code, _ = run_cli("pairing", "--n=-1..3", "--grid", "64")
+        assert (code, calls) == (2, [])
         assert "error: level must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -590,7 +605,7 @@ class TestExitCodes:
         """JSON has no NaN: a level's sum that is not finite exits 2 with
         one error line and no warning, and nothing is written."""
         monkeypatch.setitem(cocycle.DIRECT_PRESETS, "bent-xy", bent_triple(bad))
-        code, out = run_cli("phi", "--functions", "bent-xy", "--n", "9", "--format", "json",
+        code, out = run_cli("converge", "--functions", "bent-xy", "--n", "9", "--format", "json",
                             "--workers", str(workers))
         assert code == 2 and out == ""
         captured = capsys.readouterr()

@@ -891,7 +891,7 @@ class TestWordIndexOverflow:
     def test_subdivision_rejects_overflowing_level(self):
         sp = get_smooth_preset("bott-flux")
         with pytest.raises(ValueError, match="overflow"):
-            phi_subdivision(32, sp.f, sp.g, sp.h, workers=1, allow_large=True)
+            phi_subdivision(32, sp.f, sp.g, sp.h, workers=1)
 
     def test_lipschitz_rejects_overflowing_level(self):
         f, _, _, _, _ = resolve_functions("const-xy")
@@ -913,24 +913,24 @@ class TestWordIndexOverflow:
             estimate_lipschitz(DUST, 14, f, allow_large=True)
 
     def test_last_fitting_level_passes_the_check(self):
-        from dustcocycle.cocycle import _word_count
+        from dustcocycle.cocycle import word_count
 
-        assert _word_count(9, 19, "scalar", True) == 9**19
-        assert _word_count(4, 31, "matrix", True) == 4**31
+        assert word_count(9, 19, "scalar", True) == 9**19
+        assert word_count(4, 31, "matrix", True) == 4**31
 
     def test_one_level_check_in_order(self):
         """A negative level, then overflowing word indices, raise
         ValueError, and only then an over-budget count BudgetError."""
-        from dustcocycle.cocycle import _word_count
+        from dustcocycle.cocycle import word_count
 
         with pytest.raises(ValueError, match="level must be >= 0"):
-            _word_count(9, -1, "scalar", False)
+            word_count(9, -1, "scalar", False)
         with pytest.raises(ValueError, match="overflow") as caught:
-            _word_count(9, 20, "scalar", False)
+            word_count(9, 20, "scalar", False)
         assert type(caught.value) is ValueError
         with pytest.raises(BudgetError, match="matrix budget of 1048576"):
-            _word_count(4, 11, "matrix", False)
-        assert _word_count(4, 10, "matrix", False) == 4**10
+            word_count(4, 11, "matrix", False)
+        assert word_count(4, 10, "matrix", False) == 4**10
 
 
 class TestThreadPool:

@@ -85,6 +85,16 @@ class TestEnumeration:
         stream = enumerate_squares(CANTOR_DUST, 12)
         assert [next(stream).word for _ in range(2)] == [(0,) * 12, (0,) * 11 + (1,)]
 
+    def test_level_guard_names_no_override(self):
+        """The stream takes no override, so its refusal names the count and
+        the cap and points to no ``allow_large``."""
+        with pytest.raises(BudgetError) as caught:
+            next(enumerate_squares(CANTOR_DUST, 13))
+        assert str(caught.value) == (
+            "67108864 squares exceed the scalar budget of 16777216, "
+            "which the reference stream always keeps")
+        assert "allow_large" not in str(caught.value)
+
     def test_dust_digit_invariant(self):
         # every vertex numerator is a {0,2}-digit numeral, possibly + 1
         def digits_ok(q, n):

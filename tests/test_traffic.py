@@ -9,7 +9,7 @@ worker threads, ``threading.settrace``):
   pullback triples ``bott-flux`` and ``mixed-mode``, ``lipschitz`` on the
   direct triples ``const-xy``, ``linear-xy`` and ``sine-xy`` on all three
   presets (``full-subdivision-3`` up to n = 5, an odd leaf count), one
-  ``phi`` and ``pairing --n 0..9 --grid 64``;
+  single-level ``converge`` and ``pairing --n 0..9 --grid 64``;
 * ``selftest``;
 * one sum without ``--workers`` with ``DUSTCOCYCLE_WORKERS`` set, and one
   with it unset;
@@ -75,14 +75,14 @@ def _traffic():
             for functions in ("const-xy", "linear-xy", "sine-xy"):
                 _cli("lipschitz", "--preset", preset, "--functions", functions,
                      "--n", f"0..{top}", *run)
-        _cli("phi", "--functions", "bott-flux", "--n", "5", "--format", "json", *run)
+        _cli("converge", "--functions", "bott-flux", "--n", "5", "--format", "json", *run)
         _cli("pairing", "--n", "0..9", "--grid", "64", *run)
     _cli("selftest")
     with pytest.MonkeyPatch.context() as env:
         env.setenv("DUSTCOCYCLE_WORKERS", "2")
-        _cli("phi", "--functions", "bott-flux", "--n", "9", "--no-timing")
+        _cli("converge", "--functions", "bott-flux", "--n", "9", "--no-timing")
         env.delenv("DUSTCOCYCLE_WORKERS")
-        _cli("phi", "--functions", "bott-flux", "--n", "2", "--no-timing")
+        _cli("converge", "--functions", "bott-flux", "--n", "2", "--no-timing")
     tracer, workloads = _load("tracer"), _load("workloads")
     for name in workloads.WORKLOADS:
         work = workloads.make(name, 7, tracer.Meter(), quick=True)
