@@ -58,11 +58,12 @@ eight-difference corner form the tests keep (up to the sign of an exact
 zero).  Edges are formed per block, from the lattice, never for a whole
 lattice at once: whole-lattice edges kept every value but raised the peak
 RSS of the lipschitz-direct benchmark by 8%, 4 MB of edges per worker on
-the dust's 512 x 512 direct lattice.  Temporaries and the result go into a
-:class:`Workspace` passed as ``out=``.  Every product names its operands and
-its ``out=`` buffer: on arrays of 256 KB and more, numpy's temporary elision
-swaps the operands of a product with a temporary, and a complex product
-(fused multiply-add) is not bitwise commutative.  So a square's value
+the dust's direct lattice of 4**8-word tiles, then 512 x 512.  Temporaries
+and the result go into a :class:`Workspace` passed as ``out=``.  Every
+product names its operands and its ``out=`` buffer: on arrays of 256 KB
+and more, numpy's temporary elision swaps the operands of a product with
+a temporary, and a complex product (fused multiply-add) is not bitwise
+commutative.  So a square's value
 depends only on its own inputs, never on the task or array layout it
 arrives in, and only in one case on its block: numpy rounds an in-place
 complex product of a one-element array unlike its vector loop, so the
@@ -141,7 +142,8 @@ import math
 import numpy as np
 
 # Cells per block of the scalar kernel and the Lipschitz maxima: a run of
-# consecutive cells, a quarter of a 256 x 256 pullback tile.  The scalar
+# consecutive cells, a quarter of a 256 x 256 pullback tile and the whole
+# of a dust direct tile, (2, 2, 128, 128) quadrants.  The scalar
 # kernel's float64 temporaries for one block (the x- and y-edges of g and h,
 # three accumulators) are 0.9 MB (1.4 MB on the dust's quadrants, whose
 # edges are not shared; 0.4 MB for a compact row g and column h, the outer
@@ -186,7 +188,8 @@ class Workspace:
     holds (with one 16 MB corner block per task, the pairing benchmark's peak
     RSS rose by a third), which is why the kernels work in blocks of
     :data:`BLOCK` or :data:`MATRIX_BLOCK` squares and nothing larger than
-    one task's values is sized here.
+    one task's values is sized here: a task's lattice holds at most 2**16
+    vertices (``cocycle.TASK_VERTICES``), 512 KB per real scalar value.
     """
 
     def __init__(self):

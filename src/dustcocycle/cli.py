@@ -467,8 +467,22 @@ _HANDLERS = {
 }
 
 
+def _join_levels(argv):
+    """``argv`` with each ``--n`` value that starts with a minus and a digit
+    joined to its flag (``--n -1..3`` becomes ``--n=-1..3``): argparse takes
+    ``-1..3`` for an option, and its "expected one argument" would hide the
+    level check of :func:`_levels`."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--n" and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] = f"--n={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(_join_levels(sys.argv[1:] if argv is None else argv))
     parent = Path(args.out).parent if getattr(args, "out", None) else None
     if parent and not parent.is_dir():
         # refused before any engine call, not after a whole table

@@ -34,13 +34,18 @@ coordinates' denominator.  There are three sources:
   order-preserving corners.  Its coordinates do not wrap: a cell's far edge
   keeps the value 1, so plain coordinate functions keep their Riemann sums;
 * direct (the vertices themselves, over 3**n): a tile is the nmaps**k words
-  of one level-k sub-fractal, k = min(n, :func:`_tile_level`), 8 on the
-  dust (4**8 words, 16 leaves), 5 on the carpet (8**5 words, 8 leaves) and
+  of one level-k sub-fractal, k = min(n, :func:`_direct_level`), 7 on the
+  dust (4**7 words, 4 leaves), 5 on the carpet (8**5 words, 8 leaves) and
   on ``full-subdivision-3`` (9**5 words, 14 leaves and a short one), tile t
   placed at 3**k times the corner numerators of its n - k digits.
 
-Each parallel task is one tile, of at most 65536 words: the kernel runs on
-its lattice whole, its values are gathered into word order with one
+Each parallel task is one tile, sized by one rule (:func:`_tile_level`):
+its lattice holds at most 2**16 vertices, a box's far row and column
+aside, so at most 65536 words.  A pullback tile holds 256 x 256 cells, a
+subdivision tile 65536, a carpet or ``full-subdivision-3`` box 243 x 243,
+and the dust's quadrant lattice (2, 2, 128, 128), four vertices per word,
+one 16384-cell kernel block.  The kernel runs on a tile's lattice whole,
+its values are gathered into word order with one
 ``np.take``, and they are summed in leaves counted from its first word, the
 last one short where a tile is not a whole number of leaves.  A tile is
 whole leaves or the whole grid, so the leaves are those of the word stream,
@@ -124,7 +129,7 @@ from .geometry import (
 from .oracle import SMOOTH_PRESETS, ProjectionField, TorusFunction
 
 LEAF = 4096
-TASK_LEAVES = 16  # at most 65536 words, one tile, per parallel task
+TASK_VERTICES = 1 << 16  # lattice vertices of one parallel task, a box's far row and column aside
 _PROJECTION_LEVEL = 6
 _PROJECTION_TOL = 1e-10
 
@@ -311,11 +316,23 @@ def validate_projection(obs: Observable, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _tile_level(nmaps):
-    """The largest k with nmaps**k words in one task of at most TASK_LEAVES
-    leaves: 8 on the dust, 5 on the carpet and on ``full-subdivision-3``,
-    whose (3**5 + 1)**2 box pads under 1 % of its cells."""
-    return next(k for k in count() if nmaps ** (k + 1) > TASK_LEAVES * LEAF)
+def _tile_level(vertices):
+    """The level of a layout's tiles, the one rule that sizes every task:
+    the largest k whose tile lattice holds at most TASK_VERTICES vertices,
+    ``vertices(k)`` of them, a box's far row and column aside.  A task's
+    values, and its workspace's buffers, scale with them."""
+    return next(k for k in count() if vertices(k + 1) > TASK_VERTICES)
+
+
+def _direct_level(offsets):
+    """:func:`_tile_level` of the direct tiles of the IFS with these offsets
+    (:func:`_direct_tile`): 7 where the squares share no vertex (the dust),
+    its quadrant lattice holding four vertices per word, 4 nmaps**k; else 5,
+    the box around 3**k x 3**k cells holding 9**k (the carpet, and
+    ``full-subdivision-3``, whose 9**5 words leave under 1 % of it padded).
+    The level-1 squares, at the offsets themselves, decide for every level."""
+    quadrants = _quadrants(*np.array(offsets).T) is not None
+    return _tile_level(lambda k: 4 * len(offsets) ** k if quadrants else 9**k)
 
 
 class _Tile(NamedTuple):
@@ -372,12 +389,23 @@ def _pullback_tile(m):
 
 @lru_cache(maxsize=32)
 def _subdivision_tile(n):
-    """The tile of the 2**n subdivision: min(2**n, 65536) columns by as many
-    whole rows as fit in TASK_LEAVES leaves, its cells in row-major order."""
-    cols = min(1 << n, TASK_LEAVES * LEAF)
-    rows = min(1 << n, TASK_LEAVES * LEAF // cols)
+    """The tile of the 2**n subdivision: min(2**n, TASK_VERTICES) columns by
+    as many whole rows as keep its cells (its lattice's vertices, the far
+    row and column aside) within TASK_VERTICES, in row-major order."""
+    cols = min(1 << n, TASK_VERTICES)
+    rows = min(1 << n, TASK_VERTICES // cols)
     cells = np.arange(rows * cols, dtype=np.int64)
     return _box_tile(cols, rows, cells % cols, cells // cols)
+
+
+def _quadrants(kx, ky):
+    """(xs, ys), the distinct columns and rows of the squares at corner
+    numerators (kx, ky), where the squares are every pair of them and share
+    no vertex (the dust's, at every level); else None."""
+    xs, ys = np.unique(kx), np.unique(ky)
+    if xs.size * ys.size == kx.size and (np.diff(xs) > 1).all() and (np.diff(ys) > 1).all():
+        return xs, ys
+    return None
 
 
 @lru_cache(maxsize=32)
@@ -391,17 +419,19 @@ def _direct_tile(offsets, k):
     cells' near and far rows, their near and far columns, then the rows and
     columns themselves, so the corners v0..v3 are four contiguous h w blocks
     at offsets (0, hw, 3hw, 2hw), every lattice cell is one of the tile's
-    and no vertex is evaluated twice.  Otherwise (the carpet and
-    ``full-subdivision-3``) the lattice is the (3**k + 1)**2 box around
-    them, a plain lattice whose cells share their vertices and edges, and
-    the kernel runs on every box cell, holes and padded ones included,
-    before the tile's own are gathered.
+    and no vertex is evaluated twice; at the dust's tile level, 7, that is
+    (2, 2, 128, 128), 2**16 vertices, 512 KB per real value.  Otherwise
+    (the carpet and ``full-subdivision-3``) the lattice is the
+    (3**k + 1)**2 box around them, a plain lattice whose cells share their
+    vertices and edges, and the kernel runs on every box cell, holes and
+    padded ones included, before the tile's own are gathered.
     """
     off = np.array(offsets, dtype=np.int64)
     words = np.arange(len(offsets) ** k, dtype=np.int64)
     kx, ky = K.corner_numerators(words, k, off[:, 0], off[:, 1])
-    xs, ys = np.unique(kx), np.unique(ky)
-    if xs.size * ys.size == kx.size and (np.diff(xs) > 1).all() and (np.diff(ys) > 1).all():
+    grid = _quadrants(kx, ky)
+    if grid is not None:
+        xs, ys = grid
         w, h = xs.size, ys.size
         far = np.arange(2, dtype=np.int64)[:, None]
         return _read_only(_Tile(
@@ -434,7 +464,7 @@ def _pullback_source(n):
     digits and wrapped with ``& mask`` onto the periodic torus.  The image
     bits of every tile come from one digit-map call, of no digit step when
     one tile is the whole grid."""
-    m = min(n, _tile_level(4))
+    m = min(n, _tile_level(lambda m: 4**m))
     tile = _pullback_tile(m)
     span = tile.order.size
     mask = (1 << n) - 1
@@ -458,12 +488,18 @@ def _subdivision_source(n):
 def _direct_source(preset: IfsPreset, n: int):
     """The source of a level-n direct sum on ``preset``, one of
     ``geometry.PRESETS``: the tile of the nmaps**k words of one level-k
-    sub-fractal, k = min(n, :func:`_tile_level`) (below that level one tile
-    is the whole grid), tile t placed at 3**k times the corner numerators
-    of its n - k digits, over 3**n.  The corner numerators of every tile
-    come from one digit-map call, of no digit step when one tile is the
-    whole grid."""
-    k = min(n, _tile_level(preset.nmaps))
+    sub-fractal, k = min(n, :func:`_direct_level`), 7 on the dust and 5 on
+    the carpet and ``full-subdivision-3`` (below that level one tile is the
+    whole grid), tile t placed at 3**k times the corner numerators of its
+    n - k digits, over 3**n.  The corner numerators of every tile come from
+    one digit-map call, of no digit step when one tile is the whole grid.
+
+    The dust's squares share no vertices, so its tile evaluates four per
+    word: at 4**8 words its (2, 2, 256, 256) lattice held 2**18 vertices, a
+    full value 2 MB, which glibc handed back between tasks and faulted in
+    again.  4**7 is a whole number of 4096-word leaves, so the leaves, and
+    the bits, are those of the word stream at either size."""
+    k = min(n, _direct_level(preset.offsets))
     tile = _direct_tile(preset.offsets, k)
     span = tile.order.size
     tiles = np.arange(preset.nmaps ** (n - k), dtype=np.int64)
@@ -572,11 +608,13 @@ def _maxima(a, tile, ws):
     ``tile``, as :func:`_operands` evaluates them, over the tile's own
     cells only: their corners, and their x- and y-edges.
 
-    A compact row or column is read as it is: its values at the near and
-    far ends of its edges (:func:`_kernels.near_far`), all of them, since a
-    tile's own cells use every column and row of its lattice; a constant's
-    edges are exact zeros.  A flat lattice's edges (:func:`_kernels.edges`)
-    are formed block by block into the kernel's edge buffers in ``ws``;
+    A compact row or column is read as it is: every value of it is a corner
+    of the tile's own cells, since they use every column and row of its
+    lattice, so its sup is taken over it whole, and its edges from its
+    values at their near and far ends (:func:`_kernels.near_far`); a
+    constant's edges are exact zeros.  A flat lattice's edges
+    (:func:`_kernels.edges`) are formed block by block into the kernel's
+    edge buffers in ``ws``;
     where it has cells that are not the tile's (a box's carpet holes and
     padded cells, whose x-edge wraps into the next lattice row), the
     corners of the tile's own cells are first gathered by ``tile.order``,
@@ -587,7 +625,7 @@ def _maxima(a, tile, ws):
     """
     if a.ndim > 1:
         near, far = K.near_far(a) if a.size > 1 else (a.reshape(-1),) * 2
-        return np.maximum(_top(near), _top(far)), max(0.0, _top(far - near))  # np.maximum keeps NaN
+        return _top(a), max(0.0, _top(far - near))
     cells = tile.cells
     if tile.order.size < cells[1]:
         m = tile.order.size

@@ -589,6 +589,18 @@ class TestExitCodes:
         assert (code, calls) == (2, [])
         assert "error: level must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("pairing", "--n", "-1..3", "--grid", "64"),
+                                      ("lipschitz", "--n", "-2..3"),
+                                      ("converge", "--n", "-1")])
+    def test_negative_level_apart_from_its_flag(self, monkeypatch, capsys, argv):
+        """A negative level given apart from ``--n`` reaches the level
+        check, before any engine call, not argparse's "expected one
+        argument"."""
+        calls = self.engine_calls(monkeypatch)
+        code, out = run_cli(*argv)
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err == "error: level must be >= 0\n"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lipschitz_refuses_non_finite_values(self, monkeypatch, capsys, bad):
         """An observable that is NaN or inf at some vertex makes the sum of

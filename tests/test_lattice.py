@@ -17,6 +17,7 @@ rounding.
 """
 
 import math
+from itertools import count, takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,14 +29,14 @@ from dustcocycle import _kernels as K
 from dustcocycle import cocycle
 from dustcocycle.cocycle import (
     LEAF,
-    TASK_LEAVES,
+    TASK_VERTICES,
     Observable,
     _direct_source,
     _leaf_sums_for_range,
     phi_n,
     resolve_functions,
 )
-from dustcocycle.geometry import PRESETS, get_preset
+from dustcocycle.geometry import MAX_SQUARES_SCALAR, PRESETS, get_preset
 from test_kernels import (
     bloch_matrices,
     matmul_reference,
@@ -225,7 +226,7 @@ class TestLatticeMatchesReference:
     @pytest.mark.parametrize("n", [8, 9])
     def test_whole_tasks_bit_identical(self, source, n):
         case = source(n)
-        assert _span(case) == TASK_LEAVES * LEAF
+        assert _span(case) == TASK_VERTICES
         for w_lo in range(0, case.total, _span(case)):
             _assert_matches_reference(case, w_lo, _OBS)
 
@@ -237,7 +238,7 @@ class TestLatticeMatchesReference:
         right cell, whose far edge is at 1, keep every value."""
         case = _subdivision(n)
         span, row = _span(case), 1 << n
-        assert span == TASK_LEAVES * LEAF and row in (2 * span, 4 * span)
+        assert span == TASK_VERTICES and row in (2 * span, 4 * span)
         for w_lo in (*range(0, 5 * span, span), case.total - span):
             _assert_matches_reference(case, w_lo, _OBS)
 
@@ -269,6 +270,32 @@ class TestVertexCount:
         phi_n(DUST, 9, f, f, f, workers=1)
         assert shapes == [((1, 257), (257, 1))] * 4
 
+    def test_task_lattices_hold_at_most_2_16_vertices(self):
+        """Every task, at every level up to the square budget, evaluates a
+        lattice of at most 2**16 vertices, a box's far row and column aside:
+        pullback and subdivision tiles and every preset's direct tiles.  The
+        largest tiles reach it, but for the boxes of 3**5 x 3**5 cells."""
+        def levels(nmaps):
+            return takewhile(lambda n: nmaps**n <= MAX_SQUARES_SCALAR, count())
+
+        def vertices(tile):
+            shape = np.broadcast_shapes(tile.dx.shape, tile.dy.shape)
+            if len(shape) == 2:  # a box: its far row and column aside
+                return (shape[0] - 1) * (shape[1] - 1)
+            return math.prod(shape)
+
+        largest = {}
+        sources = [("pullback", 4, lambda n: cocycle._pullback_source(n)),
+                   ("subdivision", 4, lambda n: cocycle._subdivision_source(n))]
+        sources += [(name, p.nmaps, lambda n, p=p: _direct_source(p, n))
+                    for name, p in sorted(PRESETS.items())]
+        for name, nmaps, source in sources:
+            counts = [vertices(source(n).tile) for n in levels(nmaps)]
+            assert max(counts) <= TASK_VERTICES, name
+            largest[name] = max(counts)
+        assert largest == {"pullback": 1 << 16, "subdivision": 1 << 16, "cantor-dust": 1 << 16,
+                           "sierpinski-carpet": 3**10, "full-subdivision-3": 3**10}
+
     @pytest.mark.parametrize("n, words", [(0, 1), (5, 1), (8, 1), (9, 4), (10, 16)])
     def test_one_digit_mapped_word_per_tile(self, monkeypatch, n, words):
         """Only each tile's first word is digit-mapped, all in one call per
@@ -293,13 +320,13 @@ class TestDirectTiles:
         obs = resolve_functions(name)[:3]
         case = _direct(preset, n)
         span = _span(case)
-        assert span == preset.nmaps ** min(n, {4: 8, 8: 5}[preset.nmaps])
+        assert span == preset.nmaps ** min(n, {4: 7, 8: 5}[preset.nmaps])
         for w_lo in range(0, case.total, span):
             _assert_matches_reference(case, w_lo, obs)
 
     def test_dust_tile_cells_come_in_morton_order(self):
-        for n in (0, 1, 5, 8, 9):
-            k = min(n, 8)
+        for n in (0, 1, 5, 7, 8, 9):
+            k = min(n, 7)
             tile = _direct_source(DUST, n).tile
             mx, my = reference_image_bits(np.arange(4**k, dtype=np.int64), k)
             np.testing.assert_array_equal(tile.order, (my << k) + mx)
@@ -312,14 +339,14 @@ class TestDirectTiles:
         squares share no vertices, takes it; the carpet and
         ``full-subdivision-3`` take the plain (3**k + 1)**2 box."""
         preset = PRESETS[name]
-        for k in range(1, cocycle._tile_level(preset.nmaps) + 1):
+        for k in range(1, cocycle._direct_level(preset.offsets) + 1):
             tile = cocycle._direct_tile(preset.offsets, k)
             if preset is DUST:
                 assert tile.dx.shape == (1, 2, 1, 1 << k)
             else:
                 assert tile.dx.shape == (1, 3**k + 1) and tile.dy.shape == (3**k + 1, 1)
 
-    @pytest.mark.parametrize("preset, n, tiles", [(DUST, 0, 1), (DUST, 9, 4),
+    @pytest.mark.parametrize("preset, n, tiles", [(DUST, 0, 1), (DUST, 9, 16),
                                                   (CARPET, 4, 1), (CARPET, 6, 8)])
     def test_one_digit_mapped_word_per_tile(self, monkeypatch, preset, n, tiles):
         """Only each tile's first word is digit-mapped, all in one call per
@@ -380,7 +407,7 @@ class TestDirectTiles:
         for n in range(8):
             starts.clear()
             phi_n(preset, n, *obs, workers=1)
-            span = preset.nmaps ** min(n, cocycle._tile_level(preset.nmaps))
+            span = preset.nmaps ** min(n, cocycle._direct_level(preset.offsets))
             assert starts == [(lo, span) for lo in range(0, preset.nmaps**n, span)]
 
 
@@ -417,9 +444,9 @@ def _tiles():
     for m in range(9):
         yield f"pullback-{m}", cocycle._pullback_tile(m), 4**m
     for n in range(18):
-        yield f"subdivision-{n}", cocycle._subdivision_tile(n), min(4**n, TASK_LEAVES * LEAF)
+        yield f"subdivision-{n}", cocycle._subdivision_tile(n), min(4**n, TASK_VERTICES)
     for name, preset in sorted(PRESETS.items()):
-        for k in range(cocycle._tile_level(preset.nmaps) + 1):
+        for k in range(cocycle._direct_level(preset.offsets) + 1):
             yield f"{name}-{k}", cocycle._direct_tile(preset.offsets, k), preset.nmaps**k
 
 

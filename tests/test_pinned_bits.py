@@ -6,7 +6,7 @@ one case per layout the trace kernels read, or way a sum places its tiles:
 
 * pullback Morton tiles (several tasks at n = 9), real and complex rules;
 * subdivision tiles of whole rows;
-* the dust's direct quadrant tiles;
+* the dust's direct quadrant tiles (n = 9 and 10 run several tasks);
 * the carpet's box tiles;
 * ``full-subdivision-3``'s box tiles, 9**5 words each, one per task and
   never a whole number of leaves (ids ``full-subdivision-3-words``, pinned
@@ -118,6 +118,8 @@ PINS = {
     ("dust-direct", 1): ("-0x1.08bf4fbd30c09p-3", "0x0.0p+0"),
     ("dust-direct", 5): ("-0x1.5e098aecaf035p-8", "0x0.0p+0"),
     ("dust-direct", 9): ("-0x1.b50e8fbc542fep-13", "0x0.0p+0"),
+    # computed on 4**8-word tiles, before the dust's direct tiles became 4**7 words
+    ("dust-direct", 10): ("-0x1.847eb8af0cf87p-14", "0x0.0p+0"),
     ("carpet-direct", 0): ("-0x1.6ff513cc1e098p-3", "0x0.0p+0"),
     ("carpet-direct", 1): ("-0x1.d466aecc5a358p-3", "0x0.0p+0"),
     ("carpet-direct", 3): ("-0x1.82b259b4b1314p-3", "0x0.0p+0"),

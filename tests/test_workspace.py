@@ -14,6 +14,7 @@ the Bloch vectors of g and h and affine in those of f.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
-    TASK_LEAVES, LEAF, Observable, _leaf_sums_for_range, _pullback_source, _subdivision_source,
-    phi_n, pullback_projection,
+    TASK_VERTICES, Observable, _leaf_sums_for_range, _pullback_source, _subdivision_source,
+    direct_scalar, phi_n, pullback_projection,
 )
 from dustcocycle.geometry import get_preset
 from dustcocycle.oracle import bott_projection
@@ -197,7 +198,7 @@ def _observables(kind):
 class TestWorkspaceReuse:
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     def test_task_leaf_sums_independent_of_workspace_history(self, kind):
-        span = TASK_LEAVES * LEAF
+        span = TASK_VERTICES  # a pullback tile's 65536 words
         task_a = (_pullback_source(9), span, _observables(kind))
         # another level, lattice shape and kind
         task_b = (_subdivision_source(5), 0, _observables("scalar"))
@@ -224,3 +225,23 @@ class TestWorkspaceReuse:
         gc.collect()
         assert 1 <= len(made) <= workers
         assert all(ref() is None for ref in made)
+
+
+class TestTaskMemory:
+    def test_dust_direct_sum_peaks_below_4_mb(self):
+        """A 1-worker dust direct sum at n = 9 over three full linear values
+        (no compact row or column) allocates, at its traced peak, at most
+        4 MB: each task's (2, 2, 128, 128) lattice holds a full value in
+        512 KB.  On 4**8-word tasks, whose lattices held 2 MB per value,
+        the peak was 9.5 MB."""
+        triple = (direct_scalar(lambda x, y: x + y, "x+y"),
+                  direct_scalar(lambda x, y: 2.0 * x - y, "2x-y"),
+                  direct_scalar(lambda x, y: x + 3.0 * y, "x+3y"))
+        phi_n(DUST, 9, *triple, workers=1)  # the tile is built once per process
+        tracemalloc.start()
+        try:
+            phi_n(DUST, 9, *triple, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
