@@ -10,7 +10,7 @@ functional with smooth matrix projections.
 
 __version__ = "0.1.0"
 
-from .cantor import cantor_dyadic, cantor_level, dust_image, image_cell
+from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
     Observable,
     convergence_table,
@@ -33,13 +33,11 @@ from .geometry import (
     enumerate_squares,
     get_preset,
     similarity_dimension,
-    subdivision_cells,
     vertices,
 )
 from .oracle import (
     bott_projection,
     chern_pairing_oracle,
-    closed_form_target,
     get_smooth_preset,
     wedge_quadrature,
 )
@@ -53,14 +51,11 @@ __all__ = [
     "VertexValues",
     "bott_projection",
     "cantor_dyadic",
-    "cantor_level",
     "check_constants",
     "chern_pairing_oracle",
-    "closed_form_target",
     "convergence_table",
     "cyclicity_residual",
     "direct_scalar",
-    "dust_image",
     "enumerate_squares",
     "get_preset",
     "get_smooth_preset",
@@ -75,7 +70,6 @@ __all__ = [
     "pullback_scalar",
     "resolve_functions",
     "similarity_dimension",
-    "subdivision_cells",
     "vertices",
     "wedge_quadrature",
 ]

@@ -268,17 +268,15 @@ def _blocks(count, length=BLOCK):
         yield lo, lo + length if lo + length < last else count
 
 
-def corners(a, cells, lo=0, hi=None):
+def corners(a, cells, lo, hi):
     """The values v0, v1, v2, v3 of flat lattice ``a`` at the corners of
-    cells [lo, hi) (default: all), as contiguous 1-D views."""
-    offsets, count = cells
-    hi = count if hi is None else hi
-    return tuple(a[..., lo + o : hi + o] for o in offsets)
+    cells [lo, hi), as contiguous 1-D views."""
+    return tuple(a[..., lo + o : hi + o] for o in cells[0])
 
 
-def edges(a, cells, diff, lo=0, hi=None):
-    """The edge differences of flat lattice ``a`` along cells [lo, hi)
-    (default: all): (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0, v2 - v1),
+def edges(a, cells, diff, lo, hi):
+    """The edge differences of flat lattice ``a`` along cells [lo, hi):
+    (xn, xf, yn, yf) = (v1 - v0, v2 - v3, v3 - v0, v2 - v1),
     the x-edges at the cells' near and far rows and the y-edges at their
     near and far columns.  The other four corner differences are their
     exact negations.
@@ -290,8 +288,7 @@ def edges(a, cells, diff, lo=0, hi=None):
     offsets, so an edge two cells share is subtracted once; likewise the
     y-edges.  Otherwise each edge is its own difference.
     """
-    (o0, o1, o2, o3), count = cells
-    hi = count if hi is None else hi
+    o0, o1, o2, o3 = cells[0]
     m = hi - lo
 
     def pair(name, near, far, other):

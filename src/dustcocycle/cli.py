@@ -1,11 +1,11 @@
 """Command-line front end: experiments in, CSV/JSON reports out.
 
 Exit status: 0 success, 1 a numerical check failed, 2 usage error (unknown
-names, malformed ranges, a level range with a negative level, with word
-indices over int64, or over the square budget without the override flag,
-refused before any sum, a worker count below 1 in
-``--workers`` or ``DUSTCOCYCLE_WORKERS``, an ``--out`` path in a missing
-directory or one that cannot be written).
+names, malformed ranges, a pullback triple on a preset other than the dust,
+a level range with a negative level, with word indices over int64, or over
+the square budget without the override flag, refused before any sum, a
+worker count below 1 in ``--workers`` or ``DUSTCOCYCLE_WORKERS``, an
+``--out`` path in a missing directory or one that cannot be written).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import __version__
 from . import _kernels as K
 from .cantor import cantor_dyadic, image_cell
 from .cocycle import (
+    check_preset,
     convergence_table,
     estimate_lipschitz,
     level_table,
@@ -216,6 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
 def _cmd_converge(args) -> int:
     preset = get_preset(args.preset)
     f, g, h, target, _ = resolve_functions(args.functions)
+    check_preset(preset, f.mode)  # a pullback off the dust, before the budget check
     ns = _levels(args, preset.nmaps, f.kind)
     rows = convergence_table(
         preset, ns, f, g, h, target=target,
@@ -321,10 +323,13 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 def _cmd_selftest(args) -> int:
     failures = []
 
+    def fail_if(failed, failure):
+        if failed:
+            failures.append(failure)
+
     rep = check_constants()
     print(f"constants: {'ok' if rep.ok else 'FAIL'} ({rep.elapsed_ms:.3f} ms)")
-    if not rep.ok:
-        failures.append(f"constants: {rep.first_violation}")
+    fail_if(not rep.ok, f"constants: {rep.first_violation}")
 
     rng = np.random.default_rng(20240202)
     worst = 0.0
@@ -335,8 +340,7 @@ def _cmd_selftest(args) -> int:
         )
         worst = max(worst, abs(kernel_trace(f, g, h) - kernel_trace_oracle(f, g, h)))
     print(f"kernel vs matrix oracle: max |diff| = {worst:.2e}")
-    if worst > 1e-12:
-        failures.append("kernel oracle mismatch")
+    fail_if(worst > 1e-12, "kernel oracle mismatch")
 
     # the engine's scalar kernel on 200 random complex squares, the corners
     # v0..v3 of f, g and h concatenated, at offsets (0, 200, 400, 600)
@@ -349,8 +353,7 @@ def _cmd_selftest(args) -> int:
         for s in range(200)
     )
     print(f"scalar kernel vs closed form: max |diff| = {worst:.2e}")
-    if not worst <= 1e-12:
-        failures.append("scalar kernel mismatch")
+    fail_if(not worst <= 1e-12, "scalar kernel mismatch")
 
     # a row g (x only) and a column h (y only), as in bott-flux, on the
     # dust's (2, 2, h, w) quadrants and on a shifted H x W box: given
@@ -379,8 +382,7 @@ def _cmd_selftest(args) -> int:
         parts += bits[0].size
     print(f"scalar kernel separable path, compact vs materialized rows and columns: "
           f"{differ} of {parts} parts differ")
-    if differ:
-        failures.append("scalar kernel separable path mismatch")
+    fail_if(differ, "scalar kernel separable path mismatch")
 
     # the engine's Bloch-vector matrix kernel on 200 squares, each vertex of
     # f, g and h a random rank-1 projection (I + n . sigma) / 2, |n| = 1
@@ -394,8 +396,7 @@ def _cmd_selftest(args) -> int:
         for s in range(200)
     )
     print(f"matrix kernel vs matrix oracle (rank-1 projections): max |diff| = {worst:.2e}")
-    if not worst <= 1e-12:
-        failures.append("matrix kernel oracle mismatch")
+    fail_if(not worst <= 1e-12, "matrix kernel oracle mismatch")
 
     # the same with f = g = h, one lattice, as in every pairing: the kernel's
     # block then reuses the cross products and writes the real part as +0
@@ -404,8 +405,7 @@ def _cmd_selftest(args) -> int:
         abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[0:4, s]),) * 3)) for s in range(200)
     )
     print(f"matrix kernel vs matrix oracle (f = g = h): max |diff| = {worst:.2e}")
-    if not worst <= 1e-12:
-        failures.append("matrix kernel oracle mismatch (f = g = h)")
+    fail_if(not worst <= 1e-12, "matrix kernel oracle mismatch (f = g = h)")
 
     bad = 0
     for sq in enumerate_squares(get_preset("cantor-dust"), 4):
@@ -414,16 +414,14 @@ def _cmd_selftest(args) -> int:
         except Exception:
             bad += 1
     print(f"digit map order check (n=4): {bad} violations")
-    if bad:
-        failures.append("digit map violations")
+    fail_if(bad, "digit map violations")
 
     f, g, h, target, _ = resolve_functions("const-xy")
     preset = get_preset("cantor-dust")
     for n in (1, 2, 3):
         want = 2.0 * (4.0 / 9.0) ** n
         got = phi_n(preset, n, f, g, h, workers=1)
-        if abs(got - want) > 1e-12 * want:
-            failures.append(f"riemann closed form at n={n}")
+        fail_if(abs(got - want) > 1e-12 * want, f"riemann closed form at n={n}")
     print("riemann closed form (n=1..3): ok" if not any("riemann" in x for x in failures) else "riemann closed form: FAIL")
 
     # a Lipschitz table's estimates, read back from the maxima its sum took
@@ -437,20 +435,17 @@ def _cmd_selftest(args) -> int:
             got = [estimate_lipschitz(grid, level, obs) for obs in triple]
         same = got == [estimate_lipschitz(grid, n, replace(obs)) for obs in triple]
         print(f"lipschitz maxima, one pass vs tile walk ({name} n={n}): {'ok' if same else 'FAIL'}")
-        if not same:
-            failures.append(f"lipschitz maxima at {name} n={n}")
+        fail_if(not same, f"lipschitz maxima at {name} n={n}")
 
     # n = 9 is four tasks, so the 4-worker sum runs them on four helper threads
     a = phi_n(preset, 9, f, g, h, workers=1)
     b = phi_n(preset, 9, f, g, h, workers=4)
     det = a == b
     print(f"worker determinism (n=9): {'ok' if det else 'FAIL'}")
-    if not det:
-        failures.append("worker determinism")
+    fail_if(not det, "worker determinism")
 
     if failures:
-        for msg in failures:
-            print(f"FAIL {msg}", file=sys.stderr)
+        print("\n".join(f"FAIL {msg}" for msg in failures), file=sys.stderr)
         return 1
     print("selftest passed")
     return 0

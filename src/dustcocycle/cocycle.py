@@ -521,7 +521,7 @@ def _full(a, shape, ws, name):
     return buf
 
 
-def _operands(source, lo, observables, ws, maxima=None):
+def _operands(source, lo, observables, ws, maxima):
     """The trace kernel's f, g and h, ``observables``' values on the vertex
     lattice of the tile whose first word is ``lo``.  Each distinct
     observable is evaluated once, and a repeated one is the same array.
@@ -541,7 +541,7 @@ def _operands(source, lo, observables, ws, maxima=None):
     lone observable (the walk of :func:`estimate_lipschitz`) is returned as
     evaluated, a compact value compact.
 
-    ``maxima``, given for scalar observables, is a (len(observables), 2)
+    ``maxima`` is None, or for scalar observables a (len(observables), 2)
     float array that each distinct observable's :func:`_maxima` on this
     tile raise (elementwise, NaN kept); a repeated observable's row stays
     as it is (0 in a sum's tasks), since its estimate reads its first
@@ -645,20 +645,19 @@ def _maxima(a, tile, ws):
     return sup, edge
 
 
-def _leaf_sums_for_range(source, lo, observables, ws=None, maxima=None):
+def _leaf_sums_for_range(source, lo, observables, ws, maxima):
     """Leaf sums of the kernel over the tile of ``source`` whose first word
     is ``lo``, a multiple of the tile's word count: its values gathered in
     word order and summed in leaves counted from ``lo``, the last one short
     when the tile is not a whole number of leaves.
 
-    ``ws`` is the calling thread's :class:`_kernels.Workspace` (default: a
-    fresh one); the returned leaf sums never live in it.  Each distinct
-    observable is evaluated once.
+    ``ws`` is the calling thread's :class:`_kernels.Workspace`; the
+    returned leaf sums never live in it.  Each distinct observable is
+    evaluated once.
 
-    ``maxima``, for scalar observables, is a (3, 2) float array, set to each
-    observable's :func:`_maxima` over the tile (:func:`_operands`).
+    ``maxima`` is None, or for scalar observables a (3, 2) float array, set
+    to each observable's :func:`_maxima` over the tile (:func:`_operands`).
     """
-    ws = K.Workspace() if ws is None else ws
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     tile = source.tile
     vals = ws.take("reordered", tile.order.shape)
@@ -780,7 +779,7 @@ def _check_triple(f, g, h):
     return kinds.pop(), modes.pop()
 
 
-def _check_preset(preset, mode):
+def check_preset(preset, mode):
     """Refuse, with ValueError, a pullback on any preset but the dust and a
     direct sum or estimate on one outside ``geometry.PRESETS``: the tiles
     and their placement are laid out for these alone."""
@@ -842,7 +841,7 @@ def phi_n(
     """
     global _last_direct
     kind, mode = _check_triple(f, g, h)
-    _check_preset(preset, mode)
+    check_preset(preset, mode)
     total = word_count(preset.nmaps, n, kind, allow_large)
     workers = resolve_workers(workers)
     source = _pullback_source(n) if mode == "pullback" else _direct_source(preset, n)
@@ -1028,7 +1027,7 @@ def estimate_lipschitz(
     global _last_direct
     if obs.kind != "scalar" or obs.mode != "direct":
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
-    _check_preset(preset, obs.mode)
+    check_preset(preset, obs.mode)
     total = word_count(preset.nmaps, n, obs.kind, allow_large)
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -74,14 +73,6 @@ class TriadicPoint:
         if not (0 <= self.px <= lim and 0 <= self.py <= lim):
             raise ValueError(f"triadic numerators out of range at level {self.level}")
 
-    def as_floats(self):
-        d = float(3**self.level)
-        return self.px / d, self.py / d
-
-    def as_fractions(self):
-        d = 3**self.level
-        return Fraction(self.px, d), Fraction(self.py, d)
-
 
 @dataclass(frozen=True)
 class SquareGeom:
@@ -95,10 +86,6 @@ class SquareGeom:
     def level(self):
         return len(self.word)
 
-    @property
-    def edge(self) -> Fraction:
-        return Fraction(1, 3**self.level)
-
 
 @dataclass(frozen=True)
 class DyadicCell:
@@ -107,14 +94,6 @@ class DyadicCell:
     i: int
     j: int
     level: int
-
-    @property
-    def edge(self) -> Fraction:
-        return Fraction(1, 2**self.level)
-
-    def corner_fractions(self):
-        d = 2**self.level
-        return Fraction(self.i, d), Fraction(self.j, d)
 
 
 def enumerate_squares(preset: IfsPreset, n: int) -> Iterator[SquareGeom]:
@@ -149,16 +128,6 @@ def vertices(sq: SquareGeom):
         TriadicPoint(sq.kx + 1, sq.ky + 1, n),
         TriadicPoint(sq.kx, sq.ky + 1, n),
     )
-
-
-def subdivision_cells(n: int) -> Iterator[DyadicCell]:
-    """The 4**n cells of the 2**n-fold subdivision, row-major."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    side = 2**n
-    for j in range(side):
-        for i in range(side):
-            yield DyadicCell(i, j, n)
 
 
 def similarity_dimension(preset: IfsPreset) -> float:

@@ -181,14 +181,6 @@ def get_smooth_preset(name: str) -> SmoothPreset:
     return SMOOTH_PRESETS[key]
 
 
-def closed_form_target(name: str) -> complex:
-    """Hand-derived value of the target integral for a named preset."""
-    target = get_smooth_preset(name).target
-    if target is None:
-        raise KeyError(f"preset {name!r} has no tabulated closed form")
-    return complex(target)
-
-
 # ---------------------------------------------------------------------------
 # smooth projection fields
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dustcocycle.cocycle import (
 from dustcocycle.fredholm import VertexValues, kernel_trace, kernel_trace_oracle
 from dustcocycle.geometry import enumerate_squares, get_preset, vertices
 from dustcocycle.cantor import image_cell
+from reference import floats
 
 DUST = get_preset("cantor-dust")
 SEED = 424242
@@ -101,7 +102,7 @@ def test_criterion_3_riemann_closed_form():
         for sq in enumerate_squares(DUST, n):
             vals = []
             for obs in (f, g, h):
-                pts = [v.as_floats() for v in vertices(sq)]
+                pts = [floats(v) for v in vertices(sq)]
                 vals.append(
                     VertexValues(*(complex(obs.rule(np.float64(x), np.float64(y))) for x, y in pts))
                 )
@@ -174,7 +175,7 @@ def test_criterion_6a_error_ratio_window(flux_values):
 
 def test_criterion_6b_convergence_to_flux_integral(flux_values):
     vals, elapsed = flux_values
-    target = dc.closed_form_target("bott-flux").real
+    target = dc.get_smooth_preset("bott-flux").target
     errs = [abs(vals[n] - target) for n in range(4, 12)]
     assert all(a > b for a, b in zip(errs, errs[1:])), "errors not strictly decreasing"
     assert errs[-1] < 0.1, f"|phi_11 - 2 pi^2| = {errs[-1]:.3f}"

@@ -1,18 +1,13 @@
-"""Staircase digit map, the recursive approximants, and image cells."""
+"""Staircase digit map, the recursive approximants (``reference.py``), and
+image cells."""
 
 from fractions import Fraction
 
 import pytest
 
-from dustcocycle.cantor import (
-    DigitMapError,
-    DyadicValue,
-    cantor_dyadic,
-    cantor_level,
-    dust_image,
-    image_cell,
-)
+from dustcocycle.cantor import DigitMapError, DyadicValue, cantor_dyadic, image_cell
 from dustcocycle.geometry import CANTOR_DUST, SquareGeom, TriadicPoint, enumerate_squares
+from reference import cantor_level, dust_image, floats, fractions
 
 
 class TestDigitMap:
@@ -40,10 +35,6 @@ class TestDigitMap:
     def test_monotone_in_numerator(self, n):
         vals = [cantor_dyadic(p, n).as_fraction() for p in range(3**n + 1)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_dyadic_value_cross_level_equality(self):
-        assert DyadicValue(1, 1) == DyadicValue(2, 2)
-        assert DyadicValue(1, 2) != DyadicValue(1, 1)
 
     def test_dyadic_value_range_checked(self):
         with pytest.raises(ValueError):
@@ -77,7 +68,7 @@ class TestRecursion:
         for n in range(1, 7):
             for sq in enumerate_squares(CANTOR_DUST, n):
                 for p in (sq.kx, sq.kx + 1):
-                    exact = cantor_dyadic(p, n).value
+                    exact = float(cantor_dyadic(p, n).as_fraction())
                     for m in range(n, n + 4):
                         assert cantor_level(p / 3**n, m) == pytest.approx(exact, abs=1e-12)
 
@@ -85,25 +76,25 @@ class TestRecursion:
 class TestDustImage:
     def test_origin(self):
         pt = dust_image(TriadicPoint(0, 0, 1))
-        assert pt.as_floats() == (0.0, 0.0)
+        assert floats(pt) == (0.0, 0.0)
 
     def test_plateau_point(self):
         # (1/3, 2/3) -> (1/2, 1/2): the staircase plateaus at 1/2 on the
         # middle third (recursion middle branch), so no reduction happens here
-        pt = dust_image(TriadicPoint(1, 2, 1))
-        assert pt.u.as_fraction() == Fraction(1, 2)
-        assert pt.v.as_fraction() == Fraction(1, 2)
+        u, v = dust_image(TriadicPoint(1, 2, 1))
+        assert u.as_fraction() == Fraction(1, 2)
+        assert v.as_fraction() == Fraction(1, 2)
         assert cantor_level(2.0 / 3.0, 6) == 0.5
 
     def test_boundary_identification(self):
         # (1/3, 1) -> (1/2, 1) -> (1/2, 0) on the torus
-        pt = dust_image(TriadicPoint(1, 3, 1))
-        assert pt.u.as_fraction() == Fraction(1, 2)
-        assert pt.v.as_fraction() == 0
+        u, v = dust_image(TriadicPoint(1, 3, 1))
+        assert u.as_fraction() == Fraction(1, 2)
+        assert v.as_fraction() == 0
 
     def test_level_two(self):
-        pt = dust_image(TriadicPoint(2, 2, 2))
-        assert (pt.u.as_fraction(), pt.v.as_fraction()) == (Fraction(1, 4), Fraction(1, 4))
+        u, v = dust_image(TriadicPoint(2, 2, 2))
+        assert (u.as_fraction(), v.as_fraction()) == (Fraction(1, 4), Fraction(1, 4))
 
 
 class TestImageCell:
@@ -115,12 +106,12 @@ class TestImageCell:
     def test_level_one_far_corner(self):
         sq = {s.word: s for s in enumerate_squares(CANTOR_DUST, 1)}[(3,)]
         cell = image_cell(sq)
-        assert cell.corner_fractions() == (Fraction(1, 2), Fraction(1, 2))
+        assert fractions(cell) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_level_two_mixed_word(self):
         sq = {s.word: s for s in enumerate_squares(CANTOR_DUST, 2)}[(0, 3)]
         cell = image_cell(sq)
-        assert cell.corner_fractions() == (Fraction(1, 4), Fraction(1, 4))
+        assert fractions(cell) == (Fraction(1, 4), Fraction(1, 4))
 
     def test_non_dust_square_raises(self):
         with pytest.raises(DigitMapError):

@@ -12,14 +12,9 @@ import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import pytest
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
+import jsonschema
 import numpy as np
+import pytest
 
 from dustcocycle import __version__, cli, cocycle
 from dustcocycle import _kernels as K
@@ -98,7 +93,6 @@ class TestConverge:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     def test_json_validates_against_shipped_schema(self, tmp_path):
         p = tmp_path / "report.json"
         code, _ = run_cli(
@@ -162,7 +156,6 @@ class TestLipschitz:
         code, _ = run_cli("lipschitz", "--functions", "bott-flux", "--n", "1..2")
         assert code == 2
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     @pytest.mark.parametrize("preset, functions", [
         ("cantor-dust", "linear-xy"), ("sierpinski-carpet", "sine-xy"),
     ])
@@ -189,7 +182,6 @@ class TestPairing:
         assert float(row["target_re"]) == pytest.approx(2.0, abs=1e-3)
         assert float(row["phi_re"]) == pytest.approx(2.0, abs=0.05)
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     def test_json_error_ratios_link_rows(self):
         code, out = run_cli(
             "pairing", "--n", "4..6", "--grid", "64", "--format", "json", "--workers", "2",
@@ -287,7 +279,6 @@ class TestRunFlagsOnlyWhereUsed:
 
 
 class TestReportRecords:
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     def test_phi_json_has_no_unfilled_residual_fields(self):
         code, out = run_cli("converge", "--functions", "bott-flux", "--n", "3", "--format", "json",
                             "--workers", "1")
@@ -401,7 +392,6 @@ class TestPointCommands:
         payload = json.loads(out)
         assert payload == {"p": 2, "n": 2, "fraction": "1/4", "value": 0.25}
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     @pytest.mark.parametrize("p, n", [(0, 0), (1, 0), (1, 1), (2, 2), (9, 2), (40, 4)])
     def test_cantor_json_validates_against_shipped_schema(self, p, n):
         code, out = run_cli("cantor", "--p", str(p), "--n", str(n), "--format", "json")
@@ -429,7 +419,6 @@ class TestPointCommands:
         assert code == 0
         assert json.loads(out)["dimension"].hex() == value
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     @pytest.mark.parametrize("preset", ["cantor-dust", "sierpinski-carpet", "full-subdivision-3"])
     def test_dimension_json_to_out_validates_against_shipped_schema(self, tmp_path, preset):
         p = tmp_path / "dimension.json"
@@ -455,7 +444,6 @@ class TestPointCommands:
         assert lines[0].startswith("quadrature ")
         assert lines[1] == "closed-form none"
 
-    @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
     @pytest.mark.parametrize("functions", ["bott-flux", "stokes-null", "bump-mix"])
     def test_oracle_json_to_out_validates_against_shipped_schema(self, tmp_path, functions):
         p = tmp_path / "oracle.json"
@@ -497,6 +485,20 @@ class TestExitCodes:
         code, _ = run_cli("converge", "--functions", "const-xy", "--n", "13")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: 67108864 squares exceed")
+
+    @pytest.mark.parametrize("preset", ["sierpinski-carpet", "full-subdivision-3"])
+    @pytest.mark.parametrize("flags", [(), ("--override-budget",)], ids=["", "override"])
+    def test_pullback_off_the_dust_refused_before_the_budget(self, monkeypatch, capsys, preset,
+                                                               flags):
+        """A pullback triple runs through the dust digit map only: on any
+        other preset ``converge`` says so, at any level and under any flag,
+        before the budget check would send it to ``--override-budget``."""
+        calls = self.engine_calls(monkeypatch)
+        code, out = run_cli("converge", "--preset", preset, "--functions", "bott-flux",
+                            "--n", "9", *flags)
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err == (
+            "error: pullback mode is defined through the dust digit map only\n")
 
     OVER_BUDGET = [
         (("converge", "--functions", "const-xy", "--n", "11..13"), 4**13, "scalar", 4**12),

@@ -31,8 +31,8 @@ from dustcocycle.cocycle import (
 )
 from dustcocycle.fredholm import VertexValues, kernel_trace_oracle
 from dustcocycle.geometry import BudgetError, IfsPreset, enumerate_squares, get_preset, vertices
-from dustcocycle.cantor import dust_image
 from dustcocycle.oracle import SMOOTH_PRESETS, TorusFunction, bott_projection, get_smooth_preset
+from reference import dust_image, floats
 from test_oracle import bump_mix_phi, pauli_pack
 
 DUST = get_preset("cantor-dust")
@@ -49,9 +49,9 @@ def brute_force_phi(preset, n, fns, pullback):
             per_vertex = []
             for v in vertices(sq):
                 if pullback:
-                    u, w = dust_image(v).as_floats()
+                    u, w = floats(dust_image(v))
                 else:
-                    u, w = v.as_floats()
+                    u, w = floats(v)
                 per_vertex.append(complex(fn(np.float64(u), np.float64(w))))
             vals.append(VertexValues(*per_vertex))
         total += kernel_trace_oracle(*vals)
@@ -89,7 +89,7 @@ class TestClosedForms:
             want = 0j
             for sq in enumerate_squares(DUST, n):
                 vals = VertexValues(
-                    *(pauli_pack(p.rule(*np.asarray(dust_image(v).as_floats())))
+                    *(pauli_pack(p.rule(*np.asarray(floats(dust_image(v)))))
                       for v in vertices(sq))
                 )
                 want += kernel_trace_oracle(vals, vals, vals)
@@ -292,7 +292,7 @@ class TestLipschitzDecay:
     def square_corners(preset, n):
         """The float corners v0..v3 of every level-n square, from geometry's
         own enumeration, read-only: enumerated once per level."""
-        corners = np.array([[v.as_floats() for v in vertices(sq)]
+        corners = np.array([[floats(v) for v in vertices(sq)]
                             for sq in enumerate_squares(preset, n)])
         corners.flags.writeable = False
         return corners
@@ -611,7 +611,7 @@ class TestMatrixKind:
             want = 0j
             for sq in enumerate_squares(DUST, n):
                 vals = VertexValues(
-                    *(pauli_pack(rule(*np.asarray(v.as_floats()))) for v in vertices(sq))
+                    *(pauli_pack(rule(*np.asarray(floats(v)))) for v in vertices(sq))
                 )
                 want += kernel_trace_oracle(vals, vals, vals)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
@@ -736,8 +736,9 @@ class TestNonFiniteSums:
         g = direct_scalar(lambda u, v: np.asarray(u) * 4.4e155, "big x")
         h = direct_scalar(lambda u, v: np.asarray(v) * 4.4e155, "big y")
         source = cocycle._direct_source(DUST, 9)
+        ws = cocycle.K.Workspace()
         for lo in range(0, 4**9, source.tile.order.size):
-            assert np.isfinite(cocycle._leaf_sums_for_range(source, lo, (one, g, h))).all()
+            assert np.isfinite(cocycle._leaf_sums_for_range(source, lo, (one, g, h), ws, None)).all()
         with pytest.raises(ValueError, match=self.refused(("one", "big x", "big y"), 9)):
             phi_n(DUST, 9, one, g, h, workers=workers)
 

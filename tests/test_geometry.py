@@ -1,4 +1,5 @@
-"""IFS enumeration, exact coordinates, subdivision cells, similarity dimension."""
+"""IFS enumeration, exact coordinates, subdivision cells (``reference.py``),
+similarity dimension."""
 
 import math
 from fractions import Fraction
@@ -14,9 +15,9 @@ from dustcocycle.geometry import (
     enumerate_squares,
     get_preset,
     similarity_dimension,
-    subdivision_cells,
     vertices,
 )
+from reference import edge, fractions, subdivision_cells
 
 
 class TestPresets:
@@ -43,12 +44,12 @@ class TestEnumeration:
         (sq,) = enumerate_squares(CANTOR_DUST, 0)
         assert sq.word == ()
         assert (sq.kx, sq.ky) == (0, 0)
-        assert sq.edge == 1
+        assert edge(sq) == 1
 
     def test_level_one_corners(self):
         sqs = list(enumerate_squares(CANTOR_DUST, 1))
         assert [(s.kx, s.ky) for s in sqs] == [(0, 0), (0, 2), (2, 0), (2, 2)]
-        assert all(s.edge == Fraction(1, 3) for s in sqs)
+        assert all(edge(s) == Fraction(1, 3) for s in sqs)
 
     def test_level_two_word_composition(self):
         # first map then fourth map: corner lands at (2, 2)/9
@@ -72,7 +73,7 @@ class TestEnumeration:
 
     def test_edge_times_power_is_one(self):
         for sq in enumerate_squares(CANTOR_DUST, 5):
-            assert sq.edge * 3**5 == 1
+            assert edge(sq) * 3**5 == 1
 
     def test_level_guard(self):
         """The stream obeys the engine's scalar square budget, nmaps**n <= 4**12."""
@@ -121,7 +122,7 @@ class TestVertices:
         sqs = {s.word: s for s in enumerate_squares(CANTOR_DUST, 1)}
         v2 = vertices(sqs[(3,)])[2]
         assert (v2.px, v2.py, v2.level) == (3, 3, 1)
-        assert v2.as_fractions() == (Fraction(1), Fraction(1))
+        assert fractions(v2) == (Fraction(1), Fraction(1))
 
     def test_level_two_up_vertex(self):
         sqs = {(s.kx, s.ky): s for s in enumerate_squares(CANTOR_DUST, 2)}
@@ -143,7 +144,7 @@ class TestSubdivision:
     def test_level_one_row_major(self):
         cells = list(subdivision_cells(1))
         assert [(c.i, c.j) for c in cells] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert [c.corner_fractions() for c in cells] == [
+        assert [fractions(c) for c in cells] == [
             (0, 0),
             (Fraction(1, 2), 0),
             (0, Fraction(1, 2)),
@@ -153,7 +154,7 @@ class TestSubdivision:
     def test_level_three_count_and_edges(self):
         cells = list(subdivision_cells(3))
         assert len(cells) == 64
-        assert all(c.edge == Fraction(1, 8) for c in cells)
+        assert all(edge(c) == Fraction(1, 8) for c in cells)
 
 
 class TestSimilarityDimension:

@@ -8,6 +8,11 @@ by side, for instance to compare two versions pass against pass.
 Importing it pulls in neither ``concurrent.futures`` nor ``logging``: a sum
 runs its tasks on plain threads, and the two modules cost several ms of
 every process's start.
+
+The tests' exact references, ``tests/reference.py``, import no engine
+module (``dustcocycle.cocycle``, ``dustcocycle._kernels``): what they
+compute comes from the digit rule and the square stream alone, never from
+the sums they check.
 """
 
 import ast
@@ -19,6 +24,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dustcocycle"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
+ENGINE = ("dustcocycle.cocycle", "dustcocycle._kernels")
 
 
 def absolute_self_imports(tree):
@@ -34,6 +41,22 @@ def absolute_self_imports(tree):
         for name in names:
             if name == "dustcocycle" or name.startswith("dustcocycle."):
                 yield node.lineno, name
+
+
+def engine_imports(tree):
+    """(line, module) of every import of an engine module in a parsed
+    module, ``from dustcocycle import cocycle`` read as an import of
+    ``dustcocycle.cocycle``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        for module in ENGINE:
+            if any(name == module or name.startswith(module + ".") for name in names):
+                yield node.lineno, module
 
 
 def test_sources_found():
@@ -68,3 +91,20 @@ def test_import_pulls_in_no_executor_or_logging():
     out = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == [str(PACKAGE / "__init__.py"), "[]"]
+
+
+def test_reference_imports_no_engine_module():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"), filename=str(REFERENCE))
+    assert list(engine_imports(tree)) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import dustcocycle.cocycle", [(1, "dustcocycle.cocycle")]),
+    ("from dustcocycle import _kernels as K, cantor", [(1, "dustcocycle._kernels")]),
+    ("from dustcocycle.cocycle import phi_n, word_count", [(1, "dustcocycle.cocycle")]),
+    ("def f():\n    import dustcocycle._kernels.x", [(2, "dustcocycle._kernels")]),
+    ("import dustcocycle\nfrom dustcocycle.cantor import cantor_dyadic", []),
+    ("from dustcocycle.geometry import vertices\nfrom . import cocycle", []),
+])
+def test_checker_finds_engine_imports(source, found):
+    assert list(engine_imports(ast.parse(source))) == found

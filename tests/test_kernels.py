@@ -255,10 +255,6 @@ class TestEdgeKernelsMatchCornerForm:
                 assert np.array_equal(x, want[lo:hi])
             for x, want in zip(K.corners(a, cells, lo, hi), (v0, v1, v2, v3)):
                 assert np.array_equal(x, want[lo:hi])
-        # by default, every cell
-        for x, want in zip(K.edges(a, cells, lambda _, x, y: x - y), (v1 - v0, v2 - v3, v3 - v0,
-                                                                        v2 - v1)):
-            assert np.array_equal(x, want)
 
     def test_shifted_cells_are_the_lattice_squares(self, rng):
         """On a plain lattice, the corners of cell i w + j, j < w - 1, are

@@ -138,8 +138,9 @@ def reference_leaf_sums(case, w_lo, observables):
 
 
 def _assert_matches_reference(case, w_lo, observables):
-    np.testing.assert_array_equal(_leaf_sums_for_range(case.source, w_lo, observables),
-                                  reference_leaf_sums(case, w_lo, observables))
+    np.testing.assert_array_equal(
+        _leaf_sums_for_range(case.source, w_lo, observables, K.Workspace(), None),
+        reference_leaf_sums(case, w_lo, observables))
 
 
 def _draw_tile(draw, case):
@@ -215,7 +216,7 @@ class TestLatticeMatchesReference:
     def test_matrix_leaf_sums_match_matmul_reference(self, case):
         """Each leaf within 1e-13 of the sum of its squares' rounding scales."""
         case, w_lo, obs = case
-        got = _leaf_sums_for_range(case.source, w_lo, obs)
+        got = _leaf_sums_for_range(case.source, w_lo, obs, K.Workspace(), None)
         corners = [[bloch_matrices(x) for x in c] for c in _corner_values(case, w_lo, obs)]
         want = K.leaf_sums(matmul_reference(*corners[0], *corners[1], *corners[2]), LEAF)
         scale = K.leaf_sums(rounding_scale(*corners), LEAF).real
@@ -562,8 +563,8 @@ class TestRealValuesStayReal:
         real = tuple(Observable("re", mode, "scalar", r) for r in rules)
         cplx = tuple(Observable("c", mode, "scalar", _as_complex(r)) for r in rules)
         assert real[0].evaluate(np.zeros(3), np.zeros(3)).dtype == np.float64
-        got = _leaf_sums_for_range(source, w_lo, real)
-        want = _leaf_sums_for_range(source, w_lo, cplx)
+        got = _leaf_sums_for_range(source, w_lo, real, K.Workspace(), None)
+        want = _leaf_sums_for_range(source, w_lo, cplx, K.Workspace(), None)
         assert got.dtype == np.complex128
         np.testing.assert_array_equal(got, want)
 
@@ -662,7 +663,7 @@ class TestZeroEdgeDetection:
 
         for name, (rule, pattern) in self.RULES.items():
             obs = Observable(name, mode, "scalar", recorded(name, rule))
-            (a,) = cocycle._operands(src, 0, (obs,), K.Workspace())
+            (a,) = cocycle._operands(src, 0, (obs,), K.Workspace(), None)
             assert a.shape == shapes[pattern], name
             assert np.shares_memory(a, returned[name]) or np.ndim(returned[name]) == 0
             assert a.ndim == (1 if pattern == "full" else tile.dx.ndim)
@@ -696,7 +697,7 @@ class TestZeroEdgeDetection:
             (("both", "constant", "v only"), False),
         ):
             ws = K.Workspace()
-            f, g, h = cocycle._operands(src, 0, [obs[n] for n in names], ws)
+            f, g, h = cocycle._operands(src, 0, [obs[n] for n in names], ws, None)
             assert f.ndim == 1 and f.size == self.lattice_size(tile)
             if compact:
                 assert g.shape == tile.dx.shape and np.shares_memory(g, returned[names[1]])
@@ -726,7 +727,7 @@ class TestZeroEdgeDetection:
         col = Observable("v only", "pullback", "scalar", recorded(
             lambda u, v: np.where(v == 0.25, bad, np.cos(TWO_PI * v))))
         f = Observable("uv", "pullback", "scalar", lambda u, v: u * v)
-        _, g, h = cocycle._operands(src, 0, (f, row, col), K.Workspace())
+        _, g, h = cocycle._operands(src, 0, (f, row, col), K.Workspace(), None)
         assert g.shape == src.tile.dx.shape and np.shares_memory(g, returned[0])
         assert h.shape == src.tile.dy.shape and np.shares_memory(h, returned[1])
         seen = []

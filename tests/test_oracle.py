@@ -13,7 +13,6 @@ from dustcocycle.oracle import (
     _spectral_partial,
     bott_projection,
     chern_pairing_oracle,
-    closed_form_target,
     get_smooth_preset,
     wedge_quadrature,
 )
@@ -227,9 +226,9 @@ class TestCatalogue:
         assert q == pytest.approx(sp.target, abs=1e-8)
 
     def test_known_targets(self):
-        assert closed_form_target("bott-flux") == pytest.approx(2 * math.pi**2)
-        assert closed_form_target("stokes-null") == 0
-        assert closed_form_target("double-flux") == pytest.approx(4 * math.pi**2)
+        assert get_smooth_preset("bott-flux").target == pytest.approx(2 * math.pi**2)
+        assert get_smooth_preset("stokes-null").target == 0
+        assert get_smooth_preset("double-flux").target == pytest.approx(4 * math.pi**2)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
@@ -237,8 +236,6 @@ class TestCatalogue:
 
     def test_probe_preset_has_no_closed_form(self):
         assert SMOOTH_PRESETS["bump-mix"].target is None
-        with pytest.raises(KeyError):
-            closed_form_target("bump-mix")
 
     # the one-coordinate rules as they were, multiplied out to the full shape
     FULL_RULES = {

@@ -1,41 +1,55 @@
-"""Every statement of the hot path is reached by the traffic it serves.
+"""Every statement of the package is reached by the traffic it serves.
 
-The engine's two hot modules, ``_kernels.py`` and ``cocycle.py``, hold no
-branch that neither the command line nor the benchmark takes.  This runs,
-in one process and under a line tracer (``sys.settrace`` and, for the sums'
-worker threads, ``threading.settrace``):
+No module of ``src/dustcocycle`` holds a branch that neither the command
+line nor the benchmark takes: what only tests call lives in ``tests/``
+(``tests/reference.py``).  This runs, in one process and under a line
+tracer (``sys.settrace`` and, for the sums' worker threads,
+``threading.settrace``):
 
 * the table commands at 1 and 2 workers from n = 0: ``converge`` on the
   pullback triples ``bott-flux`` and ``mixed-mode``, ``lipschitz`` on the
   direct triples ``const-xy``, ``linear-xy`` and ``sine-xy`` on all three
   presets (``full-subdivision-3`` up to n = 5, an odd leaf count), one
   single-level ``converge`` and ``pairing --n 0..9 --grid 64``;
-* ``selftest``;
+* ``pairing --degree 0``, the point commands ``cantor`` (text and JSON),
+  ``dimension`` and ``oracle`` on a trigonometric triple and on
+  ``bump-mix``, which has no closed form, and ``selftest``;
 * one sum without ``--workers`` with ``DUSTCOCYCLE_WORKERS`` set, and one
   with it unset;
+* a JSON report written with ``--out``, one with no ``git`` on the
+  ``PATH`` (the build id's fallback), and two usage errors that exit 2: a
+  negative level apart from its flag, and ``--out`` into a missing
+  directory;
 * the benchmark's three workloads (``perfbench/workloads.py``, which this
   only reads) at their quick sizes, one pass at each worker count.
 
-Then every statement in a function of the two modules must have run.
-Excepted are a ``raise``, the rest of an ``if`` or ``else`` body that ends
-in one, ``global`` lines, and the entries of :data:`ALLOWED`: API that the
-acceptance suite calls, and values that no catalogue triple has.
+The modules are found by a glob, so a new one is traced too.  Then every
+statement in a function of them must have run.  Excepted are a ``raise``,
+the rest of an ``if`` or ``else`` body that ends in one, ``global`` lines,
+and the entries of :data:`ALLOWED`, each with its reason.  The build id's
+git branch runs where the package sits in its git checkout, as it does
+under the suite.
 """
 
 import ast
+import importlib
 import importlib.util
 import io
 import sys
 import threading
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from dustcocycle import _kernels, cli, cocycle
+import dustcocycle
+from dustcocycle import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = (_kernels, cocycle)
+MODULES = tuple(
+    importlib.import_module("dustcocycle" if path.stem == "__init__" else f"dustcocycle.{path.stem}")
+    for path in sorted(Path(dustcocycle.__file__).parent.glob("*.py"))
+)
 
 # A function name excepts every statement of that function; "name: source"
 # the statement of that function whose first line is that source.
@@ -44,6 +58,23 @@ ALLOWED = (
     "cyclicity_residual",  # the acceptance suite's cocycle residuals
     "hochschild_residual",
     "_top: return np.abs(x).max()",  # complex values: every catalogue triple is real
+    # matrix values: acceptance criterion 2 compares them with
+    # kernel_trace_oracle on 200 matrix triples; the commands check the
+    # engine's matrix kernel against the oracle instead
+    "kernel_trace: t = f.value(0) @ (d(g, 0, 1) @ d(h, 1, 2) - d(g, 0, 3) @ d(h, 3, 2))",
+    "kernel_trace: t += f.value(2) @ (d(g, 2, 3) @ d(h, 3, 0) - d(g, 2, 1) @ d(h, 1, 0))",
+    "kernel_trace: t -= f.value(1) @ (d(g, 1, 0) @ d(h, 0, 3) - d(g, 1, 2) @ d(h, 2, 3))",
+    "kernel_trace: t -= f.value(3) @ (d(g, 3, 2) @ d(h, 2, 1) - d(g, 3, 0) @ d(h, 0, 1))",
+    "kernel_trace: return complex(0.5 * np.trace(t))",
+    # runs at import, for the catalogue, before the trace starts
+    '_bump: return TorusFunction(f"bump[{mix},{shift_u},{shift_v}]", fn)',
+    # run only when a check fails: the failed identity's name, and
+    # selftest's record and report of a failed check
+    "ConstantsReport.first_violation: return name, dev",
+    "_cmd_selftest.fail_if: failures.append(failure)",
+    "_cmd_selftest: bad += 1",
+    r'_cmd_selftest: print("\n".join(f"FAIL {msg}" for msg in failures), file=sys.stderr)',
+    "_cmd_selftest: return 1",
 )
 
 
@@ -59,14 +90,14 @@ def _load(name):
     return module
 
 
-def _cli(*argv):
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(list(argv)) == 0, argv
+def _cli(*argv, code=0):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == code, argv
 
 
-def _traffic():
+def _traffic(tmp_path):
     """The command-line and benchmark runs whose statements must cover the
-    hot modules."""
+    package; ``tmp_path`` takes the reports written with ``--out``."""
     for workers in ("1", "2"):
         run = ("--workers", workers, "--no-timing")
         for functions in ("bott-flux", "mixed-mode"):
@@ -77,12 +108,23 @@ def _traffic():
                      "--n", f"0..{top}", *run)
         _cli("converge", "--functions", "bott-flux", "--n", "5", "--format", "json", *run)
         _cli("pairing", "--n", "0..9", "--grid", "64", *run)
+    _cli("pairing", "--degree", "0", "--n", "4", "--grid", "64")
+    for fmt in ("csv", "json"):
+        _cli("cantor", "--p", "7", "--n", "2", "--format", fmt)
+    _cli("dimension", "--preset", "sierpinski-carpet")
+    for functions in ("bott-flux", "bump-mix"):
+        _cli("oracle", "--functions", functions, "--grid", "64")
     _cli("selftest")
     with pytest.MonkeyPatch.context() as env:
         env.setenv("DUSTCOCYCLE_WORKERS", "2")
         _cli("converge", "--functions", "bott-flux", "--n", "9", "--no-timing")
         env.delenv("DUSTCOCYCLE_WORKERS")
         _cli("converge", "--functions", "bott-flux", "--n", "2", "--no-timing")
+        _cli("converge", "--n", "3", "--format", "json", "--out", str(tmp_path / "report.json"))
+        env.setenv("PATH", str(tmp_path))  # no git: the build id is the version alone
+        _cli("converge", "--n", "3", "--format", "json")
+    _cli("pairing", "--n", "-1..3", code=2)
+    _cli("converge", "--n", "3", "--out", str(tmp_path / "missing" / "report.csv"), code=2)
     tracer, workloads = _load("tracer"), _load("workloads")
     for name in workloads.WORKLOADS:
         work = workloads.make(name, 7, tracer.Meter(), quick=True)
@@ -90,7 +132,7 @@ def _traffic():
             work.run_pass(workers)
 
 
-def _reached_lines():
+def _reached_lines(tmp_path):
     """{module file: the lines of it that :func:`_traffic` runs}, from cold
     tile caches.  A frame's ``co_filename`` is its module's ``__file__``."""
     files = {m.__file__: set() for m in MODULES}
@@ -115,7 +157,7 @@ def _reached_lines():
     sys.settrace(on_call)
     threading.settrace(on_call)
     try:
-        _traffic()
+        _traffic(tmp_path)
     finally:
         sys.settrace(old)
         threading.settrace(old_threads)
@@ -170,12 +212,12 @@ def _allowed(name, source):
     return name in ALLOWED or f"{name}: {source}" in ALLOWED
 
 
-def test_every_hot_statement_is_reached():
+def test_every_hot_statement_is_reached(tmp_path):
     """A statement runs when a line of it does: a compound statement's
     lines are its header's and its body's, so any of them running means
     the header ran."""
     missed = []
-    for path, lines in _reached_lines().items():
+    for path, lines in _reached_lines(tmp_path).items():
         for name, stmt, source in _statements(path):
             if _allowed(name, source):
                 continue

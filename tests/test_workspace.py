@@ -203,12 +203,12 @@ class TestWorkspaceReuse:
         # another level, lattice shape and kind
         task_b = (_subdivision_source(5), 0, _observables("scalar"))
         ws = K.Workspace()
-        first = _leaf_sums_for_range(*task_a, ws)
-        other = _leaf_sums_for_range(*task_b, ws)
-        again = _leaf_sums_for_range(*task_a, ws)
+        first = _leaf_sums_for_range(*task_a, ws, None)
+        other = _leaf_sums_for_range(*task_b, ws, None)
+        again = _leaf_sums_for_range(*task_a, ws, None)
         assert_bits_equal(again, first)
-        assert_bits_equal(first, _leaf_sums_for_range(*task_a))
-        assert_bits_equal(other, _leaf_sums_for_range(*task_b))
+        assert_bits_equal(first, _leaf_sums_for_range(*task_a, K.Workspace(), None))
+        assert_bits_equal(other, _leaf_sums_for_range(*task_b, K.Workspace(), None))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_workspace_per_thread_released_on_return(self, monkeypatch, workers):
