@@ -121,18 +121,21 @@ difference: where a product A B overflows (edge differences of Bloch vectors
 of about 1e154 and more) or an input is not finite, the real part is NaN on
 a copy of g and +0 when h is g.
 
-Dtypes: the scalar kernel's temporaries take the dtype ``np.result_type`` of
-the three lattices, so real vertex values (every preset triple) run as
-float64, at half the bytes and a quarter of the multiplies of complex ones.
-The result is always complex128; the last step of each block casts into it.
-For real inputs its real part is bitwise that of the same inputs cast to
-complex (up to the sign of an exact zero), because a complex product or
-difference of values with zero imaginary parts rounds its real part exactly
-as the real operation does.  Leaf sums therefore still add complex values,
-which matters: numpy groups the pairwise sums of a real and of a complex
-array differently, so a float64 leaf sum would change the last bits.  A
-leaf sum depends only on its own <= 4096 values, which is what makes results
-bit-identical across worker counts.
+Dtypes: the scalar kernel's temporaries and result take the dtype
+``np.result_type`` of the three lattices, so real vertex values (every
+preset triple) run as float64, at half the bytes and a quarter of the
+multiplies of complex ones, and stay float64 through the gather in word
+order.  For real inputs the result is bitwise the real part of the same
+inputs cast to complex (up to the sign of an exact zero), whose imaginary
+part is +0, because a complex product or difference of values with zero
+imaginary parts rounds its real part exactly as the real operation does.
+Leaf sums still add complex values, which matters: numpy groups the
+pairwise sums of a real and of a complex array differently, so a float64
+leaf sum would change the last bits.  :func:`leaf_sums` casts each real
+leaf to complex128 inside the reduction, in one pass of numpy's ufunc
+buffer as long as a leaf fits it, which gives the complex sum's bits.  A
+leaf sum depends only on its own <= 4096 values, which is what makes
+results bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -355,13 +358,16 @@ def scalar_kernel(f, g, h, *, cells, out=None):
 
     ``f``, ``g`` and ``h`` are flat (N,) vertex lattices, real or complex;
     ``cells = ((o0, o1, o2, o3), count)`` puts the corners v0..v3 of cell k
-    at k + o0, ..., k + o3 (see the module docstring).  The result, a
-    complex128 array of ``count`` values, is
+    at k + o0, ..., k + o3 (see the module docstring).  The result, an
+    array of ``count`` values in the dtype of the temporaries (float64 for
+    real f, g and h, else complex128), is
     0.5 * (f0 b1 + f2 b2 - f1 b3 - f3 b4) with b1 = (g1-g0)(h2-h1) -
     (g3-g0)(h2-h3) and b2..b4 its rotations, computed on the x- and y-edge
     differences of g and h.  ``out`` is the :class:`Workspace` that holds the
     result and the temporaries (the result is overwritten by the next kernel
-    call on it); by default a fresh one.
+    call on it); by default a fresh one.  A float64 result keeps the bits of
+    its complex sums: :func:`leaf_sums` casts it leaf by leaf, which holds
+    while numpy's ufunc buffer (``np.getbufsize()``) holds a whole leaf.
 
     A row g (values of x only) and a column h (of y only) may instead come
     compact, in the shapes the engine evaluates them in: (1, W) and (H, 1)
@@ -373,7 +379,7 @@ def scalar_kernel(f, g, h, *, cells, out=None):
     """
     ws = Workspace() if out is None else out
     dtype = np.result_type(f, g, h)
-    result = ws.take("kernel.result", (cells[1],))
+    result = ws.take("kernel.result", (cells[1],), dtype)
     if g.ndim > 1:
         if cells[1] > 1:
             _separable(f, g, h, cells, dtype, ws, result)
@@ -399,7 +405,7 @@ def scalar_kernel(f, g, h, *, cells, out=None):
             t *= F
             if k:
                 acc += t
-        np.multiply(0.5, acc, out=result[lo:hi])  # casts a real block
+        np.multiply(0.5, acc, out=result[lo:hi])
     return result
 
 
@@ -427,7 +433,7 @@ def _separable(f, g, h, cells, dtype, ws, result):
             np.multiply(P, F, out=t)
             if t is s:
                 acc += s
-        np.multiply(0.5, acc, out=result[lo:hi])  # casts a real block
+        np.multiply(0.5, acc, out=result[lo:hi])
 
 
 def matrix_kernel(f, g, h, *, cells, out=None):
@@ -529,18 +535,29 @@ def _block(terms, symmetric, ws, parts):
 
 
 def leaf_sums(vals, leaf):
-    """Sum ``vals`` in fixed blocks of ``leaf`` consecutive entries.
+    """Complex sums of ``vals`` in fixed blocks of ``leaf`` consecutive
+    entries.
 
     Each block is reduced independently (numpy pairwise row sums), so the
-    output never depends on how the caller chunked the value stream.
+    output never depends on how the caller chunked the value stream.  Real
+    ``vals`` are cast to complex128 inside the reduction, which numpy does
+    in one pass of its ufunc buffer for a block that fits the buffer, so
+    each sum is bit for bit that of the block cast to complex first.  A
+    buffer smaller than ``leaf`` (``np.setbufsize``, per thread; the
+    default is 8192) would cast in pieces and change the bits, so it raises
+    ValueError.
     """
+    if np.getbufsize() < leaf:
+        raise ValueError(f"numpy's buffer size {np.getbufsize()} is smaller than a leaf of {leaf} "
+                         "values, so leaf sums would not keep their bits; see np.setbufsize")
     m = vals.shape[0]
     nfull = m // leaf
     out = np.empty(nfull + (1 if m % leaf else 0), dtype=np.complex128)
     if nfull:
-        out[:nfull] = vals[: nfull * leaf].reshape(nfull, leaf).sum(axis=1)
+        np.add.reduce(vals[: nfull * leaf].reshape(nfull, leaf), axis=1, dtype=np.complex128,
+                      out=out[:nfull])
     if m % leaf:
-        out[nfull] = vals[nfull * leaf :].sum()
+        out[nfull] = vals[nfull * leaf :].sum(dtype=np.complex128)
     return out
 
 

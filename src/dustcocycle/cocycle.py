@@ -83,7 +83,8 @@ column of its near and far rows, whose corners v0..v3 are four contiguous h w bl
 block of consecutive cells the kernel reads f at the corners v0..v3 and g
 and h as their x- and y-edge differences, each edge two cells share
 subtracted once, every operand one contiguous slice.  Real rules stay
-float64 up to the kernel's complex result; a matrix observable's values
+float64 through the kernel's result and its gather in word order, up to
+the complex leaf sums; a matrix observable's values
 are its (3, N) float64 Bloch vectors, read the same way.
 :func:`estimate_lipschitz` takes, per observable, the sup of the values
 and the largest edge difference over the tile's own cells
@@ -111,6 +112,7 @@ as long (2-core Xeon VM).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from contextlib import suppress
@@ -292,13 +294,13 @@ def validate_projection(obs: Observable, n: int):
     of u and a (2**m, 1) column of v.  For e = (I + n . sigma) / 2,
     e^2 - e = (|n|^2 - 1) I / 4, and e = e* holds by construction.
 
-    A negative level raises ValueError before any evaluation; a field that
-    is not a projection raises one ValueError, also where |n|^2 overflows.
+    A level that is not an integer >= 0 raises ValueError before any
+    evaluation (:func:`_check_level`); a field that is not a projection
+    raises one ValueError, also where |n|^2 overflows.
     """
     if obs.kind != "matrix":
         raise ValueError("projection check needs a matrix observable")
-    if n < 0:
-        raise ValueError("level must be >= 0")
+    _check_level(n)
     m = min(n, _PROJECTION_LEVEL)
     grid = np.arange(1 << m) / float(1 << m)
     b = obs.evaluate(grid[None, :], grid[:, None])
@@ -660,10 +662,10 @@ def _leaf_sums_for_range(source, lo, observables, ws, maxima):
     """
     kernel = K.matrix_kernel if observables[0].kind == "matrix" else K.scalar_kernel
     tile = source.tile
-    vals = ws.take("reordered", tile.order.shape)
     if maxima is not None:
         maxima[...] = 0.0
     result = kernel(*_operands(source, lo, observables, ws, maxima), cells=tile.cells, out=ws)
+    vals = ws.take("reordered", tile.order.shape, result.dtype)  # float64 for a real triple
     # under the default mode="raise", numpy buffers ``out`` (a copy per tile)
     np.take(result, tile.order, out=vals, mode="clip")
     return K.leaf_sums(vals, LEAF)
@@ -790,17 +792,27 @@ def check_preset(preset, mode):
                          f"with offsets {preset.offsets}")
 
 
+def _check_level(n):
+    """Refuse, with ValueError, a level that is not an integer >= 0.  A bool
+    or a non-integer (3.0 among them) is named in the message; NumPy
+    integers pass."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"level must be an integer, not {n!r}")
+    if n < 0:
+        raise ValueError("level must be >= 0")
+
+
 def word_count(nmaps, n, kind, allow_large):
     """nmaps**n, the number of level-n words, after the checks every sum and
-    estimate makes before any tile is built, in this order: a negative level
-    and word indices that would overflow int64 raise ValueError, and more
+    estimate makes before any tile is built, in this order: a level that is
+    not an integer >= 0 (:func:`_check_level`) and word indices that would
+    overflow int64 raise ValueError, and more
     words than the square budget of ``kind`` ('scalar' or 'matrix') raise
     BudgetError unless ``allow_large``.  A level range passes every check
     where its smallest and largest level do, so the command line checks a
     range at its two ends before any sum."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    total = nmaps**n
+    _check_level(n)
+    total = nmaps ** int(n)  # a Python int: a NumPy one would wrap past int64
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"{nmaps}**{n} level-{n} words overflow 64-bit word indices")
     cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX
@@ -843,6 +855,7 @@ def phi_n(
     kind, mode = _check_triple(f, g, h)
     check_preset(preset, mode)
     total = word_count(preset.nmaps, n, kind, allow_large)
+    n = int(n)  # a NumPy level's arithmetic could wrap
     workers = resolve_workers(workers)
     source = _pullback_source(n) if mode == "pullback" else _direct_source(preset, n)
     direct = kind == "scalar" and mode == "direct"
@@ -873,6 +886,7 @@ def phi_subdivision(
     :func:`phi_n`.
     """
     total = word_count(4, n, "scalar", False)
+    n = int(n)  # a NumPy level's arithmetic could wrap
     workers = resolve_workers(workers)
     obs = [pullback_scalar(t) for t in (ftilde, gtilde, htilde)]
     return _sum_kernel(_subdivision_source(n), n, total, *obs, workers)
@@ -1029,6 +1043,7 @@ def estimate_lipschitz(
         raise ValueError("Lipschitz estimation applies to direct scalar observables")
     check_preset(preset, obs.mode)
     total = word_count(preset.nmaps, n, obs.kind, allow_large)
+    n = int(n)  # a NumPy level's arithmetic could wrap
     offsets, level, triple, maxima, _ = _last_direct or (None, None, (), None, False)
     place = next((i for i, o in enumerate(triple) if o is obs), None)
     if place is not None and (offsets, level) == (preset.offsets, n):

@@ -933,6 +933,58 @@ class TestWordIndexOverflow:
             word_count(4, 11, "matrix", False)
         assert word_count(4, 10, "matrix", False) == 4**10
 
+    @staticmethod
+    def recorded_call(entry, level, calls):
+        """A call of ``entry`` at ``level`` whose rules append to ``calls``
+        each time they are evaluated."""
+        def rule(u, v):
+            calls.append((u, v))
+            return np.asarray(u, dtype=np.float64) + v
+
+        def field(u, v):
+            calls.append((u, v))
+            return bott_projection(1)(u, v)
+
+        pullback = Observable("rec", "pullback", "scalar", rule)
+        return {
+            "phi_n": lambda: phi_n(DUST, level, pullback, pullback, pullback, workers=1),
+            "estimate_lipschitz": lambda: estimate_lipschitz(DUST, level, direct_scalar(rule, "rec")),
+            "phi_subdivision": lambda: phi_subdivision(level, rule, rule, rule, workers=1),
+            "pairing_n": lambda: pairing_n(
+                DUST, level, Observable("rec", "pullback", "matrix", field, dim=2), workers=1),
+        }[entry]
+
+    ENTRIES = ["phi_n", "estimate_lipschitz", "phi_subdivision", "pairing_n"]
+
+    @pytest.mark.parametrize("level", [True, False, np.bool_(True), 3.0, np.float64(2.0), "3"],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_level_not_an_integer_refused_before_any_evaluation(self, entry, level):
+        """A bool (True would sum level 1) or a non-integer level raises
+        ValueError naming it, before any rule is evaluated: 3.0 used to pass
+        the level check and fail deep in the tile code."""
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"level must be an integer, not {level!r}")):
+            self.recorded_call(entry, level, calls)()
+        assert not calls
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_numpy_integer_level_is_the_level(self, entry):
+        calls = []
+        want = self.recorded_call(entry, 4, calls)()
+        for level in (np.int64(4), np.int32(4), np.uint8(4)):
+            got = self.recorded_call(entry, level, calls)()
+            assert np.array_equal(np.atleast_1d(got).view(np.float64),
+                                  np.atleast_1d(want).view(np.float64))
+
+    def test_numpy_integer_level_overflow_refused(self):
+        """Word indices are counted in Python ints, so a NumPy level whose
+        word count wraps past int64 is refused as an int level is."""
+        from dustcocycle.cocycle import word_count
+
+        with pytest.raises(ValueError, match="overflow"):
+            word_count(9, np.int64(20), "scalar", True)
+
 
 class TestThreadPool:
     """A sum hands its task indices out from one shared iterator to

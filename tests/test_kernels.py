@@ -173,6 +173,17 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
+def assert_corner_form_bits(got, want):
+    """A kernel's values ``got`` are the corner form's ``want`` bit for bit,
+    where +0.0 and -0.0 may trade places at an exact zero.  The corner form
+    casts its result to complex128: a real call's float64 values are then
+    its real part, and its imaginary part is +0.0 everywhere."""
+    if got.dtype == np.float64:
+        assert not want.imag.view(np.uint64).any()
+        want = want.real
+    assert_bits_equal(got + 0.0, want + 0.0)
+
+
 @st.composite
 def _lattice_cases(draw):
     """(kind, f, g, h, cells): flat lattices of every layout the engine
@@ -220,9 +231,9 @@ class TestEdgeKernelsMatchCornerForm:
                              else (K.scalar_kernel, reference_scalar_kernel))
         got = kernel(f, g, h, cells=cells, out=K.Workspace())
         want = reference(*(c for a in (f, g, h) for c in corner_arrays(a, cells)))
-        assert got.dtype == np.complex128
-        # +0.0 and -0.0 may trade places where a value is an exact zero
-        assert_bits_equal(got + 0.0, want + 0.0)
+        assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert want.dtype == np.complex128
+        assert_corner_form_bits(got, want)
 
     @pytest.mark.parametrize("layout", ["shifted", "corners"])
     def test_complex_tail_cell_is_not_a_block_of_its_own(self, layout):
@@ -602,7 +613,7 @@ class TestZeroEdgeElision:
             for c in ranges:
                 got = K.scalar_kernel(f, g, h, cells=c, out=K.Workspace())
                 want = reference_scalar_kernel(*(x for a in (f, g, h) for x in corner_arrays(a, c)))
-                assert_bits_equal(got + 0.0, want + 0.0)
+                assert_corner_form_bits(got, want)
 
     @pytest.mark.parametrize("zg, zh, multiply, subtract", [
         ("y", "x", 9, 4), ("y", "", 9, 4), ("", "x", 9, 4),
@@ -658,6 +669,33 @@ class TestLeafSums:
         whole = K.leaf_sums(vals, LEAF)
         split = np.concatenate([K.leaf_sums(vals[a:b], LEAF) for a, b in zip(edges, edges[1:])])
         assert np.array_equal(whole.view(np.float64), split.view(np.float64))
+
+    @pytest.mark.parametrize("m", [LEAF, 3 * LEAF, 1000, 2 * LEAF + 77, 3**10],
+                             ids=["leaf", "leaves", "tail", "leaves+tail", "59049"])
+    def test_real_values_sum_as_complex(self, m):
+        """Float64 values sum, leaf by leaf, to the bits of the same values
+        cast to complex128: whole leaves, a short tail, and the 3**10 words
+        of a full-subdivision-3 tile.  Magnitudes spread over 16 decades, so
+        a float64 pairwise sum, grouped unlike the complex one, would show."""
+        draw = np.random.default_rng(m)
+        vals = draw.standard_normal(m) * 10.0 ** draw.uniform(-8, 8, m)
+        got = K.leaf_sums(vals, LEAF)
+        assert got.dtype == np.complex128
+        assert_bits_equal(got, K.leaf_sums(vals.astype(np.complex128), LEAF))
+
+    def test_buffer_smaller_than_a_leaf_refused(self):
+        """numpy casts a real leaf in pieces when its ufunc buffer is smaller
+        than the leaf, which changes the bits (at 4080 values, numpy 2.4), so
+        a 1-worker sum on a thread with such a buffer raises before it
+        returns a value."""
+        f, g, h, _, _ = cocycle.resolve_functions("bott-flux")
+        old = np.getbufsize()
+        np.setbufsize(4080)
+        try:
+            with pytest.raises(ValueError, match="buffer size 4080 is smaller than a leaf of 4096"):
+                cocycle.phi_n(DUST, 6, f, g, h, workers=1)
+        finally:
+            np.setbufsize(old)
 
 
 def reference_corner_numerators(words, n, offx, offy):

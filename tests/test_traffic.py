@@ -17,7 +17,9 @@ tracer (``sys.settrace`` and, for the sums' worker threads,
 * one sum without ``--workers`` with ``DUSTCOCYCLE_WORKERS`` set, and one
   with it unset;
 * a JSON report written with ``--out``, one with no ``git`` on the
-  ``PATH`` (the build id's fallback), and two usage errors that exit 2: a
+  ``PATH`` (the build id's fallback), one with a stand-in ``git`` that
+  names the package's checkout and a commit (the build id's commit
+  branch), and two usage errors that exit 2: a
   negative level apart from its flag, and ``--out`` into a missing
   directory;
 * the benchmark's three workloads (``perfbench/workloads.py``, which this
@@ -26,9 +28,8 @@ tracer (``sys.settrace`` and, for the sums' worker threads,
 The modules are found by a glob, so a new one is traced too.  Then every
 statement in a function of them must have run.  Excepted are a ``raise``,
 the rest of an ``if`` or ``else`` body that ends in one, ``global`` lines,
-and the entries of :data:`ALLOWED`, each with its reason.  The build id's
-git branch runs where the package sits in its git checkout, as it does
-under the suite.
+and the entries of :data:`ALLOWED`, each with its reason.  No run needs a
+real git checkout, so the suite passes on an exported tree as well.
 """
 
 import ast
@@ -122,6 +123,13 @@ def _traffic(tmp_path):
         _cli("converge", "--functions", "bott-flux", "--n", "2", "--no-timing")
         _cli("converge", "--n", "3", "--format", "json", "--out", str(tmp_path / "report.json"))
         env.setenv("PATH", str(tmp_path))  # no git: the build id is the version alone
+        _cli("converge", "--n", "3", "--format", "json")
+        stand_in = tmp_path / "bin" / "git"
+        stand_in.parent.mkdir()
+        checkout = Path(cli.__file__).resolve().parent.parent.parent  # above src/dustcocycle
+        stand_in.write_text(f"#!/bin/sh\necho '{checkout}'\necho 0123abc\n")
+        stand_in.chmod(0o755)
+        env.setenv("PATH", str(stand_in.parent))  # the build id names the commit
         _cli("converge", "--n", "3", "--format", "json")
     _cli("pairing", "--n", "-1..3", code=2)
     _cli("converge", "--n", "3", "--out", str(tmp_path / "missing" / "report.csv"), code=2)

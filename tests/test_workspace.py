@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 from dustcocycle import _kernels as K
 from dustcocycle.cocycle import (
     TASK_VERTICES, Observable, _leaf_sums_for_range, _pullback_source, _subdivision_source,
-    direct_scalar, phi_n, pullback_projection,
+    direct_scalar, phi_n, phi_subdivision, pullback_projection, resolve_functions,
 )
 from dustcocycle.geometry import get_preset
-from dustcocycle.oracle import bott_projection
+from dustcocycle.oracle import SMOOTH_PRESETS, bott_projection
 from test_kernels import corner_arrays, corner_cells, shifted_cells
 
 DUST = get_preset("cantor-dust")
@@ -133,7 +133,7 @@ def _kernel_cases(draw, kinds=tuple(sorted(_KERNELS))):
 
 
 class TestRealKernels:
-    """Float64 inputs run float64 temporaries into the complex result."""
+    """Float64 inputs run float64 temporaries into a float64 result."""
 
     @settings(max_examples=30, deadline=None)
     @given(_kernel_cases(kinds=("scalar",)))
@@ -144,12 +144,14 @@ class TestRealKernels:
         ws = K.Workspace()
         got = kernel(*real, cells=cells, out=ws)
         want = kernel(*(x.astype(np.complex128) for x in real), cells=cells)
-        assert got.dtype == want.dtype == np.complex128
-        assert np.array_equal(got.real.view(np.uint64), want.real.view(np.uint64))
-        assert not got.imag.view(np.uint64).any()  # +0.0 everywhere
-        # every temporary of a real call is real
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
+        # an exact zero, of either sign: a complex product's imaginary part
+        # x.real * 0 + 0 * y.real is -0.0 where both real parts are negative
+        assert not want.imag.any()
+        # every temporary of a real call, and its result, is real
         kinds = {name: dtype for name, dtype in ws._buffers if name.startswith("kernel.")}
-        assert kinds.pop("kernel.result") == np.complex128
+        assert kinds.pop("kernel.result") == np.float64
         assert set(kinds.values()) == {np.dtype(np.float64)}
 
     @settings(max_examples=30, deadline=None)
@@ -227,6 +229,18 @@ class TestWorkspaceReuse:
         assert all(ref() is None for ref in made)
 
 
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``, run once before untraced, so the
+    tiles it builds once per process are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTaskMemory:
     def test_dust_direct_sum_peaks_below_4_mb(self):
         """A 1-worker dust direct sum at n = 9 over three full linear values
@@ -237,11 +251,17 @@ class TestTaskMemory:
         triple = (direct_scalar(lambda x, y: x + y, "x+y"),
                   direct_scalar(lambda x, y: 2.0 * x - y, "2x-y"),
                   direct_scalar(lambda x, y: x + 3.0 * y, "x+3y"))
-        phi_n(DUST, 9, *triple, workers=1)  # the tile is built once per process
-        tracemalloc.start()
-        try:
-            phi_n(DUST, 9, *triple, workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 << 20
+        assert traced_peak(lambda: phi_n(DUST, 9, *triple, workers=1)) <= 4 << 20
+
+    @pytest.mark.parametrize("sum_", ["pullback n=9", "subdivision n=10"])
+    def test_real_sum_peaks_below_2_5_mb(self, sum_):
+        """A 1-worker bott-flux sum, real from its rules to its leaf sums,
+        peaks at no more than 2.5 MB: 2.03 MB for the pullback at n = 9,
+        2.06 MB for the subdivision at n = 10.  With a complex128 kernel
+        result and gather per task, one 65536-word tile's worth of 16-byte
+        values each, they peaked at 3.03 and 3.06 MB."""
+        f, g, h, _, _ = resolve_functions("bott-flux")
+        t = SMOOTH_PRESETS["bott-flux"]
+        call = {"pullback n=9": lambda: phi_n(DUST, 9, f, g, h, workers=1),
+                "subdivision n=10": lambda: phi_subdivision(10, t.f, t.g, t.h, workers=1)}[sum_]
+        assert traced_peak(call) <= 2.5 * 2**20
