@@ -146,12 +146,12 @@ def _levels(args, nmaps, kind) -> list[int]:
     every check where its two ends do."""
     spec = args.n.strip()
     lo, dots, hi = spec.partition("..")
-    ns = list(range(int(lo), int(hi if dots else lo) + 1))
-    if not ns:
+    lo, hi = int(lo), int(hi if dots else lo)
+    if lo > hi:
         raise ValueError(f"empty level range {spec!r}")
-    for n in (ns[0], ns[-1]):
+    for n in (lo, hi):
         word_count(nmaps, n, kind, args.override_budget)
-    return ns
+    return list(range(lo, hi + 1))
 
 
 def _add_output_flags(p):
@@ -327,33 +327,32 @@ def _cmd_selftest(args) -> int:
         if failed:
             failures.append(failure)
 
+    def compare(label, got, want, failure):
+        # np.max keeps a NaN wherever it falls, and a NaN is not <= 1e-12
+        worst = np.max(np.abs(np.subtract(got, want)))
+        print(f"{label}: max |diff| = {worst:.2e}")
+        fail_if(not worst <= 1e-12, failure)
+
     rep = check_constants()
     print(f"constants: {'ok' if rep.ok else 'FAIL'} ({rep.elapsed_ms:.3f} ms)")
     fail_if(not rep.ok, f"constants: {rep.first_violation}")
 
+    # 200 random complex triples, each vertex value drawn as real, then
+    # imaginary part
     rng = np.random.default_rng(20240202)
-    worst = 0.0
-    for _ in range(200):
-        f, g, h = (
-            VertexValues(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-            for _ in range(3)
-        )
-        worst = max(worst, abs(kernel_trace(f, g, h) - kernel_trace_oracle(f, g, h)))
-    print(f"kernel vs matrix oracle: max |diff| = {worst:.2e}")
-    fail_if(worst > 1e-12, "kernel oracle mismatch")
+    triples = [[VertexValues(*(re + 1j * im)) for re, im in fgh]
+               for fgh in rng.standard_normal((200, 3, 2, 4))]
+    compare("kernel vs matrix oracle", [kernel_trace(*t) for t in triples],
+            [kernel_trace_oracle(*t) for t in triples], "kernel oracle mismatch")
 
     # the engine's scalar kernel on 200 random complex squares, the corners
     # v0..v3 of f, g and h concatenated, at offsets (0, 200, 400, 600)
     z = rng.standard_normal((12, 200)) + 1j * rng.standard_normal((12, 200))
     cells = ((0, 200, 400, 600), 200)
     f, g, h = (np.concatenate(z[i : i + 4], axis=-1) for i in (0, 4, 8))
-    got = K.scalar_kernel(f, g, h, cells=cells)
-    worst = max(
-        abs(got[s] - kernel_trace(*(VertexValues(*z[i : i + 4, s]) for i in (0, 4, 8))))
-        for s in range(200)
-    )
-    print(f"scalar kernel vs closed form: max |diff| = {worst:.2e}")
-    fail_if(not worst <= 1e-12, "scalar kernel mismatch")
+    compare("scalar kernel vs closed form", K.scalar_kernel(f, g, h, cells=cells),
+            [kernel_trace(*(VertexValues(*z[i : i + 4, s]) for i in (0, 4, 8))) for s in range(200)],
+            "scalar kernel mismatch")
 
     # a row g (x only) and a column h (y only), as in bott-flux, on the
     # dust's (2, 2, h, w) quadrants and on a shifted H x W box: given
@@ -390,22 +389,16 @@ def _cmd_selftest(args) -> int:
     n /= np.sqrt((n * n).sum(axis=1, keepdims=True))
     e = 0.5 * (np.eye(2) + np.einsum("vks,kij->vsij", n, _PAULI))
     f, g, h = (np.concatenate(n[i : i + 4], axis=-1) for i in (0, 4, 8))
-    got = K.matrix_kernel(f, g, h, cells=cells)
-    worst = max(
-        abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[i : i + 4, s]) for i in (0, 4, 8))))
-        for s in range(200)
-    )
-    print(f"matrix kernel vs matrix oracle (rank-1 projections): max |diff| = {worst:.2e}")
-    fail_if(not worst <= 1e-12, "matrix kernel oracle mismatch")
+    compare("matrix kernel vs matrix oracle (rank-1 projections)",
+            K.matrix_kernel(f, g, h, cells=cells),
+            [kernel_trace_oracle(*(VertexValues(*e[i : i + 4, s]) for i in (0, 4, 8))) for s in range(200)],
+            "matrix kernel oracle mismatch")
 
     # the same with f = g = h, one lattice, as in every pairing: the kernel's
     # block then reuses the cross products and writes the real part as +0
-    got = K.matrix_kernel(f, f, f, cells=cells)
-    worst = max(
-        abs(got[s] - kernel_trace_oracle(*(VertexValues(*e[0:4, s]),) * 3)) for s in range(200)
-    )
-    print(f"matrix kernel vs matrix oracle (f = g = h): max |diff| = {worst:.2e}")
-    fail_if(not worst <= 1e-12, "matrix kernel oracle mismatch (f = g = h)")
+    compare("matrix kernel vs matrix oracle (f = g = h)", K.matrix_kernel(f, f, f, cells=cells),
+            [kernel_trace_oracle(*(VertexValues(*e[0:4, s]),) * 3) for s in range(200)],
+            "matrix kernel oracle mismatch (f = g = h)")
 
     bad = 0
     for sq in enumerate_squares(get_preset("cantor-dust"), 4):

@@ -190,7 +190,8 @@ class Observable:
     Bott fields the pairing is defined on.  Its rule returns n itself, a real
     array of shape (3, ...) with n1, n2, n3 along axis 0 that broadcasts to
     (3,) + the common shape; a complex or non-finite result raises
-    ValueError naming the observable.  ``dim`` must be 2.  Larger matrices,
+    ValueError naming the observable.  ``dim`` must be 2 (and a scalar
+    observable's 0, so the kind fixes it).  Larger matrices,
     non-Hermitian matrix triples and products of matrix observables (a
     product of projections is neither Hermitian nor of unit trace) are not
     supported.
@@ -216,6 +217,9 @@ class Observable:
                 f"observable {self.name!r}: matrix observables are 2 x 2 "
                 f"(Hermitian, unit trace), got dim={self.dim}"
             )
+        if self.kind == "scalar" and self.dim != 0:
+            raise ValueError(f"observable {self.name!r}: scalar observables have dim=0, "
+                             f"got dim={self.dim}")
 
     def evaluate(self, u, v):
         """The rule's values at (u, v), broadcast to the full (read-only)
@@ -771,10 +775,9 @@ def _sum_kernel(source, n, total, f, g, h, workers, maxima=None):
 
 
 def _check_triple(f, g, h):
-    kinds = {o.kind for o in (f, g, h)}
+    kinds = {o.kind for o in (f, g, h)}  # the kind fixes the dimension
     modes = {o.mode for o in (f, g, h)}
-    dims = {o.dim for o in (f, g, h)}
-    if len(kinds) != 1 or len(dims) != 1:
+    if len(kinds) != 1:
         raise ValueError("observable triple must share kind and dimension")
     if len(modes) != 1:
         raise ValueError("observable triple must share evaluation mode")
@@ -812,7 +815,9 @@ def word_count(nmaps, n, kind, allow_large):
     where its smallest and largest level do, so the command line checks a
     range at its two ends before any sum."""
     _check_level(n)
-    total = nmaps ** int(n)  # a Python int: a NumPy one would wrap past int64
+    # a Python int: a NumPy one would wrap past int64; from level 63 on any
+    # nmaps >= 2 overflows, so the power is never formed past it
+    total = nmaps ** min(int(n), 63)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"{nmaps}**{n} level-{n} words overflow 64-bit word indices")
     cap = MAX_SQUARES_SCALAR if kind == "scalar" else MAX_SQUARES_MATRIX

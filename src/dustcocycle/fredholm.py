@@ -23,6 +23,7 @@ not deviation ~1e-16.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -113,62 +114,52 @@ def _check_compatible(*vals):
 def build_rho(f: VertexValues) -> np.ndarray:
     """Multiplication operator of ``f``: diagonal in the fixed basis order.
 
-    Scalar values give a 4x4 diagonal; matrix values an (4N, 4N) block
-    diagonal with blocks f(v0), f(v2), f(v1), f(v3).
+    A (4N, 4N) block diagonal with blocks f(v0), f(v2), f(v1), f(v3); a
+    scalar is a 1 x 1 block, so its operator is the 4 x 4 diagonal.
     """
-    ordered = [f.value(i) for i in BASIS_TO_VERTEX]
-    if f.kind == "scalar":
-        return np.diag(np.array(ordered, dtype=np.complex128))
-    nn = f.dim
+    nn = f.dim or 1
     out = np.zeros((4 * nn, 4 * nn), dtype=np.complex128)
-    for b, block in enumerate(ordered):
-        out[b * nn : (b + 1) * nn, b * nn : (b + 1) * nn] = block
+    for b, i in enumerate(BASIS_TO_VERTEX):
+        out[b * nn : (b + 1) * nn, b * nn : (b + 1) * nn] = f.value(i)
     return out
 
 
-def _f_full(dim):
-    return F.astype(np.complex128) if dim == 0 else np.kron(F, np.eye(dim)).astype(np.complex128)
-
-
-def _m_full(dim):
-    return M.astype(np.complex128) if dim == 0 else np.kron(M, np.eye(dim)).astype(np.complex128)
+def _lift(a, dim):
+    """The 4 x 4 operator ``a`` on the (4N, 4N) space of N x N values."""
+    return np.kron(a, np.eye(dim or 1))
 
 
 def commutator(f: VertexValues) -> np.ndarray:
     """[F, rho(f)]: off-diagonal blocks built from vertex differences / sqrt(2)."""
     rho = build_rho(f)
-    ff = _f_full(f.dim)
+    ff = _lift(F, f.dim)
     return ff @ rho - rho @ ff
 
 
 def kernel_trace(f: VertexValues, g: VertexValues, h: VertexValues) -> complex:
     """Closed-form Tr(f [F, g] [F, h] M) on one square.
 
-    For matrix values each product keeps the written order f(i) g_.. h_.. and
-    the result is the trace of the bracket over the matrix factor.
+    A scalar is the N = 1 case: for matrix values each product keeps the
+    written order f(i) g_.. h_.. and the result is the trace of the bracket
+    over the matrix factor.
     """
     _check_compatible(f, g, h)
+    mul = operator.mul if f.kind == "scalar" else np.matmul
 
     def d(vv, i, j):
         return vv.value(j) - vv.value(i)
 
-    if f.kind == "scalar":
-        t = f.value(0) * (d(g, 0, 1) * d(h, 1, 2) - d(g, 0, 3) * d(h, 3, 2))
-        t += f.value(2) * (d(g, 2, 3) * d(h, 3, 0) - d(g, 2, 1) * d(h, 1, 0))
-        t -= f.value(1) * (d(g, 1, 0) * d(h, 0, 3) - d(g, 1, 2) * d(h, 2, 3))
-        t -= f.value(3) * (d(g, 3, 2) * d(h, 2, 1) - d(g, 3, 0) * d(h, 0, 1))
-        return complex(0.5 * t)
-    t = f.value(0) @ (d(g, 0, 1) @ d(h, 1, 2) - d(g, 0, 3) @ d(h, 3, 2))
-    t += f.value(2) @ (d(g, 2, 3) @ d(h, 3, 0) - d(g, 2, 1) @ d(h, 1, 0))
-    t -= f.value(1) @ (d(g, 1, 0) @ d(h, 0, 3) - d(g, 1, 2) @ d(h, 2, 3))
-    t -= f.value(3) @ (d(g, 3, 2) @ d(h, 2, 1) - d(g, 3, 0) @ d(h, 0, 1))
-    return complex(0.5 * np.trace(t))
+    t = mul(f.value(0), mul(d(g, 0, 1), d(h, 1, 2)) - mul(d(g, 0, 3), d(h, 3, 2)))
+    t += mul(f.value(2), mul(d(g, 2, 3), d(h, 3, 0)) - mul(d(g, 2, 1), d(h, 1, 0)))
+    t -= mul(f.value(1), mul(d(g, 1, 0), d(h, 0, 3)) - mul(d(g, 1, 2), d(h, 2, 3)))
+    t -= mul(f.value(3), mul(d(g, 3, 2), d(h, 2, 1)) - mul(d(g, 3, 0), d(h, 0, 1)))
+    return complex(0.5 * (t if f.kind == "scalar" else np.trace(t)))
 
 
 def kernel_trace_oracle(f: VertexValues, g: VertexValues, h: VertexValues) -> complex:
     """Tr(f [F, g] [F, h] M) by explicit matrix assembly and multiplication."""
     _check_compatible(f, g, h)
-    prod = build_rho(f) @ commutator(g) @ commutator(h) @ _m_full(f.dim)
+    prod = build_rho(f) @ commutator(g) @ commutator(h) @ _lift(M, f.dim)
     return complex(np.trace(prod))
 
 
@@ -210,19 +201,16 @@ def _area_identity_deviation(a, k: int) -> int:
     return int(dev)
 
 
-def check_constants(carrier: np.ndarray | None = None) -> ConstantsReport:
+def check_constants() -> ConstantsReport:
     """Verify the operator identities exactly.
 
     Checks, in order: F self-adjoint, F^2 = identity, F anticommutes with the
     grading, M = diag(N, N), and M = -(2/e^2)[F, x][F, y] for edge lengths
     e in {1, 1/3, 1/9}.  Deviations are exact integers/Fractions reported as
     floats; any nonzero entry flags the first violated identity.
-
-    ``carrier`` overrides the sqrt(2)-scaled integer matrix of F (used by the
-    negative-control test of the checker itself).
     """
     t0 = perf_counter()
-    a = F_CARRIER if carrier is None else np.asarray(carrier, dtype=np.int64)
+    a = F_CARRIER
     checks = []
 
     dev = int(np.abs(a - a.T).max())

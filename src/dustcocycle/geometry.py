@@ -106,8 +106,12 @@ def enumerate_squares(preset: IfsPreset, n: int) -> Iterator[SquareGeom]:
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    if preset.nmaps**n > MAX_SQUARES_SCALAR:
-        raise BudgetError(f"{preset.nmaps**n} squares exceed the scalar budget of "
+    # from level 25 on any nmaps >= 2 exceeds the budget of 2**24, so the
+    # power is never formed past it
+    total = preset.nmaps ** min(n, 25)
+    if total > MAX_SQUARES_SCALAR:
+        count = total if n <= 25 else f"{preset.nmaps}**{n}"
+        raise BudgetError(f"{count} squares exceed the scalar budget of "
                           f"{MAX_SQUARES_SCALAR}, which the reference stream always keeps")
     offsets = preset.offsets
     for word in product(range(preset.nmaps), repeat=n):

@@ -581,6 +581,18 @@ class TestExitCodes:
         assert (code, out, calls) == (2, "", [])
         assert capsys.readouterr().err == "error: 9**20 level-20 words overflow 64-bit word indices\n"
 
+    @pytest.mark.parametrize("argv, n", [
+        (("converge", "--n", "99999999999999999999"), "99999999999999999999"),
+        (("converge", "--n", "0..99999999999"), "99999999999"),
+        (("pairing", "--n", "200000000000", "--grid", "64"), "200000000000"),
+    ])
+    def test_huge_level_exits_at_once(self, run_capped, argv, n):
+        """A level far past int64 word indices is refused from the level
+        alone, before any power of it is formed or its range is listed."""
+        done = run_capped("import sys; from dustcocycle.cli import main; sys.exit(main())", *argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: 4**{n} level-{n} words overflow 64-bit word indices\n"
+
     def test_bad_range(self, monkeypatch, capsys):
         code, _ = run_cli("converge", "--functions", "const-xy", "--n", "5..3")
         assert code == 2
@@ -642,6 +654,27 @@ class TestExitCodes:
         code, out = run_cli("selftest")
         assert code == 1
         assert "FAIL scalar kernel mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, failures", [
+        ("scalar_kernel", ["FAIL scalar kernel mismatch"]),
+        ("matrix_kernel", ["FAIL matrix kernel oracle mismatch",
+                           "FAIL matrix kernel oracle mismatch (f = g = h)"]),
+    ])
+    def test_selftest_fails_on_a_nan(self, monkeypatch, capsys, name, failures):
+        """A kernel that returns NaN at square 5 of the 200 that selftest
+        checks fails those checks: a NaN is no difference within 1e-12."""
+        kernel = getattr(K, name)
+
+        def nan_at_5(*args, **kwargs):
+            got = kernel(*args, **kwargs)
+            if got.shape == (200,):
+                got[5] = np.nan
+            return got
+
+        monkeypatch.setattr(K, name, nan_at_5)
+        code, out = run_cli("selftest")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == failures
 
     def test_selftest_checks_the_separable_path(self, monkeypatch, capsys):
         """A kernel whose path for a compact row g and column h is one ulp

@@ -567,6 +567,13 @@ class TestMatrixKind:
         with pytest.raises(ValueError, match="2 x 2"):
             Observable("p", "pullback", "matrix", bott_projection(1), dim=dim)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_scalar_dim_is_zero(self, dim):
+        """The kind fixes the dimension: a scalar observable of dim 5 is
+        refused when it is made, not when its triple is summed."""
+        with pytest.raises(ValueError, match="scalar observables have dim=0"):
+            Observable("x", "direct", "scalar", lambda u, v: u, dim=dim)
+
     def test_matrix_products_refused(self):
         p = pullback_projection(bott_projection(1))
         f, _, _, _, _ = resolve_functions("bott-flux")

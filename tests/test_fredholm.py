@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dustcocycle import fredholm
 from dustcocycle.fredholm import (
     EPSILON,
     F,
@@ -44,18 +45,20 @@ class TestConstants:
         mm[2:, 2:] = N
         assert np.array_equal(M, mm)
 
-    def test_perturbed_carrier_reports_violation(self):
+    def test_perturbed_carrier_reports_violation(self, monkeypatch):
         bad = F_CARRIER.copy()
         bad[0, 2] = 2
-        rep = check_constants(bad)
+        monkeypatch.setattr(fredholm, "F_CARRIER", bad)
+        rep = check_constants()
         assert not rep.ok
         name, dev = rep.first_violation
         assert dev != 0
 
-    def test_perturbed_symmetric_carrier_fails_square_identity(self):
+    def test_perturbed_symmetric_carrier_fails_square_identity(self, monkeypatch):
         bad = F_CARRIER.copy()
         bad[0, 2] = bad[2, 0] = -1  # still symmetric, but F^2 != I
-        rep = check_constants(bad)
+        monkeypatch.setattr(fredholm, "F_CARRIER", bad)
+        rep = check_constants()
         assert not rep.ok
         assert rep.first_violation[0] == "F squared = identity"
 
@@ -175,6 +178,18 @@ class TestOracleEquivalence:
             f, g, h = (random_matrix_values(rng) for _ in range(3))
             worst = max(worst, abs(kernel_trace(f, g, h) - kernel_trace_oracle(f, g, h)))
         assert worst < 1e-12
+
+    def test_scalar_is_the_one_by_one_case(self):
+        """A scalar triple and the same values as 1 x 1 matrices give the
+        same bits, in the closed form and in the oracle."""
+        rng = np.random.default_rng(RNG_SEED + 4)
+        for _ in range(500):
+            triple = [random_scalar_values(rng) for _ in range(3)]
+            wrapped = [VertexValues(*(np.array([[v]]) for v in vv.values)) for vv in triple]
+            assert wrapped[0].kind == "matrix"
+            for trace in (kernel_trace, kernel_trace_oracle):
+                bits = np.array([trace(*triple), trace(*wrapped)]).view(np.int64)
+                assert bits[:2].tolist() == bits[2:].tolist()
 
     def test_identity_triple_vanishes(self):
         one = VertexValues(1.0, 1.0, 1.0, 1.0)

@@ -86,6 +86,16 @@ class TestEnumeration:
         stream = enumerate_squares(CANTOR_DUST, 12)
         assert [next(stream).word for _ in range(2)] == [(0,) * 12, (0,) * 11 + (1,)]
 
+    def test_huge_level_refused_at_once(self, run_capped):
+        """A level far past the budget is refused from the level alone,
+        before any power of it is formed."""
+        done = run_capped("from dustcocycle.geometry import CANTOR_DUST, enumerate_squares\n"
+                          "next(enumerate_squares(CANTOR_DUST, 10**9))")
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "dustcocycle.geometry.BudgetError: 4**1000000000 squares exceed the scalar budget "
+            "of 16777216, which the reference stream always keeps")
+
     def test_level_guard_names_no_override(self):
         """The stream takes no override, so its refusal names the count and
         the cap and points to no ``allow_large``."""

@@ -59,14 +59,6 @@ ALLOWED = (
     "cyclicity_residual",  # the acceptance suite's cocycle residuals
     "hochschild_residual",
     "_top: return np.abs(x).max()",  # complex values: every catalogue triple is real
-    # matrix values: acceptance criterion 2 compares them with
-    # kernel_trace_oracle on 200 matrix triples; the commands check the
-    # engine's matrix kernel against the oracle instead
-    "kernel_trace: t = f.value(0) @ (d(g, 0, 1) @ d(h, 1, 2) - d(g, 0, 3) @ d(h, 3, 2))",
-    "kernel_trace: t += f.value(2) @ (d(g, 2, 3) @ d(h, 3, 0) - d(g, 2, 1) @ d(h, 1, 0))",
-    "kernel_trace: t -= f.value(1) @ (d(g, 1, 0) @ d(h, 0, 3) - d(g, 1, 2) @ d(h, 2, 3))",
-    "kernel_trace: t -= f.value(3) @ (d(g, 3, 2) @ d(h, 2, 1) - d(g, 3, 0) @ d(h, 0, 1))",
-    "kernel_trace: return complex(0.5 * np.trace(t))",
     # runs at import, for the catalogue, before the trace starts
     '_bump: return TorusFunction(f"bump[{mix},{shift_u},{shift_v}]", fn)',
     # run only when a check fails: the failed identity's name, and
